@@ -22,7 +22,7 @@ Commands
 ``explain``
     Print the physical plan of a SQL query; ``--analyze`` executes it and
     renders the per-operator EXPLAIN ANALYZE tree (rows, blocks,
-    simulated charge breakdown, wall time, worker spread).
+    simulated charge breakdown, wall time).
 
 ``why``
     Render the planner's decision trail as a text tree: per step, the
@@ -35,8 +35,8 @@ Commands
 
 ``control-log``
     Render the adaptive runtime's control trail as a text tree: every
-    actuation a governor made (policy switches, worker-pool resizes,
-    block-size changes) with its reason and the signal values it acted
+    actuation a governor made (policy switches, block-size changes)
+    with its reason and the signal values it acted
     on.  Reads a ``--control-log`` JSONL file with ``--log``; without
     one it runs a small adaptive sample on the paper's workload under
     SLO pressure.  ``--governor`` and ``--view`` filter the trail.
@@ -87,21 +87,6 @@ Observability (any subcommand)
     adaptive runtime's governors make is captured and dumped to FILE as
     JSONL on exit -- the input format of ``repro control-log --log
     FILE``.  Independent of ``--metrics``.
-
-Execution (any subcommand)
---------------------------
-
-``--workers N``
-    Run eligible scan/filter/project chains as parallel block pipelines
-    on an ``N``-worker pool (see :mod:`repro.engine.parallel`).  Charging
-    stays centralized at the merge point, so all simulated costs are
-    byte-identical to serial runs; only wall-clock changes.  ``0``
-    (default) stays serial.  Overrides the ``REPRO_WORKERS`` environment
-    variable for the run.
-
-``--parallel-backend {thread,process}``
-    Pool flavor for ``--workers``: threads (default) or the opt-in
-    multiprocessing pool for CPU-bound expression evaluation.
 
 All flags are accepted before or after the subcommand, and experiment
 names work as top-level shorthand: ``repro fig6 --trace out.jsonl`` is
@@ -204,28 +189,6 @@ def _obs_flags() -> argparse.ArgumentParser:
             "(readable with `repro control-log --log FILE`)"
         ),
     )
-    parent.add_argument(
-        "--workers",
-        metavar="N",
-        type=int,
-        default=argparse.SUPPRESS,
-        help=(
-            "execute eligible scan/filter/project chains as parallel "
-            "block pipelines on an N-worker pool (simulated costs are "
-            "unchanged; 0 = serial, the default; overrides the "
-            "REPRO_WORKERS environment variable)"
-        ),
-    )
-    parent.add_argument(
-        "--parallel-backend",
-        choices=["thread", "process"],
-        default=argparse.SUPPRESS,
-        help=(
-            "worker-pool backend for --workers: 'thread' (default) or "
-            "'process' (multiprocessing, for CPU-bound expression "
-            "evaluation)"
-        ),
-    )
     return parent
 
 
@@ -248,8 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
         profile=None,
         decision_log=None,
         control_log=None,
-        workers=None,
-        parallel_backend=None,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -322,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "execute the query and annotate every operator with rows, "
-            "blocks, simulated charges, wall time, and worker spread"
+            "blocks, simulated charges, and wall time"
         ),
     )
 
@@ -399,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     control_log.add_argument(
         "--governor",
-        choices=["policy", "workers", "block_size"],
+        choices=["policy", "block_size"],
         default=None,
         help="only events from this governor",
     )
@@ -460,26 +421,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         or args.serve_metrics is not None
         or args.flight_recorder
     )
-    if args.workers is None and args.parallel_backend is None:
-        if not observed:
-            return handler(args)
-        return _run_observed(handler, args)
-    # ``--workers``/``--parallel-backend`` configure the process-global
-    # defaults every Database the subcommand builds will resolve; restore
-    # them afterwards so embedding callers (and tests) see no leakage.
-    from repro.engine import parallel
-
-    try:
-        if args.workers is not None:
-            parallel.set_default_workers(args.workers)
-        if args.parallel_backend is not None:
-            parallel.set_default_backend(args.parallel_backend)
-        if not observed:
-            return handler(args)
-        return _run_observed(handler, args)
-    finally:
-        parallel.set_default_workers(None)
-        parallel.set_default_backend(None)
+    if not observed:
+        return handler(args)
+    return _run_observed(handler, args)
 
 
 def _with_profile_sink(handler, path):

@@ -1,11 +1,9 @@
 """Closed-loop adaptive runtime: governors that consume the telemetry.
 
-Every signal the observability layer grew -- ``slo.*`` margins with
-alert callbacks, ``engine.parallel.*`` queue/merge-wait metrics,
-``engine.block.low_fill``, calibration drift residuals -- feeds a
-controller here that actuates the matching runtime knob: scheduling
-policy (:meth:`~repro.ivm.maintainer.ViewMaintainer.set_policy`),
-worker-pool size (:meth:`~repro.engine.database.Database.set_workers`),
+The signals the observability layer grew -- ``slo.*`` margins with
+alert callbacks, ``engine.block.low_fill``, calibration drift residuals
+-- feed a controller here that actuates the matching runtime knob:
+scheduling policy (:meth:`~repro.ivm.maintainer.ViewMaintainer.set_policy`)
 and block size (:meth:`~repro.engine.database.Database.set_block_size`).
 Every actuation is recorded as a :class:`~repro.control.events.ControlEvent`
 in a bounded log with ``control.*`` metrics, a ``/control`` HTTP route,
@@ -27,7 +25,6 @@ from repro.control.governors import (
     BlockSizeGovernor,
     Governor,
     PolicyGovernor,
-    WorkerGovernor,
 )
 
 __all__ = [
@@ -37,7 +34,6 @@ __all__ = [
     "Controller",
     "Governor",
     "PolicyGovernor",
-    "WorkerGovernor",
     "build_controller",
     "collecting",
     "get_control_log",

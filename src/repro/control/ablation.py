@@ -2,12 +2,11 @@
 
 One SLO-pressure workload (the paper view under a bursty 80:1 arrival
 mix, constraint C sized so the ONLINE policy rides the near-breach
-band), five runs:
+band), four runs:
 
 * ``baseline`` -- no controller attached at all;
-* ``full`` -- all three governors on;
-* ``no-policy`` / ``no-workers`` / ``no-block`` -- one governor
-  disabled each.
+* ``full`` -- both governors on;
+* ``no-policy`` / ``no-block`` -- one governor disabled each.
 
 Every run replays the identical modification stream (same seeds), so
 differences in ``slo.breaches`` and wall time are attributable to the
@@ -35,16 +34,14 @@ from repro.obs import slo
 #: (name, governor flags) per run; ``None`` = no controller attached.
 VARIANTS: tuple[tuple[str, dict | None], ...] = (
     ("baseline", None),
-    ("full", {"policy": True, "workers": True, "block": True}),
-    ("no-policy", {"policy": False, "workers": True, "block": True}),
-    ("no-workers", {"policy": True, "workers": False, "block": True}),
-    ("no-block", {"policy": True, "workers": True, "block": False}),
+    ("full", {"policy": True, "block": True}),
+    ("no-policy", {"policy": False, "block": True}),
+    ("no-block", {"policy": True, "block": False}),
 )
 
 #: Which variant isolates each governor (the run where ONLY it is off).
 GOVERNOR_VARIANT = {
     "policy": "no-policy",
-    "workers": "no-workers",
     "block_size": "no-block",
 }
 
@@ -58,7 +55,6 @@ class VariantRun:
     near_breaches: int
     steps: int
     wall_s: float
-    final_workers: int
     final_block: int | None
     events: list[ControlEvent] = field(default_factory=list)
     view_contents: tuple = ()
@@ -103,14 +99,14 @@ class ControlAblationResult:
             f"~{self.params['burst_every']})",
             "",
             f"{'variant':<11} {'breaches':>8} {'near':>6} {'wall_s':>8} "
-            f"{'actuations':>10} {'workers':>7} {'block':>6}",
+            f"{'actuations':>10} {'block':>6}",
         ]
         for name, run in self.variants.items():
             block = "row" if run.final_block is None else str(run.final_block)
             lines.append(
                 f"{name:<11} {run.breaches:>8d} {run.near_breaches:>6d} "
                 f"{run.wall_s:>8.3f} {len([e for e in run.events if e.applied]):>10d} "
-                f"{run.final_workers:>7d} {block:>6}"
+                f"{block:>6}"
             )
         lines.append("")
         lines.append("Governor importance (cost of disabling it, vs full):")
@@ -153,7 +149,6 @@ def _run_variant(
     limit: float,
     scale: float,
     seed: int,
-    workers: int,
     block_size: int,
 ) -> VariantRun:
     from repro.core.online import OnlinePolicy
@@ -167,7 +162,6 @@ def _run_variant(
     # coordinator's copy instead, so drop the spare subscription.
     setup.view.close()
     db = setup.database
-    db.set_workers(workers)
     coordinator = MaintenanceCoordinator(db)
     coordinator.add_view(
         ViewConfig(
@@ -194,62 +188,56 @@ def _run_variant(
         else:
             near += 1
 
-    try:
-        # A fresh per-variant recorder: the worker/block governors read
-        # engine.parallel.* / engine.block.* deltas from the registry, so
-        # without one they would be blind (and variants would share
-        # metric state under an outer benchmark recorder).
-        with obs.recording(), control_events.collecting() as log, \
-                slo.alerts(count):
-            if controller is not None:
-                controller.attach()
-            start = time.perf_counter()
-            try:
-                for t, step_arrivals in enumerate(arrivals):
-                    setup.apply_arrivals(step_arrivals)
-                    coordinator.step(t)
-                    if controller is not None:
-                        controller.tick(t)
-            finally:
+    # A fresh per-variant recorder: the block governor reads
+    # engine.block.* deltas from the registry, so without one it would
+    # be blind (and variants would share metric state under an outer
+    # benchmark recorder).
+    with obs.recording(), control_events.collecting() as log, \
+            slo.alerts(count):
+        if controller is not None:
+            controller.attach()
+        start = time.perf_counter()
+        try:
+            for t, step_arrivals in enumerate(arrivals):
+                setup.apply_arrivals(step_arrivals)
+                coordinator.step(t)
                 if controller is not None:
-                    controller.detach()
-            wall = time.perf_counter() - start
-        view = coordinator.maintainer("paper_view").view
-        return VariantRun(
-            name=name,
-            breaches=breaches,
-            near_breaches=near,
-            steps=len(arrivals),
-            wall_s=wall,
-            final_workers=db.workers,
-            final_block=db.block_size,
-            events=log.events(),
-            view_contents=tuple(sorted(view.contents().items())),
-            charge_snapshot=dict(db.counter.snapshot()),
-        )
-    finally:
-        db.close()
+                    controller.tick(t)
+        finally:
+            if controller is not None:
+                controller.detach()
+        wall = time.perf_counter() - start
+    view = coordinator.maintainer("paper_view").view
+    return VariantRun(
+        name=name,
+        breaches=breaches,
+        near_breaches=near,
+        steps=len(arrivals),
+        wall_s=wall,
+        final_block=db.block_size,
+        events=log.events(),
+        view_contents=tuple(sorted(view.contents().items())),
+        charge_snapshot=dict(db.counter.snapshot()),
+    )
 
 
 def run_control_ablation(
     scale: float = 0.01,
     horizon: int = 120,
     seed: int = 11,
-    workers: int = 1,
     block_size: int = 2048,
 ) -> ControlAblationResult:
-    """Run the five-variant ablation; see the module docstring.
+    """Run the four-variant ablation; see the module docstring.
 
     ``block_size`` is deliberately oversized for the workload so the
-    block governor has real slack to reclaim, and ``workers`` starts the
-    pool small so the worker governor has headroom both ways.
+    block governor has real slack to reclaim.
     """
     arrivals, costs, limit = _pressure_workload(scale, horizon, seed)
     variants: dict[str, VariantRun] = {}
     for name, flags in VARIANTS:
         variants[name] = _run_variant(
             name, flags, arrivals, costs, limit,
-            scale=scale, seed=seed, workers=workers, block_size=block_size,
+            scale=scale, seed=seed, block_size=block_size,
         )
     return ControlAblationResult(
         variants=variants,
@@ -258,7 +246,6 @@ def run_control_ablation(
             "scale": scale,
             "horizon": horizon,
             "seed": seed,
-            "workers": workers,
             "block_size": block_size,
             "burst_every": _BURST_EVERY,
             "burst_factor": _BURST_FACTOR,
@@ -270,10 +257,9 @@ def run_control_sample(
     scale: float = 0.01,
     horizon: int = 80,
     seed: int = 11,
-    workers: int = 1,
     block_size: int = 2048,
 ) -> list[ControlEvent]:
-    """One adaptive run (all governors on) for ``repro control-log``.
+    """One adaptive run (both governors on) for ``repro control-log``.
 
     Returns the control trail; when a process-global control log is
     installed (the ``--control-log`` flag), the events are fed into it
@@ -282,9 +268,9 @@ def run_control_sample(
     arrivals, costs, limit = _pressure_workload(scale, horizon, seed)
     run = _run_variant(
         "full",
-        {"policy": True, "workers": True, "block": True},
+        {"policy": True, "block": True},
         arrivals, costs, limit,
-        scale=scale, seed=seed, workers=workers, block_size=block_size,
+        scale=scale, seed=seed, block_size=block_size,
     )
     installed = control_events.get_control_log()
     if installed is not None:

@@ -13,10 +13,9 @@ Usage sketch::
 
 Alert-hub callbacks (SLO pressure, calibration drift) buffer evidence
 inline during the round; all actuation happens in :meth:`Controller.tick`
-*between* rounds, so policies, worker pools, and block sizes never
-change under an executing query.  Detaching (context-manager exit)
-removes every subscription, leaving the process-global hubs as they
-were.
+*between* rounds, so policies and block sizes never change under an
+executing query.  Detaching (context-manager exit) removes every
+subscription, leaving the process-global hubs as they were.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from repro.control.governors import (
     BlockSizeGovernor,
     Governor,
     PolicyGovernor,
-    WorkerGovernor,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
@@ -90,30 +88,24 @@ class Controller:
 def build_controller(
     coordinator: "MaintenanceCoordinator",
     policy: bool = True,
-    workers: bool = True,
     block: bool = True,
     policy_options: dict | None = None,
-    worker_options: dict | None = None,
     block_options: dict | None = None,
 ) -> Controller:
-    """A controller with the three standard governors over one coordinator.
+    """A controller with the two standard governors over one coordinator.
 
     The boolean flags gate each governor (disabled governors stay
     constructed but inert, so ablation runs keep an identical object
     graph); the ``*_options`` dicts pass tuning keywords through to the
     governor constructors.
     """
-    database = coordinator.database
     return Controller(
         (
             PolicyGovernor(
                 coordinator, enabled=policy, **(policy_options or {})
             ),
-            WorkerGovernor(
-                database, enabled=workers, **(worker_options or {})
-            ),
             BlockSizeGovernor(
-                database, enabled=block, **(block_options or {})
+                coordinator.database, enabled=block, **(block_options or {})
             ),
         )
     )

@@ -1,7 +1,7 @@
 """Structured control-plane events: every actuation leaves a record.
 
 The adaptive runtime (:mod:`repro.control`) changes live settings --
-scheduling policy, worker-pool size, execution block size -- from
+scheduling policy, execution block size -- from
 observed telemetry.  A closed loop that cannot explain itself is worse
 than no loop: when a run misbehaves, the first question is "what did the
 controller do, when, and on what evidence?".  This module answers it
@@ -22,8 +22,8 @@ with the same shape the planner's decision log uses
 Strictly observational: recording an event never touches the operation
 counter.  The *actuations themselves* change wall-clock behavior by
 design, but never simulated costs (policy switches change the schedule,
-which is the point; worker/block resizes are cost-neutral by the
-charge-on-merge and block-equivalence invariants).
+which is the point; block resizes are cost-neutral by the
+block-equivalence invariant).
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class ControlEvent:
     """One control-loop actuation (or explicitly suppressed actuation).
 
     ``old``/``new`` are the setting's values before and after --
-    strings for policy modes, integers for pool/block sizes.
+    strings for policy modes, integers for block sizes.
     ``signals`` holds the raw numeric evidence the governor acted on,
     keyed by signal name.  ``applied`` is ``False`` for events a
     governor recorded without actually changing anything (e.g. a
@@ -63,8 +63,8 @@ class ControlEvent:
     """
 
     t: int | None
-    governor: str  # "policy" | "workers" | "block_size"
-    setting: str  # the knob changed, e.g. "policy", "workers"
+    governor: str  # "policy" | "block_size"
+    setting: str  # the knob changed, e.g. "policy", "block_size"
     old: object
     new: object
     reason: str

@@ -1,4 +1,4 @@
-"""The three governors: policy, worker-pool, and block-size feedback loops.
+"""The two governors: policy and block-size feedback loops.
 
 Each governor closes one loop between an existing telemetry stream and
 an existing runtime knob:
@@ -7,12 +7,10 @@ an existing runtime knob:
 governor      consumes                                         actuates
 ============  ===============================================  =========================
 policy        ``slo.*`` alert hub + calibration drift hub      ``ViewMaintainer.set_policy``
-workers       ``engine.parallel.merge_wait_ms`` / ``.tasks``   ``Database.set_workers``
-              / ``.queue_depth``
 block_size    ``engine.block.low_fill`` / ``.fill``            ``Database.set_block_size``
 ============  ===============================================  =========================
 
-Design rules shared by all three:
+Design rules shared by both:
 
 * **buffer in callbacks, act in ticks** -- alert-hub callbacks fire
   inline from the maintenance path, so they only append to bounded
@@ -290,118 +288,6 @@ class PolicyGovernor(Governor):
                     ),
                     signals={"quiet_steps": float(quiet_for)},
                 )
-
-
-class WorkerGovernor(Governor):
-    """Resize the parallel pool from observed merge waits and task flow.
-
-    Signals are read as per-tick deltas from the ambient recorder's
-    registry (``engine.parallel.tasks`` / ``merge_wait_ms``), plus the
-    running ``queue_depth`` peak for the event record.  Grow when the
-    merge waited more than ``grow_wait_ms`` per task over the interval
-    (workers are the bottleneck); shrink when it waited less than
-    ``shrink_wait_ms`` while tasks still flowed (pool is oversized).
-    One step per tick, bounded to [``min_workers``, ``max_workers``].
-    Without a recorder there is nothing to read and the governor holds.
-    """
-
-    name = "workers"
-
-    def __init__(
-        self,
-        database: "Database",
-        enabled: bool = True,
-        min_workers: int = 0,
-        max_workers: int = 8,
-        grow_wait_ms: float = 1.0,
-        shrink_wait_ms: float = 0.05,
-    ):
-        super().__init__(enabled)
-        if min_workers < 0 or max_workers < min_workers:
-            raise ValueError(
-                f"need 0 <= min_workers <= max_workers, got "
-                f"[{min_workers}, {max_workers}]"
-            )
-        self.database = database
-        self.min_workers = min_workers
-        self.max_workers = max_workers
-        self.grow_wait_ms = grow_wait_ms
-        self.shrink_wait_ms = shrink_wait_ms
-        self._last_tasks = 0.0
-        self._last_wait_total = 0.0
-        self._last_wait_count = 0
-
-    @staticmethod
-    def _metric(registry, name: str):
-        return registry.get(name)
-
-    def tick(self, t: int) -> None:
-        if not self.enabled:
-            return
-        recorder = obs.get_recorder()
-        if recorder is None:
-            return
-        registry = recorder.registry
-        tasks = self._metric(registry, "engine.parallel.tasks")
-        wait = self._metric(registry, "engine.parallel.merge_wait_ms")
-        tasks_now = float(tasks.value) if tasks is not None else 0.0
-        wait_total = float(wait.total) if wait is not None else 0.0
-        wait_count = int(wait.count) if wait is not None else 0
-        d_tasks = tasks_now - self._last_tasks
-        d_total = wait_total - self._last_wait_total
-        d_count = wait_count - self._last_wait_count
-        self._last_tasks = tasks_now
-        self._last_wait_total = wait_total
-        self._last_wait_count = wait_count
-        if d_tasks <= 0:
-            return  # idle interval: no parallel work, no evidence
-        mean_wait = d_total / d_count if d_count else 0.0
-        depth = self._metric(registry, "engine.parallel.queue_depth")
-        depth_peak = (
-            float(depth.value) if depth is not None and depth._set else 0.0
-        )
-        workers = self.database.workers
-        signals = {
-            "merge_wait_ms_mean": mean_wait,
-            "tasks_delta": d_tasks,
-            "queue_depth_peak": depth_peak,
-        }
-        if mean_wait > self.grow_wait_ms and workers < self.max_workers:
-            self._resize(
-                t,
-                workers + 1,
-                reason=(
-                    f"merge waited {mean_wait:.3f} ms/task over the last "
-                    f"interval (> {self.grow_wait_ms} ms): workers are "
-                    f"the bottleneck"
-                ),
-                signals=signals,
-            )
-        elif (
-            mean_wait < self.shrink_wait_ms
-            and workers > self.min_workers
-        ):
-            self._resize(
-                t,
-                workers - 1,
-                reason=(
-                    f"merge waited only {mean_wait:.3f} ms/task "
-                    f"(< {self.shrink_wait_ms} ms) while "
-                    f"{d_tasks:.0f} task(s) flowed: pool is oversized"
-                ),
-                signals=signals,
-            )
-
-    def _resize(
-        self, t: int, new: int, reason: str, signals: dict[str, float]
-    ) -> None:
-        old = self.database.workers
-        self.database.set_workers(new)
-        recorder = obs.get_recorder()
-        if recorder is not None:
-            recorder.counter("control.workers.resizes")
-            recorder.gauge("control.workers.size", new)
-        self._emit(t, "workers", old, new, reason, signals)
 
 
 #: Fill above this is join fan-out (output blocks carry a probe block's

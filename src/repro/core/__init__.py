@@ -1,7 +1,7 @@
 """Core algorithms from the paper: plans, cost functions, and schedulers.
 
 This subpackage is self-contained: it depends only on the Python standard
-library and numpy, and implements the paper's formal model (Section 2), the
+library, and implements the paper's formal model (Section 2), the
 plan-space reductions (Section 3), and all four maintenance strategies
 evaluated in Section 5:
 

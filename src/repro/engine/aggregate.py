@@ -63,18 +63,13 @@ class AggregateState(ABC):
     def merge(self, other: "AggregateState") -> None:
         """Combine another partial state of the same aggregate into this one.
 
-        The combine step of parallel partial aggregation: workers fold
-        disjoint partitions of the input into private states, and the
-        single-threaded merge loop combines them.  Merging charges
-        **nothing** -- every folded value was already tallied by the
-        worker that inserted it, and replayed at the merge point, so
-        simulated costs stay identical to a serial fold.
+        Merging charges **nothing**: every folded value was already
+        charged when it was inserted into its partial state.
 
         Order caveat: merging reassociates the fold.  COUNT/MIN/MAX are
-        order-insensitive, so any partitioning is safe; SUM/AVG accumulate
-        floats sequentially, so the scheduler must partition by *group*
-        (each group folded by exactly one worker, in block order) for
-        results to stay bit-identical to serial execution.
+        order-insensitive; SUM/AVG accumulate floats sequentially, so
+        merged partials may differ from one sequential fold in the low
+        bits.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not support merge()"
@@ -163,8 +158,7 @@ class SumState(AggregateState):
         self._count -= 1
 
     def merge(self, other: AggregateState) -> None:
-        # Reassociates float accumulation: only safe when each group is
-        # folded whole by one worker (see AggregateState.merge).
+        # Reassociates float accumulation (see AggregateState.merge).
         self._check_mergeable(other)
         self._sum += other._sum
         self._count += other._count
@@ -297,15 +291,6 @@ _STATE_FACTORIES = {
     "max": MaxState,
 }
 
-#: Aggregates whose fold reassociates under merge (float accumulation).
-#: The parallel scheduler partitions these by *group key* so every group
-#: folds wholly on one partition, in block order -- results stay
-#: bit-identical to serial.  Order-insensitive aggregates partition by
-#: block round-robin instead, which exercises genuine cross-partition
-#: :meth:`AggregateState.merge` combining.
-ORDER_SENSITIVE_FUNCS = frozenset({"sum", "avg"})
-
-
 def make_aggregate_state(
     func: str, counter: OperationCounter | None = None
 ) -> AggregateState:
@@ -323,9 +308,7 @@ def bucket_block(block, group_positions, value_block_fn) -> dict[tuple, list]:
     """Compute and bucket one block's aggregate inputs by group key.
 
     Returns ``{group_key: [values in row order]}``; the empty tuple keys
-    the scalar (no group-by) case.  Charge-free and shared by the serial
-    blocked fold and the parallel partial-aggregation workers, so both
-    produce identical bucket contents in identical order.
+    the scalar (no group-by) case.  Charge-free.
     """
     values = value_block_fn(block)
     if not group_positions:
@@ -360,9 +343,6 @@ class Aggregate(Operator):
         self.child = child
         self.counter = child.counter
         self.func = func.lower()
-        #: The uncompiled value expression.  The parallel executor ships
-        #: it (not the closures, which cannot pickle) to process-backend
-        #: workers, matching :attr:`Filter.predicate`.
         self.value = value
         self._value_fn = value.compile(child.layout)
         self._value_block_fn = value.compile_block(child.layout)

@@ -25,13 +25,6 @@ import warnings
 from typing import Mapping, Sequence
 
 from repro import obs
-from repro.obs import attrib
-
-#: Blocked-execution fill ratio below which a query is flagged: the
-#: result cardinality is so far under ``block_size`` that most of each
-#: block is slack (groundwork for adaptive block sizing, see ROADMAP).
-LOW_FILL_THRESHOLD = 0.25
-from repro.engine import parallel as parallel_mod
 from repro.engine.aggregate import Aggregate
 from repro.engine.block import DEFAULT_BLOCK_SIZE
 from repro.engine.costmodel import CostModel, OperationCounter
@@ -39,10 +32,15 @@ from repro.engine.errors import SchemaError
 from repro.engine.expr import Expression, resolve_column
 from repro.engine.join import HashJoin, IndexNestedLoopJoin
 from repro.engine.operators import Filter, Operator, Project, RowSource, SeqScan
-from repro.engine.parallel import ParallelBlockExecutor
 from repro.engine.query import QueryResult, QuerySpec
 from repro.engine.table import Table
 from repro.engine.types import Schema
+from repro.obs import attrib
+
+#: Blocked-execution fill ratio below which a query is flagged: the
+#: result cardinality is so far under ``block_size`` that most of each
+#: block is slack (groundwork for adaptive block sizing, see ROADMAP).
+LOW_FILL_THRESHOLD = 0.25
 
 
 class Database:
@@ -55,24 +53,8 @@ class Database:
     ``tests/integration/test_block_equivalence.py``); blocks are simply
     faster in wall-clock terms.
 
-    ``workers`` adds pipeline parallelism on top of blocked execution:
-    with ``workers >= 1``, eligible scan→filter→project chains fan their
-    blocks out to a worker pool and merge in block order, with all cost
-    charging centralized at the merge point
-    (:mod:`repro.engine.parallel`) -- so simulated costs remain identical
-    to serial execution.  ``workers=None`` (the default) defers to the
-    process-global default: the CLI's ``--workers`` flag, else the
-    ``REPRO_WORKERS`` environment variable, else serial.
-    ``parallel_backend`` picks ``"thread"`` (default) or the opt-in
-    ``"process"`` pool for CPU-bound expression evaluation; call
-    :meth:`close` (or use the database as a context manager) to release
-    pool workers deterministically.
-
-    Both knobs are live-resizable between queries: :meth:`set_workers`
-    swaps the pool (the only mutation path -- ``workers`` itself is a
-    read-only property) and :meth:`set_block_size` changes the execution
-    granularity, which is what the adaptive control layer
-    (:mod:`repro.control`) actuates.
+    :meth:`set_block_size` changes the granularity between queries, which
+    is what the adaptive control layer (:mod:`repro.control`) actuates.
     """
 
     def __init__(
@@ -80,56 +62,20 @@ class Database:
         cost_model: CostModel | None = None,
         block_size: int | None = DEFAULT_BLOCK_SIZE,
         workers: int | None = None,
-        parallel_backend: str | None = None,
     ):
         if block_size is not None and block_size < 1:
             raise ValueError(f"block_size must be >= 1 or None, got {block_size}")
+        # Execution is serial; ``workers`` survives only so callers that
+        # still pass ``workers=0`` (benchmarks/layered) keep constructing.
+        if workers:
+            raise ValueError(
+                f"workers={workers!r}: the worker pool was removed and "
+                f"execution is always serial; omit the argument"
+            )
         self.counter = OperationCounter(model=cost_model or CostModel())
         self.tables: dict[str, Table] = {}
         self.block_size = block_size
-        # Worker/backend resolution happens exactly once, here.  Mutating
-        # REPRO_WORKERS or the process-global default afterwards does NOT
-        # retroactively resize existing databases; set_workers() is the
-        # one mutation path (a stale default is flagged at query time).
-        self._workers = parallel_mod.resolve_workers(workers)
-        self._workers_from_default = workers is None
-        self.parallel_backend = parallel_mod.resolve_backend(parallel_backend)
-        self._parallel: ParallelBlockExecutor | None = None
         self._low_fill_warned = False
-        self._stale_workers_warned = False
-
-    @property
-    def workers(self) -> int:
-        """The pool size, frozen at ``__init__`` until :meth:`set_workers`."""
-        return self._workers
-
-    @workers.setter
-    def workers(self, value) -> None:
-        raise AttributeError(
-            "Database.workers is read-only; call set_workers(n) -- the "
-            "one sanctioned live-resize path (it drains the old pool)"
-        )
-
-    def set_workers(self, workers: int) -> int:
-        """Resize the parallel worker pool; returns the new size.
-
-        The one mutation path for ``workers`` after construction: the
-        current pool (if any) is closed and a pool of the new size is
-        built lazily on the next eligible query, so the swap is safe
-        **between** queries (do not call concurrently with an executing
-        query).  ``0`` returns the database to serial execution.
-        Simulated costs are unaffected at any size (charge-on-merge).
-        """
-        workers = int(workers)
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
-        if workers != self._workers:
-            self.close()
-            self._workers = workers
-        # An explicit resize supersedes the construction-time default;
-        # stop comparing against the process-global setting.
-        self._workers_from_default = False
-        return self._workers
 
     def set_block_size(self, block_size: int | None) -> int | None:
         """Change the execution block size; returns the new value.
@@ -149,18 +95,6 @@ class Database:
             self.block_size = block_size
             self._low_fill_warned = False
         return self.block_size
-
-    def close(self) -> None:
-        """Release the parallel worker pool, if one was started (idempotent)."""
-        executor, self._parallel = self._parallel, None
-        if executor is not None:
-            executor.close()
-
-    def __enter__(self) -> "Database":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # DDL
@@ -363,66 +297,14 @@ class Database:
             rows = rows[: spec.limit]
         return QueryResult(rows=rows, columns=columns)
 
-    def _parallel_executor(self) -> ParallelBlockExecutor:
-        if self._parallel is None:
-            self._parallel = ParallelBlockExecutor(
-                self.workers, backend=self.parallel_backend
-            )
-        return self._parallel
-
     def _pull(self, plan: Operator) -> list[tuple]:
-        """Drain a plan's output, blocked or row-at-a-time per config.
-
-        With ``workers >= 1`` and a parallelizable plan (a
-        scan→filter→project chain, optionally through hash-join probes
-        and a terminal aggregate), blocks are evaluated on the worker
-        pool and merged here in block order; every other plan shape uses
-        the serial blocked pipeline.  Both paths charge identical costs.
-        A chain that decomposes but cannot run on the configured backend
-        falls back to serial, counted by ``engine.parallel.fallback``
-        (never silently).
-        """
+        """Drain a plan's output, blocked or row-at-a-time per config."""
         if self.block_size is None:
             return plan.rows()
-        if self._workers_from_default and not self._stale_workers_warned:
-            # Resolution is frozen at __init__; if the process-global
-            # default (REPRO_WORKERS / set_default_workers) has moved
-            # since, say so once instead of silently no-opping.
-            try:
-                current_default = parallel_mod.resolve_workers(None)
-            except ValueError:
-                current_default = self._workers  # unparseable env: ignore
-            if current_default != self._workers:
-                self._stale_workers_warned = True
-                warnings.warn(
-                    f"the process-global worker default changed to "
-                    f"{current_default} after this Database resolved "
-                    f"workers={self._workers} at construction; existing "
-                    f"databases are never resized implicitly -- call "
-                    f"set_workers({current_default}) to adopt it",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-        blocks = None
-        if self.workers >= 1:
-            chain = parallel_mod.decompose_chain(plan)
-            if chain is not None:
-                try:
-                    blocks = self._parallel_executor().execute(
-                        chain, self.block_size, self.counter
-                    )
-                except parallel_mod.ParallelUnsupported as exc:
-                    # Tag the fallback with why: each reason gets its own
-                    # dotted counter so the summary table (and /metrics)
-                    # breaks fallbacks down by cause.
-                    obs.counter("engine.parallel.fallback")
-                    obs.counter(f"engine.parallel.fallback.{exc.reason}")
-        if blocks is None:
-            blocks = plan.blocks(self.block_size)
         rows: list[tuple] = []
         n_blocks = 0
         last_len = 0
-        for block in blocks:
+        for block in plan.blocks(self.block_size):
             n_blocks += 1
             last_len = len(block)
             rows.extend(block.rows())
@@ -502,8 +384,7 @@ class Database:
         With ``analyze=True`` the query is **executed** (charging the
         counter exactly as a plain ``execute`` would) and the rendered
         tree carries per-operator actuals: rows and blocks out, wall
-        time, attributed simulated charges, and -- under parallel
-        execution -- the per-worker busy-time spread at the merge.
+        time and attributed simulated charges.
         """
         if analyze:
             result = self.execute(

@@ -324,35 +324,6 @@ def not_(operand: Expression) -> Not:
     return Not(operand)
 
 
-#: Per-process memo for :func:`compile_block_cached`.  Keys are
-#: ``(repr(expr), sorted layout items)`` -- expression reprs are
-#: deterministic structural descriptions, so two pickled copies of the
-#: same tree (one per task shipped to a worker process) share one kernel.
-_BLOCK_KERNEL_CACHE: dict[tuple[str, tuple], BlockEvaluator] = {}
-_BLOCK_KERNEL_CACHE_LIMIT = 512
-
-
-def compile_block_cached(
-    expr: Expression, layout: Mapping[str, int]
-) -> BlockEvaluator:
-    """``expr.compile_block(layout)``, memoized per process.
-
-    The parallel executor's multiprocessing backend cannot ship compiled
-    closures (they do not pickle), so each task carries the expression
-    *tree* and the worker compiles it on arrival.  Without a memo every
-    block of the same query would recompile the same predicate; this
-    cache keys on the expression's structural repr plus the layout, so a
-    worker compiles each distinct (expression, layout) pair once.
-    """
-    key = (repr(expr), tuple(sorted(layout.items())))
-    kernel = _BLOCK_KERNEL_CACHE.get(key)
-    if kernel is None:
-        if len(_BLOCK_KERNEL_CACHE) >= _BLOCK_KERNEL_CACHE_LIMIT:
-            _BLOCK_KERNEL_CACHE.clear()
-        kernel = _BLOCK_KERNEL_CACHE[key] = expr.compile_block(layout)
-    return kernel
-
-
 def resolve_column(name: str, layout: Mapping[str, int]) -> int:
     """Resolve a possibly unqualified column name to a tuple position.
 

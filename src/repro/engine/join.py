@@ -203,9 +203,7 @@ def probe_block(
     Returns the joined block (left tuple ++ right tuple per match, in
     left-block row order) or None when nothing matched.  Charging --
     ``hash_probes`` per input row, ``tuple_cpu`` per output row -- stays
-    with the caller: the serial pipeline charges its counter inline,
-    parallel workers record a local tally that the coordinator replays at
-    the in-order merge.
+    with the caller.
 
     Column-major inputs take a gather fast path: match indices are
     collected from the key column alone, left columns are gathered

@@ -118,11 +118,10 @@ class PrescannedRows(list):
     The shared-scan coordinator (:mod:`repro.ivm.sharedscan`) splits a
     table's delta window into row batches exactly once per maintenance
     round, charging ``tuple_cpu`` for the split at that point.  Wrapping
-    the rows in this marker tells :class:`RowSource` -- and the parallel
-    executor's merge -- that the source-stage CPU is prepaid, so fanning
-    the same batch to N subscribing views charges the scan once, not N
-    times.  Behaves as a plain (read-only by convention) list everywhere
-    else.
+    the rows in this marker tells :class:`RowSource` that the
+    source-stage CPU is prepaid, so fanning the same batch to N
+    subscribing views charges the scan once, not N times.  Behaves as a
+    plain (read-only by convention) list everywhere else.
     """
 
     __slots__ = ()
@@ -193,9 +192,6 @@ class Filter(Operator):
         self.child = child
         self.counter = child.counter
         self.layout = child.layout
-        #: The uncompiled predicate tree.  The parallel executor ships it
-        #: (not the closures below, which cannot pickle) to process-backend
-        #: workers, which compile it against the same layout.
         self.predicate = predicate
         self._fn = predicate.compile(child.layout)
         self._block_fn = predicate.compile_block(child.layout)

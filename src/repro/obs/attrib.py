@@ -3,7 +3,7 @@
 The cost model (:mod:`repro.engine.costmodel`) answers *how much* a query
 cost; this module answers *where it went*.  A :class:`QueryProfile` is a
 tree of :class:`ProfileNode` objects mirroring the physical plan --
-scan / filter / project / join-build / join-probe / aggregate / merge --
+scan / filter / project / join-build / join-probe / aggregate --
 each accumulating the simulated charges, row and block counts, and wall
 time attributable to that operator.  For IVM work the profile also
 carries the owning view and maintenance round, so a fleet of views can
@@ -27,12 +27,6 @@ Three switches, all off by default:
   CLI ``--profile FILE`` flag and the benchmark harness use this);
 * when neither is active, the hot path sees a single ``is None`` check
   per charge site (``Operator._prof``) and nothing else.
-
-The parallel executor participates by shipping per-stage row counts back
-with each worker tally; the single-threaded merge loop folds them into
-the plan's nodes (workers never touch profile state), plus a synthetic
-``merge`` node recording per-worker busy time -- the "worker spread" of
-an EXPLAIN ANALYZE line.
 """
 
 from __future__ import annotations
@@ -66,7 +60,6 @@ KINDS = (
     "join-build",
     "join-probe",
     "aggregate",
-    "merge",
 )
 
 
@@ -86,7 +79,6 @@ class ProfileNode:
         "blocks",
         "wall_ms",
         "children",
-        "workers",
     )
 
     def __init__(self, kind: str, label: str):
@@ -97,9 +89,6 @@ class ProfileNode:
         self.blocks = 0
         self.wall_ms = 0.0
         self.children: list[ProfileNode] = []
-        #: per-worker spread, only populated on ``merge`` nodes:
-        #: ``{worker_name: {"tasks": n, "busy_ms": x}}``
-        self.workers: dict[str, dict] = {}
 
     def add(self, field: str, count: int = 1) -> None:
         """Attribute ``count`` units of one charge field to this node."""
@@ -111,15 +100,6 @@ class ProfileNode:
         for field, count in tally.items():
             if count:
                 own[field] = own.get(field, 0) + count
-
-    def add_worker(self, name: str, busy_ms: float) -> None:
-        """Record one worker task's busy time (merge nodes only)."""
-        entry = self.workers.get(name)
-        if entry is None:
-            self.workers[name] = {"tasks": 1, "busy_ms": busy_ms}
-        else:
-            entry["tasks"] += 1
-            entry["busy_ms"] += busy_ms
 
     def child(self, kind: str, label: str) -> "ProfileNode":
         node = ProfileNode(kind, label)
@@ -160,10 +140,6 @@ class ProfileNode:
         }
         if model is not None:
             out["sim_ms"] = self.sim_ms(model)
-        if self.workers:
-            out["workers"] = {
-                name: dict(entry) for name, entry in self.workers.items()
-            }
         out["children"] = [c.to_dict(model) for c in self.children]
         return out
 
@@ -189,13 +165,6 @@ class QueryProfile:
         self.view = view
         self.round = round
         self.root = ProfileNode("query", query)
-        self._merge: ProfileNode | None = None
-
-    def merge_node(self) -> ProfileNode:
-        """The (lazily created) parallel-merge node under the root."""
-        if self._merge is None:
-            self._merge = self.root.child("merge", "Merge(in-order)")
-        return self._merge
 
     def finish(self, rows_out: int, wall_ms: float) -> None:
         self.root.rows_out = rows_out
@@ -407,13 +376,6 @@ def _node_line(node: ProfileNode, model: Any) -> str:
             f"{field}={count}" for field, count in sorted(node.tally.items())
         )
         parts.append(f"[{fields}]")
-    if node.workers:
-        busy = [entry["busy_ms"] for entry in node.workers.values()]
-        tasks = sum(entry["tasks"] for entry in node.workers.values())
-        parts.append(
-            f"workers={len(node.workers)} tasks={tasks} "
-            f"busy={min(busy):.2f}..{max(busy):.2f}ms"
-        )
     return " ".join(parts)
 
 

@@ -7,8 +7,6 @@ mutate a database request the function-scoped variants.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.core.costfuncs import LinearCost
@@ -23,14 +21,6 @@ from repro.tpcr.updates import PartSuppCostUpdater, SupplierNationUpdater
 
 #: Tiny scale for tests: partsupp 1600 rows, supplier 20 rows.
 TEST_SCALE = 0.002
-
-
-def pytest_report_header(config):
-    """Make the execution mode visible in CI logs: the REPRO_WORKERS leg
-    runs every Database in the suite through the parallel block pipeline."""
-    workers = os.environ.get("REPRO_WORKERS", "").strip() or "0 (serial)"
-    backend = os.environ.get("REPRO_PARALLEL_BACKEND", "").strip() or "thread"
-    return f"repro engine: default workers={workers}, backend={backend}"
 
 
 def make_paper_spec() -> QuerySpec:

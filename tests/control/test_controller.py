@@ -33,17 +33,8 @@ class FakeCoordinator:
 
 
 class FakeDatabase:
-    def __init__(self, workers=1, block_size=None):
-        self._workers = workers
+    def __init__(self, block_size=None):
         self.block_size = block_size
-
-    @property
-    def workers(self):
-        return self._workers
-
-    def set_workers(self, workers):
-        self._workers = int(workers)
-        return self._workers
 
     def set_block_size(self, block_size):
         self.block_size = block_size
@@ -103,19 +94,19 @@ class TestController:
 
 
 class TestBuildController:
-    def test_builds_all_three_governors(self):
+    def test_builds_both_governors(self):
         controller = build_controller(FakeCoordinator(FakeDatabase()))
         names = [g.name for g in controller.governors]
-        assert names == ["policy", "workers", "block_size"]
+        assert names == ["policy", "block_size"]
         assert all(g.enabled for g in controller.governors)
 
     def test_flags_disable_but_keep_governors(self):
         controller = build_controller(
             FakeCoordinator(FakeDatabase()),
-            policy=False, workers=False, block=False,
+            policy=False, block=False,
         )
         assert [g.name for g in controller.governors] == [
-            "policy", "workers", "block_size",
+            "policy", "block_size",
         ]
         assert not any(g.enabled for g in controller.governors)
 
@@ -123,11 +114,9 @@ class TestBuildController:
         controller = build_controller(
             FakeCoordinator(FakeDatabase(block_size=4096)),
             policy_options={"escalate_after": 7},
-            worker_options={"max_workers": 3},
             block_options={"min_block": 128},
         )
         assert controller.governor("policy").escalate_after == 7
-        assert controller.governor("workers").max_workers == 3
         block = controller.governor("block_size")
         assert block.min_block == 128
         assert block.max_block == 4096

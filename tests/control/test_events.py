@@ -50,7 +50,7 @@ class TestControlEvent:
 
     def test_from_dict_defaults(self):
         minimal = ControlEvent.from_dict(
-            {"governor": "workers", "setting": "workers"}
+            {"governor": "block_size", "setting": "block_size"}
         )
         assert minimal.t is None
         assert minimal.applied is True
@@ -70,11 +70,11 @@ class TestControlLog:
     def test_filtered(self):
         log = ControlLog()
         log.record(_event(governor="policy", view="a"))
-        log.record(_event(governor="workers", view=None))
+        log.record(_event(governor="block_size", view=None))
         log.record(_event(governor="policy", view="b"))
         assert len(log.filtered(governor="policy")) == 2
         assert len(log.filtered(view="b")) == 1
-        assert len(log.filtered(governor="workers", view="b")) == 0
+        assert len(log.filtered(governor="block_size", view="b")) == 0
 
 
 class TestGlobalSink:
@@ -109,8 +109,8 @@ class TestRender:
         assert render_control_log([]) == "control log: no events"
 
     def test_empty_with_filters_names_scope(self):
-        out = render_control_log([_event()], governor="workers")
-        assert out == "control log: no events matching governor=workers"
+        out = render_control_log([_event()], governor="block_size")
+        assert out == "control log: no events matching governor=block_size"
 
     def test_tree_shape(self):
         out = render_control_log([_event()])

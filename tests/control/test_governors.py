@@ -10,7 +10,6 @@ from repro.control.governors import (
     RECEDING,
     BlockSizeGovernor,
     PolicyGovernor,
-    WorkerGovernor,
     _mode_of,
 )
 from repro.core.naive import NaivePolicy
@@ -39,17 +38,8 @@ class FakeCoordinator:
 
 
 class FakeDatabase:
-    def __init__(self, workers=1, block_size=None):
-        self._workers = workers
+    def __init__(self, block_size=None):
         self.block_size = block_size
-
-    @property
-    def workers(self):
-        return self._workers
-
-    def set_workers(self, workers):
-        self._workers = int(workers)
-        return self._workers
 
     def set_block_size(self, block_size):
         self.block_size = block_size
@@ -205,76 +195,6 @@ class TestPolicyGovernor:
             PolicyGovernor(FakeCoordinator(), escalate_after=0)
         with pytest.raises(ValueError):
             PolicyGovernor(FakeCoordinator(), window=0)
-
-
-class TestWorkerGovernor:
-    def test_grows_on_merge_wait(self):
-        db = FakeDatabase(workers=2)
-        governor = WorkerGovernor(db, max_workers=4, grow_wait_ms=1.0)
-        with obs.recording() as rec, control_events.collecting() as log:
-            rec.counter("engine.parallel.tasks", 8)
-            for _ in range(4):
-                rec.observe("engine.parallel.merge_wait_ms", 3.0)
-            rec.gauge_max("engine.parallel.queue_depth", 7)
-            governor.tick(1)
-        assert db.workers == 3
-        (event,) = log.events()
-        assert (event.old, event.new) == (2, 3)
-        assert event.signals["merge_wait_ms_mean"] == 3.0
-        assert event.signals["queue_depth_peak"] == 7.0
-        assert rec.registry.get("control.workers.resizes").value == 1
-        assert rec.registry.get("control.workers.size").value == 3
-
-    def test_shrinks_when_pool_idles(self):
-        db = FakeDatabase(workers=3)
-        governor = WorkerGovernor(db, min_workers=1, shrink_wait_ms=0.05)
-        with obs.recording() as rec, control_events.collecting():
-            rec.counter("engine.parallel.tasks", 10)
-            rec.observe("engine.parallel.merge_wait_ms", 0.0)
-            governor.tick(1)
-        assert db.workers == 2
-
-    def test_holds_without_task_flow(self):
-        db = FakeDatabase(workers=3)
-        governor = WorkerGovernor(db)
-        with obs.recording(), control_events.collecting() as log:
-            governor.tick(1)  # no metrics at all this interval
-        assert db.workers == 3
-        assert not log.events()
-
-    def test_holds_without_recorder(self):
-        db = FakeDatabase(workers=3)
-        governor = WorkerGovernor(db)
-        governor.tick(1)
-        assert db.workers == 3
-
-    def test_bounded_at_max(self):
-        db = FakeDatabase(workers=4)
-        governor = WorkerGovernor(db, max_workers=4, grow_wait_ms=1.0)
-        with obs.recording() as rec, control_events.collecting() as log:
-            rec.counter("engine.parallel.tasks", 4)
-            rec.observe("engine.parallel.merge_wait_ms", 9.0)
-            governor.tick(1)
-        assert db.workers == 4
-        assert not log.events()
-
-    def test_deltas_reset_between_ticks(self):
-        db = FakeDatabase(workers=2)
-        governor = WorkerGovernor(db, grow_wait_ms=1.0, shrink_wait_ms=0.05)
-        with obs.recording() as rec, control_events.collecting() as log:
-            rec.counter("engine.parallel.tasks", 4)
-            rec.observe("engine.parallel.merge_wait_ms", 5.0)
-            governor.tick(1)
-            assert db.workers == 3
-            governor.tick(2)  # no new tasks: same totals, zero delta
-        assert db.workers == 3
-        assert len(log.events()) == 1
-
-    def test_validates_bounds(self):
-        with pytest.raises(ValueError):
-            WorkerGovernor(FakeDatabase(), min_workers=3, max_workers=2)
-        with pytest.raises(ValueError):
-            WorkerGovernor(FakeDatabase(), min_workers=-1)
 
 
 class TestBlockSizeGovernor:

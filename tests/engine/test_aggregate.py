@@ -174,7 +174,7 @@ class TestAggregateOperator:
 
 
 class TestMerge:
-    """merge(): the combine step of parallel partial aggregation."""
+    """merge(): combining two partial states of one aggregate."""
 
     def test_count(self):
         a, b = CountState(), CountState()

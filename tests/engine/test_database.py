@@ -213,10 +213,30 @@ class TestDDL:
         assert toy_db.counter.startups == before + 1
 
 
-def _sparse_filter_db(block_size=10, rows=100, workers=None):
+class TestWorkersArgument:
+    """The worker pool is gone; the argument survives only so existing
+    ``workers=0`` callers keep constructing."""
+
+    @pytest.mark.parametrize("workers", (2, -1))
+    def test_nonzero_workers_rejected(self, workers):
+        with pytest.raises(ValueError, match="worker pool was removed"):
+            Database(workers=workers)
+
+    @pytest.mark.parametrize("kwargs", ({}, {"workers": 0}, {"workers": None}))
+    def test_serial_spellings_construct_and_execute(self, kwargs):
+        db = Database(**kwargs)
+        table = db.create_table("t", Schema.of(k=ColumnType.INT))
+        table.insert((1,))
+        assert db.execute(QuerySpec(base_alias="T", base_table="t")).rows == [
+            (1,)
+        ]
+        assert not hasattr(db, "workers")
+
+
+def _sparse_filter_db(block_size=10, rows=100):
     """100 rows, filter keeps every 10th: each source block yields one
     mid-stream 1-row block -- genuine 10% fill, not a tail artifact."""
-    db = Database(block_size=block_size, workers=workers)
+    db = Database(block_size=block_size)
     table = db.create_table(
         "t", Schema.of(k=ColumnType.INT, tag=ColumnType.INT)
     )

@@ -1,43 +1,20 @@
-"""Live-resize paths: ``set_workers`` / ``set_block_size`` semantics.
+"""Live-resize path: ``set_block_size`` semantics.
 
-The adaptive control layer actuates exactly these two methods between
-queries, so their contracts are load-bearing: ``workers`` is read-only
-outside ``set_workers`` (which drains the old pool), ``set_block_size``
-re-arms the low-fill diagnosis, and a database still riding the
-process-global worker default warns -- once -- when that default moves
-after construction instead of silently ignoring it.
+The adaptive control layer actuates this method between queries, so its
+contract is load-bearing: results are identical at every size and a
+change re-arms the low-fill diagnosis.
 """
-
-import warnings
 
 import pytest
 
 from repro.engine.database import Database
 from repro.engine.expr import col, lit
-from repro.engine.parallel import (
-    BACKEND_ENV,
-    WORKERS_ENV,
-    set_default_backend,
-    set_default_workers,
-)
 from repro.engine.query import QuerySpec
 from repro.engine.types import ColumnType, Schema
 
 
-@pytest.fixture(autouse=True)
-def _clean_parallel_defaults(monkeypatch):
-    """Isolate each test from CLI/env worker configuration."""
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
-    set_default_workers(None)
-    set_default_backend(None)
-    yield
-    set_default_workers(None)
-    set_default_backend(None)
-
-
-def make_db(rows=300, block_size=64, **kwargs):
-    db = Database(block_size=block_size, **kwargs)
+def make_db(rows=300, block_size=64):
+    db = Database(block_size=block_size)
     table = db.create_table(
         "t", Schema.of(k=ColumnType.INT, val=ColumnType.FLOAT)
     )
@@ -55,94 +32,29 @@ def chain_spec():
     )
 
 
-class TestSetWorkers:
-    def test_resize_changes_value_and_results_stay_identical(self):
-        with make_db(workers=2) as db:
-            before = db.execute(chain_spec()).rows
-            assert db.set_workers(3) == 3
-            assert db.workers == 3
-            assert db.execute(chain_spec()).rows == before
-            assert db.set_workers(0) == 0
-            assert db.execute(chain_spec()).rows == before
-
-    def test_resize_drains_the_old_pool(self):
-        with make_db(workers=2) as db:
-            db.execute(chain_spec())  # starts the pool lazily
-            pool = db._parallel
-            assert pool is not None
-            db.set_workers(1)
-            assert db._parallel is None  # old pool released
-            db.execute(chain_spec())
-            assert db._parallel is not pool
-
-    def test_same_size_keeps_the_pool(self):
-        with make_db(workers=2) as db:
-            db.execute(chain_spec())
-            pool = db._parallel
-            db.set_workers(2)
-            assert db._parallel is pool
-
-    def test_workers_property_is_read_only(self):
-        with make_db(workers=1) as db:
-            with pytest.raises(AttributeError, match="set_workers"):
-                db.workers = 4
-            assert db.workers == 1
-
-    def test_negative_rejected(self):
-        with make_db() as db:
-            with pytest.raises(ValueError):
-                db.set_workers(-1)
-
-
 class TestSetBlockSize:
     def test_changes_take_effect_and_results_stay_identical(self):
-        with make_db(block_size=64) as db:
-            before = db.execute(chain_spec()).rows
-            assert db.set_block_size(8) == 8
-            assert db.block_size == 8
-            assert db.execute(chain_spec()).rows == before
-            assert db.set_block_size(None) is None  # row-at-a-time
-            assert db.execute(chain_spec()).rows == before
+        db = make_db(block_size=64)
+        before = db.execute(chain_spec()).rows
+        assert db.set_block_size(8) == 8
+        assert db.block_size == 8
+        assert db.execute(chain_spec()).rows == before
+        assert db.set_block_size(None) is None  # row-at-a-time
+        assert db.execute(chain_spec()).rows == before
 
     def test_invalid_rejected(self):
-        with make_db() as db:
-            with pytest.raises(ValueError):
-                db.set_block_size(0)
+        db = make_db()
+        with pytest.raises(ValueError):
+            db.set_block_size(0)
 
     def test_change_rearms_low_fill_warning(self):
-        with make_db() as db:
-            db._low_fill_warned = True
-            db.set_block_size(32)
-            assert db._low_fill_warned is False
+        db = make_db()
+        db._low_fill_warned = True
+        db.set_block_size(32)
+        assert db._low_fill_warned is False
 
     def test_same_size_keeps_warning_armed_off(self):
-        with make_db(block_size=64) as db:
-            db._low_fill_warned = True
-            db.set_block_size(64)
-            assert db._low_fill_warned is True
-
-
-class TestStaleDefaultWarning:
-    def test_warns_once_when_global_default_moves(self):
-        with make_db() as db:  # workers=None: rides the global default
-            set_default_workers(2)
-            with pytest.warns(RuntimeWarning, match="never resized implicitly"):
-                db.execute(chain_spec())
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                db.execute(chain_spec())  # second query: silent
-
-    def test_explicit_workers_never_warn(self):
-        with make_db(workers=1) as db:
-            set_default_workers(3)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                db.execute(chain_spec())
-
-    def test_set_workers_supersedes_the_default(self):
-        with make_db() as db:
-            db.set_workers(1)
-            set_default_workers(3)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                db.execute(chain_spec())
+        db = make_db(block_size=64)
+        db._low_fill_warned = True
+        db.set_block_size(64)
+        assert db._low_fill_warned is True

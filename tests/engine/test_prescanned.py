@@ -2,7 +2,7 @@
 
 The shared-scan coordinator splits a delta window once and fans the rows
 to N views; wrapping them in ``PrescannedRows`` must make the substituted
-``RowSource`` (serial and parallel paths both) skip exactly the per-row
+``RowSource`` skip exactly the per-row
 ``tuple_cpu`` scan charge -- and nothing else -- while producing
 identical rows.
 """
@@ -65,11 +65,10 @@ SPEC = QuerySpec(
 )
 
 
-@pytest.mark.parametrize("workers", [0, 2])
-def test_substituted_query_discount_is_exactly_the_scan(workers):
+def test_substituted_query_discount_is_exactly_the_scan():
     """Same query, same rows: prescanned costs exactly len(rows) less
-    tuple_cpu, identical otherwise -- serial and parallel paths agree."""
-    db = make_db(block_size=8, workers=workers)
+    tuple_cpu, identical otherwise."""
+    db = make_db(block_size=8)
     sub = [row for row in ROWS if row[1] < 99]  # all rows, plain list
 
     before = db.counter.snapshot()
@@ -87,26 +86,3 @@ def test_substituted_query_discount_is_exactly_the_scan(workers):
     for field in plain_charges:
         if field != "tuple_cpu":
             assert pre_charges[field] == plain_charges[field], field
-
-
-def test_parallel_matches_serial_for_prescanned():
-    """The charge-on-merge parallel path backs the prepaid scan out of its
-    worker tallies, landing on the same totals as serial execution."""
-    serial_db = make_db(block_size=8, workers=0)
-    parallel_db = make_db(block_size=8, workers=2)
-    rows = PrescannedRows(ROWS)
-
-    before = serial_db.counter.snapshot()
-    serial = serial_db.execute(SPEC, substitutions={"B": rows})
-    serial_charges = {
-        f: v - before[f] for f, v in serial_db.counter.snapshot().items()
-    }
-
-    before = parallel_db.counter.snapshot()
-    parallel = parallel_db.execute(SPEC, substitutions={"B": rows})
-    parallel_charges = {
-        f: v - before[f] for f, v in parallel_db.counter.snapshot().items()
-    }
-
-    assert parallel.rows == serial.rows
-    assert parallel_charges == serial_charges

@@ -2,12 +2,12 @@
 
 Attribution (:mod:`repro.obs.attrib`) is observational by contract --
 nodes copy charges the operators already made, never charging anything
-themselves.  These tests enforce the contract the way the block/parallel
-refactors are enforced: run the same workload twice on identical fresh
+themselves.  These tests enforce the contract the way the block
+refactor is enforced: run the same workload twice on identical fresh
 databases, once with ``profile=True`` (or a global sink installed) and
 once without, and require byte-identical result rows **and**
-byte-identical :class:`OperationCounter` cost tables across a
-(block_size x workers x backend) grid, including the TPC-R paper query.
+byte-identical :class:`OperationCounter` cost tables at small and
+default block sizes, including the TPC-R paper query.
 
 Also here: the profile's summed tally must equal the counter's delta for
 the query -- attribution is *complete*, not just harmless.
@@ -17,10 +17,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.database import Database
 from repro.obs import attrib
-from repro.tpcr.gen import load_tpcr
-from tests.conftest import TEST_SCALE, make_paper_spec, make_tpcr_db
+from tests.conftest import make_paper_spec, make_tpcr_db
 from tests.integration.test_block_equivalence import (
     SEEDS,
     build_db,
@@ -28,60 +26,49 @@ from tests.integration.test_block_equivalence import (
     query_specs,
 )
 
-#: The acceptance grid: small/default blocks, serial/parallel, both pools.
-CONFIGS = (
-    # (block_size, workers, backend)
-    (64, 0, "thread"),
-    (7, 0, "thread"),
-    (64, 2, "thread"),
-    (7, 2, "thread"),
-    (64, 2, "process"),
-)
+#: The acceptance grid: small and default blocks.
+BLOCK_SIZES = (64, 7)
 
 
-def run_specs(specs, block_size, workers, backend, seed, profile):
+def run_specs(specs, block_size, seed, profile):
     """Fresh DB, run every spec, return (rows, charges, profiles)."""
     profiles = []
-    with build_db(
-        block_size, seed, workers, backend=backend, index_dim=False
-    ) as db:
-        rows = []
-        for spec in specs(seed):
-            before = db.counter.snapshot()
-            result = db.execute(spec, profile=profile)
-            after = db.counter.snapshot()
-            rows.append(result.rows)
-            if profile:
-                delta = {
-                    f: after[f] - before[f]
-                    for f in after
-                    if after[f] != before[f]
-                }
-                profiles.append((result.profile, delta))
-        return rows, db.counter.snapshot(), profiles
+    db = build_db(block_size, seed, index_dim=False)
+    rows = []
+    for spec in specs(seed):
+        before = db.counter.snapshot()
+        result = db.execute(spec, profile=profile)
+        after = db.counter.snapshot()
+        rows.append(result.rows)
+        if profile:
+            delta = {
+                f: after[f] - before[f]
+                for f in after
+                if after[f] != before[f]
+            }
+            profiles.append((result.profile, delta))
+    return rows, db.counter.snapshot(), profiles
 
 
 class TestAnalyzeEquivalence:
-    @pytest.mark.parametrize("block_size,workers,backend", CONFIGS)
+    @pytest.mark.parametrize("block_size", BLOCK_SIZES)
     def test_cost_tables_identical_with_and_without_profiling(
-        self, block_size, workers, backend
+        self, block_size
     ):
         for seed in SEEDS[:2]:
             for specs in (query_specs, hash_join_specs):
                 ref_rows, ref_charges, __ = run_specs(
-                    specs, block_size, workers, backend, seed, profile=False
+                    specs, block_size, seed, profile=False
                 )
                 rows, charges, profiles = run_specs(
-                    specs, block_size, workers, backend, seed, profile=True
+                    specs, block_size, seed, profile=True
                 )
                 assert rows == ref_rows, (
-                    f"rows diverge under profiling at block_size="
-                    f"{block_size} workers={workers} backend={backend}"
+                    f"rows diverge under profiling at block_size={block_size}"
                 )
                 assert charges == ref_charges, (
                     f"simulated charges diverge under profiling at "
-                    f"block_size={block_size} workers={workers} "
-                    f"backend={backend}"
+                    f"block_size={block_size}"
                 )
                 # Completeness: every charge the query made is attributed
                 # to some plan node -- the profile total IS the delta.
@@ -89,17 +76,17 @@ class TestAnalyzeEquivalence:
                     assert profile is not None
                     assert profile.total_tally() == delta
 
-    @pytest.mark.parametrize("block_size,workers,backend", CONFIGS)
-    def test_sink_mode_is_charge_neutral(self, block_size, workers, backend):
+    @pytest.mark.parametrize("block_size", BLOCK_SIZES)
+    def test_sink_mode_is_charge_neutral(self, block_size):
         seed = SEEDS[0]
         ref_rows, ref_charges, __ = run_specs(
-            query_specs, block_size, workers, backend, seed, profile=False
+            query_specs, block_size, seed, profile=False
         )
         captured: list[dict] = []
         previous = attrib.set_profile_sink(captured.append)
         try:
             rows, charges, __ = run_specs(
-                query_specs, block_size, workers, backend, seed, profile=None
+                query_specs, block_size, seed, profile=None
             )
         finally:
             attrib.set_profile_sink(previous)
@@ -108,29 +95,18 @@ class TestAnalyzeEquivalence:
         assert len(captured) == len(query_specs(seed))
 
 
-def make_tpcr_parallel_db(workers: int) -> Database:
-    """The paper's physical design at an explicit worker count."""
-    db = Database(workers=workers)
-    load_tpcr(db, scale=TEST_SCALE, seed=42)
-    db.table("supplier").create_index("suppkey")
-    db.table("nation").create_index("nationkey")
-    db.table("region").create_index("regionkey")
-    return db
-
-
 class TestPaperQueryProfile:
     """The acceptance scenario: a per-operator profile of the TPC-R
-    join-aggregate query under workers in {0, 2}, with byte-identical
-    cost tables between the profiled and unprofiled runs."""
+    join-aggregate query, with byte-identical cost tables between the
+    profiled and unprofiled runs."""
 
-    @pytest.mark.parametrize("workers", (0, 2))
-    def test_paper_query_profiled_matches_unprofiled(self, workers):
+    def test_paper_query_profiled_matches_unprofiled(self):
         spec = make_paper_spec()
 
         def run(profile):
-            with make_tpcr_parallel_db(workers) as db:
-                result = db.execute(spec, profile=profile)
-                return result, db.counter.snapshot()
+            db = make_tpcr_db()
+            result = db.execute(spec, profile=profile)
+            return result, db.counter.snapshot()
 
         plain, plain_charges = run(False)
         profiled, profiled_charges = run(True)

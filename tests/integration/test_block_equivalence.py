@@ -39,7 +39,6 @@ from repro.ivm.view import MaterializedView
 BLOCK_SIZES = (1, 7, 64, 1024)
 ENGINE_MODES = (None,) + BLOCK_SIZES  # None = row-at-a-time reference
 SEEDS = (3, 17, 101)
-WORKER_COUNTS = (1, 2, 8)  # parallel pool sizes under differential test
 
 
 # ----------------------------------------------------------------------
@@ -50,22 +49,15 @@ WORKER_COUNTS = (1, 2, 8)  # parallel pool sizes under differential test
 def build_db(
     block_size: int | None,
     seed: int,
-    workers: int | None = None,
-    backend: str | None = None,
     index_dim: bool | None = None,
 ) -> Database:
     """A two-table random database, identical for every engine mode.
 
-    ``workers=None`` defers to the environment (the CI leg that sets
-    ``REPRO_WORKERS=4`` runs this whole file through the pool); the
-    explicit worker-matrix tests below pin ``workers`` so their serial
-    reference stays serial regardless of environment.  ``index_dim``
-    forces the join access path: ``False`` guarantees hash joins (the
-    parallel probe stage), ``True`` index-nested-loop, ``None`` the
-    seed's coin flip.
+    ``index_dim`` forces the join access path: ``False`` guarantees hash
+    joins, ``True`` index-nested-loop, ``None`` the seed's coin flip.
     """
     rng = random.Random(seed)
-    db = Database(block_size=block_size, workers=workers, parallel_backend=backend)
+    db = Database(block_size=block_size)
     fact = db.create_table(
         "fact",
         Schema.of(
@@ -85,7 +77,10 @@ def build_db(
         )
     for k in range(10):
         dim.insert((k, rng.randint(0, 2), round(rng.uniform(0, 10), 3)))
-    if rng.random() < 0.5:
+    indexed = rng.random() < 0.5  # always drawn: keeps the stream per-seed
+    if index_dim is not None:
+        indexed = index_dim
+    if indexed:
         dim.create_index("k")
     return db
 
@@ -140,11 +135,11 @@ def query_specs(seed: int) -> list[QuerySpec]:
     ]
 
 
-def run_queries(block_size: int | None, seed: int, workers: int | None = None):
+def run_queries(block_size: int | None, seed: int):
     """Build, run every spec, and return (all result rows, final charges)."""
-    with build_db(block_size, seed, workers) as db:
-        results = [db.execute(spec).rows for spec in query_specs(seed)]
-        return results, db.counter.snapshot()
+    db = build_db(block_size, seed)
+    results = [db.execute(spec).rows for spec in query_specs(seed)]
+    return results, db.counter.snapshot()
 
 
 def _mutate(rng: random.Random, db: Database, steps: int) -> None:
@@ -229,77 +224,23 @@ def test_view_maintenance_identical_across_block_sizes(seed):
         )
 
 
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-@pytest.mark.parametrize("block_size", BLOCK_SIZES)
-def test_parallel_queries_identical_to_serial(block_size, workers):
-    """The full (block_size x workers) matrix: the worker pool must be
-    invisible -- byte-identical result rows (in order) and byte-identical
-    simulated charges versus the serial blocked engine."""
-    for seed in SEEDS:
-        ref_rows, ref_charges = run_queries(block_size, seed, workers=0)
-        rows, charges = run_queries(block_size, seed, workers=workers)
-        assert rows == ref_rows, (
-            f"rows diverge at block_size={block_size} workers={workers}"
-        )
-        assert charges == ref_charges, (
-            f"simulated charges diverge at block_size={block_size} "
-            f"workers={workers}"
-        )
-
-
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_parallel_view_maintenance_identical_to_serial(workers):
-    seed, block_size = SEEDS[0], 64
-    reference = run_ivm_with_workers(block_size, seed, workers=0)
-    assert run_ivm_with_workers(block_size, seed, workers=workers) == reference
-
-
-def run_ivm_with_workers(block_size, seed, workers):
-    db = build_db(block_size, seed, workers)
-    try:
-        spec = QuerySpec(
-            base_alias="F",
-            base_table="fact",
-            filters=(col("F.grp") != lit(2),),
-            aggregate=AggregateSpec(
-                func="min", value=col("F.val"), group_by=("F.grp",)
-            ),
-        )
-        view = MaterializedView("v", db, spec)
-        rng = random.Random(seed * 29 + 11)
-        trace = []
-        for __ in range(8):
-            _mutate(rng, db, rng.randint(0, 4))
-            delta = view.deltas["F"]
-            delta.pull()
-            k = rng.randint(0, delta.size)
-            if k:
-                apply_batch(view, "F", k)
-            trace.append(sorted(view.contents().items(), key=repr))
-        full_refresh(view)
-        return trace, view.contents(), db.counter.snapshot()
-    finally:
-        db.close()
-
-
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_parallel_mid_query_exception_propagates(workers):
-    """A worker raising mid-query must surface to the caller (not hang
-    the merge), and the database must remain usable afterwards."""
-    with build_db(64, seed=SEEDS[0], workers=workers) as db:
-        bad = QuerySpec(
-            base_alias="F",
-            base_table="fact",
-            filters=((col("F.val") / lit(0.0)) > lit(1.0),),
-        )
-        with pytest.raises(ZeroDivisionError):
-            db.execute(bad)
-        ok = QuerySpec(base_alias="F", base_table="fact")
-        assert len(db.execute(ok)) > 0
+def test_mid_query_exception_propagates():
+    """A predicate raising mid-query must surface to the caller, and the
+    database must remain usable afterwards."""
+    db = build_db(64, seed=SEEDS[0])
+    bad = QuerySpec(
+        base_alias="F",
+        base_table="fact",
+        filters=((col("F.val") / lit(0.0)) > lit(1.0),),
+    )
+    with pytest.raises(ZeroDivisionError):
+        db.execute(bad)
+    ok = QuerySpec(base_alias="F", base_table="fact")
+    assert len(db.execute(ok)) > 0
 
 
 # ----------------------------------------------------------------------
-# Forced hash-join plans: the parallel probe + partial-aggregation path
+# Forced hash-join plans: the probe + aggregation path
 # ----------------------------------------------------------------------
 
 AGG_FUNCS = ("min", "max", "sum", "avg", "count")
@@ -344,128 +285,83 @@ def hash_join_specs(seed: int) -> list[QuerySpec]:
     return specs
 
 
-def run_hash_join_queries(
-    block_size: int | None,
-    seed: int,
-    workers: int | None = None,
-    backend: str | None = None,
-):
-    with build_db(
-        block_size, seed, workers, backend=backend, index_dim=False
-    ) as db:
-        results = [db.execute(spec).rows for spec in hash_join_specs(seed)]
-        return results, db.counter.snapshot()
+def run_hash_join_queries(block_size: int | None, seed: int):
+    db = build_db(block_size, seed, index_dim=False)
+    results = [db.execute(spec).rows for spec in hash_join_specs(seed)]
+    return results, db.counter.snapshot()
 
 
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-@pytest.mark.parametrize("block_size", BLOCK_SIZES)
-def test_parallel_hash_join_agg_identical_to_serial(block_size, workers):
-    """The (block_size x workers) matrix over forced hash-join plans:
-    build-once/probe-parallel joins and partitioned partial aggregation
-    must produce byte-identical rows and byte-identical cost tables."""
-    for seed in SEEDS:
-        ref_rows, ref_charges = run_hash_join_queries(block_size, seed, workers=0)
-        rows, charges = run_hash_join_queries(
-            block_size, seed, workers=workers
-        )
-        assert rows == ref_rows, (
-            f"rows diverge at block_size={block_size} workers={workers}"
-        )
+@pytest.mark.parametrize("seed", SEEDS)
+def test_hash_join_agg_identical_across_block_sizes(seed):
+    """Forced hash-join plans under every aggregate function: byte-identical
+    rows and byte-identical cost tables versus the row engine."""
+    ref_rows, ref_charges = run_hash_join_queries(None, seed)
+    for block_size in BLOCK_SIZES:
+        rows, charges = run_hash_join_queries(block_size, seed)
+        assert rows == ref_rows, f"rows diverge at block_size={block_size}"
         assert charges == ref_charges, (
-            f"simulated charges diverge at block_size={block_size} "
-            f"workers={workers}"
+            f"simulated charges diverge at block_size={block_size}"
         )
 
 
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_process_backend_hash_join_agg_identical_to_serial(workers):
-    """Same plans through the process pool (spooled hash-table snapshot):
-    cost tables stay byte-identical at every worker count."""
-    seed, block_size = SEEDS[0], 64
-    ref_rows, ref_charges = run_hash_join_queries(block_size, seed, workers=0)
-    rows, charges = run_hash_join_queries(
-        block_size, seed, workers=workers, backend="process"
-    )
-    assert rows == ref_rows
-    assert charges == ref_charges
-
-
-def run_ivm_join_with_workers(block_size, seed, workers, backend=None):
+def run_ivm_join(block_size, seed):
     """Maintain a join-bearing MIN view (hash join forced) so the delta
-    substituted probe path runs through the worker pool."""
-    db = build_db(block_size, seed, workers, backend=backend, index_dim=False)
-    try:
-        spec = QuerySpec(
-            base_alias="F",
-            base_table="fact",
-            joins=(JoinSpec("D", "dim", "F.k", "k"),),
-            filters=(col("D.cat") != lit(2),),
-            aggregate=AggregateSpec(
-                func="min", value=col("F.val"), group_by=("F.grp",)
-            ),
-        )
-        view = MaterializedView("v", db, spec)
-        rng = random.Random(seed * 37 + 3)
-        trace = []
-        for __ in range(8):
-            _mutate(rng, db, rng.randint(0, 4))
-            delta = view.deltas["F"]
-            delta.pull()
-            k = rng.randint(0, delta.size)
-            if k:
-                apply_batch(view, "F", k)
-            trace.append(sorted(view.contents().items(), key=repr))
-        full_refresh(view)
-        return trace, view.contents(), view.recompute(), db.counter.snapshot()
-    finally:
-        db.close()
+    substituted probe path is exercised."""
+    db = build_db(block_size, seed, index_dim=False)
+    spec = QuerySpec(
+        base_alias="F",
+        base_table="fact",
+        joins=(JoinSpec("D", "dim", "F.k", "k"),),
+        filters=(col("D.cat") != lit(2),),
+        aggregate=AggregateSpec(
+            func="min", value=col("F.val"), group_by=("F.grp",)
+        ),
+    )
+    view = MaterializedView("v", db, spec)
+    rng = random.Random(seed * 37 + 3)
+    trace = []
+    for __ in range(8):
+        _mutate(rng, db, rng.randint(0, 4))
+        delta = view.deltas["F"]
+        delta.pull()
+        k = rng.randint(0, delta.size)
+        if k:
+            apply_batch(view, "F", k)
+        trace.append(sorted(view.contents().items(), key=repr))
+    full_refresh(view)
+    return trace, view.contents(), view.recompute(), db.counter.snapshot()
 
 
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_parallel_view_maintenance_with_join_identical_to_serial(workers):
+def test_view_maintenance_with_hash_join_identical_across_block_sizes():
     """IVM maintenance trace through the hash-join delta path: identical
     contents at every batch boundary and identical final charges."""
-    seed, block_size = SEEDS[1], 32
-    reference = run_ivm_join_with_workers(block_size, seed, workers=0)
+    seed = SEEDS[1]
+    reference = run_ivm_join(None, seed)
     assert reference[1] == reference[2]  # maintained == recompute
-    assert run_ivm_join_with_workers(block_size, seed, workers) == reference
+    for block_size in (32,) + BLOCK_SIZES:
+        assert run_ivm_join(block_size, seed) == reference
 
 
-def test_process_backend_view_maintenance_with_join_identical():
-    seed, block_size = SEEDS[1], 32
-    reference = run_ivm_join_with_workers(block_size, seed, workers=0)
-    result = run_ivm_join_with_workers(
-        block_size, seed, workers=2, backend="process"
-    )
-    assert result == reference
-
-
-@pytest.mark.parametrize(
-    "workers,backend",
-    [(w, "thread") for w in WORKER_COUNTS] + [(2, "process")],
-)
-def test_parallel_mid_probe_exception_propagates(workers, backend):
+def test_mid_probe_exception_propagates():
     """A poisoned predicate *above* the hash-join probe (it references a
-    build-side column, so it runs post-join inside worker tasks) must
-    surface to the caller, and the pool must stay usable afterwards."""
-    with build_db(
-        64, seed=SEEDS[0], workers=workers, backend=backend, index_dim=False
-    ) as db:
-        bad = QuerySpec(
-            base_alias="F",
-            base_table="fact",
-            joins=(JoinSpec("D", "dim", "F.k", "k"),),
-            filters=((col("D.w") / lit(0.0)) > lit(1.0),),
-        )
-        with pytest.raises(ZeroDivisionError):
-            db.execute(bad)
-        ok = QuerySpec(
-            base_alias="F",
-            base_table="fact",
-            joins=(JoinSpec("D", "dim", "F.k", "k"),),
-            aggregate=AggregateSpec(func="count", value=col("F.id")),
-        )
-        assert db.execute(ok).rows[0][0] > 0
+    build-side column, so it runs post-join) must surface to the caller,
+    and the database must stay usable afterwards."""
+    db = build_db(64, seed=SEEDS[0], index_dim=False)
+    bad = QuerySpec(
+        base_alias="F",
+        base_table="fact",
+        joins=(JoinSpec("D", "dim", "F.k", "k"),),
+        filters=((col("D.w") / lit(0.0)) > lit(1.0),),
+    )
+    with pytest.raises(ZeroDivisionError):
+        db.execute(bad)
+    ok = QuerySpec(
+        base_alias="F",
+        base_table="fact",
+        joins=(JoinSpec("D", "dim", "F.k", "k"),),
+        aggregate=AggregateSpec(func="count", value=col("F.id")),
+    )
+    assert db.execute(ok).rows[0][0] > 0
 
 
 def test_operator_level_equivalence():

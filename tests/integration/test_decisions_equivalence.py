@@ -7,8 +7,8 @@ refactors are enforced: run the same workload twice on identically
 seeded databases -- once with *everything* on (recorder, decision log,
 calibration tracker, drift alerts with a hair-trigger threshold) and
 once with everything off -- and require byte-identical view contents
-and byte-identical :class:`OperationCounter` cost tables across a
-(block_size x workers) grid.
+and byte-identical :class:`OperationCounter` cost tables at small and
+default block sizes.
 
 The traced leg must also be *non-vacuous*: it has to actually produce
 view-tagged joined decisions and calibration samples, otherwise the
@@ -36,17 +36,11 @@ STEPS = 4
 MODS_PER_STEP = 8
 COST = (LinearCost(slope=0.5, setup=2.0),)
 
-#: The acceptance grid: small/default blocks, serial/parallel.
-CONFIGS = (
-    # (block_size, workers)
-    (256, 0),
-    (16, 0),
-    (256, 2),
-    (16, 2),
-)
+#: The acceptance grid: small and default blocks.
+BLOCK_SIZES = (256, 16)
 
 
-def run_fleet(block_size: int, workers: int, traced: bool):
+def run_fleet(block_size: int, traced: bool):
     """Maintain a two-view fleet; returns (contents, cost table, evidence).
 
     ``evidence`` is ``None`` untraced; otherwise the (decision log,
@@ -54,7 +48,6 @@ def run_fleet(block_size: int, workers: int, traced: bool):
     """
     db = make_tpcr_db()
     db.block_size = block_size
-    db.set_workers(workers)
 
     def drive():
         coordinator = MaintenanceCoordinator(db)
@@ -105,23 +98,15 @@ def run_fleet(block_size: int, workers: int, traced: bool):
 
 
 class TestMaintainedFleetEquivalence:
-    @pytest.mark.parametrize("block_size,workers", CONFIGS)
-    def test_cost_tables_identical_with_tracing_on_and_off(
-        self, block_size, workers
-    ):
-        ref_contents, ref_charges, _ = run_fleet(
-            block_size, workers, traced=False
-        )
-        contents, charges, evidence = run_fleet(
-            block_size, workers, traced=True
-        )
+    @pytest.mark.parametrize("block_size", BLOCK_SIZES)
+    def test_cost_tables_identical_with_tracing_on_and_off(self, block_size):
+        ref_contents, ref_charges, _ = run_fleet(block_size, traced=False)
+        contents, charges, evidence = run_fleet(block_size, traced=True)
         assert contents == ref_contents, (
-            f"view contents diverge under tracing at "
-            f"block_size={block_size} workers={workers}"
+            f"view contents diverge under tracing at block_size={block_size}"
         )
         assert charges == ref_charges, (
-            f"cost table diverges under tracing at "
-            f"block_size={block_size} workers={workers}"
+            f"cost table diverges under tracing at block_size={block_size}"
         )
         # Non-vacuity: the traced run really traced.
         log, tracker, drift_events = evidence
@@ -143,7 +128,7 @@ class TestMaintainedFleetEquivalence:
     def test_calibration_samples_match_ledger_predictions(self):
         """Each sample's prediction is the planner's own f_i(k) for the
         flushed batch -- recomputable from the cost family."""
-        _, _, (log, tracker, _) = run_fleet(256, 0, traced=True)
+        _, _, (log, tracker, _) = run_fleet(256, traced=True)
         (f,) = COST
         for sample in tracker.samples():
             assert sample.k > 0

@@ -2,7 +2,7 @@
 
 Two coordinators over identically seeded databases and update streams,
 one running table-at-a-time shared scans (the default), one the legacy
-independent rounds.  Across the (block_size x workers x policy) matrix:
+independent rounds.  Across the (block_size x policy) matrix:
 
 * every view's contents are identical between the modes (and match a
   from-scratch recompute);
@@ -66,13 +66,11 @@ def run_fleet(
     policy_kind: str,
     shared: bool,
     block_size: int,
-    workers: int,
 ) -> tuple[dict, float]:
     """Maintain ``specs`` over a fresh seeded TPC-R db; returns
     (per-view contents, total simulated maintenance cost in ms)."""
     db = make_tpcr_db()
     db.block_size = block_size
-    db.set_workers(workers)
     coordinator = MaintenanceCoordinator(db, shared_scans=shared)
     for name, spec in specs.items():
         policy, limit = make_policy(policy_kind)
@@ -106,40 +104,37 @@ def run_fleet(
 
 
 MATRIX = [
-    pytest.param(bs, w, p, id=f"bs{bs}-w{w}-{p}")
+    pytest.param(bs, p, id=f"bs{bs}-{p}")
     for bs in (16, 256)
-    for w in (0, 2)
     for p in ("naive", "online")
 ]
 
 
-@pytest.mark.parametrize("block_size,workers,policy", MATRIX)
-def test_shared_fleet_identical_and_strictly_cheaper(
-    block_size, workers, policy
-):
+@pytest.mark.parametrize("block_size,policy", MATRIX)
+def test_shared_fleet_identical_and_strictly_cheaper(block_size, policy):
     specs = {
         "min_a": min_cost_spec(),
         "min_b": min_cost_spec(),
         "qty": qty_spec(),
     }
     independent, cost_ind = run_fleet(
-        specs, policy, shared=False, block_size=block_size, workers=workers
+        specs, policy, shared=False, block_size=block_size
     )
     shared, cost_shared = run_fleet(
-        specs, policy, shared=True, block_size=block_size, workers=workers
+        specs, policy, shared=True, block_size=block_size
     )
     assert shared == independent
     assert cost_shared < cost_ind
 
 
-@pytest.mark.parametrize("block_size,workers", [(16, 0), (256, 2)])
-def test_single_view_totals_exactly_equal(block_size, workers):
+@pytest.mark.parametrize("block_size", (16, 256))
+def test_single_view_totals_exactly_equal(block_size):
     specs = {"rows": whole_row_spec()}
     independent, cost_ind = run_fleet(
-        specs, "naive", shared=False, block_size=block_size, workers=workers
+        specs, "naive", shared=False, block_size=block_size
     )
     shared, cost_shared = run_fleet(
-        specs, "naive", shared=True, block_size=block_size, workers=workers
+        specs, "naive", shared=True, block_size=block_size
     )
     assert shared == independent
     assert cost_shared == pytest.approx(cost_ind, abs=1e-9)

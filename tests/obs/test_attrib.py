@@ -92,16 +92,6 @@ class TestProfileNode:
         node.add("tuple_cpu", 100)
         assert node.sim_ms(FLAT_MODEL) == pytest.approx(3.0 + 0.1)
 
-    def test_worker_spread_accumulates(self):
-        node = attrib.ProfileNode("merge", "Merge(in-order)")
-        node.add_worker("w0", 1.5)
-        node.add_worker("w1", 2.0)
-        node.add_worker("w0", 0.5)
-        assert node.workers == {
-            "w0": {"tasks": 2, "busy_ms": 2.0},
-            "w1": {"tasks": 1, "busy_ms": 2.0},
-        }
-
     def test_to_dict_shape(self):
         node = attrib.ProfileNode("scan", "s")
         node.add("tuple_cpu", 4)
@@ -115,14 +105,6 @@ class TestProfileNode:
 
 
 class TestQueryProfile:
-    def test_merge_node_is_lazy_and_single(self):
-        profile = attrib.QueryProfile(FLAT_MODEL, "q")
-        assert profile.root.children == []
-        merge = profile.merge_node()
-        assert profile.merge_node() is merge
-        assert merge.kind == "merge"
-        assert profile.root.children == [merge]
-
     def test_to_dict_carries_view_and_round(self):
         profile = attrib.QueryProfile(FLAT_MODEL, "q", view="v1", round=7)
         profile.finish(rows_out=3, wall_ms=1.25)
@@ -262,16 +244,6 @@ class TestGoldenRenderer:
             ]
         )
         assert attrib.render_profile(profile) == expected
-
-    def test_render_profile_worker_spread_line(self):
-        profile = attrib.QueryProfile(FLAT_MODEL, "q")
-        merge = profile.merge_node()
-        merge.add_worker("w0", 1.0)
-        merge.add_worker("w1", 3.0)
-        merge.add_worker("w1", 1.0)
-        text = attrib.render_profile(profile)
-        assert "Merge(in-order)" in text
-        assert "workers=2 tasks=3 busy=1.00..4.00ms" in text
 
 
 class TestAggregateProfiles:

@@ -325,8 +325,7 @@ class TestControlAblationCommand:
         code = main(["control-ablation", "--horizon", "60"])
         out = capsys.readouterr().out
         assert code == 0
-        for variant in ("baseline", "full", "no-policy", "no-workers",
-                        "no-block"):
+        for variant in ("baseline", "full", "no-policy", "no-block"):
             assert variant in out
         assert "Governor importance" in out
         assert "breaches" in out

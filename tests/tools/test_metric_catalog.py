@@ -132,8 +132,8 @@ class TestCheck:
         assert catalog.check(src, docs) == []
 
     def test_concrete_emission_matches_placeholder_row(self, tmp_path):
-        src = write_src(tmp_path, 'N = "engine.parallel.fallback.spool_failed"\n')
-        docs = write_docs(tmp_path, ["engine.parallel.fallback.<reason>"])
+        src = write_src(tmp_path, 'N = "ivm.view.paper_view.rounds"\n')
+        docs = write_docs(tmp_path, ["ivm.view.<view>.rounds"])
         assert catalog.check(src, docs) == []
 
     def test_main_reports_problems_and_exits_nonzero(self, tmp_path, capsys):
