@@ -260,11 +260,10 @@ class Database:
                         join.left_column, join.right_column,
                     )
                 else:
-                    right = SeqScan(snapshot, join.alias, self.counter)
                     plan = HashJoin(
-                        plan, right, join.left_column,
+                        plan, snapshot, join.left_column,
                         f"{join.alias}.{join.right_column}",
-                        block_size=self.block_size,
+                        alias=join.alias,
                     )
             plan = self._apply_ready_filters(plan, pending_filters)
 

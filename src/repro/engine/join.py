@@ -26,7 +26,7 @@ from repro.obs import attrib
 from repro.engine.block import RowBlock
 from repro.engine.errors import SchemaError
 from repro.engine.expr import Expression, resolve_column
-from repro.engine.operators import Operator, merged_layout
+from repro.engine.operators import Operator, SeqScan, merged_layout
 from repro.engine.snapshot import Snapshot
 
 
@@ -167,6 +167,9 @@ class IndexNestedLoopJoin(Operator):
         pos = self._left_pos
         lookup = self.snapshot.lookup
         right_column = self._right_column
+        # One dict fetch per operator, then bare-key probes; ``lookup``
+        # fills the same dict on a miss (and re-reads an empty hit).
+        cached = self.snapshot.probe_cache(right_column).get
         layout = self.layout
         prof = self._prof
         probes = rows_out = 0
@@ -179,7 +182,7 @@ class IndexNestedLoopJoin(Operator):
                 out = [
                     lrow + rrow
                     for lrow, key in zip(lblock.rows(), lblock.column(pos))
-                    for rrow in lookup(right_column, key)
+                    for rrow in cached(key) or lookup(right_column, key)
                 ]
                 if out:
                     self.counter.charge("tuple_cpu", len(out))
@@ -244,16 +247,28 @@ class HashJoin(Operator):
     table: the whole table is scanned (page reads via the child scan) and
     hashed (one ``hash_build`` per tuple) *before the first output row* --
     the setup cost ``b`` of the paper's linear cost model.
+
+    ``right`` is one of two inputs.  A base table -- a :class:`Snapshot`
+    with the ``alias`` it joins under, or a :class:`SeqScan` of one --
+    lends its retained :meth:`~repro.engine.snapshot.Snapshot.build_side`
+    and is charged the full scan and build that table stands for, so the
+    simulated cost never depends on what the snapshot already held.  Any
+    other operator (a :class:`~repro.engine.operators.RowSource` delta
+    batch) is pulled and hashed here.
     """
 
     def __init__(
         self,
         left: Operator,
-        right: Operator,
+        right: Operator | Snapshot,
         left_column: str,
         right_column: str,
         block_size: int | None = None,
+        alias: str | None = None,
     ):
+        if isinstance(right, Snapshot):
+            # Layout, label and scan charges of the scan this build replaces.
+            right = SeqScan(right, alias, left.counter)
         self.left = left
         self.counter = left.counter
         self.layout = merged_layout(left.layout, right.layout)
@@ -266,7 +281,13 @@ class HashJoin(Operator):
         if profiled:
             before = self.counter.snapshot()
             start = time.perf_counter()
-        if block_size is None:
+        if isinstance(right, SeqScan):
+            build_rows = right.charge_full_scan()
+            self.counter.charge("hash_builds", build_rows)
+            self._table = right.snapshot.build_side(
+                right.snapshot.schema.names[right_pos]
+            )
+        elif block_size is None:
             for rrow in right:
                 build_rows += 1
                 self.counter.charge("hash_builds")

@@ -95,6 +95,14 @@ class SeqScan(Operator):
             )
         return rows
 
+    def charge_full_scan(self) -> int:
+        """Charge the whole scan (pages, then CPU for every tuple) without
+        producing a row; returns the row count.  For a consumer that takes
+        the scanned rows from the snapshot itself (a hash-join build)."""
+        rows = self._charge_scan_setup()
+        self.counter.charge("tuple_cpu", rows)
+        return rows
+
     def __iter__(self) -> Iterator[tuple]:
         self._charge_scan_setup()
         for row in self.snapshot.rows():

@@ -25,6 +25,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
+from repro import obs
 from repro.engine.costmodel import OperationCounter
 from repro.engine.errors import ExecutionError, SchemaError
 from repro.engine.index import HashIndex, Index, SortedIndex
@@ -32,7 +33,7 @@ from repro.engine.snapshot import Snapshot
 from repro.engine.types import Schema
 
 
-@dataclass
+@dataclass(slots=True)
 class RowVersion:
     """One stored version of a row."""
 
@@ -262,6 +263,10 @@ class Table:
         self.history = ModLog()
         self.indexes: dict[str, Index] = {}
         self._index_on_cache: dict[str, Index | None] = {}
+        #: The most recent snapshot handed out (at most one per table).
+        self._retained: Snapshot | None = None
+        #: Snapshots below this LSN lost versions to :meth:`vacuum`.
+        self._vacuumed_lsn = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -424,13 +429,30 @@ class Table:
     # ------------------------------------------------------------------
 
     def snapshot(self, lsn: int | None = None) -> Snapshot:
-        """The table's state as of ``lsn`` (default: now)."""
+        """The table's state as of ``lsn`` (default: now).
+
+        The most recent snapshot is retained: asking for the same LSN
+        again returns it, with whatever it has materialized (visible rows,
+        probe cache, hash-join build sides), and a snapshot at a later LSN
+        rolls its build sides forward through :attr:`history` instead of
+        rebuilding them.  LSNs :meth:`vacuum` reclaimed versions of raise.
+        """
         at = self._lsn if lsn is None else lsn
         if at < 0 or at > self._lsn:
             raise ExecutionError(
                 f"snapshot LSN {at} outside [0, {self._lsn}] for {self.name}"
             )
-        return Snapshot(self, at)
+        if at < self._vacuumed_lsn:
+            raise ExecutionError(
+                f"snapshot LSN {at} of {self.name} is below the vacuum "
+                f"watermark {self._vacuumed_lsn}; its versions were reclaimed"
+            )
+        retained = self._retained
+        if retained is not None and retained.lsn == at:
+            obs.counter("engine.snapshot.reused")
+            return retained
+        self._retained = Snapshot(self, at, retained)
+        return self._retained
 
     def events_between(self, lsn_from: int, lsn_to: int) -> list[ModEvent]:
         """History events with ``lsn_from < lsn <= lsn_to`` (a delta window)."""
@@ -450,7 +472,9 @@ class Table:
         is *not* trimmed: delta tables window over it by LSN, which this
         operation does not disturb.  ``before_lsn`` defaults to the current
         LSN (reclaim everything dead); pass the oldest LSN any live
-        snapshot or lagging view still reads to keep those readable.
+        snapshot or lagging view still reads to keep those readable:
+        once versions are reclaimed, :meth:`snapshot` below the watermark
+        raises, and the retained snapshot is dropped.
         """
         watermark = self._lsn if before_lsn is None else before_lsn
         if not 0 <= watermark <= self._lsn:
@@ -466,6 +490,8 @@ class Table:
         if reclaimed == 0:
             return 0
         self._versions = survivors
+        self._vacuumed_lsn = max(self._vacuumed_lsn, watermark)
+        self._retained = None
         self.counter.charge("row_writes", len(survivors))
         self._index_on_cache.clear()
         # Rebuild every index against the surviving versions.

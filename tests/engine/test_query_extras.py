@@ -214,6 +214,37 @@ class TestVacuum:
         old = emp.snapshot(lsn)
         assert any(row[1] == "alice" and row[3] == 100.0 for row in old.rows())
 
+    def test_snapshot_below_watermark_raises(self):
+        """Once versions are reclaimed, an LSN that saw them is refused --
+        not answered with rows missing."""
+        db = Database()
+        t = db.create_table("t", Schema.of(k=ColumnType.INT, v=ColumnType.INT))
+        t.insert((1, 10))
+        t.insert((2, 20))
+        t.update_rid(0, {"v": 11})
+        assert sorted(t.snapshot(2).row_list()) == [(1, 10), (2, 20)]
+        assert t.vacuum() == 1
+        with pytest.raises(ExecutionError, match="vacuum watermark 3"):
+            t.snapshot(2)
+        assert sorted(t.snapshot(3).row_list()) == [(1, 11), (2, 20)]
+        # A later, lower watermark never re-admits the reclaimed LSNs.
+        t.update_rid(1, {"v": 12})
+        t.vacuum(before_lsn=1)
+        with pytest.raises(ExecutionError, match="vacuum watermark 3"):
+            t.snapshot(2)
+
+    def test_vacuum_drops_the_retained_snapshot(self, toy_db):
+        emp = toy_db.table("emp")
+        rid = emp.find_rids(lambda r: r[1] == "alice")[0]
+        emp.update_rid(rid, {"salary": 1.0})
+        held = emp.snapshot()
+        held.build_side("deptno")
+        assert emp.vacuum() == 1
+        fresh = emp.snapshot()
+        assert fresh is not held
+        assert fresh._build_sides == {}
+        assert fresh.build_side("deptno") == held.build_side("deptno")
+
     def test_vacuum_noop_on_clean_table(self, toy_db):
         assert toy_db.table("emp").vacuum() == 0
 

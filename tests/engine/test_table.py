@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro import obs
 from repro.engine.errors import ExecutionError, SchemaError
+from repro.engine.snapshot import Snapshot
 from repro.engine.table import Table
 from repro.engine.types import ColumnType, Schema
 
@@ -121,6 +123,67 @@ class TestSnapshots:
         table.insert((1, "a"))
         table.insert((2, "b"))
         assert sorted(table.snapshot().column_values("k")) == [1, 2]
+
+
+class TestRetainedSnapshots:
+    def test_same_lsn_hands_out_the_same_snapshot(self, table):
+        table.insert((1, "a"))
+        with obs.recording() as recorder:
+            first = table.snapshot()
+            assert table.snapshot() is first
+            assert table.snapshot(1) is first
+            table.insert((2, "b"))
+            assert table.snapshot(1) is first
+            assert table.snapshot() is not first
+        reused = recorder.registry.snapshot()["engine.snapshot.reused"]
+        assert reused["value"] == 3
+
+    def test_build_side_groups_rows_in_version_order(self, table):
+        for row in [(1, "a"), (2, "b"), (1, "c")]:
+            table.insert(row)
+        side = table.snapshot().build_side("k")
+        assert side == {1: [(1, "a"), (1, "c")], 2: [(2, "b")]}
+        assert table.snapshot().build_side("k") is side
+
+    def test_later_snapshot_rolls_the_build_side_forward(self, table):
+        for row in [(1, "a"), (2, "b"), (1, "c"), (3, "d")]:
+            table.insert(row)
+        old = table.snapshot()
+        old_side = old.build_side("k")
+        before = {key: list(rows) for key, rows in old_side.items()}
+        table.update_rid(0, {"v": "z"})  # (1, a) -> (1, z), now last of key 1
+        table.delete_rid(3)  # key 3 empties
+        table.insert((4, "e"))
+        with obs.recording() as recorder:
+            new = table.snapshot()
+        rolled = recorder.registry.snapshot()["engine.snapshot.rolled_events"]
+        assert rolled["value"] == 3
+        # Inherited, not rebuilt: the visible-row list was never made.
+        assert new._visible is None
+        assert new.count() == 4
+        assert new.build_side("k") == {
+            1: [(1, "c"), (1, "z")],
+            2: [(2, "b")],
+            4: [(4, "e")],
+        }
+        assert new.build_side("k") == Snapshot(table, new.lsn).build_side("k")
+        assert new.count() == len(new.row_list())
+        # Copy-on-write: the earlier snapshot still reads as of its LSN,
+        # and an untouched bucket is shared rather than copied.
+        assert old_side == before
+        assert new.build_side("k")[2] is old_side[2]
+
+    def test_ambiguous_duplicate_removal_is_rebuilt(self, table):
+        for row in [(1, "x"), (1, "y"), (1, "x")]:
+            table.insert(row)
+        table.snapshot().build_side("k")
+        table.delete_rid(2)  # the *second* (1, x); values alone cannot say so
+        with obs.recording() as recorder:
+            new = table.snapshot()
+            assert new.build_side("k") == {1: [(1, "x"), (1, "y")]}
+        rolled = recorder.registry.snapshot()["engine.snapshot.rolled_events"]
+        assert rolled["value"] == 0  # the count rolled; no build side did
+        assert new.count() == 2
 
 
 class TestIndexedSnapshots:
