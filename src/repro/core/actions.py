@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.core.problem import ProblemInstance, Vector, sub_vectors
-
-_EPS = 1e-9
+from repro.core.problem import CostModel, Vector, sub_vectors
 
 # Enumerating greedy actions is exponential in the number of *non-empty*
 # delta tables.  The paper notes n <= 5 for its TPC-R views; we allow a
@@ -23,7 +21,7 @@ _MAX_ENUMERABLE_TABLES = 20
 
 
 def enumerate_greedy_minimal_actions(
-    state: Vector, problem: ProblemInstance
+    state: Vector, problem: CostModel
 ) -> Iterator[Vector]:
     """Yield every greedy, minimal, valid action for pre-action ``state``.
 
@@ -37,22 +35,14 @@ def enumerate_greedy_minimal_actions(
     Yields actions in deterministic order (subsets in increasing bitmask
     order over non-empty tables) so planner results are reproducible.
     """
-    # Component costs go through the instance's per-(table, k) memo; a hit
-    # returns the bit-identical float the direct call would produce.
-    # Duck-typed problem stand-ins (e.g. the online planner's static view)
-    # may not carry the memos; fall back to direct calls.
-    memos = getattr(problem, "_component_memos", None)
-    if memos is None:
-        costs = [f(k) for f, k in zip(problem.cost_functions, state, strict=True)]
-    else:
-        costs = []
-        for f, memo, k in zip(problem.cost_functions, memos, state, strict=True):
-            c = memo.get(k)
-            if c is None:
-                c = memo[k] = f(k)
-            costs.append(c)
-    total = sum(costs)
-    if total <= problem.limit + _EPS:
+    limit = problem.full_above
+    costs = [table[k] for table, k in zip(problem.cost_tables, state, strict=True)]
+    # Float sums are explicit left-to-right additions: ``sum()`` compensates
+    # on CPython >= 3.12 and would move the last bit (see CostModel).
+    total = 0
+    for c in costs:
+        total = total + c
+    if total <= limit:
         return  # state is not full; the minimal action is no action
     nonzero = [i for i in range(problem.n) if state[i] > 0]
     if len(nonzero) > _MAX_ENUMERABLE_TABLES:
@@ -63,13 +53,14 @@ def enumerate_greedy_minimal_actions(
     m = len(nonzero)
     for mask in range(1, 1 << m):
         emptied = [nonzero[j] for j in range(m) if mask >> j & 1]
-        remaining = total - sum(costs[i] for i in emptied)
-        if remaining > problem.limit + _EPS:
+        flushed = 0
+        for i in emptied:
+            flushed = flushed + costs[i]
+        remaining = total - flushed
+        if remaining > limit:
             continue  # not valid: leftover backlog still violates C
         # Minimality: restoring any emptied table must overflow the limit.
-        if any(
-            remaining + costs[i] <= problem.limit + _EPS for i in emptied
-        ):
+        if any(remaining + costs[i] <= limit for i in emptied):
             continue
         action = [0] * problem.n
         for i in emptied:
@@ -77,31 +68,8 @@ def enumerate_greedy_minimal_actions(
         yield tuple(action)
 
 
-def cached_greedy_minimal_actions(
-    state: Vector, problem: ProblemInstance
-) -> tuple[Vector, ...]:
-    """The full greedy-minimal-action set for ``state``, memoized.
-
-    Planners revisit the same full pre-action states along many search
-    paths (A* reaches one ``(t, s)`` node per path class, but distinct
-    timestamps share states); the enumeration's subset scan is pure in
-    ``(state, problem)``, so its result tuple is cached on the instance.
-    Order and contents are exactly those of
-    :func:`enumerate_greedy_minimal_actions`.
-    """
-    memo = getattr(problem, "_action_memo", None)
-    if memo is None:
-        return tuple(enumerate_greedy_minimal_actions(state, problem))
-    actions = memo.get(state)
-    if actions is None:
-        actions = memo[state] = tuple(
-            enumerate_greedy_minimal_actions(state, problem)
-        )
-    return actions
-
-
 def cheapest_greedy_minimal_action(
-    state: Vector, problem: ProblemInstance
+    state: Vector, problem: CostModel
 ) -> Vector:
     """The greedy minimal valid action with the lowest immediate cost.
 
@@ -111,7 +79,7 @@ def cheapest_greedy_minimal_action(
     """
     best: Vector | None = None
     best_cost = float("inf")
-    for action in cached_greedy_minimal_actions(state, problem):
+    for action in enumerate_greedy_minimal_actions(state, problem):
         cost = problem.refresh_cost(action)
         if cost < best_cost:
             best, best_cost = action, cost
@@ -122,7 +90,7 @@ def cheapest_greedy_minimal_action(
     return best
 
 
-def minimize_action(action: Vector, state: Vector, problem: ProblemInstance) -> Vector:
+def minimize_action(action: Vector, state: Vector, problem: CostModel) -> Vector:
     """``MinimizeAction(q, s)`` from Section 3.2 of the paper.
 
     Given a greedy action ``action`` whose post-action state satisfies the
@@ -151,7 +119,7 @@ def minimize_action(action: Vector, state: Vector, problem: ProblemInstance) -> 
     result = list(action)
     for i in kept:
         restored = post_cost + problem.cost_functions[i](state[i])
-        if restored <= problem.limit + _EPS:
+        if restored <= problem.full_above:
             result[i] = 0
             post_cost = restored
     return tuple(result)

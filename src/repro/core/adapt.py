@@ -51,26 +51,10 @@ class AdaptPolicy(Policy):
         # Live arrivals outran the planned sequence: take a minimal greedy
         # remedial action instead (full flush minimized).
         self.deviations += 1
-        view = _View(self.cost_functions, self.limit, self.n)
-        return minimize_action(pre_state, pre_state, view)
+        return minimize_action(pre_state, pre_state, self)
 
     def __repr__(self) -> str:
         return f"AdaptPolicy(T0={self.plan_t0.horizon})"
-
-
-class _View:
-    """Minimal ProblemInstance facade for :func:`minimize_action`."""
-
-    def __init__(self, cost_functions, limit, n):
-        self.cost_functions = cost_functions
-        self.limit = limit
-        self.n = n
-
-    def refresh_cost(self, state: Vector) -> float:
-        return sum(f(k) for f, k in zip(self.cost_functions, state, strict=True))
-
-    def is_full(self, state: Vector) -> bool:
-        return self.refresh_cost(state) > self.limit + 1e-9
 
 
 def adapt_plan(problem: ProblemInstance, estimated_horizon: int) -> AdaptPolicy:

@@ -37,13 +37,12 @@ expansion of every node optimal, so each node is expanded at most once.
 from __future__ import annotations
 
 import heapq
-import itertools
 import time
 from dataclasses import dataclass
 
 from repro import obs
 from repro.obs import decisions
-from repro.core.actions import cached_greedy_minimal_actions
+from repro.core.actions import enumerate_greedy_minimal_actions
 from repro.core.plan import Plan
 from repro.core.problem import (
     ProblemInstance,
@@ -90,9 +89,10 @@ def _heuristic(node: Node, problem: ProblemInstance) -> float:
     t, state = node
     future = problem.future_arrivals(t)
     rates = problem.min_batch_rates()
-    return sum(
-        (s + k) * r for s, k, r in zip(state, future, rates)
-    )
+    total = 0  # left to right, never sum(): see CostModel.refresh_cost
+    for s, k, r in zip(state, future, rates):
+        total = total + (s + k) * r
+    return total
 
 
 def _expand(node: Node, problem: ProblemInstance) -> list[tuple[Node, float]]:
@@ -120,7 +120,7 @@ def _expand(node: Node, problem: ProblemInstance) -> list[tuple[Node, float]]:
     # base + prefix[t2 + 1] == state + arrivals in (t1, t2]: exact ints.
     base = tuple(s - b for s, b in zip(state, prefix[t1 + 1]))
     refresh_cost = problem.refresh_cost
-    full_above = problem.limit + 1e-9  # the is_full threshold, verbatim
+    full_above = problem.full_above
     # Smallest t2 in (t1, horizon) whose pre-action state is full, if any.
     first_full = None
     lo, hi = t1 + 1, horizon - 1
@@ -138,7 +138,7 @@ def _expand(node: Node, problem: ProblemInstance) -> list[tuple[Node, float]]:
     cur = tuple(map(sum, zip(base, prefix[first_full + 1])))
     return [
         ((first_full, sub_vectors(cur, action)), problem.refresh_cost(action))
-        for action in cached_greedy_minimal_actions(cur, problem)
+        for action in enumerate_greedy_minimal_actions(cur, problem)
     ]
 
 
@@ -166,24 +166,46 @@ def find_optimal_lgm_plan(problem: ProblemInstance, use_heuristic: bool = True) 
         (With subadditive costs this happens only when even emptying every
         delta table leaves a full state, which is impossible since the
         empty state costs 0; so in practice search always succeeds.)
+
+    Notes
+    -----
+    The loop is flat: expansion and heuristic are written out over hoisted
+    locals and probe ``problem.cost_tables`` directly.  :func:`_expand`
+    and :func:`_heuristic` state the same edge rule and bound one node at
+    a time; they are the reference the tests hold this loop to (same plan,
+    same cost bits, same ``expanded`` / ``generated``), not its callees.
+    Every float is built by the same left-to-right additions as theirs,
+    because heap order -- hence both counts -- hangs on the last bit.
     """
-    source: Node = (-1, zero_vector(problem.n))
-    destination: Node = (problem.horizon, zero_vector(problem.n))
+    n = problem.n
+    horizon = problem.horizon
+    zero = zero_vector(n)
+    source: Node = (-1, zero)
+    destination: Node = (horizon, zero)
+    prefix = problem.prefix_totals()
+    suffix = problem.suffix_totals()
+    tables = problem.cost_tables
+    refresh_cost = problem.refresh_cost
+    full_above = problem.full_above
+    rates = problem.min_batch_rates() if use_heuristic else None
+    heappush, heappop = heapq.heappush, heapq.heappop
+    infinity = float("inf")
 
-    heuristic_evals = 0
-
-    def h(node: Node) -> float:
-        nonlocal heuristic_evals
-        if not use_heuristic:
-            return 0.0
-        heuristic_evals += 1
-        return _heuristic(node, problem)
-
-    counter = itertools.count()  # tie-breaker for heap stability
+    h_source = 0.0
+    if rates is not None:
+        h_source = 0
+        for k, r in zip(suffix[0], rates):
+            h_source = h_source + k * r
     g: dict[Node, float] = {source: 0.0}
     parent: dict[Node, Node] = {}
-    open_heap: list[tuple[float, int, Node]] = [(h(source), next(counter), source)]
+    # Heap entries are (g + h, push number, node): the push number is the
+    # stable tie-breaker, and equals ``generated`` at the time of the push.
+    open_heap: list[tuple[float, int, Node]] = [(h_source, 0, source)]
     closed: set[Node] = set()
+    # full pre-action state -> ((post-action state, edge weight), ...) for
+    # each greedy minimal action, in enumeration order.  Distinct
+    # timestamps share states, so most expansions hit.
+    edges_of: dict[Vector, tuple[tuple[Vector, float], ...]] = {}
     expanded = 0
     generated = 1
     heap_peak = 1
@@ -191,57 +213,59 @@ def find_optimal_lgm_plan(problem: ProblemInstance, use_heuristic: bool = True) 
     started = time.perf_counter()
 
     with obs.trace(
-        "astar.search", horizon=problem.horizon, n=problem.n,
-        heuristic=use_heuristic,
+        "astar.search", horizon=horizon, n=n, heuristic=use_heuristic,
     ) as span:
         while open_heap:
-            __, __, node = heapq.heappop(open_heap)
+            __, __, node = heappop(open_heap)
             if node in closed:
                 continue  # stale heap entry
             if node == destination:
-                plan = _reconstruct_plan(parent, destination, problem)
-                plan.check_valid(problem)
-                result = AStarResult(
-                    plan=plan, cost=g[node], expanded=expanded,
-                    generated=generated,
-                )
-                span.set(
-                    cost=result.cost, expanded=expanded, generated=generated,
-                )
-                result.register_metrics()
-                if decisions.active():
-                    first = next(
-                        (a for a in plan.actions if any(a)),
-                        zero_vector(problem.n),
-                    )
-                    flushes = sum(1 for a in plan.actions if any(a))
-                    decisions.emit_policy_decision(
-                        "OPT_LGM",
-                        -1,  # plans the whole horizon before time starts
-                        zero_vector(problem.n),
-                        problem.cost_functions,
-                        problem.limit,
-                        chosen=first,
-                        rationale=(
-                            f"optimal LGM plan: cost={result.cost:.3f} over "
-                            f"{flushes} flush(es), expanded={expanded}, "
-                            f"generated={generated}"
-                        ),
-                    )
-                obs.counter("astar.heuristic_evals", heuristic_evals)
-                obs.counter(
-                    "astar.heuristic.inconsistency_detected", inconsistencies
-                )
-                obs.gauge_max("astar.heap_peak", heap_peak)
-                obs.observe(
-                    "astar.time_to_solution_ms",
-                    (time.perf_counter() - started) * 1e3,
-                )
-                return result
+                break
             closed.add(node)
             expanded += 1
-            for successor, weight in _expand(node, problem):
-                tentative = g[node] + weight
+            # Nodes at T other than the destination are never created, so
+            # t1 < T here.
+            t1, state = node
+            base = [s - a for s, a in zip(state, prefix[t1 + 1])]
+            # First full step in (t1, T), or T (the forced refresh) if
+            # none.  base + prefix[t2 + 1] is the pre-action state at t2 in
+            # exact ints, and fullness is monotone in t2 (arrivals are
+            # non-negative, costs monotone), so any probe order finds the
+            # boundary a linear walk would.  Gaps are short next to T, so
+            # gallop outward from t1 + 1, doubling the stride until the
+            # boundary is bracketed; from there the midpoint is the nearer
+            # probe and the loop is a plain bisection.
+            lo, hi, step = t1 + 1, horizon, 1
+            mid = lo
+            while lo < hi:
+                total = 0
+                for b, a, table in zip(base, prefix[mid + 1], tables):
+                    total = total + table[b + a]
+                if total > full_above:
+                    hi = mid
+                    mid = max((lo + hi) >> 1, hi - step)
+                else:
+                    lo = mid + 1
+                    mid = min((lo + hi) >> 1, lo + step - 1)
+                step += step
+            cur = tuple([b + a for b, a in zip(base, prefix[lo + 1])])
+            if lo == horizon:
+                # Never full before the refresh time: flush everything.
+                edges = ((zero, refresh_cost(cur)),)
+            else:
+                edges = edges_of.get(cur)
+                if edges is None:
+                    edges = edges_of[cur] = tuple([
+                        (sub_vectors(cur, action), refresh_cost(action))
+                        for action in enumerate_greedy_minimal_actions(
+                            cur, problem
+                        )
+                    ])
+            future = suffix[lo + 1]
+            g_node = g[node]
+            for post, weight in edges:
+                successor = (lo, post)
+                tentative = g_node + weight
                 if successor in closed:
                     # A consistent heuristic guarantees closed nodes hold
                     # their optimal g; a strictly better path arriving now
@@ -251,17 +275,54 @@ def find_optimal_lgm_plan(problem: ProblemInstance, use_heuristic: bool = True) 
                     if tentative < g[successor] - 1e-12:
                         inconsistencies += 1
                     continue
-                if tentative < g.get(successor, float("inf")) - 1e-12:
+                if tentative < g.get(successor, infinity) - 1e-12:
                     g[successor] = tentative
                     parent[successor] = node
-                    heapq.heappush(
-                        open_heap,
-                        (tentative + h(successor), next(counter), successor),
-                    )
+                    priority = tentative
+                    if rates is not None:
+                        h = 0
+                        for s, k, r in zip(post, future, rates):
+                            h = h + (s + k) * r
+                        priority = tentative + h
+                    heappush(open_heap, (priority, generated, successor))
                     generated += 1
                     if len(open_heap) > heap_peak:
                         heap_peak = len(open_heap)
-    raise ValueError("no valid LGM plan exists for this instance")
+        else:
+            raise ValueError("no valid LGM plan exists for this instance")
+
+        plan = _reconstruct_plan(parent, destination, problem)
+        plan.check_valid(problem)
+        result = AStarResult(
+            plan=plan, cost=g[destination], expanded=expanded,
+            generated=generated,
+        )
+        span.set(cost=result.cost, expanded=expanded, generated=generated)
+        result.register_metrics()
+        if decisions.active():
+            first = next((a for a in plan.actions if any(a)), zero)
+            flushes = sum(1 for a in plan.actions if any(a))
+            decisions.emit_policy_decision(
+                "OPT_LGM",
+                -1,  # plans the whole horizon before time starts
+                zero,
+                problem.cost_functions,
+                problem.limit,
+                chosen=first,
+                rationale=(
+                    f"optimal LGM plan: cost={result.cost:.3f} over "
+                    f"{flushes} flush(es), expanded={expanded}, "
+                    f"generated={generated}"
+                ),
+            )
+        # One heuristic evaluation per generated node, the source included.
+        obs.counter("astar.heuristic_evals", generated if use_heuristic else 0)
+        obs.counter("astar.heuristic.inconsistency_detected", inconsistencies)
+        obs.gauge_max("astar.heap_peak", heap_peak)
+        obs.observe(
+            "astar.time_to_solution_ms", (time.perf_counter() - started) * 1e3
+        )
+    return result
 
 
 def check_heuristic_consistency(

@@ -134,10 +134,10 @@ class TimeToFullEstimator:
         rates = self._rates
 
         def projected_cost(steps: int) -> float:
-            return sum(
-                f(s + int(r * steps))
-                for f, s, r in zip(cost_functions, state, rates)
-            )
+            total = 0  # left to right, never sum(): see CostModel.refresh_cost
+            for f, s, r in zip(cost_functions, state, rates):
+                total = total + f(s + int(r * steps))
+            return total
 
         if projected_cost(0) > limit:
             return 0
@@ -208,13 +208,12 @@ class OnlinePolicy(Policy):
                 )
             return action
         # Score every greedy minimal valid action by amortized cost H.
-        problem_view = _StaticView(self.cost_functions, self.limit, self.n)
         best_action: Vector | None = None
         best_score = float("inf")
         best_cost = float("inf")
         scored = 0
         candidates: list[decisions.CandidateAction] = []
-        for action in enumerate_greedy_minimal_actions(pre_state, problem_view):
+        for action in enumerate_greedy_minimal_actions(pre_state, self):
             scored += 1
             cost = self.refresh_cost(action)
             post = tuple(s - a for s, a in zip(pre_state, action))
@@ -269,24 +268,6 @@ class OnlinePolicy(Policy):
 
     def __repr__(self) -> str:
         return f"OnlinePolicy(estimator={self.estimator!r})"
-
-
-class _StaticView:
-    """Duck-typed stand-in for :class:`ProblemInstance` used by the action
-    enumerator: exposes only cost functions, the limit, ``n`` and
-    fullness -- never arrivals, preserving the policy's blindness to the
-    future."""
-
-    def __init__(self, cost_functions, limit, n):
-        self.cost_functions = cost_functions
-        self.limit = limit
-        self.n = n
-
-    def refresh_cost(self, state: Vector) -> float:
-        return sum(f(k) for f, k in zip(self.cost_functions, state, strict=True))
-
-    def is_full(self, state: Vector) -> bool:
-        return self.refresh_cost(state) > self.limit + 1e-9
 
 
 def make_oracle_online_policy(problem: ProblemInstance) -> OnlinePolicy:

@@ -107,7 +107,10 @@ class Plan:
     def cost(self, problem: ProblemInstance) -> float:
         """Total maintenance cost ``f(P) = sum_t f(p_t)``."""
         self._check_shape(problem)
-        return sum(problem.refresh_cost(a) for a in self.actions)
+        total = 0  # left to right, never sum(): see CostModel.refresh_cost
+        for action in self.actions:
+            total = total + problem.refresh_cost(action)
+        return total
 
     def action_count(self, i: int) -> int:
         """``|P(i)|``: number of actions touching base table ``i``.

@@ -22,15 +22,23 @@ from abc import ABC, abstractmethod
 from typing import Sequence
 
 from repro.core.costfuncs import CostFunction
-from repro.core.problem import Vector
+from repro.core.problem import CostModel, Vector
 
 
 class PolicyError(RuntimeError):
     """Raised when a policy emits an action that violates Definition 1."""
 
 
-class Policy(ABC):
-    """Base class for online batch-maintenance scheduling policies."""
+class Policy(CostModel, ABC):
+    """Base class for online batch-maintenance scheduling policies.
+
+    A policy *is* the :class:`~repro.core.problem.CostModel` it was last
+    :meth:`reset` to: ``cost_functions``, ``limit``, ``n``,
+    ``refresh_cost`` and ``is_full`` are available from then on.
+    """
+
+    def __init__(self) -> None:
+        """Policies are bound by :meth:`reset`, not at construction."""
 
     def reset(
         self,
@@ -43,13 +51,7 @@ class Policy(ABC):
         is refreshed and accounting restarts.  Subclasses overriding this
         must call ``super().reset(...)``.
         """
-        self.cost_functions = tuple(cost_functions)
-        self.limit = float(limit)
-
-    @property
-    def n(self) -> int:
-        """Number of base tables (available after :meth:`reset`)."""
-        return len(self.cost_functions)
+        CostModel.__init__(self, cost_functions, limit)
 
     def observe(self, t: int, arrivals: Vector) -> None:
         """Notify the policy of the modifications arriving at time ``t``.
@@ -66,14 +68,6 @@ class Policy(ABC):
         post-action state satisfies the response-time constraint.  Returning
         the zero vector is legal whenever ``pre_state`` is not full.
         """
-
-    def refresh_cost(self, state: Vector) -> float:
-        """``f(s)`` under the bound cost functions (helper for subclasses)."""
-        return sum(f(k) for f, k in zip(self.cost_functions, state, strict=True))
-
-    def is_full(self, state: Vector) -> bool:
-        """Whether ``state`` violates the response-time constraint."""
-        return self.refresh_cost(state) > self.limit + 1e-9
 
     def record_action(self, t: int, action: Vector, cost: float) -> None:
         """Notify the policy its action was executed at cost ``cost``.

@@ -17,6 +17,7 @@ taken at ``t``.  A state is **full** when its refresh cost exceeds ``C``.
 
 from __future__ import annotations
 
+from operator import truediv
 from typing import Sequence
 
 from repro.core.costfuncs import CostFunction, check_cost_function
@@ -44,7 +45,74 @@ def is_nonnegative(v: Vector) -> bool:
     return all(x >= 0 for x in v)
 
 
-class ProblemInstance:
+class CostTable(dict):
+    """``table[k] == f(k)``, computed on first use.
+
+    Cost functions are pure, so a stored entry is the bit-identical float
+    the call would have produced; tabulated functions pay a bisect per
+    call, a hit pays one dict probe.
+    """
+
+    __slots__ = ("f",)
+
+    def __init__(self, f: CostFunction):
+        self.f = f
+
+    def __missing__(self, k: int) -> float:
+        cost = self[k] = self.f(k)
+        return cost
+
+
+class CostModel:
+    """The static half of an instance: ``f_1..f_n`` and the constraint ``C``.
+
+    The one definition of ``f(s)`` and of fullness, shared by
+    :class:`ProblemInstance` and (bound at ``reset``) by every
+    :class:`~repro.core.policies.Policy`; it knows nothing of arrivals, so
+    handing a policy to the action enumerator keeps the policy blind to
+    the future.
+
+    Every ``f_i(k)`` ever priced is kept in ``cost_tables`` for as long as
+    the model lives -- an instance's lifetime, or a policy's until its next
+    ``reset`` -- which assumes the cost functions are pure and are not
+    mutated once bound.  A table holds one float per distinct batch size
+    seen: at most ``b_i`` entries per table after
+    :meth:`ProblemInstance.min_batch_rates` (capped at 65536), and for a
+    long-running policy as many as the distinct backlog sizes its view
+    reaches, which the constraint ``C`` keeps near ``b_i`` too.
+    """
+
+    def __init__(self, cost_functions: Sequence[CostFunction], limit: float):
+        self.cost_functions: tuple[CostFunction, ...] = tuple(cost_functions)
+        self.limit = float(limit)
+        #: A state is full when its refresh cost exceeds this: ``C`` plus
+        #: the tolerance that absorbs float noise in summed costs.
+        self.full_above = self.limit + 1e-9
+        self.n = len(self.cost_functions)
+        #: ``cost_tables[i][k] == f_i(k)``; the planners' hot loops probe
+        #: these directly instead of calling :meth:`refresh_cost`.
+        self.cost_tables: tuple[CostTable, ...] = tuple(
+            CostTable(f) for f in self.cost_functions
+        )
+
+    def refresh_cost(self, state: Vector) -> float:
+        """``f(s) = sum_i f_i(s[i])`` -- cost of refreshing the view now.
+
+        Summed left to right with plain additions: ``sum()`` compensates
+        float sums on CPython >= 3.12, and heap order in the A* search
+        depends on the last bit.
+        """
+        total = 0
+        for table, k in zip(self.cost_tables, state, strict=True):
+            total = total + table[k]
+        return total
+
+    def is_full(self, state: Vector) -> bool:
+        """True when the refresh cost of ``state`` exceeds the constraint."""
+        return self.refresh_cost(state) > self.full_above
+
+
+class ProblemInstance(CostModel):
     """An instance of the batch incremental maintenance problem.
 
     Parameters
@@ -65,9 +133,11 @@ class ProblemInstance:
 
     Notes
     -----
-    The instance is immutable; planners treat it as a value.  All heavy
-    per-instance precomputation (cumulative and suffix arrival totals, the
-    A* heuristic's per-table batch bounds) is cached lazily.
+    The instance is immutable; planners treat it as a value.  ``n`` is the
+    number of base tables and ``horizon`` the refresh time ``T`` (arrivals
+    cover ``0..T``).  All heavy per-instance precomputation (cumulative
+    and suffix arrival totals, the A* heuristic's per-table batch bounds)
+    is cached lazily.
     """
 
     def __init__(
@@ -83,9 +153,8 @@ class ProblemInstance:
             raise ValueError(f"response-time constraint must be >= 0, got {limit}")
         if not arrivals:
             raise ValueError("arrival sequence must cover at least time step 0")
-        self.cost_functions: tuple[CostFunction, ...] = tuple(cost_functions)
-        self.limit = float(limit)
-        n = len(self.cost_functions)
+        super().__init__(cost_functions, limit)
+        n = self.n
         cleaned: list[Vector] = []
         for t, d in enumerate(arrivals):
             d = tuple(int(x) for x in d)
@@ -97,6 +166,7 @@ class ProblemInstance:
                 raise ValueError(f"arrival vector at t={t} has negative components")
             cleaned.append(d)
         self.arrivals: tuple[Vector, ...] = tuple(cleaned)
+        self.horizon = len(self.arrivals) - 1
         if validate:
             for f in self.cost_functions:
                 check_cost_function(f)
@@ -104,32 +174,6 @@ class ProblemInstance:
         self._prefix_totals: list[Vector] | None = None
         self._batch_bounds: Vector | None = None
         self._min_rates: tuple[float, ...] | None = None
-        # Value caches for the planners' hot loops.  Cost functions are
-        # pure, so caching changes which calls happen, never any value:
-        # a memoized result is the bit-identical float the call would
-        # have produced.  ``_cost_memo`` maps state -> f(state);
-        # ``_component_memos[i]`` maps k -> f_i(k); ``_action_memo`` maps
-        # a full state -> its greedy-minimal-action tuple (filled by
-        # :func:`repro.core.actions.cached_greedy_minimal_actions`).
-        self._cost_memo: dict[Vector, float] = {}
-        self._component_memos: tuple[dict[int, float], ...] = tuple(
-            {} for __ in self.cost_functions
-        )
-        self._action_memo: dict[Vector, tuple[Vector, ...]] = {}
-
-    # ------------------------------------------------------------------
-    # Basic accessors
-    # ------------------------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        """Number of base tables."""
-        return len(self.cost_functions)
-
-    @property
-    def horizon(self) -> int:
-        """The refresh time ``T`` (arrivals cover ``0..T``)."""
-        return len(self.arrivals) - 1
 
     def total_arrivals(self) -> Vector:
         """Total modifications per table over the whole period."""
@@ -137,37 +181,6 @@ class ProblemInstance:
         for d in self.arrivals:
             total = add_vectors(total, d)
         return total
-
-    # ------------------------------------------------------------------
-    # Cost / fullness
-    # ------------------------------------------------------------------
-
-    def refresh_cost(self, state: Vector) -> float:
-        """``f(s) = sum_i f_i(s[i])`` -- cost of refreshing the view now.
-
-        Memoized per state (and per component): planners probe the same
-        states and batch sizes over and over, and tabulated cost functions
-        pay a bisect per call.  Summation stays left-to-right over the
-        component values, so the cached total is bit-identical to the
-        uncached expression.
-        """
-        cached = self._cost_memo.get(state)
-        if cached is not None:
-            return cached
-        total = 0
-        for f, memo, k in zip(
-            self.cost_functions, self._component_memos, state, strict=True
-        ):
-            c = memo.get(k)
-            if c is None:
-                c = memo[k] = f(k)
-            total = total + c
-        self._cost_memo[state] = total
-        return total
-
-    def is_full(self, state: Vector) -> bool:
-        """True when the refresh cost of ``state`` exceeds the constraint."""
-        return self.refresh_cost(state) > self.limit + 1e-9
 
     # ------------------------------------------------------------------
     # Derived arrival statistics
@@ -265,10 +278,15 @@ class ProblemInstance:
         """
         if self._min_rates is None:
             rates = []
-            for i, f in enumerate(self.cost_functions):
-                b = self.batch_bounds()[i]
+            for table, b in zip(self.cost_tables, self.batch_bounds()):
                 if b <= 65536:
-                    rate = min(f(k) / k for k in range(1, b + 1))
+                    # Every legal batch size is priced here, so the pass
+                    # also leaves the table warm: the search's probes of
+                    # f_i(k), k <= b_i, are all hits.
+                    sizes = range(1, b + 1)
+                    costs = [table.f(k) for k in sizes]
+                    table.update(zip(sizes, costs))
+                    rate = min(map(truediv, costs, sizes))
                 else:
                     # The exact minimum could hide between samples; a too-
                     # high rate would make the heuristic inadmissible, so

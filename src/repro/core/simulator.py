@@ -28,12 +28,23 @@ from repro.core.problem import (
     zero_vector,
 )
 
+#: One executed time step: (pre-action state, post-action state, f(action),
+#: f(post-action state)).
+_Step = tuple[Vector, Vector, float, float]
+
 
 def execute_plan(problem: ProblemInstance, plan: Plan) -> PlanTrace:
     """Simulate a fully specified plan; validate it as a side effect."""
     with obs.trace("simulator.execute_plan", horizon=problem.horizon) as span:
         plan.check_valid(problem)
-        trace = _trace(problem, plan.actions, metadata={"source": "plan"})
+        refresh_cost = problem.refresh_cost
+        steps: list[_Step] = []
+        state = zero_vector(problem.n)
+        for t, action in enumerate(plan.actions):
+            pre = add_vectors(state, problem.arrivals[t])
+            state = sub_vectors(pre, action)
+            steps.append((pre, state, refresh_cost(action), refresh_cost(state)))
+        trace = _plan_trace(problem, plan, steps, {"source": "plan"})
         span.set(total_cost=trace.total_cost, actions=trace.action_count)
     return trace
 
@@ -50,27 +61,36 @@ def simulate_policy(
     :class:`~repro.core.policies.PolicyError` rather than being silently
     repaired, because a policy that breaks the response-time constraint is
     a bug, not a degraded mode.
+
+    One pass: the trace is accumulated while the policy runs, and equals
+    :func:`execute_plan` of the actions the policy took.  The per-step SLO
+    observations are made once the run is over, after every decision
+    event: a run that raises leaves none behind.
     """
     if reset:
         policy.reset(problem.cost_functions, problem.limit)
-    recorder = obs.get_recorder()  # fetched once: per-step hooks gate on it
+    # Fetched once: the per-step hooks gate on them.
+    recorder = obs.get_recorder()
+    log = decisions.get_decision_log()
+    horizon = problem.horizon
+    refresh_cost = problem.refresh_cost
+    full_above = problem.full_above
     state = zero_vector(problem.n)
     actions: list[Vector] = []
+    steps: list[_Step] = []
     with obs.trace(
-        "simulator.simulate_policy", policy=repr(policy),
-        horizon=problem.horizon,
+        "simulator.simulate_policy", policy=repr(policy), horizon=horizon,
     ) as span:
-        for t in range(problem.horizon + 1):
-            arrivals = problem.arrivals[t]
+        for t, arrivals in enumerate(problem.arrivals):
             policy.observe(t, arrivals)
             pre = add_vectors(state, arrivals)
-            if t == problem.horizon:
+            if t == horizon:
                 action = pre  # forced refresh
             elif recorder is None:
-                action = tuple(int(x) for x in policy.decide(t, pre))
+                action = tuple(map(int, policy.decide(t, pre)))
             else:
                 decide_start = time.perf_counter()
-                action = tuple(int(x) for x in policy.decide(t, pre))
+                action = tuple(map(int, policy.decide(t, pre)))
                 recorder.observe(
                     "simulator.decide_ms",
                     (time.perf_counter() - decide_start) * 1e3,
@@ -80,74 +100,59 @@ def simulate_policy(
                 raise PolicyError(
                     f"{policy!r} at t={t}: action {action} exceeds backlog {pre}"
                 )
-            if t < problem.horizon and problem.is_full(post):
+            backlog = refresh_cost(post)
+            if t < horizon and backlog > full_above:
                 raise PolicyError(
                     f"{policy!r} at t={t}: post-action state {post} violates "
                     f"C={problem.limit}"
                 )
-            cost = problem.refresh_cost(action)
+            cost = refresh_cost(action)
             policy.record_action(t, action, cost)
-            if t < problem.horizon:
+            if log is not None and t < horizon:
                 # Join the policy's decision with its executed cost.  The
                 # horizon step is a forced refresh (no decision emitted).
-                log = decisions.get_decision_log()
-                if log is not None:
-                    view, _ = decisions.current_scope()
-                    log.join(view, t, actual_ms=cost)
+                view, _ = decisions.current_scope()
+                log.join(view, t, actual_ms=cost)
             if recorder is not None:
                 recorder.counter("simulator.steps")
-                recorder.observe(
-                    "simulator.backlog", problem.refresh_cost(post)
-                )
+                recorder.observe("simulator.backlog", backlog)
                 if any(action):
                     recorder.counter("simulator.actions")
                     recorder.observe("simulator.action_size", sum(action))
                     recorder.observe("simulator.action_cost", cost)
             actions.append(action)
+            steps.append((pre, post, cost, backlog))
             state = post
-        trace = _trace(
-            problem, actions,
-            metadata={"source": "policy", "policy": repr(policy)},
+        trace = _plan_trace(
+            problem, Plan(actions), steps,
+            {"source": "policy", "policy": repr(policy)},
         )
         span.set(total_cost=trace.total_cost, actions=trace.action_count)
     return trace
 
 
-def _trace(
-    problem: ProblemInstance, actions: list[Vector] | tuple[Vector, ...], metadata: dict
+def _plan_trace(
+    problem: ProblemInstance, plan: Plan, steps: list[_Step], metadata: dict
 ) -> PlanTrace:
-    """Compute the full execution trace for a known-valid action sequence."""
-    plan = Plan(actions)
-    pre_states: list[Vector] = []
-    post_states: list[Vector] = []
-    action_costs: list[float] = []
-    state = zero_vector(problem.n)
-    peak = 0.0
-    total = 0.0
-    recorder = obs.get_recorder()  # per-step SLO hooks gate on it
-    source = metadata.get("source", "simulator")
-    for t in range(problem.horizon + 1):
-        state = add_vectors(state, problem.arrivals[t])
-        pre_states.append(state)
-        if recorder is not None:
-            # The paper's operational guarantee, step by step: had a
-            # refresh been demanded *now*, would it have met C?
+    """Fold the executed steps of ``plan`` (at least one: ``T >= 0``)."""
+    pre_states, post_states, action_costs, backlogs = zip(*steps)
+    if obs.get_recorder() is not None:
+        # The paper's operational guarantee, step by step: had a refresh
+        # been demanded at t, would it have met C?
+        for t, pre in enumerate(pre_states):
             slo.observe_refresh(
-                problem.limit, problem.refresh_cost(state),
-                t=t, source=source,
+                problem.limit, problem.refresh_cost(pre),
+                t=t, source=metadata["source"],
             )
-        cost = problem.refresh_cost(plan.actions[t])
-        action_costs.append(cost)
+    total = 0.0  # left to right, never sum(): see CostModel.refresh_cost
+    for cost in action_costs:
         total += cost
-        state = sub_vectors(state, plan.actions[t])
-        post_states.append(state)
-        peak = max(peak, problem.refresh_cost(state))
     return PlanTrace(
         plan=plan,
         total_cost=total,
-        action_costs=tuple(action_costs),
-        pre_states=tuple(pre_states),
-        post_states=tuple(post_states),
-        peak_refresh_cost=peak,
+        action_costs=action_costs,
+        pre_states=pre_states,
+        post_states=post_states,
+        peak_refresh_cost=max(backlogs),
         metadata=metadata,
     )

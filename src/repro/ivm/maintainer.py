@@ -140,10 +140,16 @@ class ViewMaintainer:
         return previous
 
     def predicted_refresh_cost(self, state: Sequence[int]) -> float:
-        """``f(s)`` under the calibrated cost functions."""
-        return sum(
-            f(k) for f, k in zip(self.cost_functions, state, strict=True)
-        )
+        """``f(s)`` under the calibrated cost functions.
+
+        Added left to right like ``CostModel.refresh_cost`` (``sum()``
+        compensates on CPython >= 3.12), so this and the policy's own
+        ``refresh_cost`` agree to the last bit.
+        """
+        total = 0
+        for f, k in zip(self.cost_functions, state, strict=True):
+            total = total + f(k)
+        return total
 
     def step(self, t: int | None = None) -> StepRecord:
         """Run one time step: ingest new modifications, consult the policy.

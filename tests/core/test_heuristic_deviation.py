@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.core import astar
 from repro.core.astar import (
     _expand,
@@ -23,6 +24,7 @@ from repro.core.astar import (
 )
 from repro.core.costfuncs import LinearCost
 from repro.core.problem import ProblemInstance, zero_vector
+from tests.core.reference_search import reference_search
 
 
 def paper_heuristic(node, problem):
@@ -96,7 +98,14 @@ class TestPaperHeuristicInconsistency:
     ):
         """With the paper's h swapped in, the closed-set A* may return a
         more expensive plan than the exact (Dijkstra) answer -- the bug
-        that motivated the deviation."""
+        that motivated the deviation.
+
+        ``find_optimal_lgm_plan`` computes the rate bound inline, so the
+        search that reads ``astar._heuristic`` -- and that this patch
+        steers -- is the reference one the kernel is held to
+        (``test_kernel_equals_reference_search``); the kernel's own
+        closed-node branch is driven by the next test.
+        """
         exact = find_optimal_lgm_plan(
             boundary_instance, use_heuristic=False
         ).cost
@@ -104,11 +113,50 @@ class TestPaperHeuristicInconsistency:
             boundary_instance, use_heuristic=True
         ).cost
         assert ours == pytest.approx(exact)
+        __, cost, expanded, __, reopened = reference_search(boundary_instance)
+        assert (cost, reopened) == (ours, 0)
 
         monkeypatch.setattr(astar, "_heuristic", paper_heuristic)
-        papers = find_optimal_lgm_plan(
-            boundary_instance, use_heuristic=True
-        ).cost
+        __, papers, steered, __, reopened = reference_search(boundary_instance)
         # The paper's h is admissible-ish here, so the result is at least
         # `exact`; on boundary instances with a closed set it can exceed it.
         assert papers >= exact - 1e-9
+        # The patch steered the search: another expansion count, and closed
+        # nodes reached again by strictly cheaper paths -- which a closed
+        # set never repairs, hence "can be suboptimal".
+        assert steered != expanded
+        assert reopened > 0
+
+    def test_kernel_counts_but_never_repairs_inconsistent_closed_nodes(
+        self, monkeypatch
+    ):
+        """The kernel's ``h`` is ``sum_i (s_i + K_i) * r_i`` over the rates
+        the instance hands it.  Rates 25 % above the cheapest legal batch
+        rate break ``q_i * r_i <= f_i(q_i)``: closed nodes are reached again
+        by strictly cheaper paths (counted, not reopened) and the returned
+        plan costs more than the exact one."""
+        def instance():
+            return ProblemInstance(
+                [LinearCost(1.0, setup=6.0), LinearCost(2.0, setup=2.0)],
+                limit=10.0,
+                arrivals=[(2, 1)] * 20,
+            )
+
+        def search(problem):
+            with obs.recording() as rec:
+                result = find_optimal_lgm_plan(problem)
+            return result, rec.registry.get(
+                "astar.heuristic.inconsistency_detected"
+            ).value
+
+        exact = find_optimal_lgm_plan(instance(), use_heuristic=False).cost
+        result, detected = search(instance())
+        assert (result.cost, detected) == (exact, 0)
+
+        inflated = instance()
+        rates = tuple(1.25 * r for r in inflated.min_batch_rates())
+        monkeypatch.setattr(inflated, "min_batch_rates", lambda: rates)
+        result, detected = search(inflated)
+        assert detected > 0
+        assert result.cost > exact + 1e-9
+        result.plan.check_valid(inflated)

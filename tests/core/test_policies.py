@@ -207,6 +207,21 @@ class TestReplayPolicy:
             policy.decide(5, (0,))
 
 
+class TestCostSums:
+    def test_refresh_cost_adds_left_to_right_on_every_interpreter(self):
+        """``sum()`` compensates float sums on CPython >= 3.12 and returns
+        1.0 here; a policy and the instance it plans for must agree on
+        ``f(s)`` to the last bit whatever the interpreter."""
+        costs = [LinearCost(slope=0.1)] * 10
+        state = (1,) * 10
+        policy = NaivePolicy()
+        policy.reset(costs, 5.0)
+        problem = ProblemInstance(costs, 5.0, [state])
+        assert policy.refresh_cost(state) == 0.9999999999999999
+        assert problem.refresh_cost(state) == 0.9999999999999999
+        assert Plan([state]).cost(problem) == 0.9999999999999999
+
+
 class TestSimulator:
     def test_execute_plan_matches_plan_cost(self):
         problem = asymmetric_instance()

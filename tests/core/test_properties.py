@@ -10,12 +10,18 @@ Invariants exercised:
   arrives is processed exactly once);
 * ``MakeLazyPlan`` / ``MakeLGMPlan`` keep their cost guarantees on
   arbitrary generated instances;
-* A* <= NAIVE <= EAGER orderings hold universally.
+* A* <= NAIVE <= EAGER orderings hold universally;
+* the flat A* kernel equals a reference search assembled from the
+  retained ``_expand`` + ``_heuristic`` -- plan, cost bits, ``expanded``,
+  ``generated`` -- and a search whose first full step is a linear walk;
+* the single-pass simulator's trace equals ``execute_plan`` of the actions
+  the policy took.
 """
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from repro.core import astar
 from repro.core.actions import enumerate_greedy_minimal_actions
 from repro.core.astar import find_optimal_lgm_plan
 from repro.core.costfuncs import (
@@ -23,14 +29,16 @@ from repro.core.costfuncs import (
     ConcaveCost,
     LinearCost,
     PiecewiseLinearCost,
+    StepCost,
     TabulatedCost,
     max_batch_under,
 )
 from repro.core.naive import NaivePolicy
 from repro.core.online import OnlinePolicy
 from repro.core.problem import ProblemInstance
-from repro.core.simulator import simulate_policy
+from repro.core.simulator import execute_plan, simulate_policy
 from repro.core.transforms import make_lazy_plan, make_lgm_plan
+from tests.core.reference_search import linear_walk_expand, reference_search
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -184,3 +192,75 @@ def test_transforms_preserve_guarantees(problem):
     lgm = make_lgm_plan(reference, problem)
     assert lgm.is_lgm(problem)
     assert lgm.cost(problem) <= 2 * reference.cost(problem) + 1e-9
+
+
+# ----------------------------------------------------------------------
+# The flat A* kernel against its reference
+# ----------------------------------------------------------------------
+
+step_costs = st.builds(
+    StepCost,
+    eps=st.sampled_from([1.0, 0.5, 0.25, 0.125]),
+    limit=st.floats(1.0, 20.0),
+)
+kernel_costs = st.one_of(linear_costs, step_costs, block_costs, tabulated_costs)
+
+
+@st.composite
+def kernel_instances(draw):
+    """Small instances that reach the kernel's corners: one to three
+    tables, ``T = 0``, all-zero arrival steps, ``limit = 0``.
+
+    Shape (horizon, arrivals, limit) comes from a seeded ``Random``:
+    hypothesis's own integer draws lean so far towards 0 that most
+    instances would never fill a state twice.
+    """
+    n = draw(st.integers(1, 3))
+    costs = [draw(kernel_costs) for __ in range(n)]
+    rng = draw(st.randoms(use_true_random=True))
+    horizon = rng.choice([0, 1, 6, 12, 24])
+    arrivals = [
+        tuple(rng.randint(0, 4) for __ in range(n))
+        if rng.random() < 0.7 else (0,) * n
+        for __ in range(horizon + 1)
+    ]
+    # The limit in units of a two-modification step: at a few steps' worth
+    # states fill several times per instance and offer more than one action.
+    limit = rng.choice([0.0, 0.4, 1.5, 3.0, 6.0, 50.0]) * sum(
+        f(2) for f in costs
+    )
+    return costs, limit, arrivals
+
+
+@given(spec=kernel_instances(), use_heuristic=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_kernel_equals_reference_search(spec, use_heuristic):
+    # One fresh instance per search: each fills its own cost tables.
+    result = find_optimal_lgm_plan(ProblemInstance(*spec), use_heuristic)
+    got = (result.plan, result.cost.hex(), result.expanded, result.generated)
+    for expand in (astar._expand, linear_walk_expand):
+        plan, cost, expanded, generated, inconsistencies = reference_search(
+            ProblemInstance(*spec), use_heuristic, expand
+        )
+        assert got == (plan, float(cost).hex(), expanded, generated)
+        assert inconsistencies == 0
+
+
+# ----------------------------------------------------------------------
+# The single-pass simulator against execute_plan
+# ----------------------------------------------------------------------
+
+
+@given(
+    spec=kernel_instances(),
+    policy=st.sampled_from([NaivePolicy, OnlinePolicy]),
+)
+@settings(max_examples=60, deadline=None)
+def test_policy_trace_equals_executing_its_actions(spec, policy):
+    problem = ProblemInstance(*spec)
+    trace = simulate_policy(problem, policy())
+    replayed = execute_plan(problem, trace.plan)
+    assert trace.metadata.pop("source") == "policy"
+    assert replayed.metadata.pop("source") == "plan"
+    del trace.metadata["policy"]
+    assert trace == replayed

@@ -110,27 +110,13 @@ class TestFullPipeline:
                     enumerate_greedy_minimal_actions,
                 )
 
-                class View:
-                    cost_functions = self.cost_functions
-                    limit = self.limit
-                    n = self.n
-
-                    def refresh_cost(inner, state):
-                        return sum(
-                            f(k) for f, k in zip(self.cost_functions, state)
-                        )
-
-                    def is_full(inner, state):
-                        return inner.refresh_cost(state) > self.limit + 1e-9
-
-                view = View()
-                if not view.is_full(pre_state):
+                if not self.is_full(pre_state):
                     # Occasionally act early (legal, just not lazy).
                     if self.rng.random() < 0.2 and any(pre_state):
                         return pre_state
                     return (0,) * self.n
                 actions = list(
-                    enumerate_greedy_minimal_actions(pre_state, view)
+                    enumerate_greedy_minimal_actions(pre_state, self)
                 )
                 return self.rng.choice(actions)
 

@@ -6,9 +6,12 @@ from repro import obs
 from repro.cli import main
 from repro.core.astar import find_optimal_lgm_plan
 from repro.core.costfuncs import LinearCost
+from repro.core.naive import NaivePolicy
 from repro.core.online import OnlinePolicy
+from repro.core.policies import PolicyError
 from repro.core.problem import ProblemInstance
 from repro.core.simulator import simulate_policy
+from repro.obs import slo
 from repro.obs.tracing import read_jsonl
 
 
@@ -65,6 +68,37 @@ class TestSimulatorMetrics:
             observed = simulate_policy(problem, OnlinePolicy())
         assert bare.total_cost == observed.total_cost
         assert bare.plan.actions == observed.plan.actions
+
+    def test_slo_observations_follow_the_run(self, problem):
+        """One SLO observation per step, made once the whole run is over:
+        every ``decide`` precedes the first alert."""
+        order = []
+
+        class Logged(NaivePolicy):
+            def decide(self, t, pre_state):
+                order.append(("decide", t))
+                return super().decide(t, pre_state)
+
+        with obs.recording() as rec, slo.alerts(
+            lambda event: order.append(("alert", event.t))
+        ):
+            simulate_policy(problem, Logged())
+        assert rec.registry.get("slo.steps").value == problem.horizon + 1
+        first_alert = order.index(next(e for e in order if e[0] == "alert"))
+        assert order[:first_alert] == [
+            ("decide", t) for t in range(problem.horizon)
+        ]
+        assert all(kind == "alert" for kind, __ in order[first_alert:])
+
+    def test_failed_run_leaves_no_slo_observations(self, problem):
+        class Hoarder(NaivePolicy):
+            def decide(self, t, pre_state):
+                return (0,) * self.n  # never acts: breaks C once full
+
+        with obs.recording() as rec, pytest.raises(PolicyError):
+            simulate_policy(problem, Hoarder())
+        assert rec.registry.get("simulator.steps").value > 0
+        assert rec.registry.get("slo.steps") is None
 
 
 # The tiny test-scale workloads legitimately trip the engine's low-fill
