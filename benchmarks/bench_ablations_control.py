@@ -1,18 +1,14 @@
-"""Closed-loop controller ablation: does each governor earn its keep?
+"""Closed-loop controller ablation: does the policy governor earn its keep?
 
 Runs :func:`repro.control.ablation.run_control_ablation` -- baseline
-(no controller), the full loop, and one run per disabled governor over
-the identical bursty SLO-pressure workload -- and asserts the loop's
-load-bearing claims:
+(no controller) and the full loop over the identical bursty
+SLO-pressure workload -- and asserts the loop's load-bearing claims:
 
-* with all governors on, SLO breaches land strictly below baseline;
-* disabling the policy governor gives the breaches back (it is the
-  breach-cutting governor, and the ranking says so);
+* with the governor on, SLO breaches land strictly below baseline;
 * no variant ever changes view contents -- the controller moves
-  scheduling and physical knobs, never results.
+  scheduling, never results.
 
-The wall-time column is reported but not asserted: on a small container
-the worker/block governors' wall effects are within noise.
+The wall-time column is reported but not asserted.
 """
 
 from benchmarks._report import report
@@ -25,13 +21,11 @@ def bench_control_ablation(run_once):
     baseline = result.variants["baseline"]
     full = result.variants["full"]
     assert full.breaches < baseline.breaches
-    assert result.variants["no-policy"].breaches >= full.breaches
     assert all(
         run.view_contents == baseline.view_contents
         for run in result.variants.values()
     )
-    assert result.ranking()[0][0] == "policy"
-    # The audit trail is complete: every variant that ran with the
-    # policy governor enabled records its switch as a ControlEvent.
+    # The audit trail is complete: the run with the policy governor
+    # enabled records its switch as a ControlEvent.
     assert any(e.governor == "policy" for e in full.events)
     assert not baseline.events

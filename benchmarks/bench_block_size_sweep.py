@@ -4,15 +4,12 @@
 bench runs the engine-dominated portion of the three_way experiment --
 building the TPC-R database and calibrating both maintenance cost curves
 (a few hundred live maintenance batches through scans, joins, and
-aggregation) -- once per candidate block size, plus once in row-at-a-time
-mode as the reference, and records the wall time of each.
+aggregation) -- once per candidate block size, and records the wall time
+of each.
 
-Two invariants are asserted while sweeping:
-
-* every block size produces the **identical simulated cost tables** (the
-  charging invariant of the chunked pipeline);
-* the blocked engine at the default size is not slower than the row
-  engine (the refactor pays for itself on the workload it was built for).
+One invariant is asserted while sweeping: every block size produces the
+**identical simulated cost tables** (the charging invariant of the
+chunked pipeline).
 
 The structured results land in ``results/block_size_sweep.json`` under
 ``params.sweep``; ``docs/DESIGN.md`` quotes the conclusion.
@@ -29,17 +26,20 @@ from repro.ivm.calibration import measure_cost_function
 
 #: Candidate sizes: powers of two around the expected plateau plus the
 #: degenerate 1 (blocked plumbing at row granularity, the overhead floor).
-SWEEP_SIZES: tuple[int | None, ...] = (None, 1, 16, 64, 128, 256, 512, 1024)
+SWEEP_SIZES: tuple[int, ...] = (1, 16, 64, 128, 256, 512, 1024)
 
 #: A reduced calibration sweep: enough batches to dominate on engine work
 #: while keeping the whole sweep in benchmark-smoke territory.
 BATCHES = (1, 5, 25, 100, 200)
 
 
-def _run_workload(block_size: int | None) -> tuple[float, float, dict]:
+def _run_workload(block_size: int) -> tuple[float, float, dict]:
     """One calibration workload at ``block_size``; returns (wall seconds,
     simulated cost of the sweep, the measured samples)."""
-    setup = common.build_setup(update_seed=991, block_size=block_size)
+    setup = common.build_setup(update_seed=991)
+    # No experiment needs a non-default size, so build_setup has no such
+    # parameter; every timed query below runs at the swept size.
+    setup.database.block_size = block_size
     start = time.perf_counter()
     cal_ps = measure_cost_function(setup.view, "PS", BATCHES, setup.ps_updater)
     cal_s = measure_cost_function(setup.view, "S", BATCHES, setup.supplier_updater)
@@ -58,14 +58,13 @@ def _format(rows: list[dict]) -> str:
     lines = [
         "RowBlock size sweep -- three_way calibration workload",
         "",
-        f"{'block size':>12} {'wall (s)':>10} {'vs rows':>9} {'sim cost (ms)':>14}",
+        f"{'block size':>12} {'wall (s)':>10} {'vs 1':>9} {'sim cost (ms)':>14}",
     ]
-    row_wall = next(r["wall_s"] for r in rows if r["block_size"] is None)
+    unit_wall = next(r["wall_s"] for r in rows if r["block_size"] == 1)
     for r in rows:
-        label = "rows" if r["block_size"] is None else str(r["block_size"])
-        speedup = row_wall / r["wall_s"] if r["wall_s"] else float("inf")
+        speedup = unit_wall / r["wall_s"] if r["wall_s"] else float("inf")
         lines.append(
-            f"{label:>12} {r['wall_s']:>10.3f} {speedup:>8.2f}x "
+            f"{r['block_size']:>12} {r['wall_s']:>10.3f} {speedup:>8.2f}x "
             f"{r['sim_cost_ms']:>14.3f}"
         )
     lines.append("")
@@ -93,14 +92,13 @@ def bench_block_size_sweep(run_once):
 
     rows = run_once(sweep)
 
-    # Charging invariant: simulated costs identical across every mode.
+    # Charging invariant: simulated costs identical at every block size.
     reference = rows[0]
     for r in rows[1:]:
         assert r["samples"] == reference["samples"], (
             f"simulated costs diverge at block_size={r['block_size']}"
         )
 
-    by_size = {r["block_size"]: r["wall_s"] for r in rows}
     report(
         "block_size_sweep",
         _format(rows),
@@ -114,5 +112,3 @@ def bench_block_size_sweep(run_once):
             ],
         },
     )
-    # The default must sit on the fast side of the sweep.
-    assert by_size[DEFAULT_BLOCK_SIZE] <= by_size[None] * 1.1

@@ -45,7 +45,6 @@ KEY_METRICS: tuple[tuple[str, str, str], ...] = (
     ("engine.rows_out", "value", "rows out"),
     ("engine.block.blocks", "value", "blocks"),
     ("engine.block.fill", "mean", "fill (mean)"),
-    ("engine.block.low_fill", "value", "low-fill"),
     ("ivm.flushes", "value", "flushes"),
     ("ivm.modifications_applied", "value", "mods applied"),
     ("simulator.steps", "value", "sim steps"),

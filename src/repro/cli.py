@@ -35,17 +35,15 @@ Commands
 
 ``control-log``
     Render the adaptive runtime's control trail as a text tree: every
-    actuation a governor made (policy switches, block-size changes)
-    with its reason and the signal values it acted
-    on.  Reads a ``--control-log`` JSONL file with ``--log``; without
-    one it runs a small adaptive sample on the paper's workload under
-    SLO pressure.  ``--governor`` and ``--view`` filter the trail.
+    actuation the policy governor made, with its reason and the signal
+    values it acted on.  Reads a ``--control-log`` JSONL file with
+    ``--log``; without one it runs a small adaptive sample on the
+    paper's workload under SLO pressure.  ``--view`` filters the trail.
 
 ``control-ablation``
-    Run the closed-loop ablation: baseline (no controller), the full
-    loop, and one run per disabled governor over the same bursty
-    SLO-pressure workload, then print the variants and each governor's
-    ranked contribution (breaches and wall time vs the full loop).
+    Run the closed-loop ablation: baseline (no controller) and the full
+    loop over the same bursty SLO-pressure workload, then print both
+    variants and what the governor changed (breaches and wall time).
 
 Observability (any subcommand)
 ------------------------------
@@ -359,12 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     control_log.add_argument(
-        "--governor",
-        choices=["policy", "block_size"],
-        default=None,
-        help="only events from this governor",
-    )
-    control_log.add_argument(
         "--view", default=None, help="only events for this view"
     )
     control_log.add_argument("--scale", type=float, default=0.01)
@@ -376,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     control_ablation = sub.add_parser(
         "control-ablation",
         help=(
-            "run the closed-loop ablation (baseline + full loop + one "
-            "run per disabled governor) and print the ranked report"
+            "run the closed-loop ablation (baseline vs the full loop) "
+            "and print the report"
         ),
         parents=[obs_flags],
     )
@@ -884,11 +876,7 @@ def _run_control_log(args) -> int:
         events = run_control_sample(
             scale=args.scale, horizon=args.horizon
         )
-    print(
-        control_events.render_control_log(
-            events, governor=args.governor, view=args.view
-        )
-    )
+    print(control_events.render_control_log(events, view=args.view))
     return 0
 
 

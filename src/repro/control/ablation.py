@@ -2,18 +2,14 @@
 
 One SLO-pressure workload (the paper view under a bursty 80:1 arrival
 mix, constraint C sized so the ONLINE policy rides the near-breach
-band), four runs:
+band), two runs:
 
 * ``baseline`` -- no controller attached at all;
-* ``full`` -- both governors on;
-* ``no-policy`` / ``no-block`` -- one governor disabled each.
+* ``full`` -- the policy governor on.
 
-Every run replays the identical modification stream (same seeds), so
+Both runs replay the identical modification stream (same seeds), so
 differences in ``slo.breaches`` and wall time are attributable to the
-governors alone.  The report ranks each governor by what disabling it
-costs relative to the full loop -- the format the ROADMAP's
-closed-loop item asks for: baseline plus one run per disabled
-controller, ranked importance.
+governor alone.
 
 Breaches are counted through the :func:`repro.obs.slo.alerts` hub (not
 the metrics registry), so the harness works identically standalone,
@@ -31,19 +27,8 @@ from repro.control.controller import build_controller
 from repro.control.events import ControlEvent
 from repro.obs import slo
 
-#: (name, governor flags) per run; ``None`` = no controller attached.
-VARIANTS: tuple[tuple[str, dict | None], ...] = (
-    ("baseline", None),
-    ("full", {"policy": True, "block": True}),
-    ("no-policy", {"policy": False, "block": True}),
-    ("no-block", {"policy": True, "block": False}),
-)
-
-#: Which variant isolates each governor (the run where ONLY it is off).
-GOVERNOR_VARIANT = {
-    "policy": "no-policy",
-    "block_size": "no-block",
-}
+#: Run names; ``baseline`` attaches no controller.
+VARIANTS = ("baseline", "full")
 
 
 @dataclass
@@ -55,41 +40,18 @@ class VariantRun:
     near_breaches: int
     steps: int
     wall_s: float
-    final_block: int | None
     events: list[ControlEvent] = field(default_factory=list)
     view_contents: tuple = ()
     charge_snapshot: dict = field(default_factory=dict)
 
-    def actuations(self, governor: str) -> int:
-        return sum(
-            1 for e in self.events if e.governor == governor and e.applied
-        )
-
 
 @dataclass
 class ControlAblationResult:
-    """All variants plus the ranked governor-importance table."""
+    """Both variants and what the governor changed between them."""
 
     variants: dict[str, VariantRun]
     limit: float
     params: dict
-
-    def ranking(self) -> list[tuple[str, int, float]]:
-        """``(governor, breach_cost, wall_cost_s)`` of disabling each
-        governor relative to the full loop, most important first."""
-        full = self.variants["full"]
-        rows = []
-        for governor, variant in GOVERNOR_VARIANT.items():
-            run = self.variants[variant]
-            rows.append(
-                (
-                    governor,
-                    run.breaches - full.breaches,
-                    run.wall_s - full.wall_s,
-                )
-            )
-        rows.sort(key=lambda r: (-r[1], -r[2], r[0]))
-        return rows
 
     def format(self) -> str:
         lines = [
@@ -99,24 +61,21 @@ class ControlAblationResult:
             f"~{self.params['burst_every']})",
             "",
             f"{'variant':<11} {'breaches':>8} {'near':>6} {'wall_s':>8} "
-            f"{'actuations':>10} {'block':>6}",
+            f"{'actuations':>10}",
         ]
         for name, run in self.variants.items():
-            block = "row" if run.final_block is None else str(run.final_block)
             lines.append(
                 f"{name:<11} {run.breaches:>8d} {run.near_breaches:>6d} "
-                f"{run.wall_s:>8.3f} {len([e for e in run.events if e.applied]):>10d} "
-                f"{block:>6}"
+                f"{run.wall_s:>8.3f} "
+                f"{len([e for e in run.events if e.applied]):>10d}"
             )
+        baseline, full = self.variants["baseline"], self.variants["full"]
         lines.append("")
-        lines.append("Governor importance (cost of disabling it, vs full):")
-        for rank, (governor, d_breach, d_wall) in enumerate(
-            self.ranking(), start=1
-        ):
-            lines.append(
-                f"{rank}. {governor:<11} {d_breach:+d} breaches  "
-                f"{d_wall:+.3f} s wall"
-            )
+        lines.append(
+            "Policy governor (cost of disabling it, vs full): "
+            f"{baseline.breaches - full.breaches:+d} breaches  "
+            f"{baseline.wall_s - full.wall_s:+.3f} s wall"
+        )
         return "\n".join(lines)
 
 
@@ -143,21 +102,17 @@ _BURST_FACTOR = 8
 
 def _run_variant(
     name: str,
-    flags: dict | None,
     arrivals,
     costs,
     limit: float,
     scale: float,
     seed: int,
-    block_size: int,
 ) -> VariantRun:
     from repro.core.online import OnlinePolicy
     from repro.experiments import common
     from repro.ivm.multiview import MaintenanceCoordinator, ViewConfig
 
-    setup = common.build_setup(
-        scale=scale, update_seed=seed, block_size=block_size
-    )
+    setup = common.build_setup(scale=scale, update_seed=seed)
     # build_setup materializes its own view; this harness drives the
     # coordinator's copy instead, so drop the spare subscription.
     setup.view.close()
@@ -173,9 +128,7 @@ def _run_variant(
             scheduled_aliases=common.SCHEDULED_ALIASES,
         )
     )
-    controller = (
-        build_controller(coordinator, **flags) if flags is not None else None
-    )
+    controller = build_controller(coordinator) if name == "full" else None
     breaches = 0
     near = 0
 
@@ -188,10 +141,8 @@ def _run_variant(
         else:
             near += 1
 
-    # A fresh per-variant recorder: the block governor reads
-    # engine.block.* deltas from the registry, so without one it would
-    # be blind (and variants would share metric state under an outer
-    # benchmark recorder).
+    # A fresh per-variant recorder, so variants do not share metric
+    # state under an outer benchmark recorder.
     with obs.recording(), control_events.collecting() as log, \
             slo.alerts(count):
         if controller is not None:
@@ -214,7 +165,6 @@ def _run_variant(
         near_breaches=near,
         steps=len(arrivals),
         wall_s=wall,
-        final_block=db.block_size,
         events=log.events(),
         view_contents=tuple(sorted(view.contents().items())),
         charge_snapshot=dict(db.counter.snapshot()),
@@ -225,20 +175,15 @@ def run_control_ablation(
     scale: float = 0.01,
     horizon: int = 120,
     seed: int = 11,
-    block_size: int = 2048,
 ) -> ControlAblationResult:
-    """Run the four-variant ablation; see the module docstring.
-
-    ``block_size`` is deliberately oversized for the workload so the
-    block governor has real slack to reclaim.
-    """
+    """Run both variants; see the module docstring."""
     arrivals, costs, limit = _pressure_workload(scale, horizon, seed)
-    variants: dict[str, VariantRun] = {}
-    for name, flags in VARIANTS:
-        variants[name] = _run_variant(
-            name, flags, arrivals, costs, limit,
-            scale=scale, seed=seed, block_size=block_size,
+    variants = {
+        name: _run_variant(
+            name, arrivals, costs, limit, scale=scale, seed=seed
         )
+        for name in VARIANTS
+    }
     return ControlAblationResult(
         variants=variants,
         limit=limit,
@@ -246,7 +191,6 @@ def run_control_ablation(
             "scale": scale,
             "horizon": horizon,
             "seed": seed,
-            "block_size": block_size,
             "burst_every": _BURST_EVERY,
             "burst_factor": _BURST_FACTOR,
         },
@@ -257,21 +201,15 @@ def run_control_sample(
     scale: float = 0.01,
     horizon: int = 80,
     seed: int = 11,
-    block_size: int = 2048,
 ) -> list[ControlEvent]:
-    """One adaptive run (both governors on) for ``repro control-log``.
+    """One adaptive run (governor on) for ``repro control-log``.
 
     Returns the control trail; when a process-global control log is
     installed (the ``--control-log`` flag), the events are fed into it
     too, so the rendered trail and the dumped JSONL agree.
     """
     arrivals, costs, limit = _pressure_workload(scale, horizon, seed)
-    run = _run_variant(
-        "full",
-        {"policy": True, "block": True},
-        arrivals, costs, limit,
-        scale=scale, seed=seed, block_size=block_size,
-    )
+    run = _run_variant("full", arrivals, costs, limit, scale=scale, seed=seed)
     installed = control_events.get_control_log()
     if installed is not None:
         for event in run.events:

@@ -13,20 +13,16 @@ Usage sketch::
 
 Alert-hub callbacks (SLO pressure, calibration drift) buffer evidence
 inline during the round; all actuation happens in :meth:`Controller.tick`
-*between* rounds, so policies and block sizes never change under an
-executing query.  Detaching (context-manager exit) removes every
-subscription, leaving the process-global hubs as they were.
+*between* rounds, so a policy never changes under an executing query.
+Detaching (context-manager exit) removes every subscription, leaving the
+process-global hubs as they were.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from repro.control.governors import (
-    BlockSizeGovernor,
-    Governor,
-    PolicyGovernor,
-)
+from repro.control.governors import Governor, PolicyGovernor
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.ivm.multiview import MaintenanceCoordinator
@@ -88,24 +84,15 @@ class Controller:
 def build_controller(
     coordinator: "MaintenanceCoordinator",
     policy: bool = True,
-    block: bool = True,
     policy_options: dict | None = None,
-    block_options: dict | None = None,
 ) -> Controller:
-    """A controller with the two standard governors over one coordinator.
+    """A controller with the policy governor over one coordinator.
 
-    The boolean flags gate each governor (disabled governors stay
-    constructed but inert, so ablation runs keep an identical object
-    graph); the ``*_options`` dicts pass tuning keywords through to the
-    governor constructors.
+    ``policy=False`` leaves the governor constructed but inert (the
+    disabled-equals-absent equivalence test builds it that way);
+    ``policy_options`` passes tuning keywords through to its constructor.
     """
-    return Controller(
-        (
-            PolicyGovernor(
-                coordinator, enabled=policy, **(policy_options or {})
-            ),
-            BlockSizeGovernor(
-                coordinator.database, enabled=block, **(block_options or {})
-            ),
-        )
+    governor = PolicyGovernor(
+        coordinator, enabled=policy, **(policy_options or {})
     )
+    return Controller((governor,))

@@ -1,12 +1,11 @@
 """Structured control-plane events: every actuation leaves a record.
 
-The adaptive runtime (:mod:`repro.control`) changes live settings --
-scheduling policy, execution block size -- from
-observed telemetry.  A closed loop that cannot explain itself is worse
-than no loop: when a run misbehaves, the first question is "what did the
-controller do, when, and on what evidence?".  This module answers it
-with the same shape the planner's decision log uses
-(:mod:`repro.obs.decisions`):
+The adaptive runtime (:mod:`repro.control`) changes a live setting --
+the scheduling policy -- from observed telemetry.  A closed loop that
+cannot explain itself is worse than no loop: when a run misbehaves, the
+first question is "what did the controller do, when, and on what
+evidence?".  This module answers it with the same shape the planner's
+decision log uses (:mod:`repro.obs.decisions`):
 
 * every (attempted) actuation is a :class:`ControlEvent` carrying the
   governor, the setting's old and new values, a human-readable reason,
@@ -20,10 +19,8 @@ with the same shape the planner's decision log uses
   JSON.
 
 Strictly observational: recording an event never touches the operation
-counter.  The *actuations themselves* change wall-clock behavior by
-design, but never simulated costs (policy switches change the schedule,
-which is the point; block resizes are cost-neutral by the
-block-equivalence invariant).
+counter.  The *actuations themselves* change the schedule by design
+(a policy switch is the point), never what a given query charges.
 """
 
 from __future__ import annotations
@@ -53,18 +50,17 @@ DEFAULT_CAPACITY = 4096
 class ControlEvent:
     """One control-loop actuation (or explicitly suppressed actuation).
 
-    ``old``/``new`` are the setting's values before and after --
-    strings for policy modes, integers for block sizes.
+    ``old``/``new`` are the setting's values before and after (policy
+    mode names).
     ``signals`` holds the raw numeric evidence the governor acted on,
     keyed by signal name.  ``applied`` is ``False`` for events a
-    governor recorded without actually changing anything (e.g. a
-    resize clamped at its bound), so suppressed decisions are auditable
-    too.
+    governor recorded without actually changing anything, so suppressed
+    decisions are auditable too.
     """
 
     t: int | None
-    governor: str  # "policy" | "block_size"
-    setting: str  # the knob changed, e.g. "policy", "block_size"
+    governor: str  # e.g. "policy"
+    setting: str  # the knob changed, e.g. "policy"
     old: object
     new: object
     reason: str

@@ -1,28 +1,22 @@
-"""The two governors: policy and block-size feedback loops.
+"""The policy governor: one feedback loop from telemetry to a runtime knob.
 
-Each governor closes one loop between an existing telemetry stream and
-an existing runtime knob:
+A governor closes a loop between an existing telemetry stream and an
+existing runtime knob.  :class:`PolicyGovernor` consumes the ``slo.*``
+alert hub and the calibration drift hub and actuates
+``ViewMaintainer.set_policy``.
 
-============  ===============================================  =========================
-governor      consumes                                         actuates
-============  ===============================================  =========================
-policy        ``slo.*`` alert hub + calibration drift hub      ``ViewMaintainer.set_policy``
-block_size    ``engine.block.low_fill`` / ``.fill``            ``Database.set_block_size``
-============  ===============================================  =========================
-
-Design rules shared by both:
+Design rules:
 
 * **buffer in callbacks, act in ticks** -- alert-hub callbacks fire
   inline from the maintenance path, so they only append to bounded
   buffers; every actuation happens in :meth:`Governor.tick`, which the
   :class:`~repro.control.controller.Controller` calls *between* rounds.
   Settings therefore never change under an executing round.
-* **bounded and hysteretic** -- every knob moves within explicit
-  [min, max] bounds and only after a configurable amount of evidence,
-  with a cooldown before relaxing back, so one noisy interval cannot
-  make the loop thrash.
-* **auditable** -- every actuation (and every clamped non-actuation)
-  emits a :class:`~repro.control.events.ControlEvent` plus fixed
+* **hysteretic** -- a knob moves only after a configurable amount of
+  evidence, with a cooldown before relaxing back, so one noisy interval
+  cannot make the loop thrash.
+* **auditable** -- every actuation emits a
+  :class:`~repro.control.events.ControlEvent` plus fixed
   ``control.<knob>.*`` metrics.
 * **disabled == invisible** -- a governor with ``enabled=False`` never
   attaches callbacks, never reads signals, never actuates; runs with
@@ -43,7 +37,6 @@ from repro.obs import calibration as obs_calibration
 from repro.obs import slo
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
-    from repro.engine.database import Database
     from repro.ivm.multiview import MaintenanceCoordinator
 
 #: Policy-mode names, in escalation order (most defensive first).
@@ -288,152 +281,3 @@ class PolicyGovernor(Governor):
                     ),
                     signals={"quiet_steps": float(quiet_for)},
                 )
-
-
-#: Fill above this is join fan-out (output blocks carry a probe block's
-#: matches, so they can exceed ``block_size``), not saturation.
-_FANOUT_FILL_CAP = 1.05
-
-
-class BlockSizeGovernor(Governor):
-    """Shrink (and re-grow) the block size from observed fill ratios.
-
-    Two shrink signals, one grow signal, all per-tick registry deltas:
-
-    * ``engine.block.low_fill`` counts queries whose *non-tail* blocks
-      ran under 25% full -- mid-stream slack only multi-block queries
-      can show.  ``low_fill_after`` such queries in one interval halve
-      the block size.
-    * ``engine.block.fill`` (tail included) catches the short-query
-      regime low_fill is blind to: when every query fits in a fraction
-      of one block, mean fill sits far below 1 and each query still
-      pays the full block's setup slack.  A sustained interval with
-      mean fill under ``shrink_fill`` (and at least ``min_samples``
-      observations) also halves.
-    * mean fill at or above ``grow_fill`` with no low-fill queries
-      doubles back toward the construction-time size.
-
-    Halving roughly doubles the next interval's fill, so with
-    ``shrink_fill`` well below ``grow_fill`` the loop converges instead
-    of thrashing.  Bounded to [``min_block``, construction-time size];
-    row-mode databases (``block_size=None``) are left alone.
-    """
-
-    name = "block_size"
-
-    def __init__(
-        self,
-        database: "Database",
-        enabled: bool = True,
-        min_block: int = 64,
-        low_fill_after: int = 1,
-        shrink_fill: float = 0.25,
-        grow_fill: float = 0.95,
-        min_samples: int = 2,
-    ):
-        super().__init__(enabled)
-        if min_block < 1:
-            raise ValueError(f"min_block must be >= 1, got {min_block}")
-        if not shrink_fill < grow_fill:
-            raise ValueError(
-                f"need shrink_fill < grow_fill, got "
-                f"{shrink_fill} >= {grow_fill}"
-            )
-        self.database = database
-        self.min_block = min_block
-        self.low_fill_after = low_fill_after
-        self.shrink_fill = shrink_fill
-        self.grow_fill = grow_fill
-        self.min_samples = min_samples
-        #: Never grow past what the database was configured with.
-        self.max_block = database.block_size
-        self._last_low_fill = 0.0
-        self._last_fill_total = 0.0
-        self._last_fill_count = 0
-
-    def tick(self, t: int) -> None:
-        if not self.enabled or self.database.block_size is None:
-            return
-        recorder = obs.get_recorder()
-        if recorder is None:
-            return
-        registry = recorder.registry
-        low = registry.get("engine.block.low_fill")
-        fill = registry.get("engine.block.fill")
-        low_now = float(low.value) if low is not None else 0.0
-        fill_total = float(fill.total) if fill is not None else 0.0
-        fill_count = int(fill.count) if fill is not None else 0
-        d_low = low_now - self._last_low_fill
-        d_fill_total = fill_total - self._last_fill_total
-        d_fill_count = fill_count - self._last_fill_count
-        self._last_low_fill = low_now
-        self._last_fill_total = fill_total
-        self._last_fill_count = fill_count
-        block = self.database.block_size
-        if d_low >= self.low_fill_after and block > self.min_block:
-            self._resize(
-                t,
-                max(self.min_block, block // 2),
-                reason=(
-                    f"{d_low:.0f} low-fill quer{'y' if d_low == 1 else 'ies'} "
-                    f"this interval: block_size={block} wastes most of "
-                    f"each block as slack"
-                ),
-                signals={"low_fill_delta": d_low},
-            )
-            return
-        if d_fill_count < self.min_samples:
-            return
-        mean_fill = d_fill_total / d_fill_count
-        if mean_fill < self.shrink_fill and block > self.min_block:
-            self._resize(
-                t,
-                max(self.min_block, block // 2),
-                reason=(
-                    f"blocks ran only {mean_fill:.0%} full over "
-                    f"{d_fill_count} quer{'y' if d_fill_count == 1 else 'ies'} "
-                    f"(< {self.shrink_fill:.0%}): block_size={block} is "
-                    f"oversized for this workload"
-                ),
-                signals={
-                    "mean_fill": mean_fill,
-                    "fill_samples": float(d_fill_count),
-                },
-            )
-            return
-        if self.max_block is None:
-            return
-        # Join fan-out emits blocks *larger* than block_size (one probe
-        # block's matches stay together), so fill can exceed 1 -- that
-        # signals fan-out, not saturation, and says nothing about slack
-        # at a larger size.  Only a mean inside the near-full band is
-        # evidence the current size is genuinely tight.
-        if (
-            d_low == 0
-            and self.grow_fill <= mean_fill <= _FANOUT_FILL_CAP
-            and block < self.max_block
-        ):
-            self._resize(
-                t,
-                min(self.max_block, block * 2),
-                reason=(
-                    f"blocks ran {mean_fill:.0%} full with no low-fill "
-                    f"queries: room to re-grow toward the configured "
-                    f"size {self.max_block}"
-                ),
-                signals={
-                    "mean_fill": mean_fill,
-                    "fill_samples": float(d_fill_count),
-                },
-            )
-
-    def _resize(
-        self, t: int, new: int, reason: str, signals: dict[str, float]
-    ) -> None:
-        old = self.database.block_size
-        self.database.set_block_size(new)
-        recorder = obs.get_recorder()
-        if recorder is not None:
-            recorder.counter("control.block.resizes")
-            recorder.gauge("control.block.size", new)
-        self._emit(t, "block_size", old, new, reason, signals)

@@ -24,6 +24,7 @@ from abc import ABC, abstractmethod
 from typing import Any, Iterator, Sequence
 
 from repro import obs
+from repro.engine.block import RowBlock, iter_blocks
 from repro.engine.costmodel import OperationCounter
 from repro.engine.errors import ExecutionError, SchemaError
 from repro.engine.expr import Expression, resolve_column
@@ -60,28 +61,6 @@ class AggregateState(ABC):
     def delete(self, value: Any) -> None:
         """Unfold one deleted value from the state."""
 
-    def merge(self, other: "AggregateState") -> None:
-        """Combine another partial state of the same aggregate into this one.
-
-        Merging charges **nothing**: every folded value was already
-        charged when it was inserted into its partial state.
-
-        Order caveat: merging reassociates the fold.  COUNT/MIN/MAX are
-        order-insensitive; SUM/AVG accumulate floats sequentially, so
-        merged partials may differ from one sequential fold in the low
-        bits.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support merge()"
-        )
-
-    def _check_mergeable(self, other: "AggregateState") -> None:
-        if type(other) is not type(self):
-            raise ExecutionError(
-                f"cannot merge {type(other).__name__} into "
-                f"{type(self).__name__}"
-            )
-
     @abstractmethod
     def result(self) -> Any:
         """Current aggregate value (None over an empty group)."""
@@ -117,10 +96,6 @@ class CountState(AggregateState):
             raise ExecutionError("COUNT underflow: delete from empty group")
         self._count -= 1
 
-    def merge(self, other: AggregateState) -> None:
-        self._check_mergeable(other)
-        self._count += other._count
-
     def result(self) -> int:
         return self._count
 
@@ -145,7 +120,7 @@ class SumState(AggregateState):
     def insert_many(self, values: Sequence[Any]) -> None:
         self._charge("agg_updates", len(values))
         # Sequential accumulation, NOT sum(): float addition is not
-        # associative, and results must match the row path bit-for-bit.
+        # associative, and results must match per-value insert() bit-for-bit.
         for value in values:
             self._sum += value
         self._count += len(values)
@@ -156,12 +131,6 @@ class SumState(AggregateState):
             raise ExecutionError("SUM underflow: delete from empty group")
         self._sum -= value
         self._count -= 1
-
-    def merge(self, other: AggregateState) -> None:
-        # Reassociates float accumulation (see AggregateState.merge).
-        self._check_mergeable(other)
-        self._sum += other._sum
-        self._count += other._count
 
     def result(self) -> float | None:
         return self._sum if self._count else None
@@ -241,19 +210,6 @@ class _ExtremumState(AggregateState):
             self._extremum = (
                 self._choose(self._multiset) if self._multiset else None
             )
-
-    def merge(self, other: AggregateState) -> None:
-        self._check_mergeable(other)
-        multiset = self._multiset
-        for value, have in other._multiset.items():
-            multiset[value] = multiset.get(value, 0) + have
-        self._count += other._count
-        self.recomputations += other.recomputations
-        if other._extremum is not None and (
-            self._extremum is None
-            or self._beats(other._extremum, self._extremum)
-        ):
-            self._extremum = other._extremum
 
     def result(self) -> Any:
         return self._extremum
@@ -344,7 +300,6 @@ class Aggregate(Operator):
         self.counter = child.counter
         self.func = func.lower()
         self.value = value
-        self._value_fn = value.compile(child.layout)
         self._value_block_fn = value.compile_block(child.layout)
         self.group_by = tuple(group_by)
         self._group_positions = [
@@ -355,32 +310,7 @@ class Aggregate(Operator):
         if len(self.layout) != len(names):
             raise SchemaError(f"duplicate output columns in {names}")
 
-    def __iter__(self) -> Iterator[tuple]:
-        groups: dict[tuple, AggregateState] = {}
-        rows_in = 0
-        for row in self.child:
-            rows_in += 1
-            key = tuple(row[p] for p in self._group_positions)
-            state = groups.get(key)
-            if state is None:
-                state = make_aggregate_state(self.func, self.counter)
-                groups[key] = state
-            state.insert(self._value_fn(row))
-        recorder = obs.get_recorder()
-        if recorder is not None:
-            recorder.counter("engine.aggregate.rows_in", rows_in)
-            recorder.counter("engine.aggregate.groups_out", len(groups))
-        if not groups and not self._group_positions:
-            # Scalar aggregate over empty input.
-            empty = make_aggregate_state(self.func, self.counter)
-            yield (empty.result(),)
-            return
-        for key in sorted(groups, key=repr):
-            yield key + (groups[key].result(),)
-
-    def blocks(self, block_size: int):
-        from repro.engine.block import iter_blocks
-
+    def blocks(self, block_size: int) -> Iterator[RowBlock]:
         groups: dict[tuple, AggregateState] = {}
         group_positions = self._group_positions
         value_block_fn = self._value_block_fn

@@ -1,17 +1,18 @@
-"""Chunked execution: the :class:`RowBlock` unit of the blocked pipeline.
+"""Chunked execution: the :class:`RowBlock` unit of the engine's pipeline.
 
-The engine's original pull model moved one Python tuple at a time through
-a chain of generator frames, paying a frame switch, an attribute lookup,
-and an :class:`~repro.engine.costmodel.OperationCounter` call *per row per
+Moving one Python tuple at a time through a chain of generator frames
+pays a frame switch, an attribute lookup, and an
+:class:`~repro.engine.costmodel.OperationCounter` call *per row per
 operator*.  A :class:`RowBlock` moves a fixed-size chunk of rows instead:
 operators process whole blocks with C-speed bulk primitives (``zip``,
-``map``, list comprehensions) and charge the cost counter once per block
-with the exact same totals -- the simulated page/CPU costs are
-**bit-identical** to row-at-a-time execution, only the interpreter
-overhead drops.  ``tests/integration/test_block_equivalence.py`` enforces
-that invariant across block sizes.
+``map``, list comprehensions) and charge the cost counter once per block.
+The totals charged depend only on the rows, so the simulated page/CPU
+costs are **bit-identical** at every block size (block size 1 is
+row-at-a-time execution); ``tests/integration/test_block_equivalence.py``
+enforces that invariant against the frozen results of the row engine
+this pipeline replaced.
 
-Layout convention matches the row model: a block carries the same
+Layout convention: a block carries the same
 ``{qualified column name: position}`` layout its operator exposes, and the
 logical content is the ordered multiset of row tuples.  Storage is
 column-major (one Python list per column) so expression evaluation
@@ -153,7 +154,7 @@ def iter_blocks(
     """Chunk an in-memory row list into blocks of at most ``block_size``.
 
     Slices share the underlying row tuples (no per-row copying); empty
-    inputs produce no blocks, matching an exhausted row iterator.
+    inputs produce no blocks.
     """
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")

@@ -21,7 +21,6 @@ asymmetric delta-processing cost functions the paper exploits.
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Mapping, Sequence
 
 from repro import obs
@@ -37,34 +36,27 @@ from repro.engine.table import Table
 from repro.engine.types import Schema
 from repro.obs import attrib
 
-#: Blocked-execution fill ratio below which a query is flagged: the
-#: result cardinality is so far under ``block_size`` that most of each
-#: block is slack (groundwork for adaptive block sizing, see ROADMAP).
-LOW_FILL_THRESHOLD = 0.25
-
 
 class Database:
     """A named collection of tables sharing one cost counter.
 
-    ``block_size`` selects the execution mode: the default runs the chunked
-    :class:`~repro.engine.block.RowBlock` pipeline with that many rows per
-    block; ``block_size=None`` falls back to row-at-a-time iteration.  Both
-    modes produce identical results and identical simulated costs (see
-    ``tests/integration/test_block_equivalence.py``); blocks are simply
-    faster in wall-clock terms.
-
-    :meth:`set_block_size` changes the granularity between queries, which
-    is what the adaptive control layer (:mod:`repro.control`) actuates.
+    Every query runs the :class:`~repro.engine.block.RowBlock` pipeline
+    with ``block_size`` rows per block, fixed at construction.  Results
+    and simulated costs are identical at every size (see
+    ``tests/integration/test_block_equivalence.py``); only wall-clock
+    time depends on it.
     """
 
     def __init__(
         self,
         cost_model: CostModel | None = None,
-        block_size: int | None = DEFAULT_BLOCK_SIZE,
+        block_size: int = DEFAULT_BLOCK_SIZE,
         workers: int | None = None,
     ):
-        if block_size is not None and block_size < 1:
-            raise ValueError(f"block_size must be >= 1 or None, got {block_size}")
+        if not isinstance(block_size, int) or block_size < 1:
+            raise ValueError(
+                f"block_size must be an int >= 1, got {block_size!r}"
+            )
         # Execution is serial; ``workers`` survives only so callers that
         # still pass ``workers=0`` (benchmarks/layered) keep constructing.
         if workers:
@@ -75,26 +67,6 @@ class Database:
         self.counter = OperationCounter(model=cost_model or CostModel())
         self.tables: dict[str, Table] = {}
         self.block_size = block_size
-        self._low_fill_warned = False
-
-    def set_block_size(self, block_size: int | None) -> int | None:
-        """Change the execution block size; returns the new value.
-
-        Safe between queries: ``block_size`` is consulted per query, so
-        the next one simply runs at the new granularity (``None`` falls
-        back to row-at-a-time).  Results and simulated costs are
-        identical at every setting; only wall-clock and per-block slack
-        change.  Resets the one-shot low-fill warning so the new size
-        earns its own diagnosis.
-        """
-        if block_size is not None and block_size < 1:
-            raise ValueError(
-                f"block_size must be >= 1 or None, got {block_size}"
-            )
-        if block_size != self.block_size:
-            self.block_size = block_size
-            self._low_fill_warned = False
-        return self.block_size
 
     # ------------------------------------------------------------------
     # DDL
@@ -146,9 +118,8 @@ class Database:
             for a base table.
         profile:
             ``True`` attaches a per-operator attribution tree to the
-            result as :attr:`QueryResult.profile` (requires blocked
-            execution).  ``None`` (the default) profiles only while a
-            global profile sink is installed
+            result as :attr:`QueryResult.profile`.  ``None`` (the default)
+            profiles only while a global profile sink is installed
             (:func:`repro.obs.attrib.set_profile_sink`); ``False`` never
             profiles.  Profiling changes **no** simulated charges.
         """
@@ -156,22 +127,13 @@ class Database:
         substitutions = substitutions or {}
         prof = None
         if profile or (profile is None and attrib.sink_active()):
-            if self.block_size is None:
-                if profile:
-                    raise ValueError(
-                        "query profiling requires blocked execution "
-                        "(block_size is None)"
-                    )
-                # Sink-driven profiling silently skips row-mode databases:
-                # the per-row paths carry no attribution hooks.
-            else:
-                view, round_ = attrib.current_maintenance()
-                prof = attrib.QueryProfile(
-                    self.counter.model,
-                    query=self._describe(spec),
-                    view=view,
-                    round=round_,
-                )
+            view, round_ = attrib.current_maintenance()
+            prof = attrib.QueryProfile(
+                self.counter.model,
+                query=self._describe(spec),
+                view=view,
+                round=round_,
+            )
         recorder = obs.get_recorder()
         if recorder is None and prof is None:
             return self._execute(spec, snapshot_lsns, substitutions)
@@ -297,56 +259,19 @@ class Database:
         return QueryResult(rows=rows, columns=columns)
 
     def _pull(self, plan: Operator) -> list[tuple]:
-        """Drain a plan's output, blocked or row-at-a-time per config."""
-        if self.block_size is None:
-            return plan.rows()
+        """Drain a plan's output into one row list."""
         rows: list[tuple] = []
         n_blocks = 0
-        last_len = 0
         for block in plan.blocks(self.block_size):
             n_blocks += 1
-            last_len = len(block)
             rows.extend(block.rows())
-        fill = len(rows) / (n_blocks * self.block_size) if n_blocks else None
-        # Low-fill accounting excludes the natural tail: almost every
-        # result ends in one partial block, so counting it would flag
-        # every short query.  Only fill observed over the *preceding*
-        # blocks (mid-stream slack, e.g. from selective filters) is a
-        # signal that block_size is oversized for the workload.
-        if n_blocks and last_len < self.block_size:
-            accounted_blocks = n_blocks - 1
-            accounted_rows = len(rows) - last_len
-        else:
-            accounted_blocks, accounted_rows = n_blocks, len(rows)
-        accounted_fill = (
-            accounted_rows / (accounted_blocks * self.block_size)
-            if accounted_blocks
-            else None
-        )
-        low_fill = (
-            accounted_fill is not None and accounted_fill < LOW_FILL_THRESHOLD
-        )
         recorder = obs.get_recorder()
         if recorder is not None:
             recorder.counter("engine.block.blocks", n_blocks)
             recorder.counter("engine.block.rows_out", len(rows))
-            if fill is not None:
+            if n_blocks:
+                fill = len(rows) / (n_blocks * self.block_size)
                 recorder.observe("engine.block.fill", fill)
-            if low_fill:
-                recorder.counter("engine.block.low_fill")
-        if low_fill and not self._low_fill_warned:
-            # Once per Database: repeated queries with the same shape
-            # would otherwise flood stderr with identical advice.
-            self._low_fill_warned = True
-            warnings.warn(
-                f"blocked execution fill {accounted_fill:.1%} is below "
-                f"{LOW_FILL_THRESHOLD:.0%} (block_size={self.block_size}, "
-                f"{accounted_rows} rows over {accounted_blocks} non-tail "
-                f"block(s)); a smaller block_size would waste less "
-                f"per-block slack",
-                RuntimeWarning,
-                stacklevel=3,
-            )
         return rows
 
     def _apply_order(self, rows, order_by, layout):

@@ -23,7 +23,7 @@ from typing import Iterator
 
 from repro import obs
 from repro.obs import attrib
-from repro.engine.block import RowBlock
+from repro.engine.block import DEFAULT_BLOCK_SIZE, RowBlock
 from repro.engine.errors import SchemaError
 from repro.engine.expr import Expression, resolve_column
 from repro.engine.operators import Operator, SeqScan, merged_layout
@@ -58,27 +58,6 @@ class NestedLoopJoin(Operator):
         else:
             self._inner = right.rows()
 
-    def __iter__(self) -> Iterator[tuple]:
-        pred = self._predicate
-        rows_in = rows_out = 0
-        # Tallies accumulate in locals and flush once on exhaustion (or
-        # early close), keeping the per-row path free of obs calls.
-        try:
-            for lrow in self.left:
-                rows_in += 1
-                for rrow in self._inner:
-                    self.counter.charge("compares")
-                    row = lrow + rrow
-                    if pred is None or pred(row):
-                        rows_out += 1
-                        yield row
-        finally:
-            recorder = obs.get_recorder()
-            if recorder is not None:
-                recorder.counter("engine.join.nl.rows_in", rows_in)
-                recorder.counter("engine.join.nl.rows_out", rows_out)
-                recorder.counter("engine.join.rows_out", rows_out)
-
     def blocks(self, block_size: int) -> Iterator[RowBlock]:
         pred = self._predicate
         inner = self._inner
@@ -88,7 +67,7 @@ class NestedLoopJoin(Operator):
         try:
             for lblock in self.left.blocks(block_size):
                 rows_in += len(lblock)
-                # One compare per (outer, inner) pair, same as row-at-a-time.
+                # One compare per (outer, inner) pair.
                 self.counter.charge("compares", len(lblock) * len(inner))
                 if prof is not None:
                     prof.add("compares", len(lblock) * len(inner))
@@ -144,24 +123,6 @@ class IndexNestedLoopJoin(Operator):
         self.layout = merged_layout(left.layout, right_layout)
         self._left_pos = resolve_column(left_column, left.layout)
         self._right_column = right_column
-
-    def __iter__(self) -> Iterator[tuple]:
-        pos = self._left_pos
-        probes = rows_out = 0
-        try:
-            for lrow in self.left:
-                probes += 1
-                self.counter.charge("index_probes")
-                for rrow in self.snapshot.lookup(self._right_column, lrow[pos]):
-                    self.counter.charge("tuple_cpu")
-                    rows_out += 1
-                    yield lrow + rrow
-        finally:
-            recorder = obs.get_recorder()
-            if recorder is not None:
-                recorder.counter("engine.join.inl.probes", probes)
-                recorder.counter("engine.join.inl.rows_out", rows_out)
-                recorder.counter("engine.join.rows_out", rows_out)
 
     def blocks(self, block_size: int) -> Iterator[RowBlock]:
         pos = self._left_pos
@@ -263,7 +224,7 @@ class HashJoin(Operator):
         right: Operator | Snapshot,
         left_column: str,
         right_column: str,
-        block_size: int | None = None,
+        block_size: int = DEFAULT_BLOCK_SIZE,
         alias: str | None = None,
     ):
         if isinstance(right, Snapshot):
@@ -287,14 +248,7 @@ class HashJoin(Operator):
             self._table = right.snapshot.build_side(
                 right.snapshot.schema.names[right_pos]
             )
-        elif block_size is None:
-            for rrow in right:
-                build_rows += 1
-                self.counter.charge("hash_builds")
-                table.setdefault(rrow[right_pos], []).append(rrow)
         else:
-            # Blocked build: same rows, same order, same total hash_builds
-            # -- one bulk charge per block instead of one call per tuple.
             for rblock in right.blocks(block_size):
                 build_rows += len(rblock)
                 self.counter.charge("hash_builds", len(rblock))
@@ -315,25 +269,6 @@ class HashJoin(Operator):
         # surfacing it separately from probe-side output is what lets a
         # trace show where a batch's time actually went.
         obs.counter("engine.join.hash.build_rows", build_rows)
-
-    def __iter__(self) -> Iterator[tuple]:
-        pos = self._left_pos
-        table = self._table
-        probes = rows_out = 0
-        try:
-            for lrow in self.left:
-                probes += 1
-                self.counter.charge("hash_probes")
-                for rrow in table.get(lrow[pos], ()):
-                    self.counter.charge("tuple_cpu")
-                    rows_out += 1
-                    yield lrow + rrow
-        finally:
-            recorder = obs.get_recorder()
-            if recorder is not None:
-                recorder.counter("engine.join.hash.probes", probes)
-                recorder.counter("engine.join.hash.rows_out", rows_out)
-                recorder.counter("engine.join.rows_out", rows_out)
 
     def blocks(self, block_size: int) -> Iterator[RowBlock]:
         pos = self._left_pos

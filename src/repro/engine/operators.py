@@ -1,15 +1,12 @@
 """Physical operators: scans, filters, projections.
 
-Operators follow a simple pull model with two equivalent surfaces: each
-exposes ``layout`` (a mapping from qualified column name to position in
-the tuples it produces) and is iterable row-at-a-time, and each also
-implements :meth:`Operator.blocks` -- the chunked pipeline that moves
-:class:`~repro.engine.block.RowBlock` batches instead of single tuples.
-Both surfaces produce the same rows in the same order and charge the
-shared :class:`~repro.engine.costmodel.OperationCounter` the **same
-totals**; the blocked path simply charges per block instead of per row,
-which is where its wall-clock advantage comes from (the simulated cost is
-the experiment observable and must not move).
+Operators follow a simple pull model: each exposes ``layout`` (a mapping
+from qualified column name to position in the tuples it produces) and
+implements :meth:`Operator.blocks`, which streams its output as
+:class:`~repro.engine.block.RowBlock` batches.  An operator charges the
+shared :class:`~repro.engine.costmodel.OperationCounter` once per block;
+the totals -- the simulated cost, which is the experiment observable --
+depend only on the rows, never on the block size.
 
 Joins and aggregation live in their own modules
 (:mod:`repro.engine.join`, :mod:`repro.engine.aggregate`).
@@ -17,10 +14,15 @@ Joins and aggregation live in their own modules
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from repro import obs
-from repro.engine.block import RowBlock, iter_blocks
+from repro.engine.block import (
+    DEFAULT_BLOCK_SIZE,
+    RowBlock,
+    blocks_to_rows,
+    iter_blocks,
+)
 from repro.engine.costmodel import ROWS_PER_PAGE, OperationCounter
 from repro.engine.errors import SchemaError
 from repro.engine.expr import Expression, resolve_column
@@ -28,7 +30,7 @@ from repro.engine.snapshot import Snapshot
 
 
 class Operator:
-    """Base class: an iterable of row tuples with a named layout."""
+    """Base class: a stream of row blocks with a named layout."""
 
     layout: Mapping[str, int]
     counter: OperationCounter
@@ -38,29 +40,15 @@ class Operator:
     #: charges already made against ``counter`` -- it never adds any.
     _prof = None
 
-    def __iter__(self) -> Iterator[tuple]:
+    def blocks(self, block_size: int) -> Iterator[RowBlock]:
+        """Stream the operator's output in blocks of about ``block_size``
+        rows (a join emits one block per input block, whatever its
+        fan-out)."""
         raise NotImplementedError
 
     def rows(self) -> list[tuple]:
         """Materialize the operator's full output."""
-        return list(self)
-
-    def blocks(self, block_size: int) -> Iterator[RowBlock]:
-        """Produce the same output as ``__iter__``, chunked into blocks.
-
-        The fallback wraps the row iterator, so any operator subclass is
-        block-capable (with row-granular charging); the engine's own
-        operators override it with genuinely chunked implementations that
-        charge the counter in bulk.
-        """
-        rows: list[tuple] = []
-        for row in self:
-            rows.append(row)
-            if len(rows) >= block_size:
-                yield RowBlock.from_rows(rows, self.layout)
-                rows = []
-        if rows:
-            yield RowBlock.from_rows(rows, self.layout)
+        return blocks_to_rows(self.blocks(DEFAULT_BLOCK_SIZE))
 
 
 class SeqScan(Operator):
@@ -102,12 +90,6 @@ class SeqScan(Operator):
         rows = self._charge_scan_setup()
         self.counter.charge("tuple_cpu", rows)
         return rows
-
-    def __iter__(self) -> Iterator[tuple]:
-        self._charge_scan_setup()
-        for row in self.snapshot.rows():
-            self.counter.charge("tuple_cpu")
-            yield row
 
     def blocks(self, block_size: int) -> Iterator[RowBlock]:
         self._charge_scan_setup()
@@ -167,14 +149,6 @@ class RowSource(Operator):
                     f"values, expected {width}"
                 )
 
-    def __iter__(self) -> Iterator[tuple]:
-        if self.precharged:
-            yield from self._rows
-            return
-        for row in self._rows:
-            self.counter.charge("tuple_cpu")
-            yield row
-
     def blocks(self, block_size: int) -> Iterator[RowBlock]:
         if self.precharged:
             # Scan CPU prepaid by the shared delta scan; the profile hook
@@ -201,14 +175,7 @@ class Filter(Operator):
         self.counter = child.counter
         self.layout = child.layout
         self.predicate = predicate
-        self._fn = predicate.compile(child.layout)
         self._block_fn = predicate.compile_block(child.layout)
-
-    def __iter__(self) -> Iterator[tuple]:
-        for row in self.child:
-            self.counter.charge("compares")
-            if self._fn(row):
-                yield row
 
     def blocks(self, block_size: int) -> Iterator[RowBlock]:
         block_fn = self._block_fn
@@ -240,12 +207,6 @@ class Project(Operator):
         if len(self.layout) != len(columns):
             raise SchemaError(f"duplicate projection columns in {columns}")
 
-    def __iter__(self) -> Iterator[tuple]:
-        positions = self._positions
-        for row in self.child:
-            self.counter.charge("tuple_cpu")
-            yield tuple(row[p] for p in positions)
-
     def blocks(self, block_size: int) -> Iterator[RowBlock]:
         positions = self._positions
         charge = self.counter.charge
@@ -273,8 +234,3 @@ def merged_layout(
     for name, pos in right.items():
         out[name] = width + pos
     return out
-
-
-def materialize(source: Iterable[tuple]) -> list[tuple]:
-    """Pull an operator (or any iterable) fully into a list."""
-    return list(source)

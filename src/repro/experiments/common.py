@@ -37,7 +37,6 @@ from typing import Sequence
 
 from repro.core.costfuncs import CostFunction, LinearCost, TabulatedCost
 from repro.core.problem import ProblemInstance
-from repro.engine.block import DEFAULT_BLOCK_SIZE
 from repro.engine.database import Database
 from repro.engine.expr import col, lit
 from repro.engine.query import AggregateSpec, JoinSpec, QuerySpec
@@ -117,17 +116,14 @@ def build_setup(
     seed: int = DEFAULT_SEED,
     update_seed: int = 7,
     spec: QuerySpec | None = None,
-    block_size: int | None = DEFAULT_BLOCK_SIZE,
 ) -> ExperimentSetup:
     """Build a fresh database + view + update streams.
 
     A fresh setup per run keeps live experiments independent; use the same
     ``update_seed`` to replay identical modification streams across plans
-    (Figure 5 needs this).  ``block_size`` selects the engine's execution
-    granularity (None = row-at-a-time); simulated costs are identical
-    either way, so experiments never need to pin it.
+    (Figure 5 needs this).
     """
-    db = Database(block_size=block_size)
+    db = Database()
     load_tpcr(db, scale=scale, seed=seed)
     db.table("supplier").create_index("suppkey")
     db.table("nation").create_index("nationkey")

@@ -41,10 +41,6 @@ from repro.engine.errors import ExecutionError
 from repro.engine.operators import PrescannedRows
 from repro.engine.table import Table
 
-#: Scan granularity when the database runs in row mode (``block_size``
-#: None); charges are block-size independent either way.
-_DEFAULT_SCAN_BLOCK = 4096
-
 
 @dataclass(frozen=True)
 class SharedBatch:
@@ -300,7 +296,7 @@ class SharedScanRound:
             raise ExecutionError("shared scan already ran")
         self._ran = True
         counter = self.database.counter
-        block_size = self.database.block_size or _DEFAULT_SCAN_BLOCK
+        block_size = self.database.block_size
         events_total = rows_total = 0
         for scan in self._scans.values():
             events, rows = scan.run(counter, block_size)

@@ -25,20 +25,8 @@ class RecordingGovernor(Governor):
 
 
 class FakeCoordinator:
-    def __init__(self, database):
-        self.database = database
-
     def maintainer(self, name):
         raise KeyError(name)
-
-
-class FakeDatabase:
-    def __init__(self, block_size=None):
-        self.block_size = block_size
-
-    def set_block_size(self, block_size):
-        self.block_size = block_size
-        return self.block_size
 
 
 class TestController:
@@ -94,29 +82,18 @@ class TestController:
 
 
 class TestBuildController:
-    def test_builds_both_governors(self):
-        controller = build_controller(FakeCoordinator(FakeDatabase()))
-        names = [g.name for g in controller.governors]
-        assert names == ["policy", "block_size"]
-        assert all(g.enabled for g in controller.governors)
+    def test_builds_the_policy_governor(self):
+        controller = build_controller(FakeCoordinator())
+        assert [g.name for g in controller.governors] == ["policy"]
+        assert controller.governor("policy").enabled
 
     def test_flags_disable_but_keep_governors(self):
-        controller = build_controller(
-            FakeCoordinator(FakeDatabase()),
-            policy=False, block=False,
-        )
-        assert [g.name for g in controller.governors] == [
-            "policy", "block_size",
-        ]
-        assert not any(g.enabled for g in controller.governors)
+        controller = build_controller(FakeCoordinator(), policy=False)
+        assert [g.name for g in controller.governors] == ["policy"]
+        assert not controller.governor("policy").enabled
 
     def test_options_pass_through(self):
         controller = build_controller(
-            FakeCoordinator(FakeDatabase(block_size=4096)),
-            policy_options={"escalate_after": 7},
-            block_options={"min_block": 128},
+            FakeCoordinator(), policy_options={"escalate_after": 7}
         )
         assert controller.governor("policy").escalate_after == 7
-        block = controller.governor("block_size")
-        assert block.min_block == 128
-        assert block.max_block == 4096

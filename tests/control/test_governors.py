@@ -8,7 +8,6 @@ from repro.control.governors import (
     NAIVE,
     ONLINE,
     RECEDING,
-    BlockSizeGovernor,
     PolicyGovernor,
     _mode_of,
 )
@@ -35,15 +34,6 @@ class FakeCoordinator:
 
     def maintainer(self, name):
         return self._maintainers[name]
-
-
-class FakeDatabase:
-    def __init__(self, block_size=None):
-        self.block_size = block_size
-
-    def set_block_size(self, block_size):
-        self.block_size = block_size
-        return self.block_size
 
 
 class TestModeOf:
@@ -196,95 +186,3 @@ class TestPolicyGovernor:
         with pytest.raises(ValueError):
             PolicyGovernor(FakeCoordinator(), window=0)
 
-
-class TestBlockSizeGovernor:
-    def test_halves_on_low_mean_fill(self):
-        db = FakeDatabase(block_size=2048)
-        governor = BlockSizeGovernor(db, min_block=64)
-        with obs.recording() as rec, control_events.collecting() as log:
-            for _ in range(3):
-                rec.observe("engine.block.fill", 0.1)
-            governor.tick(1)
-        assert db.block_size == 1024
-        (event,) = log.events()
-        assert (event.old, event.new) == (2048, 1024)
-        assert rec.registry.get("control.block.resizes").value == 1
-        assert rec.registry.get("control.block.size").value == 1024
-
-    def test_halves_on_low_fill_counter(self):
-        db = FakeDatabase(block_size=512)
-        governor = BlockSizeGovernor(db, low_fill_after=1)
-        with obs.recording() as rec, control_events.collecting():
-            rec.counter("engine.block.low_fill")
-            governor.tick(1)
-        assert db.block_size == 256
-
-    def test_floors_at_min_block(self):
-        db = FakeDatabase(block_size=96)
-        governor = BlockSizeGovernor(db, min_block=64)
-        with obs.recording() as rec, control_events.collecting():
-            rec.observe("engine.block.fill", 0.05)
-            rec.observe("engine.block.fill", 0.05)
-            governor.tick(1)
-        assert db.block_size == 64
-
-    def test_regrows_in_near_full_band(self):
-        db = FakeDatabase(block_size=2048)
-        governor = BlockSizeGovernor(db)
-        db.block_size = 512  # shrunk since construction
-        with obs.recording() as rec, control_events.collecting():
-            rec.observe("engine.block.fill", 0.97)
-            rec.observe("engine.block.fill", 0.99)
-            governor.tick(1)
-        assert db.block_size == 1024
-
-    def test_fanout_fill_above_band_does_not_grow(self):
-        # Join fan-out can push per-query fill far past 1; that is not
-        # evidence the current block size is tight.
-        db = FakeDatabase(block_size=2048)
-        governor = BlockSizeGovernor(db)
-        db.block_size = 512
-        with obs.recording() as rec, control_events.collecting() as log:
-            rec.observe("engine.block.fill", 8.0)
-            rec.observe("engine.block.fill", 6.0)
-            governor.tick(1)
-        assert db.block_size == 512
-        assert not log.events()
-
-    def test_never_grows_past_construction_size(self):
-        db = FakeDatabase(block_size=512)
-        governor = BlockSizeGovernor(db)
-        with obs.recording() as rec, control_events.collecting() as log:
-            rec.observe("engine.block.fill", 0.99)
-            rec.observe("engine.block.fill", 0.99)
-            governor.tick(1)
-        assert db.block_size == 512
-        assert not log.events()
-
-    def test_min_samples_guard(self):
-        db = FakeDatabase(block_size=2048)
-        governor = BlockSizeGovernor(db, min_samples=2)
-        with obs.recording() as rec, control_events.collecting() as log:
-            rec.observe("engine.block.fill", 0.05)  # one noisy query
-            governor.tick(1)
-        assert db.block_size == 2048
-        assert not log.events()
-
-    def test_row_mode_left_alone(self):
-        db = FakeDatabase(block_size=None)
-        governor = BlockSizeGovernor(db)
-        with obs.recording() as rec, control_events.collecting() as log:
-            rec.observe("engine.block.fill", 0.05)
-            rec.observe("engine.block.fill", 0.05)
-            governor.tick(1)
-        assert db.block_size is None
-        assert not log.events()
-
-    def test_validates_options(self):
-        with pytest.raises(ValueError):
-            BlockSizeGovernor(FakeDatabase(block_size=64), min_block=0)
-        with pytest.raises(ValueError):
-            BlockSizeGovernor(
-                FakeDatabase(block_size=64),
-                shrink_fill=0.9, grow_fill=0.5,
-            )

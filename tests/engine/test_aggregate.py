@@ -171,70 +171,3 @@ class TestAggregateOperator:
         scan = SeqScan(emp.snapshot(0), "E", toy_db.counter)
         agg = Aggregate(scan, "sum", col("E.salary"), group_by=["E.deptno"])
         assert agg.rows() == []
-
-
-class TestMerge:
-    """merge(): combining two partial states of one aggregate."""
-
-    def test_count(self):
-        a, b = CountState(), CountState()
-        for _ in range(3):
-            a.insert("x")
-        b.insert("y")
-        a.merge(b)
-        assert a.result() == 4
-
-    def test_sum_and_avg(self):
-        a, b = SumState(), SumState()
-        a.insert(1.5)
-        b.insert(2.5)
-        b.insert(3.0)
-        a.merge(b)
-        assert a.result() == 7.0
-        assert a.count == 3
-        av, bv = AvgState(), AvgState()
-        av.insert(2.0)
-        bv.insert(4.0)
-        av.merge(bv)
-        assert av.result() == 3.0
-
-    def test_extremum_unions_multisets(self):
-        a, b = MinState(), MinState()
-        a.insert(5)
-        a.insert(7)
-        b.insert(3)
-        b.insert(5)
-        a.merge(b)
-        assert a.result() == 3
-        assert a.count == 4
-        # The merged multiset supports incremental deletes: removing the
-        # last 3 recomputes over survivors from *both* partials.
-        a.delete(3)
-        assert a.result() == 5
-        a.delete(5)  # one copy came from each side
-        assert a.result() == 5
-        a.delete(5)
-        assert a.result() == 7
-
-    def test_merge_into_empty(self):
-        a, b = MaxState(), MaxState()
-        b.insert(9)
-        a.merge(b)
-        assert a.result() == 9
-
-    def test_merge_is_charge_free(self):
-        counter = OperationCounter()
-        a = SumState(counter)
-        b = SumState(counter)
-        a.insert(1.0)
-        b.insert(2.0)
-        charged = counter.snapshot()
-        a.merge(b)
-        assert counter.snapshot() == charged
-
-    def test_type_mismatch_rejected(self):
-        with pytest.raises(ExecutionError):
-            CountState().merge(SumState())
-        # AvgState subclasses SumState, but partials must not cross.
-        with pytest.raises(ExecutionError):
-            SumState().merge(AvgState())

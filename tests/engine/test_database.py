@@ -233,91 +233,35 @@ class TestWorkersArgument:
         assert not hasattr(db, "workers")
 
 
-def _sparse_filter_db(block_size=10, rows=100):
-    """100 rows, filter keeps every 10th: each source block yields one
-    mid-stream 1-row block -- genuine 10% fill, not a tail artifact."""
-    db = Database(block_size=block_size)
-    table = db.create_table(
-        "t", Schema.of(k=ColumnType.INT, tag=ColumnType.INT)
-    )
-    for i in range(rows):
-        table.insert((i, i % block_size))
-    return db
+class TestBlockSizeArgument:
+    """``block_size`` is one int, fixed at construction."""
 
+    @pytest.mark.parametrize("block_size", (None, 0, -4, 2.5))
+    def test_rejects_anything_but_a_positive_int(self, block_size):
+        with pytest.raises(ValueError, match="block_size must be an int >= 1"):
+            Database(block_size=block_size)
 
-def _sparse_filter_spec():
-    return QuerySpec(
-        base_alias="T",
-        base_table="t",
-        filters=(col("T.tag") == lit(0),),
-    )
+    def test_benchmark_spelling_constructs(self):
+        assert Database(workers=0, block_size=256).block_size == 256
 
-
-class TestLowFillWarning:
-    """Blocked execution warns when most of each *mid-stream* block is
-    slack; the natural tail block of a result is never counted."""
-
-    def test_warns_once_per_database(self):
-        db = _sparse_filter_db()
-        with pytest.warns(RuntimeWarning, match="below 25%"):
-            db.execute(_sparse_filter_spec())
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            db.execute(_sparse_filter_spec())  # same shape: stays silent
-
-    def test_low_fill_counter_under_recording(self):
+    def test_block_metrics_under_recording(self):
+        """100 rows, filter keeps every 10th: ten 1-row blocks."""
         from repro import obs
 
-        db = _sparse_filter_db()
-        with pytest.warns(RuntimeWarning):
-            with obs.recording() as rec:
-                db.execute(_sparse_filter_spec())
-        assert rec.registry.get("engine.block.low_fill").value >= 1
-        fill = rec.registry.get("engine.block.fill")
-        assert fill.count >= 1
-        assert fill.max < 0.25
-
-    def test_tail_block_does_not_warn(self):
-        """Regression: a short query's single partial block is the
-        natural tail of every result, not a block-size problem."""
-        from repro import obs
-
-        db = Database(block_size=256)
-        table = db.create_table("t", Schema.of(k=ColumnType.INT))
-        for i in range(5):
-            table.insert((i,))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with obs.recording() as rec:
-                result = db.execute(QuerySpec(base_alias="T", base_table="t"))
-        assert len(result) == 5  # 5 rows in one 256-slot block: silent
-        assert rec.registry.get("engine.block.low_fill") is None
-
-    def test_tail_excluded_from_multi_block_accounting(self):
-        """Regression: a 1-row tail must not drag an otherwise-acceptable
-        mean fill below the threshold.  Here mid-stream fill is 30%
-        (fine) but the tail-inclusive mean is 15.5% (would have warned)."""
-        db = Database(block_size=100)
+        db = Database(block_size=10)
         table = db.create_table(
             "t", Schema.of(k=ColumnType.INT, tag=ColumnType.INT)
         )
-        for i in range(200):  # 30 matches in rows 0-99, 1 in rows 100-199
-            matches = i < 30 or i == 100
-            table.insert((i, 1 if matches else 0))
+        for i in range(100):
+            table.insert((i, i % 10))
         spec = QuerySpec(
-            base_alias="T", base_table="t", filters=(col("T.tag") == lit(1),)
+            base_alias="T", base_table="t", filters=(col("T.tag") == lit(0),)
         )
         with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            result = db.execute(spec)
-        assert len(result) == 31
-
-    def test_full_blocks_stay_silent(self):
-        db = Database(block_size=5)
-        table = db.create_table("t", Schema.of(k=ColumnType.INT))
-        for i in range(5):
-            table.insert((i,))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            result = db.execute(QuerySpec(base_alias="T", base_table="t"))
-        assert len(result) == 5
+            warnings.simplefilter("error")  # low fill is no longer a warning
+            with obs.recording() as rec:
+                assert len(db.execute(spec)) == 10
+        assert rec.registry.get("engine.block.blocks").value == 10
+        assert rec.registry.get("engine.block.rows_out").value == 10
+        fill = rec.registry.get("engine.block.fill")
+        assert (fill.count, fill.max) == (1, 0.1)

@@ -59,7 +59,7 @@ class TestFilterAndProject:
     def test_filter(self, toy_db, emp):
         scan = SeqScan(emp.snapshot(), "E", toy_db.counter)
         high = Filter(scan, col("E.salary") >= lit(200.0))
-        names = sorted(row[1] for row in high)
+        names = sorted(row[1] for row in high.rows())
         assert names == ["bob", "carol", "erin"]
 
     def test_project_reorders(self, toy_db, emp):

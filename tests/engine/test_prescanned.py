@@ -24,14 +24,14 @@ class TestRowSource:
     def test_plain_rows_charge_tuple_cpu(self):
         counter = OperationCounter()
         source = RowSource(ROWS, NAMES, "T", counter)
-        assert list(source) == ROWS
+        assert source.rows() == ROWS
         assert counter.snapshot()["tuple_cpu"] == len(ROWS)
 
     def test_prescanned_rows_skip_the_charge(self):
         counter = OperationCounter()
         source = RowSource(PrescannedRows(ROWS), NAMES, "T", counter)
         assert source.precharged
-        assert list(source) == ROWS
+        assert source.rows() == ROWS
         assert counter.snapshot()["tuple_cpu"] == 0
 
     def test_prescanned_blocks_skip_the_charge(self):

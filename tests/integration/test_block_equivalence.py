@@ -1,18 +1,26 @@
-"""Differential tests: blocked execution == row-at-a-time execution.
+"""Differential tests: every block size == the row engine == plain Python.
 
-The chunked :class:`~repro.engine.block.RowBlock` pipeline promises two
-invariants (see ``docs/DESIGN.md``, "Execution model"):
+The :class:`~repro.engine.block.RowBlock` pipeline promises two
+invariants (see ``DESIGN.md``, "Execution model"):
 
 1. **Result equivalence** -- identical rows, in identical order, for any
    block size, including view contents maintained incrementally;
 2. **Charge equivalence** -- the shared
    :class:`~repro.engine.costmodel.OperationCounter` ends every workload
    with *bit-identical* tallies, so all simulated costs (the paper's
-   observable) are unchanged by the refactor.
+   observable) are independent of the block size.
 
 These tests drive seeded random schemas, update streams, joins, and
-aggregates through the row engine (``block_size=None``) and the blocked
-engine at sizes {1, 7, 64, 1024}, and compare everything.
+aggregates through the engine at sizes {1, 7, 64, 1024} and hold each
+size to two references:
+
+* :data:`FROZEN` -- what the row-at-a-time engine (``block_size=None``,
+  deleted in PR 15) produced for the same workloads at its last commit:
+  the final charge table, each query's row count and first/last row, and
+  the final view contents;
+* :func:`oracle_rows` -- a plain-Python evaluator (nested loops, ``dict``
+  group-by) that imports no engine operator, checked against every query
+  result and against the view contents at every applied LSN.
 
 Also here: the shared-modification-log identity tests (a base table with
 8 views holds exactly one copy of its history).
@@ -37,7 +45,6 @@ from repro.ivm.maintenance import apply_batch, full_refresh
 from repro.ivm.view import MaterializedView
 
 BLOCK_SIZES = (1, 7, 64, 1024)
-ENGINE_MODES = (None,) + BLOCK_SIZES  # None = row-at-a-time reference
 SEEDS = (3, 17, 101)
 
 
@@ -47,11 +54,11 @@ SEEDS = (3, 17, 101)
 
 
 def build_db(
-    block_size: int | None,
+    block_size: int,
     seed: int,
     index_dim: bool | None = None,
 ) -> Database:
-    """A two-table random database, identical for every engine mode.
+    """A two-table random database, identical for every block size.
 
     ``index_dim`` forces the join access path: ``False`` guarantees hash
     joins, ``True`` index-nested-loop, ``None`` the seed's coin flip.
@@ -135,16 +142,16 @@ def query_specs(seed: int) -> list[QuerySpec]:
     ]
 
 
-def run_queries(block_size: int | None, seed: int):
-    """Build, run every spec, and return (all result rows, final charges)."""
-    db = build_db(block_size, seed)
-    results = [db.execute(spec).rows for spec in query_specs(seed)]
-    return results, db.counter.snapshot()
+def run_queries(block_size: int, seed: int, specs=query_specs, index_dim=None):
+    """Build, run every spec; return (db, all result rows, final charges)."""
+    db = build_db(block_size, seed, index_dim)
+    results = [db.execute(spec).rows for spec in specs(seed)]
+    return db, results, db.counter.snapshot()
 
 
 def _mutate(rng: random.Random, db: Database, steps: int) -> None:
     """A burst of random inserts/updates/deletes, identical per seed
-    because both engines expose identical table state to ``find_rids``."""
+    because ``find_rids`` sees identical table state at every block size."""
     fact = db.table("fact")
     for __ in range(steps):
         action = rng.random()
@@ -166,10 +173,17 @@ def _mutate(rng: random.Random, db: Database, steps: int) -> None:
             fact.delete_rid(rng.choice(live))
 
 
-def run_ivm(block_size: int | None, seed: int):
+def run_ivm(block_size: int, seed: int, hash_join: bool = False):
     """Maintain a MIN view under a random update stream with random batch
-    sizes; return (contents trace, final contents, recompute, charges)."""
-    db = build_db(block_size, seed)
+    sizes; return (view, trace, recompute, final charges) where ``trace``
+    holds the (applied LSNs, contents) after every batch and after the
+    final refresh, and the charges include that one engine recompute.
+
+    ``hash_join`` forces the un-indexed dimension, so the delta-substituted
+    probe path is exercised (a shorter stream with its own seed, no final
+    pull -- the shape the frozen row-engine run had).
+    """
+    db = build_db(block_size, seed, index_dim=False if hash_join else None)
     spec = QuerySpec(
         base_alias="F",
         base_table="fact",
@@ -178,20 +192,268 @@ def run_ivm(block_size: int | None, seed: int):
         aggregate=AggregateSpec(func="min", value=col("F.val"), group_by=("F.grp",)),
     )
     view = MaterializedView("v", db, spec)
-    rng = random.Random(seed * 13 + 5)
+    rng = random.Random(seed * 37 + 3 if hash_join else seed * 13 + 5)
     trace = []
-    for __ in range(12):
+
+    def record():
+        lsns = {alias: d.applied_lsn for alias, d in view.deltas.items()}
+        trace.append((lsns, view.contents()))
+
+    for __ in range(8 if hash_join else 12):
         _mutate(rng, db, rng.randint(0, 4))
         delta = view.deltas["F"]
         delta.pull()
         k = rng.randint(0, delta.size)
         if k:
             apply_batch(view, "F", k)
-        trace.append(sorted(view.contents().items(), key=repr))
-    for d in view.deltas.values():
-        d.pull()
+        record()
+    if not hash_join:
+        for d in view.deltas.values():
+            d.pull()
     full_refresh(view)
-    return trace, view.contents(), view.recompute(), db.counter.snapshot()
+    record()
+    return view, trace, view.recompute(), db.counter.snapshot()
+
+
+# ----------------------------------------------------------------------
+# Reference 1: the row engine's last results, frozen at its final commit
+# ----------------------------------------------------------------------
+
+# fmt: off
+FROZEN = {
+    ("queries", 3): {
+        "charges": {
+            "page_reads": 5, "tuple_cpu": 496, "compares": 165,
+            "index_probes": 110, "hash_builds": 0, "hash_probes": 55,
+            "row_writes": 65, "index_maintains": 10, "agg_updates": 55,
+            "sort_items": 0, "startups": 5,
+        },
+        "results": [
+            (8, (12, 96.409), (53, 97.137)),
+            (48, (0, 4.511), (54, 4.352)),
+            (5, (0, 97.137), (4, 90.47)),
+            (1, (None,), (None,)),
+            (31, (4, 9), (2, 4)),
+        ],
+    },
+    ("ivm", 3): {
+        "charges": {
+            "page_reads": 3, "tuple_cpu": 320, "compares": 160,
+            "index_probes": 160, "hash_builds": 0, "hash_probes": 0,
+            "row_writes": 104, "index_maintains": 10, "agg_updates": 58,
+            "sort_items": 2, "startups": 21,
+        },
+        "contents": {
+            (4,): 1.317, (2,): 36.02, (1,): 36.396, (3,): 47.611, (0,): 4.419,
+        },
+    },
+    ("hash_join", 3): {
+        "charges": {
+            "page_reads": 14, "tuple_cpu": 793, "compares": 374,
+            "index_probes": 0, "hash_builds": 70, "hash_probes": 319,
+            "row_writes": 65, "index_maintains": 0, "agg_updates": 275,
+            "sort_items": 0, "startups": 7,
+        },
+        "results": [
+            (19, (3, 0.799, 55.078), (53, 3.278, 97.137)),
+            (3, (0, 4.419), (2, 0.723)),
+            (3, (0, 97.137), (2, 96.409)),
+            (3, (0, 604.591), (2, 1324.7539999999997)),
+            (3, (0, 54.962818181818186), (2, 47.31264285714285)),
+            (3, (0, 11), (2, 28)),
+            (1, (246.49300000000002,), (246.49300000000002,)),
+        ],
+    },
+    ("ivm_join", 3): {
+        "charges": {
+            "page_reads": 16, "tuple_cpu": 416, "compares": 138,
+            "index_probes": 0, "hash_builds": 140, "hash_probes": 138,
+            "row_writes": 84, "index_maintains": 0, "agg_updates": 52,
+            "sort_items": 0, "startups": 14,
+        },
+        "contents": {
+            (4,): 1.317, (2,): 36.02, (1,): 23.576, (3,): 39.496, (0,): 4.419,
+        },
+    },
+    ("queries", 17): {
+        "charges": {
+            "page_reads": 10, "tuple_cpu": 666, "compares": 219,
+            "index_probes": 146, "hash_builds": 0, "hash_probes": 73,
+            "row_writes": 83, "index_maintains": 10, "agg_updates": 73,
+            "sort_items": 0, "startups": 5,
+        },
+        "results": [
+            (38, (0, 96.049), (71, 91.293)),
+            (44, (1, 8.371), (67, 6.264)),
+            (5, (0, 96.154), (4, 91.998)),
+            (1, (None,), (None,)),
+            (40, (2, 6), (4, 5)),
+        ],
+    },
+    ("ivm", 17): {
+        "charges": {
+            "page_reads": 4, "tuple_cpu": 376, "compares": 188,
+            "index_probes": 188, "hash_builds": 0, "hash_probes": 0,
+            "row_writes": 113, "index_maintains": 10, "agg_updates": 160,
+            "sort_items": 0, "startups": 18,
+        },
+        "contents": {
+            (2,): 1.268, (3,): 1.21, (0,): 2.756, (1,): 3.213, (4,): 1.051,
+        },
+    },
+    ("hash_join", 17): {
+        "charges": {
+            "page_reads": 21, "tuple_cpu": 1027, "compares": 478,
+            "index_probes": 0, "hash_builds": 70, "hash_probes": 413,
+            "row_writes": 83, "index_maintains": 0, "agg_updates": 373,
+            "sort_items": 0, "startups": 7,
+        },
+        "results": [
+            (33, (0, 1.246, 96.049), (71, 1.246, 91.293)),
+            (3, (0, 1.21), (2, 0.976)),
+            (3, (0, 96.154), (2, 98.781)),
+            (3, (0, 1225.398), (2, 646.539)),
+            (3, (0, 53.278173913043474), (2, 53.87825)),
+            (3, (0, 23), (2, 12)),
+            (1, (330.4000000000002,), (330.4000000000002,)),
+        ],
+    },
+    ("ivm_join", 17): {
+        "charges": {
+            "page_reads": 16, "tuple_cpu": 464, "compares": 172,
+            "index_probes": 0, "hash_builds": 120, "hash_probes": 172,
+            "row_writes": 104, "index_maintains": 0, "agg_updates": 144,
+            "sort_items": 0, "startups": 12,
+        },
+        "contents": {
+            (2,): 1.52, (3,): 1.21, (0,): 2.756, (1,): 22.906, (4,): 1.051,
+        },
+    },
+    ("queries", 101): {
+        "charges": {
+            "page_reads": 10, "tuple_cpu": 733, "compares": 231,
+            "index_probes": 154, "hash_builds": 0, "hash_probes": 77,
+            "row_writes": 87, "index_maintains": 10, "agg_updates": 77,
+            "sort_items": 0, "startups": 5,
+        },
+        "results": [
+            (56, (0, 92.398), (76, 57.689)),
+            (61, (0, 7.127), (76, 0.618)),
+            (5, (0, 830.337), (4, 865.7100000000002)),
+            (1, (None,), (None,)),
+            (42, (4, 3), (1, 9)),
+        ],
+    },
+    ("ivm", 101): {
+        "charges": {
+            "page_reads": 4, "tuple_cpu": 400, "compares": 200,
+            "index_probes": 200, "hash_builds": 0, "hash_probes": 0,
+            "row_writes": 128, "index_maintains": 10, "agg_updates": 130,
+            "sort_items": 0, "startups": 21,
+        },
+        "contents": {
+            (0,): 1.324, (2,): 1.852, (3,): 4.897, (1,): 9.562, (4,): 2.968,
+        },
+    },
+    ("hash_join", 101): {
+        "charges": {
+            "page_reads": 21, "tuple_cpu": 1046, "compares": 491,
+            "index_probes": 0, "hash_builds": 70, "hash_probes": 416,
+            "row_writes": 87, "index_maintains": 0, "agg_updates": 387,
+            "sort_items": 0, "startups": 7,
+        },
+        "results": [
+            (21, (6, 1.105, 76.989), (73, 9.076, 89.619)),
+            (3, (0, 1.324), (2, 7.684)),
+            (3, (0, 95.712), (2, 98.138)),
+            (3, (0, 1469.2459999999999), (2, 926.8909999999998)),
+            (3, (0, 52.47307142857142), (2, 46.34454999999999)),
+            (3, (0, 28), (2, 20)),
+            (1, (391.554,), (391.554,)),
+        ],
+    },
+    ("ivm_join", 101): {
+        "charges": {
+            "page_reads": 16, "tuple_cpu": 492, "compares": 186,
+            "index_probes": 0, "hash_builds": 120, "hash_probes": 186,
+            "row_writes": 110, "index_maintains": 0, "agg_updates": 126,
+            "sort_items": 8, "startups": 12,
+        },
+        "contents": {
+            (0,): 1.324, (2,): 1.852, (3,): 5.749, (1,): 44.873, (4,): 4.832,
+        },
+    },
+}
+# fmt: on
+
+
+def summarize(results) -> list[tuple]:
+    """(row count, first row, last row) per query: the frozen shape."""
+    return [
+        (len(rows), rows[0] if rows else None, rows[-1] if rows else None)
+        for rows in results
+    ]
+
+
+# ----------------------------------------------------------------------
+# Reference 2: a plain-Python evaluator sharing no operator with the engine
+# ----------------------------------------------------------------------
+
+
+def _sequential_sum(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+_FOLDS = {
+    "count": len,
+    "min": lambda vs: min(vs) if vs else None,
+    "max": lambda vs: max(vs) if vs else None,
+    "sum": lambda vs: _sequential_sum(vs) if vs else None,
+    "avg": lambda vs: _sequential_sum(vs) / len(vs) if vs else None,
+}
+
+
+def oracle_rows(db: Database, spec: QuerySpec, lsns=None) -> list[tuple]:
+    """Evaluate ``spec`` over the tables' visible rows at ``lsns``."""
+    assert not spec.order_by and spec.limit is None
+
+    def visible(alias, table_name):
+        table = db.table(table_name)
+        rows = table.snapshot((lsns or {}).get(alias)).row_list()
+        return [f"{alias}.{name}" for name in table.schema.names], rows
+
+    names, rows = visible(spec.base_alias, spec.base_table)
+    for join in spec.joins:
+        right_names, right_rows = visible(join.alias, join.table)
+        lpos = names.index(join.left_column)
+        rpos = right_names.index(f"{join.alias}.{join.right_column}")
+        rows = [l + r for l in rows for r in right_rows if l[lpos] == r[rpos]]
+        names = names + right_names
+    layout = {name: pos for pos, name in enumerate(names)}
+    for predicate in spec.filters:
+        keep = predicate.compile(layout)
+        rows = [row for row in rows if keep(row)]
+    if spec.aggregate is not None:
+        agg = spec.aggregate
+        value = agg.value.compile(layout)
+        groups = {} if agg.group_by else {(): []}
+        for row in rows:
+            key = tuple(row[layout[g]] for g in agg.group_by)
+            groups.setdefault(key, []).append(value(row))
+        fold = _FOLDS[agg.func]
+        rows = [key + (fold(groups[key]),) for key in sorted(groups, key=repr)]
+    elif spec.projection is not None:
+        rows = [tuple(row[layout[c]] for c in spec.projection) for row in rows]
+    return list(dict.fromkeys(rows)) if spec.distinct else rows
+
+
+def oracle_contents(db: Database, spec: QuerySpec, lsns) -> dict:
+    """An aggregate view's contents, per the oracle (empty groups drop)."""
+    rows = oracle_rows(db, spec, lsns)
+    return {row[:-1]: row[-1] for row in rows if row[-1] is not None}
 
 
 # ----------------------------------------------------------------------
@@ -199,29 +461,38 @@ def run_ivm(block_size: int | None, seed: int):
 # ----------------------------------------------------------------------
 
 
+def check_queries(suite: str, seed: int, specs, index_dim) -> None:
+    frozen = FROZEN[suite, seed]
+    for block_size in BLOCK_SIZES:
+        db, results, charges = run_queries(block_size, seed, specs, index_dim)
+        at = f"at block_size={block_size}"
+        assert charges == frozen["charges"], f"simulated charges diverge {at}"
+        assert summarize(results) == frozen["results"], f"rows diverge {at}"
+        for spec, rows in zip(specs(seed), results, strict=True):
+            assert rows == oracle_rows(db, spec), f"{spec} != oracle {at}"
+
+
+def check_ivm(suite: str, seed: int, hash_join: bool) -> None:
+    frozen = FROZEN[suite, seed]
+    for block_size in BLOCK_SIZES:
+        view, trace, recompute, charges = run_ivm(block_size, seed, hash_join)
+        at = f"at block_size={block_size}"
+        assert charges == frozen["charges"], f"simulated charges diverge {at}"
+        assert trace[-1][1] == frozen["contents"], f"contents diverge {at}"
+        assert recompute == frozen["contents"]
+        for lsns, contents in trace:
+            expected = oracle_contents(view.database, view.spec, lsns)
+            assert contents == expected, f"view != oracle at LSNs {lsns} {at}"
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_queries_identical_across_block_sizes(seed):
-    reference_rows, reference_charges = run_queries(None, seed)
-    for block_size in BLOCK_SIZES:
-        rows, charges = run_queries(block_size, seed)
-        assert rows == reference_rows, f"rows diverge at block_size={block_size}"
-        assert charges == reference_charges, (
-            f"simulated charges diverge at block_size={block_size}"
-        )
+    check_queries("queries", seed, query_specs, index_dim=None)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_view_maintenance_identical_across_block_sizes(seed):
-    ref_trace, ref_contents, ref_recompute, ref_charges = run_ivm(None, seed)
-    assert ref_contents == ref_recompute  # the reference engine is sound
-    for block_size in BLOCK_SIZES:
-        trace, contents, recompute, charges = run_ivm(block_size, seed)
-        assert trace == ref_trace
-        assert contents == ref_contents
-        assert recompute == ref_recompute
-        assert charges == ref_charges, (
-            f"simulated charges diverge at block_size={block_size}"
-        )
+    check_ivm("ivm", seed, hash_join=False)
 
 
 def test_mid_query_exception_propagates():
@@ -285,61 +556,18 @@ def hash_join_specs(seed: int) -> list[QuerySpec]:
     return specs
 
 
-def run_hash_join_queries(block_size: int | None, seed: int):
-    db = build_db(block_size, seed, index_dim=False)
-    results = [db.execute(spec).rows for spec in hash_join_specs(seed)]
-    return results, db.counter.snapshot()
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 def test_hash_join_agg_identical_across_block_sizes(seed):
-    """Forced hash-join plans under every aggregate function: byte-identical
-    rows and byte-identical cost tables versus the row engine."""
-    ref_rows, ref_charges = run_hash_join_queries(None, seed)
-    for block_size in BLOCK_SIZES:
-        rows, charges = run_hash_join_queries(block_size, seed)
-        assert rows == ref_rows, f"rows diverge at block_size={block_size}"
-        assert charges == ref_charges, (
-            f"simulated charges diverge at block_size={block_size}"
-        )
-
-
-def run_ivm_join(block_size, seed):
-    """Maintain a join-bearing MIN view (hash join forced) so the delta
-    substituted probe path is exercised."""
-    db = build_db(block_size, seed, index_dim=False)
-    spec = QuerySpec(
-        base_alias="F",
-        base_table="fact",
-        joins=(JoinSpec("D", "dim", "F.k", "k"),),
-        filters=(col("D.cat") != lit(2),),
-        aggregate=AggregateSpec(
-            func="min", value=col("F.val"), group_by=("F.grp",)
-        ),
-    )
-    view = MaterializedView("v", db, spec)
-    rng = random.Random(seed * 37 + 3)
-    trace = []
-    for __ in range(8):
-        _mutate(rng, db, rng.randint(0, 4))
-        delta = view.deltas["F"]
-        delta.pull()
-        k = rng.randint(0, delta.size)
-        if k:
-            apply_batch(view, "F", k)
-        trace.append(sorted(view.contents().items(), key=repr))
-    full_refresh(view)
-    return trace, view.contents(), view.recompute(), db.counter.snapshot()
+    """Forced hash-join plans under every aggregate function: the row
+    engine's frozen cost tables and the oracle's rows at every size."""
+    check_queries("hash_join", seed, hash_join_specs, index_dim=False)
 
 
 def test_view_maintenance_with_hash_join_identical_across_block_sizes():
-    """IVM maintenance trace through the hash-join delta path: identical
-    contents at every batch boundary and identical final charges."""
-    seed = SEEDS[1]
-    reference = run_ivm_join(None, seed)
-    assert reference[1] == reference[2]  # maintained == recompute
-    for block_size in (32,) + BLOCK_SIZES:
-        assert run_ivm_join(block_size, seed) == reference
+    """IVM maintenance trace through the hash-join delta path: oracle
+    contents at every batch boundary and the frozen final charges."""
+    for seed in SEEDS:
+        check_ivm("ivm_join", seed, hash_join=True)
 
 
 def test_mid_probe_exception_propagates():
@@ -377,26 +605,15 @@ def test_operator_level_equivalence():
         filt = Filter(join, col("L.a") >= lit(0))  # all-pass: zero-copy path
         return Project(filt, ("L.a", "R.d"))
 
-    ref_counter = OperationCounter()
-    reference = build(ref_counter).rows()
+    # What the row-at-a-time operators produced and charged (frozen).
+    reference = [(a, (a % 3) * 10) for a in range(25)]
+    charges = dict.fromkeys(OperationCounter().snapshot(), 0)
+    charges.update(tuple_cpu=25 + 3 + 25, compares=25 * 3 + 25)
     for block_size in BLOCK_SIZES:
         counter = OperationCounter()
         out = blocks_to_rows(build(counter).blocks(block_size))
         assert out == reference
-        assert counter.snapshot() == ref_counter.snapshot()
-
-
-def test_fallback_blocks_covers_custom_operators():
-    """Operators without a specialized blocks() still stream correctly
-    through the base-class chunker (with row-granular charging)."""
-    from repro.engine.operators import Operator
-
-    counter = OperationCounter()
-    source = RowSource([(1,), (2,), (3,)], ("x",), "T", counter)
-    chunks = list(Operator.blocks(source, 2))
-    assert [len(c) for c in chunks] == [2, 1]
-    assert blocks_to_rows(chunks) == [(1,), (2,), (3,)]
-    assert counter.tuple_cpu == 3
+        assert counter.snapshot() == charges
 
 
 # ----------------------------------------------------------------------

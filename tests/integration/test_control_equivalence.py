@@ -73,7 +73,7 @@ def run_fleet(with_controller: bool, block_size: int):
         )
     updater = PartSuppCostUpdater(db.table("partsupp"), seed=101)
     controller = (
-        build_controller(coordinator, policy=False, block=False)
+        build_controller(coordinator, policy=False)
         if with_controller
         else None
     )

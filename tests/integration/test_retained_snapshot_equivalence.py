@@ -36,7 +36,7 @@ STEPS = 5
 #: The paper's arrival mix: 80 PartSupp and 1 Supplier update per step.
 PS_PER_STEP, S_PER_STEP = 80, 1
 
-BLOCK_SIZES = (None, 1, 64, 256)
+BLOCK_SIZES = (1, 64, 256)
 
 
 def without_wall(node):

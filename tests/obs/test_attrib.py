@@ -153,26 +153,6 @@ class TestProfileSink:
         # The sink saw tallies identical to what the counter charged.
         assert sum(profiles[0]["tally"].values()) > 0
 
-    def test_sink_silently_skips_row_mode(self):
-        db = Database(block_size=None)
-        t = db.create_table("t", Schema.of(x=ColumnType.INT))
-        t.insert((1,))
-        profiles: list[dict] = []
-        previous = attrib.set_profile_sink(profiles.append)
-        try:
-            result = db.execute(QuerySpec(base_alias="T", base_table="t"))
-        finally:
-            attrib.set_profile_sink(previous)
-        assert result.rows == [(1,)]
-        assert profiles == []  # row-mode database: sink mode is a no-op
-
-    def test_explicit_profile_on_row_mode_raises(self):
-        db = Database(block_size=None)
-        t = db.create_table("t", Schema.of(x=ColumnType.INT))
-        t.insert((1,))
-        with pytest.raises(ValueError, match="blocked execution"):
-            db.execute(QuerySpec(base_alias="T", base_table="t"), profile=True)
-
 
 class TestProfiledExecution:
     def test_profile_total_equals_counter_delta(self):

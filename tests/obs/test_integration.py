@@ -101,9 +101,6 @@ class TestSimulatorMetrics:
         assert rec.registry.get("slo.steps") is None
 
 
-# The tiny test-scale workloads legitimately trip the engine's low-fill
-# block-size advisory; it must not fail strict-warning runs of this file.
-@pytest.mark.filterwarnings("ignore:blocked execution fill:RuntimeWarning")
 class TestCliTrace:
     def test_trace_flag_writes_valid_jsonl(self, tmp_path, capsys):
         """`repro <cmd> --trace FILE` exits 0 and leaves a layered trace."""

@@ -242,20 +242,9 @@ class TestControlLogCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert out.startswith("control log: ")
-        # The pressure workload always trips at least the block-size
-        # governor well before t=40.
+        # The pressure workload trips the policy governor at t=15.
         assert "event(s)" in out
         assert "reason:" in out and "applied:" in out
-
-    def test_governor_filter(self, capsys):
-        code = main(
-            ["control-log", "--horizon", "40", "--governor", "block_size"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        for line in out.splitlines():
-            if line.startswith("t="):
-                assert " block_size" in line
 
     def test_reads_control_log_jsonl(self, tmp_path, capsys):
         log_path = tmp_path / "control.jsonl"
@@ -325,9 +314,9 @@ class TestControlAblationCommand:
         code = main(["control-ablation", "--horizon", "60"])
         out = capsys.readouterr().out
         assert code == 0
-        for variant in ("baseline", "full", "no-policy", "no-block"):
+        for variant in ("baseline", "full"):
             assert variant in out
-        assert "Governor importance" in out
+        assert "Policy governor" in out
         assert "breaches" in out
 
 
