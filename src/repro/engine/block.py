@@ -15,11 +15,16 @@ this pipeline replaced.
 Layout convention: a block carries the same
 ``{qualified column name: position}`` layout its operator exposes, and the
 logical content is the ordered multiset of row tuples.  Storage is
-column-major (one Python list per column) so expression evaluation
-(:meth:`~repro.engine.expr.Expression.compile_block`) can pull a whole
-column without touching individual rows, and projections can reuse column
-lists without copying.  A row-major view is materialized lazily (one
-C-level ``zip`` transpose) and cached, because join assembly wants tuples.
+column-major (one Python list per column) from source to sink: a scan
+slices the snapshot's retained columns, expression evaluation
+(:meth:`~repro.engine.expr.Expression.compile_block`) pulls a whole column
+without touching individual rows, and filters, joins and projections
+assemble their output one kept column at a time, reusing column lists
+without copying wherever nothing was dropped.  Row tuples exist at the
+two ends only: a substituted delta batch arrives as rows and is handed
+through by reference (:meth:`RowBlock.column` extracts just the columns
+somebody asks for), and the row-major view of a result is one C-level
+``zip`` transpose at the sink.
 
 Blocks are immutable by convention: operators must never mutate a block's
 column lists after handing the block downstream (projection and filter
@@ -87,21 +92,14 @@ class RowBlock:
     def __len__(self) -> int:
         return self._length
 
-    @property
-    def is_columnar(self) -> bool:
-        """True when the column-major view is already materialized.
-
-        Fast paths key on this to gather column-by-column instead of
-        forcing the full row transpose (see :meth:`take` and the hash
-        join's probe kernel).
-        """
-        return self._columns is not None
-
     def rows(self) -> list[tuple]:
         """The row-major view (lazily transposed once, then cached)."""
         if self._rows is None:
             assert self._columns is not None
-            self._rows = list(zip(*self._columns)) if self._columns else []
+            if self._columns:
+                self._rows = list(zip(*self._columns))
+            else:  # a block that kept no column still has its rows
+                self._rows = [()] * self._length
         return self._rows
 
     def column(self, pos: int) -> list:
@@ -123,24 +121,6 @@ class RowBlock:
             col = cache[pos] = [row[pos] for row in self._rows]
         return col
 
-    def take(self, indices: Sequence[int]) -> "RowBlock":
-        """A new block keeping only the rows at ``indices`` (in order).
-
-        Column-major blocks gather column-by-column and stay column-major:
-        forcing the row view here would pay a full transpose of every
-        column (including ones a downstream projection will drop) and
-        discard the columnar layout the pipeline is built around.
-        Row-major blocks gather their row tuples directly.
-        """
-        if self._columns is not None:
-            return RowBlock.from_columns(
-                [[column[i] for i in indices] for column in self._columns],
-                self.layout,
-                length=len(indices),
-            )
-        rows = self.rows()
-        return RowBlock.from_rows([rows[i] for i in indices], self.layout)
-
     def __iter__(self) -> Iterator[tuple]:
         return iter(self.rows())
 
@@ -148,19 +128,25 @@ class RowBlock:
         return f"RowBlock(rows={self._length}, width={len(self.layout)})"
 
 
+def block_bounds(length: int, block_size: int) -> Iterator[tuple[int, int]]:
+    """``(start, stop)`` of each chunk of at most ``block_size`` out of
+    ``length`` rows; an empty input has no chunks."""
+    if block_size < 1:
+        raise ValueError(f"block_size must be >= 1, got {block_size}")
+    for start in range(0, length, block_size):
+        yield start, min(start + block_size, length)
+
+
 def iter_blocks(
     rows: Sequence[tuple], layout: Mapping[str, int], block_size: int
 ) -> Iterator[RowBlock]:
-    """Chunk an in-memory row list into blocks of at most ``block_size``.
+    """Chunk an in-memory row list into row-major blocks.
 
     Slices share the underlying row tuples (no per-row copying); empty
     inputs produce no blocks.
     """
-    if block_size < 1:
-        raise ValueError(f"block_size must be >= 1, got {block_size}")
-    for start in range(0, len(rows), block_size):
-        chunk = rows[start : start + block_size]
-        yield RowBlock.from_rows(list(chunk), layout)
+    for start, stop in block_bounds(len(rows), block_size):
+        yield RowBlock.from_rows(list(rows[start:stop]), layout)
 
 
 def blocks_to_rows(blocks: Iterable[RowBlock]) -> list[tuple]:

@@ -95,6 +95,12 @@ class OperationCounter:
         "startups": "startup",
     }
 
+    #: ``(model, ((field, weight), ...))`` -- the weights of ``model``
+    #: looked up once, in ``_FIELDS`` order; rebound if ``model`` changes.
+    _bound: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
     # -- charging -----------------------------------------------------------
 
     def charge_pages(self, rows: int) -> None:
@@ -104,23 +110,41 @@ class OperationCounter:
 
     def charge(self, field_name: str, count: int = 1) -> None:
         """Add ``count`` operations of class ``field_name``."""
-        if field_name not in self._FIELDS:
+        if field_name not in self._WEIGHT_BY_FIELD:
             raise ValueError(f"unknown operation class {field_name!r}")
-        setattr(self, field_name, getattr(self, field_name) + count)
+        self.__dict__[field_name] += count
 
     # -- reading ------------------------------------------------------------
 
+    def _weights(self) -> tuple[tuple[str, float], ...]:
+        bound = self._bound
+        if bound is None or bound[0] is not self.model:
+            model = self.model
+            bound = self._bound = (
+                model,
+                tuple(
+                    (f, getattr(model, self._WEIGHT_BY_FIELD[f]))
+                    for f in self._FIELDS
+                ),
+            )
+        return bound[1]
+
     def elapsed_ms(self) -> float:
-        """Weighted total simulated milliseconds."""
+        """Weighted total simulated milliseconds.
+
+        Accumulated left to right in ``_FIELDS`` order: the float result
+        is the experiment observable, so the order is part of the contract.
+        """
+        tallies = self.__dict__
         total = 0.0
-        for field_name in self._FIELDS:
-            weight = getattr(self.model, self._WEIGHT_BY_FIELD[field_name])
-            total += weight * getattr(self, field_name)
+        for field_name, weight in self._weights():
+            total += weight * tallies[field_name]
         return total
 
     def snapshot(self) -> dict[str, int]:
         """Current raw tallies (for diagnostics and tests)."""
-        return {f: getattr(self, f) for f in self._FIELDS}
+        tallies = self.__dict__
+        return {f: tallies[f] for f in self._FIELDS}
 
     def reset(self) -> None:
         """Zero every tally."""

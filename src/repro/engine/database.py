@@ -11,7 +11,11 @@ Query planning is deliberately rudimentary but honest:
 * left-deep join order as declared in the :class:`~repro.engine.query.QuerySpec`;
 * per join step, **index-nested-loop** when the inner table has an index
   on the join column, else **hash join** (build on the inner);
-* filters are pushed down to the earliest point where their columns exist.
+* filters are pushed down to the earliest point where their columns exist;
+* every scan, filter and join emits only the columns something later in
+  the plan still reads (a filter, a join key, the aggregate, the
+  projection): the rest are never copied.  Names are resolved against
+  the full, unpruned layout, so what is ambiguous stays ambiguous.
 
 This mirrors what a real optimizer would do to these queries and is the
 mechanism that turns physical design (which tables are indexed) into the
@@ -21,6 +25,8 @@ asymmetric delta-processing cost functions the paper exploits.
 from __future__ import annotations
 
 import time
+import weakref
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro import obs
@@ -35,6 +41,22 @@ from repro.engine.query import QueryResult, QuerySpec
 from repro.engine.table import Table
 from repro.engine.types import Schema
 from repro.obs import attrib
+
+
+@dataclass(slots=True)
+class _Stage:
+    """One step of the left-deep plan, worked out by name before any
+    operator exists: the base source or a join, then the filters that
+    become ready on its output."""
+
+    #: Full-layout position of the join's left key (None for the base).
+    key: int | None
+    #: Width of the full layout before this step's table joined in.
+    left_width: int
+    #: Each ready filter with the full-layout positions it reads.
+    filters: list[tuple[Expression, list[int]]]
+    #: Columns the source/join emits, then each filter in turn.
+    keeps: list[list[str]]
 
 
 class Database:
@@ -67,6 +89,10 @@ class Database:
         self.counter = OperationCounter(model=cost_model or CostModel())
         self.tables: dict[str, Table] = {}
         self.block_size = block_size
+        #: id(spec) -> (weak reference to spec, its column plan).  A plan
+        #: depends on the spec and on table schemas only, and a view runs
+        #: the same spec objects for its whole life.
+        self._column_plans: dict[int, tuple[weakref.ref, tuple]] = {}
 
     # ------------------------------------------------------------------
     # DDL
@@ -194,44 +220,48 @@ class Database:
         if prof is not None:
             prof.root.add("startups", 1)
 
-        plan = self._source(spec, spec.base_alias, spec.base_table,
-                            snapshot_lsns, substitutions)
-        pending_filters = list(spec.filters)
-        plan = self._apply_ready_filters(plan, pending_filters)
+        stages, pending = self._column_plan(spec)
+        if pending:
+            unresolved = [repr(f) for f in pending]
+            raise SchemaError(f"filters reference unknown columns: {unresolved}")
 
-        for join in spec.joins:
-            inner_table = self.table(join.table)
-            substituted = join.alias in substitutions
-            if substituted:
+        plan: Operator | None = None
+        for stage, join in zip(stages, (None, *spec.joins)):
+            keep = stage.keeps[0]
+            if join is None:
+                plan = self._source(
+                    spec.base_alias, spec.base_table,
+                    snapshot_lsns, substitutions, keep,
+                )
+            elif join.alias in substitutions:
                 right = RowSource(
                     substitutions[join.alias],
-                    inner_table.schema.names,
+                    self.table(join.table).schema.names,
                     join.alias,
                     self.counter,
                 )
                 plan = HashJoin(
                     plan, right, join.left_column,
                     f"{join.alias}.{join.right_column}",
-                    block_size=self.block_size,
+                    block_size=self.block_size, keep=keep,
                 )
             else:
-                snapshot = inner_table.snapshot(snapshot_lsns.get(join.alias))
+                snapshot = self.table(join.table).snapshot(
+                    snapshot_lsns.get(join.alias)
+                )
                 if snapshot.has_index(join.right_column):
                     plan = IndexNestedLoopJoin(
                         plan, snapshot, join.alias,
-                        join.left_column, join.right_column,
+                        join.left_column, join.right_column, keep=keep,
                     )
                 else:
                     plan = HashJoin(
                         plan, snapshot, join.left_column,
                         f"{join.alias}.{join.right_column}",
-                        alias=join.alias,
+                        alias=join.alias, keep=keep,
                     )
-            plan = self._apply_ready_filters(plan, pending_filters)
-
-        if pending_filters:
-            unresolved = [repr(f) for f in pending_filters]
-            raise SchemaError(f"filters reference unknown columns: {unresolved}")
+            for (predicate, _), keep in zip(stage.filters, stage.keeps[1:]):
+                plan = Filter(plan, predicate, keep)
 
         if spec.aggregate is not None:
             agg = spec.aggregate
@@ -242,9 +272,7 @@ class Database:
         if prof is not None:
             attrib.attach_to_plan(plan, prof)
 
-        columns = tuple(
-            sorted(plan.layout, key=plan.layout.__getitem__)
-        )
+        columns = tuple(plan.layout)
         rows = self._pull(plan)
         if spec.distinct:
             # Order-preserving dedup; one hash operation per input row.
@@ -325,65 +353,46 @@ class Database:
         def emit(text: str) -> None:
             lines.append("  " * indent + text)
 
-        pending = list(spec.filters)
-
-        def emit_ready_filters(layout: dict[str, int]) -> None:
-            nonlocal pending
-            still = []
-            for predicate in pending:
-                if self._resolvable(predicate, layout):
-                    emit(f"Filter: {predicate!r}")
+        stages, pending = self._column_plan(spec)
+        for stage, join in zip(stages, (None, *spec.joins)):
+            cols = attrib.cols_label(stage.keeps[0])
+            if join is None:
+                alias, table = spec.base_alias, self.table(spec.base_table)
+                if alias in substitutions:
+                    # A delta batch is handed through as it arrived.
+                    emit(
+                        f"RowSource({alias} := delta of {table.name}, "
+                        f"{len(substitutions[alias])} rows)"
+                    )
                 else:
-                    still.append(predicate)
-            pending = still
-
-        base_table = self.table(spec.base_table)
-        layout = {
-            f"{spec.base_alias}.{name}": i
-            for i, name in enumerate(base_table.schema.names)
-        }
-        if spec.base_alias in substitutions:
-            emit(
-                f"RowSource({spec.base_alias} := delta of "
-                f"{spec.base_table}, {len(substitutions[spec.base_alias])} rows)"
-            )
-        else:
-            emit(
-                f"SeqScan({spec.base_table} AS {spec.base_alias}, "
-                f"~{base_table.live_count} rows)"
-            )
-        emit_ready_filters(layout)
-
-        for join in spec.joins:
-            inner = self.table(join.table)
-            inner_layout = {
-                f"{join.alias}.{name}": i
-                for i, name in enumerate(inner.schema.names)
-            }
-            width = len(layout)
-            layout.update(
-                {name: width + pos for name, pos in inner_layout.items()}
-            )
-            indent += 1
-            if join.alias in substitutions:
-                emit(
-                    f"HashJoin(build delta {join.alias}, "
-                    f"{len(substitutions[join.alias])} rows) ON "
-                    f"{join.left_column} = {join.alias}.{join.right_column}"
-                )
-            elif inner.index_on(join.right_column) is not None:
-                emit(
-                    f"IndexNestedLoopJoin({join.table} AS {join.alias} via "
-                    f"index on {join.right_column}) ON "
-                    f"{join.left_column} = {join.alias}.{join.right_column}"
-                )
+                    emit(
+                        f"SeqScan({table.name} AS {alias}, "
+                        f"~{table.live_count} rows){cols}"
+                    )
             else:
-                emit(
-                    f"HashJoin(build SeqScan({join.table} AS {join.alias}, "
-                    f"~{inner.live_count} rows)) ON "
-                    f"{join.left_column} = {join.alias}.{join.right_column}"
+                inner = self.table(join.table)
+                on = (
+                    f"ON {join.left_column} = "
+                    f"{join.alias}.{join.right_column}{cols}"
                 )
-            emit_ready_filters(layout)
+                indent += 1
+                if join.alias in substitutions:
+                    emit(
+                        f"HashJoin(build delta {join.alias}, "
+                        f"{len(substitutions[join.alias])} rows) {on}"
+                    )
+                elif inner.index_on(join.right_column) is not None:
+                    emit(
+                        f"IndexNestedLoopJoin({join.table} AS {join.alias} "
+                        f"via index on {join.right_column}) {on}"
+                    )
+                else:
+                    emit(
+                        f"HashJoin(build SeqScan({join.table} AS "
+                        f"{join.alias}, ~{inner.live_count} rows)) {on}"
+                    )
+            for (predicate, _), keep in zip(stage.filters, stage.keeps[1:]):
+                emit(f"Filter: {predicate!r}{attrib.cols_label(keep)}")
 
         indent += 1
         if spec.aggregate is not None:
@@ -415,41 +424,111 @@ class Database:
 
     def _source(
         self,
-        spec: QuerySpec,
         alias: str,
         table_name: str,
         snapshot_lsns: Mapping[str, int],
         substitutions: Mapping[str, Sequence[tuple]],
+        keep: Sequence[str],
     ) -> Operator:
         table = self.table(table_name)
         if alias in substitutions:
+            # Handed through row-major and whole: nothing is assembled
+            # here, so there is nothing to prune.
             return RowSource(
                 substitutions[alias], table.schema.names, alias, self.counter
             )
         snapshot = table.snapshot(snapshot_lsns.get(alias))
-        return SeqScan(snapshot, alias, self.counter)
+        return SeqScan(snapshot, alias, self.counter, keep)
 
-    def _apply_ready_filters(
-        self, plan: Operator, pending: list[Expression]
-    ) -> Operator:
-        """Push down every pending filter whose columns are now available."""
-        still_pending = []
-        for predicate in pending:
-            if self._resolvable(predicate, plan.layout):
-                plan = Filter(plan, predicate)
-            else:
-                still_pending.append(predicate)
-        pending[:] = still_pending
-        return plan
+    def _column_plan(
+        self, spec: QuerySpec
+    ) -> tuple[list[_Stage], list[Expression]]:
+        """The plan of ``spec`` by name: one :class:`_Stage` per table,
+        and the filters whose columns never resolved.
+
+        Worked out once per spec object (while it lives): which snapshot
+        or delta batch a query reads changes per execution, what its
+        operators emit does not.
+        """
+        key = id(spec)
+        entry = self._column_plans.get(key)
+        if entry is not None and entry[0]() is spec:
+            return entry[1]
+        layout, stages, pending = self._place_filters(spec)
+        self._prune(spec, layout, stages)
+        plans = self._column_plans
+        plans[key] = (
+            weakref.ref(spec, lambda _: plans.pop(key, None)),
+            (stages, pending),
+        )
+        return stages, pending
+
+    def _place_filters(
+        self, spec: QuerySpec
+    ) -> tuple[dict[str, int], list[_Stage], list[Expression]]:
+        """Walk the join chain by name, pushing every filter down to the
+        earliest step where all its columns resolve.
+
+        Returns the full (unpruned) layout of the whole join, the stages
+        (their ``keeps`` still empty), and the filters never placed.
+        """
+        layout: dict[str, int] = {}
+        stages: list[_Stage] = []
+        pending = list(spec.filters)
+        for alias, join in zip(spec.aliases, (None, *spec.joins)):
+            key = None
+            if join is not None:
+                key = resolve_column(join.left_column, layout)
+            left_width = len(layout)
+            for name in self.table(spec.table_of(alias)).schema.names:
+                layout[f"{alias}.{name}"] = len(layout)
+            ready, still_pending = [], []
+            for predicate in pending:
+                try:
+                    reads = [
+                        resolve_column(name, layout)
+                        for name in predicate.references()
+                    ]
+                except SchemaError:
+                    still_pending.append(predicate)
+                else:
+                    ready.append((predicate, reads))
+            pending = still_pending
+            stages.append(_Stage(key, left_width, ready, keeps=[]))
+        return layout, stages, pending
 
     @staticmethod
-    def _resolvable(predicate: Expression, layout: Mapping[str, int]) -> bool:
-        try:
-            for name in predicate.references():
-                resolve_column(name, layout)
-        except SchemaError:
-            return False
-        return True
+    def _prune(
+        spec: QuerySpec, layout: Mapping[str, int], stages: list[_Stage]
+    ) -> None:
+        """Fill in each stage's ``keeps``: walking the plan backwards, the
+        columns something downstream of each emit point still reads.
+
+        Every name is resolved against ``layout``, the full layout of the
+        whole join, so a bare name that two tables share is ambiguous
+        even where pruning would have dropped one of them.
+        """
+        if spec.aggregate is not None:
+            agg = spec.aggregate
+            final = [*agg.value.references(), *agg.group_by]
+        elif spec.projection is not None:
+            final = spec.projection
+        elif spec.reads is not None:
+            final = [*spec.reads, *(order.column for order in spec.order_by)]
+        else:
+            final = layout  # a plain join result: every column
+        names = list(layout)
+        needed = {resolve_column(name, layout) for name in final}
+        for stage in reversed(stages):
+            keeps = []
+            for _, reads in reversed(stage.filters):
+                keeps.append([names[pos] for pos in sorted(needed)])
+                needed = needed.union(reads)
+            keeps.append([names[pos] for pos in sorted(needed)])
+            stage.keeps = keeps[::-1]
+            if stage.key is not None:
+                needed = {pos for pos in needed if pos < stage.left_width}
+                needed.add(stage.key)
 
     def __repr__(self) -> str:
         return f"Database(tables={sorted(self.tables)})"

@@ -13,13 +13,18 @@ cost asymmetry:
   the ``b + a*k`` shape of Section 3.3.
 * :class:`NestedLoopJoin` is the quadratic fallback for non-equi predicates.
 
-All joins concatenate left and right tuples; layouts merge accordingly.
+A join's natural output is left columns followed by right columns.  The
+two equi-joins assemble it column by column through one kernel,
+:func:`gather_join`, and only for the columns in ``keep`` -- the ones the
+rest of the plan reads.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Iterator
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import Iterator, Mapping, Sequence
 
 from repro import obs
 from repro.obs import attrib
@@ -106,6 +111,7 @@ class IndexNestedLoopJoin(Operator):
         alias: str,
         left_column: str,
         right_column: str,
+        keep: Sequence[str] | None = None,
     ):
         if not snapshot.has_index(right_column):
             raise SchemaError(
@@ -120,7 +126,9 @@ class IndexNestedLoopJoin(Operator):
             f"{alias}.{name}": pos
             for pos, name in enumerate(snapshot.schema.names)
         }
-        self.layout = merged_layout(left.layout, right_layout)
+        self.layout, self._left_kept, self._right_kept = kept_sides(
+            left.layout, right_layout, keep
+        )
         self._left_pos = resolve_column(left_column, left.layout)
         self._right_column = right_column
 
@@ -132,6 +140,7 @@ class IndexNestedLoopJoin(Operator):
         # fills the same dict on a miss (and re-reads an empty hit).
         cached = self.snapshot.probe_cache(right_column).get
         layout = self.layout
+        left_kept, right_kept = self._left_kept, self._right_kept
         prof = self._prof
         probes = rows_out = 0
         try:
@@ -140,17 +149,17 @@ class IndexNestedLoopJoin(Operator):
                 self.counter.charge("index_probes", len(lblock))
                 if prof is not None:
                     prof.add("index_probes", len(lblock))
-                out = [
-                    lrow + rrow
-                    for lrow, key in zip(lblock.rows(), lblock.column(pos))
-                    for rrow in cached(key) or lookup(right_column, key)
+                hits = [
+                    cached(key) or lookup(right_column, key)
+                    for key in lblock.column(pos)
                 ]
-                if out:
-                    self.counter.charge("tuple_cpu", len(out))
+                joined = gather_join(lblock, hits, left_kept, right_kept, layout)
+                if joined is not None:
+                    self.counter.charge("tuple_cpu", len(joined))
                     if prof is not None:
-                        prof.add("tuple_cpu", len(out))
-                    rows_out += len(out)
-                    yield RowBlock.from_rows(out, layout)
+                        prof.add("tuple_cpu", len(joined))
+                    rows_out += len(joined)
+                    yield joined
         finally:
             recorder = obs.get_recorder()
             if recorder is not None:
@@ -159,46 +168,66 @@ class IndexNestedLoopJoin(Operator):
                 recorder.counter("engine.join.rows_out", rows_out)
 
 
-def probe_block(
-    lblock: RowBlock, pos: int, table: dict, layout: dict
-) -> RowBlock | None:
-    """Probe one left block against a built hash table, charge-free.
+def kept_sides(
+    left: Mapping[str, int],
+    right: Mapping[str, int],
+    keep: Sequence[str] | None,
+) -> tuple[dict[str, int], list[int], list[int]]:
+    """Output layout of an equi-join that emits ``keep``, with the source
+    position of each kept column on its side.
 
-    Returns the joined block (left tuple ++ right tuple per match, in
-    left-block row order) or None when nothing matched.  Charging --
-    ``hash_probes`` per input row, ``tuple_cpu`` per output row -- stays
-    with the caller.
-
-    Column-major inputs take a gather fast path: match indices are
-    collected from the key column alone, left columns are gathered
-    column-by-column (like :meth:`RowBlock.take`), and the output stays
-    column-major -- the left block's row view is never materialized.
+    Left columns precede right columns, each side in ``keep``'s order;
+    ``None`` keeps every column of both sides.
     """
-    keys = lblock.column(pos)
-    if lblock.is_columnar:
-        idx: list[int] = []
-        matches: list[tuple] = []
-        for i, key in enumerate(keys):
-            for rrow in table.get(key, ()):
-                idx.append(i)
-                matches.append(rrow)
-        if not matches:
-            return None
-        left_width = len(lblock.layout)
-        out_columns = [
-            [column[i] for i in idx]
-            for column in (lblock.column(p) for p in range(left_width))
-        ]
-        out_columns.extend(list(c) for c in zip(*matches))
-        return RowBlock.from_columns(out_columns, layout, length=len(matches))
-    out = [
-        lrow + rrow
-        for lrow, key in zip(lblock.rows(), keys)
-        for rrow in table.get(key, ())
-    ]
-    if not out:
+    merged = merged_layout(left, right)  # rejects a name on both sides
+    if keep is None:
+        return merged, list(left.values()), list(right.values())
+    left_names = [name for name in keep if name in left]
+    right_names = [name for name in keep if name in right]
+    layout = {name: pos for pos, name in enumerate(left_names + right_names)}
+    if len(layout) != len(keep):
+        raise SchemaError(
+            f"join cannot emit {list(keep)}: unknown or repeated columns "
+            f"in layout {list(merged)}"
+        )
+    return (
+        layout,
+        [left[name] for name in left_names],
+        [right[name] for name in right_names],
+    )
+
+
+def gather_join(
+    lblock: RowBlock,
+    hits: Sequence[Sequence[tuple]],
+    left_kept: Sequence[int],
+    right_kept: Sequence[int],
+    layout: Mapping[str, int],
+) -> RowBlock | None:
+    """Assemble one joined block from per-row match lists, charge-free.
+
+    ``hits[i]`` holds the right rows matching row ``i`` of ``lblock``.  The
+    output has one row per match, in left-block row order, carrying the
+    left columns at positions ``left_kept`` followed by the right values
+    at ``right_kept``; None when nothing matched.  Each column is built by
+    one C-level pass: a left value repeated once per match of its row, a
+    right value picked out of each match.  The left block's row view is
+    never materialized.  Charging stays with the caller.
+    """
+    matches = list(chain.from_iterable(hits))
+    if not matches:
         return None
-    return RowBlock.from_rows(out, layout)
+    if len(matches) == len(hits) and all(hits):
+        # Every probe matched exactly once: the left columns are the output.
+        columns = [lblock.column(p) for p in left_kept]
+    else:
+        fanout = list(map(len, hits))
+        columns = [
+            list(chain.from_iterable(map(repeat, lblock.column(p), fanout)))
+            for p in left_kept
+        ]
+    columns.extend(list(map(itemgetter(p), matches)) for p in right_kept)
+    return RowBlock.from_columns(columns, layout, length=len(matches))
 
 
 class HashJoin(Operator):
@@ -226,13 +255,16 @@ class HashJoin(Operator):
         right_column: str,
         block_size: int = DEFAULT_BLOCK_SIZE,
         alias: str | None = None,
+        keep: Sequence[str] | None = None,
     ):
         if isinstance(right, Snapshot):
             # Layout, label and scan charges of the scan this build replaces.
             right = SeqScan(right, alias, left.counter)
         self.left = left
         self.counter = left.counter
-        self.layout = merged_layout(left.layout, right.layout)
+        self.layout, self._left_kept, self._right_kept = kept_sides(
+            left.layout, right.layout, keep
+        )
         self._left_pos = resolve_column(left_column, left.layout)
         right_pos = resolve_column(right_column, right.layout)
         self._table: dict = {}
@@ -272,8 +304,9 @@ class HashJoin(Operator):
 
     def blocks(self, block_size: int) -> Iterator[RowBlock]:
         pos = self._left_pos
-        table = self._table
+        probe = self._table.get
         layout = self.layout
+        left_kept, right_kept = self._left_kept, self._right_kept
         prof = self._prof
         probes = rows_out = 0
         try:
@@ -282,7 +315,8 @@ class HashJoin(Operator):
                 self.counter.charge("hash_probes", len(lblock))
                 if prof is not None:
                     prof.add("hash_probes", len(lblock))
-                joined = probe_block(lblock, pos, table, layout)
+                hits = list(map(probe, lblock.column(pos), repeat(())))
+                joined = gather_join(lblock, hits, left_kept, right_kept, layout)
                 if joined is not None:
                     self.counter.charge("tuple_cpu", len(joined))
                     if prof is not None:

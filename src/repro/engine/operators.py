@@ -1,12 +1,20 @@
 """Physical operators: scans, filters, projections.
 
 Operators follow a simple pull model: each exposes ``layout`` (a mapping
-from qualified column name to position in the tuples it produces) and
-implements :meth:`Operator.blocks`, which streams its output as
-:class:`~repro.engine.block.RowBlock` batches.  An operator charges the
-shared :class:`~repro.engine.costmodel.OperationCounter` once per block;
-the totals -- the simulated cost, which is the experiment observable --
-depend only on the rows, never on the block size.
+from qualified column name to position in the tuples it produces, listed
+in position order) and implements :meth:`Operator.blocks`, which streams
+its output as :class:`~repro.engine.block.RowBlock` batches.  An operator
+charges the shared :class:`~repro.engine.costmodel.OperationCounter` once
+per block; the totals -- the simulated cost, which is the experiment
+observable -- depend only on the rows, never on the block size nor on how
+many columns a block carries.
+
+Column pruning: every operator that assembles a new block (scan, filter,
+joins) takes ``keep``, the qualified columns the rest of the plan still
+reads, and emits only those; ``None`` keeps everything.  The planner
+(:meth:`Database._execute_plan <repro.engine.database.Database>`) works
+the lists out from the query; nothing is charged for a column dropped or
+kept.
 
 Joins and aggregation live in their own modules
 (:mod:`repro.engine.join`, :mod:`repro.engine.aggregate`).
@@ -14,12 +22,14 @@ Joins and aggregation live in their own modules
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterator, Mapping, Sequence
 
 from repro import obs
 from repro.engine.block import (
     DEFAULT_BLOCK_SIZE,
     RowBlock,
+    block_bounds,
     blocks_to_rows,
     iter_blocks,
 )
@@ -60,14 +70,26 @@ class SeqScan(Operator):
     expensive in the paper's Figure 1.
     """
 
-    def __init__(self, snapshot: Snapshot, alias: str, counter: OperationCounter):
+    def __init__(
+        self,
+        snapshot: Snapshot,
+        alias: str,
+        counter: OperationCounter,
+        keep: Sequence[str] | None = None,
+    ):
         self.snapshot = snapshot
         self.alias = alias
         self.counter = counter
-        self.layout = {
-            f"{alias}.{name}": pos
-            for pos, name in enumerate(snapshot.schema.names)
-        }
+        qualified = {f"{alias}.{name}": name for name in snapshot.schema.names}
+        if keep is None:
+            keep = qualified
+        self.layout = {name: pos for pos, name in enumerate(keep)}
+        try:
+            self._columns = [qualified[name] for name in keep]
+        except KeyError as exc:
+            raise SchemaError(
+                f"scan of {snapshot.name} AS {alias} has no column {exc}"
+            ) from None
 
     def _charge_scan_setup(self) -> int:
         rows = self.snapshot.count()
@@ -92,14 +114,21 @@ class SeqScan(Operator):
         return rows
 
     def blocks(self, block_size: int) -> Iterator[RowBlock]:
-        self._charge_scan_setup()
+        rows = self._charge_scan_setup()
         charge = self.counter.charge
         prof = self._prof
-        for block in iter_blocks(self.snapshot.row_list(), self.layout, block_size):
-            charge("tuple_cpu", len(block))
+        layout = self.layout
+        # Slices of the columns the snapshot retains: no row is touched.
+        columns = [self.snapshot.column(name) for name in self._columns]
+        for start, stop in block_bounds(rows, block_size):
+            charge("tuple_cpu", stop - start)
             if prof is not None:
-                prof.add("tuple_cpu", len(block))
-            yield block
+                prof.add("tuple_cpu", stop - start)
+            yield RowBlock.from_columns(
+                [column[start:stop] for column in columns],
+                layout,
+                length=stop - start,
+            )
 
 
 class PrescannedRows(list):
@@ -142,12 +171,14 @@ class RowSource(Operator):
         if len(self.layout) != len(names):
             raise SchemaError(f"duplicate column names in {names}")
         width = len(names)
-        for i, row in enumerate(self._rows):
-            if len(row) != width:
-                raise SchemaError(
-                    f"substituted row {i} for {alias!r} has {len(row)} "
-                    f"values, expected {width}"
-                )
+        if set(map(len, self._rows)) - {width}:
+            i, row = next(
+                (i, row) for i, row in enumerate(self._rows) if len(row) != width
+            )
+            raise SchemaError(
+                f"substituted row {i} for {alias!r} has {len(row)} "
+                f"values, expected {width}"
+            )
 
     def blocks(self, block_size: int) -> Iterator[RowBlock]:
         if self.precharged:
@@ -170,28 +201,52 @@ class RowSource(Operator):
 class Filter(Operator):
     """Select rows satisfying a compiled predicate."""
 
-    def __init__(self, child: Operator, predicate: Expression):
+    def __init__(
+        self,
+        child: Operator,
+        predicate: Expression,
+        keep: Sequence[str] | None = None,
+    ):
         self.child = child
         self.counter = child.counter
-        self.layout = child.layout
         self.predicate = predicate
         self._block_fn = predicate.compile_block(child.layout)
+        if keep is None or tuple(keep) == tuple(child.layout):
+            self.layout = child.layout  # nothing dropped
+        else:
+            self.layout = {name: pos for pos, name in enumerate(keep)}
+        self._positions = [
+            resolve_column(name, child.layout) for name in self.layout
+        ]
 
     def blocks(self, block_size: int) -> Iterator[RowBlock]:
         block_fn = self._block_fn
         charge = self.counter.charge
         prof = self._prof
+        layout = self.layout
+        positions = self._positions
+        nothing_dropped = layout is self.child.layout
         for block in self.child.blocks(block_size):
             charge("compares", len(block))
             if prof is not None:
                 prof.add("compares", len(block))
             flags = block_fn(block)
             if all(flags):
-                yield block  # nothing filtered: pass through zero-copy
+                if nothing_dropped:
+                    yield block  # handed through as it came
+                    continue
+                # Nothing filtered: the kept column lists go through
+                # without copying a value.
+                columns = [block.column(p) for p in positions]
+            elif any(flags):
+                columns = [list(compress(block.column(p), flags)) for p in positions]
+            else:
                 continue
-            keep = [i for i, flag in enumerate(flags) if flag]
-            if keep:
-                yield block.take(keep)
+            yield RowBlock.from_columns(
+                columns,
+                layout,
+                length=len(columns[0]) if columns else sum(map(bool, flags)),
+            )
 
 
 class Project(Operator):

@@ -92,6 +92,12 @@ class QuerySpec:
     order_by: tuple[OrderSpec, ...] = ()
     limit: int | None = None
     distinct: bool = False
+    #: The columns the consumer of an un-projected, un-aggregated result
+    #: goes on to read.  The result holds at least these (see its
+    #: ``columns``); the engine is free to leave any other out, with no
+    #: ``Project`` operator and no charge.  Incremental maintenance derives
+    #: it from the view definition for its delta queries.
+    reads: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         aliases = [self.base_alias] + [j.alias for j in self.joins]
@@ -101,6 +107,15 @@ class QuerySpec:
             raise SchemaError("use aggregate.group_by instead of projection")
         if self.limit is not None and self.limit < 0:
             raise SchemaError(f"LIMIT must be non-negative, got {self.limit}")
+        if self.reads is not None and (
+            self.projection is not None
+            or self.aggregate is not None
+            or self.distinct
+        ):
+            raise SchemaError(
+                "reads describes a plain join result; it cannot be combined "
+                "with projection, aggregate or distinct"
+            )
 
     @property
     def aliases(self) -> tuple[str, ...]:
@@ -179,6 +194,7 @@ class QuerySpec:
             order_by=self.order_by,
             limit=self.limit,
             distinct=self.distinct,
+            reads=self.reads,
         )
 
 

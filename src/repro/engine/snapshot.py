@@ -18,7 +18,8 @@ touches.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Hashable, Iterator, Sequence
+from operator import itemgetter
+from typing import TYPE_CHECKING, Hashable, Iterator, Sequence
 
 from repro import obs
 
@@ -79,6 +80,8 @@ class Snapshot:
         self.lsn = lsn
         self._count: int | None = None
         self._visible: list[tuple] | None = None
+        #: column -> its values over ``_visible``, in row order (scans).
+        self._columns: dict[str, list] = {}
         #: column -> key -> visible rows with that key (index probes).
         self._lookup_cache: dict[str, dict[Hashable, list[tuple]]] = {}
         #: column -> key -> visible rows in version order (hash-join builds).
@@ -157,6 +160,22 @@ class Snapshot:
             self._count = len(self._visible)
         return self._visible
 
+    def column(self, column: str) -> list:
+        """One column of :meth:`row_list`, in row order.
+
+        Extracted the first time a plan reads the column and kept with the
+        snapshot like the row list itself, so a scan hands out slices of
+        it and a column no plan reads costs nothing.  Callers must not
+        mutate the returned list.
+        """
+        values = self._columns.get(column)
+        if values is None:
+            pos = self.schema.position(column)
+            values = self._columns[column] = list(
+                map(itemgetter(pos), self.row_list())
+            )
+        return values
+
     def count(self) -> int:
         """Number of visible rows (rolled forward, or counted once)."""
         if self._count is None:
@@ -226,12 +245,6 @@ class Snapshot:
     def column_position(self, column: str) -> int:
         """Position of ``column`` in stored rows."""
         return self.schema.position(column)
-
-    def column_values(self, column: str) -> Iterator[Any]:
-        """Iterate one column of the visible rows."""
-        pos = self.schema.position(column)
-        for row in self.rows():
-            yield row[pos]
 
     def __repr__(self) -> str:
         return f"Snapshot({self.name!r}, lsn={self.lsn})"

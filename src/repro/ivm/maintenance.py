@@ -5,8 +5,9 @@ base table into the view:
 
 1. split the events into deleted and inserted base rows;
 2. evaluate the view's join with the batch substituted for its base table
-   (the *rebased* query: the delta drives the join so inner-table indexes
-   can be used), reading every **other** base table at the LSN the view has
+   (the view's ``delta_specs``: the delta drives the join so inner-table
+   indexes can be used, and only the columns the fold reads are carried),
+   reading every **other** base table at the LSN the view has
    already incorporated -- not its current state.  This snapshot discipline
    is what avoids the state bug [Colby et al. 1996] that the paper's
    footnote 1 references;
@@ -25,24 +26,7 @@ from __future__ import annotations
 
 from repro import obs
 from repro.engine.errors import ExecutionError
-from repro.engine.query import QuerySpec
 from repro.ivm.view import MaterializedView
-
-
-def _flat_rebased_spec(view: MaterializedView, alias: str) -> QuerySpec:
-    """The view's join rebased onto ``alias``, with aggregation stripped.
-
-    Maintenance needs the raw join rows (to fold into multisets or
-    aggregate states); the aggregate itself is applied by the view's
-    content layer.
-    """
-    rebased = view.rebased_specs[alias]
-    return QuerySpec(
-        base_alias=rebased.base_alias,
-        base_table=rebased.base_table,
-        joins=rebased.joins,
-        filters=rebased.filters,
-    )
 
 
 def apply_batch(view: MaterializedView, alias: str, k: int, batch=None) -> None:
@@ -109,7 +93,7 @@ def _propagate(view, alias: str, deleted, inserted) -> None:
         for other, d in view.deltas.items()
         if other != alias
     }
-    spec = _flat_rebased_spec(view, alias)
+    spec = view.delta_specs[alias]
 
     derived_inserts = None
     if inserted:
@@ -123,11 +107,9 @@ def _propagate(view, alias: str, deleted, inserted) -> None:
         )
 
     if derived_inserts is not None:
-        layout = {n: i for i, n in enumerate(derived_inserts.columns)}
-        view.apply_insert_rows(derived_inserts.rows, layout)
+        view.apply_delta(alias, derived_inserts, +1)
     if derived_deletes is not None:
-        layout = {n: i for i, n in enumerate(derived_deletes.columns)}
-        view.apply_delete_rows(derived_deletes.rows, layout)
+        view.apply_delta(alias, derived_deletes, -1)
 
 
 def full_refresh(view: MaterializedView) -> None:

@@ -19,13 +19,15 @@ maintainer.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import repeat
+from operator import itemgetter
 from typing import Any
 
 from repro.engine.aggregate import AggregateState, make_aggregate_state
 from repro.engine.database import Database
 from repro.engine.errors import ExecutionError, SchemaError
 from repro.engine.expr import resolve_column
-from repro.engine.query import QuerySpec
+from repro.engine.query import QueryResult, QuerySpec
 from repro.ivm.delta import DeltaTable
 
 
@@ -41,12 +43,25 @@ class MaterializedView:
             alias: DeltaTable(database.table(spec.table_of(alias)))
             for alias in spec.aliases
         }
-        # Rebased query specs (delta alias as the driving table), built
-        # once -- maintenance uses these so a small delta batch drives the
-        # join and can exploit inner-table indexes.
-        self.rebased_specs: dict[str, QuerySpec] = {
-            alias: spec.rebased(alias) for alias in spec.aliases
-        }
+        # One delta query per alias, built once: the view's join rebased so
+        # the delta alias drives it (a small batch can then exploit
+        # inner-table indexes), with aggregation and projection stripped
+        # -- maintenance folds the raw join rows into the contents itself
+        # -- and carrying the columns that fold reads, so the engine
+        # moves no others.
+        reads = self._fold_reads()
+        self.delta_specs: dict[str, QuerySpec] = {}
+        for alias in spec.aliases:
+            rebased = spec.rebased(alias)
+            self.delta_specs[alias] = QuerySpec(
+                base_alias=rebased.base_alias,
+                base_table=rebased.base_table,
+                joins=rebased.joins,
+                filters=rebased.filters,
+                reads=reads,
+            )
+        #: alias -> (delta result columns, the fold resolved against them).
+        self._folds: dict[str, tuple[tuple[str, ...], Any]] = {}
         self.is_aggregate = spec.aggregate is not None
         self._rows: Counter | None = None
         self._groups: dict[tuple, AggregateState] | None = None
@@ -67,14 +82,24 @@ class MaterializedView:
     # Contents
     # ------------------------------------------------------------------
 
+    def _fold_reads(self) -> tuple[str, ...] | None:
+        """The join-result columns the contents are folded from (None:
+        all of them)."""
+        agg = self.spec.aggregate
+        if agg is not None:
+            return (*agg.value.references(), *agg.group_by)
+        return self.spec.projection
+
     def _initialize(self) -> None:
         """Materialize from the current base-table state."""
         if self.is_aggregate:
             # Stream the un-aggregated join so the states carry exact
             # multiset information (a finished aggregate value alone could
             # not support incremental deletes).
-            self._groups = self._fold_from_scratch()
+            self._groups = {}
             self._columns: tuple[str, ...] = ()
+            base = self.spec.base_alias
+            self.apply_delta(base, self.database.execute(self.delta_specs[base]), +1)
         else:
             result = self.database.execute(self.spec)
             self._rows = Counter(result.rows)
@@ -83,38 +108,6 @@ class MaterializedView:
             # derived row is reordered/projected to this layout before it
             # touches the multiset.
             self._columns = result.columns
-
-    def _fold_from_scratch(self) -> dict[tuple, AggregateState]:
-        """Build aggregate states by streaming the un-aggregated join."""
-        agg = self.spec.aggregate
-        assert agg is not None
-        flat_spec = QuerySpec(
-            base_alias=self.spec.base_alias,
-            base_table=self.spec.base_table,
-            joins=self.spec.joins,
-            filters=self.spec.filters,
-        )
-        result = self.database.execute(flat_spec)
-        layout = {name: i for i, name in enumerate(result.columns)}
-        value_fn = agg.value.compile(layout)
-        group_positions = [resolve_column(g, layout) for g in agg.group_by]
-        # Bucket rows by group key (preserving row order), then fold each
-        # bucket with one bulk insert_many: identical states and identical
-        # total agg_updates as per-row insertion, fewer charge calls.
-        buckets: dict[tuple, list] = {}
-        for row in result.rows:
-            key = tuple(row[p] for p in group_positions)
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = [value_fn(row)]
-            else:
-                bucket.append(value_fn(row))
-        groups: dict[tuple, AggregateState] = {}
-        for key, values in buckets.items():
-            state = make_aggregate_state(agg.func, self.database.counter)
-            state.insert_many(values)
-            groups[key] = state
-        return groups
 
     def contents(self) -> dict:
         """The current materialized contents.
@@ -142,18 +135,50 @@ class MaterializedView:
 
     def apply_insert_rows(self, rows: list[tuple], layout: dict[str, int]) -> None:
         """Fold freshly derived join-result rows into the contents."""
-        self._apply(rows, layout, sign=+1)
+        self._apply(rows, self._resolve_fold(layout), sign=+1)
 
     def apply_delete_rows(self, rows: list[tuple], layout: dict[str, int]) -> None:
         """Remove derived join-result rows from the contents."""
-        self._apply(rows, layout, sign=-1)
+        self._apply(rows, self._resolve_fold(layout), sign=-1)
 
-    def _apply(self, rows: list[tuple], layout: dict[str, int], sign: int) -> None:
+    def apply_delta(self, alias: str, result: QueryResult, sign: int) -> None:
+        """Fold (``sign`` > 0) or remove the rows of one result of
+        ``delta_specs[alias]``.
+
+        What a delta query emits is fixed by the spec and the substituted
+        alias, so the fold is resolved against it once per alias and
+        reused for as long as the result's columns stay the same.
+        """
+        cached = self._folds.get(alias)
+        if cached is None or cached[0] != result.columns:
+            layout = {name: i for i, name in enumerate(result.columns)}
+            cached = self._folds[alias] = (
+                result.columns, self._resolve_fold(layout)
+            )
+        self._apply(result.rows, cached[1], sign)
+
+    def _resolve_fold(self, layout: dict[str, int]):
+        """Where the fold finds its inputs in rows laid out as ``layout``:
+        ``(value function, group-key positions)`` for an aggregate view,
+        the positions of the canonical columns for an SPJ view."""
+        agg = self.spec.aggregate
+        if agg is not None:
+            return (
+                agg.value.compile(layout),
+                [resolve_column(g, layout) for g in agg.group_by],
+            )
+        return [resolve_column(c, layout) for c in self._columns]
+
+    def _apply(self, rows: list[tuple], fold, sign: int) -> None:
         if self.is_aggregate:
             agg = self.spec.aggregate
             assert agg is not None and self._groups is not None
-            value_fn = agg.value.compile(layout)
-            group_positions = [resolve_column(g, layout) for g in agg.group_by]
+            value_fn, group_positions = fold
+            if group_positions:
+                keys = zip(*[map(itemgetter(p), rows) for p in group_positions])
+            else:
+                keys = repeat(())
+            keyed = zip(keys, map(value_fn, rows))
             if sign > 0:
                 # Inserts fold in bulk: bucket by group key (row order
                 # preserved within each group) and insert_many per bucket
@@ -161,13 +186,12 @@ class MaterializedView:
                 # insertion.  Deletes stay per-row below: each one may
                 # empty a group or trigger an extremum recomputation.
                 buckets: dict[tuple, list] = {}
-                for row in rows:
-                    key = tuple(row[p] for p in group_positions)
+                for key, value in keyed:
                     bucket = buckets.get(key)
                     if bucket is None:
-                        buckets[key] = [value_fn(row)]
+                        buckets[key] = [value]
                     else:
-                        bucket.append(value_fn(row))
+                        bucket.append(value)
                 for key, values in buckets.items():
                     state = self._groups.get(key)
                     if state is None:
@@ -177,23 +201,21 @@ class MaterializedView:
                         self._groups[key] = state
                     state.insert_many(values)
                 return
-            for row in rows:
-                key = tuple(row[p] for p in group_positions)
+            for key, value in keyed:
                 state = self._groups.get(key)
                 if state is None:
                     raise ExecutionError(
                         f"view {self.name!r}: delete from absent group "
                         f"{key!r}"
                     )
-                state.delete(value_fn(row))
+                state.delete(value)
                 if state.is_empty():
                     del self._groups[key]
         else:
             assert self._rows is not None
             # Reorder/project each derived row into the view's canonical
             # column layout (incremental rows arrive in rebased join order).
-            positions = [resolve_column(c, layout) for c in self._columns]
-            canonical = [tuple(row[p] for p in positions) for row in rows]
+            canonical = [tuple(row[p] for p in fold) for row in rows]
             if sign > 0:
                 self._rows.update(canonical)
             else:

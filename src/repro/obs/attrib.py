@@ -300,30 +300,41 @@ def _timed_blocks(op: Any, node: ProfileNode):
     return blocks
 
 
-def _label_for(op: Any) -> tuple[str, str]:
-    """(kind, label) for one engine operator instance."""
+def cols_label(columns: Any) -> str:
+    """How EXPLAIN (plain and ANALYZE) shows the columns an operator
+    emits, appended to its label."""
+    return f" cols=[{', '.join(columns)}]"
+
+
+def _label_for(op: Any, cols: bool = False) -> tuple[str, str]:
+    """(kind, label) for one engine operator instance.
+
+    With ``cols`` the label of a scan, filter or join also lists the
+    columns its output blocks carry, which is where pruning shows.
+    """
     from repro.engine import aggregate as agg_mod
     from repro.engine import join as join_mod
     from repro.engine import operators as op_mod
 
+    emits = cols_label(op.layout) if cols else ""
     if isinstance(op, op_mod.SeqScan):
-        return "scan", f"SeqScan({op.snapshot.name} AS {op.alias})"
+        return "scan", f"SeqScan({op.snapshot.name} AS {op.alias}){emits}"
     if isinstance(op, op_mod.RowSource):
         return "scan", f"RowSource({op.alias}, {len(op)} rows)"
     if isinstance(op, op_mod.Filter):
-        return "filter", f"Filter({op.predicate!r})"
+        return "filter", f"Filter({op.predicate!r}){emits}"
     if isinstance(op, op_mod.Project):
         return "project", f"Project({', '.join(op.columns)})"
     if isinstance(op, join_mod.HashJoin):
-        return "join-probe", "HashJoin(probe)"
+        return "join-probe", f"HashJoin(probe){emits}"
     if isinstance(op, join_mod.IndexNestedLoopJoin):
         return (
             "join-probe",
             f"IndexNestedLoopJoin({op.snapshot.name} AS {op.alias} "
-            f"via {op._right_column})",
+            f"via {op._right_column}){emits}",
         )
     if isinstance(op, join_mod.NestedLoopJoin):
-        return "join-probe", "NestedLoopJoin(probe)"
+        return "join-probe", f"NestedLoopJoin(probe){emits}"
     if isinstance(op, agg_mod.Aggregate):
         spec = f"{op.func.upper()}({op.value!r})"
         if op.group_by:
@@ -346,7 +357,7 @@ def attach_to_plan(plan: Any, profile: QueryProfile) -> None:
     parent = profile.root
     op = plan
     while op is not None:
-        kind, label = _label_for(op)
+        kind, label = _label_for(op, cols=True)
         node = parent.child(kind, label)
         op._prof = node
         op.blocks = _timed_blocks(op, node)

@@ -1,4 +1,4 @@
-"""Unit tests for :class:`RowBlock`: views, gather, and chunking."""
+"""Unit tests for :class:`RowBlock`: views and chunking."""
 
 import pytest
 
@@ -29,32 +29,10 @@ class TestViews:
         assert block._col_cache == {0: [1, 2, 3, 4]}
         assert block.column(0) is block.column(0)
 
-
-class TestTake:
-    def test_row_major_gather(self):
-        block = RowBlock.from_rows(list(ROWS), LAYOUT)
-        taken = block.take([0, 2])
-        assert taken.rows() == [(1, "x"), (3, "z")]
-        assert taken.layout == LAYOUT
-
-    def test_column_major_gather_stays_columnar(self):
-        """Regression: take() on a column-major block must gather
-        column-by-column, not force the full row transpose."""
-        block = RowBlock.from_columns([list(c) for c in COLUMNS], LAYOUT)
-        taken = block.take([1, 3])
-        # The source block was never transposed to rows...
-        assert block._rows is None
-        # ...and the result is itself column-major (no row view yet).
-        assert taken._rows is None
-        assert taken._columns == [[2, 4], ["y", "w"]]
-        assert len(taken) == 2
-        assert taken.rows() == [(2, "y"), (4, "w")]
-
-    def test_empty_gather(self):
-        block = RowBlock.from_columns([list(c) for c in COLUMNS], LAYOUT)
-        taken = block.take([])
-        assert len(taken) == 0
-        assert taken.rows() == []
+    def test_block_that_kept_no_column_still_has_its_rows(self):
+        block = RowBlock.from_columns([], {}, length=3)
+        assert len(block) == 3
+        assert block.rows() == [(), (), ()]
 
 
 class TestIterBlocks:

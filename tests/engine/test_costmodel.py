@@ -1,5 +1,7 @@
 """Unit tests for the operation-count cost model."""
 
+import random
+
 import pytest
 
 from repro.engine.costmodel import (
@@ -58,6 +60,38 @@ class TestOperationCounter:
         for field in OperationCounter._FIELDS:
             weight_name = OperationCounter._WEIGHT_BY_FIELD[field]
             assert hasattr(model, weight_name)
+
+
+    def test_elapsed_is_bit_equal_to_the_field_by_field_loop(self):
+        """The weights are bound once per model; the sum must still be the
+        left-to-right accumulation in ``_FIELDS`` order, to the last bit."""
+        rng = random.Random(20260930)
+        weights = list(OperationCounter._WEIGHT_BY_FIELD.values())
+        for _ in range(200):
+            model = CostModel(**{w: rng.uniform(1e-4, 3.0) for w in weights})
+            counter = OperationCounter(model=model)
+            for field in OperationCounter._FIELDS:
+                counter.charge(field, rng.randrange(0, 10**rng.randrange(1, 9)))
+            expected = 0.0
+            for field in OperationCounter._FIELDS:
+                weight = getattr(model, OperationCounter._WEIGHT_BY_FIELD[field])
+                expected += weight * getattr(counter, field)
+            assert counter.elapsed_ms() == expected
+            assert counter.snapshot() == {
+                f: getattr(counter, f) for f in OperationCounter._FIELDS
+            }
+
+    def test_weights_follow_a_replaced_model(self):
+        counter = OperationCounter(model=CostModel(compare=1.0))
+        counter.charge("compares", 4)
+        assert counter.elapsed_ms() == 4.0
+        counter.model = CostModel(compare=2.5)
+        assert counter.elapsed_ms() == 10.0
+
+    def test_only_tally_fields_can_be_charged(self):
+        for name in ("model", "_bound", "page_read", ""):
+            with pytest.raises(ValueError, match="unknown operation"):
+                OperationCounter().charge(name)
 
 
 class TestCostWindow:

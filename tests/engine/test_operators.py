@@ -54,8 +54,30 @@ class TestRowSource:
         with pytest.raises(SchemaError):
             RowSource([], ("k", "k"), "D", OperationCounter())
 
+    def test_wrong_width_row_is_named(self):
+        rows = [(1, "a"), (2, "b"), (3,), (4, "d"), ()]
+        with pytest.raises(
+            SchemaError,
+            match="substituted row 2 for 'D' has 1 values, expected 2",
+        ):
+            RowSource(rows, ("k", "v"), "D", OperationCounter())
+
 
 class TestFilterAndProject:
+    def test_filter_emits_only_kept_columns(self, toy_db, emp):
+        scan = SeqScan(emp.snapshot(), "E", toy_db.counter)
+        full = Filter(scan, col("E.salary") > lit(100.0)).rows()
+        scan = SeqScan(emp.snapshot(), "E", toy_db.counter)
+        pruned = Filter(scan, col("E.salary") > lit(100.0), keep=["E.name"])
+        assert pruned.layout == {"E.name": 0}
+        name = scan.layout["E.name"]
+        assert pruned.rows() == [(row[name],) for row in full]
+        # Dropping every column still leaves the surviving rows counted.
+        scan = SeqScan(emp.snapshot(), "E", toy_db.counter)
+        assert Filter(scan, col("E.salary") > lit(100.0), keep=[]).rows() == (
+            [()] * len(full)
+        )
+
     def test_filter(self, toy_db, emp):
         scan = SeqScan(emp.snapshot(), "E", toy_db.counter)
         high = Filter(scan, col("E.salary") >= lit(200.0))
@@ -179,18 +201,24 @@ class TestHashJoin:
 
 
 class TestProbeBlockColumnarFastPath:
-    """probe_block(): column-major inputs gather without a transpose."""
+    """gather_join(): the one probe kernel of both equi-joins assembles
+    its output column by column and never transposes its input."""
 
     LAYOUT = {"L.k": 0, "L.v": 1}
     OUT = {"L.k": 0, "L.v": 1, "R.k": 2, "R.w": 3}
     TABLE = {1: [(1, "a")], 2: [(2, "b"), (2, "c")]}
 
+    def probe(self, block, left_kept=(0, 1), right_kept=(0, 1), out=None):
+        from repro.engine.join import gather_join
+
+        hits = [self.TABLE.get(key, ()) for key in block.column(0)]
+        return gather_join(block, hits, left_kept, right_kept, out or self.OUT)
+
     def test_columnar_input_is_never_transposed(self):
         from repro.engine.block import RowBlock
-        from repro.engine.join import probe_block
 
         block = RowBlock.from_columns([[1, 2, 3], [10, 20, 30]], self.LAYOUT)
-        joined = probe_block(block, 0, self.TABLE, self.OUT)
+        joined = self.probe(block)
         # The source block's row view was never materialized...
         assert block._rows is None
         # ...and the output stays column-major (no row view either).
@@ -202,19 +230,33 @@ class TestProbeBlockColumnarFastPath:
         ]
 
     def test_row_major_input_uses_row_path(self):
+        """A row-major block stays row-major: the kernel reads it through
+        ``column()``, which extracts only the columns asked for."""
         from repro.engine.block import RowBlock
-        from repro.engine.join import probe_block
 
         block = RowBlock.from_rows([(2, 20), (9, 90)], self.LAYOUT)
-        joined = probe_block(block, 0, self.TABLE, self.OUT)
-        assert joined.rows() == [(2, 20, 2, "b"), (2, 20, 2, "c")]
+        joined = self.probe(
+            block, left_kept=(1,), right_kept=(1,), out={"L.v": 0, "R.w": 1}
+        )
+        assert joined.rows() == [(20, "b"), (20, "c")]
+        # The key column was read for the probe, L.v for the output.
+        assert block._columns is None and set(block._col_cache) == {0, 1}
+        assert self.probe(block).rows() == [(2, 20, 2, "b"), (2, 20, 2, "c")]
+
+    def test_every_probe_matching_once_reuses_the_left_columns(self):
+        from repro.engine.block import RowBlock
+
+        columns = [[1, 1], [10, 11]]
+        block = RowBlock.from_columns(columns, self.LAYOUT)
+        joined = self.probe(block)
+        assert joined.column(1) is columns[1]
+        assert joined.rows() == [(1, 10, 1, "a"), (1, 11, 1, "a")]
 
     def test_no_matches_returns_none(self):
         from repro.engine.block import RowBlock
-        from repro.engine.join import probe_block
 
         block = RowBlock.from_columns([[7, 8], [70, 80]], self.LAYOUT)
-        assert probe_block(block, 0, self.TABLE, self.OUT) is None
+        assert self.probe(block) is None
         assert block._rows is None
 
     def test_hash_join_blocks_keeps_projected_input_columnar(

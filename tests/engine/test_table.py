@@ -122,7 +122,7 @@ class TestSnapshots:
     def test_column_values(self, table):
         table.insert((1, "a"))
         table.insert((2, "b"))
-        assert sorted(table.snapshot().column_values("k")) == [1, 2]
+        assert sorted(table.snapshot().column("k")) == [1, 2]
 
 
 class TestRetainedSnapshots:

@@ -694,8 +694,6 @@ def test_rowblock_views_and_iter_blocks():
     assert len(block) == 3
     assert block.column(1) == ["x", "y", "z"]
     assert block.rows() is block.rows()  # cached
-    taken = block.take([2, 0])
-    assert taken.rows() == [(3, "z"), (1, "x")]
     columnar = RowBlock.from_columns([[1, 2], ["x", "y"]], layout)
     assert columnar.rows() == [(1, "x"), (2, "y")]
     assert [len(b) for b in iter_blocks(rows, layout, 2)] == [2, 1]

@@ -146,9 +146,9 @@ class TestLoadTpcr:
     def test_foreign_keys_join_cleanly(self):
         db = Database()
         load_tpcr(db, scale=0.002)
-        suppliers = set(db.table("supplier").snapshot().column_values("suppkey"))
+        suppliers = set(db.table("supplier").snapshot().column("suppkey"))
         for partkey, suppkey, *__ in db.table("partsupp").live_rows():
             assert suppkey in suppliers
-        nations = set(db.table("nation").snapshot().column_values("nationkey"))
+        nations = set(db.table("nation").snapshot().column("nationkey"))
         for row in db.table("supplier").live_rows():
             assert row[3] in nations
