@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import operator
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Mapping
 
 from repro.engine.errors import SchemaError
 
@@ -41,6 +41,27 @@ _ARITHMETIC: dict[str, Callable[[Any, Any], Any]] = {
     "*": operator.mul,
     "/": operator.truediv,
 }
+
+
+class _Identity:
+    """A key equal only to the key of the very same object.
+
+    Holds the object, so its ``id`` cannot be reused while the key lives.
+    """
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj: object):
+        self.obj = obj
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Identity) and other.obj is self.obj
+
+    def __hash__(self) -> int:
+        return id(self.obj)
+
+    def __repr__(self) -> str:
+        return f"<identity of {self.obj!r}>"
 
 
 class Expression(ABC):
@@ -70,6 +91,18 @@ class Expression(ABC):
     @abstractmethod
     def references(self) -> frozenset[str]:
         """Column names (as written, possibly unqualified) this expression reads."""
+
+    def key(self) -> Hashable:
+        """A structural key: two expressions with equal keys compute the
+        same value on every row (``==`` cannot say so, it builds a
+        :class:`Comparison`).
+
+        The node types of this module key by node type, operator and
+        operand keys (a subclass of one that adds state must add it to
+        the key).  This default is the key of the object itself, so a
+        subclass that does not define its own is equal to nothing else.
+        """
+        return _Identity(self)
 
     # Operator sugar ---------------------------------------------------
 
@@ -133,6 +166,9 @@ class ColumnRef(Expression):
     def references(self) -> frozenset[str]:
         return frozenset([self.name])
 
+    def key(self) -> Hashable:
+        return (type(self), self.name)
+
     def __repr__(self) -> str:
         return f"col({self.name!r})"
 
@@ -153,6 +189,16 @@ class Const(Expression):
 
     def references(self) -> frozenset[str]:
         return frozenset()
+
+    def key(self) -> Hashable:
+        # The value's type is part of the key: 1 == 1.0 == True, and they
+        # do not compute the same.  An unhashable value cannot be compared
+        # through a dict, so such a constant equals only itself.
+        try:
+            hash(self.value)
+        except TypeError:
+            return _Identity(self)
+        return (type(self), type(self.value), self.value)
 
     def __repr__(self) -> str:
         return f"lit({self.value!r})"
@@ -182,6 +228,9 @@ class Comparison(Expression):
 
     def references(self) -> frozenset[str]:
         return self.left.references() | self.right.references()
+
+    def key(self) -> Hashable:
+        return (type(self), self.op, self.left.key(), self.right.key())
 
     def equijoin_columns(self) -> tuple[str, str] | None:
         """``(left_col, right_col)`` when this is ``col = col``, else None.
@@ -226,6 +275,9 @@ class BinOp(Expression):
     def references(self) -> frozenset[str]:
         return self.left.references() | self.right.references()
 
+    def key(self) -> Hashable:
+        return (type(self), self.op, self.left.key(), self.right.key())
+
     def __repr__(self) -> str:
         return f"({self.left!r} {self.op} {self.right!r})"
 
@@ -260,6 +312,9 @@ class BoolOp(Expression):
             out |= e.references()
         return out
 
+    def key(self) -> Hashable:
+        return (type(self), self.op, tuple(e.key() for e in self.operands))
+
     def __repr__(self) -> str:
         sep = f" {self.op} "
         return "(" + sep.join(repr(e) for e in self.operands) + ")"
@@ -281,6 +336,9 @@ class Not(Expression):
 
     def references(self) -> frozenset[str]:
         return self.operand.references()
+
+    def key(self) -> Hashable:
+        return (type(self), self.operand.key())
 
     def __repr__(self) -> str:
         return f"not_({self.operand!r})"

@@ -30,7 +30,7 @@ from available indexes -- the asymmetry knob of the whole reproduction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Hashable, Sequence
 
 from repro.engine.errors import SchemaError
 from repro.engine.expr import Expression
@@ -98,11 +98,15 @@ class QuerySpec:
     #: ``Project`` operator and no charge.  Incremental maintenance derives
     #: it from the view definition for its delta queries.
     reads: tuple[str, ...] | None = None
+    #: All table aliases, base first, in join order (derived; every
+    #: maintenance round of every view reads it).
+    aliases: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         aliases = [self.base_alias] + [j.alias for j in self.joins]
         if len(set(aliases)) != len(aliases):
             raise SchemaError(f"duplicate aliases in query: {aliases}")
+        object.__setattr__(self, "aliases", tuple(aliases))
         if self.projection is not None and self.aggregate is not None:
             raise SchemaError("use aggregate.group_by instead of projection")
         if self.limit is not None and self.limit < 0:
@@ -117,10 +121,31 @@ class QuerySpec:
                 "with projection, aggregate or distinct"
             )
 
-    @property
-    def aliases(self) -> tuple[str, ...]:
-        """All table aliases, base first, in join order."""
-        return (self.base_alias,) + tuple(j.alias for j in self.joins)
+    def key(self) -> Hashable:
+        """A structural key: specs with equal keys are the same query.
+
+        ``==`` cannot say so: it compares ``filters`` with the
+        expressions' overloaded ``==``, which builds a (truthy)
+        comparison node.  Built from :meth:`Expression.key`, so a spec
+        holding an expression that keys by identity equals only itself.
+        """
+        def seq(values):  # the fields are tuples by annotation only
+            return None if values is None else tuple(values)
+
+        agg = self.aggregate
+        return (
+            self.base_alias,
+            self.base_table,
+            seq(self.joins),
+            tuple(f.key() for f in self.filters),
+            seq(self.projection),
+            None if agg is None
+            else (agg.func, agg.value.key(), seq(agg.group_by)),
+            seq(self.order_by),
+            self.limit,
+            self.distinct,
+            seq(self.reads),
+        )
 
     def table_of(self, alias: str) -> str:
         """Table name bound to ``alias``."""

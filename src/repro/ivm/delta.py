@@ -27,7 +27,8 @@ not eight copies of its history (``tests/integration/
 test_block_equivalence.py`` asserts the sharing).  This works because the
 log is LSN-dense (one event per LSN), so the window boundaries alone
 determine the batch: ``size == seen_lsn - applied_lsn`` is arithmetic, and
-``peek``/``take`` are O(k) slices.
+``peek``/``take`` are O(k) slices, and ``advance`` (a take that nobody
+reads) is O(1).
 """
 
 from __future__ import annotations
@@ -89,11 +90,11 @@ class DeltaTable:
         upto = min(self.applied_lsn + k, self.seen_lsn)
         return self.log.window(self.applied_lsn, upto)
 
-    def take(self, k: int) -> list[ModEvent]:
-        """Pop the ``k`` oldest events and advance ``applied_lsn``.
+    def advance(self, k: int) -> None:
+        """Mark the ``k`` oldest events incorporated without reading them.
 
-        FIFO and contiguous: after taking, the view-incorporated snapshot
-        of this base table is exactly the state after the last taken event.
+        FIFO and contiguous: afterwards the view-incorporated snapshot of
+        this base table is exactly the state after the last of them.
         """
         if k < 0:
             raise ValueError(f"k must be non-negative, got {k}")
@@ -102,10 +103,14 @@ class DeltaTable:
                 f"cannot take {k} events; only {self.size} pending "
                 f"for {self.table.name}"
             )
-        taken = self.log.window(self.applied_lsn, self.applied_lsn + k)
         self.applied_lsn += k
         if k:
             obs.counter("ivm.delta.window_taken", k)
+
+    def take(self, k: int) -> list[ModEvent]:
+        """Pop the ``k`` oldest events: :meth:`peek` then :meth:`advance`."""
+        taken = self.peek(k)
+        self.advance(k)
         return taken
 
     def take_all(self) -> list[ModEvent]:

@@ -27,6 +27,19 @@ JOIN_FIELDS = ("index_probes", "hash_builds", "hash_probes")
 AGG_FIELDS = ("agg_updates", "sort_items")
 
 
+def float_total(values: Iterable[float]) -> float:
+    """``values`` added left to right with plain additions.
+
+    Never ``sum()``: it compensates float sums on CPython >= 3.12, and
+    these totals are the simulated cost the experiments report, which
+    must not depend on the interpreter.
+    """
+    total = 0
+    for value in values:
+        total = total + value
+    return total
+
+
 def _weighted_ms(charges: Mapping[str, int], model: CostModel, fields) -> float:
     total = 0.0
     for f in fields:
@@ -93,11 +106,11 @@ class ViewLedger:
 
     @property
     def total_sim_ms(self) -> float:
-        return sum(e.sim_ms for e in self.entries)
+        return float_total(e.sim_ms for e in self.entries)
 
     @property
     def total_wall_ms(self) -> float:
-        return sum(e.wall_ms for e in self.entries)
+        return float_total(e.wall_ms for e in self.entries)
 
     @property
     def backlog(self) -> int:
@@ -164,9 +177,9 @@ def ledger_summary(
             "rounds": sum(r["rounds"] for r in rest),
             "flushes": sum(r["flushes"] for r in rest),
             "mods": sum(r["mods"] for r in rest),
-            "sim_ms": sum(r["sim_ms"] for r in rest),
-            "join_ms": sum(r["join_ms"] for r in rest),
-            "agg_ms": sum(r["agg_ms"] for r in rest),
+            "sim_ms": float_total(r["sim_ms"] for r in rest),
+            "join_ms": float_total(r["join_ms"] for r in rest),
+            "agg_ms": float_total(r["agg_ms"] for r in rest),
             "backlog": sum(r["backlog"] for r in rest),
         }
         rows.append(remainder)

@@ -32,7 +32,7 @@ from repro.obs import attrib, decisions, slo
 from repro.obs import calibration as obs_calibration
 from repro.core.costfuncs import CostFunction
 from repro.core.policies import Policy, PolicyError
-from repro.ivm.ledger import RoundEntry, ViewLedger
+from repro.ivm.ledger import RoundEntry, ViewLedger, float_total
 from repro.ivm.maintenance import apply_batch, full_refresh
 from repro.ivm.view import MaterializedView
 
@@ -59,12 +59,12 @@ class MaintenanceLog:
     @property
     def total_predicted_cost(self) -> float:
         """Sum of cost-function-predicted action costs (simulation view)."""
-        return sum(s.predicted_cost for s in self.steps)
+        return float_total(s.predicted_cost for s in self.steps)
 
     @property
     def total_actual_cost_ms(self) -> float:
         """Sum of engine-measured action costs (live-system view)."""
-        return sum(s.actual_cost_ms for s in self.steps)
+        return float_total(s.actual_cost_ms for s in self.steps)
 
     @property
     def action_count(self) -> int:
@@ -222,7 +222,9 @@ class ViewMaintainer:
         :class:`~repro.ivm.sharedscan.SharedScanRound` covering this
         round's planned windows; when given, per-alias flushes consume
         its pre-scanned batches (and skip fingerprint-suppressed no-op
-        windows entirely) instead of re-reading the mod log.
+        windows entirely) instead of re-reading the mod log, and fold a
+        delta query another view of the round already ran instead of
+        running it again -- charged as if they had.
         """
         for alias in self.view.spec.aliases:
             if alias not in self.aliases and self.view.deltas[alias].size:
@@ -326,7 +328,7 @@ class ViewMaintainer:
                             # The fingerprint proved every event in the
                             # window a no-op for this view: advance the
                             # delta without touching the join pipeline.
-                            self.view.deltas[alias].take(k)
+                            self.view.deltas[alias].advance(k)
                             if recorder is not None:
                                 recorder.counter("ivm.skip.fingerprint")
                             continue

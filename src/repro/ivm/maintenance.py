@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from repro import obs
 from repro.engine.errors import ExecutionError
+from repro.ivm.sharedscan import Evaluation
 from repro.ivm.view import MaterializedView
 
 
@@ -35,7 +36,10 @@ def apply_batch(view: MaterializedView, alias: str, k: int, batch=None) -> None:
     When ``batch`` (a :class:`~repro.ivm.sharedscan.SharedBatch`) is
     given, the deleted/inserted row split was already produced -- and its
     scan cost already charged -- by the round's shared table scan, so the
-    per-view work here is just the delta-join and content fold.
+    per-view work here is just the delta-join and content fold; and where
+    another view of the round already ran the same delta-join over the
+    same window, its result is folded and its charges charged again
+    (``batch.evaluations``) instead of running it a second time.
     """
     if alias not in view.deltas:
         raise ExecutionError(
@@ -51,7 +55,9 @@ def apply_batch(view: MaterializedView, alias: str, k: int, batch=None) -> None:
                 f"events but {k} were planned for {alias!r}"
             )
         with obs.trace("ivm.apply_batch", alias=alias, k=k):
-            _propagate(view, alias, batch.deleted, batch.inserted)
+            _propagate(
+                view, alias, batch.deleted, batch.inserted, batch.evaluations
+            )
     else:
         events = delta.peek(k)
         if len(events) < k:
@@ -63,7 +69,7 @@ def apply_batch(view: MaterializedView, alias: str, k: int, batch=None) -> None:
             _apply_events(view, alias, events)
     obs.counter("ivm.batches_applied")
     obs.counter("ivm.modifications_applied", k)
-    delta.take(k)
+    delta.advance(k)
 
 
 def _apply_events(view: MaterializedView, alias: str, events) -> None:
@@ -85,7 +91,7 @@ def _apply_events(view: MaterializedView, alias: str, events) -> None:
     _propagate(view, alias, deleted, inserted)
 
 
-def _propagate(view, alias: str, deleted, inserted) -> None:
+def _propagate(view, alias: str, deleted, inserted, evaluations=None) -> None:
     """Run the rebased delta-join over split row batches and fold results."""
     # Other base tables are read at the state the view has incorporated.
     snapshot_lsns = {
@@ -93,23 +99,42 @@ def _propagate(view, alias: str, deleted, inserted) -> None:
         for other, d in view.deltas.items()
         if other != alias
     }
-    spec = view.delta_specs[alias]
-
-    derived_inserts = None
+    derived_inserts = derived_deletes = None
     if inserted:
-        derived_inserts = view.database.execute(
-            spec, snapshot_lsns=snapshot_lsns, substitutions={alias: inserted}
+        derived_inserts = _derive(
+            view, alias, inserted, +1, snapshot_lsns, evaluations
         )
-    derived_deletes = None
     if deleted:
-        derived_deletes = view.database.execute(
-            spec, snapshot_lsns=snapshot_lsns, substitutions={alias: deleted}
+        derived_deletes = _derive(
+            view, alias, deleted, -1, snapshot_lsns, evaluations
         )
 
     if derived_inserts is not None:
         view.apply_delta(alias, derived_inserts, +1)
     if derived_deletes is not None:
         view.apply_delta(alias, derived_deletes, -1)
+
+
+def _derive(
+    view, alias: str, rows, sign: int, snapshot_lsns, evaluations
+) -> Evaluation:
+    """The view's delta-join with ``rows`` substituted for ``alias``.
+
+    With ``evaluations`` (the round's, for this window) the join is asked
+    for by what determines it -- the sign (which half of the window
+    ``rows`` is), the delta spec's structural key and the LSNs the other
+    aliases are read at -- and runs only if no view asked before.
+    """
+    spec = view.delta_specs[alias]
+    substitutions = {alias: rows}
+    if evaluations is None:
+        return Evaluation(
+            view.database.execute(
+                spec, snapshot_lsns=snapshot_lsns, substitutions=substitutions
+            )
+        )
+    key = (sign, view.delta_keys[alias], tuple(snapshot_lsns.items()))
+    return evaluations.run(key, spec, snapshot_lsns, substitutions)
 
 
 def full_refresh(view: MaterializedView) -> None:

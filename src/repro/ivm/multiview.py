@@ -22,6 +22,17 @@ and ``ivm.view.*`` metrics are unchanged.  Construct with
 ``shared_scans=False`` (or pass ``shared=False`` per call) for the old
 view-at-a-time rounds -- contents are identical either way.
 
+The fan-out **evaluates** once per distinct asker, too: views whose
+delta specs are structurally equal (:meth:`QuerySpec.key`), flushing the
+same window with their other tables at the same LSNs, run one delta
+query between them and each fold its result; and views registered one
+after another materialize from one query per distinct spec.  Each view
+is still charged its own statement -- the charges of the one execution
+are charged again to every view that reuses it -- so simulated costs are
+exactly what they were; only the wall-clock work is shared.  Nothing
+selects this: a fleet of one simply never finds a result to reuse, and
+independent rounds, which have no round to share in, never look.
+
 After each round the coordinator asks every touched
 :class:`~repro.engine.table.ModLog` to truncate history all subscribing
 views have incorporated, so a long-running fleet does not accumulate an
@@ -41,10 +52,10 @@ from repro.core.costfuncs import CostFunction
 from repro.core.policies import Policy
 from repro.engine.database import Database
 from repro.engine.query import QuerySpec
-from repro.ivm.ledger import DEFAULT_SUMMARY_LIMIT, ViewLedger
+from repro.ivm.ledger import DEFAULT_SUMMARY_LIMIT, ViewLedger, float_total
 from repro.ivm.ledger import ledger_summary as _render_ledger_summary
 from repro.ivm.maintainer import StepRecord, ViewMaintainer
-from repro.ivm.sharedscan import SharedScanRound
+from repro.ivm.sharedscan import Evaluations, SharedScanRound
 from repro.ivm.view import MaterializedView
 
 
@@ -72,12 +83,21 @@ class MaintenanceCoordinator:
         self.shared_scans = shared_scans
         self._maintainers: dict[str, ViewMaintainer] = {}
         self._clock = -1
+        #: The materialization queries of the views registered since the
+        #: clock last moved, so a run of registrations runs each distinct
+        #: one once.  Independent rounds are the never-sharing reference
+        #: and keep none.
+        self._materialized: Evaluations | None = None
 
     def add_view(self, config: ViewConfig) -> MaterializedView:
         """Materialize and register a view; returns it."""
         if config.name in self._maintainers:
             raise ValueError(f"view {config.name!r} already registered")
-        view = MaterializedView(config.name, self.database, config.query)
+        if self.shared_scans and self._materialized is None:
+            self._materialized = Evaluations(self.database)
+        view = MaterializedView(
+            config.name, self.database, config.query, self._materialized
+        )
         self._maintainers[config.name] = ViewMaintainer(
             view,
             config.cost_functions,
@@ -140,6 +160,7 @@ class MaintenanceCoordinator:
         log is scanned once for all of them, and the batches fan out.
         """
         self._clock = self._clock + 1 if t is None else t
+        self._materialized = None
         if not (self.shared_scans if shared is None else shared):
             return {
                 name: maintainer.step(self._clock)
@@ -159,6 +180,7 @@ class MaintenanceCoordinator:
     ) -> dict[str, StepRecord]:
         """Force the named views (default: all) fully up to date."""
         self._clock = self._clock + 1 if t is None else t
+        self._materialized = None
         targets = tuple(names) if names is not None else self.views
         if not (self.shared_scans if shared is None else shared):
             records = {}
@@ -221,7 +243,7 @@ class MaintenanceCoordinator:
 
     def total_cost_ms(self) -> float:
         """Engine-measured maintenance cost summed over all views."""
-        return sum(
+        return float_total(
             m.log.total_actual_cost_ms for m in self._maintainers.values()
         )
 

@@ -1,4 +1,5 @@
-"""Shared delta scans: one blocked ModLog pass per table per round.
+"""Shared delta scans and shared delta evaluation: per round, one
+blocked ModLog pass per table and one delta query per distinct asker.
 
 A fleet of views over the same base table all window the same shared
 :class:`~repro.engine.table.ModLog`; maintaining them view-at-a-time
@@ -23,23 +24,117 @@ one ``compares`` per event at that point -- and shared across every view
 with the same signature, so dimension churn does not cascade into
 thousands of identical checks.
 
-Cost attribution: everything charged here (interval split ``tuple_cpu``,
-fingerprint ``compares``) is coordinator overhead, charged outside any
-view's cost window; per-view join and fold work stays charged inside
-each view's own window at the fan-out point, keeping the per-view ledger
-and ``ivm.view.*`` metrics correct.
+And it owns the round's **delta evaluations**.  Every view handed a
+window is handed the same :class:`SharedBatch`, whose
+:class:`Evaluations` keep each delta query run over that window by what
+determines it: the sign (deleted or inserted rows substituted), the
+structural key of the view's delta spec
+(:meth:`~repro.engine.query.QuerySpec.key`) and the LSNs the view's other
+aliases are read at.  The first view to ask runs the query; every later
+one folds the same result (and the fold input already read out of it,
+see :meth:`~repro.ivm.view.MaterializedView.apply_delta`).  Four hundred
+spec-equal views over a window are one query and four hundred folds.
+Everything dies with the round.
+
+Cost attribution: everything the scan charges (interval split
+``tuple_cpu``, fingerprint ``compares``) is coordinator overhead,
+charged outside any view's cost window; per-view join and fold work
+stays charged inside each view's own window at the fan-out point,
+keeping the per-view ledger and ``ivm.view.*`` metrics correct.  A
+shared evaluation does not change that: a view that reuses a result is
+charged, inside its own window, exactly what running the query charged
+the view that ran it -- the statement is still the view's, only the
+work behind it is shared.  Pricing the shared evaluation once, at the
+coordinator like the scan, changes the simulated cost tables and is
+left to the change that re-baselines them.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Hashable, Mapping, Sequence
 
 from repro import obs
 from repro.engine.database import Database
 from repro.engine.errors import ExecutionError
 from repro.engine.operators import PrescannedRows
+from repro.engine.query import QueryResult, QuerySpec
 from repro.engine.table import Table
+
+
+class Evaluation:
+    """One executed query: its result, what running it charged, and the
+    fold inputs derived from the result so far."""
+
+    __slots__ = ("result", "charges", "folds")
+
+    def __init__(
+        self, result: QueryResult, charges: tuple[tuple[str, int], ...] = ()
+    ):
+        #: Shared by every asker: read, never mutated.
+        self.result = result
+        #: ``(counter field, count)`` for every field the query charged,
+        #: kept where the result may be handed to a second asker.
+        self.charges = charges
+        #: Fold key -> what a view folds from ``result``
+        #: (:meth:`~repro.ivm.view.MaterializedView.apply_delta`).
+        self.folds: dict[Hashable, object] = {}
+
+
+class Evaluations:
+    """Query results shared between askers of the same query, each asker
+    still charged for its own statement.
+
+    :meth:`run` executes a query the first time its key is asked for and
+    keeps the result with the counter difference around the execution.
+    Every later asker of the key is handed the same result, and the kept
+    charges are charged again on the spot -- inside whatever cost window
+    the asker has open -- so the counter reads at every window edge what
+    it would have read had the asker run the query itself.  A key must
+    therefore determine the result *and* the charges: the spec's
+    structural key plus whatever fixes the rows each alias reads.
+
+    A query that raises keeps nothing.  Whoever holds the object decides
+    how long results live: a round's die with the round.
+    """
+
+    def __init__(self, database: Database):
+        self.database = database
+        self._kept: dict[Hashable, Evaluation] = {}
+
+    def run(
+        self,
+        key: Hashable,
+        spec: QuerySpec,
+        snapshot_lsns: Mapping[str, int] | None = None,
+        substitutions: Mapping[str, Sequence[tuple]] | None = None,
+    ) -> Evaluation:
+        counter = self.database.counter
+        kept = self._kept.get(key)
+        if kept is not None:
+            for field, count in kept.charges:
+                counter.charge(field, count)
+            obs.counter("ivm.coordinator.delta.reused")
+            return kept
+        before = counter.snapshot()
+        result = self.database.execute(
+            spec, snapshot_lsns=snapshot_lsns, substitutions=substitutions
+        )
+        after = counter.snapshot()
+        kept = self._kept[key] = Evaluation(
+            result,
+            tuple(
+                (field, after[field] - count)
+                for field, count in before.items()
+                if after[field] != count
+            ),
+        )
+        obs.counter("ivm.coordinator.delta.evaluated")
+        return kept
+
+    def __len__(self) -> int:
+        return len(self._kept)
 
 
 @dataclass(frozen=True)
@@ -51,12 +146,17 @@ class SharedBatch:
     fingerprint proved the whole window a no-op for the requesting view
     and the row batches are empty -- the caller should advance the
     view's ``applied_lsn`` without running its delta-join.
+
+    ``evaluations`` holds the delta queries already run over this window
+    in this round: every view handed the window is handed the same one,
+    so views whose delta spec and snapshot LSNs agree evaluate once.
     """
 
     deleted: PrescannedRows
     inserted: PrescannedRows
     events: int
     suppressed: bool
+    evaluations: Evaluations | None = None
 
 
 class _Interval:
@@ -80,8 +180,9 @@ class _Interval:
 class _TableScan:
     """Scan state for one base table within one maintenance round."""
 
-    def __init__(self, table: Table):
+    def __init__(self, table: Table, database: Database):
         self.table = table
+        self.database = database
         self.log = table.history
         self._requests: list[tuple[int, int]] = []
         #: (lo, hi, refcols) triples whose fingerprints :meth:`run`
@@ -91,9 +192,10 @@ class _TableScan:
         self._intervals: list[_Interval] = []
         self._starts: list[int] = []
         self._counter = None
-        # Shared across subscribing views: assembled (lo, hi) row slices
-        # and (lo, hi, signature) fingerprint verdicts.
-        self._batches: dict[tuple[int, int], tuple[PrescannedRows, PrescannedRows]] = {}
+        # Shared across subscribing views: one batch per (lo, hi) window
+        # (its row slices and the delta queries evaluated over them) and
+        # (lo, hi, signature) fingerprint verdicts.
+        self._batches: dict[tuple[int, int], SharedBatch] = {}
         self._fingerprints: dict[tuple, bool] = {}
         self._positions: dict[frozenset, tuple[int, ...]] = {}
 
@@ -170,22 +272,20 @@ class _TableScan:
                 events=b - a,
                 suppressed=True,
             )
-        cached = self._batches.get((lo, hi))
-        if cached is None:
-            deleted = PrescannedRows(
-                row for row in interval.old_rows[a:b] if row is not None
+        batch = self._batches.get((lo, hi))
+        if batch is None:
+            batch = self._batches[(lo, hi)] = SharedBatch(
+                deleted=PrescannedRows(
+                    row for row in interval.old_rows[a:b] if row is not None
+                ),
+                inserted=PrescannedRows(
+                    row for row in interval.new_rows[a:b] if row is not None
+                ),
+                events=b - a,
+                suppressed=False,
+                evaluations=Evaluations(self.database),
             )
-            inserted = PrescannedRows(
-                row for row in interval.new_rows[a:b] if row is not None
-            )
-            cached = (deleted, inserted)
-            self._batches[(lo, hi)] = cached
-        return SharedBatch(
-            deleted=cached[0],
-            inserted=cached[1],
-            events=b - a,
-            suppressed=False,
-        )
+        return batch
 
     def _fingerprint(
         self, interval: _Interval, a: int, b: int, refcols: frozenset[str]
@@ -246,7 +346,9 @@ class SharedScanRound:
 
     Protocol (driven by the coordinator): every view's planned windows
     are :meth:`request`-ed first, :meth:`run` scans each table once, then
-    each view's executor pulls its :meth:`batch_for` slices.
+    each view's executor pulls its :meth:`batch_for` slices -- one
+    :class:`SharedBatch` per distinct window, carrying the delta queries
+    the round has evaluated over it so far.
     """
 
     def __init__(self, database: Database):
@@ -281,7 +383,7 @@ class SharedScanRound:
             )
         scan = self._scans.get(delta.table.name)
         if scan is None:
-            scan = _TableScan(delta.table)
+            scan = _TableScan(delta.table, self.database)
             self._scans[delta.table.name] = scan
         scan.add_request(delta.applied_lsn, delta.applied_lsn + k, refcols)
 

@@ -21,20 +21,31 @@ from __future__ import annotations
 from collections import Counter
 from itertools import repeat
 from operator import itemgetter
-from typing import Any
+from typing import Any, Hashable
 
 from repro.engine.aggregate import AggregateState, make_aggregate_state
 from repro.engine.database import Database
 from repro.engine.errors import ExecutionError, SchemaError
 from repro.engine.expr import resolve_column
-from repro.engine.query import QueryResult, QuerySpec
+from repro.engine.query import QuerySpec
 from repro.ivm.delta import DeltaTable
+from repro.ivm.sharedscan import Evaluation, Evaluations
 
 
 class MaterializedView:
     """A view over ``database`` maintained batch-incrementally."""
 
-    def __init__(self, name: str, database: Database, spec: QuerySpec):
+    def __init__(
+        self,
+        name: str,
+        database: Database,
+        spec: QuerySpec,
+        evaluations: Evaluations | None = None,
+    ):
+        """``evaluations`` lets views registered together share their
+        materialization: given one, a view whose query another view
+        already ran through it (same structural key, tables unchanged
+        since) takes that result and is charged what running it charged."""
         self.name = name
         self.database = database
         self.spec = spec
@@ -60,13 +71,18 @@ class MaterializedView:
                 filters=rebased.filters,
                 reads=reads,
             )
+        #: alias -> structural key of its delta query (``QuerySpec.key``):
+        #: views with equal keys derive the same rows from the same batch.
+        self.delta_keys: dict[str, Hashable] = {
+            alias: delta.key() for alias, delta in self.delta_specs.items()
+        }
         #: alias -> (delta result columns, the fold resolved against them).
         self._folds: dict[str, tuple[tuple[str, ...], Any]] = {}
         self.is_aggregate = spec.aggregate is not None
         self._rows: Counter | None = None
         self._groups: dict[tuple, AggregateState] | None = None
         self._refcols: dict[str, frozenset[str] | None] = {}
-        self._initialize()
+        self._initialize(evaluations)
 
     def close(self) -> None:
         """Release the view's delta subscriptions on the shared mod logs.
@@ -90,7 +106,7 @@ class MaterializedView:
             return (*agg.value.references(), *agg.group_by)
         return self.spec.projection
 
-    def _initialize(self) -> None:
+    def _initialize(self, evaluations: Evaluations | None) -> None:
         """Materialize from the current base-table state."""
         if self.is_aggregate:
             # Stream the un-aggregated join so the states carry exact
@@ -98,16 +114,43 @@ class MaterializedView:
             # not support incremental deletes).
             self._groups = {}
             self._columns: tuple[str, ...] = ()
+            agg = self.spec.aggregate
+            # What, beside the rows, decides :meth:`_fold_input`: views
+            # with equal fold keys read the same input out of a result.
+            self._fold_key: Hashable = (
+                "agg", agg.value.key(), tuple(agg.group_by)
+            )
             base = self.spec.base_alias
-            self.apply_delta(base, self.database.execute(self.delta_specs[base]), +1)
+            self.apply_delta(
+                base,
+                self._materialize(
+                    self.delta_specs[base], self.delta_keys[base], evaluations
+                ),
+                +1,
+            )
         else:
-            result = self.database.execute(self.spec)
+            result = self._materialize(
+                self.spec, self.spec.key(), evaluations
+            ).result
             self._rows = Counter(result.rows)
             # Canonical column order for SPJ contents: incremental batches
             # arrive in *rebased* join order (and un-projected), so every
             # derived row is reordered/projected to this layout before it
             # touches the multiset.
             self._columns = result.columns
+            self._fold_key = ("rows", self._columns)
+
+    def _materialize(
+        self, spec: QuerySpec, key: Hashable, evaluations: Evaluations | None
+    ) -> Evaluation:
+        """``spec`` over the current base tables."""
+        if evaluations is None:
+            return Evaluation(self.database.execute(spec))
+        tables = [self.database.table(spec.table_of(a)) for a in spec.aliases]
+        # The same query over the same states: no modification since, and
+        # no index built since (which would change the plan it charges).
+        state = tuple((t.current_lsn, len(t.indexes)) for t in tables)
+        return evaluations.run((key, state), spec)
 
     def contents(self) -> dict:
         """The current materialized contents.
@@ -135,27 +178,38 @@ class MaterializedView:
 
     def apply_insert_rows(self, rows: list[tuple], layout: dict[str, int]) -> None:
         """Fold freshly derived join-result rows into the contents."""
-        self._apply(rows, self._resolve_fold(layout), sign=+1)
+        self._fold(self._fold_input(rows, self._resolve_fold(layout), +1), +1)
 
     def apply_delete_rows(self, rows: list[tuple], layout: dict[str, int]) -> None:
         """Remove derived join-result rows from the contents."""
-        self._apply(rows, self._resolve_fold(layout), sign=-1)
+        self._fold(self._fold_input(rows, self._resolve_fold(layout), -1), -1)
 
-    def apply_delta(self, alias: str, result: QueryResult, sign: int) -> None:
-        """Fold (``sign`` > 0) or remove the rows of one result of
+    def apply_delta(self, alias: str, evaluation: Evaluation, sign: int) -> None:
+        """Fold (``sign`` > 0) or remove the rows of one evaluation of
         ``delta_specs[alias]``.
 
         What a delta query emits is fixed by the spec and the substituted
         alias, so the fold is resolved against it once per alias and
-        reused for as long as the result's columns stay the same.
+        reused for as long as the result's columns stay the same.  What
+        the fold reads out of the rows (:meth:`_fold_input`) is kept with
+        the evaluation, so views handed the same evaluation that fold
+        alike -- ``SUM(x) BY k`` and ``MIN(x) BY k`` do -- read it once;
+        only the state updates are each view's own.
         """
-        cached = self._folds.get(alias)
-        if cached is None or cached[0] != result.columns:
-            layout = {name: i for i, name in enumerate(result.columns)}
-            cached = self._folds[alias] = (
-                result.columns, self._resolve_fold(layout)
+        key = (self._fold_key, sign)
+        folding = evaluation.folds.get(key)
+        if folding is None:
+            result = evaluation.result
+            cached = self._folds.get(alias)
+            if cached is None or cached[0] != result.columns:
+                layout = {name: i for i, name in enumerate(result.columns)}
+                cached = self._folds[alias] = (
+                    result.columns, self._resolve_fold(layout)
+                )
+            folding = evaluation.folds[key] = self._fold_input(
+                result.rows, cached[1], sign
             )
-        self._apply(result.rows, cached[1], sign)
+        self._fold(folding, sign)
 
     def _resolve_fold(self, layout: dict[str, int]):
         """Where the fold finds its inputs in rows laid out as ``layout``:
@@ -169,30 +223,44 @@ class MaterializedView:
             )
         return [resolve_column(c, layout) for c in self._columns]
 
-    def _apply(self, rows: list[tuple], fold, sign: int) -> None:
+    def _fold_input(self, rows: list[tuple], fold, sign: int):
+        """What :meth:`_fold` consumes, read out of derived join rows.
+
+        Aggregate view: the argument values by group key -- bucketed per
+        group for inserts (row order preserved within each group, so a
+        bucket folds with one ``insert_many``), a ``(key, value)`` list
+        for deletes (each one may empty a group or trigger an extremum
+        recomputation, so they stay per-row).  SPJ view: the rows in the
+        view's canonical column layout (incremental rows arrive in
+        rebased join order).  Never mutated by a fold.
+        """
+        if not self.is_aggregate:
+            return [tuple(row[p] for p in fold) for row in rows]
+        value_fn, group_positions = fold
+        if group_positions:
+            keys = zip(*[map(itemgetter(p), rows) for p in group_positions])
+        else:
+            keys = repeat(())
+        keyed = zip(keys, map(value_fn, rows))
+        if sign < 0:
+            return list(keyed)
+        buckets: dict[tuple, list] = {}
+        for key, value in keyed:
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = [value]
+            else:
+                bucket.append(value)
+        return buckets
+
+    def _fold(self, folding, sign: int) -> None:
+        """Apply one :meth:`_fold_input` to the contents."""
         if self.is_aggregate:
             agg = self.spec.aggregate
             assert agg is not None and self._groups is not None
-            value_fn, group_positions = fold
-            if group_positions:
-                keys = zip(*[map(itemgetter(p), rows) for p in group_positions])
-            else:
-                keys = repeat(())
-            keyed = zip(keys, map(value_fn, rows))
             if sign > 0:
-                # Inserts fold in bulk: bucket by group key (row order
-                # preserved within each group) and insert_many per bucket
-                # -- same states, same total agg_updates as per-row
-                # insertion.  Deletes stay per-row below: each one may
-                # empty a group or trigger an extremum recomputation.
-                buckets: dict[tuple, list] = {}
-                for key, value in keyed:
-                    bucket = buckets.get(key)
-                    if bucket is None:
-                        buckets[key] = [value]
-                    else:
-                        bucket.append(value)
-                for key, values in buckets.items():
+                # Same states, same total agg_updates as per-row insertion.
+                for key, values in folding.items():
                     state = self._groups.get(key)
                     if state is None:
                         state = make_aggregate_state(
@@ -201,7 +269,7 @@ class MaterializedView:
                         self._groups[key] = state
                     state.insert_many(values)
                 return
-            for key, value in keyed:
+            for key, value in folding:
                 state = self._groups.get(key)
                 if state is None:
                     raise ExecutionError(
@@ -213,14 +281,11 @@ class MaterializedView:
                     del self._groups[key]
         else:
             assert self._rows is not None
-            # Reorder/project each derived row into the view's canonical
-            # column layout (incremental rows arrive in rebased join order).
-            canonical = [tuple(row[p] for p in fold) for row in rows]
             if sign > 0:
-                self._rows.update(canonical)
+                self._rows.update(folding)
             else:
-                self._rows.subtract(canonical)
-                for row in canonical:
+                self._rows.subtract(folding)
+                for row in folding:
                     if self._rows[row] < 0:
                         raise ExecutionError(
                             f"view {self.name!r}: negative multiplicity for "

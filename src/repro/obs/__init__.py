@@ -26,7 +26,6 @@ file format.
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from typing import Any, Iterator
 
@@ -42,7 +41,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     check_name,
 )
-from repro.obs.recorder import Recorder
+from repro.obs.recorder import Recorder, _active, get_recorder, install
 from repro.obs.sampler import FlightRecorder
 from repro.obs.serve import MetricsServer
 from repro.obs.tracing import (
@@ -82,19 +81,6 @@ __all__ = [
     "trace",
     "write_jsonl",
 ]
-
-_active = threading.local()
-
-
-def install(recorder: Recorder | None) -> None:
-    """Bind ``recorder`` to the calling thread (``None`` uninstalls)."""
-    _active.recorder = recorder
-
-
-def get_recorder() -> Recorder | None:
-    """The calling thread's recorder, or ``None`` when observation is off."""
-    return getattr(_active, "recorder", None)
-
 
 @contextmanager
 def recording(trace: bool = False) -> Iterator[Recorder]:

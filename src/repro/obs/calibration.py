@@ -36,6 +36,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
+from repro.obs.recorder import get_recorder
 from repro.obs.slo import AlertHub
 
 __all__ = [
@@ -241,9 +242,7 @@ class DriftMonitor:
             threshold=self.threshold,
             window=self.window,
         )
-        from repro import obs
-
-        recorder = obs.get_recorder()
+        recorder = get_recorder()
         if recorder is not None:
             recorder.counter("planner.calibration.drift_alerts")
         _drift_hub.fire(event)
@@ -300,9 +299,7 @@ def enabled() -> bool:
     """
     if _tracker is not None or _drift_hub.active():
         return True
-    from repro import obs
-
-    return obs.get_recorder() is not None
+    return get_recorder() is not None
 
 
 def observe_flush(
@@ -325,9 +322,7 @@ def observe_flush(
     tracker = _tracker
     if tracker is not None:
         tracker.record(sample)
-    from repro import obs
-
-    recorder = obs.get_recorder()
+    recorder = get_recorder()
     if recorder is not None:
         recorder.counter("planner.calibration.samples")
         recorder.observe("planner.calibration.abs_err_ms", sample.abs_err_ms)

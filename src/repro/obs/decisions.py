@@ -41,6 +41,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
+from repro.obs.recorder import get_recorder
+
 __all__ = [
     "CandidateAction",
     "DecisionEvent",
@@ -226,9 +228,7 @@ class DecisionLog:
             event.actual_table_ms = dict(table_ms)
         if charges:
             event.charges = dict(charges)
-        from repro import obs
-
-        recorder = obs.get_recorder()
+        recorder = get_recorder()
         if recorder is not None:
             recorder.counter("planner.decisions.joined")
         return event
@@ -307,9 +307,7 @@ def active() -> bool:
     """True when emitting a decision event would be observed by anyone."""
     if _log is not None:
         return True
-    from repro import obs
-
-    return obs.get_recorder() is not None
+    return get_recorder() is not None
 
 
 def emit(event: DecisionEvent) -> DecisionEvent:
@@ -317,9 +315,7 @@ def emit(event: DecisionEvent) -> DecisionEvent:
     log = _log
     if log is not None:
         log.record(event)
-    from repro import obs
-
-    recorder = obs.get_recorder()
+    recorder = get_recorder()
     if recorder is not None:
         recorder.counter("planner.decisions.emitted")
         recorder.counter(

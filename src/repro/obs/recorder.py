@@ -37,6 +37,23 @@ from repro.obs.tracing import (
 )
 
 
+#: The calling thread's installed recorder lives here rather than in the
+#: package ``__init__`` so the sibling modules that package imports
+#: (``slo``, ``decisions``, ``calibration``) can bind :func:`get_recorder`
+#: at import time; ``repro.obs`` re-exports both functions.
+_active = threading.local()
+
+
+def install(recorder: "Recorder | None") -> None:
+    """Bind ``recorder`` to the calling thread (``None`` uninstalls)."""
+    _active.recorder = recorder
+
+
+def get_recorder() -> "Recorder | None":
+    """The calling thread's recorder, or ``None`` when observation is off."""
+    return getattr(_active, "recorder", None)
+
+
 class Recorder:
     """Collects one run's metrics and (optionally) trace spans.
 

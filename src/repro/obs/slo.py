@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.recorder import get_recorder
 
 #: Near-breach band: cost at or above this fraction of the limit.
 DEFAULT_NEAR_FRACTION = 0.9
@@ -105,9 +106,14 @@ class AlertHub:
             self.remove(callback)
 
     def active(self) -> bool:
-        """True when at least one callback would observe a fire."""
-        with self._lock:
-            return bool(self._callbacks)
+        """True when at least one callback would observe a fire.
+
+        Reads the list's truth without the lock: callers ask on every
+        maintenance round with telemetry off, and one read of a list
+        that ``add``/``remove`` only ever mutate under the lock is
+        consistent by itself.
+        """
+        return bool(self._callbacks)
 
     def fire(self, event) -> None:
         with self._lock:
@@ -208,11 +214,9 @@ def observe_refresh(
     fires registered alert callbacks on a breach or near-breach.
     Returns the event when one fired, else ``None``.
     """
-    from repro import obs  # local import: obs.__init__ imports this module
-
     limit = _coerce_limit(limit)
     margin = limit - cost
-    recorder = obs.get_recorder()
+    recorder = get_recorder()
     if recorder is not None:
         recorder.gauge("slo.limit", limit)
         recorder.gauge("slo.refresh_margin", margin)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine.errors import SchemaError
 from repro.engine.expr import (
+    Expression,
     and_,
     col,
     lit,
@@ -117,3 +118,74 @@ class TestReferences:
 
     def test_not_references(self):
         assert not_(col("E.a") == lit(1)).references() == frozenset({"E.a"})
+
+
+class TestStructuralKey:
+    """``key()``: equal keys <=> the same computation, where ``==`` builds
+    a comparison node and ``hash`` is identity."""
+
+    def build(self):
+        return or_(
+            and_(col("E.a") + lit(2) > col("D.a") * lit(3), col("E.b") == lit("x")),
+            not_(col("E.a") / lit(4.0) - lit(1) <= lit(0)),
+        )
+
+    def test_separately_built_equal_trees_have_equal_keys(self):
+        one, other = self.build(), self.build()
+        assert one is not other
+        assert one.key() == other.key()
+        assert hash(one.key()) == hash(other.key())
+        assert len({one.key(): 1, other.key(): 2}) == 1
+
+    @pytest.mark.parametrize("different", [
+        lambda: col("E.a") > lit(1),
+        lambda: col("E.b") < lit(1),        # another column
+        lambda: col("E.a") <= lit(1),       # another operator
+        lambda: col("E.a") < lit(2),        # another constant
+        lambda: lit(1) < col("E.a"),        # operands swapped
+        lambda: col("E.a") + lit(1),        # another node type
+        lambda: col("E.a") - lit(1),
+        lambda: not_(col("E.a") < lit(1)),
+        lambda: and_(col("E.a") < lit(1), col("E.b") < lit(1)),
+        lambda: or_(col("E.a") < lit(1), col("E.b") < lit(1)),
+        lambda: and_(col("E.b") < lit(1), col("E.a") < lit(1)),
+    ])
+    def test_any_structural_difference_changes_the_key(self, different):
+        assert different().key() != (col("E.a") < lit(1)).key()
+
+    def test_constants_key_by_type_and_value(self):
+        # 1 == 1.0 == True in Python, and hash alike; they are not the
+        # same constant to a query.
+        keys = [lit(v).key() for v in (1, 1.0, True, "1", None, 0, False, 0.0)]
+        assert len(set(keys)) == len(keys)
+        assert lit(1).key() == lit(1).key()
+        assert lit("x").key() == lit("x").key()
+        assert lit((1, "a")).key() == lit((1, "a")).key()
+
+    def test_unhashable_constant_equals_only_itself(self):
+        one, other = lit([1, 2]), lit([1, 2])
+        assert one.key() == one.key()
+        assert one.key() != other.key()
+        assert (col("E.a") == one).key() != (col("E.a") == other).key()
+        hash(one.key())  # still usable as a dict key
+
+    def test_subclass_without_key_equals_only_itself(self):
+        class Opaque(Expression):
+            def compile(self, layout):
+                return lambda row: True
+
+            def references(self):
+                return frozenset()
+
+        one, other = Opaque(), Opaque()
+        assert one.key() == one.key() and hash(one.key()) == hash(one.key())
+        assert one.key() != other.key()
+        assert and_(one, col("E.a") > lit(1)).key() != and_(
+            other, col("E.a") > lit(1)
+        ).key()
+
+    def test_identity_key_keeps_its_object_alive(self):
+        # An id may be reused once an object dies; a key that outlives
+        # its expression must not start matching a new one.
+        keys = {lit([i]).key() for i in range(200)}
+        assert len(keys) == 200

@@ -327,3 +327,62 @@ class TestTblIO:
         db2 = Database()
         loaded = load_table(db2, "t", t.schema, tmp_path / "t.tbl")
         assert list(loaded.live_rows()) == [(0.1 + 0.2,)]
+
+
+class TestSpecKey:
+    def spec(self, **changes):
+        fields = dict(
+            base_alias="E",
+            base_table="emp",
+            joins=(JoinSpec("D", "dept", "E.deptno", "deptno"),),
+            filters=(col("E.salary") > lit(100), col("D.dname") == lit("ops")),
+            aggregate=AggregateSpec(
+                func="sum", value=col("E.salary"), group_by=("D.dname",)
+            ),
+        )
+        fields.update(changes)
+        return QuerySpec(**fields)
+
+    def test_separately_built_equal_specs_have_equal_keys(self):
+        assert self.spec().key() == self.spec().key()
+        assert hash(self.spec().key()) == hash(self.spec().key())
+
+    def test_dataclass_equality_cannot_tell_filters_apart(self):
+        # Why key() exists: == on the filters builds a truthy comparison.
+        other = self.spec(filters=(col("E.salary") > lit(999),))
+        assert other.key() != self.spec().key()
+
+    @pytest.mark.parametrize("changes", [
+        dict(base_alias="X", joins=(JoinSpec("D", "dept", "X.deptno", "deptno"),)),
+        dict(base_table="emp2"),
+        dict(joins=()),
+        dict(filters=(col("E.salary") > lit(100.0), col("D.dname") == lit("ops"))),
+        dict(filters=(col("D.dname") == lit("ops"), col("E.salary") > lit(100))),
+        dict(aggregate=AggregateSpec(
+            func="min", value=col("E.salary"), group_by=("D.dname",))),
+        dict(aggregate=AggregateSpec(
+            func="sum", value=col("E.empno"), group_by=("D.dname",))),
+        dict(aggregate=AggregateSpec(func="sum", value=col("E.salary"))),
+        dict(aggregate=None, projection=("E.salary",)),
+        dict(aggregate=None, reads=("E.salary",)),
+        dict(aggregate=None, distinct=True),
+        dict(limit=3),
+        dict(order_by=(OrderSpec("D.dname"),)),
+    ])
+    def test_every_field_is_part_of_the_key(self, changes):
+        assert self.spec(**changes).key() != self.spec().key()
+
+    def test_list_valued_fields_still_key(self):
+        listed = self.spec(
+            joins=[JoinSpec("D", "dept", "E.deptno", "deptno")],
+            aggregate=AggregateSpec(
+                func="sum", value=col("E.salary"), group_by=["D.dname"]
+            ),
+        )
+        assert listed.key() == self.spec().key()
+
+    def test_aliases_worked_out_once(self):
+        spec = self.spec()
+        assert spec.aliases == ("E", "D")
+        assert spec.aliases is spec.aliases
+        assert spec.rebased("D").aliases == ("D", "E")

@@ -95,6 +95,43 @@ class TestTake:
         with pytest.raises(ValueError):
             delta.peek(-1)
 
+    def test_advance_is_take_without_the_events(self, table):
+        taken, advanced = DeltaTable(table), DeltaTable(table)
+        for i in range(3):
+            table.insert((10 + i,))
+        for delta in (taken, advanced):
+            delta.pull()
+        taken.take(2)
+        assert advanced.advance(2) is None
+        assert advanced.applied_lsn == taken.applied_lsn
+        assert advanced.size == taken.size == 1
+        assert advanced.peek(1) == taken.peek(1)
+
+    def test_advance_checks_bounds_like_take(self, table):
+        delta = DeltaTable(table)
+        table.insert((10,))
+        delta.pull()
+        with pytest.raises(ExecutionError, match="only 1 pending"):
+            delta.advance(2)
+        with pytest.raises(ValueError):
+            delta.advance(-1)
+        assert delta.size == 1
+        delta.advance(0)
+        assert delta.size == 1
+
+    def test_advance_counts_as_taken(self, table):
+        from repro import obs
+
+        delta = DeltaTable(table)
+        for i in range(3):
+            table.insert((10 + i,))
+        delta.pull()
+        with obs.recording() as recorder:
+            delta.advance(2)
+            delta.take(1)
+            delta.advance(0)
+        assert recorder.registry.get("ivm.delta.window_taken").value == 3
+
     def test_take_all(self, table):
         delta = DeltaTable(table)
         for i in range(3):

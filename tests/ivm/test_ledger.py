@@ -9,6 +9,8 @@ cumulative ledger totals agreeing with the maintenance log and the
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro import obs
@@ -16,8 +18,8 @@ from repro.core.costfuncs import LinearCost
 from repro.core.naive import NaivePolicy
 from repro.core.online import OnlinePolicy
 from repro.engine.costmodel import CostModel
-from repro.ivm.ledger import RoundEntry, ViewLedger, ledger_summary
-from repro.ivm.maintainer import ViewMaintainer
+from repro.ivm.ledger import RoundEntry, ViewLedger, float_total, ledger_summary
+from repro.ivm.maintainer import MaintenanceLog, StepRecord, ViewMaintainer
 from repro.ivm.multiview import MaintenanceCoordinator, ViewConfig
 from repro.ivm.view import MaterializedView
 from repro.tpcr.updates import PartSuppCostUpdater, SupplierNationUpdater
@@ -116,6 +118,88 @@ class TestViewLedger:
         assert ledger.backlog == 0
         assert ledger.charge_totals() == {}
         assert ledger.summary(CostModel())["sim_ms"] == 0
+
+
+class TestFloatTotals:
+    """Cost totals add left to right with plain additions.  ``sum()``
+    compensates float sums on CPython >= 3.12, so a total that went
+    through it differs in the last bit from one interpreter to the next
+    (each check below fails there with ``sum()``; on 3.10/3.11 the two
+    agree and this pins the order)."""
+
+    @staticmethod
+    def floats(n: int, seed: int) -> list[float]:
+        rng = random.Random(seed)
+        return [rng.uniform(0.0, 10.0) ** rng.randint(1, 6) for _ in range(n)]
+
+    @staticmethod
+    def loop(values) -> float:
+        total = 0
+        for value in values:
+            total = total + value
+        return total
+
+    def entry(self, sim_ms: float, wall_ms: float) -> RoundEntry:
+        return RoundEntry(
+            t=0, arrivals=(1,), pre_state=(1,), action=(1,), forced=False,
+            predicted_ms=1.0, sim_ms=sim_ms, wall_ms=wall_ms, backlog=0,
+            charges={},
+        )
+
+    def test_float_total_is_the_plain_loop(self):
+        values = self.floats(400, seed=1)
+        assert float_total(values) == self.loop(values)
+        assert float_total(iter(values)) == self.loop(values)
+        assert float_total([]) == 0
+
+    def test_ledger_totals(self):
+        sims, walls = self.floats(300, seed=2), self.floats(300, seed=3)
+        ledger = ViewLedger(view="v", aliases=("PS",))
+        for sim_ms, wall_ms in zip(sims, walls):
+            ledger.record(self.entry(sim_ms, wall_ms))
+        assert ledger.total_sim_ms == self.loop(sims)
+        assert ledger.total_wall_ms == self.loop(walls)
+
+    def test_maintenance_log_totals(self):
+        predicted, actual = self.floats(300, seed=4), self.floats(300, seed=5)
+        log = MaintenanceLog(aliases=("PS",))
+        for p, a in zip(predicted, actual):
+            log.steps.append(StepRecord(
+                t=0, arrivals=(1,), pre_state=(1,), action=(1,),
+                predicted_cost=p, actual_cost_ms=a,
+            ))
+        assert log.total_predicted_cost == self.loop(predicted)
+        assert log.total_actual_cost_ms == self.loop(actual)
+
+    def test_coordinator_total(self):
+        coordinator = MaintenanceCoordinator(make_tpcr_db())
+        costs = self.floats(200, seed=6)
+        for i in range(4):
+            coordinator.add_view(ViewConfig(
+                name=f"v{i}", query=count_view_spec(), policy=NaivePolicy(),
+                cost_functions=(LinearCost(slope=12.0, setup=20.0),),
+                limit=400.0, scheduled_aliases=("S",),
+            ))
+            for cost in costs[i::4]:
+                coordinator.maintainer(f"v{i}").log.steps.append(StepRecord(
+                    t=0, arrivals=(0,), pre_state=(0,), action=(0,),
+                    predicted_cost=0.0, actual_cost_ms=cost,
+                ))
+        per_view = [self.loop(costs[i::4]) for i in range(4)]
+        assert coordinator.total_cost_ms() == self.loop(per_view)
+
+    def test_summary_remainder_row(self):
+        sims = self.floats(120, seed=7)
+        ledgers = []
+        for i, sim_ms in enumerate(sims):
+            ledger = ViewLedger(view=f"v{i:03d}", aliases=("PS",))
+            ledger.record(self.entry(sim_ms, 0.0))
+            ledgers.append(ledger)
+        table = ledger_summary(ledgers, CostModel(), limit=20)
+        rest = sorted(sims, reverse=True)[20:]
+        remainder = table.splitlines()[-1].split()
+        assert remainder[:3] == ["(+100", "more", "views)"]
+        assert remainder[6] == f"{self.loop(rest):.3f}"
 
 
 class TestGoldenSummary:

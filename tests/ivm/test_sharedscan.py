@@ -1,13 +1,16 @@
 """Unit and behavior tests for shared-scan maintenance rounds."""
 
+import copy
+
 import pytest
 
 from repro import obs
 from repro.core.costfuncs import LinearCost
 from repro.core.naive import NaivePolicy
 from repro.engine.errors import ExecutionError
-from repro.engine.expr import col, lit
-from repro.engine.query import AggregateSpec, OrderSpec, QuerySpec
+from repro.engine.expr import Expression, col, lit
+from repro.engine.query import AggregateSpec, JoinSpec, OrderSpec, QuerySpec
+from repro.ivm.maintenance import apply_batch
 from repro.ivm.multiview import MaintenanceCoordinator, ViewConfig
 from repro.ivm.sharedscan import SharedScanRound, _merge_intervals
 from repro.ivm.view import MaterializedView
@@ -194,6 +197,332 @@ class TestSharedScanRound:
         round_.request(insensitive.deltas["PS"], 4)
         round_.run()
         assert not round_.batch_for(insensitive, "PS", 4).suppressed
+
+
+
+def cost_by_nation_spec() -> QuerySpec:
+    """Two tables: PartSupp's delta-join reads Supplier at a snapshot."""
+    return QuerySpec(
+        base_alias="PS",
+        base_table="partsupp",
+        joins=(JoinSpec("S", "supplier", "PS.suppkey", "suppkey"),),
+        aggregate=AggregateSpec(
+            func="min", value=col("PS.supplycost"), group_by=("S.nationkey",)
+        ),
+    )
+
+
+def cost_by_supplier_spec(func: str) -> QuerySpec:
+    return QuerySpec(
+        base_alias="PS",
+        base_table="partsupp",
+        aggregate=AggregateSpec(
+            func=func, value=col("PS.supplycost"), group_by=("PS.suppkey",)
+        ),
+    )
+
+
+def costly_rows_spec(threshold, alias: str = "PS") -> QuerySpec:
+    return QuerySpec(
+        base_alias=alias,
+        base_table="partsupp",
+        filters=(col(f"{alias}.supplycost") > lit(threshold),),
+        projection=(f"{alias}.partkey", f"{alias}.supplycost"),
+    )
+
+
+class Tripwire(Expression):
+    """A predicate that is true until armed, then raises on the first row.
+    Structurally keyed, so views holding one are spec-equal."""
+
+    armed = False
+
+    def compile(self, layout):
+        def check(row):
+            if Tripwire.armed:
+                raise RuntimeError("tripped")
+            return True
+
+        return check
+
+    def references(self):
+        return frozenset()
+
+    def key(self):
+        return (Tripwire,)
+
+
+class TestSharedDeltaEvaluation:
+    """One delta query per (window, sign, spec key, snapshot LSNs)."""
+
+    K = 6
+
+    def _round(self, db, views, alias="PS"):
+        """Pull every view, request and run one round over ``K`` events
+        of ``alias``; returns each view's batch."""
+        for view in views:
+            for delta in view.deltas.values():
+                delta.pull()
+        round_ = SharedScanRound(db)
+        for view in views:
+            round_.request(view.deltas[alias], self.K)
+        round_.run()
+        return [round_.batch_for(view, alias, self.K) for view in views]
+
+    def _flush(self, db, views, alias="PS"):
+        """Flush ``K`` events of ``alias`` into every view through one
+        round; returns the window's evaluations and each view's charges."""
+        batches = self._round(db, views, alias)
+        assert all(batch is batches[0] for batch in batches)
+        charged = []
+        for view, batch in zip(views, batches):
+            before = db.counter.snapshot()
+            apply_batch(view, alias, self.K, batch=batch)
+            after = db.counter.snapshot()
+            charged.append({f: after[f] - before[f] for f in after})
+        return batches[0].evaluations, charged
+
+    @staticmethod
+    def _assert_consistent(views):
+        for view in views:
+            assert view.contents() == view.recompute(), view.name
+
+    def test_spec_equal_views_evaluate_once_and_are_charged_alike(self):
+        db = make_tpcr_db()
+        views = [
+            MaterializedView(name, db, cost_by_nation_spec())
+            for name in ("a", "b", "c")
+        ]
+        PartSuppCostUpdater(db.table("partsupp"), seed=7).apply(self.K)
+        with obs.recording() as recorder:
+            evaluations, charged = self._flush(db, views)
+        assert len(evaluations) == 2  # deleted rows, inserted rows
+        counters = recorder.registry
+        assert counters.get("ivm.coordinator.delta.evaluated").value == 2
+        assert counters.get("ivm.coordinator.delta.reused").value == 4
+        assert counters.get("engine.queries").value == 2
+        assert charged[0]["startups"] == 2 and charged[0]["index_probes"] > 0
+        assert charged[1] == charged[0] and charged[2] == charged[0]
+        self._assert_consistent(views)
+
+    def test_other_alias_at_different_lsns_does_not_share(self):
+        db = make_tpcr_db()
+        ahead = MaterializedView("ahead", db, cost_by_nation_spec())
+        behind = MaterializedView("behind", db, cost_by_nation_spec())
+        SupplierNationUpdater(db.table("supplier"), seed=3).apply(4)
+        PartSuppCostUpdater(db.table("partsupp"), seed=7).apply(self.K)
+        # One view has incorporated the Supplier changes, the other not:
+        # the same PartSupp window joins different Supplier snapshots.
+        ahead.deltas["S"].pull()
+        apply_batch(ahead, "S", 4)
+        assert ahead.deltas["S"].applied_lsn != behind.deltas["S"].applied_lsn
+        evaluations, _ = self._flush(db, [ahead, behind])
+        assert len(evaluations) == 4
+        self._assert_consistent([ahead, behind])
+
+    def test_constants_of_different_types_do_not_share(self):
+        db = make_tpcr_db()
+        views = [
+            MaterializedView(f"v{i}", db, costly_rows_spec(threshold))
+            for i, threshold in enumerate((1, 1.0, True, 1))
+        ]
+        PartSuppCostUpdater(db.table("partsupp"), seed=7).apply(self.K)
+        evaluations, _ = self._flush(db, views)
+        assert len(evaluations) == 2 * 3  # only the two lit(1) views share
+        self._assert_consistent(views)
+
+    def test_same_table_under_another_alias_does_not_share(self):
+        db = make_tpcr_db()
+        views = [
+            MaterializedView("ps", db, costly_rows_spec(500, alias="PS")),
+            MaterializedView("p2", db, costly_rows_spec(500, alias="P2")),
+        ]
+        PartSuppCostUpdater(db.table("partsupp"), seed=7).apply(self.K)
+        batches = self._round(db, views[:1], "PS") + self._round(
+            db, views[1:], "P2"
+        )
+        # Same table, same window -- and still not the same query: the
+        # result's columns are named after the alias.
+        assert views[0].delta_keys["PS"] != views[1].delta_keys["P2"]
+        for view, alias, batch in zip(views, ("PS", "P2"), batches):
+            apply_batch(view, alias, self.K, batch=batch)
+            assert len(batch.evaluations) == 2
+            assert view.contents() == view.recompute()
+
+    def test_fold_does_not_mutate_what_it_shares(self):
+        db = make_tpcr_db()
+        views = [
+            MaterializedView("sum", db, cost_by_supplier_spec("sum")),
+            MaterializedView("min", db, cost_by_supplier_spec("min")),
+            MaterializedView("rows", db, QuerySpec(
+                base_alias="PS", base_table="partsupp",
+                projection=("PS.supplycost", "PS.suppkey"),
+            )),
+        ]
+        PartSuppCostUpdater(db.table("partsupp"), seed=7).apply(self.K)
+        batch = self._round(db, views)[0]
+        first, *rest = views
+        seen = []
+        spy = MaterializedView.apply_delta
+
+        def record(view, alias, evaluation, sign):
+            seen.append(evaluation)
+            spy(view, alias, evaluation, sign)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(MaterializedView, "apply_delta", record)
+            apply_batch(first, "PS", self.K, batch=batch)
+            held = [(e.result.rows, e.result.columns, e.folds) for e in seen]
+            before = copy.deepcopy(held)
+            for view in rest:
+                apply_batch(view, "PS", self.K, batch=batch)
+        # All three read the same columns, so all three were handed the
+        # same two evaluations; SUM and MIN also share one fold input.
+        assert len(batch.evaluations) == 2
+        assert {id(e) for e in seen} == {id(e) for e in seen[:2]}
+        assert all(len(e.folds) == 2 for e in seen[:2])
+        after = [(e.result.rows, e.result.columns, e.folds) for e in seen[:2]]
+        # Later folds added their own inputs and changed none of the first's.
+        for (rows0, cols0, folds0), (rows1, cols1, folds1) in zip(before, after):
+            assert rows1 == rows0 and cols1 == cols0
+            assert all(folds1[key] == value for key, value in folds0.items())
+        for view in views:
+            assert view.contents() == pytest.approx(view.recompute())
+
+    def test_raising_query_stores_nothing_and_leaves_the_view_in_place(self):
+        db = make_tpcr_db()
+        spec = QuerySpec(
+            base_alias="PS", base_table="partsupp", filters=(Tripwire(),),
+            aggregate=AggregateSpec(func="min", value=col("PS.supplycost")),
+        )
+        views = [MaterializedView(name, db, spec) for name in ("a", "b")]
+        PartSuppCostUpdater(db.table("partsupp"), seed=7).apply(self.K)
+        batches = self._round(db, views)
+        applied = [view.deltas["PS"].applied_lsn for view in views]
+        contents = [view.contents() for view in views]
+        try:
+            Tripwire.armed = True
+            for view, batch in zip(views, batches):
+                with pytest.raises(RuntimeError, match="tripped"):
+                    apply_batch(view, "PS", self.K, batch=batch)
+        finally:
+            Tripwire.armed = False
+        assert len(batches[0].evaluations) == 0
+        assert [view.deltas["PS"].applied_lsn for view in views] == applied
+        assert [view.contents() for view in views] == contents
+        # The fault gone, the same round's batch still serves both.
+        for view, batch in zip(views, batches):
+            apply_batch(view, "PS", self.K, batch=batch)
+            assert view.contents() == view.recompute()
+        assert len(batches[0].evaluations) == 2
+
+    def test_coordinator_round_that_raises_leaves_views_consistent(self):
+        db = make_tpcr_db()
+        coordinator = MaintenanceCoordinator(db)
+        for name in ("a", "b"):
+            add_naive(coordinator, name, QuerySpec(
+                base_alias="PS", base_table="partsupp", filters=(Tripwire(),),
+                aggregate=AggregateSpec(func="min", value=col("PS.supplycost")),
+            ))
+        PartSuppCostUpdater(db.table("partsupp"), seed=7).apply(self.K)
+        try:
+            Tripwire.armed = True
+            with pytest.raises(RuntimeError, match="tripped"):
+                coordinator.step(0)
+        finally:
+            Tripwire.armed = False
+        for _, maintainer in coordinator.iter_maintainers():
+            assert maintainer.view.deltas["PS"].size == self.K
+            assert maintainer.view.contents() == maintainer.view.recompute()
+        coordinator.refresh(t=1)
+        for _, maintainer in coordinator.iter_maintainers():
+            assert not maintainer.view.is_stale()
+            assert maintainer.view.contents() == maintainer.view.recompute()
+
+
+class TestSharedMaterialization:
+    """``add_view`` runs each distinct query once per run of registrations."""
+
+    def _counts(self, recorder):
+        def value(name):
+            metric = recorder.registry.get(name)
+            return metric.value if metric is not None else 0
+
+        return (
+            value("ivm.coordinator.delta.evaluated"),
+            value("ivm.coordinator.delta.reused"),
+        )
+
+    def test_spec_equal_views_materialize_from_one_query(self):
+        db = make_tpcr_db()
+        coordinator = MaintenanceCoordinator(db)
+        alone = MaterializedView("alone", db, supplycost_spec())
+        with obs.recording() as recorder:
+            charged = []
+            for name in ("a", "b", "c"):
+                with db.counter.window() as window:
+                    view = add_naive(coordinator, name, supplycost_spec())
+                charged.append(window.elapsed_ms)
+                assert view.contents() == alone.contents()
+            add_naive(coordinator, "rows", costly_rows_spec(500))
+            add_naive(coordinator, "rows_again", costly_rows_spec(500))
+        assert self._counts(recorder) == (2, 3)
+        assert charged[0] > 0 and charged == [charged[0]] * 3
+
+    def test_view_added_after_the_clock_moved_runs_its_own(self):
+        db = make_tpcr_db()
+        coordinator = MaintenanceCoordinator(db)
+        with obs.recording() as recorder:
+            add_naive(coordinator, "a", supplycost_spec())
+            coordinator.step(0)  # nothing pending; the memo goes anyway
+            add_naive(coordinator, "b", supplycost_spec())
+            assert self._counts(recorder) == (2, 0)
+            add_naive(coordinator, "c", supplycost_spec())
+            assert self._counts(recorder) == (2, 1)
+
+    def test_view_added_after_a_modification_runs_its_own(self):
+        db = make_tpcr_db()
+        coordinator = MaintenanceCoordinator(db)
+        with obs.recording() as recorder:
+            add_naive(coordinator, "a", supplycost_spec())
+            PartSuppCostUpdater(db.table("partsupp"), seed=7).apply(3)
+            late = add_naive(coordinator, "b", supplycost_spec())
+        assert self._counts(recorder) == (2, 0)
+        assert late.contents() == late.recompute()
+
+    def test_index_built_between_registrations_is_not_papered_over(self):
+        db = make_tpcr_db()
+        coordinator = MaintenanceCoordinator(db)
+
+        def cost_of_adding(name):
+            with db.counter.window() as window:
+                add_naive(coordinator, name, QuerySpec(
+                    base_alias="S", base_table="supplier",
+                    joins=(JoinSpec("PS", "partsupp", "S.suppkey", "suppkey"),),
+                    aggregate=AggregateSpec(
+                        func="count", value=col("PS.partkey"),
+                        group_by=("S.nationkey",),
+                    ),
+                ))
+            return window.elapsed_ms
+
+        hashed = cost_of_adding("hash_join")
+        assert cost_of_adding("hash_join_again") == hashed
+        db.table("partsupp").create_index("suppkey")
+        assert cost_of_adding("index_join") != hashed
+
+    def test_independent_coordinator_keeps_no_memo(self):
+        db = make_tpcr_db()
+        coordinator = MaintenanceCoordinator(db, shared_scans=False)
+        with obs.recording() as recorder:
+            for name in ("a", "b"):
+                coordinator.add_view(ViewConfig(
+                    name=name, query=supplycost_spec(), policy=NaivePolicy(),
+                    cost_functions=NAIVE_COST, limit=1.0,
+                    scheduled_aliases=("PS",),
+                ))
+            assert recorder.registry.get("engine.queries").value == 2
+        assert self._counts(recorder) == (0, 0)
 
 
 class TestCoordinatorSharedRounds:

@@ -11,18 +11,40 @@ independent rounds.  Across the (block_size x policy) matrix:
   fingerprint suppression is a real saving, not an accounting shuffle;
 * with a single subscriber and no fingerprint in play the totals are
   **exactly equal** -- shared scanning moves the charge, never the amount.
+
+Second differential, inside shared mode: the same fleet with delta
+evaluation shared between structurally equal views, and with every
+structural key replaced by an identity key (nothing is equal to anything
+else, so every view runs its own queries through the same code).  Sharing
+must change **nothing** a view or the counter can see -- contents, every
+ledger entry's charges and ``sim_ms`` (bit-equal), the counter's tallies,
+the fleet total -- only how many queries actually ran.
 """
 
-import pytest
+from contextlib import ExitStack, contextmanager
+from unittest import mock
 
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from repro import obs
 from repro.core.costfuncs import LinearCost
 from repro.core.naive import NaivePolicy
 from repro.core.online import OnlinePolicy
-from repro.engine.expr import col
-from repro.engine.query import AggregateSpec, QuerySpec
+from repro.engine import expr
+from repro.engine.database import Database
+from repro.engine.expr import col, lit
+from repro.engine.query import AggregateSpec, JoinSpec, QuerySpec
+from repro.engine.types import ColumnType, Schema
 from repro.ivm.multiview import MaintenanceCoordinator, ViewConfig
-from repro.tpcr.updates import PartSuppCostUpdater
+from repro.tpcr.updates import PartSuppCostUpdater, SupplierNationUpdater
 from tests.conftest import make_tpcr_db
+from tests.ivm.test_sharedscan import (
+    cost_by_nation_spec,
+    cost_by_supplier_spec,
+    costly_rows_spec,
+)
 
 STEPS = 5
 MODS_PER_STEP = 8
@@ -138,3 +160,302 @@ def test_single_view_totals_exactly_equal(block_size):
     )
     assert shared == independent
     assert cost_shared == pytest.approx(cost_ind, abs=1e-9)
+
+
+# ----------------------------------------------------------------------
+# Shared delta evaluation vs every view evaluating its own
+# ----------------------------------------------------------------------
+
+
+@contextmanager
+def identity_keys():
+    """Every expression and spec keys by identity, as an ``Expression``
+    subclass that defines no ``key`` does: no two views are structurally
+    equal, nothing is shared, the code path is otherwise the same.
+
+    ``Expression.key`` alone would not do: a filter-free delta spec holds
+    no expression, so ``QuerySpec.key`` is replaced as well.
+    """
+    nodes = (expr.ColumnRef, expr.Const, expr.Comparison, expr.BinOp,
+             expr.BoolOp, expr.Not)
+    with ExitStack() as stack:
+        for cls in nodes:
+            stack.enter_context(
+                mock.patch.object(cls, "key", expr.Expression.key)
+            )
+        stack.enter_context(
+            mock.patch.object(QuerySpec, "key", expr.Expression.key)
+        )
+        yield
+
+
+def entry_facts(entry) -> tuple:
+    """Everything a ledger entry records except wall time."""
+    return (
+        entry.t, entry.arrivals, entry.pre_state, entry.action, entry.forced,
+        entry.predicted_ms, entry.sim_ms, entry.backlog, entry.charges,
+    )
+
+
+def observed(coordinator, recorder) -> dict:
+    """What the two modes must agree on, and what they must not."""
+
+    def count(name):
+        metric = recorder.registry.get(name)
+        return metric.value if metric is not None else 0
+
+    for name, maintainer in coordinator.iter_maintainers():
+        # approx: an incrementally kept float SUM and a recomputed one add
+        # in different orders.  Between the two modes equality is exact.
+        assert maintainer.view.contents() == pytest.approx(
+            maintainer.view.recompute(), rel=1e-9
+        ), name
+    return {
+        "contents": {
+            name: m.view.contents() for name, m in coordinator.iter_maintainers()
+        },
+        "entries": {
+            name: [entry_facts(e) for e in m.ledger.entries]
+            for name, m in coordinator.iter_maintainers()
+        },
+        "tallies": coordinator.database.counter.snapshot(),
+        "total_cost_ms": coordinator.total_cost_ms(),
+        "evaluated": count("ivm.coordinator.delta.evaluated"),
+        "reused": count("ivm.coordinator.delta.reused"),
+    }
+
+
+def assert_sharing_invisible(structural: dict, identity: dict) -> None:
+    for what in ("contents", "entries", "tallies", "total_cost_ms"):
+        assert structural[what] == identity[what], what
+    assert identity["reused"] == 0
+    assert (
+        structural["evaluated"] + structural["reused"] == identity["evaluated"]
+    )
+
+
+TWO_COSTS = (LinearCost(slope=0.5, setup=2.0), LinearCost(slope=1.0, setup=3.0))
+
+#: name -> (spec factory, policy kind, limit, scheduled aliases).  Spec-equal
+#: views under different names; the same spec under NAIVE (flushes every
+#: round) and ONLINE with different limits (defers), so their windows on
+#: the same table diverge and coincide by turns.
+FLEET = {
+    "min_a": (min_cost_spec, "naive", 1.0, ("PS",)),
+    "min_b": (min_cost_spec, "naive", 1.0, ("PS",)),
+    "min_online": (min_cost_spec, "online", 9.0, ("PS",)),
+    "min_online_lax": (min_cost_spec, "online", 14.0, ("PS",)),
+    "sum_by_supp": (lambda: cost_by_supplier_spec("sum"), "naive", 1.0, ("PS",)),
+    "min_by_supp": (lambda: cost_by_supplier_spec("min"), "naive", 1.0, ("PS",)),
+    "costly_a": (lambda: costly_rows_spec(500), "naive", 1.0, ("PS",)),
+    "costly_b": (lambda: costly_rows_spec(500), "online", 9.0, ("PS",)),
+    "costly_float": (lambda: costly_rows_spec(500.0), "naive", 1.0, ("PS",)),
+    "nation_a": (cost_by_nation_spec, "naive", 1.0, ("PS", "S")),
+    "nation_b": (cost_by_nation_spec, "naive", 1.0, ("PS", "S")),
+    "nation_online": (cost_by_nation_spec, "online", 16.0, ("PS", "S")),
+    "nation_online_lax": (cost_by_nation_spec, "online", 24.0, ("PS", "S")),
+}
+
+
+def run_seeded_fleet():
+    """Register FLEET, stream updates to both tables, refresh at the end.
+
+    Returns (coordinator, what it observed, the counts after registration).
+    """
+    db = make_tpcr_db()
+    coordinator = MaintenanceCoordinator(db)
+    with obs.recording() as recorder:
+        for name, (spec, kind, limit, aliases) in FLEET.items():
+            coordinator.add_view(
+                ViewConfig(
+                    name=name,
+                    query=spec(),
+                    policy=NaivePolicy() if kind == "naive" else OnlinePolicy(),
+                    cost_functions=TWO_COSTS[: len(aliases)],
+                    limit=limit,
+                    scheduled_aliases=aliases,
+                )
+            )
+        registered = observed(coordinator, recorder)
+        partsupp = PartSuppCostUpdater(db.table("partsupp"), seed=101)
+        supplier = SupplierNationUpdater(db.table("supplier"), seed=102)
+        for t in range(8):
+            partsupp.apply(6)
+            supplier.apply(2)
+            coordinator.step(t)
+        coordinator.refresh(t=8)
+        return coordinator, observed(coordinator, recorder), registered
+
+
+def predicted_evaluations(coordinator) -> tuple[int, int]:
+    """(distinct, total) delta queries of a finished run, from its ledgers.
+
+    A query is determined by the round, the table window, the delta spec's
+    structural key and the LSNs the view's other aliases had been applied
+    to when it ran; every window here holds updates only, so each one is
+    queried twice (deleted rows, inserted rows).
+    """
+    distinct, total = set(), 0
+    for _, maintainer in coordinator.iter_maintainers():
+        view = maintainer.view
+        applied = {
+            alias: delta.applied_lsn
+            - sum(
+                e.action[maintainer.aliases.index(alias)]
+                for e in maintainer.ledger.entries
+            )
+            for alias, delta in view.deltas.items()
+        }
+        for entry in maintainer.ledger.entries:
+            for alias, k in zip(maintainer.aliases, entry.action):
+                if not k:
+                    continue
+                others = tuple(
+                    (o, lsn) for o, lsn in applied.items() if o != alias
+                )
+                distinct.add((
+                    entry.t, view.deltas[alias].table.name, applied[alias], k,
+                    view.delta_keys[alias], others,
+                ))
+                total += 1
+                applied[alias] += k
+    return 2 * len(distinct), 2 * total
+
+
+def test_shared_evaluation_changes_nothing_but_the_query_count():
+    coordinator, structural, registered = run_seeded_fleet()
+    with identity_keys():
+        _, identity, registered_alone = run_seeded_fleet()
+    assert_sharing_invisible(registered, registered_alone)
+    assert_sharing_invisible(structural, identity)
+
+    # Registration: one query per distinct spec -- 500 and 500.0 differ;
+    # SUM and MIN of one column by one key materialize from the same join.
+    assert registered_alone["evaluated"] == len(FLEET)
+    assert registered["evaluated"] == 5
+    # Rounds: exactly the queries the ledgers say were distinct.
+    distinct, total = predicted_evaluations(coordinator)
+    assert identity["evaluated"] - registered_alone["evaluated"] == total
+    assert structural["evaluated"] - registered["evaluated"] == distinct
+    assert distinct < total
+
+    def actions(name):
+        return [e.action for e in coordinator.maintainer(name).ledger.entries]
+
+    # Spec-equal views under different policies did flush different windows.
+    assert actions("min_online") != actions("min_a")
+    assert actions("nation_online") != actions("nation_online_lax")
+
+
+# A small vocabulary over two tiny tables, for the generated fleets.
+
+def _r_agg(func, value, *group):
+    return QuerySpec(
+        base_alias="R", base_table="r",
+        aggregate=AggregateSpec(func=func, value=value, group_by=tuple(group)),
+    )
+
+
+def _joined(**kwargs):
+    return QuerySpec(
+        base_alias="R", base_table="r",
+        joins=(JoinSpec("S", "s", "R.k", "k"),), **kwargs,
+    )
+
+
+VOCABULARY = (
+    (lambda: _r_agg("sum", col("R.a"), "R.k"), ("R",)),
+    (lambda: _r_agg("min", col("R.a"), "R.k"), ("R",)),
+    (lambda: _r_agg("count", col("R.a")), ("R",)),
+    (lambda: _r_agg("max", col("R.a") + lit(1), "R.k"), ("R",)),
+    (lambda: QuerySpec(
+        base_alias="R", base_table="r",
+        filters=(col("R.a") > lit(0),), projection=("R.k", "R.a"),
+    ), ("R",)),
+    (lambda: QuerySpec(
+        base_alias="R", base_table="r",
+        filters=(col("R.a") > lit(0.0),), projection=("R.k", "R.a"),
+    ), ("R",)),
+    (lambda: _joined(), ("R", "S")),
+    (lambda: _joined(projection=("S.b", "R.a")), ("R", "S")),
+    (lambda: _joined(
+        aggregate=AggregateSpec(func="min", value=col("R.a"))
+    ), ("R", "S")),
+    (lambda: _joined(
+        aggregate=AggregateSpec(
+            func="sum", value=col("S.b"), group_by=("R.k",)
+        )
+    ), ("R", "S")),
+)
+
+rows = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(-4, 4)), min_size=1, max_size=6
+)
+members = st.lists(
+    st.tuples(
+        st.integers(0, len(VOCABULARY) - 1),
+        st.sampled_from([("naive", 1.0), ("online", 8.0), ("online", 12.0)]),
+    ),
+    min_size=2,
+    max_size=7,
+)
+modification = st.tuples(
+    st.sampled_from(["r", "s"]),
+    st.sampled_from(["insert", "delete", "update"]),
+    st.integers(0, 3),
+    st.integers(-4, 4),
+)
+stream = st.lists(st.lists(modification, max_size=4), min_size=1, max_size=6)
+
+
+def modify(table, kind, key, value) -> None:
+    if kind == "insert":
+        table.insert((key, value))
+        return
+    victims = table.find_rids(lambda row: row[0] == key)
+    if not victims:
+        return
+    if kind == "delete":
+        table.delete_rid(victims[0])
+    else:
+        table.update_rid(victims[0], {table.schema.names[1]: value})
+
+
+def run_generated_fleet(r_rows, s_rows, fleet, steps) -> dict:
+    db = Database()
+    r = db.create_table("r", Schema.of(k=ColumnType.INT, a=ColumnType.INT))
+    s = db.create_table("s", Schema.of(k=ColumnType.INT, b=ColumnType.INT))
+    for row in r_rows:
+        r.insert(row)
+    for row in s_rows:
+        s.insert(row)
+    s.create_index("k")
+    coordinator = MaintenanceCoordinator(db)
+    with obs.recording() as recorder:
+        for i, (which, (kind, limit)) in enumerate(fleet):
+            spec, aliases = VOCABULARY[which]
+            coordinator.add_view(
+                ViewConfig(
+                    name=f"v{i}",
+                    query=spec(),
+                    policy=NaivePolicy() if kind == "naive" else OnlinePolicy(),
+                    cost_functions=TWO_COSTS[: len(aliases)],
+                    limit=limit,
+                    scheduled_aliases=aliases,
+                )
+            )
+        for t, modifications in enumerate(steps):
+            for table, kind, key, value in modifications:
+                modify(db.table(table), kind, key, value)
+            coordinator.step(t)
+        coordinator.refresh(t=len(steps))
+        return observed(coordinator, recorder)
+
+
+@settings(max_examples=30, deadline=None)
+@given(r_rows=rows, s_rows=rows, fleet=members, steps=stream)
+def test_generated_fleets_share_invisibly(r_rows, s_rows, fleet, steps):
+    structural = run_generated_fleet(r_rows, s_rows, fleet, steps)
+    with identity_keys():
+        identity = run_generated_fleet(r_rows, s_rows, fleet, steps)
+    assert_sharing_invisible(structural, identity)

@@ -107,6 +107,29 @@ class TestAlertCallbacks:
     def test_remove_unknown_callback_is_noop(self):
         slo.remove_alert(lambda e: None)
 
+    def test_active_follows_add_and_remove(self):
+        hub = slo.AlertHub()
+        first, second = (lambda e: None), (lambda e: None)
+        assert not hub.active()
+        hub.add(first)
+        assert hub.active()
+        hub.add(second)
+        hub.remove(first)
+        assert hub.active()
+        hub.remove(second)
+        assert not hub.active()
+        hub.remove(second)  # never registered any more: still inactive
+        assert not hub.active()
+        with hub.scoped(first):
+            assert hub.active()
+        assert not hub.active()
+
+    def test_module_guards_follow_registration(self):
+        assert not slo.hub_active()
+        with slo.alerts(lambda e: None):
+            assert slo.hub_active()
+        assert not slo.hub_active()
+
 
 class TestSummarize:
     def test_empty_registry(self):
