@@ -1,7 +1,7 @@
 """Closed-loop controller ablation: does the policy governor earn its keep?
 
-Runs :func:`repro.control.ablation.run_control_ablation` -- baseline
-(no controller) and the full loop over the identical bursty
+Runs :func:`repro.experiments.control_ablation.run_control_ablation` --
+baseline (no governor) and the full loop over the identical bursty
 SLO-pressure workload -- and asserts the loop's load-bearing claims:
 
 * with the governor on, SLO breaches land strictly below baseline;
@@ -12,7 +12,7 @@ The wall-time column is reported but not asserted.
 """
 
 from benchmarks._report import report
-from repro.control.ablation import run_control_ablation
+from repro.experiments.control_ablation import run_control_ablation
 
 
 def bench_control_ablation(run_once):

@@ -60,7 +60,8 @@ Observability (any subcommand)
 ``--serve-metrics PORT``
     Serve the live registry over HTTP while the subcommand runs:
     ``/metrics`` (Prometheus text format), ``/healthz``, ``/snapshot``,
-    ``/samples``.  Port 0 picks a free port (printed to stderr).
+    ``/samples``, ``/views``, ``/events``.  Port 0 picks a free port
+    (printed to stderr).
     Implies ``--metrics``.
 
 ``--flight-recorder FILE``
@@ -69,22 +70,15 @@ Observability (any subcommand)
     exit -- backlog-vs-time curves without bespoke experiment code.
     Implies ``--metrics``.
 
-``--profile FILE``
-    Install a global query-profile sink for the run: every query any
-    Database executes is attributed per operator and appended to FILE as
-    JSONL (one profile dict per query).  Independent of ``--metrics``.
-
-``--decision-log FILE``
-    Install a global planner decision log for the run: every policy
-    decision (simulator or live maintenance) is captured, joined with
-    its executed cost, and dumped to FILE as JSONL on exit -- the input
-    format of ``repro why --log FILE``.  Independent of ``--metrics``.
-
-``--control-log FILE``
-    Install a global control log for the run: every actuation the
-    adaptive runtime's governors make is captured and dumped to FILE as
-    JSONL on exit -- the input format of ``repro control-log --log
-    FILE``.  Independent of ``--metrics``.
+``--profile FILE`` / ``--decision-log FILE`` / ``--control-log FILE``
+    Write the run's ``profile`` / ``decision`` / ``actuation`` events
+    (:mod:`repro.obs.events`) to FILE as JSONL, one event dict per line:
+    every query any Database executes, attributed per operator and
+    appended as it finishes; every policy decision (simulator or live
+    maintenance) joined with its executed cost, dumped on exit -- the
+    input of ``repro why --log FILE``; every actuation the policy
+    governor makes, dumped on exit -- the input of ``repro control-log
+    --log FILE``.  Independent of ``--metrics``.
 
 All flags are accepted before or after the subcommand, and experiment
 names work as top-level shorthand: ``repro fig6 --trace out.jsonl`` is
@@ -102,6 +96,28 @@ EXPERIMENT_NAMES: tuple[str, ...] = (
     "bounds", "ablations", "operator-asymmetry",
     "online-bound", "three-way", "concavity",
 )
+
+#: ``--flag FILE`` -> (the event kind it writes to FILE, what the exit
+#: message calls that kind's events, the flag's help).
+EVENT_FLAGS = {
+    "--profile": (
+        "profile", "query profiles",
+        "profile every query the run executes and append the "
+        "per-operator attribution trees to FILE as JSONL",
+    ),
+    "--decision-log": (
+        "decision", "decision events",
+        "capture every planner decision, join it with its executed "
+        "cost, and dump the trail to FILE as JSONL on exit "
+        "(readable with `repro why --log FILE`)",
+    ),
+    "--control-log": (
+        "actuation", "control events",
+        "capture every actuation the policy governor makes and dump "
+        "the trail to FILE as JSONL on exit "
+        "(readable with `repro control-log --log FILE`)",
+    ),
+}
 
 
 def _obs_flags() -> argparse.ArgumentParser:
@@ -158,35 +174,10 @@ def _obs_flags() -> argparse.ArgumentParser:
         default=argparse.SUPPRESS,
         help="flight-recorder sampling period in milliseconds (default 50)",
     )
-    parent.add_argument(
-        "--profile",
-        metavar="FILE",
-        default=argparse.SUPPRESS,
-        help=(
-            "profile every query the run executes and append the "
-            "per-operator attribution trees to FILE as JSONL"
-        ),
-    )
-    parent.add_argument(
-        "--decision-log",
-        metavar="FILE",
-        default=argparse.SUPPRESS,
-        help=(
-            "capture every planner decision, join it with its executed "
-            "cost, and dump the trail to FILE as JSONL on exit "
-            "(readable with `repro why --log FILE`)"
-        ),
-    )
-    parent.add_argument(
-        "--control-log",
-        metavar="FILE",
-        default=argparse.SUPPRESS,
-        help=(
-            "capture every actuation the adaptive runtime's governors "
-            "make and dump the trail to FILE as JSONL on exit "
-            "(readable with `repro control-log --log FILE`)"
-        ),
-    )
+    for flag, (kind, _, text) in EVENT_FLAGS.items():
+        parent.add_argument(
+            flag, dest=kind, metavar="FILE", default=argparse.SUPPRESS, help=text
+        )
     return parent
 
 
@@ -206,9 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         serve_metrics=None,
         flight_recorder=None,
         flight_interval_ms=50.0,
-        profile=None,
-        decision_log=None,
-        control_log=None,
+        **{kind: None for kind, _, _ in EVENT_FLAGS.values()},
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -401,12 +390,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         "control-log": _run_control_log,
         "control-ablation": _run_control_ablation,
     }[args.command]
-    if args.profile:
-        handler = _with_profile_sink(handler, args.profile)
-    if args.decision_log:
-        handler = _with_decision_log(handler, args.decision_log)
-    if args.control_log:
-        handler = _with_control_log(handler, args.control_log)
+    paths = {
+        kind: (getattr(args, kind), noun)
+        for kind, noun, _ in EVENT_FLAGS.values()
+        if getattr(args, kind)
+    }
+    if paths:
+        handler = _with_event_files(handler, paths)
     observed = (
         args.trace
         or args.metrics
@@ -418,122 +408,61 @@ def main(argv: Sequence[str] | None = None) -> int:
     return _run_observed(handler, args)
 
 
-def _with_profile_sink(handler, path):
-    """Wrap a subcommand handler with the global query-profile sink.
+def _with_event_files(handler, paths):
+    """Wrap a subcommand handler so the run's events land in files.
 
-    Every ``Database.execute`` during the run profiles itself; the
-    profile dicts stream to ``path`` as JSONL.  The previous sink (none,
-    normally) is restored afterwards so embedding callers see no leakage.
+    ``paths`` maps an event kind to ``(path, noun)``.  Profiles stream to
+    their file as each query finishes (a ring of plan trees would bound
+    how many a run can keep); every other kind is collected in its ring
+    and dumped on exit, because a decision is joined with its executed
+    cost after it is emitted.  One event dict per JSONL line.
     """
 
     def wrapped(args) -> int:
         import json
+        from contextlib import ExitStack
 
-        from repro.obs import attrib
+        from repro.obs import events
 
-        try:
-            # Fail fast, same contract as --trace/--flight-recorder.
-            out = open(path, "w", encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot write {path!r}: {exc}", file=sys.stderr)
-            return 2
-        count = 0
+        with ExitStack() as stack:
+            try:
+                # Fail fast, same contract as --trace/--flight-recorder.
+                files = {
+                    kind: stack.enter_context(open(path, "w", encoding="utf-8"))
+                    for kind, (path, _) in paths.items()
+                }
+            except OSError as exc:
+                print(f"error: cannot write {exc.filename!r}: {exc}", file=sys.stderr)
+                return 2
+            counts = dict.fromkeys(paths, 0)
 
-        def sink(profile: dict) -> None:
-            nonlocal count
-            out.write(json.dumps(profile, sort_keys=True) + "\n")
-            count += 1
+            def write(kind, event) -> None:
+                files[kind].write(
+                    json.dumps(event.to_dict(), sort_keys=True) + "\n"
+                )
+                counts[kind] += 1
 
-        previous = attrib.set_profile_sink(sink)
-        try:
-            return handler(args)
-        finally:
-            attrib.set_profile_sink(previous)
-            out.close()
-            print(
-                f"[obs] wrote {count} query profiles to {path}",
-                file=sys.stderr,
-            )
-
-    return wrapped
-
-
-def _with_decision_log(handler, path):
-    """Wrap a subcommand handler with the global planner decision log.
-
-    Every policy decision during the run is captured and joined with its
-    executed cost; the trail streams to ``path`` as JSONL on exit (one
-    event dict per line, the input of ``repro why --log``).  The
-    previous log (none, normally) is restored afterwards.
-    """
-
-    def wrapped(args) -> int:
-        import json
-
-        from repro.obs import decisions
-
-        try:
-            # Fail fast, same contract as --profile.
-            out = open(path, "w", encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot write {path!r}: {exc}", file=sys.stderr)
-            return 2
-        log = decisions.DecisionLog()
-        previous = decisions.set_decision_log(log)
-        try:
-            return handler(args)
-        finally:
-            decisions.set_decision_log(previous)
-            count = 0
-            for event in log.events():
-                out.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
-                count += 1
-            out.close()
-            dropped = f" ({log.dropped} dropped)" if log.dropped else ""
-            print(
-                f"[obs] wrote {count} decision events to {path}{dropped}",
-                file=sys.stderr,
-            )
-
-    return wrapped
-
-
-def _with_control_log(handler, path):
-    """Wrap a subcommand handler with the global control-event log.
-
-    Every actuation the adaptive runtime's governors make during the run
-    is captured; the trail streams to ``path`` as JSONL on exit (one
-    event dict per line, the input of ``repro control-log --log``).  The
-    previous log (none, normally) is restored afterwards.
-    """
-
-    def wrapped(args) -> int:
-        import json
-
-        from repro.control import events as control_events
-
-        try:
-            # Fail fast, same contract as --profile/--decision-log.
-            out = open(path, "w", encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot write {path!r}: {exc}", file=sys.stderr)
-            return 2
-        log = control_events.ControlLog()
-        previous = control_events.set_control_log(log)
-        try:
-            return handler(args)
-        finally:
-            control_events.set_control_log(previous)
-            count = 0
-            for event in log.events():
-                out.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
-                count += 1
-            out.close()
-            dropped = f" ({log.dropped} dropped)" if log.dropped else ""
-            print(
-                f"[obs] wrote {count} control events to {path}{dropped}",
-                file=sys.stderr,
-            )
+            ringed = [kind for kind in paths if kind != "profile"]
+            log = stack.enter_context(events.collecting(*ringed))
+            rings = {kind: log.rings[kind] for kind in ringed}
+            if "profile" in paths:
+                stack.enter_context(
+                    events.subscribe("profile", lambda p: write("profile", p))
+                )
+            try:
+                return handler(args)
+            finally:
+                for kind, (path, noun) in paths.items():
+                    dropped = ""
+                    if kind in rings:
+                        for event in rings[kind].events():
+                            write(kind, event)
+                        if rings[kind].dropped:
+                            dropped = f" ({rings[kind].dropped} dropped)"
+                    print(
+                        f"[obs] wrote {counts[kind]} {noun} to {path}{dropped}",
+                        file=sys.stderr,
+                    )
 
     return wrapped
 
@@ -584,8 +513,7 @@ def _run_observed(handler, args) -> int:
             return 2
         print(
             f"[obs] serving metrics on http://127.0.0.1:{port}/metrics "
-            f"(also /healthz, /snapshot, /samples, /views, /decisions, "
-            f"/control)",
+            f"(also /healthz, /snapshot, /samples, /views, /events)",
             file=sys.stderr,
         )
     if flight is not None:
@@ -788,37 +716,49 @@ def _run_timeline(args) -> int:
     return 0
 
 
-def _run_why(args) -> int:
-    import json
+def _read_event_log(path, event_class, flag):
+    """The events of a ``flag`` JSONL file, or ``None`` after reporting
+    why it cannot be read."""
+    from repro.obs import read_jsonl
 
+    try:
+        return [event_class.from_dict(data) for data in read_jsonl(path)]
+    except OSError as exc:
+        print(f"error: cannot read {path!r}: {exc}", file=sys.stderr)
+    except (KeyError, ValueError) as exc:
+        print(
+            f"error: {path!r} is not a {flag} JSONL file: {exc}",
+            file=sys.stderr,
+        )
+    return None
+
+
+def _run_why(args) -> int:
     from repro.obs import decisions
+    from repro.obs.events import render_trail
 
     if args.log:
-        try:
-            with open(args.log, encoding="utf-8") as fh:
-                events = [
-                    decisions.DecisionEvent.from_dict(json.loads(line))
-                    for line in fh
-                    if line.strip()
-                ]
-        except OSError as exc:
-            print(f"error: cannot read {args.log!r}: {exc}", file=sys.stderr)
-            return 2
-        except (KeyError, ValueError) as exc:
-            print(
-                f"error: {args.log!r} is not a decision-log JSONL file: "
-                f"{exc}",
-                file=sys.stderr,
-            )
+        events = _read_event_log(
+            args.log, decisions.DecisionEvent, "decision-log"
+        )
+        if events is None:
             return 2
     else:
         events = _why_sample_run(args)
-    print(decisions.render_decision_trail(events, view=args.view, step=args.step))
+    print(
+        render_trail(
+            events, "decision trail", "decision", view=args.view, step=args.step
+        )
+    )
     return 0
 
 
 def _why_sample_run(args):
-    """Simulate the paper's workload with a decision log installed."""
+    """Simulate the paper's workload, collecting its decisions.
+
+    Under ``--decision-log`` the ring is already open and is joined, so
+    the rendered trail and the dumped JSONL are one and the same.
+    """
     from repro.core.naive import NaivePolicy
     from repro.core.online import OnlinePolicy
     from repro.core.receding import RecedingHorizonPolicy
@@ -836,52 +776,33 @@ def _why_sample_run(args):
         "online": OnlinePolicy,
         "receding": RecedingHorizonPolicy,
     }[args.policy]()
-    log = decisions.get_decision_log()
-    if log is not None:
-        # --decision-log already installed a global sink; feed it so the
-        # rendered trail and the dumped JSONL are one and the same.
+    with decisions.collecting() as ring:
         simulate_policy(problem, policy)
-        return log.events()
-    with decisions.collecting() as log:
-        simulate_policy(problem, policy)
-    return log.events()
+    return ring.events()
 
 
 def _run_control_log(args) -> int:
-    import json
-
-    from repro.control import events as control_events
+    from repro.ivm import governor
+    from repro.obs.events import render_trail
 
     if args.log:
-        try:
-            with open(args.log, encoding="utf-8") as fh:
-                events = [
-                    control_events.ControlEvent.from_dict(json.loads(line))
-                    for line in fh
-                    if line.strip()
-                ]
-        except OSError as exc:
-            print(f"error: cannot read {args.log!r}: {exc}", file=sys.stderr)
-            return 2
-        except (KeyError, ValueError) as exc:
-            print(
-                f"error: {args.log!r} is not a control-log JSONL file: "
-                f"{exc}",
-                file=sys.stderr,
-            )
+        events = _read_event_log(
+            args.log, governor.ControlEvent, "control-log"
+        )
+        if events is None:
             return 2
     else:
-        from repro.control.ablation import run_control_sample
+        from repro.experiments.control_ablation import run_control_sample
 
         events = run_control_sample(
             scale=args.scale, horizon=args.horizon
         )
-    print(control_events.render_control_log(events, view=args.view))
+    print(render_trail(events, "control log", "event", view=args.view))
     return 0
 
 
 def _run_control_ablation(args) -> int:
-    from repro.control.ablation import run_control_ablation
+    from repro.experiments.control_ablation import run_control_ablation
 
     result = run_control_ablation(
         scale=args.scale, horizon=args.horizon, seed=args.seed

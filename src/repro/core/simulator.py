@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 
 from repro import obs
-from repro.obs import decisions, slo
+from repro.obs import decisions, events, slo
 from repro.core.plan import Plan, PlanTrace
 from repro.core.policies import Policy, PolicyError
 from repro.core.problem import (
@@ -71,7 +71,7 @@ def simulate_policy(
         policy.reset(problem.cost_functions, problem.limit)
     # Fetched once: the per-step hooks gate on them.
     recorder = obs.get_recorder()
-    log = decisions.get_decision_log()
+    joining = events.wanted("decision")
     horizon = problem.horizon
     refresh_cost = problem.refresh_cost
     full_above = problem.full_above
@@ -108,11 +108,11 @@ def simulate_policy(
                 )
             cost = refresh_cost(action)
             policy.record_action(t, action, cost)
-            if log is not None and t < horizon:
+            if joining and t < horizon:
                 # Join the policy's decision with its executed cost.  The
                 # horizon step is a forced refresh (no decision emitted).
                 view, _ = decisions.current_scope()
-                log.join(view, t, actual_ms=cost)
+                decisions.join(view, t, actual_ms=cost)
             if recorder is not None:
                 recorder.counter("simulator.steps")
                 recorder.observe("simulator.backlog", backlog)
@@ -136,7 +136,7 @@ def _plan_trace(
 ) -> PlanTrace:
     """Fold the executed steps of ``plan`` (at least one: ``T >= 0``)."""
     pre_states, post_states, action_costs, backlogs = zip(*steps)
-    if obs.get_recorder() is not None:
+    if obs.get_recorder() is not None or events.wanted("slo"):
         # The paper's operational guarantee, step by step: had a refresh
         # been demanded at t, would it have met C?
         for t, pre in enumerate(pre_states):

@@ -19,10 +19,24 @@ shapes come out of operator structure, not the particular weights.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 #: Rows per disk page assumed when converting scans into page reads.
 #: Deliberately coarse; only the staircase granularity depends on it.
 ROWS_PER_PAGE = 64
+
+
+def float_total(values: Iterable[float]) -> float:
+    """``values`` added left to right with plain additions.
+
+    Never ``sum()``: it compensates float sums on CPython >= 3.12, and
+    these totals are the simulated cost the experiments report, which
+    must not depend on the interpreter.
+    """
+    total = 0
+    for value in values:
+        total = total + value
+    return total
 
 
 @dataclass(frozen=True)

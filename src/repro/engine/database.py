@@ -40,7 +40,7 @@ from repro.engine.operators import Filter, Operator, Project, RowSource, SeqScan
 from repro.engine.query import QueryResult, QuerySpec
 from repro.engine.table import Table
 from repro.engine.types import Schema
-from repro.obs import attrib
+from repro.obs import attrib, events
 
 
 @dataclass(slots=True)
@@ -145,14 +145,15 @@ class Database:
         profile:
             ``True`` attaches a per-operator attribution tree to the
             result as :attr:`QueryResult.profile`.  ``None`` (the default)
-            profiles only while a global profile sink is installed
-            (:func:`repro.obs.attrib.set_profile_sink`); ``False`` never
+            profiles only while someone wants ``profile`` events
+            (:mod:`repro.obs.events`; ``--profile``,
+            :func:`repro.obs.attrib.set_profile_sink`); ``False`` never
             profiles.  Profiling changes **no** simulated charges.
         """
         snapshot_lsns = snapshot_lsns or {}
         substitutions = substitutions or {}
         prof = None
-        if profile or (profile is None and attrib.sink_active()):
+        if profile or (profile is None and events.wanted("profile")):
             view, round_ = attrib.current_maintenance()
             prof = attrib.QueryProfile(
                 self.counter.model,
@@ -184,7 +185,7 @@ class Database:
                 wall_ms=(time.perf_counter() - wall_start) * 1e3,
             )
             result.profile = prof
-            attrib.emit(prof)
+            events.emit("profile", prof)
         return result
 
     @staticmethod

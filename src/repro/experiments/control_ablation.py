@@ -4,30 +4,33 @@ One SLO-pressure workload (the paper view under a bursty 80:1 arrival
 mix, constraint C sized so the ONLINE policy rides the near-breach
 band), two runs:
 
-* ``baseline`` -- no controller attached at all;
+* ``baseline`` -- no governor at all;
 * ``full`` -- the policy governor on.
 
 Both runs replay the identical modification stream (same seeds), so
 differences in ``slo.breaches`` and wall time are attributable to the
 governor alone.
 
-Breaches are counted through the :func:`repro.obs.slo.alerts` hub (not
-the metrics registry), so the harness works identically standalone,
-under the benchmark recorder, and in CI smoke runs.
+Breaches are counted from the ``slo`` events each run emits (not the
+metrics registry), so the harness works identically standalone, under
+the benchmark recorder, and in CI smoke runs.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro import obs
-from repro.control import events as control_events
-from repro.control.controller import build_controller
-from repro.control.events import ControlEvent
-from repro.obs import slo
+from repro.core.online import OnlinePolicy
+from repro.experiments import common
+from repro.ivm.governor import ControlEvent, PolicyGovernor
+from repro.ivm.multiview import MaintenanceCoordinator, ViewConfig
+from repro.obs import events, slo
+from repro.workloads.arrivals import bursty_arrivals
 
-#: Run names; ``baseline`` attaches no controller.
+#: Run names; ``baseline`` runs without a governor.
 VARIANTS = ("baseline", "full")
 
 
@@ -35,14 +38,11 @@ VARIANTS = ("baseline", "full")
 class VariantRun:
     """One run's outcome: SLO counts, wall time, and the control trail."""
 
-    name: str
     breaches: int
     near_breaches: int
-    steps: int
     wall_s: float
     events: list[ControlEvent] = field(default_factory=list)
     view_contents: tuple = ()
-    charge_snapshot: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -81,9 +81,6 @@ class ControlAblationResult:
 
 def _pressure_workload(scale: float, horizon: int, seed: int):
     """Arrivals + costs + a constraint that keeps ONLINE near the band."""
-    from repro.experiments import common
-    from repro.workloads.arrivals import bursty_arrivals
-
     costs = common.cost_functions(scale=scale)
     limit = common.default_limit(costs)
     arrivals = bursty_arrivals(
@@ -108,10 +105,6 @@ def _run_variant(
     scale: float,
     seed: int,
 ) -> VariantRun:
-    from repro.core.online import OnlinePolicy
-    from repro.experiments import common
-    from repro.ivm.multiview import MaintenanceCoordinator, ViewConfig
-
     setup = common.build_setup(scale=scale, update_seed=seed)
     # build_setup materializes its own view; this harness drives the
     # coordinator's copy instead, so drop the spare subscription.
@@ -128,46 +121,30 @@ def _run_variant(
             scheduled_aliases=common.SCHEDULED_ALIASES,
         )
     )
-    controller = build_controller(coordinator) if name == "full" else None
-    breaches = 0
-    near = 0
-
-    def count(event) -> None:
-        nonlocal breaches, near
-        if event.source != "ivm:paper_view":
-            return
-        if event.kind == slo.BREACH:
-            breaches += 1
-        else:
-            near += 1
-
-    # A fresh per-variant recorder, so variants do not share metric
-    # state under an outer benchmark recorder.
-    with obs.recording(), control_events.collecting() as log, \
-            slo.alerts(count):
-        if controller is not None:
-            controller.attach()
+    governor = PolicyGovernor(coordinator) if name == "full" else None
+    # This run's own events, whatever rings an outer --control-log holds
+    # open; and a fresh per-variant recorder, so variants do not share
+    # metric state under an outer benchmark recorder.
+    alerts: list[slo.SloEvent] = []
+    actuations: list[ControlEvent] = []
+    with obs.recording(), events.subscribe("slo", alerts.append), \
+            events.subscribe("actuation", actuations.append), \
+            governor or nullcontext():
         start = time.perf_counter()
-        try:
-            for t, step_arrivals in enumerate(arrivals):
-                setup.apply_arrivals(step_arrivals)
-                coordinator.step(t)
-                if controller is not None:
-                    controller.tick(t)
-        finally:
-            if controller is not None:
-                controller.detach()
+        for t, step_arrivals in enumerate(arrivals):
+            setup.apply_arrivals(step_arrivals)
+            coordinator.step(t)
+            if governor is not None:
+                governor.tick(t)
         wall = time.perf_counter() - start
     view = coordinator.maintainer("paper_view").view
+    kinds = [e.kind for e in alerts if e.view == "paper_view"]
     return VariantRun(
-        name=name,
-        breaches=breaches,
-        near_breaches=near,
-        steps=len(arrivals),
+        breaches=kinds.count(slo.BREACH),
+        near_breaches=kinds.count(slo.NEAR_BREACH),
         wall_s=wall,
-        events=log.events(),
+        events=actuations,
         view_contents=tuple(sorted(view.contents().items())),
-        charge_snapshot=dict(db.counter.snapshot()),
     )
 
 
@@ -202,16 +179,8 @@ def run_control_sample(
     horizon: int = 80,
     seed: int = 11,
 ) -> list[ControlEvent]:
-    """One adaptive run (governor on) for ``repro control-log``.
-
-    Returns the control trail; when a process-global control log is
-    installed (the ``--control-log`` flag), the events are fed into it
-    too, so the rendered trail and the dumped JSONL agree.
-    """
+    """One adaptive run (governor on) for ``repro control-log``; returns
+    the control trail."""
     arrivals, costs, limit = _pressure_workload(scale, horizon, seed)
     run = _run_variant("full", arrivals, costs, limit, scale=scale, seed=seed)
-    installed = control_events.get_control_log()
-    if installed is not None:
-        for event in run.events:
-            installed.record(event)
     return run.events

@@ -19,25 +19,12 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from repro.engine.costmodel import CostModel, OperationCounter
+from repro.engine.costmodel import CostModel, OperationCounter, float_total
 
 #: Counter fields whose weighted cost we attribute to join work.
 JOIN_FIELDS = ("index_probes", "hash_builds", "hash_probes")
 #: Counter fields whose weighted cost we attribute to aggregate upkeep.
 AGG_FIELDS = ("agg_updates", "sort_items")
-
-
-def float_total(values: Iterable[float]) -> float:
-    """``values`` added left to right with plain additions.
-
-    Never ``sum()``: it compensates float sums on CPython >= 3.12, and
-    these totals are the simulated cost the experiments report, which
-    must not depend on the interpreter.
-    """
-    total = 0
-    for value in values:
-        total = total + value
-    return total
 
 
 def _weighted_ms(charges: Mapping[str, int], model: CostModel, fields) -> float:

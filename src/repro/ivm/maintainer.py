@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro import obs
-from repro.obs import attrib, decisions, slo
+from repro.obs import attrib, decisions, events, slo
 from repro.obs import calibration as obs_calibration
 from repro.core.costfuncs import CostFunction
 from repro.core.policies import Policy, PolicyError
@@ -127,8 +127,8 @@ class ViewMaintainer:
     def set_policy(self, policy: Policy) -> Policy:
         """Swap the scheduling policy mid-run; returns the previous one.
 
-        The actuation path of the adaptive control layer
-        (:mod:`repro.control`): the incoming policy is reset against
+        The actuation path of the policy governor
+        (:mod:`repro.ivm.governor`): the incoming policy is reset against
         this view's cost functions and limit, so estimator state starts
         fresh while the backlog and the view itself carry over
         untouched.  Safe between rounds (plan/execute pairs must not be
@@ -243,16 +243,18 @@ class ViewMaintainer:
                 f"{self.policy!r} at t={t}: post-action state {post} "
                 f"violates C={self.limit}"
             )
+        # The round's two telemetry probes: the recorder, and the event
+        # kinds somebody wants (an empty dict with telemetry off).
         recorder = obs.get_recorder()
-        if recorder is not None or slo.hub_active():
+        wanted = events.installed().wanted
+        if recorder is not None or "slo" in wanted:
             # The same quantity the simulator's trace scores: the margin
             # of the post-arrival, pre-action state.  A backlog the
             # policy let ride into the near-breach band (or a burst that
             # blew past C before the policy could act) surfaces here as
-            # slo.* metrics and alert-hub events -- the feedback signal
-            # the control layer's policy governor consumes.  Purely
-            # observational: cost functions are evaluated, nothing is
-            # charged.
+            # slo.* metrics and slo events -- the feedback signal the
+            # policy governor consumes.  Purely observational: cost
+            # functions are evaluated, nothing is charged.
             slo.observe_refresh(
                 self.limit,
                 self.predicted_refresh_cost(pre),
@@ -292,9 +294,8 @@ class ViewMaintainer:
                 if not any(pre):
                     recorder.counter("ivm.skip.empty")
             self.policy.record_action(t, action, predicted)
-            log = decisions.get_decision_log()
-            if log is not None:
-                log.join(self.view.name, t, actual_ms=0.0)
+            if "decision" in wanted:
+                decisions.join(self.view.name, t, actual_ms=0.0)
             record = StepRecord(
                 t=t,
                 arrivals=arrivals,
@@ -308,7 +309,11 @@ class ViewMaintainer:
                 self._verify_consistency()
             return record
         charges_before = counter.snapshot()
-        calibrating = obs_calibration.enabled()
+        # Timing each flush is worth it only if someone consumes the
+        # sample: a recorder, the calibration ring or a drift subscriber.
+        calibrating = (
+            recorder is not None or "calibration" in wanted or "drift" in wanted
+        )
         flush_actual: dict[str, float] = {}
         wall_start = time.perf_counter()
         with counter.window() as window:
@@ -385,9 +390,8 @@ class ViewMaintainer:
             recorder.gauge(f"ivm.view.{vid}.backlog", entry.backlog)
             recorder.observe(f"ivm.view.{vid}.round_ms", window.elapsed_ms)
         self.policy.record_action(t, action, predicted)
-        log = decisions.get_decision_log()
-        if log is not None:
-            log.join(
+        if "decision" in wanted:
+            decisions.join(
                 self.view.name, t,
                 actual_ms=window.elapsed_ms,
                 table_ms=flush_actual,

@@ -29,6 +29,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Iterator
 
+from repro.obs import events
 from repro.obs import attrib
 from repro.obs import slo
 from repro.obs import calibration
@@ -67,11 +68,11 @@ __all__ = [
     "check_name",
     "counter",
     "decisions",
+    "events",
     "gauge",
     "gauge_max",
     "get_recorder",
     "install",
-    "install_in_thread",
     "observe",
     "prometheus_name",
     "read_jsonl",
@@ -91,33 +92,6 @@ def recording(trace: bool = False) -> Iterator[Recorder]:
     """
     previous = get_recorder()
     recorder = Recorder(trace=trace)
-    install(recorder)
-    try:
-        yield recorder
-    finally:
-        install(previous)
-
-
-@contextmanager
-def install_in_thread(recorder: Recorder | None) -> Iterator[Recorder | None]:
-    """Adopt an existing recorder on the calling (worker) thread.
-
-    ``obs.install`` binds per-thread, so work submitted to a thread pool
-    records nothing unless each worker opts in.  Wrap the worker body::
-
-        rec = obs.get_recorder()          # on the submitting thread
-        def work(item):
-            with obs.install_in_thread(rec):
-                ...                        # obs.* helpers now record
-        pool.map(work, items)
-
-    The previous binding (usually none -- pool threads start clean) is
-    restored on exit, so adoption nests and pooled threads can serve
-    differently-observed runs back to back.  The metric classes lock
-    their own state, so concurrent workers may share one recorder.
-    :meth:`Recorder.wrap` packages this pattern around a callable.
-    """
-    previous = get_recorder()
     install(recorder)
     try:
         yield recorder

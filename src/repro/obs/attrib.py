@@ -22,9 +22,11 @@ Three switches, all off by default:
 
 * ``Database.execute(spec, profile=True)`` / ``Database.explain(spec,
   analyze=True)`` profile one query;
-* :func:`set_profile_sink` installs a process-global sink -- every query
-  on every Database is profiled and its dict is handed to the sink (the
-  CLI ``--profile FILE`` flag and the benchmark harness use this);
+* while the ``profile`` kind of the event log (:mod:`repro.obs.events`)
+  is wanted, every query on every Database is profiled and its
+  :class:`QueryProfile` emitted as a ``profile`` event as it finishes
+  (the CLI ``--profile FILE`` flag streams them to FILE;
+  :func:`set_profile_sink` hands their dicts to one callable);
 * when neither is active, the hot path sees a single ``is None`` check
   per charge site (``Operator._prof``) and nothing else.
 """
@@ -35,6 +37,9 @@ import threading
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Mapping
 
+from repro.engine.costmodel import OperationCounter, float_total
+from repro.obs import events
+
 __all__ = [
     "ProfileNode",
     "QueryProfile",
@@ -43,8 +48,6 @@ __all__ = [
     "maintenance_context",
     "current_maintenance",
     "set_profile_sink",
-    "sink_active",
-    "emit",
     "attach_to_plan",
     "render_profile",
     "aggregate_profiles",
@@ -108,8 +111,6 @@ class ProfileNode:
 
     def sim_ms(self, model: Any) -> float:
         """Simulated cost of this node's own tally under ``model``."""
-        from repro.engine.costmodel import OperationCounter
-
         total = 0.0
         weights = OperationCounter._WEIGHT_BY_FIELD
         for field, count in self.tally.items():
@@ -125,7 +126,7 @@ class ProfileNode:
         return total
 
     def total_sim_ms(self, model: Any) -> float:
-        return self.sim_ms(model) + sum(
+        return self.sim_ms(model) + float_total(
             c.total_sim_ms(model) for c in self.children
         )
 
@@ -165,6 +166,11 @@ class QueryProfile:
         self.view = view
         self.round = round
         self.root = ProfileNode("query", query)
+
+    @property
+    def t(self) -> int | None:
+        """The maintenance round, under the name every event kind uses."""
+        return self.round
 
     def finish(self, rows_out: int, wall_ms: float) -> None:
         self.root.rows_out = rows_out
@@ -234,36 +240,36 @@ def current_maintenance() -> tuple[str | None, int | None]:
 
 
 # ----------------------------------------------------------------------
-# Process-global profile sink
+# The dict sink: one callable handed every finished profile's dict
 # ----------------------------------------------------------------------
 
-_sink: Callable[[dict], None] | None = None
+
+class _DictSink:
+    """The ``profile`` subscriber behind :func:`set_profile_sink`."""
+
+    def __init__(self, sink: Callable[[dict], None]):
+        self.sink = sink
+
+    def __call__(self, profile: QueryProfile) -> None:
+        self.sink(profile.to_dict())
 
 
 def set_profile_sink(
     sink: Callable[[dict], None] | None,
 ) -> Callable[[dict], None] | None:
-    """Install (or clear, with None) the global profile sink.
+    """Subscribe ``sink`` to the ``profile`` kind in place of the sink set
+    before (``None``: in place of nothing); returns that previous sink.
 
-    While a sink is installed every ``Database.execute`` call profiles
-    itself and hands ``profile.to_dict()`` to the sink.  Returns the
-    previously installed sink so callers can restore it.
+    While a sink is set every ``Database.execute`` call profiles itself
+    and hands ``profile.to_dict()`` to the sink.
     """
-    global _sink
-    previous = _sink
-    _sink = sink
-    return previous
-
-
-def sink_active() -> bool:
-    """True when a global profile sink is installed."""
-    return _sink is not None
-
-
-def emit(profile: QueryProfile) -> None:
-    """Hand a finished profile to the global sink, if one is installed."""
-    if _sink is not None:
-        _sink(profile.to_dict())
+    log = events.installed()
+    old = [s for s in log.wanted.get("profile", ()) if isinstance(s, _DictSink)]
+    for subscriber in old:
+        log.unsubscribe("profile", subscriber)
+    if sink is not None:
+        log.subscribe("profile", _DictSink(sink))
+    return old[0].sink if old else None
 
 
 # ----------------------------------------------------------------------

@@ -12,16 +12,15 @@ Three consumers, all optional and all observational:
 * **metrics** -- samples feed the ``planner.calibration.*`` family
   (abs/rel error and signed residual histograms with the registry's
   shared p50/p95/p99 quantiles) through the ambient recorder;
-* **tracker** -- an installable :class:`CalibrationTracker`
-  (:func:`set_tracker` / :func:`tracking`) aggregates residuals
-  per table alias and per view, with the invariant that every
-  aggregate equals the sum of its per-sample residuals (property
-  tested);
+* **samples** -- each one is a ``calibration`` event of the event log
+  (:mod:`repro.obs.events`; :func:`tracking` opens its ring), and
+  :func:`summary` aggregates residuals per table alias and per view,
+  with the invariant that every aggregate equals the sum of its
+  per-sample residuals (property tested);
 * **drift alerts** -- a rolling per-``(view, table)`` window of
   relative errors; when the window fills and its mean exceeds the
-  threshold, a :class:`DriftEvent` fires through the same
-  :class:`~repro.obs.slo.AlertHub` plumbing the SLO alerts use
-  (:func:`on_drift` / :func:`drift_alerts`), and the window re-arms.
+  threshold, a :class:`DriftEvent` is emitted as a ``drift`` event
+  (:func:`drift_alerts` subscribes), and the window re-arms.
 
 Nothing here touches the operation counter: cost tables stay
 byte-identical with calibration enabled or disabled (guarded by the
@@ -33,25 +32,21 @@ from __future__ import annotations
 import threading
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from dataclasses import asdict, dataclass
+from typing import Callable, Iterable, Iterator
 
+from repro.engine.costmodel import float_total
+from repro.obs import events
 from repro.obs.recorder import get_recorder
-from repro.obs.slo import AlertHub
 
 __all__ = [
     "CalibrationSample",
-    "CalibrationTracker",
     "DriftEvent",
     "DriftMonitor",
     "configure_drift",
     "drift_alerts",
-    "enabled",
-    "get_tracker",
     "observe_flush",
-    "on_drift",
-    "remove_drift",
-    "set_tracker",
+    "summary",
     "tracking",
 ]
 
@@ -89,6 +84,8 @@ class CalibrationSample:
     def rel_err(self) -> float:
         return self.abs_err_ms / max(abs(self.predicted_ms), REL_ERR_FLOOR)
 
+    to_dict = asdict
+
 
 def _empty_bucket() -> dict:
     return {
@@ -110,54 +107,26 @@ def _fold(bucket: dict, sample: CalibrationSample) -> None:
     bucket["max_abs_err_ms"] = max(bucket["max_abs_err_ms"], sample.abs_err_ms)
 
 
-class CalibrationTracker:
-    """Aggregates calibration samples per table alias and per view.
+def summary(samples: Iterable[CalibrationSample]) -> dict:
+    """``{"total": ..., "tables": {alias: ...}, "views": {view: ...}}``.
 
-    Thread-safe.  Keeps the raw samples (up to ``capacity``, counting
-    overflow in :attr:`dropped`) so tests and reports can cross-check
-    that every aggregate equals the sum of its per-sample residuals.
+    Every bucket carries sample count, summed predicted/actual ms, the
+    summed signed residual, summed absolute error, and the worst single
+    absolute error.
     """
-
-    def __init__(self, capacity: int = 65536):
-        self.capacity = capacity
-        self.dropped = 0
-        self._samples: deque[CalibrationSample] = deque()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    def record(self, sample: CalibrationSample) -> None:
-        with self._lock:
-            if len(self._samples) >= self.capacity:
-                self._samples.popleft()
-                self.dropped += 1
-            self._samples.append(sample)
-
-    def samples(self) -> list[CalibrationSample]:
-        with self._lock:
-            return list(self._samples)
-
-    def summary(self) -> dict:
-        """``{"total": ..., "tables": {alias: ...}, "views": {view: ...}}``.
-
-        Every bucket carries sample count, summed predicted/actual ms,
-        the summed signed residual, summed absolute error, and the
-        worst single absolute error.
-        """
-        total = _empty_bucket()
-        tables: dict[str, dict] = {}
-        views: dict[str, dict] = {}
-        for sample in self.samples():
-            _fold(total, sample)
-            _fold(tables.setdefault(sample.alias, _empty_bucket()), sample)
-            if sample.view is not None:
-                _fold(views.setdefault(sample.view, _empty_bucket()), sample)
-        return {
-            "total": total,
-            "tables": dict(sorted(tables.items())),
-            "views": dict(sorted(views.items())),
-        }
+    total = _empty_bucket()
+    tables: dict[str, dict] = {}
+    views: dict[str, dict] = {}
+    for sample in samples:
+        _fold(total, sample)
+        _fold(tables.setdefault(sample.alias, _empty_bucket()), sample)
+        if sample.view is not None:
+            _fold(views.setdefault(sample.view, _empty_bucket()), sample)
+    return {
+        "total": total,
+        "tables": dict(sorted(tables.items())),
+        "views": dict(sorted(views.items())),
+    }
 
 
 @dataclass(frozen=True)
@@ -179,23 +148,12 @@ class DriftEvent:
             f"> {self.threshold:.3f} over {self.window} flushes"
         )
 
-
-_drift_hub = AlertHub()
-
-
-def on_drift(callback: Callable[[DriftEvent], None]) -> Callable[[DriftEvent], None]:
-    """Register a drift-alert callback (decorator-friendly)."""
-    return _drift_hub.add(callback)
-
-
-def remove_drift(callback: Callable[[DriftEvent], None]) -> None:
-    """Unregister a drift callback (no error if never registered)."""
-    _drift_hub.remove(callback)
+    to_dict = asdict
 
 
 def drift_alerts(callback: Callable[[DriftEvent], None]):
     """Scope a drift callback to a ``with`` block (tests, scripts)."""
-    return _drift_hub.scoped(callback)
+    return events.subscribe("drift", callback)
 
 
 class DriftMonitor:
@@ -204,7 +162,7 @@ class DriftMonitor:
     When a window reaches ``window`` samples its mean relative error is
     compared against ``threshold``; on a hit the window clears (so the
     alert re-arms instead of firing on every subsequent flush) and a
-    :class:`DriftEvent` is fired through the drift hub.
+    :class:`DriftEvent` is emitted as a ``drift`` event.
     """
 
     def __init__(
@@ -217,10 +175,6 @@ class DriftMonitor:
         self._windows: dict[tuple[str | None, str], deque[float]] = {}
         self._lock = threading.Lock()
 
-    def reset(self) -> None:
-        with self._lock:
-            self._windows.clear()
-
     def observe(self, sample: CalibrationSample) -> DriftEvent | None:
         key = (sample.view, sample.alias)
         with self._lock:
@@ -230,7 +184,7 @@ class DriftMonitor:
             window.append(sample.rel_err)
             if len(window) < self.window:
                 return None
-            rolling = sum(window) / len(window)
+            rolling = float_total(window) / len(window)
             if rolling <= self.threshold:
                 return None
             window.clear()
@@ -245,37 +199,20 @@ class DriftMonitor:
         recorder = get_recorder()
         if recorder is not None:
             recorder.counter("planner.calibration.drift_alerts")
-        _drift_hub.fire(event)
+        events.emit("drift", event)
         return event
 
 
 _state_lock = threading.Lock()
-_tracker: CalibrationTracker | None = None
 _monitor = DriftMonitor()
 
 
-def set_tracker(tracker: CalibrationTracker | None) -> CalibrationTracker | None:
-    """Install the process-global tracker; returns the previous one."""
-    global _tracker
-    with _state_lock:
-        previous = _tracker
-        _tracker = tracker
-    return previous
-
-
-def get_tracker() -> CalibrationTracker | None:
-    return _tracker
-
-
 @contextmanager
-def tracking(capacity: int = 65536) -> Iterator[CalibrationTracker]:
-    """Aggregate calibration samples for the duration of the block."""
-    tracker = CalibrationTracker(capacity)
-    previous = set_tracker(tracker)
-    try:
-        yield tracker
-    finally:
-        set_tracker(previous)
+def tracking() -> Iterator[events.Ring]:
+    """Keep calibration samples for the block; yields the ``calibration``
+    ring (``len()``, ``.samples()``)."""
+    with events.collecting("calibration") as log:
+        yield log.rings["calibration"]
 
 
 def configure_drift(
@@ -288,18 +225,6 @@ def configure_drift(
     with _state_lock:
         _monitor = monitor
     return monitor
-
-
-def enabled() -> bool:
-    """True when a flush observation would be consumed by anyone.
-
-    The maintainer uses this to decide whether timing a flush is worth
-    it at all: with no tracker, no recorder, and no drift callbacks the
-    whole calibration path is skipped.
-    """
-    if _tracker is not None or _drift_hub.active():
-        return True
-    return get_recorder() is not None
 
 
 def observe_flush(
@@ -319,9 +244,7 @@ def observe_flush(
         predicted_ms=float(predicted_ms),
         actual_ms=float(actual_ms),
     )
-    tracker = _tracker
-    if tracker is not None:
-        tracker.record(sample)
+    events.emit("calibration", sample)
     recorder = get_recorder()
     if recorder is not None:
         recorder.counter("planner.calibration.samples")

@@ -8,8 +8,8 @@ the other half of the loop: every policy step emits a structured
 actions it weighed with their per-table predicted costs, the chosen
 action, and the winning comparison as a human-readable rationale.  At
 execution time the event is joined with the actual simulated charge
-(:meth:`DecisionLog.join`), so every decision carries its own
-predicted-vs-actual residual.
+(:func:`join`), so every decision carries its own predicted-vs-actual
+residual.
 
 Design mirrors the rest of ``repro.obs``:
 
@@ -17,11 +17,12 @@ Design mirrors the rest of ``repro.obs``:
   operation counter; simulated cost tables are byte-identical with
   tracing on or off (guarded by a differential test);
 * **off by default** -- policies call :func:`active` first and skip all
-  event construction when neither a :class:`DecisionLog` is installed
-  (:func:`set_decision_log`) nor a metrics recorder is present;
-* **process-global sink** -- :func:`set_decision_log` follows the
-  ``attrib.set_profile_sink`` install/restore contract, and the
-  ``--decision-log FILE`` CLI flag dumps the joined events as JSONL;
+  event construction when neither the ``decision`` kind of the event log
+  (:mod:`repro.obs.events`) is wanted nor a metrics recorder is present;
+* **one sink** -- events go to the ``decision`` ring of the event log
+  (:func:`collecting` opens it), and the ``--decision-log FILE`` CLI
+  flag dumps the joined events as JSONL on exit, because the join fills
+  ``actual_*`` after emission;
 * **metrics for free** -- emission feeds ``planner.decisions.*``
   counters/histograms through the ambient recorder, so the flight
   recorder, ``/metrics``, and ``/snapshot`` pick them up unchanged.
@@ -36,31 +37,25 @@ one whose action actually executes.
 from __future__ import annotations
 
 import threading
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
+from repro.engine.costmodel import float_total
+from repro.obs import events
 from repro.obs.recorder import get_recorder
 
 __all__ = [
     "CandidateAction",
     "DecisionEvent",
-    "DecisionLog",
     "active",
     "collecting",
     "current_scope",
     "emit",
     "emit_policy_decision",
-    "get_decision_log",
-    "render_decision_trail",
+    "join",
     "scope",
-    "set_decision_log",
 ]
-
-#: Default ring capacity of a :class:`DecisionLog`; old events are
-#: evicted (and counted in :attr:`DecisionLog.dropped`) beyond this.
-DEFAULT_CAPACITY = 4096
 
 
 @dataclass(frozen=True)
@@ -93,6 +88,10 @@ class CandidateAction:
         )
 
 
+def _fmt_vec(values: Sequence[float]) -> str:
+    return "(" + ", ".join(f"{v:.3f}" for v in values) + ")"
+
+
 @dataclass
 class DecisionEvent:
     """One policy decision, joined later with its executed cost.
@@ -100,8 +99,7 @@ class DecisionEvent:
     ``backlog_ms`` / ``chosen_ms`` hold the per-table predicted
     ``f_i(k)`` costs for the backlog and the chosen action (0.0 for
     components with nothing queued / not flushed).  The ``actual_*``
-    fields stay ``None`` until :meth:`DecisionLog.join` fills them at
-    execution time.
+    fields stay ``None`` until :func:`join` fills them at execution time.
     """
 
     t: int
@@ -130,6 +128,35 @@ class DecisionEvent:
     @property
     def is_flush(self) -> bool:
         return any(self.chosen)
+
+    def lines(self) -> list[str]:
+        """The event as a text tree (``repro why``)."""
+        where = f" view={self.view}" if self.view else ""
+        verb = f"flush {tuple(self.chosen)}" if self.is_flush else "defer"
+        items = [
+            f"backlog {tuple(self.backlog)} "
+            f"f_i(s)={_fmt_vec(self.backlog_ms)} ms"
+        ]
+        if self.limit is not None:
+            items.append(f"constraint C={self.limit:.3f} ms")
+        for cand in self.candidates:
+            mark = " [chosen]" if cand.action == self.chosen else ""
+            score = f" H={cand.score:.6f}" if cand.score is not None else ""
+            note = f" ({cand.note})" if cand.note else ""
+            items.append(
+                f"candidate {tuple(cand.action)} "
+                f"f={cand.predicted_ms:.3f} ms{score}{note}{mark}"
+            )
+        items.append(f"rationale: {self.rationale}")
+        if self.actual_ms is not None:
+            residual = self.residual_ms or 0.0
+            items.append(
+                f"actual {self.actual_ms:.3f} ms "
+                f"(predicted {self.predicted_ms:.3f}, residual {residual:+.3f})"
+            )
+        return events.tree(
+            f"t={self.t} {self.policy} [{self.source}]{where}: {verb}", items
+        )
 
     def to_dict(self) -> dict:
         data: dict = {
@@ -176,110 +203,43 @@ class DecisionEvent:
         )
 
 
-class DecisionLog:
-    """A bounded in-memory ring of decision events with a join index.
-
-    Thread-safe.  The index maps ``(view, t)`` to the most recent event
-    emitted for that key, so :meth:`join` attaches the executed cost to
-    the decision whose action actually ran (see module docstring).
-    """
-
-    def __init__(self, capacity: int = DEFAULT_CAPACITY):
-        self.capacity = capacity
-        self.dropped = 0
-        self._events: deque[DecisionEvent] = deque()
-        self._index: dict[tuple[str | None, int], DecisionEvent] = {}
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def record(self, event: DecisionEvent) -> None:
-        with self._lock:
-            if len(self._events) >= self.capacity:
-                evicted = self._events.popleft()
-                self.dropped += 1
-                key = (evicted.view, evicted.t)
-                if self._index.get(key) is evicted:
-                    del self._index[key]
-            self._events.append(event)
-            self._index[(event.view, event.t)] = event
-
-    def join(
-        self,
-        view: str | None,
-        t: int,
-        actual_ms: float,
-        table_ms: dict[str, float] | None = None,
-        charges: dict[str, int] | None = None,
-    ) -> DecisionEvent | None:
-        """Attach the executed cost to the decision for ``(view, t)``.
-
-        Returns the joined event, or ``None`` if no decision was
-        recorded for that key (e.g. a forced refresh that bypassed the
-        policy).
-        """
-        with self._lock:
-            event = self._index.get((view, t))
-        if event is None:
-            return None
-        event.actual_ms = actual_ms
-        if table_ms:
-            event.actual_table_ms = dict(table_ms)
-        if charges:
-            event.charges = dict(charges)
-        recorder = get_recorder()
-        if recorder is not None:
-            recorder.counter("planner.decisions.joined")
-        return event
-
-    def events(self) -> list[DecisionEvent]:
-        with self._lock:
-            return list(self._events)
-
-    def filtered(
-        self, view: str | None = None, step: int | None = None
-    ) -> list[DecisionEvent]:
-        """Events matching the optional view / step filters, in order."""
-        return [
-            e
-            for e in self.events()
-            if (view is None or e.view == view)
-            and (step is None or e.t == step)
-        ]
-
-
-# --------------------------------------------------------------------------
-# Process-global sink (same install/restore contract as attrib's profile
-# sink) and a thread-local scope tagging events with the owning view.
-
-_log_lock = threading.Lock()
-_log: DecisionLog | None = None
+#: The thread's :func:`scope`: which view a decision is emitted for.
 _tls = threading.local()
 
 
-def set_decision_log(log: DecisionLog | None) -> DecisionLog | None:
-    """Install ``log`` as the process-global sink; returns the previous."""
-    global _log
-    with _log_lock:
-        previous = _log
-        _log = log
-    return previous
-
-
-def get_decision_log() -> DecisionLog | None:
-    return _log
-
-
 @contextmanager
-def collecting(capacity: int = DEFAULT_CAPACITY) -> Iterator[DecisionLog]:
-    """Collect decisions into a fresh log for the duration of the block."""
-    log = DecisionLog(capacity)
-    previous = set_decision_log(log)
-    try:
-        yield log
-    finally:
-        set_decision_log(previous)
+def collecting() -> Iterator[events.Ring]:
+    """Collect decisions for the block; yields the ``decision`` ring."""
+    with events.collecting("decision") as log:
+        yield log.rings["decision"]
+
+
+def join(
+    view: str | None,
+    t: int,
+    actual_ms: float,
+    table_ms: dict[str, float] | None = None,
+    charges: dict[str, int] | None = None,
+) -> DecisionEvent | None:
+    """Attach the executed cost to the last decision for ``(view, t)``.
+
+    Returns the joined event, or ``None`` if the ``decision`` ring holds
+    none for that key (e.g. a forced refresh that bypassed the policy).
+    """
+    ring = events.installed().rings.get("decision")
+    found = ring.at(view, t) if ring is not None else ()
+    if not found:
+        return None
+    event = found[-1]
+    event.actual_ms = actual_ms
+    if table_ms:
+        event.actual_table_ms = dict(table_ms)
+    if charges:
+        event.charges = dict(charges)
+    recorder = get_recorder()
+    if recorder is not None:
+        recorder.counter("planner.decisions.joined")
+    return event
 
 
 @contextmanager
@@ -305,16 +265,12 @@ def current_scope() -> tuple[str | None, str]:
 
 def active() -> bool:
     """True when emitting a decision event would be observed by anyone."""
-    if _log is not None:
-        return True
-    return get_recorder() is not None
+    return events.wanted("decision") or get_recorder() is not None
 
 
 def emit(event: DecisionEvent) -> DecisionEvent:
-    """Record ``event`` in the global log and export its metrics."""
-    log = _log
-    if log is not None:
-        log.record(event)
+    """Hand ``event`` to the event log and export its metrics."""
+    events.emit("decision", event)
     recorder = get_recorder()
     if recorder is not None:
         recorder.counter("planner.decisions.emitted")
@@ -371,75 +327,9 @@ def emit_policy_decision(
         backlog_ms=_table_costs(cost_functions, backlog),
         chosen=chosen_tuple,
         chosen_ms=chosen_ms,
-        predicted_ms=sum(chosen_ms),
+        predicted_ms=float_total(chosen_ms),
         limit=limit,
         rationale=rationale,
         candidates=tuple(candidates),
     )
     return emit(event)
-
-
-# --------------------------------------------------------------------------
-# Rendering (the `repro why` text tree)
-
-
-def _fmt_vec(values: Sequence[float]) -> str:
-    return "(" + ", ".join(f"{v:.3f}" for v in values) + ")"
-
-
-def _event_lines(event: DecisionEvent) -> list[str]:
-    where = f" view={event.view}" if event.view else ""
-    verb = (
-        f"flush {tuple(event.chosen)}" if event.is_flush else "defer"
-    )
-    head = f"t={event.t} {event.policy} [{event.source}]{where}: {verb}"
-    items = [
-        f"backlog {tuple(event.backlog)} f_i(s)={_fmt_vec(event.backlog_ms)} ms"
-    ]
-    if event.limit is not None:
-        items.append(f"constraint C={event.limit:.3f} ms")
-    for cand in event.candidates:
-        mark = " [chosen]" if cand.action == event.chosen else ""
-        score = f" H={cand.score:.6f}" if cand.score is not None else ""
-        note = f" ({cand.note})" if cand.note else ""
-        items.append(
-            f"candidate {tuple(cand.action)} "
-            f"f={cand.predicted_ms:.3f} ms{score}{note}{mark}"
-        )
-    items.append(f"rationale: {event.rationale}")
-    if event.actual_ms is not None:
-        residual = event.residual_ms or 0.0
-        items.append(
-            f"actual {event.actual_ms:.3f} ms "
-            f"(predicted {event.predicted_ms:.3f}, residual {residual:+.3f})"
-        )
-    lines = [head]
-    for i, item in enumerate(items):
-        connector = "└─" if i == len(items) - 1 else "├─"
-        lines.append(f"{connector} {item}")
-    return lines
-
-
-def render_decision_trail(
-    events: Sequence[DecisionEvent],
-    view: str | None = None,
-    step: int | None = None,
-) -> str:
-    """Render a sequence of decisions as a text tree (``repro why``)."""
-    picked = [
-        e
-        for e in events
-        if (view is None or e.view == view) and (step is None or e.t == step)
-    ]
-    if not picked:
-        scope_bits = []
-        if view is not None:
-            scope_bits.append(f"view={view}")
-        if step is not None:
-            scope_bits.append(f"step={step}")
-        suffix = f" matching {' '.join(scope_bits)}" if scope_bits else ""
-        return f"decision trail: no decisions{suffix}"
-    lines = [f"decision trail: {len(picked)} decision(s)"]
-    for event in picked:
-        lines.extend(_event_lines(event))
-    return "\n".join(lines)

@@ -17,7 +17,7 @@ Three metric kinds:
   totals stay exact, quantiles become approximate past the reservoir.
 
 Every mutation and snapshot takes a per-metric lock, so a registry can be
-written by worker threads (``obs.install_in_thread``) and scraped live by
+written by several threads (each calls ``obs.install``) and scraped live by
 the ``/metrics`` endpoint mid-run without torn reads.  The locks are
 uncontended in single-threaded runs and hot loops batch their tallies, so
 the enabled path stays within the observability overhead budget.

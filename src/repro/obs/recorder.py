@@ -150,25 +150,6 @@ class Recorder:
 
         return render_prometheus(self.registry)
 
-    # -- worker threads -----------------------------------------------------
-
-    def wrap(self, fn):
-        """A callable running ``fn`` with this recorder installed.
-
-        Hand the result to ``ThreadPoolExecutor.submit``/``map`` so pooled
-        workers record into this run; see ``obs.install_in_thread``.
-        """
-        import functools
-
-        @functools.wraps(fn)
-        def wrapped(*args, **kwargs):
-            from repro import obs
-
-            with obs.install_in_thread(self):
-                return fn(*args, **kwargs)
-
-        return wrapped
-
     def __repr__(self) -> str:
         return (
             f"Recorder(metrics={len(self.registry)}, "

@@ -22,20 +22,14 @@ exit summary.  :class:`MetricsServer` wraps an
     provider callable (e.g. ``coordinator.ledger_snapshot``) when one is
     attached; otherwise reconstructed from the registry's ``ivm.view.*``
     metrics, so any run emitting those is covered for free.
-``/decisions``
-    The planner decision trail as JSON (``?view=``, ``?step=``,
-    ``?limit=`` filters).  Backed by a ``decisions`` provider callable
-    when one is attached; otherwise served from the process-global
-    :class:`~repro.obs.decisions.DecisionLog` (the one ``--decision-log``
-    installs), so the CLI's serve-then-run ordering works without
-    wiring.  404 when neither exists.
-``/control``
-    The adaptive runtime's control trail as JSON (``?governor=``,
-    ``?view=``, ``?limit=`` filters) -- every actuation the governors
-    made, with its reason and signal values.  Backed by a ``control``
-    provider callable when one is attached; otherwise served from the
-    process-global :class:`~repro.control.events.ControlLog` (the one
-    ``--control-log`` installs).  404 when neither exists.
+``/events``
+    The event log (:mod:`repro.obs.events`) as JSON, read at request
+    time: ``{"events": {kind: [event dicts]}, "total": N}``.
+    ``?kind=`` picks one kind's ring (404 when it is not open);
+    without it every open ring answers, so ``?view=V&t=T`` is the whole
+    chain recorded for that step -- decision, calibration samples, SLO
+    event, actuation.  ``?limit=`` caps each kind (most recent kept;
+    ``total`` counts matches, not the cap).
 
 Zero dependencies, thread-safe against the instrumented run (the metric
 classes lock their own state), and activated from the CLI with the
@@ -53,6 +47,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 from urllib.parse import parse_qs, urlsplit
 
+from repro.obs import events
 from repro.obs.export import CONTENT_TYPE, render_prometheus
 from repro.obs.recorder import Recorder
 from repro.obs.sampler import FlightRecorder
@@ -62,11 +57,8 @@ from repro.obs.sampler import FlightRecorder
 #: summaries makes the endpoint useless to both humans and scrapers.
 VIEWS_DEFAULT_LIMIT = 100
 
-#: Default event cap for the ``/decisions`` route (most recent kept).
-DECISIONS_DEFAULT_LIMIT = 100
-
-#: Default event cap for the ``/control`` route (most recent kept).
-CONTROL_DEFAULT_LIMIT = 100
+#: Default per-kind event cap for the ``/events`` route (most recent kept).
+EVENTS_DEFAULT_LIMIT = 100
 
 
 def _views_from_registry(snapshot: dict) -> dict[str, dict]:
@@ -103,8 +95,6 @@ class _ObsServer(ThreadingHTTPServer):
     recorder: Recorder
     sampler: FlightRecorder | None
     views_provider: "Callable[[], dict] | None"
-    decisions_provider: "Callable[[], list] | None"
-    control_provider: "Callable[[], list] | None"
     started_at: float
 
 
@@ -147,17 +137,8 @@ class _Handler(BaseHTTPRequestHandler):
             )
             self._reply(200, "application/x-ndjson", body.encode("utf-8"))
         elif path == "/views":
-            try:
-                limit = int(query.get("limit", [VIEWS_DEFAULT_LIMIT])[0])
-            except ValueError:
-                self._reply_json(
-                    400, {"error": "limit must be an integer"}
-                )
-                return
-            if limit < 0:
-                self._reply_json(
-                    400, {"error": "limit must be non-negative"}
-                )
+            limit = self._limit(query, VIEWS_DEFAULT_LIMIT)
+            if limit is None:
                 return
             provider = self.server.views_provider
             if provider is not None:
@@ -182,91 +163,38 @@ class _Handler(BaseHTTPRequestHandler):
                 payload["omitted"] = len(views) - limit
                 payload["total_views"] = len(views)
             self._reply_json(200, payload)
-        elif path == "/decisions":
+        elif path == "/events":
+            limit = self._limit(query, EVENTS_DEFAULT_LIMIT)
+            if limit is None:
+                return
             try:
-                limit = int(query.get("limit", [DECISIONS_DEFAULT_LIMIT])[0])
+                t_raw = query.get("t", [None])[0]
+                t = int(t_raw) if t_raw is not None else None
             except ValueError:
-                self._reply_json(400, {"error": "limit must be an integer"})
+                self._reply_json(400, {"error": "t must be an integer"})
                 return
-            if limit < 0:
-                self._reply_json(400, {"error": "limit must be non-negative"})
-                return
-            step_raw = query.get("step", [None])[0]
-            try:
-                step = int(step_raw) if step_raw is not None else None
-            except ValueError:
-                self._reply_json(400, {"error": "step must be an integer"})
-                return
+            kind = query.get("kind", [None])[0]
             view = query.get("view", [None])[0]
-            provider = self.server.decisions_provider
-            if provider is not None:
-                raw = provider()
-            else:
-                from repro.obs import decisions as decisions_mod
-
-                log = decisions_mod.get_decision_log()
-                if log is None:
+            rings = dict(events.installed().rings)
+            if kind is not None:
+                if kind not in rings:
                     self._reply_json(
-                        404, {"error": "no decision log attached"}
+                        404, {"error": f"no {kind!r} ring is open"}
                     )
                     return
-                raw = log.events()
-            events = [
-                e.to_dict() if hasattr(e, "to_dict") else e for e in raw
-            ]
-            events = [
-                e
-                for e in events
-                if (view is None or e.get("view") == view)
-                and (step is None or e.get("t") == step)
-            ]
-            total = len(events)
-            if limit:
-                events = events[-limit:]  # most recent decisions win
-            else:
-                events = []
-            self._reply_json(200, {"decisions": events, "total": total})
-        elif path == "/control":
-            try:
-                limit = int(query.get("limit", [CONTROL_DEFAULT_LIMIT])[0])
-            except ValueError:
-                self._reply_json(400, {"error": "limit must be an integer"})
-                return
-            if limit < 0:
-                self._reply_json(400, {"error": "limit must be non-negative"})
-                return
-            governor = query.get("governor", [None])[0]
-            view = query.get("view", [None])[0]
-            provider = self.server.control_provider
-            if provider is not None:
-                raw = provider()
-            else:
-                # Deferred: repro.obs must stay importable without the
-                # control package having been initialized.
-                from repro.control import events as control_mod
-
-                log = control_mod.get_control_log()
-                if log is None:
-                    self._reply_json(
-                        404, {"error": "no control log attached"}
-                    )
-                    return
-                raw = log.events()
-            events = [
-                e.to_dict() if hasattr(e, "to_dict") else e for e in raw
-            ]
-            events = [
-                e
-                for e in events
-                if (governor is None or e.get("governor") == governor)
-                and (view is None or e.get("view") == view)
-            ]
-            total = len(events)
-            if limit:
-                events = events[-limit:]  # most recent actuations win
-            else:
-                events = []
-            self._reply_json(200, {"control": events, "total": total})
+                rings = {kind: rings[kind]}
+            found = {k: ring.events(view, t) for k, ring in rings.items()}
+            self._reply_json(
+                200,
+                {
+                    "events": {
+                        k: [e.to_dict() for e in es[max(len(es) - limit, 0):]]
+                        for k, es in found.items()
+                        if es
+                    },
+                    "total": sum(len(es) for es in found.values()),
+                },
+            )
         else:
             self._reply_json(
                 404,
@@ -278,11 +206,22 @@ class _Handler(BaseHTTPRequestHandler):
                         "/snapshot",
                         "/samples",
                         "/views",
-                        "/decisions",
-                        "/control",
+                        "/events",
                     ],
                 },
             )
+
+    def _limit(self, query: dict, default: int) -> int | None:
+        """``?limit=`` (a row cap); ``None`` after replying 400 to a bad one."""
+        try:
+            limit = int(query.get("limit", [default])[0])
+        except ValueError:
+            self._reply_json(400, {"error": "limit must be an integer"})
+            return None
+        if limit < 0:
+            self._reply_json(400, {"error": "limit must be non-negative"})
+            return None
+        return limit
 
     @staticmethod
     def _view_cost(summary) -> float:
@@ -326,16 +265,6 @@ class MetricsServer:
         summaries for the ``/views`` route (typically
         ``coordinator.ledger_snapshot``); without one the route falls
         back to aggregating the registry's ``ivm.view.*`` metrics.
-    decisions:
-        Optional zero-argument callable returning the decision trail for
-        the ``/decisions`` route (a list of event dicts or
-        :class:`~repro.obs.decisions.DecisionEvent` objects); without one
-        the route reads the process-global decision log at request time.
-    control:
-        Optional zero-argument callable returning the control trail for
-        the ``/control`` route (a list of event dicts or
-        :class:`~repro.control.events.ControlEvent` objects); without one
-        the route reads the process-global control log at request time.
     """
 
     def __init__(
@@ -345,16 +274,12 @@ class MetricsServer:
         host: str = "127.0.0.1",
         sampler: FlightRecorder | None = None,
         views: "Callable[[], dict] | None" = None,
-        decisions: "Callable[[], list] | None" = None,
-        control: "Callable[[], list] | None" = None,
     ):
         self.recorder = recorder
         self.requested_port = int(port)
         self.host = host
         self.sampler = sampler
         self.views = views
-        self.decisions = decisions
-        self.control = control
         self._server: _ObsServer | None = None
         self._thread: threading.Thread | None = None
 
@@ -366,8 +291,6 @@ class MetricsServer:
         server.recorder = self.recorder
         server.sampler = self.sampler
         server.views_provider = self.views
-        server.decisions_provider = self.decisions
-        server.control_provider = self.control
         server.started_at = time.time()
         self._server = server
         self._thread = threading.Thread(

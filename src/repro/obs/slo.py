@@ -17,9 +17,10 @@ simulator, the staged simulator, the pub/sub broker):
 | ``slo.near_breaches`` | C | steps within the near-breach band (cost >= ``near_fraction * C``, default 0.9, but still within ``C``) |
 
 Metrics are recorded only when a recorder is installed (the usual
-no-op-when-disabled contract).  **Alert callbacks** registered with
-:func:`on_alert` fire on every breach / near-breach regardless of
-recording, so a pub/sub deployment can page without paying for metrics.
+no-op-when-disabled contract).  Every breach / near-breach is also an
+``slo`` event of the event log (:mod:`repro.obs.events`), recorder or
+not, so a callback subscribed with :func:`alerts` can page without
+paying for metrics; callers observe when either is there to see it.
 Classification (:func:`classify`) is shared with the offline per-policy
 SLO summary in :func:`repro.core.report.slo_summary`, so the live
 counters and the post-run table can never disagree.
@@ -27,13 +28,11 @@ counters and the post-run table can never disagree.
 
 from __future__ import annotations
 
-import threading
 import warnings
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from dataclasses import asdict, dataclass
+from typing import Callable
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import events
 from repro.obs.recorder import get_recorder
 
 #: Near-breach band: cost at or above this fraction of the limit.
@@ -60,6 +59,13 @@ class SloEvent:
         """The deadline margin ``C - f(s_t)`` (negative on a breach)."""
         return self.limit - self.cost
 
+    @property
+    def view(self) -> str | None:
+        """The view a live maintainer observed (``source="ivm:<view>"``)."""
+        return self.source[4:] if self.source.startswith("ivm:") else None
+
+    to_dict = asdict
+
     def __str__(self) -> str:
         where = f" t={self.t}" if self.t is not None else ""
         who = f" [{self.source}]" if self.source else ""
@@ -69,89 +75,10 @@ class SloEvent:
         )
 
 
-class AlertHub:
-    """A thread-safe callback registry for alert events.
-
-    The shared plumbing behind the ``slo.*`` alert surface and the
-    planner-calibration drift alerts (:mod:`repro.obs.calibration`):
-    register with :meth:`add` (decorator-friendly), scope to a ``with``
-    block via :meth:`scoped`, and :meth:`fire` delivers an event to
-    every registered callback inline on the observing thread -- keep
-    callbacks fast and non-raising.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._callbacks: list[Callable] = []
-
-    def add(self, callback: Callable) -> Callable:
-        with self._lock:
-            self._callbacks.append(callback)
-        return callback
-
-    def remove(self, callback: Callable) -> None:
-        """Unregister a callback (no error if it was never registered)."""
-        with self._lock:
-            try:
-                self._callbacks.remove(callback)
-            except ValueError:
-                pass
-
-    @contextmanager
-    def scoped(self, callback: Callable) -> Iterator[None]:
-        self.add(callback)
-        try:
-            yield
-        finally:
-            self.remove(callback)
-
-    def active(self) -> bool:
-        """True when at least one callback would observe a fire.
-
-        Reads the list's truth without the lock: callers ask on every
-        maintenance round with telemetry off, and one read of a list
-        that ``add``/``remove`` only ever mutate under the lock is
-        consistent by itself.
-        """
-        return bool(self._callbacks)
-
-    def fire(self, event) -> None:
-        with self._lock:
-            callbacks = list(self._callbacks)
-        for callback in callbacks:
-            callback(event)
-
-
-_hub = AlertHub()
-
-
-def on_alert(callback: Callable[[SloEvent], None]) -> Callable[[SloEvent], None]:
-    """Register ``callback`` to run on every breach/near-breach event.
-
-    Returns the callback (usable as a decorator).  Callbacks run inline
-    on the observing thread; keep them fast and non-raising.
-    """
-    return _hub.add(callback)
-
-
-def remove_alert(callback: Callable[[SloEvent], None]) -> None:
-    """Unregister a callback (no error if it was never registered)."""
-    _hub.remove(callback)
-
-
 def alerts(callback: Callable[[SloEvent], None]):
-    """Scope a callback registration to a ``with`` block (tests, scripts)."""
-    return _hub.scoped(callback)
-
-
-def hub_active() -> bool:
-    """True when at least one alert callback is registered.
-
-    Observers that must pay to *produce* an observation (the live
-    maintainer evaluates cost functions per round) use this to skip the
-    work when neither a recorder nor any alert subscriber would see it.
-    """
-    return _hub.active()
+    """Scope an alert callback to a ``with`` block: it runs inline on the
+    observing thread on every breach / near-breach event."""
+    return events.subscribe("slo", callback)
 
 
 _invalid_limit_warned = False
@@ -206,13 +133,12 @@ def observe_refresh(
     cost: float,
     t: int | None = None,
     source: str = "",
-    near_fraction: float = DEFAULT_NEAR_FRACTION,
 ) -> SloEvent | None:
     """Record one refresh-cost-vs-limit observation.
 
     Feeds the ``slo.*`` metric family (when a recorder is installed) and
-    fires registered alert callbacks on a breach or near-breach.
-    Returns the event when one fired, else ``None``.
+    emits an ``slo`` event on a breach or near-breach.  Returns the event
+    when there was one, else ``None``.
     """
     limit = _coerce_limit(limit)
     margin = limit - cost
@@ -222,7 +148,7 @@ def observe_refresh(
         recorder.gauge("slo.refresh_margin", margin)
         recorder.observe("slo.refresh_margin.step", margin)
         recorder.counter("slo.steps")
-    kind = classify(limit, cost, near_fraction)
+    kind = classify(limit, cost)
     if kind is None:
         return None
     if recorder is not None:
@@ -232,30 +158,5 @@ def observe_refresh(
     event = SloEvent(
         kind=kind, limit=float(limit), cost=float(cost), t=t, source=source
     )
-    _hub.fire(event)
+    events.emit("slo", event)
     return event
-
-
-def summarize(registry: MetricsRegistry) -> dict:
-    """The ``slo.*`` family of one registry as a plain summary dict."""
-
-    def counter(name: str) -> int:
-        metric = registry.get(name)
-        return metric.value if metric is not None else 0
-
-    margin = registry.get("slo.refresh_margin")
-    dist = registry.get("slo.refresh_margin.step")
-    return {
-        "steps": counter("slo.steps"),
-        "breaches": counter("slo.breaches"),
-        "near_breaches": counter("slo.near_breaches"),
-        "limit": (
-            registry.get("slo.limit").value
-            if registry.get("slo.limit") is not None
-            else None
-        ),
-        "current_margin": margin.value if margin is not None else None,
-        "min_margin": (
-            dist.min if dist is not None and dist.count else None
-        ),
-    }

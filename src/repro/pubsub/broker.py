@@ -22,10 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
+from repro import obs
 from repro.engine.database import Database
 from repro.ivm.maintainer import ViewMaintainer
 from repro.ivm.view import MaterializedView
-from repro.obs import slo
+from repro.obs import events, slo
 from repro.pubsub.subscription import Subscription
 
 
@@ -122,14 +123,15 @@ class PubSubBroker:
                 # Refresh: process *all* pending modifications, measure it.
                 record = registration.maintainer.refresh(t)
                 # The refresh is the guarantee's moment of truth: record
-                # the deadline margin and fire any registered SLO alert
-                # callbacks (these run even without a recorder installed).
-                slo.observe_refresh(
-                    subscription.limit,
-                    record.predicted_cost,
-                    t=t,
-                    source=f"pubsub:{subscription.name}",
-                )
+                # the deadline margin and emit any breach as an slo event
+                # (subscribers hear it even without a recorder installed).
+                if obs.get_recorder() is not None or events.wanted("slo"):
+                    slo.observe_refresh(
+                        subscription.limit,
+                        record.predicted_cost,
+                        t=t,
+                        source=f"pubsub:{subscription.name}",
+                    )
                 new_result = self._result_of(registration.view)
                 notification = Notification(
                     subscription=subscription.name,

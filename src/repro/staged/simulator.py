@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro import obs
-from repro.obs import slo
+from repro.obs import events, slo
 from repro.core.policies import PolicyError
 from repro.staged.model import Pipeline
 from repro.staged.policies import StagedPolicy
@@ -58,7 +58,8 @@ def simulate_staged(
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     policy.reset(pipeline, limit)
-    recorder = obs.get_recorder()  # per-step SLO hooks gate on it
+    # Per-step SLO observations are made for a recorder or an slo subscriber.
+    watching = obs.get_recorder() is not None or events.wanted("slo")
     state = pipeline.zero_state()
     horizon = len(arrivals) - 1
     action_costs: list[float] = []
@@ -72,7 +73,7 @@ def simulate_staged(
         entry = list(state)
         entry[0] += int(arriving)
         pre = tuple(entry)
-        if recorder is not None:
+        if watching:
             slo.observe_refresh(
                 limit, pipeline.flush_cost(pre), t=t, source="staged"
             )

@@ -49,6 +49,21 @@ def make_tpcr_db(scale: float = TEST_SCALE, seed: int = 42) -> Database:
 
 
 @pytest.fixture
+def event_log():
+    """A fresh installed event log (``repro.obs.events``), the previous
+    one put back afterwards; ``event_log.open(kind, capacity=n)`` sizes
+    a ring."""
+    from repro.obs import events
+
+    log = events.EventLog()
+    previous = events.install(log)
+    try:
+        yield log
+    finally:
+        assert events.install(previous) is log
+
+
+@pytest.fixture
 def tpcr_db() -> Database:
     """Function-scoped TPC-R database (mutate freely)."""
     return make_tpcr_db()

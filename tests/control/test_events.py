@@ -1,20 +1,15 @@
-"""Tests for ControlEvent / ControlLog / the global sink / rendering."""
+"""Tests for ControlEvent, its ``actuation`` ring, and its rendering."""
 
 import json
 
-import pytest
-
 from repro import obs
-from repro.control import events as control_events
-from repro.control.events import (
-    ControlEvent,
-    ControlLog,
-    collecting,
-    emit,
-    get_control_log,
-    render_control_log,
-    set_control_log,
-)
+from repro.ivm.governor import ControlEvent, emit
+from repro.obs import events
+
+
+def render_control_log(trail, **filters) -> str:
+    """What ``repro control-log`` prints."""
+    return events.render_trail(trail, "control log", "event", **filters)
 
 
 def _event(**overrides):
@@ -59,45 +54,43 @@ class TestControlEvent:
 
 
 class TestControlLog:
-    def test_bounded_ring_counts_dropped(self):
-        log = ControlLog(capacity=3)
+    def test_bounded_ring_counts_dropped(self, event_log):
+        event_log.open("actuation", capacity=3)
         for t in range(5):
-            log.record(_event(t=t))
-        assert len(log) == 3
-        assert log.dropped == 2
-        assert [e.t for e in log.events()] == [2, 3, 4]
+            emit(_event(t=t))
+        ring = event_log.rings["actuation"]
+        assert len(ring) == 3
+        assert ring.dropped == 2
+        assert [e.t for e in ring.events()] == [2, 3, 4]
 
     def test_filtered(self):
-        log = ControlLog()
-        log.record(_event(governor="policy", view="a"))
-        log.record(_event(governor="block_size", view=None))
-        log.record(_event(governor="policy", view="b"))
-        assert len(log.filtered(governor="policy")) == 2
-        assert len(log.filtered(view="b")) == 1
-        assert len(log.filtered(governor="block_size", view="b")) == 0
+        with events.collecting("actuation") as log:
+            ring = log.rings["actuation"]
+            emit(_event(view="a", t=1))
+            emit(_event(view=None, t=1))
+            emit(_event(view="b", t=2))
+        assert len(ring.events(t=1)) == 2
+        assert len(ring.events(view="b")) == 1
+        assert len(ring.events(view="b", t=1)) == 0
 
 
 class TestGlobalSink:
-    def test_set_returns_previous_and_collecting_restores(self):
-        assert get_control_log() is None
-        outer = ControlLog()
-        assert set_control_log(outer) is None
-        try:
-            with collecting() as inner:
-                assert get_control_log() is inner
-                emit(_event())
-            assert get_control_log() is outer
-            assert len(inner) == 1
-            assert len(outer) == 0
-        finally:
-            set_control_log(None)
+    def test_set_returns_previous_and_collecting_restores(self, event_log):
+        assert not events.wanted("actuation")
+        with events.collecting("actuation") as log:
+            assert log is event_log
+            ring = log.rings["actuation"]
+            emit(_event())
+        assert not events.wanted("actuation")
+        emit(_event())  # closed again: not recorded
+        assert len(ring) == 1
 
     def test_emit_without_log_or_recorder_is_safe(self):
-        assert get_control_log() is None
+        assert not events.wanted("actuation")
         emit(_event())  # neither sink exists: must not raise
 
     def test_emit_metrics(self):
-        with obs.recording() as rec, collecting():
+        with obs.recording() as rec, events.collecting("actuation"):
             emit(_event(applied=True))
             emit(_event(applied=False))
         assert rec.registry.get("control.events").value == 2
@@ -109,8 +102,8 @@ class TestRender:
         assert render_control_log([]) == "control log: no events"
 
     def test_empty_with_filters_names_scope(self):
-        out = render_control_log([_event()], governor="block_size")
-        assert out == "control log: no events matching governor=block_size"
+        out = render_control_log([_event()], view="other")
+        assert out == "control log: no events matching view=other"
 
     def test_tree_shape(self):
         out = render_control_log([_event()])
@@ -127,10 +120,7 @@ class TestRender:
         assert "applied: no" in out
 
     def test_filters(self):
-        events = [
-            _event(governor="policy", view="a"),
-            _event(governor="block_size", view=None, t=9),
-        ]
-        out = render_control_log(events, governor="block_size")
-        assert "t=9 block_size" in out
+        trail = [_event(view="a"), _event(view="b", t=9)]
+        out = render_control_log(trail, view="b")
+        assert "t=9 policy view=b" in out
         assert "view=a" not in out

@@ -1,21 +1,29 @@
 """Governor unit tests: synthetic signals in, bounded actuations out."""
 
+import contextlib
+
 import pytest
 
 from repro import obs
-from repro.control import events as control_events
-from repro.control.governors import (
+from repro.core.naive import NaivePolicy
+from repro.core.online import OnlinePolicy
+from repro.core.receding import RecedingHorizonPolicy
+from repro.ivm.governor import (
     NAIVE,
     ONLINE,
     RECEDING,
     PolicyGovernor,
     _mode_of,
 )
-from repro.core.naive import NaivePolicy
-from repro.core.online import OnlinePolicy
-from repro.core.receding import RecedingHorizonPolicy
 from repro.obs import calibration as obs_calibration
-from repro.obs import slo
+from repro.obs import events, slo
+
+
+@contextlib.contextmanager
+def collecting():
+    """The governor's actuations for the block, as their ring."""
+    with events.collecting("actuation") as log:
+        yield log.rings["actuation"]
 
 
 class FakeMaintainer:
@@ -58,7 +66,7 @@ class TestPolicyGovernor:
         governor = PolicyGovernor(
             FakeCoordinator(v=maintainer), escalate_after=3, window=10
         )
-        with control_events.collecting() as log:
+        with collecting() as log:
             self._pressure(governor, "v", [4, 5, 6])
             governor.tick(7)
         assert isinstance(maintainer.policy, NaivePolicy)
@@ -72,7 +80,7 @@ class TestPolicyGovernor:
         governor = PolicyGovernor(
             FakeCoordinator(v=maintainer), escalate_after=3, window=10
         )
-        with control_events.collecting() as log:
+        with collecting() as log:
             self._pressure(governor, "v", [4, 5])
             governor.tick(6)
         assert isinstance(maintainer.policy, OnlinePolicy)
@@ -83,7 +91,7 @@ class TestPolicyGovernor:
         governor = PolicyGovernor(
             FakeCoordinator(v=maintainer), escalate_after=3, window=5
         )
-        with control_events.collecting() as log:
+        with collecting() as log:
             self._pressure(governor, "v", [1, 2, 3])
             governor.tick(50)  # all events fell out of the window
         assert isinstance(maintainer.policy, OnlinePolicy)
@@ -92,7 +100,7 @@ class TestPolicyGovernor:
     def test_drift_moves_online_to_receding(self):
         maintainer = FakeMaintainer(OnlinePolicy())
         governor = PolicyGovernor(FakeCoordinator(v=maintainer))
-        with control_events.collecting() as log:
+        with collecting() as log:
             governor._on_drift(
                 obs_calibration.DriftEvent(
                     view="v", alias="PS", t=9, rolling_rel_err=0.8,
@@ -110,7 +118,7 @@ class TestPolicyGovernor:
             FakeCoordinator(v=maintainer),
             escalate_after=1, window=5, cooldown=10,
         )
-        with control_events.collecting() as log:
+        with collecting() as log:
             self._pressure(governor, "v", [2])
             governor.tick(3)
             assert isinstance(maintainer.policy, NaivePolicy)
@@ -122,7 +130,7 @@ class TestPolicyGovernor:
 
     def test_removed_view_is_skipped(self):
         governor = PolicyGovernor(FakeCoordinator(), escalate_after=1)
-        with control_events.collecting() as log:
+        with collecting() as log:
             self._pressure(governor, "gone", [1])
             governor.tick(2)  # KeyError from the coordinator: no crash
         assert not log.events()
@@ -138,7 +146,7 @@ class TestPolicyGovernor:
                 source="pubsub:v",
             )
         )
-        with control_events.collecting() as log:
+        with collecting() as log:
             governor.tick(2)
         assert not log.events()
 
@@ -147,35 +155,19 @@ class TestPolicyGovernor:
         governor = PolicyGovernor(
             FakeCoordinator(paper=maintainer), escalate_after=2, window=10
         )
-        governor.attach()
-        try:
+        with governor:
             slo.observe_refresh(10.0, 12.0, t=1, source="ivm:paper")
             slo.observe_refresh(10.0, 12.0, t=2, source="ivm:paper")
-            with control_events.collecting():
+            with collecting():
                 governor.tick(3)
-        finally:
-            governor.detach()
         assert isinstance(maintainer.policy, NaivePolicy)
-
-    def test_disabled_never_attaches_or_acts(self):
-        maintainer = FakeMaintainer(OnlinePolicy())
-        governor = PolicyGovernor(
-            FakeCoordinator(paper=maintainer), enabled=False, escalate_after=1
-        )
-        governor.attach()
-        try:
-            slo.observe_refresh(10.0, 12.0, t=1, source="ivm:paper")
-            governor.tick(2)
-        finally:
-            governor.detach()
-        assert isinstance(maintainer.policy, OnlinePolicy)
 
     def test_counts_switches_metric(self):
         maintainer = FakeMaintainer(OnlinePolicy())
         governor = PolicyGovernor(
             FakeCoordinator(v=maintainer), escalate_after=1
         )
-        with obs.recording() as rec, control_events.collecting():
+        with obs.recording() as rec, collecting():
             self._pressure(governor, "v", [1])
             governor.tick(2)
         assert rec.registry.get("control.policy.switches").value == 1

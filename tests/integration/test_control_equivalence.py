@@ -1,31 +1,32 @@
-"""Differential: a fully-disabled controller vs no controller at all.
+"""Differential: a governor that never actuates vs no governor at all.
 
-The adaptive runtime's contract is **disabled == invisible**: a
-controller whose governors are all off never subscribes to an alert
-hub, never reads the metric registry, and never touches a knob.  This
-suite proves it differentially -- two identically seeded maintenance
-runs, one with a disabled controller attached and ticked every step,
-one with no controller object at all, must produce byte-identical view
-contents and byte-identical simulated-cost (OperationCounter) tables
-at small and default block sizes.  CI's
-"Gate on controller differential equivalence" step runs exactly this
-file.
+The policy governor's contract is **subscribing is observational**: a
+governor that hears every SLO and drift event and is ticked every round
+changes nothing until it actuates.  This suite proves it differentially
+-- two identically seeded maintenance runs, one under a subscribed
+governor whose escalation threshold is out of reach, one with no
+governor object at all, must produce byte-identical view contents and
+byte-identical simulated-cost (OperationCounter) tables at small and
+default block sizes.  CI's "Gate on controller differential
+equivalence" step runs exactly this file.
 """
+
+from contextlib import nullcontext
 
 import pytest
 
 from repro import obs
-from repro.control import build_controller
-from repro.control import events as control_events
 from repro.core.costfuncs import LinearCost
 from repro.core.online import OnlinePolicy
 from repro.engine.expr import col
 from repro.engine.query import AggregateSpec, QuerySpec
+from repro.ivm.governor import PolicyGovernor
 from repro.ivm.multiview import MaintenanceCoordinator, ViewConfig
+from repro.obs import events
 from repro.tpcr.updates import PartSuppCostUpdater
 from tests.conftest import make_tpcr_db
 
-STEPS = 6
+STEPS = 8  # 56 pending at t=6 rides the near-breach band, 64 at t=7 breaches
 MODS_PER_STEP = 8
 COST = (LinearCost(slope=0.5, setup=2.0),)
 LIMIT = 30.0
@@ -53,9 +54,9 @@ def _specs() -> dict:
 def run_fleet(with_controller: bool, block_size: int):
     """One seeded maintenance run; returns (per-view contents, charges).
 
-    ``with_controller=True`` attaches a controller whose governors are
-    all disabled and ticks it after every round -- the leg that must be
-    indistinguishable from ``with_controller=False``.
+    ``with_controller=True`` subscribes a governor that cannot reach
+    its escalation threshold and ticks it after every round -- the leg
+    that must be indistinguishable from ``with_controller=False``.
     """
     db = make_tpcr_db()
     db.block_size = block_size
@@ -72,28 +73,27 @@ def run_fleet(with_controller: bool, block_size: int):
             )
         )
     updater = PartSuppCostUpdater(db.table("partsupp"), seed=101)
-    controller = (
-        build_controller(coordinator, policy=False)
+    governor = (
+        PolicyGovernor(coordinator, escalate_after=10**9)
         if with_controller
         else None
     )
-    if controller is not None:
-        controller.attach()
-    try:
-        # A live recorder plus a control-event sink make the check
-        # strict: even with telemetry flowing, the disabled leg must
-        # read nothing, emit nothing, and actuate nothing.
-        with obs.recording(), control_events.collecting() as log:
-            for t in range(STEPS):
-                updater.apply(MODS_PER_STEP)
-                coordinator.step(t)
-                if controller is not None:
-                    controller.tick(t)
-            coordinator.refresh(t=STEPS)
-    finally:
-        if controller is not None:
-            controller.detach()
-    assert not log.events()
+    # A live recorder plus open slo and actuation rings make the check
+    # strict: both legs pay for the same observations, the governed leg
+    # hears every one of them, and it still actuates nothing.
+    with obs.recording(), events.collecting("slo", "actuation") as log, \
+            governor or nullcontext():
+        for t in range(STEPS):
+            updater.apply(MODS_PER_STEP)
+            coordinator.step(t)
+            if governor is not None:
+                governor.tick(t)
+        coordinator.refresh(t=STEPS)
+        heard = len(log.rings["slo"])
+        assert not log.rings["actuation"].events()
+    if governor is not None:
+        # Non-vacuity: the governor was listening to real pressure.
+        assert sum(map(len, governor._pressure.values())) == heard > 0
     contents = {
         name: maintainer.view.contents()
         for name, maintainer in coordinator.iter_maintainers()

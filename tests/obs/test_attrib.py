@@ -18,7 +18,7 @@ from repro.engine.database import Database
 from repro.engine.expr import col, lit
 from repro.engine.query import AggregateSpec, JoinSpec, QuerySpec
 from repro.engine.types import ColumnType, Schema
-from repro.obs import attrib
+from repro.obs import attrib, events
 
 #: Round weights so golden sim_ms values are exact decimals.
 FLAT_MODEL = CostModel(
@@ -141,12 +141,12 @@ class TestProfileSink:
         sink = profiles.append
         previous = attrib.set_profile_sink(sink)
         try:
-            assert attrib.sink_active()
+            assert events.wanted("profile")
             db.execute(join_spec())
             db.execute(QuerySpec(base_alias="T", base_table="t"))
         finally:
             assert attrib.set_profile_sink(previous) is sink
-        assert not attrib.sink_active()
+        assert not events.wanted("profile")
         assert len(profiles) == 2
         assert profiles[0]["query"] == "t ⋈ d → MIN"
         assert profiles[0]["rows"] == len(db.execute(join_spec()).rows)
@@ -257,11 +257,11 @@ class TestDisabledOverhead:
         """The acceptance bound: with no sink and no capture, the per-call
         hooks (the exact checks on the engine hot path) must be trivial --
         200k of them well under a second even on a slow CI box."""
-        assert not attrib.sink_active()
+        assert not events.wanted("profile")
         assert attrib.active_profile() is None
         start = time.perf_counter()
         for __ in range(100_000):
-            attrib.sink_active()
+            events.wanted("profile")
             attrib.active_profile()
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"disabled-mode hooks too slow: {elapsed:.3f}s"

@@ -1,7 +1,7 @@
 """Tests for cost-model calibration telemetry (``repro.obs.calibration``).
 
-Sample arithmetic, tracker aggregation (with the property that every
-aggregate equals the fold of its per-sample residuals), the rolling
+Sample arithmetic, the summary over tracked samples (with the property
+that every aggregate equals the fold of its per-sample residuals), the rolling
 drift monitor (fires only on a full window, re-arms after firing, works
 with or without a recorder), and the ``observe_flush`` entry point that
 ties tracker, metrics, and drift together.
@@ -14,11 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.obs import calibration
+from repro.obs import calibration, events
 from repro.obs.calibration import (
     REL_ERR_FLOOR,
     CalibrationSample,
-    CalibrationTracker,
     DriftEvent,
     DriftMonitor,
 )
@@ -53,11 +52,11 @@ class TestSample:
 
 class TestTracker:
     def test_summary_buckets(self):
-        tracker = CalibrationTracker()
-        tracker.record(make_sample(2.0, 2.5, view="a", alias="PS"))
-        tracker.record(make_sample(1.0, 0.5, view="a", alias="S"))
-        tracker.record(make_sample(3.0, 3.0, view="b", alias="PS"))
-        summary = tracker.summary()
+        with calibration.tracking() as tracker:
+            calibration.observe_flush("a", 0, "PS", 1, 2.0, 2.5)
+            calibration.observe_flush("a", 0, "S", 1, 1.0, 0.5)
+            calibration.observe_flush("b", 0, "PS", 1, 3.0, 3.0)
+        summary = calibration.summary(tracker.samples())
         assert summary["total"]["samples"] == 3
         assert summary["total"]["predicted_ms"] == pytest.approx(6.0)
         assert summary["total"]["actual_ms"] == pytest.approx(6.0)
@@ -70,17 +69,16 @@ class TestTracker:
         assert summary["views"]["b"]["samples"] == 1
 
     def test_viewless_samples_skip_view_buckets(self):
-        tracker = CalibrationTracker()
-        tracker.record(make_sample(view=None))
-        summary = tracker.summary()
+        summary = calibration.summary([make_sample(view=None)])
         assert summary["total"]["samples"] == 1
         assert summary["views"] == {}
         assert summary["tables"]["PS"]["samples"] == 1
 
-    def test_capacity_drops_oldest(self):
-        tracker = CalibrationTracker(capacity=2)
-        for t in range(3):
-            tracker.record(make_sample(t=t))
+    def test_capacity_drops_oldest(self, event_log):
+        event_log.open("calibration", capacity=2)
+        with calibration.tracking() as tracker:  # joins the open ring
+            for t in range(3):
+                calibration.observe_flush("v", t, "PS", 1, 2.0, 2.5)
         assert len(tracker) == 2
         assert tracker.dropped == 1
         assert [s.t for s in tracker.samples()] == [1, 2]
@@ -101,14 +99,11 @@ class TestTracker:
         """The tracker invariant: every summary bucket is exactly the
         fold of its member samples -- no sample is double counted,
         dropped, or misfiled."""
-        tracker = CalibrationTracker()
         samples = [
             make_sample(p, a, view=view, alias=alias, t=i)
             for i, (p, a, alias, view) in enumerate(raws)
         ]
-        for sample in samples:
-            tracker.record(sample)
-        summary = tracker.summary()
+        summary = calibration.summary(samples)
         assert summary["total"]["samples"] == len(samples)
         assert summary["total"]["residual_ms"] == pytest.approx(
             sum(s.residual_ms for s in samples)
@@ -197,7 +192,7 @@ class TestObserveFlush:
         finally:
             calibration.configure_drift()  # restore defaults
         assert sample.residual_ms == pytest.approx(1.0)
-        assert tracker.summary()["total"]["samples"] == 1
+        assert calibration.summary(tracker.samples())["total"]["samples"] == 1
         snap = recorder.registry.snapshot()
         assert snap["planner.calibration.samples"]["value"] == 1
         assert snap["planner.calibration.abs_err_ms"]["max"] == 1.0
@@ -206,22 +201,17 @@ class TestObserveFlush:
         assert len(fired) == 1
 
     def test_enabled_gates(self):
-        assert not calibration.enabled()
+        """What the maintainer asks before it times a flush."""
+        assert not (events.wanted("calibration") or events.wanted("drift"))
         with calibration.tracking():
-            assert calibration.enabled()
-        assert not calibration.enabled()
+            assert events.wanted("calibration")
         with calibration.drift_alerts(lambda e: None):
-            assert calibration.enabled()
-        with obs.recording():
-            assert calibration.enabled()
-        assert not calibration.enabled()
+            assert events.wanted("drift")
+        assert not (events.wanted("calibration") or events.wanted("drift"))
 
     def test_tracking_restores_previous_tracker(self):
-        outer = CalibrationTracker()
-        previous = calibration.set_tracker(outer)
-        try:
+        with calibration.tracking() as outer:
             with calibration.tracking() as inner:
-                assert calibration.get_tracker() is inner
-            assert calibration.get_tracker() is outer
-        finally:
-            calibration.set_tracker(previous)
+                assert inner is outer  # joined, not shadowed
+            assert events.installed().rings["calibration"] is outer
+        assert "calibration" not in events.installed().rings

@@ -1,7 +1,8 @@
 """Tests for planner decision tracing (``repro.obs.decisions``).
 
-Unit coverage of the event/log data model (ring eviction, last-wins
-join index, JSONL round-trip), the golden ``repro why`` text tree, and
+Unit coverage of the event data model and its join against the
+``decision`` ring of the event log (eviction, last-wins join, JSONL
+round-trip), the golden ``repro why`` text tree, and
 the per-policy emission contract: NAIVE, ONLINE, receding-horizon, and
 A* all report what they predicted and chose, and the simulator joins
 each decision with the actual simulated charge -- which, in the
@@ -20,13 +21,13 @@ from repro.core.online import OnlinePolicy
 from repro.core.problem import ProblemInstance
 from repro.core.receding import RecedingHorizonPolicy
 from repro.core.simulator import simulate_policy
-from repro.obs import decisions
-from repro.obs.decisions import (
-    CandidateAction,
-    DecisionEvent,
-    DecisionLog,
-    render_decision_trail,
-)
+from repro.obs import decisions, events
+from repro.obs.decisions import CandidateAction, DecisionEvent
+
+
+def render_decision_trail(trail, **filters) -> str:
+    """What ``repro why`` prints."""
+    return events.render_trail(trail, "decision trail", "decision", **filters)
 
 
 def make_event(t=0, view=None, chosen=(0,), **overrides) -> DecisionEvent:
@@ -93,79 +94,77 @@ class TestDecisionEvent:
 
 class TestDecisionLog:
     def test_records_in_order(self):
-        log = DecisionLog()
-        events = [make_event(t=t) for t in range(3)]
-        for event in events:
-            log.record(event)
-        assert len(log) == 3
-        assert log.events() == events
-        assert log.dropped == 0
+        with decisions.collecting() as ring:
+            emitted = [decisions.emit(make_event(t=t)) for t in range(3)]
+        assert len(ring) == 3
+        assert ring.events() == emitted
+        assert ring.dropped == 0
 
     def test_join_attaches_actuals(self):
-        log = DecisionLog()
         event = make_event(t=2, view="v", chosen=(1,))
-        log.record(event)
-        joined = log.join(
-            "v", 2, actual_ms=3.0, table_ms={"PS": 3.0}, charges={"x": 1}
-        )
+        with decisions.collecting():
+            decisions.emit(event)
+            joined = decisions.join(
+                "v", 2, actual_ms=3.0, table_ms={"PS": 3.0}, charges={"x": 1}
+            )
         assert joined is event
         assert event.actual_ms == 3.0
         assert event.actual_table_ms == {"PS": 3.0}
         assert event.charges == {"x": 1}
 
     def test_join_unknown_key_returns_none(self):
-        log = DecisionLog()
-        log.record(make_event(t=0))
-        assert log.join("other", 0, actual_ms=1.0) is None
-        assert log.join(None, 99, actual_ms=1.0) is None
+        with decisions.collecting():
+            decisions.emit(make_event(t=0))
+            assert decisions.join("other", 0, actual_ms=1.0) is None
+            assert decisions.join(None, 99, actual_ms=1.0) is None
+        assert decisions.join(None, 0, actual_ms=1.0) is None  # ring closed
 
     def test_last_event_for_a_key_wins_the_join(self):
         # Nested planning (receding-horizon's inner A*) emits several
         # events for one step; the executed decision is the last one.
-        log = DecisionLog()
         inner = make_event(t=3, policy="OPT_LGM")
         outer = make_event(t=3, policy="RECEDING", chosen=(1,))
-        log.record(inner)
-        log.record(outer)
-        joined = log.join(None, 3, actual_ms=2.0)
+        with decisions.collecting():
+            decisions.emit(inner)
+            decisions.emit(outer)
+            joined = decisions.join(None, 3, actual_ms=2.0)
         assert joined is outer
         assert inner.actual_ms is None
 
-    def test_eviction_counts_dropped_and_cleans_index(self):
-        log = DecisionLog(capacity=2)
-        first = make_event(t=0)
-        log.record(first)
-        log.record(make_event(t=1))
-        log.record(make_event(t=2))  # evicts t=0
-        assert len(log) == 2
-        assert log.dropped == 1
-        assert log.join(None, 0, actual_ms=1.0) is None
+    def test_eviction_counts_dropped_and_cleans_index(self, event_log):
+        log = event_log
+        log.open("decision", capacity=2)
+        first = decisions.emit(make_event(t=0))
+        decisions.emit(make_event(t=1))
+        decisions.emit(make_event(t=2))  # evicts t=0
+        assert len(log.rings["decision"]) == 2
+        assert log.rings["decision"].dropped == 1
+        assert decisions.join(None, 0, actual_ms=1.0) is None
         assert first.actual_ms is None
 
-    def test_eviction_keeps_superseding_index_entry(self):
+    def test_eviction_keeps_superseding_index_entry(self, event_log):
         # Evicting an old event must not unlink a newer event that took
         # over the same (view, t) slot.
-        log = DecisionLog(capacity=2)
-        log.record(make_event(t=0))
-        newer = make_event(t=0, chosen=(1,))
-        log.record(newer)  # same key, index now points here
-        log.record(make_event(t=1))  # evicts the original t=0 event
-        assert log.join(None, 0, actual_ms=5.0) is newer
+        event_log.open("decision", capacity=2)
+        decisions.emit(make_event(t=0))
+        newer = decisions.emit(make_event(t=0, chosen=(1,)))
+        decisions.emit(make_event(t=1))  # evicts the original t=0 event
+        assert decisions.join(None, 0, actual_ms=5.0) is newer
 
     def test_filtered(self):
-        log = DecisionLog()
-        log.record(make_event(t=0, view="a"))
-        log.record(make_event(t=1, view="a"))
-        log.record(make_event(t=1, view="b"))
-        assert [e.view for e in log.filtered(view="a")] == ["a", "a"]
-        assert [e.t for e in log.filtered(step=1)] == [1, 1]
-        assert len(log.filtered(view="b", step=1)) == 1
-        assert log.filtered(view="zzz") == []
+        with decisions.collecting() as ring:
+            decisions.emit(make_event(t=0, view="a"))
+            decisions.emit(make_event(t=1, view="a"))
+            decisions.emit(make_event(t=1, view="b"))
+        assert [e.view for e in ring.events(view="a")] == ["a", "a"]
+        assert [e.t for e in ring.events(t=1)] == [1, 1]
+        assert len(ring.events(view="b", t=1)) == 1
+        assert ring.events(view="zzz") == []
 
 
 class TestGlobalSinkAndScope:
     def test_inactive_by_default(self):
-        assert decisions.get_decision_log() is None
+        assert not events.wanted("decision")
         assert not decisions.active()
         assert (
             decisions.emit_policy_decision(
@@ -175,18 +174,20 @@ class TestGlobalSinkAndScope:
         )
 
     def test_collecting_installs_and_restores(self):
-        with decisions.collecting() as log:
-            assert decisions.get_decision_log() is log
+        with decisions.collecting() as ring:
+            assert events.installed().rings["decision"] is ring
             assert decisions.active()
-        assert decisions.get_decision_log() is None
+        assert "decision" not in events.installed().rings
+        assert not decisions.active()
 
-    def test_set_decision_log_returns_previous(self):
-        log = DecisionLog()
-        assert decisions.set_decision_log(log) is None
-        try:
-            assert decisions.set_decision_log(None) is log
-        finally:
-            decisions.set_decision_log(None)
+    def test_set_decision_log_returns_previous(self, event_log):
+        # Installing an event log is what setting a decision log became.
+        with decisions.collecting() as ring:
+            assert event_log.rings["decision"] is ring
+            with decisions.collecting() as nested:
+                assert nested is ring  # joined, not shadowed
+            assert decisions.active()
+        assert not decisions.active()
 
     def test_scope_tags_and_restores(self):
         assert decisions.current_scope() == (None, "simulator")
@@ -234,9 +235,9 @@ class TestMetrics:
 
     def test_join_counts_under_recorder(self):
         with obs.recording() as recorder:
-            with decisions.collecting() as log:
-                log.record(make_event(t=0))
-                log.join(None, 0, actual_ms=1.0)
+            with decisions.collecting():
+                decisions.emit(make_event(t=0))
+                decisions.join(None, 0, actual_ms=1.0)
         snap = recorder.registry.snapshot()
         assert snap["planner.decisions.joined"]["value"] == 1
 

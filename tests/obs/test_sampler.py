@@ -106,7 +106,8 @@ class TestCalibrationMetrics:
 
         recorder = obs.Recorder()
         flight = FlightRecorder(recorder, interval_s=60)
-        with obs.install_in_thread(recorder):
+        obs.install(recorder)
+        try:
             calibration.observe_flush(
                 "v1", 0, "PS", 2, predicted_ms=2.0, actual_ms=2.5
             )
@@ -115,6 +116,8 @@ class TestCalibrationMetrics:
                 "v1", 1, "PS", 1, predicted_ms=1.0, actual_ms=0.5
             )
             flight.sample_now()
+        finally:
+            obs.install(None)
         sample = flight.samples()[-1]["metrics"]
         assert sample["planner.calibration.samples"]["value"] == 2
         assert sample["planner.calibration.abs_err_ms"]["count"] == 2

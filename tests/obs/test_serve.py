@@ -1,5 +1,6 @@
 """Tests for the live metrics HTTP endpoint."""
 
+import contextlib
 import json
 import threading
 import urllib.error
@@ -8,6 +9,8 @@ import urllib.request
 import pytest
 
 from repro import obs
+from repro.obs import decisions as decisions_mod
+from repro.obs import events as events_mod
 from repro.obs.sampler import FlightRecorder
 from repro.obs.serve import MetricsServer
 
@@ -161,20 +164,26 @@ class TestDecisionsRoute:
             ]
         ]
 
+    @contextlib.contextmanager
+    def _served(self):
+        """The sample decisions in the open ring, and a server beside it."""
+        with decisions_mod.collecting():
+            for event in self._make_events():
+                decisions_mod.emit(event)
+            with MetricsServer(obs.Recorder(), port=0) as server:
+                yield server.url + "/events?kind=decision"
+
     def test_provider_payload_golden_shape(self):
-        events = self._make_events()
-        server = MetricsServer(
-            obs.Recorder(), port=0, decisions=lambda: events
-        )
-        with server:
-            _, _, body = _get(server.url + "/decisions")
+        with self._served() as url:
+            _, _, body = _get(url)
         payload = json.loads(body)
-        assert set(payload) == {"decisions", "total"}
+        assert set(payload) == {"events", "total"}
         assert payload["total"] == 3
-        assert len(payload["decisions"]) == 3
+        assert set(payload["events"]) == {"decision"}
+        assert len(payload["events"]["decision"]) == 3
         # The per-event JSON shape is the DecisionEvent.to_dict contract;
         # goldenned here so scrapers can rely on it.
-        assert set(payload["decisions"][0]) == {
+        assert set(payload["events"]["decision"][0]) == {
             "t",
             "policy",
             "source",
@@ -189,90 +198,95 @@ class TestDecisionsRoute:
             "candidates",
             "actual_ms",
         }
-        assert payload["decisions"][1]["chosen"] == [1]
+        assert payload["events"]["decision"][1]["chosen"] == [1]
 
     def test_view_step_and_limit_filters(self):
-        events = self._make_events()
-        server = MetricsServer(
-            obs.Recorder(), port=0, decisions=lambda: events
-        )
-        with server:
-            _, _, body = _get(server.url + "/decisions?view=a")
+        with self._served() as url:
+            _, _, body = _get(url + "&view=a")
             by_view = json.loads(body)
-            _, _, body = _get(server.url + "/decisions?step=1")
+            _, _, body = _get(url + "&t=1")
             by_step = json.loads(body)
-            _, _, body = _get(server.url + "/decisions?limit=1")
+            _, _, body = _get(url + "&limit=1")
             capped = json.loads(body)
+            _, _, body = _get(url + "&limit=0")
+            none = json.loads(body)
         assert by_view["total"] == 2
-        assert all(e["view"] == "a" for e in by_view["decisions"])
+        assert all(e["view"] == "a" for e in by_view["events"]["decision"])
         assert by_step["total"] == 2
-        assert all(e["t"] == 1 for e in by_step["decisions"])
+        assert all(e["t"] == 1 for e in by_step["events"]["decision"])
         assert capped["total"] == 3  # total counts matches, not the cap
-        assert len(capped["decisions"]) == 1
-        assert capped["decisions"][0]["view"] == "b"  # most recent kept
+        assert len(capped["events"]["decision"]) == 1
+        assert capped["events"]["decision"][0]["view"] == "b"  # most recent
+        assert none == {"events": {"decision": []}, "total": 3}
 
     def test_falls_back_to_global_log(self):
-        from repro.obs import decisions as decisions_mod
-
-        with decisions_mod.collecting() as log:
-            for event in self._make_events():
-                log.record(event)
-            with MetricsServer(obs.Recorder(), port=0) as server:
-                _, _, body = _get(server.url + "/decisions")
+        """The route reads the installed log at request time, whichever
+        came first: the CLI starts the server before the run opens rings."""
+        with MetricsServer(obs.Recorder(), port=0) as server:
+            with decisions_mod.collecting():
+                for event in self._make_events():
+                    decisions_mod.emit(event)
+                _, _, body = _get(server.url + "/events")
         assert json.loads(body)["total"] == 3
 
     def test_404_without_provider_or_log(self):
-        from repro.obs import decisions as decisions_mod
-
-        assert decisions_mod.get_decision_log() is None
+        assert "decision" not in events_mod.installed().rings
         with MetricsServer(obs.Recorder(), port=0) as server:
             with pytest.raises(urllib.error.HTTPError) as err:
-                _get(server.url + "/decisions")
+                _get(server.url + "/events?kind=decision")
+            _, _, body = _get(server.url + "/events")
         assert err.value.code == 404
-        assert "no decision log" in json.loads(err.value.read())["error"]
+        assert "no 'decision' ring" in json.loads(err.value.read())["error"]
+        assert json.loads(body) == {"events": {}, "total": 0}
 
     def test_400_on_malformed_query(self):
-        server = MetricsServer(obs.Recorder(), port=0, decisions=list)
-        with server:
-            for query in ("?limit=x", "?limit=-1", "?step=x"):
+        with self._served() as url:
+            for query in ("&limit=x", "&limit=-1", "&t=x"):
                 with pytest.raises(urllib.error.HTTPError) as err:
-                    _get(server.url + "/decisions" + query)
+                    _get(url + query)
                 assert err.value.code == 400
 
 
 class TestControlRoute:
     def _make_events(self):
-        from repro.control.events import ControlEvent
+        from repro.ivm.governor import ControlEvent
 
         return [
             ControlEvent(
                 t=t,
-                governor=governor,
-                setting=governor,
+                governor="policy",
+                setting="policy",
                 old=old,
                 new=new,
                 reason="r",
                 signals={"s": 1.0},
                 view=view,
             )
-            for t, governor, view, old, new in [
-                (3, "policy", "a", "online", "naive"),
-                (5, "block_size", None, 2048, 1024),
-                (9, "policy", "b", "online", "naive"),
+            for t, view, old, new in [
+                (3, "a", "online", "naive"),
+                (5, None, "online", "receding"),
+                (9, "b", "online", "naive"),
             ]
         ]
 
+    @contextlib.contextmanager
+    def _served(self):
+        from repro.ivm import governor
+
+        with events_mod.collecting("actuation"):
+            for event in self._make_events():
+                governor.emit(event)
+            with MetricsServer(obs.Recorder(), port=0) as server:
+                yield server.url + "/events?kind=actuation"
+
     def test_provider_payload_golden_shape(self):
-        events = self._make_events()
-        server = MetricsServer(obs.Recorder(), port=0, control=lambda: events)
-        with server:
-            _, _, body = _get(server.url + "/control")
+        with self._served() as url:
+            _, _, body = _get(url)
         payload = json.loads(body)
-        assert set(payload) == {"control", "total"}
         assert payload["total"] == 3
         # The per-event JSON shape is the ControlEvent.to_dict contract;
         # goldenned here so scrapers can rely on it.
-        assert set(payload["control"][0]) == {
+        assert set(payload["events"]["actuation"][0]) == {
             "t",
             "governor",
             "setting",
@@ -283,52 +297,47 @@ class TestControlRoute:
             "view",
             "applied",
         }
-        assert "view" not in payload["control"][1]  # omitted when None
+        assert "view" not in payload["events"]["actuation"][1]  # omitted when None
 
     def test_governor_view_and_limit_filters(self):
-        events = self._make_events()
-        server = MetricsServer(obs.Recorder(), port=0, control=lambda: events)
-        with server:
-            _, _, body = _get(server.url + "/control?governor=policy")
-            by_governor = json.loads(body)
-            _, _, body = _get(server.url + "/control?view=a")
+        with self._served() as url:
+            _, _, body = _get(url + "&view=a")
             by_view = json.loads(body)
-            _, _, body = _get(server.url + "/control?limit=1")
+            _, _, body = _get(url + "&limit=1")
             capped = json.loads(body)
-        assert by_governor["total"] == 2
-        assert all(e["governor"] == "policy" for e in by_governor["control"])
         assert by_view["total"] == 1
-        assert by_view["control"][0]["t"] == 3
+        assert by_view["events"]["actuation"][0]["t"] == 3
         assert capped["total"] == 3  # total counts matches, not the cap
-        assert len(capped["control"]) == 1
-        assert capped["control"][0]["t"] == 9  # most recent kept
+        assert len(capped["events"]["actuation"]) == 1
+        assert capped["events"]["actuation"][0]["t"] == 9  # most recent kept
 
     def test_falls_back_to_global_log(self):
-        from repro.control import events as control_mod
-
-        with control_mod.collecting() as log:
-            for event in self._make_events():
-                log.record(event)
-            with MetricsServer(obs.Recorder(), port=0) as server:
-                _, _, body = _get(server.url + "/control")
-        assert json.loads(body)["total"] == 3
+        """Without ``kind`` every open ring answers: a step's whole chain."""
+        with self._served() as url, decisions_mod.collecting():
+            for event in TestDecisionsRoute()._make_events():
+                decisions_mod.emit(event)
+            _, _, body = _get(url.partition("?")[0] + "?view=a&t=1")
+            step = json.loads(body)
+            _, _, body = _get(url.partition("?")[0] + "?view=a")
+            view = json.loads(body)
+        assert step["total"] == 1 and set(step["events"]) == {"decision"}
+        assert view["total"] == 3
+        assert [e["t"] for e in view["events"]["decision"]] == [0, 1]
+        assert [e["t"] for e in view["events"]["actuation"]] == [3]
 
     def test_404_without_provider_or_log(self):
-        from repro.control import events as control_mod
-
-        assert control_mod.get_control_log() is None
+        assert "actuation" not in events_mod.installed().rings
         with MetricsServer(obs.Recorder(), port=0) as server:
             with pytest.raises(urllib.error.HTTPError) as err:
-                _get(server.url + "/control")
+                _get(server.url + "/events?kind=actuation")
         assert err.value.code == 404
-        assert "no control log" in json.loads(err.value.read())["error"]
+        assert "no 'actuation' ring" in json.loads(err.value.read())["error"]
 
     def test_400_on_malformed_query(self):
-        server = MetricsServer(obs.Recorder(), port=0, control=list)
-        with server:
-            for query in ("?limit=x", "?limit=-1"):
+        with self._served() as url:
+            for query in ("&limit=x", "&limit=-1"):
                 with pytest.raises(urllib.error.HTTPError) as err:
-                    _get(server.url + "/control" + query)
+                    _get(url + query)
                 assert err.value.code == 400
 
 
@@ -378,11 +387,11 @@ class TestLiveScrape:
         started = threading.Event()
 
         def workload():
-            with obs.install_in_thread(recorder):
-                while not stop.is_set():
-                    obs.counter("live.events")
-                    obs.observe("live.latency_ms", 1.0)
-                    started.set()
+            obs.install(recorder)  # thread-local; the thread ends with it
+            while not stop.is_set():
+                obs.counter("live.events")
+                obs.observe("live.latency_ms", 1.0)
+                started.set()
 
         worker = threading.Thread(target=workload, daemon=True)
         with MetricsServer(recorder, port=0) as server:

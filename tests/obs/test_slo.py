@@ -3,7 +3,7 @@
 import pytest
 
 from repro import obs
-from repro.obs import slo
+from repro.obs import events, slo
 from repro.core.costfuncs import LinearCost
 from repro.core.naive import NaivePolicy
 from repro.core.online import OnlinePolicy
@@ -105,52 +105,61 @@ class TestAlertCallbacks:
         assert events == []
 
     def test_remove_unknown_callback_is_noop(self):
-        slo.remove_alert(lambda e: None)
+        events.installed().unsubscribe("slo", lambda e: None)
 
     def test_active_follows_add_and_remove(self):
-        hub = slo.AlertHub()
+        log = events.installed()
         first, second = (lambda e: None), (lambda e: None)
-        assert not hub.active()
-        hub.add(first)
-        assert hub.active()
-        hub.add(second)
-        hub.remove(first)
-        assert hub.active()
-        hub.remove(second)
-        assert not hub.active()
-        hub.remove(second)  # never registered any more: still inactive
-        assert not hub.active()
-        with hub.scoped(first):
-            assert hub.active()
-        assert not hub.active()
+        assert not events.wanted("slo")
+        log.subscribe("slo", first)
+        assert events.wanted("slo")
+        log.subscribe("slo", second)
+        log.unsubscribe("slo", first)
+        assert events.wanted("slo")
+        log.unsubscribe("slo", second)
+        assert not events.wanted("slo")
+        log.unsubscribe("slo", second)  # not subscribed any more: no error
+        assert not events.wanted("slo")
 
     def test_module_guards_follow_registration(self):
-        assert not slo.hub_active()
+        assert not events.wanted("slo")
         with slo.alerts(lambda e: None):
-            assert slo.hub_active()
-        assert not slo.hub_active()
+            assert events.wanted("slo")
+        assert not events.wanted("slo")
 
 
-class TestSummarize:
-    def test_empty_registry(self):
-        summary = slo.summarize(obs.MetricsRegistry())
-        assert summary["steps"] == 0
-        assert summary["breaches"] == 0
-        assert summary["min_margin"] is None
+class TestCallersGateTheSame:
+    """Every caller of ``observe_refresh`` observes for a recorder *or* an
+    slo subscriber; the simulators used to look at the recorder only."""
 
-    def test_populated_registry(self):
-        with obs.recording() as rec:
-            slo.observe_refresh(10.0, 11.0)
-            slo.observe_refresh(10.0, 3.0)
-        summary = slo.summarize(rec.registry)
-        assert summary == {
-            "steps": 2,
-            "breaches": 1,
-            "near_breaches": 0,
-            "limit": 10.0,
-            "current_margin": 7.0,
-            "min_margin": -1.0,
-        }
+    def test_simulate_policy_alerts_without_a_recorder(self):
+        problem = ProblemInstance(
+            # f(3,3)=9.0 rides the near-breach band, f(6,6)=15.0 breaches
+            cost_functions=(LinearCost(1.0, setup=1.5),) * 2,
+            limit=10.0,
+            arrivals=[(3, 3)] * 6,
+        )
+        heard = []
+        with slo.alerts(heard.append):
+            simulate_policy(problem, NaivePolicy())
+        assert len(heard) == 6
+        with obs.recording(), slo.alerts(heard.append):
+            simulate_policy(problem, NaivePolicy())
+        assert len(heard) == 12
+
+    def test_simulate_staged_alerts_without_a_recorder(self):
+        from repro.staged.model import Pipeline, Stage
+        from repro.staged.policies import NaiveStagedPolicy
+        from repro.staged.simulator import simulate_staged
+
+        pipeline = Pipeline([Stage("scan", LinearCost(slope=1.0))])
+        heard = []
+        with slo.alerts(heard.append):
+            simulate_staged(pipeline, 3.0, [3] * 6, NaiveStagedPolicy())
+        assert [e.source for e in heard] == ["staged"] * 6
+        with obs.recording(), slo.alerts(heard.append):
+            simulate_staged(pipeline, 3.0, [3] * 6, NaiveStagedPolicy())
+        assert len(heard) == 12
 
 
 class TestSimulatorGroundTruth:

@@ -1,4 +1,4 @@
-"""Worker threads adopting a recorder: the parallel-pipeline groundwork."""
+"""One recorder shared by pool threads: ``obs.install`` binds per thread."""
 
 from concurrent.futures import ThreadPoolExecutor
 
@@ -7,13 +7,18 @@ from repro import obs
 
 class TestInstallInThread:
     def test_pool_workers_record_into_shared_recorder(self):
+        """The metric classes lock their own state, so concurrent
+        workers that each install the same recorder lose no update."""
         recorder = obs.Recorder()
 
         def work(n):
-            with obs.install_in_thread(recorder):
+            obs.install(recorder)
+            try:
                 obs.counter("pool.items")
                 obs.observe("pool.payload", n)
                 return n
+            finally:
+                obs.install(None)
 
         with ThreadPoolExecutor(max_workers=4) as pool:
             results = list(pool.map(work, range(100)))
@@ -24,50 +29,16 @@ class TestInstallInThread:
         assert hist.count == 100
         assert hist.total == sum(range(100))
 
-    def test_worker_binding_is_restored(self):
-        recorder = obs.Recorder()
-
-        def work(_):
-            with obs.install_in_thread(recorder):
-                pass
-            return obs.get_recorder()  # after the block: clean again
-
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            leftovers = list(pool.map(work, range(8)))
-        assert leftovers == [None] * 8
-
-    def test_adoption_nests(self):
-        outer = obs.Recorder()
-        inner = obs.Recorder()
-        with obs.install_in_thread(outer):
-            with obs.install_in_thread(inner):
-                obs.counter("x")
-                assert obs.get_recorder() is inner
-            assert obs.get_recorder() is outer
-        assert obs.get_recorder() is None
-        assert inner.registry.get("x").value == 1
-        assert outer.registry.get("x") is None
-
-    def test_recorder_wrap_carries_into_pool(self):
-        recorder = obs.Recorder()
-
-        def work(n):
-            obs.counter("wrapped.items")
-            return n * 2
-
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            results = list(pool.map(recorder.wrap(work), range(50)))
-
-        assert results == [n * 2 for n in range(50)]
-        assert recorder.registry.get("wrapped.items").value == 50
-
     def test_spans_nest_per_thread(self):
         recorder = obs.Recorder(trace=True)
 
         def work(n):
-            with obs.install_in_thread(recorder):
+            obs.install(recorder)
+            try:
                 with obs.trace("pool.task", n=n):
                     pass
+            finally:
+                obs.install(None)
             return n
 
         with ThreadPoolExecutor(max_workers=4) as pool:

@@ -124,9 +124,9 @@ class TestProfileFlag:
         assert "aggregate" in kinds
 
     def test_profile_restores_previous_sink(self, tmp_path):
-        from repro.obs import attrib
+        from repro.obs import events
 
-        assert not attrib.sink_active()
+        assert not events.wanted("profile")
         main(
             [
                 "--profile", str(tmp_path / "p.jsonl"),
@@ -135,7 +135,7 @@ class TestProfileFlag:
                 "--scale", "0.002",
             ]
         )
-        assert not attrib.sink_active()
+        assert not events.wanted("profile")
 
     def test_unwritable_profile_destination_fails_fast(self, tmp_path, capsys):
         code = main(
@@ -218,14 +218,14 @@ class TestDecisionLogFlag:
             assert event["actual_ms"] == pytest.approx(event["predicted_ms"])
 
     def test_restores_previous_log(self, tmp_path):
-        from repro.obs import decisions
+        from repro.obs import events
 
-        assert decisions.get_decision_log() is None
+        assert not events.wanted("decision")
         main(
             ["--decision-log", str(tmp_path / "d.jsonl"),
              "why", "--policy", "naive", "--horizon", "5"]
         )
-        assert decisions.get_decision_log() is None
+        assert not events.wanted("decision")
 
     def test_unwritable_destination_fails_fast(self, tmp_path, capsys):
         code = main(
@@ -290,15 +290,37 @@ class TestControlLogFlag:
         for event in events:
             assert {"t", "governor", "setting", "old", "new"} <= set(event)
 
-    def test_restores_previous_log(self, tmp_path):
-        from repro.control import events as control_events
+    def test_all_three_event_flags_in_one_run(self, tmp_path, capsys):
+        import json
 
-        assert control_events.get_control_log() is None
+        paths = {
+            flag: tmp_path / f"{flag}.jsonl"
+            for flag in ("profile", "decision-log", "control-log")
+        }
+        argv = [x for flag, path in paths.items() for x in (f"--{flag}", str(path))]
+        code = main([*argv, "control-log", "--horizon", "40", "--scale", "0.002"])
+        err = capsys.readouterr().err
+        assert code == 0
+        counts = {
+            flag: len(path.read_text().splitlines())
+            for flag, path in paths.items()
+        }
+        assert counts["decision-log"] == 40  # one per step of the sample run
+        assert counts["control-log"] >= 1 and counts["profile"] >= 1
+        assert f"wrote {counts['profile']} query profiles" in err
+        assert f"wrote 40 decision events to {paths['decision-log']}" in err
+        first = json.loads(paths["decision-log"].read_text().splitlines()[0])
+        assert first["view"] == "paper_view" and first["actual_ms"] is not None
+
+    def test_restores_previous_log(self, tmp_path):
+        from repro.obs import events
+
+        assert not events.wanted("actuation")
         main(
             ["--control-log", str(tmp_path / "c.jsonl"),
              "control-log", "--horizon", "20"]
         )
-        assert control_events.get_control_log() is None
+        assert not events.wanted("actuation")
 
     def test_unwritable_destination_fails_fast(self, tmp_path, capsys):
         code = main(
