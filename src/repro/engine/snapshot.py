@@ -27,23 +27,26 @@ if TYPE_CHECKING:  # circular import guard; Table imports Snapshot
     from repro.engine.table import Table
 
 
-def _replayed(side: dict, pos: int, events: Sequence) -> dict | None:
-    """``side`` advanced through ``events``, leaving ``side`` untouched.
+def _replayed(
+    side: dict, pos: int, olds: Sequence, news: Sequence
+) -> dict | None:
+    """``side`` advanced through a log window, leaving ``side`` untouched.
 
-    A deleted row leaves its bucket and an inserted one is appended (the
+    ``olds`` / ``news`` are the window's two columns
+    (:meth:`ModLog.columns <repro.engine.table.ModLog.columns>`).  A
+    deleted row leaves its bucket and an inserted one is appended (the
     new version is the table's last, so the bucket stays in version
     order); an update does both.  Buckets are copied the first time they
     are touched and emptied ones are dropped, so the result equals a
     build from the later snapshot's ``row_list()``.
 
-    Returns None when a removal is ambiguous: events carry values, not row
-    ids, so when the bucket holds the removed row's values twice the
+    Returns None when a removal is ambiguous: the log carries values, not
+    row ids, so when the bucket holds the removed row's values twice the
     replay cannot tell which position the dead version held.
     """
     out = dict(side)
     owned = set()
-    for event in events:
-        old, new = event.old_values, event.new_values
+    for old, new in zip(olds, news):
         if old is not None:
             key = old[pos]
             bucket = out[key]
@@ -107,21 +110,16 @@ class Snapshot:
             or span > retained._count
         ):
             return
-        events = self.table.history.window(retained.lsn, self.lsn)
-        count = retained._count
-        for event in events:
-            if event.old_values is None:
-                count += 1
-            elif event.new_values is None:
-                count -= 1
-        self._count = count
+        olds, news = self.table.history.columns(retained.lsn, self.lsn)
+        # An insert has no before-image, a delete no after-image.
+        self._count = retained._count + olds.count(None) - news.count(None)
         schema = self.table.schema
         for column, side in sides.items():
-            rolled = _replayed(side, schema.position(column), events)
+            rolled = _replayed(side, schema.position(column), olds, news)
             if rolled is not None:
                 self._build_sides[column] = rolled
         obs.counter(
-            "engine.snapshot.rolled_events", len(events) * len(self._build_sides)
+            "engine.snapshot.rolled_events", span * len(self._build_sides)
         )
 
     @property

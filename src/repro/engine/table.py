@@ -14,16 +14,27 @@ incorporated, not their current state; joining against the current state is
 the *state bug* of Colby et al. that the paper's footnote 1 mentions.
 Snapshots make the correct historical read a one-liner.
 
-Updates are recorded as delete-plus-insert under a single LSN, and every
-modification appends a :class:`ModEvent` to the table's history; delta
-tables in :mod:`repro.ivm.delta` are windows over this history.
+Updates are recorded as delete-plus-insert under a single LSN.  Every
+modification takes one position of the table's history, a column-major
+:class:`ModLog`: its before-image in one column, its after-image in the
+other, nothing else stored.  Delta tables in :mod:`repro.ivm.delta` are
+windows over this history and read it as two column slices; a
+:class:`ModEvent` is what the log builds for a reader that wants one
+modification as a record.
+
+Writes are batches (:meth:`Table.insert_rows`, :meth:`Table.update_rids`,
+:meth:`Table.delete_rids`): every row of a batch still takes its own LSN,
+and what is charged is the sum over its rows, but values are validated a
+column at a time and the counter, the indexes and the log are each visited
+once.  The single-row methods are batches of one.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from itertools import chain
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro import obs
 from repro.engine.costmodel import OperationCounter
@@ -48,11 +59,13 @@ class RowVersion:
 
 @dataclass(frozen=True)
 class ModEvent:
-    """One logical modification, as seen by delta tables.
+    """One logical modification, as handed to whoever reads the log event
+    by event.
 
     ``kind`` is ``"insert"``, ``"delete"``, or ``"update"``; ``old_values``
     / ``new_values`` are the affected row's contents before/after (``None``
-    where not applicable).
+    where not applicable).  A read-side record: no write builds one, the
+    :class:`ModLog` stores the two images and makes the event when asked.
     """
 
     lsn: int
@@ -65,21 +78,44 @@ class ModEvent:
             raise ValueError(f"unknown modification kind {self.kind!r}")
 
 
+def _kind(old: tuple | None, new: tuple | None) -> str:
+    """What a modification with these two images is."""
+    return "insert" if old is None else "delete" if new is None else "update"
+
+
+def _event(lsn: int, old: tuple | None, new: tuple | None) -> ModEvent:
+    return ModEvent(lsn, _kind(old, new), old, new)
+
+
+def _cut(chunks: list[list], first: int, last: int, a: int, b: int) -> list:
+    """``chunks[first][a:] + ... + chunks[last][:b]`` as one new list."""
+    if first == last:
+        return chunks[first][a:b]
+    out = chunks[first][a:]
+    for i in range(first + 1, last):
+        out.extend(chunks[i])
+    out.extend(chunks[last][:b])
+    return out
+
+
 class ModLog:
-    """The shared, chunked modification log of one table.
+    """The shared, chunked, column-major modification log of one table.
 
     There is exactly **one** ModLog per table; every
     :class:`~repro.ivm.delta.DeltaTable` over that table is a zero-copy
     ``(applied_lsn, seen_lsn)`` window into it, so N views hold N offset
     pairs -- not N deques of event copies.
 
-    Structure: an append-only sequence of :class:`ModEvent`, stored as a
-    list of fixed-size chunks so very long histories avoid the large-list
-    reallocation pattern and :meth:`truncate` can drop whole chunks.  The
-    log enforces the invariant that makes windows O(1): every table
-    modification bumps the LSN by exactly one and appends exactly one
-    event, so the event with LSN ``L`` lives at log position ``L - 1`` and
-    any LSN range maps to a contiguous slice with no searching.
+    Structure: two parallel append-only columns, the modifications'
+    before-images and their after-images (``None`` on one side is an
+    insert or a delete), each stored as a list of fixed-size chunks so
+    very long histories avoid the large-list reallocation pattern and
+    :meth:`truncate` can drop whole chunks.  There is no per-modification
+    object and no stored LSN: the modification with LSN ``L`` *is* position
+    ``L - 1`` of both columns, so any LSN range is a pair of contiguous
+    slices (:meth:`columns`) with no searching, and the log cannot hold a
+    gap or a duplicate.  :meth:`window`, indexing and iteration build
+    :class:`ModEvent` records from the two images on demand.
 
     Truncation: long-lived coordinators register every
     :class:`~repro.ivm.delta.DeltaTable` over this log as a *subscriber*
@@ -90,21 +126,24 @@ class ModLog:
     raise.
     """
 
-    __slots__ = ("_chunks", "_chunk_size", "_length", "_base",
+    __slots__ = ("_olds", "_news", "_chunk_size", "_length", "_base",
                  "_subscribers", "__weakref__")
 
-    #: Events per chunk.  Large enough that chunk bookkeeping is noise,
-    #: small enough that a truncation pass has useful granularity.
+    #: Modifications per chunk.  Large enough that chunk bookkeeping is
+    #: noise, small enough that a truncation pass has useful granularity.
     DEFAULT_CHUNK_SIZE = 4096
 
     def __init__(self, chunk_size: int = DEFAULT_CHUNK_SIZE):
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        self._chunks: list[list[ModEvent]] = []
+        #: Chunks of before-images and of after-images, position for
+        #: position the same shape.
+        self._olds: list[list[tuple | None]] = []
+        self._news: list[list[tuple | None]] = []
         self._chunk_size = chunk_size
         self._length = 0
-        #: Events dropped from the front by truncation (always a whole
-        #: number of chunks, so chunk alignment never shifts).
+        #: Modifications dropped from the front by truncation (always a
+        #: whole number of chunks, so chunk alignment never shifts).
         self._base = 0
         #: Live readers exposing ``applied_lsn``; weakly held.
         self._subscribers: weakref.WeakSet = weakref.WeakSet()
@@ -116,8 +155,12 @@ class ModLog:
 
     def __iter__(self) -> Iterator[ModEvent]:
         """Iterate the *retained* events (everything not yet truncated)."""
-        for chunk in self._chunks:
-            yield from chunk
+        return map(
+            _event,
+            range(self._base + 1, self._length + 1),
+            chain.from_iterable(self._olds),
+            chain.from_iterable(self._news),
+        )
 
     @property
     def truncated_lsn(self) -> int:
@@ -170,31 +213,70 @@ class ModLog:
         dropped = 0
         cs = self._chunk_size
         while (
-            self._chunks
-            and len(self._chunks[0]) == cs
+            self._olds
+            and len(self._olds[0]) == cs
             and self._base + cs <= upto
         ):
-            del self._chunks[0]
+            del self._olds[0]
+            del self._news[0]
             self._base += cs
             dropped += cs
         return dropped
 
     # -- storage -------------------------------------------------------
 
+    def extend(
+        self, olds: Sequence[tuple | None], news: Sequence[tuple | None]
+    ) -> None:
+        """Append a batch: modification ``i`` of it gets the next LSN but
+        ``i``, and turned ``olds[i]`` into ``news[i]``."""
+        count = len(olds)
+        if len(news) != count:
+            raise ExecutionError(
+                f"a log batch needs one after-image per before-image, "
+                f"got {count} and {len(news)}"
+            )
+        if None in olds and None in news and (None, None) in zip(olds, news):
+            raise ExecutionError(
+                "a modification needs a before-image or an after-image"
+            )
+        old_chunks, new_chunks, cs = self._olds, self._news, self._chunk_size
+        if old_chunks and count <= cs - len(old_chunks[-1]):
+            # The whole batch fits the tail chunk: no slicing.
+            old_chunks[-1] += olds
+            new_chunks[-1] += news
+        else:
+            done = 0
+            while done < count:
+                if not old_chunks or len(old_chunks[-1]) >= cs:
+                    old_chunks.append([])
+                    new_chunks.append([])
+                upto = done + cs - len(old_chunks[-1])
+                old_chunks[-1] += olds[done:upto]
+                new_chunks[-1] += news[done:upto]
+                done = upto
+        self._length += count
+
     def append(self, event: ModEvent) -> None:
-        """Append the event for the next LSN (enforces the density invariant)."""
+        """Append one event, which must be the one for the next LSN and be
+        of the kind its images say (enforces the density invariant)."""
         if event.lsn != self._length + 1:
             raise ExecutionError(
                 f"modification log expects LSN {self._length + 1}, "
                 f"got {event.lsn}; the log must stay LSN-dense"
             )
-        if not self._chunks or len(self._chunks[-1]) >= self._chunk_size:
-            self._chunks.append([])
-        self._chunks[-1].append(event)
-        self._length += 1
+        if event.kind != _kind(event.old_values, event.new_values):
+            raise ExecutionError(
+                f"{event.kind!r} event at LSN {event.lsn} carries the "
+                f"images of a {_kind(event.old_values, event.new_values)}"
+            )
+        self.extend([event.old_values], [event.new_values])
 
-    def window(self, lsn_from: int, lsn_to: int) -> list[ModEvent]:
-        """Events with ``lsn_from < lsn <= lsn_to``, oldest first.
+    def columns(
+        self, lsn_from: int, lsn_to: int
+    ) -> tuple[list[tuple | None], list[tuple | None]]:
+        """Before- and after-images of the modifications with
+        ``lsn_from < lsn <= lsn_to``, oldest first, as two new lists.
 
         O(window length): the range maps straight to log positions
         ``[lsn_from, lsn_to)``; no scan over the rest of the history.
@@ -210,17 +292,18 @@ class ModLog:
                 f"truncation point {self._base}; history was reclaimed"
             )
         if lsn_from == lsn_to:
-            return []
+            return [], []
         cs = self._chunk_size
-        lo, hi = lsn_from - self._base, lsn_to - self._base
-        first, last = lo // cs, (hi - 1) // cs
-        if first == last:
-            return self._chunks[first][lo % cs : (hi - 1) % cs + 1]
-        out = self._chunks[first][lo % cs :]
-        for i in range(first + 1, last):
-            out.extend(self._chunks[i])
-        out.extend(self._chunks[last][: (hi - 1) % cs + 1])
-        return out
+        lo, hi = lsn_from - self._base, lsn_to - self._base - 1
+        span = lo // cs, hi // cs, lo % cs, hi % cs + 1
+        return _cut(self._olds, *span), _cut(self._news, *span)
+
+    def window(self, lsn_from: int, lsn_to: int) -> list[ModEvent]:
+        """:meth:`columns` as events, built here."""
+        return list(
+            map(_event, range(lsn_from + 1, lsn_to + 1),
+                *self.columns(lsn_from, lsn_to))
+        )
 
     def __getitem__(self, position: int) -> ModEvent:
         """The event at zero-based log position (= LSN - 1)."""
@@ -230,14 +313,14 @@ class ModLog:
             raise IndexError(
                 f"log position {position} below truncation point {self._base}"
             )
-        offset = position - self._base
-        return self._chunks[offset // self._chunk_size][
-            offset % self._chunk_size
-        ]
+        chunk, offset = divmod(position - self._base, self._chunk_size)
+        return _event(
+            position + 1, self._olds[chunk][offset], self._news[chunk][offset]
+        )
 
     def __repr__(self) -> str:
         return (
-            f"ModLog(events={self._length}, chunks={len(self._chunks)}, "
+            f"ModLog(events={self._length}, chunks={len(self._olds)}, "
             f"truncated={self._base})"
         )
 
@@ -346,75 +429,150 @@ class Table:
         return hit
 
     # ------------------------------------------------------------------
-    # Modifications (each bumps the LSN and appends a ModEvent)
+    # Modifications (each takes the next LSN and one position of the log)
     # ------------------------------------------------------------------
+    #
+    # One write path: a batch method validates every value, puts its
+    # versions in place row by row, and hands the two image columns to
+    # :meth:`_commit`; a single-row method is its batch of one.  A bad
+    # value or width therefore changes nothing.  A row id that is out of
+    # range or not live at its turn raises after the rows before it were
+    # written -- versions, ``live_count``, indexes, LSN, log and counter
+    # all at that prefix, as if each had been a call of its own.
 
-    def insert(self, values: Sequence[Any]) -> ModEvent:
-        """Insert one row; returns the logged event."""
-        row = self.schema.validate_row(values)
-        self._lsn += 1
-        rid = len(self._versions)
-        self._versions.append(RowVersion(values=row, xmin=self._lsn))
-        self._live_count += 1
-        self.counter.charge("row_writes")
-        for index in self.indexes.values():
-            pos = self.schema.position(index.column)
-            index.add(row[pos], rid)
-            self.counter.charge("index_maintains")
-        event = ModEvent(lsn=self._lsn, kind="insert", old_values=None, new_values=row)
-        self.history.append(event)
-        return event
-
-    def delete_rid(self, rid: int) -> ModEvent:
-        """Delete the live version at slot ``rid``."""
-        version = self._version_live(rid)
-        self._lsn += 1
-        version.xmax = self._lsn
-        self._live_count -= 1
-        self.counter.charge("row_writes")
-        # Indexes are version-aware: dead versions stay indexed and readers
-        # filter by snapshot visibility, so historical probes remain exact.
-        # Marking the tombstone still costs index maintenance work.
-        self.counter.charge("index_maintains", len(self.indexes))
-        event = ModEvent(
-            lsn=self._lsn, kind="delete", old_values=version.values, new_values=None
+    def insert_rows(self, rows: Iterable[Sequence[Any]]) -> range:
+        """Insert a batch of rows; returns the LSNs it took, one a row."""
+        news = self.schema.validate_rows(rows)
+        lsn = self._lsn
+        self._versions.extend(
+            map(RowVersion, news, range(lsn + 1, lsn + len(news) + 1))
         )
-        self.history.append(event)
-        return event
+        return self._commit([None] * len(news), news)
 
-    def update_rid(self, rid: int, changes: dict[str, Any]) -> ModEvent:
-        """Update columns of the live version at slot ``rid``.
+    def delete_rids(self, rids: Iterable[int]) -> range:
+        """Delete the live versions at slots ``rids``, in order."""
+        olds: list[tuple] = []
+        lsn = self._lsn
+        try:
+            for rid in rids:
+                version = self._version_live(rid)
+                lsn += 1
+                version.xmax = lsn
+                olds.append(version.values)
+        finally:
+            lsns = self._commit(olds, [None] * len(olds))
+        return lsns
 
-        Recorded as delete-plus-insert under one LSN, so snapshots see the
-        row atomically flip from old to new values.
+    def update_rids(
+        self, rids: Sequence[int], changes: Mapping[str, Sequence[Any]]
+    ) -> range:
+        """Update columns of the live versions at slots ``rids``, in order:
+        row ``i`` gets ``changes[column][i]`` in each changed column.
+
+        Each is recorded as delete-plus-insert under one LSN, so snapshots
+        see the row atomically flip from old to new values.  The version
+        an update creates takes the next free slot, so a later entry of
+        ``rids`` may name it.
         """
         if not changes:
             raise ExecutionError("update with no changed columns")
-        version = self._version_live(rid)
-        new_values = list(version.values)
-        for column, value in changes.items():
-            pos = self.schema.position(column)
-            new_values[pos] = self.schema.columns[pos].type.validate(value)
-        self._lsn += 1
-        version.xmax = self._lsn
-        new_rid = len(self._versions)
-        new_row = tuple(new_values)
-        self._versions.append(RowVersion(values=new_row, xmin=self._lsn))
-        self.counter.charge("row_writes", 2)
-        for index in self.indexes.values():
-            pos = self.schema.position(index.column)
-            # Old version stays indexed (version-aware reads filter it);
-            # only the new version needs an entry.
-            index.add(new_row[pos], new_rid)
-            self.counter.charge("index_maintains", 2)
-        event = ModEvent(
-            lsn=self._lsn,
-            kind="update",
-            old_values=version.values,
-            new_values=new_row,
+        schema = self.schema
+        count = len(rids)
+        setters = []  # (position in the row, the column's new values)
+        for column, values in changes.items():
+            pos = schema.position(column)
+            if len(values) != count:
+                raise ExecutionError(
+                    f"update of {count} rows got {len(values)} values "
+                    f"for {column!r}"
+                )
+            setters.append(
+                (pos, schema.columns[pos].type.validate_column(values))
+            )
+        olds: list[tuple] = []
+        news: list[tuple] = []
+        versions = self._versions
+        lsn = self._lsn
+        try:
+            for i, rid in enumerate(rids):
+                version = self._version_live(rid)
+                lsn += 1
+                old = version.values
+                row = list(old)
+                for pos, values in setters:
+                    row[pos] = values[i]
+                new = tuple(row)
+                version.xmax = lsn
+                versions.append(RowVersion(new, lsn))
+                olds.append(old)
+                news.append(new)
+        finally:
+            lsns = self._commit(olds, news)
+        return lsns
+
+    def _commit(
+        self, olds: list[tuple | None], news: list[tuple | None]
+    ) -> range:
+        """The tail every write shares: take the LSNs, charge, maintain the
+        indexes and log a batch whose versions are already in place.
+
+        The versions the batch created are the heap's last, in batch
+        order.  Charges are per batch and equal to the sum over its rows:
+        one ``row_writes`` and one ``index_maintains`` per index for each
+        image written (an update writes two).
+        """
+        count = len(olds)
+        first = self._lsn + 1
+        if not count:
+            return range(first, first)
+        deleted = count - olds.count(None)
+        created = count - news.count(None)
+        writes = deleted + created
+        self._lsn += count
+        self._live_count += created - deleted
+        charge = self.counter.charge
+        charge("row_writes", writes)
+        indexes = self.indexes
+        if indexes:
+            # Indexes are version-aware: dead versions stay indexed and
+            # readers filter by snapshot visibility, so historical probes
+            # remain exact and only a new version needs an entry.  Marking
+            # the tombstone still costs index maintenance work.
+            charge("index_maintains", writes * len(indexes))
+            rows = (
+                news if created == count
+                else [row for row in news if row is not None]
+            )
+            slot = len(self._versions) - created
+            for index in indexes.values():
+                pos = self.schema.position(index.column)
+                for rid, row in enumerate(rows, slot):
+                    index.add(row[pos], rid)
+        self.history.extend(olds, news)
+        obs.counter("engine.table.write_batches")
+        obs.counter("engine.table.rows_written", count)
+        return range(first, first + count)
+
+    def insert(self, values: Sequence[Any]) -> ModEvent:
+        """Insert one row; returns the logged event."""
+        return self.history[self.insert_rows([values])[0] - 1]
+
+    def delete_rid(self, rid: int) -> ModEvent:
+        """Delete the live version at slot ``rid``."""
+        return self.history[self.delete_rids([rid])[0] - 1]
+
+    def update_rid(self, rid: int, changes: Mapping[str, Any]) -> ModEvent:
+        """Update columns of the live version at slot ``rid``."""
+        lsns = self.update_rids(
+            [rid], {column: [value] for column, value in changes.items()}
         )
-        self.history.append(event)
-        return event
+        return self.history[lsns[0] - 1]
+
+    def live_rids(self) -> list[int]:
+        """Row ids of the live versions, ascending (no cost charged)."""
+        return [
+            rid for rid, v in enumerate(self._versions) if v.xmax is None
+        ]
 
     def find_rids(self, predicate: Callable[[tuple], bool]) -> list[int]:
         """Row ids of live versions matching ``predicate`` (no cost charged)."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.engine.errors import SchemaError
 
@@ -19,9 +19,17 @@ from repro.engine.errors import SchemaError
 class ColumnType(enum.Enum):
     """Supported column types."""
 
-    INT = "int"
-    FLOAT = "float"
-    STR = "str"
+    INT = ("int", int)
+    FLOAT = ("float", float)
+    STR = ("str", str)
+
+    def __new__(cls, label: str, exact: type):
+        member = object.__new__(cls)
+        member._value_ = label
+        #: The Python type :meth:`validate` returns values of unchanged
+        #: (as a set, for :meth:`validate_column`).
+        member.exact = frozenset((exact,))
+        return member
 
     def validate(self, value: Any) -> Any:
         """Coerce-and-check ``value`` for this type; raise on mismatch.
@@ -41,6 +49,20 @@ class ColumnType(enum.Enum):
         if not isinstance(value, str):
             raise SchemaError(f"expected str, got {value!r}")
         return value
+
+    def validate_column(self, values: Sequence[Any]) -> Sequence[Any]:
+        """:meth:`validate` over one column of a batch.
+
+        A column whose values are all exactly this type's Python type is
+        accepted as it stands after one pass over ``map(type, values)``; any
+        other column (a ``bool`` or an ``int`` subclass in an INT column,
+        ints to widen in a FLOAT column, a wrong value) goes through
+        :meth:`validate` value by value, so what is accepted, coerced or
+        rejected is the same either way.
+        """
+        if self.exact.issuperset(map(type, values)):
+            return values
+        return [self.validate(value) for value in values]
 
 
 @dataclass(frozen=True)
@@ -96,13 +118,25 @@ class Schema:
 
     def validate_row(self, values: Sequence[Any]) -> tuple:
         """Type-check one row and return it as a canonical tuple."""
-        if len(values) != self.width:
+        return self.validate_rows([values])[0]
+
+    def validate_rows(self, rows: Iterable[Sequence[Any]]) -> list[tuple]:
+        """Type-check a batch of rows, column by column.
+
+        Returns each row as a canonical tuple, in order; raises before
+        returning anything if any row's width or any value is wrong.
+        """
+        rows = list(rows)
+        width = self.width
+        if set(map(len, rows)) - {width}:
+            bad = next(row for row in rows if len(row) != width)
             raise SchemaError(
-                f"row has {len(values)} values, schema has {self.width} columns"
+                f"row has {len(bad)} values, schema has {width} columns"
             )
-        return tuple(
-            c.type.validate(v) for c, v in zip(self.columns, values)
-        )
+        return list(zip(*(
+            column.type.validate_column(values)
+            for column, values in zip(self.columns, zip(*rows))
+        )))
 
     def row_dict(self, row: Sequence[Any]) -> dict[str, Any]:
         """Present a stored row as a name->value mapping (for display/tests)."""

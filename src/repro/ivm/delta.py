@@ -20,14 +20,18 @@ between.  Taking a batch pops the ``k`` oldest events and advances
 processing discipline Section 3's analysis assumes.
 
 Storage: a delta table holds **no events at all** -- just the two LSNs.
-The events live once, in the owning table's shared chunked
-:class:`~repro.engine.table.ModLog`, and every read here is a contiguous
-window into it.  Eight views over one base table cost eight offset pairs,
-not eight copies of its history (``tests/integration/
+The modifications live once, in the owning table's shared chunked
+:class:`~repro.engine.table.ModLog`, as two columns (before-images and
+after-images), and every read here is a contiguous window into it:
+:meth:`DeltaTable.columns` hands maintenance the two column slices it
+splits into deleted and inserted rows, ``peek``/``take`` build
+:class:`~repro.engine.table.ModEvent` records over the same slices for
+callers that want events.  Eight views over one base table cost eight
+offset pairs, not eight copies of its history (``tests/integration/
 test_block_equivalence.py`` asserts the sharing).  This works because the
-log is LSN-dense (one event per LSN), so the window boundaries alone
-determine the batch: ``size == seen_lsn - applied_lsn`` is arithmetic, and
-``peek``/``take`` are O(k) slices, and ``advance`` (a take that nobody
+log is LSN-dense (position ``L - 1`` is LSN ``L``), so the window
+boundaries alone determine the batch: ``size == seen_lsn - applied_lsn``
+is arithmetic, reads are O(k) slices, and ``advance`` (a take that nobody
 reads) is O(1).
 """
 
@@ -83,12 +87,21 @@ class DeltaTable:
             obs.counter("ivm.delta.window_pulled", new)
         return new
 
-    def peek(self, k: int) -> list[ModEvent]:
-        """The ``k`` oldest pending events, without removing them."""
+    def _oldest(self, k: int) -> tuple[int, int]:
+        """The log window of the ``k`` oldest pending modifications."""
         if k < 0:
             raise ValueError(f"k must be non-negative, got {k}")
-        upto = min(self.applied_lsn + k, self.seen_lsn)
-        return self.log.window(self.applied_lsn, upto)
+        return self.applied_lsn, min(self.applied_lsn + k, self.seen_lsn)
+
+    def columns(self, k: int) -> tuple[list[tuple | None], list[tuple | None]]:
+        """Before- and after-images of the ``k`` oldest pending
+        modifications, without removing them: what maintenance reads."""
+        return self.log.columns(*self._oldest(k))
+
+    def peek(self, k: int) -> list[ModEvent]:
+        """The ``k`` oldest pending modifications as events, without
+        removing them."""
+        return self.log.window(*self._oldest(k))
 
     def advance(self, k: int) -> None:
         """Mark the ``k`` oldest events incorporated without reading them.

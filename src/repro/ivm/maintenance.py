@@ -59,36 +59,34 @@ def apply_batch(view: MaterializedView, alias: str, k: int, batch=None) -> None:
                 view, alias, batch.deleted, batch.inserted, batch.evaluations
             )
     else:
-        events = delta.peek(k)
-        if len(events) < k:
+        olds, news = delta.columns(k)
+        if len(olds) < k:
             raise ExecutionError(
                 f"view {view.name!r}: asked to process {k} events from "
-                f"{alias!r} but only {len(events)} pending"
+                f"{alias!r} but only {len(olds)} pending"
             )
         with obs.trace("ivm.apply_batch", alias=alias, k=k):
-            _apply_events(view, alias, events)
+            _apply_events(view, alias, olds, news)
     obs.counter("ivm.batches_applied")
     obs.counter("ivm.modifications_applied", k)
     delta.advance(k)
 
 
-def _apply_events(view: MaterializedView, alias: str, events) -> None:
-    """Propagate one peeked batch of delta events into the view.
+def _apply_events(view: MaterializedView, alias: str, olds, news) -> None:
+    """Propagate one batch of delta events into the view.
 
-    ``events`` is one contiguous window of the base table's shared
-    :class:`~repro.engine.table.ModLog`; a single pass splits it into the
-    deleted and inserted row batches (an update contributes to both), and
-    each batch flows through the rebased query as a whole -- the engine's
-    blocked pipeline chunks it from there.
+    ``olds`` / ``news`` are the two columns of one contiguous window of
+    the base table's shared :class:`~repro.engine.table.ModLog`; the
+    images present in each are the deleted and the inserted row batch (an
+    update contributes to both), and each batch flows through the rebased
+    query as a whole -- the engine's blocked pipeline chunks it from there.
     """
-    deleted: list[tuple] = []
-    inserted: list[tuple] = []
-    for event in events:
-        if event.old_values is not None:
-            deleted.append(event.old_values)
-        if event.new_values is not None:
-            inserted.append(event.new_values)
-    _propagate(view, alias, deleted, inserted)
+    _propagate(
+        view,
+        alias,
+        [row for row in olds if row is not None],
+        [row for row in news if row is not None],
+    )
 
 
 def _propagate(view, alias: str, deleted, inserted, evaluations=None) -> None:

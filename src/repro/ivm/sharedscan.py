@@ -53,6 +53,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Hashable, Mapping, Sequence
 
 from repro import obs
@@ -162,19 +163,26 @@ class SharedBatch:
 class _Interval:
     """One merged, scanned LSN interval of a table's delta window."""
 
-    __slots__ = ("lo", "hi", "events", "old_rows", "new_rows", "upd_prefix")
+    __slots__ = ("lo", "hi", "old_rows", "new_rows", "upd_prefix")
 
-    def __init__(self, lo: int, hi: int, events: list):
+    def __init__(self, lo: int, hi: int, old_rows: list, new_rows: list):
         self.lo = lo
         self.hi = hi
-        self.events = events
-        #: Per-event old/new row values (None where not applicable),
-        #: aligned with ``events`` so any subwindow is a plain slice.
-        self.old_rows: list[tuple | None] = []
-        self.new_rows: list[tuple | None] = []
-        #: ``upd_prefix[i]`` = number of update events among the first
-        #: ``i`` -- an O(1) "is this subwindow all updates?" pre-screen.
-        self.upd_prefix: list[int] = [0]
+        #: The interval's two log columns: per-modification old/new row
+        #: values (None where not applicable), so any subwindow is a
+        #: plain slice.
+        self.old_rows: list[tuple | None] = old_rows
+        self.new_rows: list[tuple | None] = new_rows
+        #: ``upd_prefix[i]`` = number of updates among the first ``i``
+        #: modifications -- an O(1) "is this subwindow all updates?"
+        #: pre-screen.
+        self.upd_prefix: list[int] = list(
+            accumulate(map(_is_update, old_rows, new_rows), initial=0)
+        )
+
+
+def _is_update(old: tuple | None, new: tuple | None) -> bool:
+    return old is not None and new is not None
 
 
 class _TableScan:
@@ -206,7 +214,7 @@ class _TableScan:
         if refcols is not None:
             self._pending_prints.append((lo, hi, refcols))
 
-    def run(self, counter, block_size: int) -> tuple[int, int]:
+    def run(self, counter) -> tuple[int, int]:
         """Scan the merged request intervals once; returns (events, rows).
 
         Charges ``tuple_cpu`` per split row -- exactly what one
@@ -217,29 +225,13 @@ class _TableScan:
         self._counter = counter
         events_total = rows_total = 0
         for lo, hi in _merge_intervals(self._requests):
-            interval = _Interval(lo, hi, self.log.window(lo, hi))
-            old_append = interval.old_rows.append
-            new_append = interval.new_rows.append
-            prefix = interval.upd_prefix
-            updates = 0
-            events = interval.events
-            for start in range(0, len(events), block_size):
-                produced = 0
-                for event in events[start : start + block_size]:
-                    old_append(event.old_values)
-                    new_append(event.new_values)
-                    if event.old_values is not None:
-                        produced += 1
-                    if event.new_values is not None:
-                        produced += 1
-                    if event.kind == "update":
-                        updates += 1
-                    prefix.append(updates)
-                if produced:
-                    counter.charge("tuple_cpu", produced)
-                rows_total += produced
-            events_total += len(events)
-            self._intervals.append(interval)
+            olds, news = self.log.columns(lo, hi)
+            # A row per image present: an update splits into two.
+            produced = 2 * (hi - lo) - olds.count(None) - news.count(None)
+            counter.charge("tuple_cpu", produced)
+            rows_total += produced
+            events_total += hi - lo
+            self._intervals.append(_Interval(lo, hi, olds, news))
         self._intervals.sort(key=lambda iv: iv.lo)
         self._starts = [iv.lo for iv in self._intervals]
         for lo, hi, refcols in self._pending_prints:
@@ -398,10 +390,9 @@ class SharedScanRound:
             raise ExecutionError("shared scan already ran")
         self._ran = True
         counter = self.database.counter
-        block_size = self.database.block_size
         events_total = rows_total = 0
         for scan in self._scans.values():
-            events, rows = scan.run(counter, block_size)
+            events, rows = scan.run(counter)
             events_total += events
             rows_total += rows
         if self._scans:

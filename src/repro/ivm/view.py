@@ -375,10 +375,15 @@ class MaterializedView:
         lsns = {alias: d.applied_lsn for alias, d in self.deltas.items()}
         if self.is_aggregate:
             result = self.database.execute(self.spec, snapshot_lsns=lsns)
+            # A global aggregate over an empty input is still one row in
+            # the engine (SQL), valued None -- or 0 for COUNT, whose only
+            # way to be 0; the contents keep no empty group, so neither
+            # does this.
+            counting = self.spec.aggregate.func == "count"
             out = {}
             for row in result.rows:
                 key, value = row[:-1], row[-1]
-                if value is None:
+                if value is None or (counting and value == 0):
                     continue
                 out[key] = value
             return out

@@ -233,9 +233,5 @@ def load_tpcr(
         if table_name not in wanted:
             continue
         table = db.create_table(table_name, TPCR_SCHEMAS[table_name])
-        count = 0
-        for row in generator.rows(table_name):
-            table.insert(row)
-            count += 1
-        counts[table_name] = count
+        counts[table_name] = len(table.insert_rows(generator.rows(table_name)))
     return counts

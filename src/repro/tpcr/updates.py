@@ -7,50 +7,78 @@ from a seed.
 
 Updaters track the live row ids themselves (an update supersedes a row
 version, so the fresh version's id must replace the old one); this keeps
-picking a random victim O(1) instead of scanning the table.
+picking a random victim O(1) instead of scanning the table.  The list is
+re-derived from the table (:meth:`Table.live_rids
+<repro.engine.table.Table.live_rids>`) whenever anyone else has written to
+it or vacuumed it since this updater's last batch.
 """
 
 from __future__ import annotations
 
 import random
+from typing import Any
 
 from repro.engine.table import ModEvent, Table
 from repro.tpcr.text import NATIONS
 
 
 class TableUpdater:
-    """Base class: applies random single-row updates to one table."""
+    """Base class: applies random single-column updates to one table."""
+
+    #: The column a subclass's stream rewrites.
+    column: str
 
     def __init__(self, table: Table, seed: int = 7):
         self.table = table
         self.rng = random.Random(f"{seed}/{table.name}")
-        # Live row ids at construction time; maintained incrementally.
-        self._live_rids = [
-            rid
-            for rid in range(table.version_count())
-            if table.version(rid).xmax is None
-        ]
+        self._live_rids = table.live_rids()
+        #: ``(version_count, current_lsn)`` of the table while
+        #: ``_live_rids`` is its live row ids -- a vacuum that reclaims
+        #: anything (and so renumbers row ids) moves the first, every
+        #: write the second; None while the list runs ahead of the table.
+        self._tracked: tuple[int, int] | None = (
+            table.version_count(), table.current_lsn
+        )
         if not self._live_rids:
             raise ValueError(f"table {table.name!r} is empty; nothing to update")
 
-    def _mutate_row(self, rid: int) -> ModEvent:
-        """Apply one update to the row at ``rid``; return the event."""
+    def _draw(self) -> Any:
+        """The next update's new value for :attr:`column`."""
         raise NotImplementedError
+
+    def apply(self, k: int) -> range:
+        """Apply ``k`` random updates as one batch; returns their LSNs.
+
+        Draws are slot, then value, update by update.  A slot drawn twice
+        in a batch names the version its first draw created, exactly as
+        ``k`` batches of one would have it.
+        """
+        if k < 0:
+            raise ValueError(f"k must be non-negative, got {k}")
+        table = self.table
+        state = (table.version_count(), table.current_lsn)
+        if self._tracked != state:
+            # Someone else wrote to the table or vacuumed it: held row
+            # ids may be renumbered or dead, and new rows are missing.
+            self._live_rids = table.live_rids()
+        self._tracked = None
+        live = self._live_rids
+        randrange, draw = self.rng.randrange, self._draw
+        fresh, lsn = state  # fresh: the slot the next new version takes
+        rids, values = [], []
+        for __ in range(k):
+            slot = randrange(len(live))
+            values.append(draw())
+            rids.append(live[slot])
+            live[slot] = fresh
+            fresh += 1
+        lsns = table.update_rids(rids, {self.column: values})
+        self._tracked = (fresh, lsn + k)
+        return lsns
 
     def apply_one(self) -> ModEvent:
         """Apply one random update; returns the logged event."""
-        slot = self.rng.randrange(len(self._live_rids))
-        rid = self._live_rids[slot]
-        event = self._mutate_row(rid)
-        # The update created a fresh version at the end of the heap.
-        self._live_rids[slot] = self.table.version_count() - 1
-        return event
-
-    def apply(self, k: int) -> list[ModEvent]:
-        """Apply ``k`` random updates."""
-        if k < 0:
-            raise ValueError(f"k must be non-negative, got {k}")
-        return [self.apply_one() for __ in range(k)]
+        return self.table.history[self.apply(1)[0] - 1]
 
     def __call__(self, k: int) -> None:
         """Mutator interface for :func:`repro.ivm.calibration.measure_cost_function`."""
@@ -60,17 +88,19 @@ class TableUpdater:
 class PartSuppCostUpdater(TableUpdater):
     """Random ``supplycost`` updates on PartSupp, uniform in [1.00, 1000.00]."""
 
-    def _mutate_row(self, rid: int) -> ModEvent:
-        new_cost = round(self.rng.uniform(1.00, 1000.00), 2)
-        return self.table.update_rid(rid, {"supplycost": new_cost})
+    column = "supplycost"
+
+    def _draw(self) -> float:
+        return round(self.rng.uniform(1.00, 1000.00), 2)
 
 
 class SupplierNationUpdater(TableUpdater):
     """Random ``nationkey`` updates on Supplier, uniform over the 25 nations."""
 
-    def _mutate_row(self, rid: int) -> ModEvent:
-        new_nation = self.rng.randrange(len(NATIONS))
-        return self.table.update_rid(rid, {"nationkey": new_nation})
+    column = "nationkey"
+
+    def _draw(self) -> int:
+        return self.rng.randrange(len(NATIONS))
 
 
 class NationRegionUpdater(TableUpdater):
@@ -82,6 +112,7 @@ class NationRegionUpdater(TableUpdater):
     in or out of the view: the highest-fan-out, most expensive stream.
     """
 
-    def _mutate_row(self, rid: int) -> ModEvent:
-        new_region = self.rng.randrange(5)
-        return self.table.update_rid(rid, {"regionkey": new_region})
+    column = "regionkey"
+
+    def _draw(self) -> int:
+        return self.rng.randrange(5)

@@ -1,0 +1,576 @@
+"""The batched write path and the columnar modification log.
+
+Three parts:
+
+* a differential test -- hypothesis sequences of insert / update / delete
+  batches against a plain-Python model written here (no ``Table`` code):
+  a list of ``[values, xmin, xmax]`` and a list of ``(old, new)``;
+* what a failed batch leaves (nothing for a bad value; the applied prefix,
+  consistently, for a bad row id);
+* literals recorded at the commit before the write path was batched, for
+  the three update streams: they pin the RNG draw order and the in-batch
+  chains (a slot drawn twice in a batch names the version the first draw
+  created), whatever the batch size.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import obs
+from repro.engine.costmodel import OperationCounter
+from repro.engine.database import Database
+from repro.engine.errors import ExecutionError, SchemaError
+from repro.engine.table import ModEvent, ModLog, Table
+from repro.engine.types import ColumnType, Schema
+from repro.tpcr.gen import load_tpcr
+from repro.tpcr.updates import (
+    NationRegionUpdater,
+    PartSuppCostUpdater,
+    SupplierNationUpdater,
+)
+
+COLUMNS = ("k", "a", "x")
+FLOAT_POS = 2
+
+
+def make_table(indexes=()) -> Table:
+    table = Table(
+        "t",
+        Schema.of(k=ColumnType.INT, a=ColumnType.INT, x=ColumnType.FLOAT),
+    )
+    # Four-modification chunks, so batches straddle chunk boundaries.
+    table.history = ModLog(chunk_size=4)
+    for column, kind in indexes:
+        table.create_index(column, kind=kind)
+    return table
+
+
+# ----------------------------------------------------------------------
+# The model
+# ----------------------------------------------------------------------
+
+
+class BadRid(Exception):
+    pass
+
+
+class Model:
+    """What a table is, as two lists: row by row, nothing batched."""
+
+    def __init__(self, index_count: int):
+        self.versions: list[list] = []  # [values, xmin, xmax]
+        self.log: list[tuple] = []  # (old, new)
+        self.index_count = index_count
+        self.row_writes = 0
+        self.index_maintains = 0
+
+    def _logged(self, old, new) -> int:
+        self.log.append((old, new))
+        images = (old is not None) + (new is not None)
+        self.row_writes += images
+        self.index_maintains += images * self.index_count
+        return len(self.log)
+
+    def _live(self, rid) -> list:
+        if not 0 <= rid < len(self.versions):
+            raise BadRid(rid)
+        if self.versions[rid][2] is not None:
+            raise BadRid(rid)
+        return self.versions[rid]
+
+    def insert(self, row) -> None:
+        row = tuple(
+            float(v) if pos == FLOAT_POS else v for pos, v in enumerate(row)
+        )
+        self.versions.append([row, self._logged(None, row), None])
+
+    def delete(self, rid) -> None:
+        version = self._live(rid)
+        version[2] = self._logged(version[0], None)
+
+    def update(self, rid, changes: dict) -> None:
+        version = self._live(rid)
+        row = list(version[0])
+        for column, value in changes.items():
+            pos = COLUMNS.index(column)
+            row[pos] = float(value) if pos == FLOAT_POS else value
+        row = tuple(row)
+        lsn = self._logged(version[0], row)
+        version[2] = lsn
+        self.versions.append([row, lsn, None])
+
+    def live_rids(self) -> list[int]:
+        return [rid for rid, v in enumerate(self.versions) if v[2] is None]
+
+    def rows_at(self, lsn: int) -> list[tuple]:
+        return [
+            values
+            for values, xmin, xmax in self.versions
+            if xmin <= lsn and (xmax is None or xmax > lsn)
+        ]
+
+    def charges(self) -> dict[str, int]:
+        charged = {
+            "row_writes": self.row_writes,
+            "index_maintains": self.index_maintains,
+        }
+        return {field: n for field, n in charged.items() if n}
+
+
+# ----------------------------------------------------------------------
+# Generated batches
+# ----------------------------------------------------------------------
+
+ints = st.integers(-3, 6)
+float_values = st.one_of(ints, st.floats(-4.0, 4.0, allow_nan=False))
+# How a batch names its next row id: mostly a row that is live at its
+# turn (so a slot picked twice names the version the first pick created,
+# and a later pick may name a version the batch itself made), sometimes a
+# row id an earlier entry already consumed, sometimes one out of range.
+picks = st.tuples(
+    st.sampled_from(["live"] * 12 + ["again", "wild"]), st.integers(0, 10**6)
+)
+sizes = st.integers(1, 40)
+
+
+@st.composite
+def batches(draw):
+    op = draw(st.sampled_from(["insert", "insert", "update", "update", "delete"]))
+    size = draw(sizes)
+    if op == "insert":
+        return op, draw(
+            st.lists(st.tuples(ints, ints, float_values),
+                     min_size=size, max_size=size)
+        ), None
+    rid_picks = draw(st.lists(picks, min_size=size, max_size=size))
+    if op == "delete":
+        return op, rid_picks, None
+    columns = draw(
+        st.lists(st.sampled_from(COLUMNS), min_size=1, max_size=3, unique=True)
+    )
+    changes = {
+        column: draw(
+            st.lists(float_values if column == "x" else ints,
+                     min_size=size, max_size=size)
+        )
+        for column in columns
+    }
+    return op, rid_picks, changes
+
+
+def resolve(model: Model, op: str, rid_picks) -> list[int]:
+    """Turn a batch's picks into row ids, tracking the rows live at each
+    turn the way the update streams do."""
+    live = model.live_rids()
+    fresh = len(model.versions)
+    rids: list[int] = []
+    for mode, n in rid_picks:
+        if mode == "again" and rids:
+            rids.append(rids[n % len(rids)])
+        elif mode == "live" and live:
+            slot = n % len(live)
+            rids.append(live[slot])
+            if op == "update":
+                live[slot] = fresh
+                fresh += 1
+            else:
+                del live[slot]
+        else:
+            rids.append(n % 7 - 3 + (fresh if n % 2 else 0))
+    return rids
+
+
+INDEX_CHOICES = [
+    (),
+    (("k", "hash"),),
+    (("a", "sorted"),),
+    (("k", "hash"), ("a", "sorted")),
+]
+
+
+@given(
+    indexes=st.sampled_from(INDEX_CHOICES),
+    script=st.lists(batches(), min_size=1, max_size=7),
+    windows=st.lists(st.tuples(st.integers(0, 400), st.integers(0, 400)),
+                     min_size=4, max_size=12),
+)
+@settings(max_examples=150, deadline=None)
+def test_batches_equal_the_row_by_row_model(indexes, script, windows):
+    table = make_table(indexes)
+    model = Model(len(indexes))
+    for op, payload, changes in script:
+        before = table.current_lsn
+        failed = model_failed = False
+        if op == "insert":
+            for row in payload:
+                model.insert(row)
+            lsns = table.insert_rows(payload)
+        else:
+            rids = resolve(model, op, payload)
+            try:
+                for i, rid in enumerate(rids):
+                    if op == "delete":
+                        model.delete(rid)
+                    else:
+                        model.update(
+                            rid, {c: values[i] for c, values in changes.items()}
+                        )
+            except BadRid:
+                model_failed = True
+            try:
+                if op == "delete":
+                    lsns = table.delete_rids(rids)
+                else:
+                    lsns = table.update_rids(rids, changes)
+            except ExecutionError:
+                failed = True
+        assert failed == model_failed
+        if not failed:
+            assert lsns == range(before + 1, len(model.log) + 1)
+        # Whatever happened, the table is where the model is.
+        assert table.current_lsn == len(table.history) == len(model.log)
+        assert table.version_count() == len(model.versions)
+        assert table.live_rids() == model.live_rids()
+        assert table.live_count == len(model.live_rids())
+
+    top = len(model.log)
+    for lsn in range(top + 1):
+        assert table.snapshot(lsn).row_list() == model.rows_at(lsn)
+    for a, b in windows:
+        lo, hi = sorted((a % (top + 1), b % (top + 1)))
+        olds, news = table.history.columns(lo, hi)
+        assert list(zip(olds, news)) == model.log[lo:hi]
+        events = table.history.window(lo, hi)
+        assert [(e.old_values, e.new_values) for e in events] == model.log[lo:hi]
+        assert [e.lsn for e in events] == list(range(lo + 1, hi + 1))
+        assert [e.kind for e in events] == [
+            "insert" if old is None else "delete" if new is None else "update"
+            for old, new in model.log[lo:hi]
+        ]
+    for column, _ in indexes:
+        pos = COLUMNS.index(column)
+        for lsn in {0, top // 3, top // 2, top}:
+            snapshot = table.snapshot(lsn)
+            visible = model.rows_at(lsn)
+            for key in {values[pos] for values, _, _ in model.versions}:
+                assert snapshot.lookup(column, key) == [
+                    row for row in visible if row[pos] == key
+                ]
+    charged = table.counter.snapshot()
+    assert {f: n for f, n in charged.items() if n} == model.charges()
+
+
+def test_single_row_methods_are_batches_of_one():
+    one, many = make_table((("k", "hash"),)), make_table((("k", "hash"),))
+    events = [
+        one.insert((1, 2, 3)),
+        one.insert((4, 5, 6.5)),
+        one.update_rid(0, {"a": 7, "x": 1}),
+        one.delete_rid(1),
+    ]
+    many.insert_rows([(1, 2, 3), (4, 5, 6.5)])
+    many.update_rids([0], {"a": [7], "x": [1]})
+    many.delete_rids([1])
+    assert events == one.events_between(0, 4) == many.events_between(0, 4)
+    assert [e.kind for e in events] == ["insert", "insert", "update", "delete"]
+    assert events[2].new_values == (1, 7, 1.0)
+    assert one.counter.snapshot() == many.counter.snapshot()
+    assert list(one.live_rows()) == list(many.live_rows()) == [(1, 7, 1.0)]
+
+
+# ----------------------------------------------------------------------
+# What a failed batch leaves
+# ----------------------------------------------------------------------
+
+
+def state(table: Table):
+    return (
+        table.current_lsn,
+        len(table.history),
+        table.version_count(),
+        table.live_count,
+        [(v.values, v.xmin, v.xmax)
+         for v in map(table.version, range(table.version_count()))],
+        {name: len(index) for name, index in table.indexes.items()},
+        table.counter.snapshot(),
+    )
+
+
+@pytest.fixture
+def table():
+    t = make_table((("k", "hash"),))
+    t.insert_rows([(i, 10 * i, float(i)) for i in range(4)])
+    t.delete_rid(2)
+    return t
+
+
+class TestFailedBatch:
+    def test_dead_rid_leaves_the_prefix_as_single_calls_would(self, table):
+        reference = make_table((("k", "hash"),))
+        reference.insert_rows([(i, 10 * i, float(i)) for i in range(4)])
+        reference.delete_rid(2)
+        reference.update_rid(0, {"k": 100})
+        reference.update_rid(1, {"k": 101})
+
+        lsn = table.current_lsn
+        writes = table.counter.row_writes
+        with pytest.raises(ExecutionError, match="row id 2 in t is not live"):
+            table.update_rids([0, 1, 2, 3], {"k": [100, 101, 102, 103]})
+        assert state(table) == state(reference)
+        assert table.current_lsn == len(table.history) == lsn + 2
+        assert [
+            (e.kind, e.new_values[0]) for e in table.history.window(lsn, lsn + 2)
+        ] == [("update", 100), ("update", 101)]
+        # Both new versions are found through the index; the fourth row,
+        # after the dead one, was not touched.
+        snapshot = table.snapshot()
+        assert snapshot.lookup("k", 100) == [(100, 0, 0.0)]
+        assert snapshot.lookup("k", 101) == [(101, 10, 1.0)]
+        assert snapshot.lookup("k", 103) == []
+        assert snapshot.lookup("k", 3) == [(3, 30, 3.0)]
+        assert table.counter.row_writes == writes + 4
+
+    def test_out_of_range_rid_in_a_delete_batch(self, table):
+        lsn = table.current_lsn
+        with pytest.raises(ExecutionError, match="out of range"):
+            table.delete_rids([0, 99, 1])
+        assert table.current_lsn == len(table.history) == lsn + 1
+        assert table.live_rids() == [1, 3]
+
+    def test_rid_named_twice_is_dead_at_its_second_turn(self, table):
+        lsn = table.current_lsn
+        with pytest.raises(ExecutionError, match="not live"):
+            table.update_rids([0, 0], {"a": [1, 2]})
+        assert table.current_lsn == len(table.history) == lsn + 1
+
+    def test_version_made_in_the_batch_may_be_named_later_in_it(self, table):
+        fresh = table.version_count()
+        lsns = table.update_rids([0, fresh, fresh + 1], {"a": [1, 2, 3]})
+        assert len(lsns) == 3
+        assert [e.new_values[1] for e in table.events_between(
+            lsns[0] - 1, lsns[-1])] == [1, 2, 3]
+        assert table.version(fresh + 2).values == (0, 3, 0.0)
+        assert table.live_rids() == [1, 3, fresh + 2]
+        # ... but not before it exists.
+        with pytest.raises(ExecutionError, match="out of range"):
+            table.update_rids([table.version_count()], {"a": [0]})
+
+    @pytest.mark.parametrize(
+        "write, error",
+        [
+            (lambda t: t.update_rids([0, 1], {"k": [5, True]}), SchemaError),
+            (lambda t: t.update_rids([0, 1], {"x": [1.0, "y"]}), SchemaError),
+            (lambda t: t.update_rids([0, 1], {"nope": [1, 2]}), SchemaError),
+            (lambda t: t.update_rids([0, 1], {"k": [5]}), ExecutionError),
+            (lambda t: t.update_rids([0, 1], {"k": [5, 6], "a": [1, 2, 3]}),
+             ExecutionError),
+            (lambda t: t.update_rids([0, 1], {}), ExecutionError),
+            (lambda t: t.update_rid(0, {}), ExecutionError),
+            (lambda t: t.insert_rows([(1, 2, 3.0), (1, 2)]), SchemaError),
+            (lambda t: t.insert_rows([(1, 2, 3.0), (1, True, 3.0)]), SchemaError),
+            (lambda t: t.insert((1, 2, 3.0, 4)), SchemaError),
+        ],
+    )
+    def test_bad_value_or_width_changes_nothing(self, table, write, error):
+        before = state(table)
+        with pytest.raises(error):
+            write(table)
+        assert state(table) == before
+        assert table.current_lsn == len(table.history)
+
+    def test_empty_batches_take_no_lsn(self, table):
+        before = state(table)
+        assert len(table.insert_rows([])) == 0
+        assert len(table.delete_rids([])) == 0
+        assert len(table.update_rids([], {"k": []})) == 0
+        assert state(table) == before
+
+
+# ----------------------------------------------------------------------
+# Column-wise validation accepts exactly what value-wise validation does
+# ----------------------------------------------------------------------
+
+
+class TestValidateRows:
+    schema = Schema.of(k=ColumnType.INT, x=ColumnType.FLOAT, s=ColumnType.STR)
+
+    def test_rows_come_back_as_canonical_tuples(self):
+        assert self.schema.validate_rows([[1, 2, "a"], (3, 4.5, "b")]) == [
+            (1, 2.0, "a"), (3, 4.5, "b"),
+        ]
+        widened = self.schema.validate_rows(iter([(1, 2, "a")]))[0][1]
+        assert type(widened) is float
+        assert self.schema.validate_rows([]) == []
+
+    def test_int_subclass_is_still_an_int(self):
+        class Key(int):
+            pass
+
+        assert self.schema.validate_rows([(Key(7), 1.0, "a")]) == [(7, 1.0, "a")]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(1, 1.0, "a"), (True, 1.0, "a")],
+            [(1, 1.0, "a"), (1, False, "a")],
+            [(1, 1.0, "a"), (1, 1.0, 5)],
+            [(1, 1.0, "a"), (1.5, 1.0, "a")],
+            [(1, 1.0, "a"), (1, 1.0)],
+        ],
+    )
+    def test_batch_rejects_what_a_single_row_rejects(self, rows):
+        with pytest.raises(SchemaError) as single:
+            self.schema.validate_row(rows[1])
+        with pytest.raises(SchemaError) as batch:
+            self.schema.validate_rows(rows)
+        assert str(batch.value) == str(single.value)
+
+
+# ----------------------------------------------------------------------
+# The log itself
+# ----------------------------------------------------------------------
+
+
+class TestColumnarLog:
+    def test_extend_and_columns_straddle_chunks(self):
+        log = ModLog(chunk_size=4)
+        olds = [None, None, (0,), (1,), None, (2,), (3,)]
+        news = [(0,), (1,), (2,), None, (4,), (3,), (5,)]
+        log.extend(olds[:3], news[:3])
+        log.extend(olds[3:], news[3:])
+        assert len(log) == 7
+        assert log.columns(0, 7) == (olds, news)
+        assert log.columns(2, 6) == (olds[2:6], news[2:6])
+        assert log.columns(5, 5) == ([], [])
+        assert [e.kind for e in log] == [
+            "insert", "insert", "update", "delete", "insert", "update", "update",
+        ]
+        assert log[3] == ModEvent(4, "delete", (1,), None)
+        # What columns() hands out is the caller's to keep.
+        log.columns(0, 7)[0].clear()
+        assert log.columns(0, 7) == (olds, news)
+
+    def test_extend_rejects_what_is_not_a_modification(self):
+        log = ModLog(chunk_size=4)
+        with pytest.raises(ExecutionError, match="after-image per before-image"):
+            log.extend([None, None], [(1,)])
+        with pytest.raises(ExecutionError, match="before-image or an after-image"):
+            log.extend([(1,), None], [(2,), None])
+        assert len(log) == 0 and log.retained == 0
+
+    @pytest.mark.parametrize(
+        "kind, old, new",
+        [
+            ("insert", (1,), (2,)),
+            ("insert", (1,), None),
+            ("delete", None, (1,)),
+            ("update", None, (1,)),
+            ("update", (1,), None),
+        ],
+    )
+    def test_append_rejects_a_kind_its_images_contradict(self, kind, old, new):
+        log = ModLog()
+        with pytest.raises(ExecutionError, match="carries the images"):
+            log.append(ModEvent(1, kind, old, new))
+        assert len(log) == 0
+
+
+# ----------------------------------------------------------------------
+# Observability: one count per batch, none per row
+# ----------------------------------------------------------------------
+
+
+def test_write_counters_count_batches_and_rows():
+    table = make_table()
+    with obs.recording() as recorder:
+        table.insert_rows([(i, i, i) for i in range(5)])
+        table.update_rids([0, 1], {"a": [7, 8]})
+        table.delete_rid(2)
+        table.insert_rows([])
+        with pytest.raises(ExecutionError):
+            table.delete_rids([3, 3, 4])
+    metrics = recorder.registry.snapshot()
+    assert metrics["engine.table.write_batches"]["value"] == 4
+    assert metrics["engine.table.rows_written"]["value"] == 5 + 2 + 1 + 1
+
+
+# ----------------------------------------------------------------------
+# The update streams, against literals recorded before batching
+# ----------------------------------------------------------------------
+
+#: (table, seed) -> digest of the (old, new) stream of 500 updates, digest
+#: of the final ``live_rows()``, the charges -- recorded with
+#: ``TableUpdater.apply`` still a loop of single ``update_rid`` calls.
+RECORDED = {
+    ("partsupp", 3): ("48f26acc9c96200f", "e77c420faa3c77e6"),
+    ("partsupp", 17): ("de7f1e6436ddebc9", "c950328c59cf2b17"),
+    ("partsupp", 101): ("5ef2db08e4cef963", "5e3ea03641dcb30b"),
+    ("supplier", 3): ("5cbc57596ef045d9", "75bd274bce28d87d"),
+    ("supplier", 17): ("41db7b112dc2e816", "9d96c4838a5fc497"),
+    ("supplier", 101): ("99ddb4bec54eaef1", "c7b43835f315cb16"),
+    ("nation", 3): ("0ef038370ced2f24", "82840235aded40b9"),
+    ("nation", 17): ("6d7bcef563d64a51", "a1f28ed7b9e85a3d"),
+    ("nation", 101): ("a80ff8087a16aa04", "238e799b51193c5c"),
+}
+RECORDED_CHARGES = {"row_writes": 1000, "index_maintains": 1000}
+UPDATERS = {
+    "partsupp": PartSuppCostUpdater,
+    "supplier": SupplierNationUpdater,
+    "nation": NationRegionUpdater,
+}
+
+
+def digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+# 20 suppliers / 25 nations: a batch of 80 cannot avoid drawing a slot twice,
+# so the in-batch chains are exercised, not just permitted.
+@pytest.mark.parametrize("batch", (1, 7, 80))
+@pytest.mark.parametrize("table_name, seed", sorted(RECORDED))
+def test_update_streams_match_recorded_literals(table_name, seed, batch):
+    db = Database()
+    load_tpcr(db, scale=0.002)
+    table = db.table(table_name)
+    table.create_index(table.schema.names[0])
+    start = table.current_lsn
+    before = db.counter.snapshot()
+    updater = UPDATERS[table_name](table, seed=seed)
+    left = 500
+    while left:
+        k = min(batch, left)
+        assert len(updater.apply(k)) == k
+        left -= k
+    olds, news = table.history.columns(start, table.current_lsn)
+    after = db.counter.snapshot()
+    assert (
+        digest(list(zip(olds, news))), digest(list(table.live_rows()))
+    ) == RECORDED[table_name, seed]
+    assert {
+        f: after[f] - before[f] for f in after if after[f] != before[f]
+    } == RECORDED_CHARGES
+
+
+def test_counter_is_charged_once_per_field_per_batch():
+    class Counting(OperationCounter):
+        calls = 0
+
+        def charge(self, field_name, count=1):
+            Counting.calls += 1
+            super().charge(field_name, count)
+
+    table = Table(
+        "t", Schema.of(k=ColumnType.INT, a=ColumnType.INT), Counting()
+    )
+    table.create_index("k")
+    table.create_index("a", kind="sorted")
+    Counting.calls = 0
+    table.insert_rows([(i, i) for i in range(50)])
+    table.update_rids(list(range(50)), {"a": list(range(50))})
+    assert Counting.calls == 4  # row_writes + index_maintains, twice
+    assert table.counter.row_writes == 50 + 100
+    assert table.counter.index_maintains == 2 * (50 + 100)

@@ -29,6 +29,7 @@ Also here: the shared-modification-log identity tests (a base table with
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
 
@@ -647,14 +648,21 @@ def test_eight_views_share_one_history_copy():
     for view in views:
         delta = view.deltas["F"]
         assert delta.log is fact.history
-        assert not hasattr(delta, "_pending")
+        assert not any(
+            isinstance(held, (list, tuple, dict, set, deque))
+            for held in vars(delta).values()
+        )
     # Exactly one copy: the table logged one event per modification, and
-    # the peeked event objects are identical (is) across all views.
+    # the peeked events' row tuples are identical (is) across all views --
+    # the event records themselves are built per read, the rows are not.
     assert len(fact.history) == baseline_events + 60
     first = views[0].deltas["F"].peek(10)
     for view in views[1:]:
         other = view.deltas["F"].peek(10)
-        assert all(a is b for a, b in zip(first, other, strict=True))
+        assert all(
+            a.old_values is b.old_values and a.new_values is b.new_values
+            for a, b in zip(first, other, strict=True)
+        )
     # Window arithmetic: sizes agree with the log without any scan.
     for view in views:
         delta = view.deltas["F"]
@@ -675,7 +683,7 @@ def test_modlog_chunked_window_and_invariants():
     assert log.window(0, 11) == events
     assert log.window(3, 9) == events[3:9]
     assert log.window(7, 7) == []
-    assert log[4] is events[4]
+    assert log[4] == events[4]
     # LSN-density is enforced: a gap or duplicate LSN is rejected.
     from repro.engine.errors import ExecutionError
 

@@ -203,6 +203,28 @@ class TestAggregateView:
         view = MaterializedView("v", db, spec)
         assert view.scalar() is None
 
+    @pytest.mark.parametrize("func", ["count", "sum", "min", "max"])
+    def test_empty_global_aggregate_is_no_group(self, func):
+        # The engine answers a global aggregate over nothing with one
+        # row (None, or 0 for COUNT); a view keeps no empty group, at
+        # creation or after its last row went, and recompute() agrees.
+        db = Database()
+        r = db.create_table("r", Schema.of(k=ColumnType.INT, a=ColumnType.INT))
+        spec = QuerySpec(
+            base_alias="R", base_table="r",
+            aggregate=AggregateSpec(func=func, value=col("R.a")),
+        )
+        view = MaterializedView("v", db, spec)
+        assert view.contents() == view.recompute() == {}
+        r.insert((2, 0))
+        view.deltas["R"].pull()
+        apply_batch(view, "R", 1)
+        assert view.contents() == view.recompute() == {(): 1 if func == "count" else 0}
+        r.delete_rid(0)
+        view.deltas["R"].pull()
+        apply_batch(view, "R", 1)
+        assert view.contents() == view.recompute() == {}
+
     def test_grouped_aggregate_view(self):
         db = make_join_db()
         spec = join_spec(

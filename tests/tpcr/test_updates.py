@@ -50,11 +50,57 @@ class TestPartSuppCostUpdater:
         for rid in updater._live_rids:
             assert ps.version(rid).xmax is None
 
+    def test_vacuum_between_batches_renumbers_the_victims(self, db):
+        # Vacuum compacts the heap and renumbers row ids: an updater that
+        # kept its old list died here with "row id ... out of range", or
+        # silently updated whichever row now sat at a stale id.
+        ps = db.table("partsupp")
+        updater = PartSuppCostUpdater(ps, seed=1)
+        updater.apply(500)
+        assert ps.vacuum() == 500
+        updater.apply(500)
+        assert ps.live_count == 1600
+        assert sorted(updater._live_rids) == ps.live_rids()
+        for rid in updater._live_rids:
+            assert ps.version(rid).xmax is None
+        # Its own batches are no reason to read the table again.
+        held = updater._live_rids
+        updater.apply(3)
+        assert updater._live_rids is held
+
+    def test_foreign_insert_becomes_a_possible_victim(self, db):
+        ps = db.table("partsupp")
+        updater = PartSuppCostUpdater(ps, seed=1)
+        updater.apply(10)
+        ps.insert((999_999, 1, 10, 5.0, "new row"))
+        for _ in range(40):  # 40 x 200 draws over 1601 rows
+            updater.apply(200)
+            if any(row[0] == 999_999 and row[3] != 5.0 for row in ps.live_rows()):
+                break
+        else:
+            pytest.fail("a row another writer inserted was never updated")
+        assert ps.live_count == 1601
+
+    def test_foreign_delete_is_never_picked(self, db):
+        sup = db.table("supplier")
+        updater = SupplierNationUpdater(sup, seed=2)
+        updater.apply(5)
+        for rid in sup.live_rids()[:15]:
+            sup.delete_rid(rid)
+        # 5 live suppliers left: 200 draws would hit a dead one, and raise.
+        updater.apply(200)
+        assert sup.live_count == 5
+        assert sorted(updater._live_rids) == sup.live_rids()
+
     def test_determinism(self, db):
         db2 = Database()
         load_tpcr(db2, scale=0.002)
-        e1 = PartSuppCostUpdater(db.table("partsupp"), seed=5).apply(5)
-        e2 = PartSuppCostUpdater(db2.table("partsupp"), seed=5).apply(5)
+        ps1, ps2 = db.table("partsupp"), db2.table("partsupp")
+        l1 = PartSuppCostUpdater(ps1, seed=5).apply(5)
+        l2 = PartSuppCostUpdater(ps2, seed=5).apply(5)
+        e1 = ps1.events_between(l1[0] - 1, l1[-1])
+        e2 = ps2.events_between(l2[0] - 1, l2[-1])
+        assert len(e1) == 5
         assert [e.new_values for e in e1] == [e.new_values for e in e2]
 
     def test_negative_k_rejected(self, db):
