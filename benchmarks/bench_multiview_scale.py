@@ -6,25 +6,25 @@ table's ModLog, one shared blocked scan per table per round replaces a
 per-view scan, and update windows that miss a view's referenced columns
 are fingerprint-suppressed before the view's delta-join runs.  Both
 savings grow with views-per-table, so the **per-view** simulated cost of
-a shared round falls as the fleet grows, while independent
-view-at-a-time rounds stay flat.
+a shared round falls as the fleet grows, while views maintained one at
+a time, each by its own standalone maintainer, stay flat.
 
 This benchmark sweeps views-per-table over three TPC-R base tables
 (partsupp, supplier, nation -- each with its own single-column updater)
-up to ~2,000 views total, maintaining each fleet for a few rounds under
-both modes, and reports total and per-view simulated cost side by side.
+up to ~2,000 views total, maintaining each fleet for a few rounds both
+ways, and reports total and per-view simulated cost side by side.
 Views alternate between a spec that references the updated column
 (must re-join every round) and one that does not (suppressible), the mix
 a real dashboard fleet would have.
 
 Asserted invariants:
 
-* view contents are identical between shared and independent rounds at
-  every swept fleet size;
+* view contents are identical between shared rounds and standalone
+  maintainers at every swept fleet size;
 * per-view shared cost **strictly decreases** as views-per-table grows;
 * shared total cost is strictly below independent total cost at every
   point with >= 2 views per table (with a lone subscriber per table the
-  two modes do the same scan work, so only the larger fleets are gated).
+  two do the same scan work, so only the larger fleets are gated).
 """
 
 from __future__ import annotations
@@ -37,7 +37,9 @@ from repro.core.naive import NaivePolicy
 from repro.engine.database import Database
 from repro.engine.expr import col
 from repro.engine.query import AggregateSpec, QuerySpec
+from repro.ivm.maintainer import ViewMaintainer
 from repro.ivm.multiview import MaintenanceCoordinator, ViewConfig
+from repro.ivm.view import MaterializedView
 from repro.tpcr.gen import load_tpcr
 from repro.tpcr.updates import (
     NationRegionUpdater,
@@ -139,16 +141,28 @@ class MultiviewScaleResult:
 
 
 def _run_fleet(views_per_table: int, shared: bool) -> tuple[dict, float]:
-    """Maintain one fleet; returns (per-view contents, total sim ms)."""
+    """Maintain one fleet; returns (per-view contents, total sim ms).
+
+    ``shared``: under one coordinator.  Otherwise every view has its own
+    standalone maintainer, stepped one after another.
+    """
     db = Database(block_size=BLOCK_SIZE)
     load_tpcr(db, scale=SCALE)
-    coordinator = MaintenanceCoordinator(db, shared_scans=shared)
+    coordinator = MaintenanceCoordinator(db) if shared else None
+    maintainers: dict[str, ViewMaintainer] = {}
     for alias, table, _, sensitive, insensitive in TABLES:
         for i in range(views_per_table):
+            name = f"{table}_{i:04d}"
             spec = sensitive() if i % 2 == 0 else insensitive()
+            if coordinator is None:
+                maintainers[name] = ViewMaintainer(
+                    MaterializedView(name, db, spec), COST, LIMIT,
+                    NaivePolicy(), scheduled_aliases=(alias,),
+                )
+                continue
             coordinator.add_view(
                 ViewConfig(
-                    name=f"{table}_{i:04d}",
+                    name=name,
                     query=spec,
                     policy=NaivePolicy(),
                     cost_functions=COST,
@@ -156,6 +170,7 @@ def _run_fleet(views_per_table: int, shared: bool) -> tuple[dict, float]:
                     scheduled_aliases=(alias,),
                 )
             )
+            maintainers[name] = coordinator.maintainer(name)
     updaters = [
         updater(db.table(table), seed=17)
         for _, table, updater, _, _ in TABLES
@@ -165,11 +180,15 @@ def _run_fleet(views_per_table: int, shared: bool) -> tuple[dict, float]:
         for updater in updaters:
             updater.apply(MODS_PER_ROUND)
         with db.counter.window() as window:
-            coordinator.step(t)
+            if coordinator is None:
+                for maintainer in maintainers.values():
+                    maintainer.step(t)
+            else:
+                coordinator.step(t)
         total += window.elapsed_ms
     contents = {
         name: maintainer.view.contents()
-        for name, maintainer in coordinator.iter_maintainers()
+        for name, maintainer in maintainers.items()
     }
     return contents, total
 

@@ -111,9 +111,9 @@ def main() -> None:
     for name, cost in sorted(
         coordinator.cost_breakdown().items(), key=lambda kv: -kv[1]
     ):
-        log = coordinator.maintainer(name).log
+        ledger = coordinator.maintainer(name).ledger
         print(
-            f"  {name:24s} {cost:9.1f} ms over {log.action_count} actions"
+            f"  {name:24s} {cost:9.1f} ms over {ledger.action_count} actions"
         )
     print(f"  {'TOTAL':24s} {coordinator.total_cost_ms():9.1f} ms")
 

@@ -103,18 +103,18 @@ def main() -> None:
             if t == HORIZON:
                 maintainer.refresh(t)
             else:
-                record = maintainer.step(t)
+                entry = maintainer.step(t)
                 post = tuple(
-                    s - a for s, a in zip(record.pre_state, record.action)
+                    s - a for s, a in zip(entry.pre_state, entry.action)
                 )
                 peak_backlog = max(
                     peak_backlog, maintainer.predicted_refresh_cost(post)
                 )
         assert view.contents() == view.recompute()
-        total = maintainer.log.total_actual_cost_ms
+        total = maintainer.ledger.total_sim_ms
         results[name] = total
         print(
-            f"{name:8s} {total:15.0f} {maintainer.log.action_count:8d} "
+            f"{name:8s} {total:15.0f} {maintainer.ledger.action_count:8d} "
             f"{peak_backlog:16.0f} {'yes' if peak_backlog <= limit else 'NO':>12s}"
         )
 

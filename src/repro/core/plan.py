@@ -127,24 +127,17 @@ class Plan:
         self._check_shape(problem)
         state = zero_vector(problem.n)
         for t, action in enumerate(self.actions):
-            state = add_vectors(state, problem.arrivals[t])
-            post = sub_vectors(state, action)
-            if not is_nonnegative(post):
-                raise ValueError(
-                    f"t={t}: action {action} removes more than accumulated {state}"
-                )
-            if t < self.horizon and problem.is_full(post):
-                raise ValueError(
-                    f"t={t}: post-action state {post} is full "
-                    f"(refresh cost {problem.refresh_cost(post):.4g} > "
-                    f"C={problem.limit:.4g})"
-                )
-            if t == self.horizon and any(post):
+            final = t == self.horizon  # the forced refresh
+            pre = add_vectors(state, problem.arrivals[t])
+            try:
+                state, _ = problem.check_action(pre, action, forced=final)
+            except ValueError as exc:
+                raise ValueError(f"t={t}: {exc}") from None
+            if final and any(state):
                 raise ValueError(
                     f"t=T={t}: final action must empty all delta tables, "
-                    f"residual state {post}"
+                    f"residual state {state}"
                 )
-            state = post
 
     def is_valid(self, problem: ProblemInstance) -> bool:
         """True when the plan satisfies Definition 1 for ``problem``."""

@@ -66,9 +66,10 @@ class CostTable(dict):
 class CostModel:
     """The static half of an instance: ``f_1..f_n`` and the constraint ``C``.
 
-    The one definition of ``f(s)`` and of fullness, shared by
-    :class:`ProblemInstance` and (bound at ``reset``) by every
-    :class:`~repro.core.policies.Policy`; it knows nothing of arrivals, so
+    The one definition of ``f(s)``, of fullness and of a legal action
+    (:meth:`check_action`), shared by :class:`ProblemInstance`, the live
+    :class:`~repro.ivm.maintainer.ViewMaintainer` and (bound at ``reset``)
+    every :class:`~repro.core.policies.Policy`; it knows nothing of arrivals, so
     handing a policy to the action enumerator keeps the policy blind to
     the future.
 
@@ -110,6 +111,31 @@ class CostModel:
     def is_full(self, state: Vector) -> bool:
         """True when the refresh cost of ``state`` exceeds the constraint."""
         return self.refresh_cost(state) > self.full_above
+
+    def check_action(
+        self, pre: Vector, action: Vector, forced: bool = False
+    ) -> tuple[Vector, float]:
+        """Definition 1 for one step; returns ``(post, f(post))``.
+
+        Componentwise ``0 <= action <= pre`` and, unless the refresh is
+        ``forced``, a post-action state that is not full.  Raises
+        ``ValueError`` naming the violation.  The one place the rule is
+        decided: plans, the simulator and the live maintainer all ask a
+        model here, and never the policy whose action is being checked.
+        """
+        for k, pending in zip(action, pre, strict=True):
+            if k < 0:
+                raise ValueError(f"action {action} has negative components")
+            if k > pending:
+                raise ValueError(f"action {action} exceeds backlog {pre}")
+        post = sub_vectors(pre, action)
+        cost = self.refresh_cost(post)
+        if not forced and cost > self.full_above:
+            raise ValueError(
+                f"post-action state {post} violates C={self.limit:.4g} "
+                f"(refresh cost {cost:.4g})"
+            )
+        return post, cost
 
 
 class ProblemInstance(CostModel):

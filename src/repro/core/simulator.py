@@ -23,7 +23,6 @@ from repro.core.problem import (
     ProblemInstance,
     Vector,
     add_vectors,
-    is_nonnegative,
     sub_vectors,
     zero_vector,
 )
@@ -74,7 +73,6 @@ def simulate_policy(
     joining = events.wanted("decision")
     horizon = problem.horizon
     refresh_cost = problem.refresh_cost
-    full_above = problem.full_above
     state = zero_vector(problem.n)
     actions: list[Vector] = []
     steps: list[_Step] = []
@@ -95,24 +93,16 @@ def simulate_policy(
                     "simulator.decide_ms",
                     (time.perf_counter() - decide_start) * 1e3,
                 )
-            post = sub_vectors(pre, action)
-            if not is_nonnegative(post):
-                raise PolicyError(
-                    f"{policy!r} at t={t}: action {action} exceeds backlog {pre}"
-                )
-            backlog = refresh_cost(post)
-            if t < horizon and backlog > full_above:
-                raise PolicyError(
-                    f"{policy!r} at t={t}: post-action state {post} violates "
-                    f"C={problem.limit}"
-                )
+            try:  # the instance checks, never the policy being checked
+                post, backlog = problem.check_action(pre, action, t == horizon)
+            except ValueError as exc:
+                raise PolicyError(f"{policy!r} at t={t}: {exc}") from None
             cost = refresh_cost(action)
             policy.record_action(t, action, cost)
             if joining and t < horizon:
                 # Join the policy's decision with its executed cost.  The
                 # horizon step is a forced refresh (no decision emitted).
-                view, _ = decisions.current_scope()
-                decisions.join(view, t, actual_ms=cost)
+                decisions.join(events.current_step()[0], t, actual_ms=cost)
             if recorder is not None:
                 recorder.counter("simulator.steps")
                 recorder.observe("simulator.backlog", backlog)

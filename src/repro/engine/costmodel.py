@@ -160,6 +160,15 @@ class OperationCounter:
         tallies = self.__dict__
         return {f: tallies[f] for f in self._FIELDS}
 
+    def since(self, before: dict[str, int]) -> dict[str, int]:
+        """The non-zero charges after :meth:`snapshot` ``before``, in its order."""
+        tallies = self.__dict__
+        return {
+            f: tallies[f] - count
+            for f, count in before.items()
+            if tallies[f] != count
+        }
+
     def reset(self) -> None:
         """Zero every tally."""
         for field_name in self._FIELDS:

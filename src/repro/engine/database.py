@@ -154,7 +154,7 @@ class Database:
         substitutions = substitutions or {}
         prof = None
         if profile or (profile is None and events.wanted("profile")):
-            view, round_ = attrib.current_maintenance()
+            view, round_, _ = events.current_step()
             prof = attrib.QueryProfile(
                 self.counter.model,
                 query=self._describe(spec),

@@ -54,10 +54,7 @@ class NestedLoopJoin(Operator):
             start = time.perf_counter()
             self._inner = right.rows()
             self._build_wall_ms = (time.perf_counter() - start) * 1e3
-            after = self.counter.snapshot()
-            self._build_tally = {
-                f: after[f] - before[f] for f in after if after[f] != before[f]
-            }
+            self._build_tally = self.counter.since(before)
             self._build_rows = len(self._inner)
             self._build_label = f"Materialize({attrib._label_for(right)[1]})"
         else:
@@ -291,10 +288,7 @@ class HashJoin(Operator):
             # inner child's own scan charges -- the full setup cost ``b``
             # attributed to one join-build node.
             self._build_wall_ms = (time.perf_counter() - start) * 1e3
-            after = self.counter.snapshot()
-            self._build_tally = {
-                f: after[f] - before[f] for f in after if after[f] != before[f]
-            }
+            self._build_tally = self.counter.since(before)
             self._build_rows = build_rows
             self._build_label = f"Build({attrib._label_for(right)[1]})"
         # The build is the setup cost ``b`` of the paper's cost model;

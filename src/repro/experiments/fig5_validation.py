@@ -102,7 +102,7 @@ def _live_cost(
             maintainer.refresh(t)
         else:
             maintainer.step(t)
-    return maintainer.log.total_actual_cost_ms
+    return maintainer.ledger.total_sim_ms
 
 
 def run_fig5(

@@ -23,7 +23,7 @@ This subpackage is the "live system" half of the paper's methodology:
 from repro.ivm.delta import DeltaTable
 from repro.ivm.view import MaterializedView
 from repro.ivm.maintenance import apply_batch, full_refresh
-from repro.ivm.maintainer import MaintenanceLog, ViewMaintainer
+from repro.ivm.maintainer import ViewMaintainer
 from repro.ivm.multiview import MaintenanceCoordinator, ViewConfig
 from repro.ivm.calibration import CalibrationResult, measure_cost_function
 
@@ -31,7 +31,6 @@ __all__ = [
     "CalibrationResult",
     "DeltaTable",
     "MaintenanceCoordinator",
-    "MaintenanceLog",
     "MaterializedView",
     "ViewConfig",
     "ViewMaintainer",

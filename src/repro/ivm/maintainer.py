@@ -13,67 +13,31 @@ Usage sketch::
     for t, modifications in enumerate(stream):
         apply_modifications_to_base_tables(modifications)
         maintainer.step(t)          # pulls deltas, consults the policy, acts
-    maintainer.refresh(final=True)  # forced view refresh
+    maintainer.refresh()            # forced view refresh
 
 The maintainer enforces the response-time constraint with the *calibrated*
-cost functions (the planner's world model); the log records both the
-predicted cost of every action and the engine-measured actual cost, so
+cost functions (the planner's world model), through the same
+:meth:`~repro.core.problem.CostModel.check_action` the simulator asks.
+Every round -- idle, flushed, suppressed or forced -- ends in one
+:class:`~repro.ivm.ledger.RoundEntry` on the view's ledger, recording both
+the predicted cost of the action and the engine-measured actual cost, so
 their divergence is observable (Figure 5 plots it).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro import obs
-from repro.obs import attrib, decisions, events, slo
+from repro.obs import decisions, events, slo
 from repro.obs import calibration as obs_calibration
 from repro.core.costfuncs import CostFunction
 from repro.core.policies import Policy, PolicyError
-from repro.ivm.ledger import RoundEntry, ViewLedger, float_total
-from repro.ivm.maintenance import apply_batch, full_refresh
+from repro.core.problem import CostModel
+from repro.ivm.ledger import RoundEntry, ViewLedger
+from repro.ivm.maintenance import apply_batch
 from repro.ivm.view import MaterializedView
-
-
-@dataclass
-class StepRecord:
-    """What happened at one time step."""
-
-    t: int
-    arrivals: tuple[int, ...]
-    pre_state: tuple[int, ...]
-    action: tuple[int, ...]
-    predicted_cost: float
-    actual_cost_ms: float
-
-
-@dataclass
-class MaintenanceLog:
-    """The full run record: per-step entries plus summary statistics."""
-
-    aliases: tuple[str, ...]
-    steps: list[StepRecord] = field(default_factory=list)
-
-    @property
-    def total_predicted_cost(self) -> float:
-        """Sum of cost-function-predicted action costs (simulation view)."""
-        return float_total(s.predicted_cost for s in self.steps)
-
-    @property
-    def total_actual_cost_ms(self) -> float:
-        """Sum of engine-measured action costs (live-system view)."""
-        return float_total(s.actual_cost_ms for s in self.steps)
-
-    @property
-    def action_count(self) -> int:
-        """Number of steps with a non-zero action."""
-        return sum(1 for s in self.steps if any(s.action))
-
-    def actions_plan(self) -> list[tuple[int, ...]]:
-        """The executed action sequence (comparable to a core ``Plan``)."""
-        return [s.action for s in self.steps]
 
 
 class ViewMaintainer:
@@ -92,7 +56,7 @@ class ViewMaintainer:
         # The scheduling state vector covers only the tables that receive
         # modifications (the paper's experiments schedule over PartSupp and
         # Supplier; Nation and Region are static).  Unscheduled tables must
-        # stay modification-free, which _execute asserts.
+        # stay modification-free, which execute_planned asserts.
         self.aliases = (
             tuple(scheduled_aliases)
             if scheduled_aliases is not None
@@ -104,18 +68,27 @@ class ViewMaintainer:
                 f"scheduled aliases {sorted(unknown)} not in view "
                 f"{view.spec.aliases}"
             )
+        if len(set(self.aliases)) != len(self.aliases):
+            # A repeat would count that table's backlog twice and flush
+            # it twice in one round, the second time with nothing left.
+            raise ValueError(
+                f"scheduled aliases {self.aliases} name a table twice"
+            )
         if len(cost_functions) != len(self.aliases):
             raise ValueError(
                 f"need one cost function per scheduled alias "
                 f"{self.aliases}, got {len(cost_functions)}"
             )
-        self.cost_functions = tuple(cost_functions)
-        self.limit = float(limit)
+        #: Prices states and decides Definition 1 for this view; never
+        #: the policy (also a ``CostModel``) whose actions it checks.
+        self.model = CostModel(cost_functions, limit)
+        self.limit = self.model.limit
         self.policy = policy
         self.verify = verify
-        self.policy.reset(self.cost_functions, self.limit)
-        self.log = MaintenanceLog(aliases=self.aliases)
-        self.ledger = ViewLedger(view=view.name, aliases=self.aliases)
+        policy.reset(self.model.cost_functions, self.limit)
+        #: The run record, one entry per round; ``log`` is the same object
+        #: under the name the benchmark harness reads it by.
+        self.ledger = self.log = ViewLedger(view.name, self.aliases)
         self._clock = -1
 
     # ------------------------------------------------------------------
@@ -136,22 +109,14 @@ class ViewMaintainer:
         """
         previous = self.policy
         self.policy = policy
-        policy.reset(self.cost_functions, self.limit)
+        policy.reset(self.model.cost_functions, self.limit)
         return previous
 
     def predicted_refresh_cost(self, state: Sequence[int]) -> float:
-        """``f(s)`` under the calibrated cost functions.
+        """``f(s)`` under the calibrated cost functions."""
+        return self.model.refresh_cost(state)
 
-        Added left to right like ``CostModel.refresh_cost`` (``sum()``
-        compensates on CPython >= 3.12), so this and the policy's own
-        ``refresh_cost`` agree to the last bit.
-        """
-        total = 0
-        for f, k in zip(self.cost_functions, state, strict=True):
-            total = total + f(k)
-        return total
-
-    def step(self, t: int | None = None) -> StepRecord:
+    def step(self, t: int | None = None) -> RoundEntry:
         """Run one time step: ingest new modifications, consult the policy.
 
         Call after applying the step's base-table modifications.  Raises
@@ -160,50 +125,39 @@ class ViewMaintainer:
         """
         return self.execute_planned(*self.plan_step(t))
 
-    def refresh(self, t: int | None = None) -> StepRecord:
+    def refresh(self, t: int | None = None) -> RoundEntry:
         """Force the view up to date (the paper's refresh request)."""
-        return self.execute_planned(*self.plan_refresh(t), forced=True)
+        return self.execute_planned(
+            *self.plan_step(t, forced=True), forced=True
+        )
 
     def plan_step(
-        self, t: int | None = None
+        self, t: int | None = None, forced: bool = False
     ) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         """The ingest-and-decide half of :meth:`step`, without executing.
 
         Returns ``(t, arrivals, pre_state, action)`` for
-        :meth:`execute_planned`.  The multi-view coordinator plans every
-        view first so one shared scan per table can cover all the planned
-        windows, then executes.
+        :meth:`execute_planned`; a ``forced`` step flushes everything
+        pending and does not ask the policy.  The multi-view coordinator
+        plans every view first so one shared scan per table can cover all
+        the planned windows, then executes.
         """
         self._clock = self._clock + 1 if t is None else t
         t = self._clock
-        arrivals = self._pull_all()
+        # Every base table is ingested; only the scheduled ones are counted.
+        pulled = {
+            alias: delta.pull() for alias, delta in self.view.deltas.items()
+        }
+        arrivals = tuple(pulled[alias] for alias in self.aliases)
         self.policy.observe(t, arrivals)
         pre = self.pre_state()
+        if forced:
+            return t, arrivals, pre, pre
         # Decisions emitted by the policy are tagged with the owning view
         # so execute_planned can join them with the round's actual cost.
-        with decisions.scope(view=self.view.name):
+        with events.step(self.view.name, t):
             action = tuple(int(x) for x in self.policy.decide(t, pre))
         return t, arrivals, pre, action
-
-    def plan_refresh(
-        self, t: int | None = None
-    ) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-        """Like :meth:`plan_step`, but the action flushes everything."""
-        self._clock = self._clock + 1 if t is None else t
-        t = self._clock
-        arrivals = self._pull_all()
-        self.policy.observe(t, arrivals)
-        pre = self.pre_state()
-        return t, arrivals, pre, pre
-
-    def _pull_all(self) -> tuple[int, ...]:
-        """Ingest new modifications on every base table; return the
-        scheduled-alias arrival counts."""
-        counts = {
-            alias: self.view.deltas[alias].pull()
-            for alias in self.view.spec.aliases
-        }
-        return tuple(counts[alias] for alias in self.aliases)
 
     # ------------------------------------------------------------------
 
@@ -215,7 +169,7 @@ class ViewMaintainer:
         action: tuple[int, ...],
         forced: bool = False,
         shared=None,
-    ) -> StepRecord:
+    ) -> RoundEntry:
         """Execute one planned round (the second half of :meth:`step`).
 
         ``shared`` is an already-run
@@ -225,6 +179,10 @@ class ViewMaintainer:
         windows entirely) instead of re-reading the mod log, and fold a
         delta query another view of the round already ran instead of
         running it again -- charged as if they had.
+
+        Every round takes the same path: check, flush, then one ledger
+        entry, the ``ivm.view.*`` series, ``record_action`` and the
+        decision join.
         """
         for alias in self.view.spec.aliases:
             if alias not in self.aliases and self.view.deltas[alias].size:
@@ -232,17 +190,11 @@ class ViewMaintainer:
                     f"unscheduled base table {alias!r} received "
                     f"modifications; add it to scheduled_aliases"
                 )
-        if any(a < 0 or a > s for a, s in zip(action, pre)):
-            raise PolicyError(
-                f"{self.policy!r} at t={t}: action {action} exceeds "
-                f"backlog {pre}"
-            )
-        post = tuple(s - a for s, a in zip(pre, action))
-        if not forced and self.predicted_refresh_cost(post) > self.limit + 1e-9:
-            raise PolicyError(
-                f"{self.policy!r} at t={t}: post-action state {post} "
-                f"violates C={self.limit}"
-            )
+        model = self.model
+        try:
+            post, _ = model.check_action(pre, action, forced)
+        except ValueError as exc:
+            raise PolicyError(f"{self.policy!r} at t={t}: {exc}") from None
         # The round's two telemetry probes: the recorder, and the event
         # kinds somebody wants (an empty dict with telemetry off).
         recorder = obs.get_recorder()
@@ -257,88 +209,52 @@ class ViewMaintainer:
             # functions are evaluated, nothing is charged.
             slo.observe_refresh(
                 self.limit,
-                self.predicted_refresh_cost(pre),
+                model.refresh_cost(pre),
                 t=t,
                 source=f"ivm:{self.view.name}",
             )
-        predicted = self.predicted_refresh_cost(action)
-        counter = self.view.database.counter
-        if not any(action):
-            # Zero-work round: nothing to flush, so skip the cost window,
-            # wall timer, attribution context, and span machinery -- at
-            # fleet scale most rounds are idle and this path is what keeps
-            # them cheap.  The ledger entry and per-view metric series are
-            # still emitted (with zero values) so observability stays
-            # gap-free.
-            entry = RoundEntry(
-                t=t,
-                arrivals=arrivals,
-                pre_state=pre,
-                action=action,
-                forced=forced,
-                predicted_ms=predicted,
-                sim_ms=0.0,
-                wall_ms=0.0,
-                backlog=sum(post),
-                charges={},
+        predicted = model.refresh_cost(action)
+        sim_ms = wall_ms = 0.0
+        charges: dict[str, int] = {}
+        flush_ms: dict[str, float] = {}
+        # A zero-work round skips the metering -- cost window, counter
+        # snapshots, wall timer, step tag, spans: at fleet scale most
+        # rounds are idle, and this is what keeps them cheap -- and books
+        # zeros through the same lines as every other round.
+        if any(action):
+            view = self.view
+            counter = view.database.counter
+            before = counter.snapshot()
+            # Timing each flush is worth it only if someone consumes the
+            # sample: a recorder, the calibration ring or a drift subscriber.
+            calibrating = (
+                recorder is not None
+                or "calibration" in wanted
+                or "drift" in wanted
             )
-            self.ledger.record(entry)
-            if recorder is not None:
-                vid = self.ledger.metric_id
-                recorder.counter(f"ivm.view.{vid}.rounds")
-                recorder.counter(f"ivm.view.{vid}.flushes", 0)
-                recorder.counter(f"ivm.view.{vid}.mods_applied", 0)
-                recorder.counter(f"ivm.view.{vid}.cost_ms", 0.0)
-                recorder.gauge(f"ivm.view.{vid}.backlog", entry.backlog)
-                recorder.observe(f"ivm.view.{vid}.round_ms", 0.0)
-                if not any(pre):
-                    recorder.counter("ivm.skip.empty")
-            self.policy.record_action(t, action, predicted)
-            if "decision" in wanted:
-                decisions.join(self.view.name, t, actual_ms=0.0)
-            record = StepRecord(
-                t=t,
-                arrivals=arrivals,
-                pre_state=pre,
-                action=action,
-                predicted_cost=predicted,
-                actual_cost_ms=0.0,
-            )
-            self.log.steps.append(record)
-            if self.verify:
-                self._verify_consistency()
-            return record
-        charges_before = counter.snapshot()
-        # Timing each flush is worth it only if someone consumes the
-        # sample: a recorder, the calibration ring or a drift subscriber.
-        calibrating = (
-            recorder is not None or "calibration" in wanted or "drift" in wanted
-        )
-        flush_actual: dict[str, float] = {}
-        wall_start = time.perf_counter()
-        with counter.window() as window:
+            wall_start = time.perf_counter()
             # Any query profile captured while flushing carries the view
             # name and round, so EXPLAIN ANALYZE output and profile sinks
             # can attribute maintenance work to its owner.
-            with attrib.maintenance_context(self.view.name, t):
-                for alias, k, f in zip(
-                    self.aliases, action, self.cost_functions
+            with counter.window() as window, events.step(view.name, t):
+                for alias, k, prices in zip(
+                    self.aliases, action, model.cost_tables
                 ):
                     if not k:
                         continue
                     batch = None
                     if shared is not None:
-                        batch = shared.batch_for(self.view, alias, k)
+                        batch = shared.batch_for(view, alias, k)
                         if batch.suppressed:
                             # The fingerprint proved every event in the
                             # window a no-op for this view: advance the
                             # delta without touching the join pipeline.
-                            self.view.deltas[alias].advance(k)
+                            view.deltas[alias].advance(k)
                             if recorder is not None:
                                 recorder.counter("ivm.skip.fingerprint")
                             continue
-                    if recorder is None and not calibrating:
-                        apply_batch(self.view, alias, k, batch=batch)
+                    if not calibrating:
+                        apply_batch(view, alias, k, batch=batch)
                         continue
                     # Per-alias flush: record batch size k against both the
                     # model's prediction f_i(k) and the engine-measured cost
@@ -347,23 +263,23 @@ class ViewMaintainer:
                         with obs.trace(
                             "ivm.flush", alias=alias, k=k, forced=forced
                         ) as span:
-                            apply_batch(self.view, alias, k, batch=batch)
+                            apply_batch(view, alias, k, batch=batch)
                         span.set(sim_ms=flush_window.elapsed_ms)
-                    flush_actual[alias] = flush_window.elapsed_ms
-                    if calibrating:
-                        obs_calibration.observe_flush(
-                            self.view.name, t, alias, k,
-                            f(k), flush_window.elapsed_ms,
-                        )
+                    flush_ms[alias] = flush_window.elapsed_ms
+                    obs_calibration.observe_flush(
+                        view.name, t, alias, k,
+                        prices[k], flush_window.elapsed_ms,
+                    )
                     if recorder is not None:
                         recorder.counter("ivm.flushes")
                         recorder.observe("ivm.flush.batch_size", k)
-                        recorder.observe("ivm.flush.predicted_ms", f(k))
+                        recorder.observe("ivm.flush.predicted_ms", prices[k])
                         recorder.observe(
                             "ivm.flush.actual_ms", flush_window.elapsed_ms
                         )
-        wall_ms = (time.perf_counter() - wall_start) * 1e3
-        charges_after = counter.snapshot()
+            wall_ms = (time.perf_counter() - wall_start) * 1e3
+            sim_ms = window.elapsed_ms
+            charges = counter.since(before)
         entry = RoundEntry(
             t=t,
             arrivals=arrivals,
@@ -371,14 +287,10 @@ class ViewMaintainer:
             action=action,
             forced=forced,
             predicted_ms=predicted,
-            sim_ms=window.elapsed_ms,
+            sim_ms=sim_ms,
             wall_ms=wall_ms,
             backlog=sum(post),
-            charges={
-                f: charges_after[f] - charges_before[f]
-                for f in charges_after
-                if charges_after[f] != charges_before[f]
-            },
+            charges=charges,
         )
         self.ledger.record(entry)
         if recorder is not None:
@@ -386,38 +298,25 @@ class ViewMaintainer:
             recorder.counter(f"ivm.view.{vid}.rounds")
             recorder.counter(f"ivm.view.{vid}.flushes", entry.flushes)
             recorder.counter(f"ivm.view.{vid}.mods_applied", entry.mods_applied)
-            recorder.counter(f"ivm.view.{vid}.cost_ms", window.elapsed_ms)
+            recorder.counter(f"ivm.view.{vid}.cost_ms", sim_ms)
             recorder.gauge(f"ivm.view.{vid}.backlog", entry.backlog)
-            recorder.observe(f"ivm.view.{vid}.round_ms", window.elapsed_ms)
+            recorder.observe(f"ivm.view.{vid}.round_ms", sim_ms)
+            if not any(pre):
+                recorder.counter("ivm.skip.empty")
         self.policy.record_action(t, action, predicted)
         if "decision" in wanted:
             decisions.join(
                 self.view.name, t,
-                actual_ms=window.elapsed_ms,
-                table_ms=flush_actual,
-                charges=dict(entry.charges),
+                actual_ms=sim_ms, table_ms=flush_ms, charges=charges,
             )
-        record = StepRecord(
-            t=t,
-            arrivals=arrivals,
-            pre_state=pre,
-            action=action,
-            predicted_cost=predicted,
-            actual_cost_ms=window.elapsed_ms,
-        )
-        self.log.steps.append(record)
         if self.verify:
-            self._verify_consistency()
-        return record
-
-    def _verify_consistency(self) -> None:
-        expected = self.view.recompute()
-        actual = self.view.contents()
-        if expected != actual:
-            raise AssertionError(
-                f"view {self.view.name!r} diverged from recomputation: "
-                f"expected {expected!r}, got {actual!r}"
-            )
+            expected, actual = self.view.recompute(), self.view.contents()
+            if expected != actual:
+                raise AssertionError(
+                    f"view {self.view.name!r} diverged from recomputation: "
+                    f"expected {expected!r}, got {actual!r}"
+                )
+        return entry
 
     def __repr__(self) -> str:
         return (

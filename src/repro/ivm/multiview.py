@@ -18,9 +18,11 @@ each subscriber's delta-join.  The scan's cost is charged once at the
 coordinator instead of once per view, which is where the fleet-scale
 economics come from; per-view join and fold work stays charged inside
 each view's own cost window at the fan-out point, so the per-view ledger
-and ``ivm.view.*`` metrics are unchanged.  Construct with
-``shared_scans=False`` (or pass ``shared=False`` per call) for the old
-view-at-a-time rounds -- contents are identical either way.
+and ``ivm.view.*`` metrics are what a view maintained alone would book.
+This is the only kind of round a coordinator runs; view-at-a-time
+maintenance is a :class:`~repro.ivm.maintainer.ViewMaintainer` stepped
+on its own (``maintainer.step(t)``), which is also the reference the
+differential suite compares a round against.
 
 The fan-out **evaluates** once per distinct asker, too: views whose
 delta specs are structurally equal (:meth:`QuerySpec.key`), flushing the
@@ -30,8 +32,7 @@ after another materialize from one query per distinct spec.  Each view
 is still charged its own statement -- the charges of the one execution
 are charged again to every view that reuses it -- so simulated costs are
 exactly what they were; only the wall-clock work is shared.  Nothing
-selects this: a fleet of one simply never finds a result to reuse, and
-independent rounds, which have no round to share in, never look.
+selects this: a fleet of one simply never finds a result to reuse.
 
 After each round the coordinator asks every touched
 :class:`~repro.engine.table.ModLog` to truncate history all subscribing
@@ -52,9 +53,14 @@ from repro.core.costfuncs import CostFunction
 from repro.core.policies import Policy
 from repro.engine.database import Database
 from repro.engine.query import QuerySpec
-from repro.ivm.ledger import DEFAULT_SUMMARY_LIMIT, ViewLedger, float_total
+from repro.ivm.ledger import (
+    DEFAULT_SUMMARY_LIMIT,
+    RoundEntry,
+    ViewLedger,
+    float_total,
+)
 from repro.ivm.ledger import ledger_summary as _render_ledger_summary
-from repro.ivm.maintainer import StepRecord, ViewMaintainer
+from repro.ivm.maintainer import ViewMaintainer
 from repro.ivm.sharedscan import Evaluations, SharedScanRound
 from repro.ivm.view import MaterializedView
 
@@ -75,26 +81,23 @@ class MaintenanceCoordinator:
     """Hosts several independently scheduled views over one database."""
 
     def __init__(self, database: Database, shared_scans: bool = True):
+        if not shared_scans:  # still passed, as True, by the benchmark harness
+            raise ValueError(
+                "shared_scans=False is gone: view-at-a-time maintenance is "
+                "each view's own ViewMaintainer.step(t), with no coordinator"
+            )
         self.database = database
-        #: Default round mode; ``step``/``refresh`` accept a per-call
-        #: override.  Shared and independent rounds produce identical view
-        #: contents -- only scan-cost attribution (and the fingerprint
-        #: no-op suppression, shared mode only) differ.
-        self.shared_scans = shared_scans
         self._maintainers: dict[str, ViewMaintainer] = {}
         self._clock = -1
         #: The materialization queries of the views registered since the
         #: clock last moved, so a run of registrations runs each distinct
-        #: one once.  Independent rounds are the never-sharing reference
-        #: and keep none.
-        self._materialized: Evaluations | None = None
+        #: one once.
+        self._materialized = Evaluations(database)
 
     def add_view(self, config: ViewConfig) -> MaterializedView:
         """Materialize and register a view; returns it."""
         if config.name in self._maintainers:
             raise ValueError(f"view {config.name!r} already registered")
-        if self.shared_scans and self._materialized is None:
-            self._materialized = Evaluations(self.database)
         view = MaterializedView(
             config.name, self.database, config.query, self._materialized
         )
@@ -149,64 +152,47 @@ class MaintenanceCoordinator:
     # Clock
     # ------------------------------------------------------------------
 
-    def step(
-        self, t: int | None = None, shared: bool | None = None
-    ) -> dict[str, StepRecord]:
-        """Advance every view one time step; returns per-view records.
+    def step(self, t: int | None = None) -> dict[str, RoundEntry]:
+        """Advance every view one time step; returns per-view entries.
 
-        Call after applying the step's base-table modifications.  With
-        shared scans (the default) the round is table-at-a-time: every
-        view's planned window is collected first, each base table's delta
-        log is scanned once for all of them, and the batches fan out.
+        Call after applying the step's base-table modifications.  The
+        round is table-at-a-time: every view's planned window is
+        collected first, each base table's delta log is scanned once for
+        all of them, and the batches fan out.
         """
-        self._clock = self._clock + 1 if t is None else t
-        self._materialized = None
-        if not (self.shared_scans if shared is None else shared):
-            return {
-                name: maintainer.step(self._clock)
-                for name, maintainer in self._maintainers.items()
-            }
-        plans = {
-            name: maintainer.plan_step(self._clock)
-            for name, maintainer in self._maintainers.items()
-        }
-        return self._execute_shared(plans, forced=False)
+        return self._round(self._maintainers, t, forced=False)
 
     def refresh(
-        self,
-        names: Sequence[str] | None = None,
-        t: int | None = None,
-        shared: bool | None = None,
-    ) -> dict[str, StepRecord]:
+        self, names: Sequence[str] | None = None, t: int | None = None
+    ) -> dict[str, RoundEntry]:
         """Force the named views (default: all) fully up to date."""
-        self._clock = self._clock + 1 if t is None else t
-        self._materialized = None
-        targets = tuple(names) if names is not None else self.views
-        if not (self.shared_scans if shared is None else shared):
-            records = {}
-            for name in targets:
-                records[name] = self.maintainer(name).refresh(self._clock)
-            return records
-        plans = {
-            name: self.maintainer(name).plan_refresh(self._clock)
-            for name in targets
-        }
-        return self._execute_shared(plans, forced=True)
+        if names is None:
+            return self._round(self._maintainers, t, forced=True)
+        targets = {name: self.maintainer(name) for name in names}
+        return self._round(targets, t, forced=True)
 
-    def _execute_shared(
-        self, plans: dict, forced: bool
-    ) -> dict[str, StepRecord]:
-        """Run one table-at-a-time round over already-planned views.
+    def _round(
+        self,
+        maintainers: dict[str, ViewMaintainer],
+        t: int | None,
+        forced: bool,
+    ) -> dict[str, RoundEntry]:
+        """Plan ``maintainers``, scan once per table, then execute each.
 
         The shared scan's own cost (one blocked pass per table, plus any
         fingerprint comparisons) is metered in its own window and charged
         to the coordinator -- it appears in ``ivm.coordinator.scan_ms``,
         not in any view's ledger.  Each view's delta-join then runs inside
-        that view's own cost window exactly as in independent rounds.
+        that view's own cost window exactly as it would standing alone.
         """
+        self._clock = self._clock + 1 if t is None else t
+        self._materialized = Evaluations(self.database)
+        planned = [
+            (name, maintainer, maintainer.plan_step(self._clock, forced))
+            for name, maintainer in maintainers.items()
+        ]
         round_ = SharedScanRound(self.database)
-        for name, (_, _, _, action) in plans.items():
-            maintainer = self._maintainers[name]
+        for _, maintainer, (_, _, _, action) in planned:
             for alias, k in zip(maintainer.aliases, action):
                 if k:
                     round_.request(
@@ -218,13 +204,12 @@ class MaintenanceCoordinator:
             round_.run()
         obs.counter("ivm.coordinator.rounds")
         obs.observe("ivm.coordinator.scan_ms", window.elapsed_ms)
-        records = {}
-        for name, (t, arrivals, pre, action) in plans.items():
-            records[name] = self._maintainers[name].execute_planned(
-                t, arrivals, pre, action, forced=forced, shared=round_
-            )
+        entries = {
+            name: maintainer.execute_planned(*plan, forced=forced, shared=round_)
+            for name, maintainer, plan in planned
+        }
         self._truncate_logs()
-        return records
+        return entries
 
     def _truncate_logs(self) -> None:
         """Reclaim mod-log history every subscribing view has applied."""
@@ -243,14 +228,12 @@ class MaintenanceCoordinator:
 
     def total_cost_ms(self) -> float:
         """Engine-measured maintenance cost summed over all views."""
-        return float_total(
-            m.log.total_actual_cost_ms for m in self._maintainers.values()
-        )
+        return float_total(self.cost_breakdown().values())
 
     def cost_breakdown(self) -> dict[str, float]:
         """Per-view engine-measured maintenance cost."""
         return {
-            name: m.log.total_actual_cost_ms
+            name: m.ledger.total_sim_ms
             for name, m in self._maintainers.items()
         }
 

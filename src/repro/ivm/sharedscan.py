@@ -122,14 +122,8 @@ class Evaluations:
         result = self.database.execute(
             spec, snapshot_lsns=snapshot_lsns, substitutions=substitutions
         )
-        after = counter.snapshot()
         kept = self._kept[key] = Evaluation(
-            result,
-            tuple(
-                (field, after[field] - count)
-                for field, count in before.items()
-                if after[field] != count
-            ),
+            result, tuple(counter.since(before).items())
         )
         obs.counter("ivm.coordinator.delta.evaluated")
         return kept

@@ -45,8 +45,6 @@ __all__ = [
     "QueryProfile",
     "active_profile",
     "capturing",
-    "maintenance_context",
-    "current_maintenance",
     "set_profile_sink",
     "attach_to_plan",
     "render_profile",
@@ -220,23 +218,6 @@ def capturing(profile: QueryProfile) -> Iterator[QueryProfile]:
         yield profile
     finally:
         _tls.profile = previous
-
-
-@contextmanager
-def maintenance_context(view: str, round: int | None) -> Iterator[None]:
-    """Tag profiles created inside the block with a view and round."""
-    previous = getattr(_tls, "maintenance", None)
-    _tls.maintenance = (view, round)
-    try:
-        yield
-    finally:
-        _tls.maintenance = previous
-
-
-def current_maintenance() -> tuple[str | None, int | None]:
-    """The (view, round) tag in effect on this thread."""
-    tag = getattr(_tls, "maintenance", None)
-    return tag if tag is not None else (None, None)
 
 
 # ----------------------------------------------------------------------

@@ -36,7 +36,6 @@ one whose action actually executes.
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
@@ -50,11 +49,9 @@ __all__ = [
     "DecisionEvent",
     "active",
     "collecting",
-    "current_scope",
     "emit",
     "emit_policy_decision",
     "join",
-    "scope",
 ]
 
 
@@ -203,10 +200,6 @@ class DecisionEvent:
         )
 
 
-#: The thread's :func:`scope`: which view a decision is emitted for.
-_tls = threading.local()
-
-
 @contextmanager
 def collecting() -> Iterator[events.Ring]:
     """Collect decisions for the block; yields the ``decision`` ring."""
@@ -240,27 +233,6 @@ def join(
     if recorder is not None:
         recorder.counter("planner.decisions.joined")
     return event
-
-
-@contextmanager
-def scope(view: str | None = None, source: str = "ivm") -> Iterator[None]:
-    """Tag decisions emitted inside the block with a view id and source.
-
-    The IVM maintainer wraps each ``policy.decide`` call in
-    ``scope(view=...)`` so fleet decisions join against the right
-    ledger rounds; bare simulator runs leave the default
-    ``(None, "simulator")`` scope in place.
-    """
-    previous = getattr(_tls, "scope", None)
-    _tls.scope = (view, source)
-    try:
-        yield
-    finally:
-        _tls.scope = previous
-
-
-def current_scope() -> tuple[str | None, str]:
-    return getattr(_tls, "scope", None) or (None, "simulator")
 
 
 def active() -> bool:
@@ -310,12 +282,13 @@ def emit_policy_decision(
 
     Convenience wrapper used by the core policies: computes the
     per-table predicted costs from the staircase family, tags the event
-    with the current :func:`scope`, and no-ops entirely when tracing is
-    :func:`active`-off.
+    with the thread's running step (:func:`repro.obs.events.current_step`:
+    the owning view and who drives it; a bare simulator run has neither),
+    and no-ops entirely when tracing is :func:`active`-off.
     """
     if not active():
         return None
-    view, source = current_scope()
+    view, _, source = events.current_step()
     chosen_tuple = tuple(int(x) for x in chosen)
     chosen_ms = _table_costs(cost_functions, chosen_tuple)
     event = DecisionEvent(

@@ -6,9 +6,10 @@ the kinds in :data:`CAPACITY`, emitted through :func:`emit` into the
 process-wide :class:`EventLog` (``docs/observability.md`` tabulates who
 emits each kind and where it can be read).
 
-Every event class carries ``view`` and ``t`` (the step it belongs to)
-and ``to_dict()`` (its JSONL / HTTP form); the two that the CLI renders
-also ``lines()`` (their text form for :func:`render_trail`).  A consumer
+Every event class carries ``view`` and ``t`` (the step it belongs to,
+which the running thread names with :class:`step`) and ``to_dict()``
+(its JSONL / HTTP form); the two that the CLI renders also ``lines()``
+(their text form for :func:`render_trail`).  A consumer
 either **opens a ring** for a kind (:func:`collecting`: bounded, kept
 for ``/events``, the exit dumps and :meth:`EventLog.at`) or
 **subscribes** a callback to it (:func:`subscribe`: streamed, nothing
@@ -30,10 +31,12 @@ __all__ = [
     "EventLog",
     "Ring",
     "collecting",
+    "current_step",
     "emit",
     "install",
     "installed",
     "render_trail",
+    "step",
     "subscribe",
     "tree",
     "wanted",
@@ -216,6 +219,39 @@ def subscribe(kind: str, callback: Callable[[Any], None]) -> Iterator[None]:
         yield
     finally:
         log.unsubscribe(kind, callback)
+
+
+#: The thread's running step: the ``(view, t, source)`` of :class:`step`.
+_tls = threading.local()
+_NO_STEP = (None, None, "simulator")
+
+
+class step:
+    """Tag the block as step ``t`` of ``view``: the ``(view, t)`` every
+    event kind keys on, plus who is driving (``source``).
+
+    The maintainer enters it around ``policy.decide`` and around the
+    metered flushes, so a decision emitted or a query profiled inside
+    carries its owner; nests, and restores the outer tag on exit.
+    """
+
+    __slots__ = ("tag", "outer")
+
+    def __init__(self, view: str | None, t: int | None, source: str = "ivm"):
+        self.tag = (view, t, source)
+
+    def __enter__(self) -> None:
+        self.outer = getattr(_tls, "step", _NO_STEP)
+        _tls.step = self.tag
+
+    def __exit__(self, *exc_info) -> None:
+        _tls.step = self.outer
+
+
+def current_step() -> tuple[str | None, int | None, str]:
+    """The ``(view, t, source)`` in effect on this thread; outside any
+    :class:`step`, a bare simulator run: ``(None, None, "simulator")``."""
+    return getattr(_tls, "step", _NO_STEP)
 
 
 def tree(head: str, items: Iterable[str]) -> list[str]:

@@ -121,14 +121,14 @@ class PubSubBroker:
             )
             if triggered:
                 # Refresh: process *all* pending modifications, measure it.
-                record = registration.maintainer.refresh(t)
+                entry = registration.maintainer.refresh(t)
                 # The refresh is the guarantee's moment of truth: record
                 # the deadline margin and emit any breach as an slo event
                 # (subscribers hear it even without a recorder installed).
                 if obs.get_recorder() is not None or events.wanted("slo"):
                     slo.observe_refresh(
                         subscription.limit,
-                        record.predicted_cost,
+                        entry.predicted_ms,
                         t=t,
                         source=f"pubsub:{subscription.name}",
                     )
@@ -138,9 +138,10 @@ class PubSubBroker:
                     t=t,
                     old_result=registration.last_result,
                     new_result=new_result,
-                    refresh_cost_ms=record.actual_cost_ms,
+                    refresh_cost_ms=entry.sim_ms,
                     within_guarantee=(
-                        record.predicted_cost <= subscription.limit + 1e-9
+                        entry.predicted_ms
+                        <= registration.maintainer.model.full_above
                     ),
                 )
                 registration.last_result = new_result
@@ -175,7 +176,7 @@ class PubSubBroker:
 
     def maintenance_cost_ms(self, name: str) -> float:
         """Total engine-measured maintenance cost spent on a subscription."""
-        return self._registration(name).maintainer.log.total_actual_cost_ms
+        return self._registration(name).maintainer.ledger.total_sim_ms
 
     def guarantee_violations(self, name: str) -> int:
         """Notifications whose refresh exceeded the QoS guarantee."""

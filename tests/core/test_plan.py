@@ -88,7 +88,7 @@ class TestValidity:
 
     def test_overdraw_rejected(self, problem):
         plan = Plan([(5, 0)] + [(0, 0)] * 4 + [(1, 12)])
-        with pytest.raises(ValueError, match="removes more"):
+        with pytest.raises(ValueError, match="t=0: .* exceeds backlog"):
             plan.check_valid(problem)
 
     def test_full_post_state_rejected(self):
@@ -97,7 +97,7 @@ class TestValidity:
         )
         # Doing nothing leaves 4 pending at t=1: f = 4 > 3.
         plan = Plan([(0,), (0,), (0,), (8,)])
-        with pytest.raises(ValueError, match="is full"):
+        with pytest.raises(ValueError, match="t=1: .* violates C=3"):
             plan.check_valid(prob)
 
     def test_nonempty_final_state_rejected(self, problem):

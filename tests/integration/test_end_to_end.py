@@ -68,7 +68,7 @@ class TestFullPipeline:
         assert view.contents() == view.recompute()
         assert not view.is_stale()
         # Simulated and live cost agree to within a modest tolerance.
-        assert maintainer.log.total_actual_cost_ms == pytest.approx(
+        assert maintainer.ledger.total_sim_ms == pytest.approx(
             optimal.cost, rel=0.30
         )
 
@@ -95,7 +95,7 @@ class TestFullPipeline:
                 maintainer.step(t)
             maintainer.refresh(60)
             assert view.contents() == view.recompute()
-            results[name] = maintainer.log.total_actual_cost_ms
+            results[name] = maintainer.ledger.total_sim_ms
         assert results["online"] < results["naive"]
 
     def test_random_policy_interleaving_preserves_consistency(self):

@@ -56,17 +56,17 @@ class TestStepAndRefresh:
         for t in range(5):
             ps.apply(2)
             maintainer.step(t)
-        assert len(maintainer.log.steps) == 5
-        assert maintainer.log.steps[0].arrivals == (2, 0)
-        assert maintainer.log.total_actual_cost_ms >= 0.0
+        assert len(maintainer.ledger.entries) == 5
+        assert maintainer.ledger.entries[0].arrivals == (2, 0)
+        assert maintainer.ledger.total_sim_ms >= 0.0
 
     def test_predicted_cost_uses_calibrated_functions(self):
         maintainer, ps, sup = make_maintainer(NaivePolicy())
         sup.apply(60)  # f_S(60) = 120 + 600 = 720 > C: forced flush
-        record = maintainer.step(0)
-        assert record.action == (0, 60)
-        assert record.predicted_cost == pytest.approx(720.0)
-        assert record.actual_cost_ms > 0.0
+        entry = maintainer.step(0)
+        assert entry.action == (0, 60)
+        assert entry.predicted_ms == pytest.approx(720.0)
+        assert entry.sim_ms > 0.0
 
     def test_clock_auto_increments(self):
         maintainer, ps, sup = make_maintainer(NaivePolicy())
@@ -90,8 +90,8 @@ class TestStepAndRefresh:
             ps.apply(1)
             maintainer.step(t)
         maintainer.refresh()
-        assert maintainer.log.action_count == 1  # only the final refresh
-        plan = maintainer.log.actions_plan()
+        assert maintainer.ledger.action_count == 1  # only the final refresh
+        plan = maintainer.ledger.actions_plan()
         assert len(plan) == 5
 
 
@@ -159,5 +159,5 @@ class TestReplayThroughMaintainer:
             maintainer.step(t)
         maintainer.refresh(4)
         assert maintainer.view.contents() == maintainer.view.recompute()
-        executed = maintainer.log.actions_plan()
+        executed = maintainer.ledger.actions_plan()
         assert executed[2] == (6, 2)

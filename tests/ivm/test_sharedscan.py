@@ -511,19 +511,6 @@ class TestSharedMaterialization:
         db.table("partsupp").create_index("suppkey")
         assert cost_of_adding("index_join") != hashed
 
-    def test_independent_coordinator_keeps_no_memo(self):
-        db = make_tpcr_db()
-        coordinator = MaintenanceCoordinator(db, shared_scans=False)
-        with obs.recording() as recorder:
-            for name in ("a", "b"):
-                coordinator.add_view(ViewConfig(
-                    name=name, query=supplycost_spec(), policy=NaivePolicy(),
-                    cost_functions=NAIVE_COST, limit=1.0,
-                    scheduled_aliases=("PS",),
-                ))
-            assert recorder.registry.get("engine.queries").value == 2
-        assert self._counts(recorder) == (0, 0)
-
 
 class TestCoordinatorSharedRounds:
     def test_suppressed_rounds_stay_correct_and_visible(self):
@@ -608,17 +595,15 @@ class TestCoordinatorSharedRounds:
             keeper_vid = coordinator.maintainer("keeper").ledger.metric_id
             assert recorder.registry.names(f"ivm.view.{keeper_vid}")
 
-    def test_shared_flag_per_call_override(self):
+    def test_independent_rounds_switch_is_gone(self):
         db = make_tpcr_db()
-        coordinator = MaintenanceCoordinator(db, shared_scans=False)
-        add_naive(coordinator, "only", availqty_spec())
-        updater = PartSuppCostUpdater(db.table("partsupp"), seed=31)
-        with obs.recording() as recorder:
-            updater.apply(4)
-            coordinator.step(0)  # independent (constructor default)
-            updater.apply(4)
-            coordinator.step(1, shared=True)  # forced shared
-        assert recorder.registry.get("ivm.coordinator.rounds").value == 1
+        assert MaintenanceCoordinator(db, shared_scans=True).views == ()
+        with pytest.raises(ValueError, match="ViewMaintainer.step"):
+            MaintenanceCoordinator(db, shared_scans=False)
+        with pytest.raises(TypeError):
+            MaintenanceCoordinator(db).step(0, shared=False)
+        with pytest.raises(TypeError):
+            MaintenanceCoordinator(db).refresh(shared=False)
 
 
 class TestLedgerSummaryCap:

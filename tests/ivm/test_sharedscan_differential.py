@@ -1,14 +1,17 @@
-"""Differential: shared-scan rounds vs independent view-at-a-time rounds.
+"""Differential: shared-scan rounds vs views maintained one at a time.
 
-Two coordinators over identically seeded databases and update streams,
-one running table-at-a-time shared scans (the default), one the legacy
-independent rounds.  Across the (block_size x policy) matrix:
+The same views over identically seeded databases and update streams,
+once under a coordinator's table-at-a-time shared scans, once as
+standalone :class:`ViewMaintainer`s stepped one by one -- the reference,
+kept in this module (:func:`run_fleet`), that shares nothing.  Across
+the (block_size x policy) matrix:
 
-* every view's contents are identical between the modes (and match a
+* every view's contents are identical between the two (and match a
   from-scratch recompute);
-* the fleet's total simulated maintenance cost is **strictly lower** in
-  shared mode once >= 2 views share a base table -- the scan de-dup plus
-  fingerprint suppression is a real saving, not an accounting shuffle;
+* the fleet's total simulated maintenance cost is **strictly lower**
+  under the coordinator once >= 2 views share a base table -- the scan
+  de-dup plus fingerprint suppression is a real saving, not an
+  accounting shuffle;
 * with a single subscriber and no fingerprint in play the totals are
   **exactly equal** -- shared scanning moves the charge, never the amount.
 
@@ -37,7 +40,9 @@ from repro.engine.database import Database
 from repro.engine.expr import col, lit
 from repro.engine.query import AggregateSpec, JoinSpec, QuerySpec
 from repro.engine.types import ColumnType, Schema
+from repro.ivm.maintainer import ViewMaintainer
 from repro.ivm.multiview import MaintenanceCoordinator, ViewConfig
+from repro.ivm.view import MaterializedView
 from repro.tpcr.updates import PartSuppCostUpdater, SupplierNationUpdater
 from tests.conftest import make_tpcr_db
 from tests.ivm.test_sharedscan import (
@@ -93,34 +98,54 @@ def run_fleet(
     (per-view contents, total simulated maintenance cost in ms)."""
     db = make_tpcr_db()
     db.block_size = block_size
-    coordinator = MaintenanceCoordinator(db, shared_scans=shared)
+    if shared:
+        coordinator = MaintenanceCoordinator(db)
+        step, refresh = coordinator.step, coordinator.refresh
+    else:
+        # The reference: no shared scan, fingerprint or shared evaluation.
+        def step(t):
+            for maintainer in maintainers.values():
+                maintainer.step(t)
+
+        def refresh(t):
+            for maintainer in maintainers.values():
+                maintainer.refresh(t)
+
+    maintainers = {}
     for name, spec in specs.items():
         policy, limit = make_policy(policy_kind)
-        coordinator.add_view(
-            ViewConfig(
-                name=name,
-                query=spec,
-                policy=policy,
-                cost_functions=COST,
-                limit=limit,
+        if shared:
+            coordinator.add_view(
+                ViewConfig(
+                    name=name,
+                    query=spec,
+                    policy=policy,
+                    cost_functions=COST,
+                    limit=limit,
+                    scheduled_aliases=("PS",),
+                )
+            )
+            maintainers[name] = coordinator.maintainer(name)
+        else:
+            maintainers[name] = ViewMaintainer(
+                MaterializedView(name, db, spec), COST, limit, policy,
                 scheduled_aliases=("PS",),
             )
-        )
     updater = PartSuppCostUpdater(db.table("partsupp"), seed=101)
     total = 0.0
     for t in range(STEPS):
         updater.apply(MODS_PER_STEP)
         with db.counter.window() as window:
-            coordinator.step(t)
+            step(t)
         total += window.elapsed_ms
     with db.counter.window() as window:
-        coordinator.refresh(t=STEPS)
+        refresh(t=STEPS)
     total += window.elapsed_ms
     contents = {
         name: maintainer.view.contents()
-        for name, maintainer in coordinator.iter_maintainers()
+        for name, maintainer in maintainers.items()
     }
-    for name, maintainer in coordinator.iter_maintainers():
+    for name, maintainer in maintainers.items():
         assert maintainer.view.contents() == maintainer.view.recompute(), name
     return contents, total
 

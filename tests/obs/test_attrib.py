@@ -128,10 +128,17 @@ class TestCaptureContext:
         assert attrib.active_profile() is None
 
     def test_maintenance_context(self):
-        assert attrib.current_maintenance() == (None, None)
-        with attrib.maintenance_context("v", 4):
-            assert attrib.current_maintenance() == ("v", 4)
-        assert attrib.current_maintenance() == (None, None)
+        """A query profiled inside a step carries that step's view and
+        round; outside any step, neither."""
+        db = make_db()
+        with events.step("v", 4):
+            inside = db.execute(join_spec(), profile=True).profile
+            with events.step("w", 5):
+                nested = db.execute(join_spec(), profile=True).profile
+        outside = db.execute(join_spec(), profile=True).profile
+        assert (inside.view, inside.round) == ("v", 4)
+        assert (nested.view, nested.round) == ("w", 5)
+        assert (outside.view, outside.round) == (None, None)
 
 
 class TestProfileSink:

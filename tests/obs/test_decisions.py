@@ -190,23 +190,29 @@ class TestGlobalSinkAndScope:
         assert not decisions.active()
 
     def test_scope_tags_and_restores(self):
-        assert decisions.current_scope() == (None, "simulator")
-        with decisions.scope(view="min_cost"):
-            assert decisions.current_scope() == ("min_cost", "ivm")
-            with decisions.scope(view="inner", source="test"):
-                assert decisions.current_scope() == ("inner", "test")
-            assert decisions.current_scope() == ("min_cost", "ivm")
-        assert decisions.current_scope() == (None, "simulator")
+        assert events.current_step() == (None, None, "simulator")
+        with events.step("min_cost", 3):
+            assert events.current_step() == ("min_cost", 3, "ivm")
+            with events.step("inner", 4, source="test"):
+                assert events.current_step() == ("inner", 4, "test")
+            assert events.current_step() == ("min_cost", 3, "ivm")
+            with pytest.raises(RuntimeError), events.step("doomed", 5):
+                raise RuntimeError("inside the step")
+            assert events.current_step() == ("min_cost", 3, "ivm")
+        assert events.current_step() == (None, None, "simulator")
 
     def test_emitted_event_carries_scope(self):
         with decisions.collecting() as log:
-            with decisions.scope(view="v1"):
+            with events.step("v1", 0):
                 decisions.emit_policy_decision(
                     "NAIVE", 0, (1,), (LinearCost(1.0),), 2.0, (1,), "r"
                 )
-        (event,) = log.events()
-        assert event.view == "v1"
-        assert event.source == "ivm"
+            decisions.emit_policy_decision(
+                "NAIVE", 1, (1,), (LinearCost(1.0),), 2.0, (1,), "r"
+            )
+        tagged, bare = log.events()
+        assert (tagged.view, tagged.source) == ("v1", "ivm")
+        assert (bare.view, bare.source) == (None, "simulator")
 
 
 class TestMetrics:
