@@ -16,8 +16,7 @@ Commands
     dbgen mode: emit TPC-R tables as pipe-delimited ``.tbl`` files.
 
 ``sql``
-    Run a SQL query against a freshly loaded TPC-R database; ``--explain``
-    prints the physical plan instead of executing.
+    Run a SQL query against a freshly loaded TPC-R database.
 
 ``explain``
     Print the physical plan of a SQL query; ``--analyze`` executes it and
@@ -56,19 +55,6 @@ Observability (any subcommand)
     Additionally record nested wall-clock spans and export the run as
     Chrome-trace-compatible JSONL (view in ``chrome://tracing`` or
     Perfetto); implies ``--metrics``.  See ``docs/observability.md``.
-
-``--serve-metrics PORT``
-    Serve the live registry over HTTP while the subcommand runs:
-    ``/metrics`` (Prometheus text format), ``/healthz``, ``/snapshot``,
-    ``/samples``, ``/views``, ``/events``.  Port 0 picks a free port
-    (printed to stderr).
-    Implies ``--metrics``.
-
-``--flight-recorder FILE``
-    Run a background sampler snapshotting the registry into a bounded
-    ring buffer (``--flight-interval-ms`` apart) and dump it as JSONL on
-    exit -- backlog-vs-time curves without bespoke experiment code.
-    Implies ``--metrics``.
 
 ``--profile FILE`` / ``--decision-log FILE`` / ``--control-log FILE``
     Write the run's ``profile`` / ``decision`` / ``actuation`` events
@@ -146,34 +132,6 @@ def _obs_flags() -> argparse.ArgumentParser:
         default=argparse.SUPPRESS,
         help="record metrics and print a summary table on exit",
     )
-    parent.add_argument(
-        "--serve-metrics",
-        metavar="PORT",
-        type=int,
-        default=argparse.SUPPRESS,
-        help=(
-            "serve live metrics over HTTP while the command runs: "
-            "/metrics (Prometheus), /healthz, /snapshot, /samples; "
-            "port 0 picks a free port (implies --metrics)"
-        ),
-    )
-    parent.add_argument(
-        "--flight-recorder",
-        metavar="FILE",
-        default=argparse.SUPPRESS,
-        help=(
-            "sample the metrics registry into a bounded ring buffer in "
-            "the background and dump it as JSONL on exit "
-            "(implies --metrics)"
-        ),
-    )
-    parent.add_argument(
-        "--flight-interval-ms",
-        metavar="MS",
-        type=float,
-        default=argparse.SUPPRESS,
-        help="flight-recorder sampling period in milliseconds (default 50)",
-    )
     for flag, (kind, _, text) in EVENT_FLAGS.items():
         parent.add_argument(
             flag, dest=kind, metavar="FILE", default=argparse.SUPPRESS, help=text
@@ -182,6 +140,8 @@ def _obs_flags() -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.tpcr.schema import TPCR_SCHEMAS
+
     obs_flags = _obs_flags()
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -194,9 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(
         trace=None,
         metrics=False,
-        serve_metrics=None,
-        flight_recorder=None,
-        flight_interval_ms=50.0,
         **{kind: None for kind, _, _ in EVENT_FLAGS.values()},
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -235,6 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument(
         "--tables",
         nargs="+",
+        choices=list(TPCR_SCHEMAS),
+        metavar="TABLE",
         default=["region", "nation", "supplier", "partsupp"],
     )
     generate.add_argument("--out", required=True, help="output directory")
@@ -246,11 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sql.add_argument("query", help="the SELECT statement")
     sql.add_argument("--scale", type=float, default=0.01)
-    sql.add_argument(
-        "--explain",
-        action="store_true",
-        help="print the physical plan instead of executing",
-    )
     sql.add_argument(
         "--max-rows", type=int, default=20, help="truncate printed output"
     )
@@ -397,13 +351,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     if paths:
         handler = _with_event_files(handler, paths)
-    observed = (
-        args.trace
-        or args.metrics
-        or args.serve_metrics is not None
-        or args.flight_recorder
-    )
-    if not observed:
+    if not (args.trace or args.metrics):
         return handler(args)
     return _run_observed(handler, args)
 
@@ -426,7 +374,7 @@ def _with_event_files(handler, paths):
 
         with ExitStack() as stack:
             try:
-                # Fail fast, same contract as --trace/--flight-recorder.
+                # Fail fast, same contract as --trace.
                 files = {
                     kind: stack.enter_context(open(path, "w", encoding="utf-8"))
                     for kind, (path, _) in paths.items()
@@ -472,72 +420,38 @@ def _run_observed(handler, args) -> int:
 
     The recorder wraps the *entire* subcommand, so everything the run does
     -- calibration, planning, simulation, live maintenance -- lands in one
-    registry and one trace file.  With ``--serve-metrics`` the registry is
-    additionally scrapeable over HTTP *while* the command runs, and with
-    ``--flight-recorder`` a background sampler keeps a time series of it.
-    All reports are emitted in a ``finally`` block, so a run that raises
-    still flushes its trace file, flight-recorder samples and metrics
-    table -- a failed run leaves its evidence behind.
+    registry and one trace file.  Both reports are emitted in a
+    ``finally`` block, so a run that raises still flushes its trace file
+    and metrics table -- a failed run leaves its evidence behind.  The
+    table goes to stdout (printing it is what ``--metrics`` asks for);
+    the ``[obs]`` status line goes to stderr like every other one.
     """
     from repro import obs
 
-    for destination in (args.trace, args.flight_recorder):
-        if not destination:
-            continue
+    if args.trace:
         try:
             # Fail fast: a mistyped destination should surface now, not
             # after minutes of experiment whose output is then lost.
-            with open(destination, "w", encoding="utf-8"):
+            with open(args.trace, "w", encoding="utf-8"):
                 pass
         except OSError as exc:
-            print(f"error: cannot write {destination!r}: {exc}", file=sys.stderr)
+            print(f"error: cannot write {args.trace!r}: {exc}", file=sys.stderr)
             return 2
 
     recorder = obs.Recorder(trace=bool(args.trace))
-    flight = None
-    if args.flight_recorder:
-        from repro.obs.sampler import FlightRecorder
-
-        flight = FlightRecorder(
-            recorder, interval_s=max(args.flight_interval_ms, 1.0) / 1e3
-        )
-    server = None
-    if args.serve_metrics is not None:
-        from repro.obs.serve import MetricsServer
-
-        server = MetricsServer(recorder, port=args.serve_metrics, sampler=flight)
-        try:
-            port = server.start()
-        except OSError as exc:
-            print(f"error: cannot serve metrics: {exc}", file=sys.stderr)
-            return 2
-        print(
-            f"[obs] serving metrics on http://127.0.0.1:{port}/metrics "
-            f"(also /healthz, /snapshot, /samples, /views, /events)",
-            file=sys.stderr,
-        )
-    if flight is not None:
-        flight.start()
-
     obs.install(recorder)
     try:
         with obs.trace("cli.command", command=args.command):
             return handler(args)
     finally:
         obs.install(None)
-        if flight is not None:
-            flight.stop()  # takes a final sample before the dump
-            count = flight.dump_jsonl(args.flight_recorder)
-            print(
-                f"[obs] wrote {count} flight-recorder samples to "
-                f"{args.flight_recorder}"
-            )
-        if server is not None:
-            server.stop()
         print("\n" + recorder.summary_table())
         if args.trace:
             count = recorder.write_trace(args.trace)
-            print(f"[obs] wrote {count} trace events to {args.trace}")
+            print(
+                f"[obs] wrote {count} trace events to {args.trace}",
+                file=sys.stderr,
+            )
 
 
 # ----------------------------------------------------------------------
@@ -629,18 +543,24 @@ def _load_sql_database(scale: float):
     return db
 
 
-def _run_sql(args) -> int:
+def _parse_or_report(args):
+    """The ``(database, spec)`` an ad-hoc SQL command works on, or
+    ``None`` after reporting why ``args.query`` does not parse."""
     from repro.sql import SqlError, parse_query
 
-    db = _load_sql_database(args.scale)
     try:
         spec = parse_query(args.query)
     except SqlError as exc:
         print(f"SQL error: {exc}", file=sys.stderr)
+        return None
+    return _load_sql_database(args.scale), spec
+
+
+def _run_sql(args) -> int:
+    parsed = _parse_or_report(args)
+    if parsed is None:
         return 1
-    if args.explain:
-        print(db.explain(spec))
-        return 0
+    db, spec = parsed
     with db.counter.window() as window:
         result = db.execute(spec)
     print("  ".join(result.columns))
@@ -657,14 +577,10 @@ def _run_sql(args) -> int:
 
 
 def _run_explain(args) -> int:
-    from repro.sql import SqlError, parse_query
-
-    db = _load_sql_database(args.scale)
-    try:
-        spec = parse_query(args.query)
-    except SqlError as exc:
-        print(f"SQL error: {exc}", file=sys.stderr)
+    parsed = _parse_or_report(args)
+    if parsed is None:
         return 1
+    db, spec = parsed
     print(db.explain(spec, analyze=args.analyze))
     return 0
 

@@ -14,7 +14,7 @@ needs:
   asymmetry between delta tables.
 * **Physical operators** (:mod:`repro.engine.operators`,
   :mod:`repro.engine.join`, :mod:`repro.engine.aggregate`): scans, filters,
-  projections, nested-loop / index-nested-loop / hash joins, and grouped
+  projections, index-nested-loop / hash joins, and grouped
   aggregation with incrementally maintainable MIN/MAX.
 * **A deterministic cost model** (:mod:`repro.engine.costmodel`): physical
   operators charge page reads, probes, and tuple operations to a counter;

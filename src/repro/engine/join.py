@@ -1,6 +1,6 @@
-"""Join operators: nested-loop, index-nested-loop, and hash join.
+"""Join operators: index-nested-loop and hash join.
 
-The choice among these is the engine-level origin of the paper's central
+The choice between them is the engine-level origin of the paper's central
 cost asymmetry:
 
 * :class:`IndexNestedLoopJoin` probes an index once per outer tuple --
@@ -11,7 +11,6 @@ cost asymmetry:
   amortized over the batch.  This is the expensive-but-batchable
   ``dR |x| S`` path when ``S`` has no index: its cost curve has exactly
   the ``b + a*k`` shape of Section 3.3.
-* :class:`NestedLoopJoin` is the quadratic fallback for non-equi predicates.
 
 A join's natural output is left columns followed by right columns.  The
 two equi-joins assemble it column by column through one kernel,
@@ -30,67 +29,9 @@ from repro import obs
 from repro.obs import attrib
 from repro.engine.block import DEFAULT_BLOCK_SIZE, RowBlock
 from repro.engine.errors import SchemaError
-from repro.engine.expr import Expression, resolve_column
+from repro.engine.expr import resolve_column
 from repro.engine.operators import Operator, SeqScan, merged_layout
 from repro.engine.snapshot import Snapshot
-
-
-class NestedLoopJoin(Operator):
-    """Materialized inner, arbitrary join predicate; O(|L| * |R|) compares."""
-
-    def __init__(self, left: Operator, right: Operator, predicate: Expression | None):
-        self.left = left
-        self.counter = left.counter
-        self.layout = merged_layout(left.layout, right.layout)
-        self._predicate = (
-            predicate.compile(self.layout) if predicate is not None else None
-        )
-        if attrib.active_profile() is not None:
-            # Profiled: the inner materialization is this join's "build"
-            # phase -- capture its charges (made by the inner operator
-            # against the shared counter) as a snapshot delta, so the
-            # profile can attribute them to a join-build node.
-            before = self.counter.snapshot()
-            start = time.perf_counter()
-            self._inner = right.rows()
-            self._build_wall_ms = (time.perf_counter() - start) * 1e3
-            self._build_tally = self.counter.since(before)
-            self._build_rows = len(self._inner)
-            self._build_label = f"Materialize({attrib._label_for(right)[1]})"
-        else:
-            self._inner = right.rows()
-
-    def blocks(self, block_size: int) -> Iterator[RowBlock]:
-        pred = self._predicate
-        inner = self._inner
-        layout = self.layout
-        prof = self._prof
-        rows_in = rows_out = 0
-        try:
-            for lblock in self.left.blocks(block_size):
-                rows_in += len(lblock)
-                # One compare per (outer, inner) pair.
-                self.counter.charge("compares", len(lblock) * len(inner))
-                if prof is not None:
-                    prof.add("compares", len(lblock) * len(inner))
-                if pred is None:
-                    out = [lrow + rrow for lrow in lblock.rows() for rrow in inner]
-                else:
-                    out = [
-                        row
-                        for lrow in lblock.rows()
-                        for rrow in inner
-                        if pred(row := lrow + rrow)
-                    ]
-                rows_out += len(out)
-                if out:
-                    yield RowBlock.from_rows(out, layout)
-        finally:
-            recorder = obs.get_recorder()
-            if recorder is not None:
-                recorder.counter("engine.join.nl.rows_in", rows_in)
-                recorder.counter("engine.join.nl.rows_out", rows_out)
-                recorder.counter("engine.join.rows_out", rows_out)
 
 
 class IndexNestedLoopJoin(Operator):

@@ -23,10 +23,10 @@ Design rules:
   evidence, with a cooldown before relaxing back, so one noisy interval
   cannot make the loop thrash.
 * **auditable** -- every actuation is a :class:`ControlEvent` emitted as
-  an ``actuation`` event (``--control-log``, ``repro control-log``,
-  ``/events?kind=actuation``) plus ``control.*`` metrics.  Recording one
-  never touches the operation counter; the actuation itself changes the
-  schedule by design, never what a given query charges.
+  an ``actuation`` event (``--control-log``, ``repro control-log``)
+  plus ``control.*`` metrics.  Recording one never touches the
+  operation counter; the actuation itself changes the schedule by
+  design, never what a given query charges.
 * **subscribing is observational** -- a governor that never actuates
   leaves a run byte-identical to one without it (guarded by
   ``tests/integration/test_control_equivalence.py``).

@@ -245,14 +245,6 @@ class MaintenanceCoordinator:
         """Per-view maintenance ledgers, keyed by view name."""
         return {name: m.ledger for name, m in self._maintainers.items()}
 
-    def ledger_snapshot(self) -> dict[str, dict]:
-        """Per-view cumulative cost summaries (JSON-friendly)."""
-        model = self.database.counter.model
-        return {
-            name: m.ledger.summary(model)
-            for name, m in self._maintainers.items()
-        }
-
     def ledger_summary(self, limit: int | None = DEFAULT_SUMMARY_LIMIT) -> str:
         """Fixed-width per-view cost table (companion to ``slo_summary``).
 

@@ -34,7 +34,6 @@ from repro.obs import attrib
 from repro.obs import slo
 from repro.obs import calibration
 from repro.obs import decisions
-from repro.obs.export import prometheus_name, render_prometheus
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -43,8 +42,6 @@ from repro.obs.metrics import (
     check_name,
 )
 from repro.obs.recorder import Recorder, _active, get_recorder, install
-from repro.obs.sampler import FlightRecorder
-from repro.obs.serve import MetricsServer
 from repro.obs.tracing import (
     NULL_SPAN,
     NullSpan,
@@ -55,11 +52,9 @@ from repro.obs.tracing import (
 
 __all__ = [
     "Counter",
-    "FlightRecorder",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "MetricsServer",
     "NullSpan",
     "Recorder",
     "Span",
@@ -74,10 +69,8 @@ __all__ = [
     "get_recorder",
     "install",
     "observe",
-    "prometheus_name",
     "read_jsonl",
     "recording",
-    "render_prometheus",
     "slo",
     "trace",
     "write_jsonl",

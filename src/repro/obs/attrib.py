@@ -320,8 +320,6 @@ def _label_for(op: Any, cols: bool = False) -> tuple[str, str]:
             f"IndexNestedLoopJoin({op.snapshot.name} AS {op.alias} "
             f"via {op._right_column}){emits}",
         )
-    if isinstance(op, join_mod.NestedLoopJoin):
-        return "join-probe", f"NestedLoopJoin(probe){emits}"
     if isinstance(op, agg_mod.Aggregate):
         spec = f"{op.func.upper()}({op.value!r})"
         if op.group_by:
@@ -337,9 +335,8 @@ def attach_to_plan(plan: Any, profile: QueryProfile) -> None:
     creates one node per operator under ``profile.root``, points each
     operator's ``_prof`` at its node (the charge-site hooks), and wraps
     each ``blocks`` method with a timing/counting shim.  Join builds that
-    already happened at construction time (hash-table build, nested-loop
-    inner materialization -- captured as counter snapshot deltas) become
-    ``join-build`` child nodes.
+    already happened at construction time (the hash-table build, captured
+    as a counter snapshot delta) become ``join-build`` child nodes.
     """
     parent = profile.root
     op = plan

@@ -24,8 +24,8 @@ Design mirrors the rest of ``repro.obs``:
   flag dumps the joined events as JSONL on exit, because the join fills
   ``actual_*`` after emission;
 * **metrics for free** -- emission feeds ``planner.decisions.*``
-  counters/histograms through the ambient recorder, so the flight
-  recorder, ``/metrics``, and ``/snapshot`` pick them up unchanged.
+  counters/histograms through the ambient recorder, so the exit table
+  and the trace file pick them up unchanged.
 
 The ``(view, step)`` pair keys the execution-time join.  When nested
 planning emits several events for one step (RecedingHorizon runs an A*

@@ -8,13 +8,12 @@ emits each kind and where it can be read).
 
 Every event class carries ``view`` and ``t`` (the step it belongs to,
 which the running thread names with :class:`step`) and ``to_dict()``
-(its JSONL / HTTP form); the two that the CLI renders also ``lines()``
-(their text form for :func:`render_trail`).  A consumer
-either **opens a ring** for a kind (:func:`collecting`: bounded, kept
-for ``/events``, the exit dumps and :meth:`EventLog.at`) or
-**subscribes** a callback to it (:func:`subscribe`: streamed, nothing
-kept).  A kind nobody opened or subscribed to is not :func:`wanted`, and
-its emitters build no event.
+(its JSONL form); the two that the CLI renders also ``lines()`` (their
+text form for :func:`render_trail`).  A consumer either **opens a
+ring** for a kind (:func:`collecting`: bounded, kept for the exit dumps
+and :meth:`EventLog.at`) or **subscribes** a callback to it
+(:func:`subscribe`: streamed, nothing kept).  A kind nobody opened or
+subscribed to is not :func:`wanted`, and its emitters build no event.
 
 Strictly observational: nothing here touches the operation counter.
 """

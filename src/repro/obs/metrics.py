@@ -17,10 +17,10 @@ Three metric kinds:
   totals stay exact, quantiles become approximate past the reservoir.
 
 Every mutation and snapshot takes a per-metric lock, so a registry can be
-written by several threads (each calls ``obs.install``) and scraped live by
-the ``/metrics`` endpoint mid-run without torn reads.  The locks are
-uncontended in single-threaded runs and hot loops batch their tallies, so
-the enabled path stays within the observability overhead budget.
+written by several threads (each calls ``obs.install``) and snapshotted
+mid-run without torn reads.  The locks are uncontended in
+single-threaded runs and hot loops batch their tallies, so the enabled
+path stays within the observability overhead budget.
 """
 
 from __future__ import annotations
@@ -37,10 +37,7 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9_-]+(\.[A-Za-z0-9_-]+)*$")
 #: Histogram reservoir size.  Exact quantiles up to this many samples.
 RESERVOIR_SIZE = 8192
 
-#: The quantiles every summary surface reports.  Shared by
-#: :meth:`Histogram.snapshot` (hence ``/snapshot``) and the Prometheus
-#: renderer in :mod:`repro.obs.export`, so the two exposition paths can
-#: never drift apart.
+#: The quantiles :meth:`Histogram.snapshot` reports.
 SUMMARY_QUANTILES = (0.5, 0.95, 0.99)
 
 

@@ -151,12 +151,6 @@ class Recorder:
     def summary_table(self) -> str:
         return self.registry.summary_table()
 
-    def prometheus(self) -> str:
-        """The registry as Prometheus text exposition (see ``obs.export``)."""
-        from repro.obs.export import render_prometheus
-
-        return render_prometheus(self.registry)
-
     def __repr__(self) -> str:
         return (
             f"Recorder(metrics={len(self.registry)}, "

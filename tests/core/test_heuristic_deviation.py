@@ -160,3 +160,29 @@ class TestPaperHeuristicInconsistency:
         assert detected > 0
         assert result.cost > exact + 1e-9
         result.plan.check_valid(inflated)
+
+
+class TestHeuristicConsistency:
+    def test_rate_heuristic_is_consistent_on_random_instances(self):
+        rng = random.Random(55)
+        for __ in range(8):
+            n = rng.randint(1, 3)
+            costs = [
+                LinearCost(rng.uniform(0.2, 2.0), rng.uniform(0, 8))
+                for __ in range(n)
+            ]
+            arrivals = [
+                tuple(rng.randint(0, 3) for __ in range(n))
+                for __ in range(rng.randint(5, 30))
+            ]
+            problem = ProblemInstance(costs, rng.uniform(5, 25), arrivals)
+            assert check_heuristic_consistency(problem) == []
+
+    def test_consistent_on_tabulated_tpcr_curves(self):
+        from repro.experiments import common
+
+        costs = common.cost_functions(scale=0.002)
+        problem = common.make_problem(
+            [(20, 1)] * 60, common.default_limit(costs), costs
+        )
+        assert check_heuristic_consistency(problem) == []

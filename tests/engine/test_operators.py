@@ -5,7 +5,7 @@ import pytest
 from repro.engine.costmodel import OperationCounter
 from repro.engine.errors import SchemaError
 from repro.engine.expr import col, lit
-from repro.engine.join import HashJoin, IndexNestedLoopJoin, NestedLoopJoin
+from repro.engine.join import HashJoin, IndexNestedLoopJoin
 from repro.engine.operators import (
     Filter,
     Project,
@@ -113,23 +113,6 @@ class TestMergedLayout:
             merged_layout({"A.x": 0}, {"A.x": 0})
 
 
-class TestNestedLoopJoin:
-    def test_cross_product_with_predicate(self, toy_db, emp, dept):
-        left = SeqScan(emp.snapshot(), "E", toy_db.counter)
-        right = SeqScan(dept.snapshot(), "D", toy_db.counter)
-        join = NestedLoopJoin(left, right, col("E.deptno") == col("D.deptno"))
-        rows = join.rows()
-        assert len(rows) == 5
-        layout = join.layout
-        for row in rows:
-            assert row[layout["E.deptno"]] == row[layout["D.deptno"]]
-
-    def test_no_predicate_is_cross_product(self, toy_db, emp, dept):
-        left = SeqScan(emp.snapshot(), "E", toy_db.counter)
-        right = SeqScan(dept.snapshot(), "D", toy_db.counter)
-        assert len(NestedLoopJoin(left, right, None).rows()) == 15
-
-
 class TestIndexNestedLoopJoin:
     def test_join_via_index(self, toy_db, emp, dept):
         dept.create_index("deptno")
@@ -185,19 +168,17 @@ class TestHashJoin:
         assert len(join.rows()) == 5  # zed joins nothing
 
     def test_agrees_with_nested_loop(self, toy_db, emp, dept):
-        left1 = SeqScan(emp.snapshot(), "E", toy_db.counter)
-        right1 = SeqScan(dept.snapshot(), "D", toy_db.counter)
-        hash_rows = sorted(
-            HashJoin(left1, right1, "E.deptno", "D.deptno").rows()
-        )
-        left2 = SeqScan(emp.snapshot(), "E", toy_db.counter)
-        right2 = SeqScan(dept.snapshot(), "D", toy_db.counter)
-        nl_rows = sorted(
-            NestedLoopJoin(
-                left2, right2, col("E.deptno") == col("D.deptno")
-            ).rows()
-        )
-        assert hash_rows == nl_rows
+        left = SeqScan(emp.snapshot(), "E", toy_db.counter)
+        right = SeqScan(dept.snapshot(), "D", toy_db.counter)
+        join = HashJoin(left, right, "E.deptno", "D.deptno")
+        e, d = left.layout["E.deptno"], right.layout["D.deptno"]
+        nl_rows = [
+            lrow + rrow
+            for lrow in emp.snapshot().row_list()
+            for rrow in dept.snapshot().row_list()
+            if lrow[e] == rrow[d]
+        ]
+        assert sorted(join.rows()) == sorted(nl_rows)
 
 
 class TestProbeBlockColumnarFastPath:

@@ -445,7 +445,11 @@ class TestCoordinatorFleet:
     def test_ledger_snapshot_matches_cost_breakdown(self):
         coordinator, ps, sup = self.make_fleet()
         self.run_fleet(coordinator, ps, sup)
-        snapshot = coordinator.ledger_snapshot()
+        model = coordinator.database.counter.model
+        snapshot = {
+            name: ledger.summary(model)
+            for name, ledger in coordinator.ledgers().items()
+        }
         breakdown = coordinator.cost_breakdown()
         assert set(snapshot) == set(breakdown)
         for name, summary in snapshot.items():

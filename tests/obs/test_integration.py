@@ -119,7 +119,7 @@ class TestCliTrace:
                 "--trace", str(path),
             ]
         )
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         assert code == 0
         events = read_jsonl(path)
         assert len(events) >= 50
@@ -130,7 +130,9 @@ class TestCliTrace:
         # Every instrumented layer shows up in one run.
         assert {"astar", "simulator", "engine", "cli"} <= cats
         assert "metric" in out and "p95" in out  # summary table printed
-        assert f"trace events to {path}" in out
+        # The status line goes to stderr: stdout is the command's tables.
+        assert f"trace events to {path}" in err
+        assert "[obs]" not in out
 
     def test_metrics_flag_prints_summary_only(self, tmp_path, capsys):
         code = main(
@@ -142,10 +144,10 @@ class TestCliTrace:
                 "--policies", "naive",
             ]
         )
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         assert code == 0
         assert "simulator.steps" in out
-        assert "trace events" not in out
+        assert "trace events" not in out + err
 
     def test_experiment_shorthand_accepts_trace(self, tmp_path, capsys):
         """`repro bounds --trace ...` == `repro experiment bounds --trace ...`."""

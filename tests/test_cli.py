@@ -1,7 +1,5 @@
 """Tests for the command-line interface."""
 
-import urllib.request
-
 import pytest
 
 from repro.cli import build_parser, main
@@ -15,6 +13,31 @@ class TestParser:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "bounds", "--serve-metrics", "0"],
+            ["experiment", "bounds", "--flight-recorder", "f"],
+            ["experiment", "bounds", "--flight-interval-ms", "5"],
+            ["sql", "SELECT COUNT(*) FROM supplier S", "--explain"],
+        ],
+        ids=lambda argv: argv[2],
+    )
+    def test_removed_observability_flags_are_gone(self, argv, capsys):
+        """Telemetry leaves the process as files and the exit table only,
+        and ``repro explain`` is the one way to print a plan."""
+        from repro import obs
+
+        with pytest.raises(SystemExit) as refused:
+            main(argv)
+        assert refused.value.code == 2
+        assert f"unrecognized arguments: {argv[2]}" in capsys.readouterr().err
+        for name in (
+            "MetricsServer", "FlightRecorder",
+            "render_prometheus", "prometheus_name",
+        ):
+            assert not hasattr(obs, name)
 
 
 class TestSqlCommand:
@@ -32,19 +55,21 @@ class TestSqlCommand:
         assert "simulated cost" in out
 
     def test_explain(self, capsys):
+        """The plan of the query ``sql`` would run is ``repro explain``'s
+        to print: here a join with no aggregate and no projection."""
         code = main(
             [
-                "sql",
+                "explain",
                 "SELECT * FROM partsupp PS, supplier S "
                 "WHERE PS.suppkey = S.suppkey",
                 "--scale", "0.002",
-                "--explain",
             ]
         )
         out = capsys.readouterr().out
         assert code == 0
         assert "SeqScan(partsupp" in out
         assert "IndexNestedLoopJoin(supplier" in out
+        assert "Aggregate(" not in out
 
     def test_sql_error_reported(self, capsys):
         code = main(["sql", "SELECT FROM nothing", "--scale", "0.002"])
@@ -357,6 +382,15 @@ class TestGenerateCommand:
         assert (tmp_path / "region.tbl").exists()
         assert "nation.tbl: 25 rows" in out
 
+    def test_unknown_table_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as refused:
+            main(["generate", "--tables", "bogus", "--out", str(tmp_path)])
+        assert refused.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "invalid choice: 'bogus'" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
 
 class TestCalibrateCommand:
     def test_prints_fits(self, capsys):
@@ -424,31 +458,17 @@ class TestObservedFailure:
         with pytest.raises(RuntimeError, match="midway failure"):
             main(["--trace", str(trace_file), "experiment", "bounds"])
 
-        out = capsys.readouterr().out
-        # The metrics table and the trace file were still written.
-        assert "doomed.work" in out
-        assert "[obs] wrote" in out
+        captured = capsys.readouterr()
+        # The metrics table and the trace file were still written: the
+        # table on stdout, the status line on stderr with the other [obs]
+        # lines, so a redirected table carries no status text.
+        assert "doomed.work" in captured.out
+        assert "[obs]" not in captured.out
+        assert "[obs] wrote" in captured.err
+        assert f"trace events to {trace_file}" in captured.err
         events = read_jsonl(trace_file)
         span = next(e for e in events if e["name"] == "cli.command")
         assert span["args"]["error"] == "RuntimeError"
-
-    def test_failing_command_still_dumps_flight_samples(
-        self, tmp_path, monkeypatch
-    ):
-        import repro.cli as cli
-        from repro.obs.tracing import read_jsonl
-
-        monkeypatch.setattr(
-            cli,
-            "_run_experiment",
-            lambda args: (_ for _ in ()).throw(RuntimeError("boom")),
-        )
-        flight_file = tmp_path / "crash.flight.jsonl"
-        with pytest.raises(RuntimeError):
-            main(["--flight-recorder", str(flight_file), "experiment", "bounds"])
-        samples = read_jsonl(flight_file)
-        assert samples  # stop() takes a final sample before the dump
-        assert "metrics" in samples[-1]
 
     def test_unwritable_destination_fails_fast(self, tmp_path, capsys):
         code = main(
@@ -457,69 +477,6 @@ class TestObservedFailure:
         )
         assert code == 2
         assert "cannot write" in capsys.readouterr().err
-
-
-class TestServeMetricsFlag:
-    def test_scrape_during_timeline_run(self, capsys, monkeypatch):
-        """The acceptance check: /metrics is live during a timeline run and
-        exposes slo_refresh_margin plus engine metrics."""
-        import repro.cli as cli
-        from repro.experiments import common
-        from repro.obs.serve import MetricsServer
-
-        # Calibration is cached per (scale, seed); clear it so this run
-        # re-calibrates *under the recorder* and engine metrics show up
-        # in the scrape, no matter which test ran first.
-        common.calibrated_costs.cache_clear()
-
-        ports = []
-        original_start = MetricsServer.start
-
-        def recording_start(self):
-            port = original_start(self)
-            ports.append(port)
-            return port
-
-        monkeypatch.setattr(MetricsServer, "start", recording_start)
-
-        bodies = []
-        original_timeline = cli._run_timeline
-
-        def scraping_timeline(args):
-            code = original_timeline(args)
-            # Still inside the observed block: the server is up.
-            url = f"http://127.0.0.1:{ports[0]}/metrics"
-            with urllib.request.urlopen(url, timeout=5) as response:
-                bodies.append(response.read().decode())
-            return code
-
-        monkeypatch.setattr(cli, "_run_timeline", scraping_timeline)
-        code = main(
-            [
-                "--serve-metrics", "0",
-                "timeline",
-                "--scale", "0.002",
-                "--horizon", "30",
-                "--policies", "naive",
-            ]
-        )
-        assert code == 0
-        assert "[obs] serving metrics" in capsys.readouterr().err
-        (body,) = bodies
-        assert "slo_refresh_margin " in body
-        assert "slo_steps_total" in body
-        assert "engine_" in body  # calibration ran through the engine
-
-    def test_flight_recorder_dumps_jsonl_on_success(self, tmp_path, capsys):
-        from repro.obs.tracing import read_jsonl
-
-        out_file = tmp_path / "flight.jsonl"
-        code = main(["--flight-recorder", str(out_file), "experiment", "bounds"])
-        assert code == 0
-        assert "flight-recorder samples" in capsys.readouterr().out
-        samples = read_jsonl(out_file)
-        assert samples
-        assert all("t_s" in s and "metrics" in s for s in samples)
 
 
 class TestExperimentCommand:
