@@ -1,6 +1,6 @@
 """Ablation benches for the design choices DESIGN.md calls out."""
 
-from benchmarks._report import report
+from benchmarks import write_table
 from repro.experiments.ablations import (
     run_astar_heuristic_ablation,
     run_cost_family_study,
@@ -9,9 +9,9 @@ from repro.experiments.ablations import (
 )
 
 
-def bench_astar_heuristic(run_once):
-    result = run_once(run_astar_heuristic_ablation)
-    report("ablation_astar_heuristic", result.format())
+def bench_astar_heuristic():
+    result = run_astar_heuristic_ablation()
+    write_table("ablation_astar_heuristic", result.format())
     assert result.costs_equal
     # The heuristic must help, and increasingly so with horizon length.
     ratios = [
@@ -21,23 +21,23 @@ def bench_astar_heuristic(run_once):
     assert ratios[-1] > 2.0
 
 
-def bench_plan_class(run_once):
-    result = run_once(run_plan_class_ablation)
-    report("ablation_plan_class", result.format())
+def bench_plan_class():
+    result = run_plan_class_ablation()
+    write_table("ablation_plan_class", result.format())
     # Each LGM ingredient buys cost: EAGER > NAIVE > OPT_LGM.
     assert result.eager > result.naive > result.opt_lgm
 
 
-def bench_estimators(run_once):
-    result = run_once(run_estimator_ablation)
-    report("ablation_estimators", result.format())
+def bench_estimators():
+    result = run_estimator_ablation()
+    write_table("ablation_estimators", result.format())
     for row in result.ratios:
         for ratio in row:
             assert ratio < 1.5
 
 
-def bench_cost_families(run_once):
-    result = run_once(run_cost_family_study)
-    report("ablation_cost_families", result.format())
+def bench_cost_families():
+    result = run_cost_family_study()
+    write_table("ablation_cost_families", result.format())
     rows = {name: ratio for name, __, __, ratio in result.rows()}
     assert rows["linear b=120"] > rows["linear b=40"]

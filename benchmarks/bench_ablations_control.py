@@ -11,13 +11,13 @@ SLO-pressure workload -- and asserts the loop's load-bearing claims:
 The wall-time column is reported but not asserted.
 """
 
-from benchmarks._report import report
+from benchmarks import write_table
 from repro.experiments.control_ablation import run_control_ablation
 
 
-def bench_control_ablation(run_once):
-    result = run_once(run_control_ablation, horizon=120)
-    report("ablation_control", result.format(), params=result.params)
+def bench_control_ablation():
+    result = run_control_ablation(horizon=120)
+    write_table("ablation_control", result.format())
     baseline = result.variants["baseline"]
     full = result.variants["full"]
     assert full.breaches < baseline.breaches

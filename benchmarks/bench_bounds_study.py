@@ -3,13 +3,13 @@ plus the Section 3.2 tightness construction)."""
 
 import pytest
 
-from benchmarks._report import report
+from benchmarks import write_table
 from repro.experiments.bounds_study import run_bounds_study
 
 
-def bench_bounds_study(run_once):
-    result = run_once(run_bounds_study)
-    report("bounds_study", result.format())
+def bench_bounds_study():
+    result = run_bounds_study()
+    write_table("bounds_study", result.format())
     assert result.max_ratio("linear") == pytest.approx(1.0)  # Theorem 2
     for row in result.rows_data:  # Theorem 1
         assert row.ratio <= 2.0 + 1e-9

@@ -2,13 +2,13 @@
 
 import pytest
 
-from benchmarks._report import report
+from benchmarks import write_table
 from repro.experiments.concavity_study import run_concavity_study
 
 
-def bench_concavity_study(run_once):
-    result = run_once(run_concavity_study)
-    report("concavity_study", result.format())
+def bench_concavity_study():
+    result = run_concavity_study()
+    write_table("concavity_study", result.format())
     # The measured ordering: linear == 1 exactly; concave small; the
     # non-concave families carry the big gaps.
     assert result.worst("linear") == pytest.approx(1.0)

@@ -4,17 +4,13 @@ Regenerates the paper's motivating figure: the indexed side's delta cost
 is linear through the origin, the unindexed side's is setup-dominated.
 """
 
-from benchmarks._report import report
-from repro.experiments import common
+from benchmarks import write_table
 from repro.experiments.fig1_join_costs import run_fig1
 
 
-def bench_fig1_join_costs(run_once):
-    result = run_once(run_fig1)
-    report(
-        "fig1_join_costs", result.format(),
-        params={"scale": common.DEFAULT_SCALE},
-    )
+def bench_fig1_join_costs():
+    result = run_fig1()
+    write_table("fig1_join_costs", result.format())
     # Paper shape: the expensive curve is setup-dominated.
     assert result.setup_ratio() > 5.0
     rows = result.rows()

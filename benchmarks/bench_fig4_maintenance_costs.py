@@ -1,16 +1,12 @@
 """Figure 4: maintenance cost vs batch size for the 4-way MIN view."""
 
-from benchmarks._report import report
-from repro.experiments import common
+from benchmarks import write_table
 from repro.experiments.fig4_maintenance_costs import run_fig4
 
 
-def bench_fig4_maintenance_costs(run_once):
-    result = run_once(run_fig4)
-    report(
-        "fig4_maintenance_costs", result.format(),
-        params={"scale": common.DEFAULT_SCALE},
-    )
+def bench_fig4_maintenance_costs():
+    result = run_fig4()
+    write_table("fig4_maintenance_costs", result.format())
     # Paper: Supplier batches cost more than PartSupp batches throughout,
     # and both curves follow linear trends -- with "some irregularities"
     # (here: MIN-recomputation spikes), so small-batch relative error on

@@ -1,16 +1,12 @@
 """Figure 7: the four non-uniform arrival streams (SS/SU/FS/FU)."""
 
-from benchmarks._report import report
-from repro.experiments import common
+from benchmarks import write_table
 from repro.experiments.fig7_nonuniform import run_fig7
 
 
-def bench_fig7_nonuniform(run_once):
-    result = run_once(run_fig7)
-    report(
-        "fig7_nonuniform", result.format(),
-        params={"scale": common.DEFAULT_SCALE},
-    )
+def bench_fig7_nonuniform():
+    result = run_fig7()
+    write_table("fig7_nonuniform", result.format())
     # Paper shape: NAIVE loses on all four streams; ONLINE stays within a
     # modest factor of OPT_LGM.
     for naive, opt in zip(result.naive, result.opt_lgm):

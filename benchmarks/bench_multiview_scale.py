@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from benchmarks._report import report
+from benchmarks import write_table
 from repro.core.costfuncs import LinearCost
 from repro.core.naive import NaivePolicy
 from repro.engine.database import Database
@@ -212,26 +212,9 @@ def run_multiview_scale() -> MultiviewScaleResult:
     return MultiviewScaleResult(points)
 
 
-def bench_multiview_scale(run_once):
-    result = run_once(run_multiview_scale)
-    report(
-        "multiview_scale",
-        result.format(),
-        params={
-            "scale": SCALE,
-            "block_size": BLOCK_SIZE,
-            "rounds": ROUNDS,
-            "mods_per_round": MODS_PER_ROUND,
-            "views_per_table": list(SWEEP),
-            "per_view_sim_ms": {
-                str(p.total_views): {
-                    "shared": round(p.shared_per_view, 6),
-                    "independent": round(p.independent_per_view, 6),
-                }
-                for p in result.points
-            },
-        },
-    )
+def bench_multiview_scale():
+    result = run_multiview_scale()
+    write_table("multiview_scale", result.format())
     per_view = [p.shared_per_view for p in result.points]
     assert all(a > b for a, b in zip(per_view, per_view[1:])), (
         f"per-view shared cost not strictly decreasing: {per_view}"

@@ -1,12 +1,12 @@
 """Future-work bench: empirical competitive ratio of the ONLINE heuristic."""
 
-from benchmarks._report import report
+from benchmarks import write_table
 from repro.experiments.online_bound_study import run_online_bound_study
 
 
-def bench_online_bound_study(run_once):
-    result = run_once(run_online_bound_study)
-    report("online_bound_study", result.format())
+def bench_online_bound_study():
+    result = run_online_bound_study()
+    write_table("online_bound_study", result.format())
     # Empirically bounded well inside the factor-2 LGM envelope on every
     # family we sample, but demonstrably not ~1.0 in general.
     assert result.worst_ratio < 2.0

@@ -1,12 +1,12 @@
 """Future-work bench: operator-level asymmetric batching (Section 7)."""
 
-from benchmarks._report import report
+from benchmarks import write_table
 from repro.experiments.operator_asymmetry import run_operator_asymmetry
 
 
-def bench_operator_asymmetry(run_once):
-    result = run_once(run_operator_asymmetry)
-    report("operator_asymmetry", result.format())
+def bench_operator_asymmetry():
+    result = run_operator_asymmetry()
+    write_table("operator_asymmetry", result.format())
     # Batching in front of the setup-heavy operator must beat both
     # whole-pipeline batching and eager propagation through it.
     assert result.best_cut >= 1

@@ -1,12 +1,12 @@
 """Extension bench: receding-horizon re-planning vs the ONLINE heuristic."""
 
-from benchmarks._report import report
+from benchmarks import write_table
 from repro.experiments.ablations import run_replanning_study
 
 
-def bench_replanning(run_once):
-    result = run_once(run_replanning_study)
-    report("ablation_replanning", result.format())
+def bench_replanning():
+    result = run_replanning_study()
+    write_table("ablation_replanning", result.format())
     rows = {name: (o, r) for name, o, r, __ in result.rows()}
     # With exact rates (uniform stream) MPC re-planning is optimal.
     assert rows["uniform"][1] < 1.001

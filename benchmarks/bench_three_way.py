@@ -1,16 +1,12 @@
 """Extension bench: n = 3 asymmetric scheduling on the live TPC-R view."""
 
-from benchmarks._report import report
-from repro.experiments import common
+from benchmarks import write_table
 from repro.experiments.three_way import run_three_way
 
 
-def bench_three_way(run_once):
-    result = run_once(run_three_way)
-    report(
-        "three_way", result.format(),
-        params={"scale": common.DEFAULT_SCALE},
-    )
+def bench_three_way():
+    result = run_three_way()
+    write_table("three_way", result.format())
     # The asymmetric advantage persists at n = 3.
     assert result.naive_cost > 1.4 * result.opt_cost
     # Flush frequency tracks the cost hierarchy: cheap stream flushed

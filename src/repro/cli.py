@@ -5,8 +5,12 @@ Commands
 
 ``experiment <name>``
     Run one experiment driver (``fig1``, ``intro``, ``fig4``, ``fig5``,
-    ``fig6``, ``fig7``, ``bounds``, ``ablations``) and print its table --
+    ``fig6``, ``fig7``, ``bounds``, ``ablations``, ``operator-asymmetry``,
+    ``online-bound``, ``three-way``, ``concavity``) and print its table --
     the same output the benchmarks persist under ``benchmarks/results/``.
+    ``ablations`` prints five: A* heuristic, plan class, estimators, cost
+    families and the replanning study.  ``--scale`` reaches every driver
+    that loads TPC-R data.
 
 ``calibrate``
     Measure the paper view's batch cost functions on a freshly generated
@@ -74,8 +78,9 @@ names work as top-level shorthand: ``repro fig6 --trace out.jsonl`` is
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 EXPERIMENT_NAMES: tuple[str, ...] = (
     "fig1", "intro", "fig4", "fig5", "fig6", "fig7",
@@ -104,6 +109,26 @@ EVENT_FLAGS = {
         "(readable with `repro control-log --log FILE`)",
     ),
 }
+
+
+def _checked(cast: type, what: str, ok: Callable[[float], bool]):
+    """An argparse ``type=``: ``cast(text)`` when ``ok`` holds of it, else
+    a usage error (exit 2) instead of a traceback from the library check
+    the value would reach."""
+
+    def parse(text: str):
+        value = cast(text)  # ValueError: argparse's "invalid <what> value"
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not a {what}")
+        return value
+
+    parse.__name__ = what
+    return parse
+
+
+_scale = _checked(float, "positive scale factor", lambda v: 0 < v < math.inf)
+_horizon = _checked(int, "non-negative step count", lambda v: v >= 0)
+_batch = _checked(int, "positive batch size", lambda v: v > 0)
 
 
 def _obs_flags() -> argparse.ArgumentParser:
@@ -165,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiment.add_argument("name", choices=list(EXPERIMENT_NAMES))
     experiment.add_argument(
-        "--scale", type=float, default=0.01, help="TPC-R scale factor"
+        "--scale", type=_scale, default=0.01, help="TPC-R scale factor"
     )
 
     calibrate = sub.add_parser(
@@ -173,10 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="measure the paper view's batch cost functions",
         parents=[obs_flags],
     )
-    calibrate.add_argument("--scale", type=float, default=0.01)
+    calibrate.add_argument("--scale", type=_scale, default=0.01)
     calibrate.add_argument(
         "--batches",
-        type=int,
+        type=_batch,
         nargs="+",
         default=[10, 25, 50, 100, 200, 400],
         help="batch sizes to sweep",
@@ -187,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit TPC-R tables as dbgen-style .tbl files",
         parents=[obs_flags],
     )
-    generate.add_argument("--scale", type=float, default=0.01)
+    generate.add_argument("--scale", type=_scale, default=0.01)
     generate.add_argument("--seed", type=int, default=19721212)
     generate.add_argument(
         "--tables",
@@ -204,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[obs_flags],
     )
     sql.add_argument("query", help="the SELECT statement")
-    sql.add_argument("--scale", type=float, default=0.01)
+    sql.add_argument("--scale", type=_scale, default=0.01)
     sql.add_argument(
         "--max-rows", type=int, default=20, help="truncate printed output"
     )
@@ -218,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[obs_flags],
     )
     explain.add_argument("query", help="the SELECT statement")
-    explain.add_argument("--scale", type=float, default=0.01)
+    explain.add_argument("--scale", type=_scale, default=0.01)
     explain.add_argument(
         "--analyze",
         action="store_true",
@@ -236,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         parents=[obs_flags],
     )
-    timeline.add_argument("--scale", type=float, default=0.01)
-    timeline.add_argument("--horizon", type=int, default=200)
+    timeline.add_argument("--scale", type=_scale, default=0.01)
+    timeline.add_argument("--horizon", type=_horizon, default=200)
     timeline.add_argument(
         "--policies",
         nargs="+",
@@ -276,9 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="online",
         help="policy for the sample workload (ignored with --log)",
     )
-    why.add_argument("--scale", type=float, default=0.01)
+    why.add_argument("--scale", type=_scale, default=0.01)
     why.add_argument(
-        "--horizon", type=int, default=60,
+        "--horizon", type=_horizon, default=60,
         help="sample-workload length in steps (ignored with --log)",
     )
 
@@ -302,9 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     control_log.add_argument(
         "--view", default=None, help="only events for this view"
     )
-    control_log.add_argument("--scale", type=float, default=0.01)
+    control_log.add_argument("--scale", type=_scale, default=0.01)
     control_log.add_argument(
-        "--horizon", type=int, default=80,
+        "--horizon", type=_horizon, default=80,
         help="sample-workload length in steps (ignored with --log)",
     )
 
@@ -316,9 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         parents=[obs_flags],
     )
-    control_ablation.add_argument("--scale", type=float, default=0.01)
+    control_ablation.add_argument("--scale", type=_scale, default=0.01)
     control_ablation.add_argument(
-        "--horizon", type=int, default=120,
+        "--horizon", type=_horizon, default=120,
         help="steps per variant run",
     )
     control_ablation.add_argument(
@@ -461,13 +486,15 @@ def _run_experiment(args) -> int:
     from repro import experiments as exp
 
     if args.name == "ablations":
-        for runner in (
-            exp.run_astar_heuristic_ablation,
-            exp.run_plan_class_ablation,
-            exp.run_estimator_ablation,
-            exp.run_cost_family_study,
+        scaled = {"scale": args.scale}
+        for runner, kwargs in (
+            (exp.run_astar_heuristic_ablation, scaled),
+            (exp.run_plan_class_ablation, scaled),
+            (exp.run_estimator_ablation, scaled),
+            (exp.run_cost_family_study, {}),  # synthetic costs: no TPC-R data
+            (exp.run_replanning_study, scaled),
         ):
-            print(runner().format())
+            print(runner(**kwargs).format())
             print()
         return 0
     runners = {
@@ -491,6 +518,9 @@ def _run_calibrate(args) -> int:
     from repro.experiments import common
     from repro.ivm.calibration import measure_cost_function
 
+    if len(args.batches) < 2:
+        print("error: --batches needs at least two sizes to fit", file=sys.stderr)
+        return 2
     setup = common.build_setup(scale=args.scale, update_seed=321)
     for alias, updater in (
         ("PS", setup.ps_updater),

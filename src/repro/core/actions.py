@@ -68,28 +68,6 @@ def enumerate_greedy_minimal_actions(
         yield tuple(action)
 
 
-def cheapest_greedy_minimal_action(
-    state: Vector, problem: CostModel
-) -> Vector:
-    """The greedy minimal valid action with the lowest immediate cost.
-
-    A convenient deterministic tie-breaker used by fallback paths (e.g.
-    ADAPT when live arrivals deviate from the planned sequence).  Raises
-    ``ValueError`` when ``state`` is not full (no action is needed then).
-    """
-    best: Vector | None = None
-    best_cost = float("inf")
-    for action in enumerate_greedy_minimal_actions(state, problem):
-        cost = problem.refresh_cost(action)
-        if cost < best_cost:
-            best, best_cost = action, cost
-    if best is None:
-        raise ValueError(
-            f"state {state} is not full; no forced action exists"
-        )
-    return best
-
-
 def minimize_action(action: Vector, state: Vector, problem: CostModel) -> Vector:
     """``MinimizeAction(q, s)`` from Section 3.2 of the paper.
 

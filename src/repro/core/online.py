@@ -34,7 +34,7 @@ from repro.obs import decisions
 from repro.core.actions import enumerate_greedy_minimal_actions
 from repro.core.costfuncs import CostFunction
 from repro.core.policies import Policy
-from repro.core.problem import ProblemInstance, Vector, zero_vector
+from repro.core.problem import Vector, zero_vector
 
 _HORIZON_CAP = 1 << 22  # "never" for TimeToFull purposes
 
@@ -268,16 +268,3 @@ class OnlinePolicy(Policy):
 
     def __repr__(self) -> str:
         return f"OnlinePolicy(estimator={self.estimator!r})"
-
-
-def make_oracle_online_policy(problem: ProblemInstance) -> OnlinePolicy:
-    """ONLINE with a rate oracle: fixed rates equal to the true mean rates.
-
-    Used by the estimator-quality ablation to separate the heuristic's
-    intrinsic gap from the error introduced by rate estimation.
-    """
-    total = problem.total_arrivals()
-    steps = problem.horizon + 1
-    rates = [k / steps for k in total]
-    estimator = TimeToFullEstimator(mode="fixed", fixed_rates=rates)
-    return OnlinePolicy(estimator=estimator)

@@ -250,16 +250,6 @@ class ProblemInstance(CostModel):
             self._prefix_totals = totals
         return self._prefix_totals
 
-    def state_at(self, t1: int, state: Vector, t2: int) -> Vector:
-        """The pre-action state at ``t2`` reached from post-action ``state``
-        at ``t1`` with no action in between: ``state`` plus all arrivals in
-        ``(t1, t2]``."""
-        prefix = self.prefix_totals()
-        upto, since = prefix[t2 + 1], prefix[t1 + 1]
-        return tuple(
-            s + a - b for s, a, b in zip(state, upto, since, strict=True)
-        )
-
     def future_arrivals(self, t: int) -> Vector:
         """Total modifications per table arriving strictly after time ``t``."""
         idx = t + 1

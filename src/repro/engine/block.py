@@ -35,11 +35,10 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Sequence
 
-#: Default rows per block.  Measured, not guessed: see
-#: ``benchmarks/bench_block_size_sweep.py`` -- wall time on the three_way
-#: workload is flat within noise from 64 upward, so we take the first size
-#: on the plateau (small blocks keep per-block working sets cache-friendly
-#: and the fill histogram informative).
+#: Default rows per block.  Charges do not depend on it
+#: (``tests/integration/test_block_equivalence.py``); wall-clock does, and
+#: the ``query_scan`` harness workload and every count in ``pins.json``
+#: were recorded at 256, so a change of default is a harness claim.
 DEFAULT_BLOCK_SIZE = 256
 
 

@@ -55,10 +55,6 @@ class CostModel:
     sort_item: float = 0.02  # one item's share of a sort/recompute pass
     startup: float = 0.5  # fixed per-statement setup (parse/optimize)
 
-    def charge_table(self) -> "OperationCounter":
-        """Convenience: a fresh counter bound to this model."""
-        return OperationCounter(model=self)
-
 
 @dataclass
 class OperationCounter:

@@ -240,9 +240,5 @@ class Snapshot:
         """
         return self.table.index_on(column) is not None
 
-    def column_position(self, column: str) -> int:
-        """Position of ``column`` in stored rows."""
-        return self.schema.position(column)
-
     def __repr__(self) -> str:
         return f"Snapshot({self.name!r}, lsn={self.lsn})"

@@ -138,10 +138,6 @@ class Schema:
             for column, values in zip(self.columns, zip(*rows))
         )))
 
-    def row_dict(self, row: Sequence[Any]) -> dict[str, Any]:
-        """Present a stored row as a name->value mapping (for display/tests)."""
-        return dict(zip(self.names, row))
-
     def __repr__(self) -> str:
         cols = ", ".join(f"{c.name}:{c.type.value}" for c in self.columns)
         return f"Schema({cols})"

@@ -96,14 +96,6 @@ class ExperimentSetup:
     supplier_updater: SupplierNationUpdater
     scale: float
 
-    def updater_for(self, alias: str):
-        """The update stream feeding scheduled alias ``alias``."""
-        if alias == "PS":
-            return self.ps_updater
-        if alias == "S":
-            return self.supplier_updater
-        raise KeyError(f"no update stream for alias {alias!r}")
-
     def apply_arrivals(self, arrivals: Sequence[int]) -> None:
         """Apply one step's modifications: ``(partsupp_count, supplier_count)``."""
         ps_count, s_count = arrivals

@@ -37,12 +37,3 @@ def _render_cell(cell: Any, precision: int) -> str:
     if isinstance(cell, float):
         return f"{cell:.{precision}f}"
     return str(cell)
-
-
-def format_kv_block(title: str, pairs: Sequence[tuple[str, Any]]) -> str:
-    """Render a key/value parameter block."""
-    width = max(len(k) for k, __ in pairs)
-    lines = [title, "-" * len(title)]
-    for key, value in pairs:
-        lines.append(f"{key.ljust(width)} : {value}")
-    return "\n".join(lines)

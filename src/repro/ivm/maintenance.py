@@ -146,20 +146,3 @@ def full_refresh(view: MaterializedView) -> None:
         pending = view.deltas[alias].size
         if pending:
             apply_batch(view, alias, pending)
-
-
-def refresh_cost_breakdown(view: MaterializedView) -> dict[str, float]:
-    """Per-alias simulated cost of a hypothetical full refresh, measured.
-
-    Runs each alias's flush inside a cost window.  Mutates the view (the
-    refresh really happens); callers wanting a dry estimate should use the
-    calibrated cost functions instead.
-    """
-    breakdown: dict[str, float] = {}
-    for alias in view.spec.aliases:
-        pending = view.deltas[alias].size
-        with view.database.counter.window() as window:
-            if pending:
-                apply_batch(view, alias, pending)
-        breakdown[alias] = window.elapsed_ms
-    return breakdown

@@ -180,10 +180,6 @@ class MaterializedView:
         """Fold freshly derived join-result rows into the contents."""
         self._fold(self._fold_input(rows, self._resolve_fold(layout), +1), +1)
 
-    def apply_delete_rows(self, rows: list[tuple], layout: dict[str, int]) -> None:
-        """Remove derived join-result rows from the contents."""
-        self._fold(self._fold_input(rows, self._resolve_fold(layout), -1), -1)
-
     def apply_delta(self, alias: str, evaluation: Evaluation, sign: int) -> None:
         """Fold (``sign`` > 0) or remove the rows of one evaluation of
         ``delta_specs[alias]``.

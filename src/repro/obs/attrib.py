@@ -410,9 +410,8 @@ def render_profile(profile: QueryProfile) -> str:
 def aggregate_profiles(profiles: list[dict]) -> dict:
     """Fold profile dicts into per-operator-kind totals.
 
-    The shape that lands in ``benchmarks/results/*.json`` under
-    ``profile`` and that ``report_trajectory.py`` renders as the
-    top-operators table::
+    The layered harness reads its ``engine.op.<kind>.*`` per-layer
+    metrics out of ``operators``::
 
         {"queries": N, "sim_ms": total,
          "operators": {kind: {"nodes": n, "rows_out": r,

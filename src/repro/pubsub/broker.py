@@ -20,7 +20,7 @@ running the subscription's scheduling policy.  On every broker tick:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 from repro import obs
 from repro.engine.database import Database
@@ -185,11 +185,6 @@ class PubSubBroker:
             for n in self._registration(name).notifications
             if not n.within_guarantee
         )
-
-    def iter_registrations(self) -> Iterator[tuple[str, ViewMaintainer]]:
-        """(name, maintainer) pairs, for diagnostics."""
-        for name, registration in self._registrations.items():
-            yield name, registration.maintainer
 
     # ------------------------------------------------------------------
 

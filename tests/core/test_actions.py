@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.actions import (
-    cheapest_greedy_minimal_action,
     enumerate_greedy_minimal_actions,
     minimize_action,
 )
@@ -80,21 +79,6 @@ class TestEnumeration:
         prob = make_problem([LinearCost(1.0)] * n, limit=1.0)
         with pytest.raises(ValueError, match="enumeration limit"):
             list(enumerate_greedy_minimal_actions((1,) * n, prob))
-
-
-class TestCheapest:
-    def test_picks_lowest_cost(self):
-        prob = make_problem(
-            [LinearCost(slope=1.0, setup=10.0), LinearCost(slope=1.0)],
-            limit=12.0,
-        )
-        # Options: empty table 0 (cost 11) or table 1 (cost 12).
-        assert cheapest_greedy_minimal_action((1, 12), prob) == (1, 0)
-
-    def test_raises_on_nonfull(self):
-        prob = make_problem([LinearCost(1.0)], limit=10.0)
-        with pytest.raises(ValueError, match="not full"):
-            cheapest_greedy_minimal_action((3,), prob)
 
 
 class TestMinimizeAction:

@@ -6,11 +6,7 @@ from repro.core.adapt import AdaptPolicy, adapt_plan
 from repro.core.astar import find_optimal_lgm_plan
 from repro.core.costfuncs import LinearCost
 from repro.core.naive import NaivePolicy
-from repro.core.online import (
-    OnlinePolicy,
-    TimeToFullEstimator,
-    make_oracle_online_policy,
-)
+from repro.core.online import OnlinePolicy, TimeToFullEstimator
 from repro.core.plan import Plan
 from repro.core.policies import Policy, PolicyError, ReplayPolicy
 from repro.core.problem import ProblemInstance
@@ -71,12 +67,6 @@ class TestOnline:
         policy = OnlinePolicy()
         trace = simulate_policy(problem, policy)
         assert policy.spent == pytest.approx(trace.total_cost)
-
-    def test_oracle_variant_runs(self):
-        problem = asymmetric_instance()
-        policy = make_oracle_online_policy(problem)
-        trace = simulate_policy(problem, policy)
-        trace.plan.check_valid(problem)
 
 
 class TestTimeToFullEstimator:

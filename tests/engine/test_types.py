@@ -74,10 +74,6 @@ class TestSchema:
         with pytest.raises(SchemaError):
             schema.validate_row(["x", 2.0])
 
-    def test_row_dict(self):
-        schema = Schema.of(a=ColumnType.INT, b=ColumnType.STR)
-        assert schema.row_dict((1, "x")) == {"a": 1, "b": "x"}
-
     def test_equality_and_hash(self):
         s1 = Schema.of(a=ColumnType.INT)
         s2 = Schema.of(a=ColumnType.INT)

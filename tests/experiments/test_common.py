@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.costfuncs import LinearCost, TabulatedCost
 from repro.experiments import common
-from repro.experiments.reporting import format_kv_block, format_table
+from repro.experiments.reporting import format_table
 from tests.conftest import TEST_SCALE
 
 
@@ -15,13 +15,6 @@ class TestBuildSetup:
         assert db.table("supplier").index_on("suppkey") is not None
         assert db.table("partsupp").index_on("suppkey") is None  # the knob
         assert setup.view.scalar() is not None
-
-    def test_updater_for(self):
-        setup = common.build_setup(scale=TEST_SCALE)
-        assert setup.updater_for("PS") is setup.ps_updater
-        assert setup.updater_for("S") is setup.supplier_updater
-        with pytest.raises(KeyError):
-            setup.updater_for("N")
 
     def test_apply_arrivals(self):
         setup = common.build_setup(scale=TEST_SCALE)
@@ -82,7 +75,3 @@ class TestReportingHelpers:
     def test_format_table_bool_rendering(self):
         text = format_table("T", ["x"], [(True,), (False,)])
         assert "yes" in text and "no" in text
-
-    def test_format_kv_block(self):
-        text = format_kv_block("Params", [("alpha", 1), ("beta-long", "x")])
-        assert "alpha" in text and "beta-long : x" in text

@@ -15,7 +15,7 @@ from repro.engine.errors import ExecutionError
 from repro.engine.expr import col, lit
 from repro.engine.query import AggregateSpec, JoinSpec, QuerySpec
 from repro.engine.types import ColumnType, Schema
-from repro.ivm.maintenance import apply_batch, full_refresh, refresh_cost_breakdown
+from repro.ivm.maintenance import apply_batch, full_refresh
 from repro.ivm.view import MaterializedView
 
 
@@ -277,16 +277,6 @@ class TestRefreshHelpers:
         full_refresh(view)
         assert not view.is_stale()
         assert view.contents() == view.recompute()
-
-    def test_refresh_cost_breakdown(self):
-        db = make_join_db()
-        view = MaterializedView("v", db, join_spec())
-        db.table("r").insert((0, 1))
-        view.deltas["R"].pull()
-        breakdown = refresh_cost_breakdown(view)
-        assert breakdown["R"] > 0
-        assert breakdown["S"] == 0.0
-        assert not view.is_stale()
 
     def test_pending_sizes(self):
         db = make_join_db()

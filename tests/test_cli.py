@@ -491,3 +491,56 @@ class TestExperimentCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "Figure 1" in out
+
+    def test_ablations_honours_scale(self, monkeypatch, capsys):
+        """``--scale`` reaches every ablation driver that takes it, and
+        the replanning study is one of the tables (nothing runs: the
+        drivers are replaced by recorders of their keyword arguments)."""
+        from types import SimpleNamespace
+
+        from repro import experiments
+
+        scaled = (
+            "run_astar_heuristic_ablation",
+            "run_plan_class_ablation",
+            "run_estimator_ablation",
+            "run_replanning_study",
+        )
+        calls: dict[str, dict] = {}
+
+        def recording(name):
+            def run(**kwargs):
+                calls[name] = kwargs
+                return SimpleNamespace(format=lambda: name)
+
+            return run
+
+        for name in (*scaled, "run_cost_family_study"):
+            monkeypatch.setattr(experiments, name, recording(name))
+        assert main(["experiment", "ablations", "--scale", "0.002"]) == 0
+        assert calls.pop("run_cost_family_study") == {}
+        assert calls == {name: {"scale": 0.002} for name in scaled}
+        assert capsys.readouterr().out.split()[-1] == "run_replanning_study"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "fig1", "--scale", "0"],
+            ["sql", "SELECT COUNT(*) FROM region R", "--scale", "-1"],
+            ["why", "--horizon", "-3"],
+            ["calibrate", "--batches", "0"],
+            ["calibrate", "--batches", "5"],  # one size: nothing to fit
+        ],
+        ids=["scale-zero", "scale-negative", "horizon", "batches-zero", "batches-one"],
+    )
+    def test_nonpositive_arguments_are_usage_errors(self, argv, capsys):
+        """Out-of-range numbers exit 2 with a message naming the flag,
+        not with a traceback from the library check they would reach."""
+        try:
+            code = main(argv)
+        except SystemExit as refused:
+            code = refused.code
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert next(a for a in argv if a.startswith("--")) in captured.err
