@@ -47,11 +47,32 @@ class CostFunction(ABC):
 
     Subclasses implement :meth:`cost`.  Instances are callable:
     ``f(k)`` is the cost of processing ``k`` modifications in one batch.
+
+    The families of this module are equal **by value**: two functions of
+    one family with equal parameters (:meth:`_value`) are equal, hash
+    alike and price every batch with bit-identical floats, which is what
+    lets views with equal cost functions share one
+    :class:`~repro.core.problem.CostModel`.
     """
 
     @abstractmethod
     def cost(self, k: int) -> float:
         """Return the cost of processing a batch of ``k`` modifications."""
+
+    def _value(self) -> tuple:
+        """The parameters that determine ``f`` within its family.
+
+        A family that does not say is equal only to itself.  A subclass
+        is another family (its ``cost`` may differ), never equal to its
+        parent; one that adds parameters extends this.
+        """
+        return (id(self),)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and other._value() == self._value()
+
+    def __hash__(self) -> int:
+        return hash((type(self), self._value()))
 
     def __call__(self, k: int) -> float:
         if k < 0:
@@ -163,18 +184,11 @@ class LinearCost(CostFunction):
             return hi
         return min(hi, int((budget - self.setup) / self.slope + 1e-12))
 
+    def _value(self) -> tuple:
+        return (self.slope, self.setup)
+
     def __repr__(self) -> str:
         return f"LinearCost(slope={self.slope!r}, setup={self.setup!r})"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, LinearCost)
-            and self.slope == other.slope
-            and self.setup == other.setup
-        )
-
-    def __hash__(self) -> int:
-        return hash((LinearCost, self.slope, self.setup))
 
 
 class ConcaveCost(CostFunction):
@@ -195,6 +209,9 @@ class ConcaveCost(CostFunction):
 
     def cost(self, k: int) -> float:
         return self.coeff * k**self.exponent
+
+    def _value(self) -> tuple:
+        return (self.coeff, self.exponent)
 
     def __repr__(self) -> str:
         return f"ConcaveCost(coeff={self.coeff!r}, exponent={self.exponent!r})"
@@ -222,6 +239,9 @@ class BlockIOCost(CostFunction):
     def cost(self, k: int) -> float:
         blocks = -(-k // self.block_size)  # ceil division
         return blocks * self.io_cost + self.slope * k
+
+    def _value(self) -> tuple:
+        return (self.io_cost, self.block_size, self.slope)
 
     def __repr__(self) -> str:
         return (
@@ -259,6 +279,9 @@ class StepCost(CostFunction):
         if k <= self.knee:
             return (self.eps * k / 2.0) * self.limit
         return (1.0 + self.eps / 2.0) * self.limit
+
+    def _value(self) -> tuple:
+        return (self.eps, self.limit)
 
     def __repr__(self) -> str:
         return f"StepCost(eps={self.eps!r}, limit={self.limit!r})"
@@ -301,6 +324,9 @@ class PiecewiseLinearCost(CostFunction):
         k0, c0 = self.knots[idx]
         k1, c1 = self.knots[idx + 1]
         return c0 + (c1 - c0) * (k - k0) / (k1 - k0)
+
+    def _value(self) -> tuple:
+        return tuple(self.knots)
 
     def __repr__(self) -> str:
         return f"PiecewiseLinearCost({self.knots!r})"
@@ -354,6 +380,9 @@ class TabulatedCost(CostFunction):
         k0, c0 = self.samples[idx]
         k1, c1 = self.samples[idx + 1]
         return c0 + (c1 - c0) * (k - k0) / (k1 - k0)
+
+    def _value(self) -> tuple:
+        return tuple(self.samples)
 
     def __repr__(self) -> str:
         head = self.samples[:3]

@@ -8,15 +8,26 @@ Figure 5) -- beside the *accounting* -- where the simulated cost went:
 how much of it was join work (index probes / hash build+probe), how much
 aggregate upkeep, and what backlog was left behind.
 
-Ledgers are always on: entries are tiny fixed-size records appended once
-per round, so there is nothing to toggle.  Metric export (``ivm.view.*``)
-stays gated on an installed recorder as usual.
+Ledgers are always on: every round appends one entry, so there is nothing
+to toggle, and ``ledger.entries`` reads one entry per view per round.  A
+round that did work appends a record of its own.  A round that did none
+-- idle, or a flush the shared scan's fingerprint suppressed whole -- has
+nothing of the view's own in it, so every such view-round of one
+maintenance round that agrees on the decision (arrivals, state, action,
+prediction, backlog) appends the **same** immutable entry
+(:class:`~repro.ivm.sharedscan.SharedScanRound` keeps them for the round):
+an idle view-round costs a list append, not a ten-field object.  Such an
+entry is unwritable: the dataclass is frozen and its ``charges`` is the
+read-only :data:`NO_CHARGES`; its ``sim_ms`` and ``wall_ms`` are 0.0,
+nothing having been metered.  Metric export (``ivm.view.*``) stays gated
+on an installed recorder as usual.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from repro.engine.costmodel import CostModel, OperationCounter, float_total
@@ -25,6 +36,10 @@ from repro.engine.costmodel import CostModel, OperationCounter, float_total
 JOIN_FIELDS = ("index_probes", "hash_builds", "hash_probes")
 #: Counter fields whose weighted cost we attribute to aggregate upkeep.
 AGG_FIELDS = ("agg_updates", "sort_items")
+#: The charges of a round that did no work.  Read-only, because the entry
+#: that holds it may sit on every ledger of a fleet (and, being a mapping
+#: proxy, not copyable: serialise ``dict(entry.charges)``).
+NO_CHARGES: Mapping[str, int] = MappingProxyType({})
 
 
 def _weighted_ms(charges: Mapping[str, int], model: CostModel, fields) -> float:
@@ -50,7 +65,7 @@ class RoundEntry:
     wall_ms: float
     backlog: int
     #: Non-zero counter-field deltas charged during this round.
-    charges: dict[str, int]
+    charges: Mapping[str, int]
 
     @property
     def mods_applied(self) -> int:

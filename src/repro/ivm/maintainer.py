@@ -22,6 +22,13 @@ Every round -- idle, flushed, suppressed or forced -- ends in one
 :class:`~repro.ivm.ledger.RoundEntry` on the view's ledger, recording both
 the predicted cost of the action and the engine-measured actual cost, so
 their divergence is observable (Figure 5 plots it).
+
+What a view-round needs that is not the view's own state -- Definition 1
+and the prediction for its ``(model, pre, action, forced)``, its delta
+windows, the entry of a round that did no work -- it looks up in the
+round (:class:`~repro.ivm.sharedscan.SharedScanRound`) and works out
+only when it is the first to ask.  Under a coordinator the round is the
+fleet's; a maintainer stepped alone makes its own, and finds it empty.
 """
 
 from __future__ import annotations
@@ -35,8 +42,9 @@ from repro.obs import calibration as obs_calibration
 from repro.core.costfuncs import CostFunction
 from repro.core.policies import Policy, PolicyError
 from repro.core.problem import CostModel
-from repro.ivm.ledger import RoundEntry, ViewLedger
+from repro.ivm.ledger import NO_CHARGES, RoundEntry, ViewLedger
 from repro.ivm.maintenance import apply_batch
+from repro.ivm.sharedscan import SharedScanRound
 from repro.ivm.view import MaterializedView
 
 
@@ -79,8 +87,19 @@ class ViewMaintainer:
                 f"need one cost function per scheduled alias "
                 f"{self.aliases}, got {len(cost_functions)}"
             )
+        #: The scheduled delta tables in state-vector order, and the rest
+        #: (ingested every round, never counted) by alias.  Fixed here: a
+        #: view's delta tables are never replaced.
+        self._scheduled = tuple(view.deltas[a] for a in self.aliases)
+        self._unscheduled = tuple(
+            (alias, delta)
+            for alias, delta in view.deltas.items()
+            if alias not in self.aliases
+        )
         #: Prices states and decides Definition 1 for this view; never
         #: the policy (also a ``CostModel``) whose actions it checks.
+        #: Only ever read: a coordinator hands views with equal cost
+        #: functions and limit the same one.
         self.model = CostModel(cost_functions, limit)
         self.limit = self.model.limit
         self.policy = policy
@@ -95,7 +114,7 @@ class ViewMaintainer:
 
     def pre_state(self) -> tuple[int, ...]:
         """Current per-alias pending counts (after a pull)."""
-        return tuple(self.view.deltas[a].size for a in self.aliases)
+        return tuple([delta.size for delta in self._scheduled])
 
     def set_policy(self, policy: Policy) -> Policy:
         """Swap the scheduling policy mid-run; returns the previous one.
@@ -145,10 +164,9 @@ class ViewMaintainer:
         self._clock = self._clock + 1 if t is None else t
         t = self._clock
         # Every base table is ingested; only the scheduled ones are counted.
-        pulled = {
-            alias: delta.pull() for alias, delta in self.view.deltas.items()
-        }
-        arrivals = tuple(pulled[alias] for alias in self.aliases)
+        for _, delta in self._unscheduled:
+            delta.pull()
+        arrivals = tuple([delta.pull() for delta in self._scheduled])
         self.policy.observe(t, arrivals)
         pre = self.pre_state()
         if forced:
@@ -156,7 +174,7 @@ class ViewMaintainer:
         # Decisions emitted by the policy are tagged with the owning view
         # so execute_planned can join them with the round's actual cost.
         with events.step(self.view.name, t):
-            action = tuple(int(x) for x in self.policy.decide(t, pre))
+            action = tuple(map(int, self.policy.decide(t, pre)))
         return t, arrivals, pre, action
 
     # ------------------------------------------------------------------
@@ -168,33 +186,43 @@ class ViewMaintainer:
         pre: tuple[int, ...],
         action: tuple[int, ...],
         forced: bool = False,
-        shared=None,
+        shared: SharedScanRound | None = None,
     ) -> RoundEntry:
         """Execute one planned round (the second half of :meth:`step`).
 
-        ``shared`` is an already-run
-        :class:`~repro.ivm.sharedscan.SharedScanRound` covering this
-        round's planned windows; when given, per-alias flushes consume
-        its pre-scanned batches (and skip fingerprint-suppressed no-op
-        windows entirely) instead of re-reading the mod log, and fold a
-        delta query another view of the round already ran instead of
-        running it again -- charged as if they had.
+        ``shared`` is the round this view-round belongs to.  When its
+        scan ran -- a coordinator's, covering this round's planned
+        windows -- per-alias flushes consume its pre-scanned batches (and
+        skip fingerprint-suppressed no-op windows entirely) instead of
+        re-reading the mod log, and fold a delta query another view of
+        the round already ran instead of running it again -- charged as
+        if they had.  Not given, the view-round is a round of its own.
 
         Every round takes the same path: check, flush, then one ledger
         entry, the ``ivm.view.*`` series, ``record_action`` and the
-        decision join.
+        decision join.  A :class:`~repro.core.policies.PolicyError`
+        leaves no entry and nothing applied.
         """
-        for alias in self.view.spec.aliases:
-            if alias not in self.aliases and self.view.deltas[alias].size:
+        for alias, delta in self._unscheduled:
+            if delta.size:
                 raise PolicyError(
                     f"unscheduled base table {alias!r} received "
                     f"modifications; add it to scheduled_aliases"
                 )
+        if shared is None:
+            shared = SharedScanRound(self.view.database)
         model = self.model
-        try:
-            post, _ = model.check_action(pre, action, forced)
-        except ValueError as exc:
-            raise PolicyError(f"{self.policy!r} at t={t}: {exc}") from None
+        case = (model, pre, action, forced)
+        decided = shared.decided.get(case)
+        if decided is None:
+            try:
+                post, _ = model.check_action(pre, action, forced)
+            except ValueError as exc:
+                raise PolicyError(f"{self.policy!r} at t={t}: {exc}") from None
+            decided = shared.decided[case] = (
+                sum(post), model.refresh_cost(action)
+            )
+        backlog, predicted = decided
         # The round's two telemetry probes: the recorder, and the event
         # kinds somebody wants (an empty dict with telemetry off).
         recorder = obs.get_recorder()
@@ -213,86 +241,58 @@ class ViewMaintainer:
                 t=t,
                 source=f"ivm:{self.view.name}",
             )
-        predicted = model.refresh_cost(action)
-        sim_ms = wall_ms = 0.0
-        charges: dict[str, int] = {}
-        flush_ms: dict[str, float] = {}
-        # A zero-work round skips the metering -- cost window, counter
-        # snapshots, wall timer, step tag, spans: at fleet scale most
-        # rounds are idle, and this is what keeps them cheap -- and books
-        # zeros through the same lines as every other round.
+        view = self.view
+        # (alias, k, f_i's prices, the pre-scanned window or None).
+        flushes = []
+        work = False
         if any(action):
-            view = self.view
+            scanned = shared.ran
+            for alias, k, prices in zip(
+                self.aliases, action, model.cost_tables
+            ):
+                if k:
+                    batch = shared.batch_for(view, alias, k) if scanned else None
+                    flushes.append((alias, k, prices, batch))
+                    work = work or batch is None or not batch.suppressed
+        flush_ms: dict[str, float] = {}
+        if work:
             counter = view.database.counter
             before = counter.snapshot()
-            # Timing each flush is worth it only if someone consumes the
-            # sample: a recorder, the calibration ring or a drift subscriber.
-            calibrating = (
-                recorder is not None
-                or "calibration" in wanted
-                or "drift" in wanted
-            )
             wall_start = time.perf_counter()
             # Any query profile captured while flushing carries the view
             # name and round, so EXPLAIN ANALYZE output and profile sinks
             # can attribute maintenance work to its owner.
             with counter.window() as window, events.step(view.name, t):
-                for alias, k, prices in zip(
-                    self.aliases, action, model.cost_tables
-                ):
-                    if not k:
-                        continue
-                    batch = None
-                    if shared is not None:
-                        batch = shared.batch_for(view, alias, k)
-                        if batch.suppressed:
-                            # The fingerprint proved every event in the
-                            # window a no-op for this view: advance the
-                            # delta without touching the join pipeline.
-                            view.deltas[alias].advance(k)
-                            if recorder is not None:
-                                recorder.counter("ivm.skip.fingerprint")
-                            continue
-                    if not calibrating:
-                        apply_batch(view, alias, k, batch=batch)
-                        continue
-                    # Per-alias flush: record batch size k against both the
-                    # model's prediction f_i(k) and the engine-measured cost
-                    # -- the exact quantity the paper's cost functions model.
-                    with counter.window() as flush_window:
-                        with obs.trace(
-                            "ivm.flush", alias=alias, k=k, forced=forced
-                        ) as span:
-                            apply_batch(view, alias, k, batch=batch)
-                        span.set(sim_ms=flush_window.elapsed_ms)
-                    flush_ms[alias] = flush_window.elapsed_ms
-                    obs_calibration.observe_flush(
-                        view.name, t, alias, k,
-                        prices[k], flush_window.elapsed_ms,
-                    )
-                    if recorder is not None:
-                        recorder.counter("ivm.flushes")
-                        recorder.observe("ivm.flush.batch_size", k)
-                        recorder.observe("ivm.flush.predicted_ms", prices[k])
-                        recorder.observe(
-                            "ivm.flush.actual_ms", flush_window.elapsed_ms
-                        )
-            wall_ms = (time.perf_counter() - wall_start) * 1e3
-            sim_ms = window.elapsed_ms
-            charges = counter.since(before)
-        entry = RoundEntry(
-            t=t,
-            arrivals=arrivals,
-            pre_state=pre,
-            action=action,
-            forced=forced,
-            predicted_ms=predicted,
-            sim_ms=sim_ms,
-            wall_ms=wall_ms,
-            backlog=sum(post),
-            charges=charges,
-        )
+                flush_ms = self._flush(flushes, t, forced, recorder, wanted)
+            entry = RoundEntry(
+                t=t,
+                arrivals=arrivals,
+                pre_state=pre,
+                action=action,
+                forced=forced,
+                predicted_ms=predicted,
+                sim_ms=window.elapsed_ms,
+                wall_ms=(time.perf_counter() - wall_start) * 1e3,
+                backlog=backlog,
+                charges=counter.since(before),
+            )
+        else:
+            # A zero-work round -- idle, or every window suppressed --
+            # skips the metering: cost window, counter snapshots, wall
+            # timer, step tag, spans.  At fleet scale most rounds are
+            # such, and nothing in their entry is the view's own.
+            if flushes:
+                self._flush(flushes, t, forced, recorder, wanted)
+            key = (t, arrivals, pre, action, forced, predicted, backlog)
+            entry = shared.zero_work.get(key)
+            if entry is None:
+                entry = shared.zero_work[key] = RoundEntry(
+                    t, arrivals, pre, action, forced, predicted,
+                    sim_ms=0.0, wall_ms=0.0, backlog=backlog,
+                    charges=NO_CHARGES,
+                )
         self.ledger.record(entry)
+        sim_ms, charges = entry.sim_ms, entry.charges
         if recorder is not None:
             vid = self.ledger.metric_id
             recorder.counter(f"ivm.view.{vid}.rounds")
@@ -317,6 +317,54 @@ class ViewMaintainer:
                     f"expected {expected!r}, got {actual!r}"
                 )
         return entry
+
+    def _flush(self, flushes, t: int, forced: bool, recorder, wanted) -> dict:
+        """Apply the round's per-alias flushes in order; returns the
+        simulated ms of each that was timed, by alias."""
+        view = self.view
+        flush_ms: dict[str, float] = {}
+        # Timing each flush is worth it only if someone consumes the
+        # sample: a recorder, the calibration ring or a drift subscriber.
+        calibrating = (
+            recorder is not None
+            or "calibration" in wanted
+            or "drift" in wanted
+        )
+        for alias, k, prices, batch in flushes:
+            if batch is not None and batch.suppressed:
+                # The fingerprint proved every event in the window a
+                # no-op for this view: advance the delta without
+                # touching the join pipeline.
+                view.deltas[alias].advance(k)
+                if recorder is not None:
+                    recorder.counter("ivm.skip.fingerprint")
+                continue
+            if not calibrating:
+                apply_batch(view, alias, k, batch=batch)
+                continue
+            # Per-alias flush: record batch size k against both the
+            # model's prediction f_i(k) and the engine-measured cost
+            # -- the exact quantity the paper's cost functions model.
+            counter = view.database.counter
+            with counter.window() as flush_window:
+                with obs.trace(
+                    "ivm.flush", alias=alias, k=k, forced=forced
+                ) as span:
+                    apply_batch(view, alias, k, batch=batch)
+                span.set(sim_ms=flush_window.elapsed_ms)
+            flush_ms[alias] = flush_window.elapsed_ms
+            obs_calibration.observe_flush(
+                view.name, t, alias, k,
+                prices[k], flush_window.elapsed_ms,
+            )
+            if recorder is not None:
+                recorder.counter("ivm.flushes")
+                recorder.observe("ivm.flush.batch_size", k)
+                recorder.observe("ivm.flush.predicted_ms", prices[k])
+                recorder.observe(
+                    "ivm.flush.actual_ms", flush_window.elapsed_ms
+                )
+        return flush_ms
 
     def __repr__(self) -> str:
         return (

@@ -34,10 +34,37 @@ are charged again to every view that reuses it -- so simulated costs are
 exactly what they were; only the wall-clock work is shared.  Nothing
 selects this: a fleet of one simply never finds a result to reuse.
 
-After each round the coordinator asks every touched
-:class:`~repro.engine.table.ModLog` to truncate history all subscribing
-views have incorporated, so a long-running fleet does not accumulate an
-unbounded modification log.
+A view-round costs its policy calls and its fold.  What about it is not
+the view's own state is worked out once per round per distinct case, by
+the first view to ask, and kept in the round's
+:class:`~repro.ivm.sharedscan.SharedScanRound`: Definition 1 and the
+prediction per ``(model, pre, action, forced)``; the window lookup per
+``(table, applied LSN, k, referenced columns)``; and the ledger entry of
+a view-round that did no work -- idle, or flushing only windows the
+fingerprint suppressed, which is metered no more than an idle one
+(``wall_ms`` 0.0) -- per ``(arrivals, pre, action, predicted, backlog)``,
+the same immutable :class:`~repro.ivm.ledger.RoundEntry` appended to
+each such view's own ledger.  All of that dies with the round.  One
+thing is shared for the coordinator's life: views registered with cost
+functions equal **by value** and an equal limit are priced by one
+:class:`~repro.core.problem.CostModel`, which is only ever read (its
+table of priced batch sizes aside, which assumes what ``CostModel``
+already documents: pure cost functions).  What stays per view is what is
+the view's: its delta pull, the three calls on its own policy object
+(never aliased, and made even when idle: ONLINE's estimator must see the
+zero-arrival steps), the metered fold of a real flush, and its own entry
+for a round that did work.  A coordinator of one view runs the same
+lines and never finds anything to share.
+
+One view's :class:`~repro.core.policies.PolicyError` -- its policy
+raising, or Definition 1 refusing its action -- is that view's: it gets
+no entry and nothing applied, every other view's round completes, and
+the error is raised when the round is over.
+
+After each round the coordinator asks every
+:class:`~repro.engine.table.ModLog` a registered view subscribes to to
+truncate history all subscribing views have incorporated, so a
+long-running fleet does not accumulate an unbounded modification log.
 
 For notification-driven refresh semantics on top of the same machinery,
 see :mod:`repro.pubsub`.
@@ -45,14 +72,17 @@ see :mod:`repro.pubsub`.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from repro import obs
 from repro.core.costfuncs import CostFunction
-from repro.core.policies import Policy
+from repro.core.policies import Policy, PolicyError
+from repro.core.problem import CostModel
 from repro.engine.database import Database
 from repro.engine.query import QuerySpec
+from repro.engine.table import ModLog
 from repro.ivm.ledger import (
     DEFAULT_SUMMARY_LIMIT,
     RoundEntry,
@@ -93,6 +123,12 @@ class MaintenanceCoordinator:
         #: clock last moved, so a run of registrations runs each distinct
         #: one once.
         self._materialized = Evaluations(database)
+        #: (cost functions, limit) -> the one model pricing every view
+        #: registered with them, for the coordinator's life.
+        self._models: dict[tuple, CostModel] = {}
+        #: The mod logs registered views subscribe to, each with how many
+        #: of their delta tables read it.
+        self._logs: Counter[ModLog] = Counter()
 
     def add_view(self, config: ViewConfig) -> MaterializedView:
         """Materialize and register a view; returns it."""
@@ -101,13 +137,18 @@ class MaintenanceCoordinator:
         view = MaterializedView(
             config.name, self.database, config.query, self._materialized
         )
-        self._maintainers[config.name] = ViewMaintainer(
+        maintainer = self._maintainers[config.name] = ViewMaintainer(
             view,
             config.cost_functions,
             limit=config.limit,
             policy=config.policy,
             scheduled_aliases=config.scheduled_aliases,
         )
+        model = maintainer.model
+        maintainer.model = self._models.setdefault(
+            (model.cost_functions, model.limit), model
+        )
+        self._logs.update(delta.log for delta in view.deltas.values())
         return view
 
     def remove_view(self, name: str) -> None:
@@ -125,9 +166,10 @@ class MaintenanceCoordinator:
         if maintainer is None:
             raise KeyError(f"no view {name!r}")
         view = maintainer.view
-        logs = {id(d.log): d.log for d in view.deltas.values()}
+        logs = Counter(delta.log for delta in view.deltas.values())
         view.close()
-        dropped = sum(log.truncate() for log in logs.values())
+        dropped = sum(log.truncate() for log in logs)
+        self._logs -= logs  # a log nobody reads any more drops out
         recorder = obs.get_recorder()
         if recorder is not None:
             if dropped:
@@ -184,41 +226,61 @@ class MaintenanceCoordinator:
         to the coordinator -- it appears in ``ivm.coordinator.scan_ms``,
         not in any view's ledger.  Each view's delta-join then runs inside
         that view's own cost window exactly as it would standing alone.
+
+        A view whose policy raises :class:`PolicyError`, or whose action
+        Definition 1 refuses, is left as a refused standalone step leaves
+        it (no entry, nothing applied) while every other view's round and
+        the log truncation complete; then the error is raised -- the
+        view's own when it is the only one, else one naming each.
         """
         self._clock = self._clock + 1 if t is None else t
         self._materialized = Evaluations(self.database)
-        planned = [
-            (name, maintainer, maintainer.plan_step(self._clock, forced))
-            for name, maintainer in maintainers.items()
-        ]
         round_ = SharedScanRound(self.database)
-        for _, maintainer, (_, _, _, action) in planned:
-            for alias, k in zip(maintainer.aliases, action):
-                if k:
-                    round_.request(
-                        maintainer.view.deltas[alias],
-                        k,
-                        maintainer.view.referenced_columns(alias),
-                    )
+        refused: list[tuple[str, PolicyError]] = []
+        planned = []
+        for name, maintainer in maintainers.items():
+            try:
+                plan = maintainer.plan_step(self._clock, forced)
+            except PolicyError as exc:
+                refused.append((name, exc))
+                continue
+            planned.append((name, maintainer, plan))
+            action = plan[3]
+            if any(action):
+                view = maintainer.view
+                for alias, k in zip(maintainer.aliases, action):
+                    delta = view.deltas[alias]
+                    # More than is pending is Definition 1's to refuse,
+                    # in the execute half, before any window is asked for.
+                    if 0 < k <= delta.size:
+                        round_.request(
+                            delta, k, view.referenced_columns(alias)
+                        )
         with self.database.counter.window() as window:
             round_.run()
         obs.counter("ivm.coordinator.rounds")
         obs.observe("ivm.coordinator.scan_ms", window.elapsed_ms)
-        entries = {
-            name: maintainer.execute_planned(*plan, forced=forced, shared=round_)
-            for name, maintainer, plan in planned
-        }
+        entries = {}
+        for name, maintainer, plan in planned:
+            try:
+                entries[name] = maintainer.execute_planned(
+                    *plan, forced=forced, shared=round_
+                )
+            except PolicyError as exc:
+                refused.append((name, exc))
         self._truncate_logs()
+        if len(refused) == 1:
+            raise refused[0][1]
+        if refused:
+            raise PolicyError(
+                f"{len(refused)} views refused: "
+                + "; ".join(f"{name}: {exc}" for name, exc in refused)
+            )
         return entries
 
     def _truncate_logs(self) -> None:
         """Reclaim mod-log history every subscribing view has applied."""
-        logs = {
-            id(d.log): d.log
-            for m in self._maintainers.values()
-            for d in m.view.deltas.values()
-        }
-        dropped = sum(log.truncate() for log in logs.values())
+        dropped = sum(log.truncate() for log in self._logs)
         if dropped:
             obs.counter("ivm.coordinator.log_truncated", dropped)
 

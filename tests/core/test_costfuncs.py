@@ -7,6 +7,7 @@ import pytest
 from repro.core.costfuncs import (
     BlockIOCost,
     ConcaveCost,
+    CostFunction,
     LinearCost,
     PiecewiseLinearCost,
     StepCost,
@@ -61,6 +62,62 @@ class TestLinearCost:
         assert LinearCost(1.0, 2.0) == LinearCost(1.0, 2.0)
         assert LinearCost(1.0, 2.0) != LinearCost(1.0, 3.0)
         assert hash(LinearCost(1.0, 2.0)) == hash(LinearCost(1.0, 2.0))
+
+
+#: One way to build each family, and a second set of parameters.
+FAMILIES = [
+    (lambda: LinearCost(0.5, 2.0), lambda: LinearCost(0.5, 2.5)),
+    (lambda: ConcaveCost(0.5, 0.5), lambda: ConcaveCost(2.0, 0.5)),
+    (lambda: BlockIOCost(2.0, 4, 0.5), lambda: BlockIOCost(2.0, 8, 0.5)),
+    (lambda: StepCost(0.5, 2.0), lambda: StepCost(0.25, 2.0)),
+    (
+        lambda: PiecewiseLinearCost([(0, 0.0), (4, 8.0), (8, 10.0)]),
+        lambda: PiecewiseLinearCost([(0, 0.0), (4, 8.0), (8, 12.0)]),
+    ),
+    (
+        lambda: TabulatedCost([(1, 2.5), (8, 6.0)]),
+        lambda: TabulatedCost([(1, 2.5), (8, 6.5)]),
+    ),
+]
+
+
+class TestValueEquality:
+    """Equal means: same family, same parameters -- hence the same floats."""
+
+    @pytest.mark.parametrize("make,other", FAMILIES)
+    def test_equal_parameters_are_equal_and_hash_alike(self, make, other):
+        f, g = make(), make()
+        assert f is not g and f == g and hash(f) == hash(g)
+        assert f != other() and other() != f
+        assert len({f, g, other()}) == 2
+        assert [f(k) for k in range(12)] == [g(k) for k in range(12)]
+
+    def test_families_with_the_same_numbers_differ(self):
+        functions = [make() for make, _ in FAMILIES]
+        for i, f in enumerate(functions):
+            for g in functions[i + 1:]:
+                assert f != g
+        # (0.5, 2.0) read as slope/setup, coeff/exponent... and eps/limit.
+        assert LinearCost(0.5, 0.5) != ConcaveCost(0.5, 0.5)
+        assert LinearCost(0.5, 2.0) != StepCost(0.5, 2.0)
+        assert LinearCost(0.5, 2.0) != (0.5, 2.0)
+
+    def test_a_subclass_is_another_family(self):
+        class Doubled(LinearCost):
+            def cost(self, k):
+                return 2 * super().cost(k)
+
+        assert Doubled(0.5, 2.0) != LinearCost(0.5, 2.0)
+        assert LinearCost(0.5, 2.0) != Doubled(0.5, 2.0)
+        assert Doubled(0.5, 2.0) == Doubled(0.5, 2.0)
+
+    def test_a_family_that_does_not_say_is_equal_only_to_itself(self):
+        class Flat(CostFunction):
+            def cost(self, k):
+                return 1.0
+
+        f = Flat()
+        assert f == f and f != Flat() and len({f, Flat(), f}) == 2
 
 
 class TestConcaveCost:

@@ -18,13 +18,20 @@ from repro.core.costfuncs import LinearCost
 from repro.core.naive import NaivePolicy
 from repro.core.online import OnlinePolicy
 from repro.engine.costmodel import CostModel
-from repro.ivm.ledger import RoundEntry, ViewLedger, float_total, ledger_summary
+from repro.ivm.ledger import (
+    NO_CHARGES,
+    RoundEntry,
+    ViewLedger,
+    float_total,
+    ledger_summary,
+)
 from repro.ivm.maintainer import ViewMaintainer
 from repro.ivm.multiview import MaintenanceCoordinator, ViewConfig
 from repro.ivm.view import MaterializedView
 from repro.tpcr.updates import PartSuppCostUpdater, SupplierNationUpdater
 from tests.conftest import make_paper_spec, make_tpcr_db
 from tests.ivm.test_multiview import COSTS, count_view_spec
+from tests.ivm.test_sharedscan import add_naive, availqty_spec, supplycost_spec
 
 
 def alpha_ledger() -> ViewLedger:
@@ -74,6 +81,60 @@ class TestRoundEntry:
         entry = alpha_ledger().entries[0]
         with pytest.raises(AttributeError):
             entry.t = 99
+
+
+class TestSharedZeroWorkEntries:
+    """Zero-work view-rounds of one round that agree on the decision
+    append one entry to each of their ledgers; nobody can write to it."""
+
+    def run(self):
+        db = make_tpcr_db()
+        coordinator = MaintenanceCoordinator(db)
+        for name, spec in [
+            ("quiet_a", availqty_spec()), ("quiet_b", availqty_spec()),
+            ("busy_a", supplycost_spec()), ("busy_b", supplycost_spec()),
+        ]:
+            add_naive(coordinator, name, spec)
+        updater = PartSuppCostUpdater(db.table("partsupp"), seed=17)
+        coordinator.step(0)  # idle everywhere
+        updater.apply(4)
+        coordinator.step(1)  # quiet_*: suppressed whole; busy_*: flushed
+        return {
+            name: ledger.entries for name, ledger in coordinator.ledgers().items()
+        }
+
+    def test_one_entry_per_view_per_round_shared_only_when_zero_work(self):
+        entries = self.run()
+        assert all(len(of_view) == 2 for of_view in entries.values())
+        idle = entries["quiet_a"][0]
+        assert all(of_view[0] is idle for of_view in entries.values())
+        suppressed = entries["quiet_a"][1]
+        assert entries["quiet_b"][1] is suppressed
+        assert (suppressed.action, suppressed.flushes) == ((4,), 1)
+        # Nothing was metered for it, the wall clock included.
+        assert (suppressed.sim_ms, suppressed.wall_ms) == (0.0, 0.0)
+        assert suppressed.charges is idle.charges is NO_CHARGES
+        # A round that did work is the view's own, equal or not.
+        a, b = entries["busy_a"][1], entries["busy_b"][1]
+        assert a is not b and a.charges == b.charges != {}
+        assert a.charges is not b.charges and a.wall_ms > 0.0
+
+    def test_a_shared_entry_is_unwritable_and_reads_like_any_other(self):
+        entry = self.run()["quiet_a"][1]
+        with pytest.raises(AttributeError):
+            entry.backlog = 7
+        with pytest.raises(TypeError):
+            entry.charges["agg_updates"] = 1
+        with pytest.raises((TypeError, AttributeError)):
+            entry.charges.update(agg_updates=1)
+        # What the harness and ViewLedger read, as on a dict.
+        assert not entry.charges and entry.charges == {}
+        assert list(entry.charges.items()) == []
+        assert entry.charges.get("agg_updates", 0) == 0
+        ledger = ViewLedger("v", ("PS",), [entry, entry])
+        assert ledger.charge_totals() == {}
+        assert ledger.join_ms(CostModel()) == ledger.agg_ms(CostModel()) == 0.0
+        assert (ledger.flushes, ledger.total_mods, ledger.backlog) == (2, 8, 0)
 
 
 class TestViewLedger:

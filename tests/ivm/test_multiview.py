@@ -5,11 +5,13 @@ import pytest
 from repro.core.costfuncs import LinearCost
 from repro.core.naive import NaivePolicy
 from repro.core.online import OnlinePolicy
+from repro.core.policies import Policy, PolicyError, ReplayPolicy
 from repro.engine.expr import col, lit
 from repro.engine.query import AggregateSpec, JoinSpec, QuerySpec
 from repro.ivm.multiview import MaintenanceCoordinator, ViewConfig
 from repro.tpcr.updates import PartSuppCostUpdater, SupplierNationUpdater
 from tests.conftest import make_paper_spec, make_tpcr_db
+from tests.ivm.test_sharedscan import supplycost_spec
 
 COSTS = (LinearCost(slope=0.2, setup=1.0), LinearCost(slope=10.0, setup=120.0))
 
@@ -135,3 +137,123 @@ class TestCoordination:
             coordinator.remove_view("region_counts")
         with pytest.raises(KeyError):
             coordinator.maintainer("region_counts")
+
+
+class TestOneModelPerCostClass:
+    def test_equal_cost_functions_and_limit_share_one_model(self):
+        db = make_tpcr_db()
+        coordinator = MaintenanceCoordinator(db)
+        for name, cost, limit in [
+            ("a", LinearCost(0.5, 2.0), 9.0),
+            ("b", LinearCost(0.5, 2.0), 9.0),  # equal by value, not the same
+            ("lax", LinearCost(0.5, 2.0), 14.0),
+            ("steep", LinearCost(0.75, 2.0), 9.0),
+        ]:
+            coordinator.add_view(
+                ViewConfig(
+                    name=name,
+                    query=supplycost_spec(),
+                    policy=OnlinePolicy(),
+                    cost_functions=(cost,),
+                    limit=limit,
+                    scheduled_aliases=("PS",),
+                )
+            )
+        a, b, lax, steep = (
+            coordinator.maintainer(n) for n in ("a", "b", "lax", "steep")
+        )
+        assert a.model is b.model
+        assert a.model is not lax.model and a.model is not steep.model
+        assert lax.limit == lax.model.limit == 14.0
+        # Policies are the views' own, and so are the models they hold.
+        assert a.policy is not b.policy
+        assert a.policy.cost_tables is not b.policy.cost_tables
+        # What one view prices, the other reads: the very same floats.
+        priced = a.predicted_refresh_cost((7,))
+        assert b.model.cost_tables[0][7] is a.model.cost_tables[0][7]
+        assert b.predicted_refresh_cost((7,)) == priced == LinearCost(0.5, 2.0)(7)
+
+
+class Zeros(Policy):
+    """Never flushes: refused by Definition 1 once the state is full."""
+
+    def decide(self, t, pre_state):
+        return (0,) * self.n
+
+
+class OverAsks(Policy):
+    def decide(self, t, pre_state):
+        return tuple(s + 1 for s in pre_state)
+
+
+def fleet_with(*bad):
+    """Healthy NAIVE views around ``bad`` ones, all over PartSupp with
+    ``f(k) = 0.5 k + 2`` and ``C = 1``: any backlog must be flushed."""
+    db = make_tpcr_db()
+    coordinator = MaintenanceCoordinator(db)
+    policies = [NaivePolicy()]
+    for policy in bad:
+        policies += [policy, NaivePolicy()]
+    for i, policy in enumerate(policies):
+        coordinator.add_view(
+            ViewConfig(
+                name=f"v{i}",
+                query=supplycost_spec(),
+                policy=policy,
+                cost_functions=(LinearCost(0.5, 2.0),),
+                limit=1.0,
+                scheduled_aliases=("PS",),
+            )
+        )
+    return coordinator, PartSuppCostUpdater(db.table("partsupp"), seed=93)
+
+
+class TestOneViewsRefusalIsItsOwn:
+    """A ``PolicyError`` used to end the round where it was raised: the
+    views after it stayed planned but not executed -- backlog over ``C``,
+    no entry, a policy that ``observe``d without a ``record_action`` --
+    and the logs untruncated."""
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (ReplayPolicy([]), "ReplayPolicy has no action"),  # decide raises
+            (Zeros(), r"Zeros.* at t=\d: .*violates C=1"),  # check refuses
+            (OverAsks(), r"OverAsks.* at t=\d: .*exceeds backlog"),
+        ],
+        ids=["decide-raises", "check-refuses", "over-asks"],
+    )
+    def test_the_other_views_complete_then_the_error_is_raised(
+        self, bad, message
+    ):
+        coordinator, updater = fleet_with(bad)
+        log = coordinator.database.table("partsupp").history
+        for t in range(2):
+            updater.apply(8)
+            with pytest.raises(PolicyError, match=message):
+                coordinator.step(t)
+        for name in ("v0", "v2"):
+            healthy = coordinator.maintainer(name)
+            assert [e.action for e in healthy.ledger.entries] == [(8,), (8,)]
+            assert healthy.pre_state() == (0,)
+            assert healthy.view.contents() == healthy.view.recompute()
+        refused = coordinator.maintainer("v1")
+        # PR 20's rule for a refused step: no entry, nothing applied.
+        assert refused.ledger.entries == []
+        assert refused.pre_state() == (16,)
+        # The round's tail ran: only the refused view pins history.
+        assert log.safe_truncation_lsn() == (
+            refused.view.deltas["PS"].applied_lsn
+        )
+
+    def test_several_refusals_are_one_error_naming_each(self):
+        coordinator, updater = fleet_with(Zeros(), ReplayPolicy([]))
+        updater.apply(8)
+        with pytest.raises(PolicyError) as raised:
+            coordinator.step(0)
+        message = str(raised.value)
+        assert "2 views refused" in message
+        assert "v1: " in message and "v3: ReplayPolicy" in message
+        for name in ("v0", "v2", "v4"):
+            assert coordinator.maintainer(name).ledger.backlog == 0
+            assert coordinator.maintainer(name).ledger.rounds == 1

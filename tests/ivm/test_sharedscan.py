@@ -569,6 +569,34 @@ class TestCoordinatorSharedRounds:
         truncated = recorder.registry.get("ivm.coordinator.log_truncated")
         assert truncated is not None and truncated.value == log.truncated_lsn
 
+    def test_truncated_logs_follow_registration(self):
+        """The logs a round truncates are kept current by ``add_view`` /
+        ``remove_view``: a log stays while any registered view reads it."""
+        db = make_tpcr_db()
+        partsupp = _reshard_history(db.table("partsupp"), chunk_size=16)
+        supplier = db.table("supplier").history
+        coordinator = MaintenanceCoordinator(db)
+        add_naive(coordinator, "a", availqty_spec())
+        add_naive(coordinator, "b", supplycost_spec())
+        coordinator.add_view(
+            ViewConfig(
+                name="joined", query=cost_by_nation_spec(),
+                policy=NaivePolicy(), cost_functions=NAIVE_COST * 2,
+                limit=1.0, scheduled_aliases=("PS", "S"),
+            )
+        )
+        assert coordinator._logs == {partsupp: 3, supplier: 1}
+        coordinator.remove_view("joined")
+        coordinator.remove_view("a")
+        assert coordinator._logs == {partsupp: 1}
+        updater = PartSuppCostUpdater(db.table("partsupp"), seed=23)
+        for t in range(3):
+            updater.apply(16)
+            coordinator.step(t)
+        assert partsupp.truncated_lsn > 0
+        coordinator.remove_view("b")
+        assert not coordinator._logs
+
     def test_remove_view_releases_pin_ledger_and_metrics(self):
         db = make_tpcr_db()
         log = db.table("partsupp").history

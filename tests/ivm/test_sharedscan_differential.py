@@ -21,7 +21,15 @@ structural key replaced by an identity key (nothing is equal to anything
 else, so every view runs its own queries through the same code).  Sharing
 must change **nothing** a view or the counter can see -- contents, every
 ledger entry's charges and ``sim_ms`` (bit-equal), the counter's tallies,
-the fleet total -- only how many queries actually ran.
+the fleet total -- only how many queries actually ran.  The identity mode
+also unshares what a round shares besides evaluations: cost functions are
+equal only to themselves (one ``CostModel`` per view) and the round keeps
+no Definition-1 verdict, window lookup or zero-work entry.
+
+Third differential: a heterogeneous fleet driven through everything that
+can take a view out of lock-step (late registration, ``set_policy``, a
+targeted refresh, a direct ``step``), against standalone maintainers
+driven the same way -- every ledger entry equal on its decision fields.
 """
 
 from contextlib import ExitStack, contextmanager
@@ -32,7 +40,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro import obs
-from repro.core.costfuncs import LinearCost
+from repro.core.costfuncs import CostFunction, LinearCost
 from repro.core.naive import NaivePolicy
 from repro.core.online import OnlinePolicy
 from repro.engine import expr
@@ -42,6 +50,7 @@ from repro.engine.query import AggregateSpec, JoinSpec, QuerySpec
 from repro.engine.types import ColumnType, Schema
 from repro.ivm.maintainer import ViewMaintainer
 from repro.ivm.multiview import MaintenanceCoordinator, ViewConfig
+from repro.ivm.sharedscan import SharedScanRound
 from repro.ivm.view import MaterializedView
 from repro.tpcr.updates import PartSuppCostUpdater, SupplierNationUpdater
 from tests.conftest import make_tpcr_db
@@ -192,6 +201,13 @@ def test_single_view_totals_exactly_equal(block_size):
 # ----------------------------------------------------------------------
 
 
+class Forgets(dict):
+    """A round's memo that keeps nothing: every asker is the first."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 @contextmanager
 def identity_keys():
     """Every expression and spec keys by identity, as an ``Expression``
@@ -199,10 +215,20 @@ def identity_keys():
     equal, nothing is shared, the code path is otherwise the same.
 
     ``Expression.key`` alone would not do: a filter-free delta spec holds
-    no expression, so ``QuerySpec.key`` is replaced as well.
+    no expression, so ``QuerySpec.key`` is replaced as well.  Likewise a
+    cost function is equal only to itself, and what a round keeps by
+    value (``decided``, ``zero_work``, the resolved windows) it forgets.
     """
     nodes = (expr.ColumnRef, expr.Const, expr.Comparison, expr.BinOp,
              expr.BoolOp, expr.Not)
+    new_round = SharedScanRound.__init__
+
+    def forgetful_round(self, database):
+        new_round(self, database)
+        self.decided, self.zero_work, self._windows = (
+            Forgets(), Forgets(), Forgets()
+        )
+
     with ExitStack() as stack:
         for cls in nodes:
             stack.enter_context(
@@ -210,6 +236,15 @@ def identity_keys():
             )
         stack.enter_context(
             mock.patch.object(QuerySpec, "key", expr.Expression.key)
+        )
+        stack.enter_context(
+            mock.patch.object(CostFunction, "__eq__", object.__eq__)
+        )
+        stack.enter_context(
+            mock.patch.object(CostFunction, "__hash__", object.__hash__)
+        )
+        stack.enter_context(
+            mock.patch.object(SharedScanRound, "__init__", forgetful_round)
         )
         yield
 
@@ -484,3 +519,203 @@ def test_generated_fleets_share_invisibly(r_rows, s_rows, fleet, steps):
     with identity_keys():
         identity = run_generated_fleet(r_rows, s_rows, fleet, steps)
     assert_sharing_invisible(structural, identity)
+
+
+# ----------------------------------------------------------------------
+# A heterogeneous fleet vs standalone maintainers, entry by entry
+# ----------------------------------------------------------------------
+
+
+def half_two():
+    """``f(k) = 0.5 k + 2``, a new object every time: equal by value only."""
+    return LinearCost(slope=0.5, setup=2.0)
+
+
+def two_costs():
+    return (half_two(), LinearCost(slope=1.0, setup=3.0))
+
+
+def qty_by_nation_spec() -> QuerySpec:
+    """Two tables, and never reads ``supplycost``: its PS windows are
+    suppressed while its S windows fold, in one flush."""
+    return QuerySpec(
+        base_alias="PS",
+        base_table="partsupp",
+        joins=(JoinSpec("S", "supplier", "PS.suppkey", "suppkey"),),
+        aggregate=AggregateSpec(
+            func="sum", value=col("PS.availqty"), group_by=("S.nationkey",)
+        ),
+    )
+
+
+#: name -> (spec factory, policy kind, cost functions, limit, aliases).
+#: NAIVE and ONLINE, two limits per kind, equal-by-value cost functions
+#: beside one that differs, suppressible specs (``qty_spec``) beside ones
+#: that fold, and two-table views, one of them half suppressed.  ``LATE``
+#: registers after round 2.
+MIXED = {
+    "naive_a": (min_cost_spec, "naive", lambda: (half_two(),), 1.0, ("PS",)),
+    "naive_b": (min_cost_spec, "naive", lambda: (half_two(),), 1.0, ("PS",)),
+    "naive_qty": (qty_spec, "naive", lambda: (half_two(),), 1.0, ("PS",)),
+    "naive_lax": (min_cost_spec, "naive", lambda: (half_two(),), 7.0, ("PS",)),
+    "online_a": (min_cost_spec, "online", lambda: (half_two(),), 9.0, ("PS",)),
+    "online_qty": (qty_spec, "online", lambda: (half_two(),), 9.0, ("PS",)),
+    "online_lax": (min_cost_spec, "online", lambda: (half_two(),), 14.0, ("PS",)),
+    "online_steep": (
+        min_cost_spec, "online",
+        lambda: (LinearCost(slope=0.75, setup=2.0),), 9.0, ("PS",),
+    ),
+    "nation_a": (cost_by_nation_spec, "online", two_costs, 16.0, ("PS", "S")),
+    "nation_b": (cost_by_nation_spec, "naive", two_costs, 16.0, ("PS", "S")),
+    "nation_qty": (qty_by_nation_spec, "naive", two_costs, 16.0, ("PS", "S")),
+}
+LATE = {
+    "late_naive": (min_cost_spec, "naive", lambda: (half_two(),), 1.0, ("PS",)),
+    "late_online": (qty_spec, "online", lambda: (half_two(),), 9.0, ("PS",)),
+}
+
+
+class Standalone:
+    """The reference fleet: ``ViewMaintainer``s stepped one by one,
+    sharing no scan, no model, no round."""
+
+    def __init__(self, db):
+        self.db = db
+        self.maintainers = {}
+
+    def add(self, name, spec, policy, costs, limit, aliases):
+        self.maintainers[name] = ViewMaintainer(
+            MaterializedView(name, self.db, spec), costs, limit, policy,
+            scheduled_aliases=aliases,
+        )
+
+    def step(self, t):
+        for maintainer in self.maintainers.values():
+            maintainer.step(t)
+
+    def refresh(self, names, t):
+        for name in names or self.maintainers:
+            self.maintainers[name].refresh(t)
+
+
+class Coordinated:
+    def __init__(self, db):
+        self.coordinator = MaintenanceCoordinator(db)
+        self.maintainers = {}
+
+    def add(self, name, spec, policy, costs, limit, aliases):
+        self.coordinator.add_view(
+            ViewConfig(
+                name=name, query=spec, policy=policy, cost_functions=costs,
+                limit=limit, scheduled_aliases=aliases,
+            )
+        )
+        self.maintainers[name] = self.coordinator.maintainer(name)
+
+    def step(self, t):
+        self.coordinator.step(t)
+
+    def refresh(self, names, t):
+        self.coordinator.refresh(names, t=t)
+
+
+def run_mixed(make_fleet) -> dict:
+    """Drive MIXED through everything that takes a view out of lock-step;
+    returns name -> maintainer."""
+    db = make_tpcr_db()
+    fleet = make_fleet(db)
+    partsupp = PartSuppCostUpdater(db.table("partsupp"), seed=101)
+    supplier = SupplierNationUpdater(db.table("supplier"), seed=102)
+
+    def register(members):
+        for name, (spec, kind, costs, limit, aliases) in members.items():
+            policy = NaivePolicy() if kind == "naive" else OnlinePolicy()
+            fleet.add(name, spec(), policy, costs(), limit, aliases)
+
+    def modify():
+        partsupp.apply(5)
+        supplier.apply(2)
+
+    register(MIXED)
+    for t in range(3):
+        modify()
+        fleet.step(t)
+    register(LATE)
+    fleet.step(3)  # nothing arrived: idle for all but the lagging
+    modify()
+    fleet.step(4)
+    fleet.maintainers["online_a"].set_policy(NaivePolicy())
+    fleet.maintainers["naive_b"].set_policy(OnlinePolicy())
+    modify()
+    fleet.step(5)
+    modify()
+    fleet.refresh(["online_lax", "nation_a"], 6)
+    fleet.step(6)
+    modify()
+    fleet.maintainers["online_qty"].step(7)  # directly, between rounds
+    fleet.maintainers["naive_a"].step(7)
+    modify()
+    fleet.step(8)
+    fleet.refresh(None, 9)
+    return fleet.maintainers
+
+
+def decision(entry) -> tuple:
+    """What the policy and Definition 1 decided, not what it cost:
+    ``sim_ms`` / ``charges`` differ from a standalone view's by design
+    (the scan's ``tuple_cpu`` is the coordinator's, a suppressed flush
+    charges nothing)."""
+    return (
+        entry.t, entry.arrivals, entry.pre_state, entry.action, entry.forced,
+        entry.predicted_ms, entry.backlog,
+    )
+
+
+def test_heterogeneous_fleet_decides_what_standalone_views_decide():
+    alone = run_mixed(Standalone)
+    fleet = run_mixed(Coordinated)
+    assert list(fleet) == list(alone) == [*MIXED, *LATE]
+    for name, maintainer in fleet.items():
+        reference = alone[name]
+        assert [decision(e) for e in maintainer.ledger.entries] == [
+            decision(e) for e in reference.ledger.entries
+        ], name
+        if isinstance(maintainer.policy, OnlinePolicy):
+            assert maintainer.policy.spent == reference.policy.spent, name
+        assert maintainer.view.contents() == pytest.approx(
+            maintainer.view.recompute(), rel=1e-9
+        ), name
+        assert maintainer.view.contents() == reference.view.contents(), name
+    # The run did leave lock-step, and did share.
+    rounds = {name: m.ledger.rounds for name, m in fleet.items()}
+    assert rounds["naive_a"] == rounds["naive_lax"] + 1 == 10
+    assert rounds["online_lax"] == 10 and rounds["late_naive"] == 6
+    assert (
+        fleet["naive_a"].ledger.actions_plan()
+        != fleet["naive_b"].ledger.actions_plan()
+    )
+    assert fleet["naive_a"].model is fleet["late_naive"].model
+    assert fleet["online_a"].model is fleet["online_qty"].model
+    assert fleet["naive_a"].model is not fleet["naive_lax"].model
+    assert fleet["naive_a"].model is not fleet["online_steep"].model
+    assert alone["naive_a"].model is not alone["naive_b"].model
+    shared = {
+        id(e) for e in fleet["naive_qty"].ledger.entries
+    } & {id(e) for e in fleet["late_naive"].ledger.entries}
+    assert shared
+
+
+def test_heterogeneous_fleet_shares_invisibly():
+    structural = run_mixed(Coordinated)
+    with identity_keys():
+        identity = run_mixed(Coordinated)
+    for name, maintainer in structural.items():
+        assert [entry_facts(e) for e in maintainer.ledger.entries] == [
+            entry_facts(e) for e in identity[name].ledger.entries
+        ], name
+        assert maintainer.view.contents() == identity[name].view.contents()
+    # Nothing was shared the second time: a model and an entry per view.
+    models = [m.model for m in identity.values()]
+    assert len({id(model) for model in models}) == len(models)
+    entries = [e for m in identity.values() for e in m.ledger.entries]
+    assert len({id(e) for e in entries}) == len(entries)
