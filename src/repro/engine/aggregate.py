@@ -9,11 +9,16 @@ source of irregularity in its measured cost curves.  We reproduce that
 faithfully with a counted multiset whose recomputation cost is charged to
 the cost model.
 
-Two layers:
+Three layers:
 
-* :class:`AggregateState` subclasses -- incremental fold/unfold of single
-  values, used both by the :class:`Aggregate` operator (full evaluation)
-  and by :mod:`repro.ivm.maintenance` (delta application).
+* :class:`AggregateState` subclasses -- incremental fold/unfold of one
+  group's values, a batch at a time.
+* :func:`bucket_block` and :class:`GroupStates` -- the grouped fold: a
+  block's aggregate inputs bucketed by group key, and the states by group
+  key those buckets are inserted into and deleted from.  Both the
+  :class:`Aggregate` operator (full evaluation) and
+  :class:`~repro.ivm.view.MaterializedView` (delta application) fold
+  through this pair and nothing else.
 * :class:`Aggregate` -- a physical operator computing grouped or scalar
   aggregates over a child operator.
 """
@@ -42,24 +47,19 @@ class AggregateState(ABC):
             self.counter.charge(field, count)
 
     @abstractmethod
-    def insert(self, value: Any) -> None:
-        """Fold one inserted value into the state."""
-
     def insert_many(self, values: Sequence[Any]) -> None:
         """Fold a batch of inserted values, in order.
 
-        Equivalent to ``for v in values: self.insert(v)`` -- same resulting
-        state, same total charges.  Subclasses override to charge the
-        counter once per batch (the blocked pipeline's amortization) while
-        applying the per-value updates in the identical sequential order,
-        so even float accumulation is bit-for-bit the same.
+        The counter is charged once per call; the state and the charged
+        totals are those of the same values folded one call each (the
+        per-value updates run in the identical sequential order, so even
+        float accumulation is bit-for-bit the same).
         """
-        for value in values:
-            self.insert(value)
 
     @abstractmethod
-    def delete(self, value: Any) -> None:
-        """Unfold one deleted value from the state."""
+    def delete_many(self, values: Sequence[Any]) -> None:
+        """Unfold a batch of deleted values, in order: one ``agg_updates``
+        charge per call, state and totals as :meth:`insert_many` says."""
 
     @abstractmethod
     def result(self) -> Any:
@@ -82,19 +82,15 @@ class CountState(AggregateState):
         super().__init__(counter)
         self._count = 0
 
-    def insert(self, value: Any) -> None:
-        self._charge("agg_updates")
-        self._count += 1
-
     def insert_many(self, values: Sequence[Any]) -> None:
         self._charge("agg_updates", len(values))
         self._count += len(values)
 
-    def delete(self, value: Any) -> None:
-        self._charge("agg_updates")
-        if self._count == 0:
+    def delete_many(self, values: Sequence[Any]) -> None:
+        self._charge("agg_updates", len(values))
+        if len(values) > self._count:
             raise ExecutionError("COUNT underflow: delete from empty group")
-        self._count -= 1
+        self._count -= len(values)
 
     def result(self) -> int:
         return self._count
@@ -112,25 +108,22 @@ class SumState(AggregateState):
         self._sum = 0.0
         self._count = 0
 
-    def insert(self, value: Any) -> None:
-        self._charge("agg_updates")
-        self._sum += value
-        self._count += 1
-
     def insert_many(self, values: Sequence[Any]) -> None:
         self._charge("agg_updates", len(values))
         # Sequential accumulation, NOT sum(): float addition is not
-        # associative, and results must match per-value insert() bit-for-bit.
+        # associative, and a batch must match its values folded one call
+        # each bit-for-bit.
         for value in values:
             self._sum += value
         self._count += len(values)
 
-    def delete(self, value: Any) -> None:
-        self._charge("agg_updates")
-        if self._count == 0:
+    def delete_many(self, values: Sequence[Any]) -> None:
+        self._charge("agg_updates", len(values))
+        if len(values) > self._count:
             raise ExecutionError("SUM underflow: delete from empty group")
-        self._sum -= value
-        self._count -= 1
+        for value in values:
+            self._sum -= value
+        self._count -= len(values)
 
     def result(self) -> float | None:
         return self._sum if self._count else None
@@ -153,7 +146,8 @@ class _ExtremumState(AggregateState):
     Inserts are O(1).  Deleting a non-extremal value is O(1).  Deleting the
     last copy of the current extremum triggers a recomputation over the
     distinct surviving values, charged as ``sort_items`` -- the engine-level
-    footprint of "MIN is not incrementally maintainable".
+    footprint of "MIN is not incrementally maintainable".  It happens at
+    that value's turn, mid-batch, over the survivors of that moment.
     """
 
     #: pick the new extremum from an iterable of distinct values
@@ -170,13 +164,6 @@ class _ExtremumState(AggregateState):
         self._count = 0
         self.recomputations = 0  # observable for tests/ablations
 
-    def insert(self, value: Any) -> None:
-        self._charge("agg_updates")
-        self._multiset[value] = self._multiset.get(value, 0) + 1
-        self._count += 1
-        if self._extremum is None or self._beats(value, self._extremum):
-            self._extremum = value
-
     def insert_many(self, values: Sequence[Any]) -> None:
         self._charge("agg_updates", len(values))
         multiset = self._multiset
@@ -188,28 +175,29 @@ class _ExtremumState(AggregateState):
         self._extremum = extremum
         self._count += len(values)
 
-    def delete(self, value: Any) -> None:
-        self._charge("agg_updates")
-        have = self._multiset.get(value, 0)
-        if have == 0:
-            raise ExecutionError(
-                f"extremum aggregate underflow: {value!r} not present"
-            )
-        if have == 1:
-            del self._multiset[value]
-        else:
-            self._multiset[value] = have - 1
-        self._count -= 1
-        if value == self._extremum and value not in self._multiset:
-            # The extremum left the multiset: recompute from survivors.
-            # This is the "MIN is not incrementally maintainable" event the
-            # paper blames for cost-curve irregularity -- worth a counter.
-            self.recomputations += 1
-            obs.counter("engine.aggregate.extremum_recomputes")
-            self._charge("sort_items", max(1, len(self._multiset)))
-            self._extremum = (
-                self._choose(self._multiset) if self._multiset else None
-            )
+    def delete_many(self, values: Sequence[Any]) -> None:
+        self._charge("agg_updates", len(values))
+        multiset = self._multiset
+        for value in values:
+            have = multiset.get(value, 0)
+            if have == 0:
+                raise ExecutionError(
+                    f"extremum aggregate underflow: {value!r} not present"
+                )
+            self._count -= 1
+            if have > 1:
+                multiset[value] = have - 1
+                continue
+            del multiset[value]
+            if value == self._extremum:
+                # The extremum left the multiset: recompute from survivors.
+                # This is the "MIN is not incrementally maintainable" event
+                # the paper blames for cost-curve irregularity -- worth a
+                # counter.
+                self.recomputations += 1
+                obs.counter("engine.aggregate.extremum_recomputes")
+                self._charge("sort_items", max(1, len(multiset)))
+                self._extremum = self._choose(multiset) if multiset else None
 
     def result(self) -> Any:
         return self._extremum
@@ -264,11 +252,14 @@ def bucket_block(block, group_positions, value_block_fn) -> dict[tuple, list]:
     """Compute and bucket one block's aggregate inputs by group key.
 
     Returns ``{group_key: [values in row order]}``; the empty tuple keys
-    the scalar (no group-by) case.  Charge-free.
+    the scalar (no group-by) case.  Every bucket holds at least one
+    value: an empty block has no buckets, not an empty scalar one.
+    Charge-free, and the buckets may share the block's column lists, so
+    they are read, never mutated.
     """
     values = value_block_fn(block)
     if not group_positions:
-        return {(): values}
+        return {(): values} if values else {}
     key_columns = [block.column(p) for p in group_positions]
     buckets: dict[tuple, list] = {}
     for key, value in zip(zip(*key_columns), values):
@@ -278,6 +269,46 @@ def bucket_block(block, group_positions, value_block_fn) -> dict[tuple, list]:
         else:
             bucket.append(value)
     return buckets
+
+
+class GroupStates:
+    """The states of one aggregate function by group key: the one grouped
+    fold.
+
+    :meth:`insert` and :meth:`delete` take :func:`bucket_block`-shaped
+    buckets.  A group exists from its first inserted value until a delete
+    empties it, so ``states`` never holds an empty group.  Groups are
+    independent and a bucket keeps row order, so what each state ends up
+    holding and what it charges are those of the same rows folded one at
+    a time, however they were cut into blocks.
+    """
+
+    __slots__ = ("func", "counter", "states")
+
+    def __init__(self, func: str, counter: OperationCounter | None):
+        self.func = func
+        self.counter = counter
+        self.states: dict[tuple, AggregateState] = {}
+
+    def insert(self, buckets: dict[tuple, list]) -> None:
+        states = self.states
+        for key, values in buckets.items():
+            state = states.get(key)
+            if state is None:
+                state = states[key] = make_aggregate_state(
+                    self.func, self.counter
+                )
+            state.insert_many(values)
+
+    def delete(self, buckets: dict[tuple, list]) -> None:
+        states = self.states
+        for key, values in buckets.items():
+            state = states.get(key)
+            if state is None:
+                raise ExecutionError(f"delete from absent group {key!r}")
+            state.delete_many(values)
+            if state.is_empty():
+                del states[key]
 
 
 class Aggregate(Operator):
@@ -311,7 +342,7 @@ class Aggregate(Operator):
             raise SchemaError(f"duplicate output columns in {names}")
 
     def blocks(self, block_size: int) -> Iterator[RowBlock]:
-        groups: dict[tuple, AggregateState] = {}
+        groups = GroupStates(self.func, self.counter)
         group_positions = self._group_positions
         value_block_fn = self._value_block_fn
         prof = self._prof
@@ -324,22 +355,17 @@ class Aggregate(Operator):
                 prof.add("agg_updates", len(block))
             # Bucket this block's values by group key, preserving row order
             # within each group, then fold each bucket in one bulk call.
-            buckets = bucket_block(block, group_positions, value_block_fn)
-            for key, bucket in buckets.items():
-                state = groups.get(key)
-                if state is None:
-                    state = make_aggregate_state(self.func, self.counter)
-                    groups[key] = state
-                state.insert_many(bucket)
+            groups.insert(bucket_block(block, group_positions, value_block_fn))
+        states = groups.states
         recorder = obs.get_recorder()
         if recorder is not None:
             recorder.counter("engine.aggregate.rows_in", rows_in)
-            recorder.counter("engine.aggregate.groups_out", len(groups))
-        if not groups and not self._group_positions:
+            recorder.counter("engine.aggregate.groups_out", len(states))
+        if not states and not self._group_positions:
             empty = make_aggregate_state(self.func, self.counter)
             out_rows = [(empty.result(),)]
         else:
             out_rows = [
-                key + (groups[key].result(),) for key in sorted(groups, key=repr)
+                key + (states[key].result(),) for key in sorted(states, key=repr)
             ]
         yield from iter_blocks(out_rows, self.layout, block_size)

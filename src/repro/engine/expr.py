@@ -1,10 +1,12 @@
 """Scalar expressions and predicates.
 
 Expressions form a small tree (column references, constants, comparisons,
-boolean connectives, arithmetic).  They are *compiled* against a row layout
+boolean connectives, arithmetic).  They are *compiled* against a layout
 -- a mapping from qualified column names like ``"S.suppkey"`` to tuple
-positions -- into plain Python closures, so per-row evaluation inside scans
-and joins costs one function call, not a tree walk.
+positions -- into closures over whole :class:`~repro.engine.block.RowBlock`
+columns (:meth:`Expression.compile_block`), so evaluating a block costs
+one call per tree node, not a tree walk per row.  That is the only
+evaluator: a single row is a block of one.
 
 Qualified names: operators tag every column with its table alias.  A bare
 ``ColumnRef("suppkey")`` resolves if exactly one alias exposes that column;
@@ -22,7 +24,6 @@ from repro.engine.errors import SchemaError
 if TYPE_CHECKING:  # circular import guard; block.py is expression-free
     from repro.engine.block import RowBlock
 
-RowPredicate = Callable[[tuple], Any]
 #: A compiled block evaluator: RowBlock -> list of per-row values.
 BlockEvaluator = Callable[["RowBlock"], list]
 
@@ -68,25 +69,16 @@ class Expression(ABC):
     """Base class for scalar expressions."""
 
     @abstractmethod
-    def compile(self, layout: Mapping[str, int]) -> RowPredicate:
-        """Compile to a closure evaluating this expression on a row tuple.
-
-        ``layout`` maps qualified column names to tuple positions.
-        """
-
     def compile_block(self, layout: Mapping[str, int]) -> BlockEvaluator:
         """Compile to a closure evaluating this expression on a whole
         :class:`~repro.engine.block.RowBlock`, returning one value per row.
 
-        Column resolution happens here, once per compile -- the returned
-        closure does no per-row dictionary work.  The base implementation
-        falls back to mapping the row compilation over the block, so any
-        expression subclass is block-evaluable; the core node types
-        override it with columnar forms (a column reference returns the
-        block's column list itself, zero-copy).
+        ``layout`` maps qualified column names to tuple positions.  Column
+        resolution happens here, once per compile -- the returned closure
+        does no per-row dictionary work (a column reference returns the
+        block's column list itself, zero-copy, so callers must not mutate
+        what an evaluator returns).
         """
-        fn = self.compile(layout)
-        return lambda block: [fn(row) for row in block.rows()]
 
     @abstractmethod
     def references(self) -> frozenset[str]:
@@ -155,10 +147,6 @@ class ColumnRef(Expression):
             raise SchemaError("empty column reference")
         self.name = name
 
-    def compile(self, layout: Mapping[str, int]) -> RowPredicate:
-        pos = resolve_column(self.name, layout)
-        return lambda row: row[pos]
-
     def compile_block(self, layout: Mapping[str, int]) -> BlockEvaluator:
         pos = resolve_column(self.name, layout)
         return lambda block: block.column(pos)
@@ -178,10 +166,6 @@ class Const(Expression):
 
     def __init__(self, value: Any):
         self.value = value
-
-    def compile(self, layout: Mapping[str, int]) -> RowPredicate:
-        value = self.value
-        return lambda row: value
 
     def compile_block(self, layout: Mapping[str, int]) -> BlockEvaluator:
         value = self.value
@@ -213,12 +197,6 @@ class Comparison(Expression):
         self.op = op
         self.left = left
         self.right = right
-
-    def compile(self, layout: Mapping[str, int]) -> RowPredicate:
-        fn = _COMPARISONS[self.op]
-        left = self.left.compile(layout)
-        right = self.right.compile(layout)
-        return lambda row: fn(left(row), right(row))
 
     def compile_block(self, layout: Mapping[str, int]) -> BlockEvaluator:
         fn = _COMPARISONS[self.op]
@@ -260,12 +238,6 @@ class BinOp(Expression):
         self.left = left
         self.right = right
 
-    def compile(self, layout: Mapping[str, int]) -> RowPredicate:
-        fn = _ARITHMETIC[self.op]
-        left = self.left.compile(layout)
-        right = self.right.compile(layout)
-        return lambda row: fn(left(row), right(row))
-
     def compile_block(self, layout: Mapping[str, int]) -> BlockEvaluator:
         fn = _ARITHMETIC[self.op]
         left = self.left.compile_block(layout)
@@ -293,12 +265,6 @@ class BoolOp(Expression):
         self.op = op
         self.operands = list(operands)
 
-    def compile(self, layout: Mapping[str, int]) -> RowPredicate:
-        compiled = [e.compile(layout) for e in self.operands]
-        if self.op == "and":
-            return lambda row: all(fn(row) for fn in compiled)
-        return lambda row: any(fn(row) for fn in compiled)
-
     def compile_block(self, layout: Mapping[str, int]) -> BlockEvaluator:
         compiled = [e.compile_block(layout) for e in self.operands]
         combine = all if self.op == "and" else any
@@ -325,10 +291,6 @@ class Not(Expression):
 
     def __init__(self, operand: Expression):
         self.operand = operand
-
-    def compile(self, layout: Mapping[str, int]) -> RowPredicate:
-        fn = self.operand.compile(layout)
-        return lambda row: not fn(row)
 
     def compile_block(self, layout: Mapping[str, int]) -> BlockEvaluator:
         fn = self.operand.compile_block(layout)

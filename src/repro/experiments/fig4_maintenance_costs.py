@@ -93,7 +93,7 @@ def run_fig4(
     )
     recomputes = sum(
         getattr(state, "recomputations", 0)
-        for state in (setup.view._groups or {}).values()
+        for state in setup.view._groups.states.values()
     )
     return Fig4Result(
         partsupp=cal_ps, supplier=cal_s, min_recomputations=recomputes

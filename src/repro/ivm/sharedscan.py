@@ -79,7 +79,9 @@ class Evaluation:
         #: kept where the result may be handed to a second asker.
         self.charges = charges
         #: Fold key -> what a view folds from ``result``
-        #: (:meth:`~repro.ivm.view.MaterializedView.apply_delta`).
+        #: (:meth:`~repro.ivm.view.MaterializedView.apply_delta`): the
+        #: same input whether it is inserted or deleted, and an evaluation
+        #: is one sign's, so the key does not carry one.
         self.folds: dict[Hashable, object] = {}
 
 

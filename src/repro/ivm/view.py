@@ -8,7 +8,9 @@ contents and per-base-table delta tables.  Two content shapes:
   (Griffin & Libkin's counting approach);
 * **aggregate views**: contents are one
   :class:`~repro.engine.aggregate.AggregateState` per group (a single
-  implicit group for scalar aggregates like the paper's MIN view).
+  implicit group for scalar aggregates like the paper's MIN view), held
+  and folded by the engine's own
+  :class:`~repro.engine.aggregate.GroupStates`.
 
 The view also owns the consistency bookkeeping: which base-table LSNs its
 contents reflect (via the delta tables), and a from-scratch
@@ -19,11 +21,10 @@ maintainer.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import repeat
-from operator import itemgetter
-from typing import Any, Hashable
+from typing import Any, Callable, Hashable
 
-from repro.engine.aggregate import AggregateState, make_aggregate_state
+from repro.engine.aggregate import GroupStates, bucket_block
+from repro.engine.block import RowBlock
 from repro.engine.database import Database
 from repro.engine.errors import ExecutionError, SchemaError
 from repro.engine.expr import resolve_column
@@ -76,11 +77,12 @@ class MaterializedView:
         self.delta_keys: dict[str, Hashable] = {
             alias: delta.key() for alias, delta in self.delta_specs.items()
         }
-        #: alias -> (delta result columns, the fold resolved against them).
-        self._folds: dict[str, tuple[tuple[str, ...], Any]] = {}
+        #: alias -> (delta result columns, the fold input's reader
+        #: resolved against them).
+        self._folds: dict[str, tuple[tuple[str, ...], Callable]] = {}
         self.is_aggregate = spec.aggregate is not None
         self._rows: Counter | None = None
-        self._groups: dict[tuple, AggregateState] | None = None
+        self._groups: GroupStates | None = None
         self._refcols: dict[str, frozenset[str] | None] = {}
         self._initialize(evaluations)
 
@@ -112,11 +114,11 @@ class MaterializedView:
             # Stream the un-aggregated join so the states carry exact
             # multiset information (a finished aggregate value alone could
             # not support incremental deletes).
-            self._groups = {}
-            self._columns: tuple[str, ...] = ()
             agg = self.spec.aggregate
-            # What, beside the rows, decides :meth:`_fold_input`: views
-            # with equal fold keys read the same input out of a result.
+            self._groups = GroupStates(agg.func, self.database.counter)
+            self._columns: tuple[str, ...] = ()
+            # What, beside the rows, decides the fold input: views with
+            # equal fold keys read the same input out of a result.
             self._fold_key: Hashable = (
                 "agg", agg.value.key(), tuple(agg.group_by)
             )
@@ -160,7 +162,7 @@ class MaterializedView:
         """
         if self.is_aggregate:
             assert self._groups is not None
-            return {k: s.result() for k, s in self._groups.items()}
+            return {k: s.result() for k, s in self._groups.states.items()}
         assert self._rows is not None
         return {row: count for row, count in self._rows.items() if count}
 
@@ -169,7 +171,7 @@ class MaterializedView:
         if not self.is_aggregate or self.spec.aggregate.group_by:
             raise SchemaError(f"view {self.name!r} is not a scalar aggregate")
         assert self._groups is not None
-        state = self._groups.get(())
+        state = self._groups.states.get(())
         return state.result() if state is not None else None
 
     # ------------------------------------------------------------------
@@ -178,103 +180,68 @@ class MaterializedView:
 
     def apply_insert_rows(self, rows: list[tuple], layout: dict[str, int]) -> None:
         """Fold freshly derived join-result rows into the contents."""
-        self._fold(self._fold_input(rows, self._resolve_fold(layout), +1), +1)
+        self._fold(self._fold_input(layout)(rows), +1)
 
     def apply_delta(self, alias: str, evaluation: Evaluation, sign: int) -> None:
         """Fold (``sign`` > 0) or remove the rows of one evaluation of
         ``delta_specs[alias]``.
 
         What a delta query emits is fixed by the spec and the substituted
-        alias, so the fold is resolved against it once per alias and
-        reused for as long as the result's columns stay the same.  What
-        the fold reads out of the rows (:meth:`_fold_input`) is kept with
-        the evaluation, so views handed the same evaluation that fold
-        alike -- ``SUM(x) BY k`` and ``MIN(x) BY k`` do -- read it once;
-        only the state updates are each view's own.
+        alias, so the fold input's reader is resolved against it once per
+        alias and reused for as long as the result's columns stay the
+        same.  What it reads out of the rows (:meth:`_fold_input`) is
+        kept with the evaluation, so views handed the same evaluation
+        that fold alike -- ``SUM(x) BY k`` and ``MIN(x) BY k`` do -- read
+        it once; only the state updates are each view's own.  The input
+        has one shape whether it is inserted or deleted, and an
+        evaluation holds one sign's rows, so the fold key names no sign.
         """
-        key = (self._fold_key, sign)
-        folding = evaluation.folds.get(key)
+        folding = evaluation.folds.get(self._fold_key)
         if folding is None:
             result = evaluation.result
             cached = self._folds.get(alias)
             if cached is None or cached[0] != result.columns:
                 layout = {name: i for i, name in enumerate(result.columns)}
                 cached = self._folds[alias] = (
-                    result.columns, self._resolve_fold(layout)
+                    result.columns, self._fold_input(layout)
                 )
-            folding = evaluation.folds[key] = self._fold_input(
-                result.rows, cached[1], sign
-            )
+            folding = evaluation.folds[self._fold_key] = cached[1](result.rows)
         self._fold(folding, sign)
 
-    def _resolve_fold(self, layout: dict[str, int]):
-        """Where the fold finds its inputs in rows laid out as ``layout``:
-        ``(value function, group-key positions)`` for an aggregate view,
-        the positions of the canonical columns for an SPJ view."""
-        agg = self.spec.aggregate
-        if agg is not None:
-            return (
-                agg.value.compile(layout),
-                [resolve_column(g, layout) for g in agg.group_by],
-            )
-        return [resolve_column(c, layout) for c in self._columns]
+    def _fold_input(self, layout: dict[str, int]) -> Callable[[list[tuple]], Any]:
+        """The reader of what :meth:`_fold` consumes out of derived join
+        rows laid out as ``layout``.
 
-    def _fold_input(self, rows: list[tuple], fold, sign: int):
-        """What :meth:`_fold` consumes, read out of derived join rows.
-
-        Aggregate view: the argument values by group key -- bucketed per
-        group for inserts (row order preserved within each group, so a
-        bucket folds with one ``insert_many``), a ``(key, value)`` list
-        for deletes (each one may empty a group or trigger an extremum
-        recomputation, so they stay per-row).  SPJ view: the rows in the
-        view's canonical column layout (incremental rows arrive in
-        rebased join order).  Never mutated by a fold.
+        Aggregate view: the rows as one block through the engine's own
+        :func:`~repro.engine.aggregate.bucket_block` -- the argument
+        values, computed by ``compile_block``, bucketed per group key in
+        row order; no rows, no buckets.  SPJ view: the rows in the view's
+        canonical column layout (incremental rows arrive in rebased join
+        order).  Never mutated by a fold.
         """
-        if not self.is_aggregate:
-            return [tuple(row[p] for p in fold) for row in rows]
-        value_fn, group_positions = fold
-        if group_positions:
-            keys = zip(*[map(itemgetter(p), rows) for p in group_positions])
-        else:
-            keys = repeat(())
-        keyed = zip(keys, map(value_fn, rows))
-        if sign < 0:
-            return list(keyed)
-        buckets: dict[tuple, list] = {}
-        for key, value in keyed:
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = [value]
-            else:
-                bucket.append(value)
-        return buckets
+        agg = self.spec.aggregate
+        if agg is None:
+            positions = [resolve_column(c, layout) for c in self._columns]
+            return lambda rows: [
+                tuple(row[p] for p in positions) for row in rows
+            ]
+        value_fn = agg.value.compile_block(layout)
+        group_positions = [resolve_column(g, layout) for g in agg.group_by]
+        return lambda rows: bucket_block(
+            RowBlock.from_rows(rows, layout), group_positions, value_fn
+        )
 
     def _fold(self, folding, sign: int) -> None:
         """Apply one :meth:`_fold_input` to the contents."""
         if self.is_aggregate:
-            agg = self.spec.aggregate
-            assert agg is not None and self._groups is not None
-            if sign > 0:
-                # Same states, same total agg_updates as per-row insertion.
-                for key, values in folding.items():
-                    state = self._groups.get(key)
-                    if state is None:
-                        state = make_aggregate_state(
-                            agg.func, self.database.counter
-                        )
-                        self._groups[key] = state
-                    state.insert_many(values)
-                return
-            for key, value in folding:
-                state = self._groups.get(key)
-                if state is None:
-                    raise ExecutionError(
-                        f"view {self.name!r}: delete from absent group "
-                        f"{key!r}"
-                    )
-                state.delete(value)
-                if state.is_empty():
-                    del self._groups[key]
+            assert self._groups is not None
+            try:
+                if sign > 0:
+                    self._groups.insert(folding)
+                else:
+                    self._groups.delete(folding)
+            except ExecutionError as exc:
+                raise ExecutionError(f"view {self.name!r}: {exc}") from exc
         else:
             assert self._rows is not None
             if sign > 0:

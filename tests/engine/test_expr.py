@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.block import RowBlock
 from repro.engine.errors import SchemaError
 from repro.engine.expr import (
     Expression,
@@ -17,7 +18,10 @@ LAYOUT = {"E.a": 0, "E.b": 1, "D.a": 2}
 
 
 def run(expr, row, layout=None):
-    return expr.compile(layout or LAYOUT)(row)
+    """The expression's value on ``row``: a block of one."""
+    layout = layout or LAYOUT
+    (value,) = expr.compile_block(layout)(RowBlock.from_rows([row], layout))
+    return value
 
 
 class TestColumnResolution:
@@ -171,8 +175,8 @@ class TestStructuralKey:
 
     def test_subclass_without_key_equals_only_itself(self):
         class Opaque(Expression):
-            def compile(self, layout):
-                return lambda row: True
+            def compile_block(self, layout):
+                return lambda block: [True] * len(block)
 
             def references(self):
                 return frozenset()

@@ -36,7 +36,16 @@ import pytest
 from repro.engine.block import RowBlock, blocks_to_rows, iter_blocks
 from repro.engine.costmodel import OperationCounter
 from repro.engine.database import Database
-from repro.engine.expr import col, lit
+from repro.engine.expr import (
+    BinOp,
+    BoolOp,
+    ColumnRef,
+    Comparison,
+    Const,
+    Not,
+    col,
+    lit,
+)
 from repro.engine.operators import Filter, Project, RowSource
 from repro.engine.query import AggregateSpec, JoinSpec, QuerySpec
 from repro.engine.table import ModEvent, ModLog
@@ -416,6 +425,38 @@ _FOLDS = {
 }
 
 
+_BINARY = {
+    "=": lambda a, b: a == b, "!=": lambda a, b: a != b,
+    "<": lambda a, b: a < b, "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b, ">=": lambda a, b: a >= b,
+    "+": lambda a, b: a + b, "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b, "/": lambda a, b: a / b,
+}
+
+
+def oracle_value(expr, row, layout):
+    """``expr`` on one row, by walking the tree: the oracle's own
+    evaluator (kept apart from ``compile_block`` on purpose)."""
+    if isinstance(expr, ColumnRef):
+        if expr.name in layout:
+            return row[layout[expr.name]]
+        (pos,) = [p for n, p in layout.items() if n.endswith("." + expr.name)]
+        return row[pos]
+    if isinstance(expr, Const):
+        return expr.value
+    if isinstance(expr, (Comparison, BinOp)):
+        return _BINARY[expr.op](
+            oracle_value(expr.left, row, layout),
+            oracle_value(expr.right, row, layout),
+        )
+    if isinstance(expr, BoolOp):
+        combine = all if expr.op == "and" else any
+        return combine(oracle_value(e, row, layout) for e in expr.operands)
+    if isinstance(expr, Not):
+        return not oracle_value(expr.operand, row, layout)
+    raise TypeError(f"the oracle does not evaluate {expr!r}")
+
+
 def oracle_rows(db: Database, spec: QuerySpec, lsns=None) -> list[tuple]:
     """Evaluate ``spec`` over the tables' visible rows at ``lsns``."""
     assert not spec.order_by and spec.limit is None
@@ -434,15 +475,15 @@ def oracle_rows(db: Database, spec: QuerySpec, lsns=None) -> list[tuple]:
         names = names + right_names
     layout = {name: pos for pos, name in enumerate(names)}
     for predicate in spec.filters:
-        keep = predicate.compile(layout)
-        rows = [row for row in rows if keep(row)]
+        rows = [row for row in rows if oracle_value(predicate, row, layout)]
     if spec.aggregate is not None:
         agg = spec.aggregate
-        value = agg.value.compile(layout)
         groups = {} if agg.group_by else {(): []}
         for row in rows:
             key = tuple(row[layout[g]] for g in agg.group_by)
-            groups.setdefault(key, []).append(value(row))
+            groups.setdefault(key, []).append(
+                oracle_value(agg.value, row, layout)
+            )
         fold = _FOLDS[agg.func]
         rows = [key + (fold(groups[key]),) for key in sorted(groups, key=repr)]
     elif spec.projection is not None:

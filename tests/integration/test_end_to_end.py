@@ -149,7 +149,7 @@ class TestFullPipeline:
         sup = db.table("supplier")
         sup_updater = SupplierNationUpdater(sup, seed=71)
         recomputes_before = sum(
-            s.recomputations for s in view._groups.values()
+            s.recomputations for s in view._groups.states.values()
         )
         # Re-key every supplier a few times: the MIN holder will move.
         for __ in range(4):
@@ -160,6 +160,6 @@ class TestFullPipeline:
             full_refresh(view)
             assert view.contents() == view.recompute()
         recomputes_after = sum(
-            s.recomputations for s in view._groups.values()
-        ) if view._groups else 0
+            s.recomputations for s in view._groups.states.values()
+        )
         assert recomputes_after >= recomputes_before

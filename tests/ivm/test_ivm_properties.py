@@ -131,6 +131,31 @@ def test_min_view_invariant_under_interleaving(r, s, steps):
     assert view.contents() == view.recompute()
 
 
+def test_delta_that_joins_to_nothing_folds_nothing():
+    """The example the property above finds: a scalar aggregate over an
+    empty join, and a delta batch whose delta query returns no rows.  An
+    empty input has no buckets -- not an empty ``()`` one, which would
+    plant a phantom group on insert and miss its group on delete."""
+    db = fresh_db([(0, 3)], [(1, 0)])
+    view = MaterializedView("v", db, min_spec())
+    assert view.contents() == view.recompute() == {}
+    s = db.table("s")
+    for modify in (
+        lambda: s.insert((2, 0)),  # +: joins no R row
+        lambda: s.delete_rid(s.find_rids(lambda row: row[0] == 2)[0]),  # -
+    ):
+        modify()
+        view.deltas["S"].pull()
+        apply_batch(view, "S", 1)
+        assert view.contents() == view.recompute() == {}
+        assert view.scalar() is None
+    # And a view that holds a value keeps it through the same two batches.
+    db.table("r").insert((1, -2))
+    view.deltas["R"].pull()
+    apply_batch(view, "R", 1)
+    assert view.contents() == view.recompute() == {(): -2}
+
+
 @given(r=rows_strategy, s=rows_strategy, steps=script_steps)
 @settings(max_examples=25, deadline=None)
 def test_two_views_over_shared_tables_stay_independent(r, s, steps):

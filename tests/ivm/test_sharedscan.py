@@ -237,11 +237,11 @@ class Tripwire(Expression):
 
     armed = False
 
-    def compile(self, layout):
-        def check(row):
+    def compile_block(self, layout):
+        def check(block):
             if Tripwire.armed:
                 raise RuntimeError("tripped")
-            return True
+            return [True] * len(block)
 
         return check
 

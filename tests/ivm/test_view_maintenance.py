@@ -17,6 +17,7 @@ from repro.engine.query import AggregateSpec, JoinSpec, QuerySpec
 from repro.engine.types import ColumnType, Schema
 from repro.ivm.maintenance import apply_batch, full_refresh
 from repro.ivm.view import MaterializedView
+from tests.conftest import make_paper_spec, make_tpcr_db
 
 
 def make_join_db():
@@ -237,6 +238,16 @@ class TestAggregateView:
         view.deltas["R"].pull()
         apply_batch(view, "R", 1)
         assert view.contents() == view.recompute()
+
+    def test_apply_insert_rows_on_the_paper_view(self):
+        # The one caller outside src/: the harness's --fault perturb_view
+        # folds a row the base tables never held, with this very call.
+        view = MaterializedView("v", make_tpcr_db(), make_paper_spec())
+        before = view.contents()
+        assert before == view.recompute()
+        view.apply_insert_rows([(-1.0,)], {"PS.supplycost": 0})
+        assert view.contents() == {(): -1.0} != before
+        assert view.contents() != view.recompute()
 
     def test_scalar_guard_on_spj_view(self):
         db = make_join_db()
