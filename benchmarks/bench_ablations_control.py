@@ -26,6 +26,9 @@ def bench_control_ablation():
         for run in result.variants.values()
     )
     # The audit trail is complete: the run with the policy governor
-    # enabled records its switch as a ControlEvent.
-    assert any(e.governor == "policy" for e in full.events)
+    # enabled records its one switch, SLO pressure moving the paper view
+    # from ONLINE to NAIVE, as a ControlEvent.
+    assert [(e.view, e.old, e.new) for e in full.events] == [
+        ("paper_view", "online", "naive")
+    ]
     assert not baseline.events

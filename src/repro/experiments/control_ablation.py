@@ -67,7 +67,7 @@ class ControlAblationResult:
             lines.append(
                 f"{name:<11} {run.breaches:>8d} {run.near_breaches:>6d} "
                 f"{run.wall_s:>8.3f} "
-                f"{len([e for e in run.events if e.applied]):>10d}"
+                f"{len(run.events):>10d}"
             )
         baseline, full = self.variants["baseline"], self.variants["full"]
         lines.append("")

@@ -1,7 +1,7 @@
 """The policy governor: one feedback loop from telemetry to a runtime knob.
 
-:class:`PolicyGovernor` subscribes to the ``slo`` and ``drift`` kinds of
-the event log (:mod:`repro.obs.events`) and actuates
+:class:`PolicyGovernor` subscribes to the ``slo`` kind of the event log
+(:mod:`repro.obs.events`) and actuates
 :meth:`~repro.ivm.maintainer.ViewMaintainer.set_policy`::
 
     coordinator = MaintenanceCoordinator(db)
@@ -22,10 +22,14 @@ Design rules:
 * **hysteretic** -- the policy moves only after a configurable amount of
   evidence, with a cooldown before relaxing back, so one noisy interval
   cannot make the loop thrash.
+* **the live policy is the mode** -- each tick reads a view's mode from
+  the policy its maintainer runs now, so a ``set_policy`` from outside
+  or a view re-registered under the same name is seen as it is; a view
+  the coordinator no longer has is forgotten.
 * **auditable** -- every actuation is a :class:`ControlEvent` emitted as
   an ``actuation`` event (``--control-log``, ``repro control-log``)
-  plus ``control.*`` metrics.  Recording one never touches the
-  operation counter; the actuation itself changes the schedule by
+  and counted in ``control.actuations``.  Recording one never touches
+  the operation counter; the actuation itself changes the schedule by
   design, never what a given query charges.
 * **subscribing is observational** -- a governor that never actuates
   leaves a run byte-identical to one without it (guarded by
@@ -41,64 +45,51 @@ from dataclasses import dataclass, field
 from repro import obs
 from repro.core.naive import NaivePolicy
 from repro.core.online import OnlinePolicy
-from repro.core.receding import RecedingHorizonPolicy
 from repro.ivm.multiview import MaintenanceCoordinator
 from repro.obs import events
 
 __all__ = ["ControlEvent", "PolicyGovernor"]
 
 #: Policy-mode names, in escalation order (most defensive first).
-NAIVE, ONLINE, RECEDING = "naive", "online", "receding"
+NAIVE, ONLINE = "naive", "online"
 
 
 @dataclass
 class ControlEvent:
-    """One control-loop actuation (or explicitly suppressed actuation).
+    """One policy switch of one view.
 
-    ``old``/``new`` are the setting's values before and after (policy
-    mode names).  ``signals`` holds the raw numeric evidence the governor
-    acted on, keyed by signal name.  ``applied`` is ``False`` for an
-    event recorded without actually changing anything, so suppressed
-    decisions are auditable too.
+    ``old``/``new`` are the view's policy modes before and after.
+    ``signals`` holds the raw numeric evidence the governor acted on,
+    keyed by signal name.
     """
 
     t: int | None
-    governor: str  # e.g. "policy"
-    setting: str  # the knob changed, e.g. "policy"
     old: object
     new: object
     reason: str
     signals: dict[str, float] = field(default_factory=dict)
     view: str | None = None
-    applied: bool = True
 
     def lines(self) -> list[str]:
         """The event as a text tree (``repro control-log``)."""
         where = f" view={self.view}" if self.view else ""
-        verb = "set" if self.applied else "held"
         items = [f"reason: {self.reason}"]
         if self.signals:
             rendered = ", ".join(
                 f"{k}={v:.3f}" for k, v in sorted(self.signals.items())
             )
             items.append(f"signals: {rendered}")
-        items.append("applied: yes" if self.applied else "applied: no")
         return events.tree(
-            f"t={self.t} {self.governor}{where}: "
-            f"{verb} {self.setting} {self.old!r} -> {self.new!r}",
-            items,
+            f"t={self.t}{where}: policy {self.old!r} -> {self.new!r}", items
         )
 
     def to_dict(self) -> dict:
         data: dict = {
             "t": self.t,
-            "governor": self.governor,
-            "setting": self.setting,
             "old": self.old,
             "new": self.new,
             "reason": self.reason,
             "signals": dict(self.signals),
-            "applied": self.applied,
         }
         if self.view is not None:
             data["view"] = self.view
@@ -106,67 +97,52 @@ class ControlEvent:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ControlEvent":
+        """Requires ``old`` and ``new``; ignores keys it does not know."""
         return cls(
             t=data.get("t"),
-            governor=data["governor"],
-            setting=data["setting"],
-            old=data.get("old"),
-            new=data.get("new"),
+            old=data["old"],
+            new=data["new"],
             reason=data.get("reason", ""),
             signals={
                 k: float(v) for k, v in data.get("signals", {}).items()
             },
             view=data.get("view"),
-            applied=bool(data.get("applied", True)),
         )
 
 
 def emit(event: ControlEvent) -> ControlEvent:
-    """Hand ``event`` to the event log and count it: ``control.events``
-    every emission, ``control.actuations`` the ones that changed a setting."""
+    """Hand ``event`` to the event log and count it in ``control.actuations``."""
     events.emit("actuation", event)
     recorder = obs.get_recorder()
     if recorder is not None:
-        recorder.counter("control.events")
-        if event.applied:
-            recorder.counter("control.actuations")
+        recorder.counter("control.actuations")
     return event
 
 
 #: Mode -> a fresh policy instance per switch (estimator state must not leak).
-_POLICY_FOR = {
-    NAIVE: NaivePolicy,
-    ONLINE: OnlinePolicy,
-    RECEDING: lambda: RecedingHorizonPolicy(window=60),
-}
+_POLICY_FOR = {NAIVE: NaivePolicy, ONLINE: OnlinePolicy}
 
 
 def _mode_of(policy) -> str:
-    """Best-effort mode name for the policy a maintainer starts with."""
+    """Best-effort mode name of the policy a maintainer runs."""
     name = type(policy).__name__.lower()
-    for mode in (NAIVE, RECEDING, ONLINE):
+    for mode in (NAIVE, ONLINE):
         if mode in name:
             return mode
     return name or "custom"
 
 
 class PolicyGovernor:
-    """Switch per-view scheduling policy from SLO pressure and drift.
-
-    Escalation ladder (most defensive wins):
+    """Switch per-view scheduling policy from SLO pressure.
 
     * ``escalate_after`` breach/near-breach events for one view within
       the trailing ``window`` steps -> **NAIVE** (flush-everything keeps
       the post-action backlog at zero, buying maximum headroom for the
       next burst at the price of batching economy);
-    * a calibration-drift alert for a view still on ONLINE ->
-      **RECEDING** (when the long-horizon cost model is drifting, a
-      short re-planned window beats trusting ONLINE's closed-form
-      amortized score);
     * ``cooldown`` consecutive quiet steps -> relax back to ONLINE.
 
-    A context manager: entering subscribes to ``slo`` and ``drift``
-    events, leaving unsubscribes.
+    A context manager: entering subscribes to ``slo`` events, leaving
+    unsubscribes.
     """
 
     def __init__(
@@ -187,25 +163,17 @@ class PolicyGovernor:
         self._lock = threading.Lock()
         #: view -> recent breach/near-breach step numbers (bounded).
         self._pressure: dict[str, deque[int]] = {}
-        #: views with an unconsumed drift alert.
-        self._drifted: dict[str, int] = {}
-        #: view -> current mode (lazily seeded from the live policy).
-        self._modes: dict[str, str] = {}
         #: view -> last step with any pressure event.
         self._last_event: dict[str, int] = {}
 
     # -- subscriptions --------------------------------------------------
 
     def __enter__(self) -> "PolicyGovernor":
-        log = events.installed()
-        log.subscribe("slo", self._on_slo)
-        log.subscribe("drift", self._on_drift)
+        events.installed().subscribe("slo", self._on_slo)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        log = events.installed()
-        log.unsubscribe("slo", self._on_slo)
-        log.unsubscribe("drift", self._on_drift)
+        events.installed().unsubscribe("slo", self._on_slo)
 
     def _on_slo(self, event) -> None:
         view = event.view
@@ -219,53 +187,28 @@ class PolicyGovernor:
             bucket.append(t)
             self._last_event[view] = max(self._last_event.get(view, t), t)
 
-    def _on_drift(self, event) -> None:
-        view = event.view
-        if view is None:
-            return
-        with self._lock:
-            self._drifted[view] = event.t
-            self._last_event[view] = max(
-                self._last_event.get(view, event.t), event.t
-            )
-
     # -- actuation ------------------------------------------------------
 
     def _switch(self, view, maintainer, old, mode, t, reason, signals) -> None:
         maintainer.set_policy(_POLICY_FOR[mode]())
-        self._modes[view] = mode
-        recorder = obs.get_recorder()
-        if recorder is not None:
-            recorder.counter("control.policy.switches")
-        emit(
-            ControlEvent(
-                t=t,
-                governor="policy",
-                setting="policy",
-                old=old,
-                new=mode,
-                reason=reason,
-                signals=signals,
-                view=view,
-            )
-        )
+        emit(ControlEvent(t, old, mode, reason, signals, view))
 
     def tick(self, t: int) -> None:
         """One control interval: read the buffered signals and actuate.
         Call between maintenance rounds."""
         with self._lock:
             pressure = {v: list(q) for v, q in self._pressure.items()}
-            drifted = dict(self._drifted)
-            self._drifted.clear()
             last_event = dict(self._last_event)
-        views = set(pressure) | set(drifted) | set(self._modes)
-        for view in sorted(views):
+        for view in sorted(pressure):
             try:
                 maintainer = self.coordinator.maintainer(view)
             except KeyError:
-                continue  # view removed since the alert fired
-            mode = self._modes.setdefault(view, _mode_of(maintainer.policy))
-            recent = [s for s in pressure.get(view, ()) if s > t - self.window]
+                with self._lock:  # view removed: forget its buffers
+                    self._pressure.pop(view, None)
+                    self._last_event.pop(view, None)
+                continue
+            mode = _mode_of(maintainer.policy)
+            recent = [s for s in pressure[view] if s > t - self.window]
             if mode != NAIVE and len(recent) >= self.escalate_after:
                 self._switch(
                     view, maintainer, mode, NAIVE, t,
@@ -280,19 +223,7 @@ class PolicyGovernor:
                     },
                 )
                 continue
-            if view in drifted and mode == ONLINE:
-                self._switch(
-                    view, maintainer, mode, RECEDING, t,
-                    reason=(
-                        "calibration drift: the cost model's rolling "
-                        "relative error crossed its threshold; "
-                        "re-planning over a short window instead of "
-                        "trusting the long-horizon estimate"
-                    ),
-                    signals={"drift_t": float(drifted[view])},
-                )
-                continue
-            quiet_for = t - last_event.get(view, -(10**9))
+            quiet_for = t - last_event[view]
             if mode != ONLINE and quiet_for >= self.cooldown:
                 self._switch(
                     view, maintainer, mode, ONLINE, t,

@@ -324,12 +324,8 @@ class ViewMaintainer:
         view = self.view
         flush_ms: dict[str, float] = {}
         # Timing each flush is worth it only if someone consumes the
-        # sample: a recorder, the calibration ring or a drift subscriber.
-        calibrating = (
-            recorder is not None
-            or "calibration" in wanted
-            or "drift" in wanted
-        )
+        # sample: a recorder or the calibration ring.
+        calibrating = recorder is not None or "calibration" in wanted
         for alias, k, prices, batch in flushes:
             if batch is not None and batch.suppressed:
                 # The fingerprint proved every event in the window a

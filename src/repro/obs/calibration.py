@@ -7,7 +7,7 @@ reports ``(predicted f_i(k), actual simulated ms)`` through
 :func:`observe_flush`, producing a :class:`CalibrationSample` whose
 residual says how far the planner's world model is from reality.
 
-Three consumers, all optional and all observational:
+Two consumers, both optional and both observational:
 
 * **metrics** -- samples feed the ``planner.calibration.*`` family
   (abs/rel error and signed residual histograms with the registry's
@@ -16,11 +16,11 @@ Three consumers, all optional and all observational:
   (:mod:`repro.obs.events`; :func:`tracking` opens its ring), and
   :func:`summary` aggregates residuals per table alias and per view,
   with the invariant that every aggregate equals the sum of its
-  per-sample residuals (property tested);
-* **drift alerts** -- a rolling per-``(view, table)`` window of
-  relative errors; when the window fills and its mean exceeds the
-  threshold, a :class:`DriftEvent` is emitted as a ``drift`` event
-  (:func:`drift_alerts` subscribes), and the window re-arms.
+  per-sample residuals (property tested).
+
+Both sides of a residual are simulated milliseconds, so it measures the
+staircase against the operation counter, never against wall-clock, and
+nothing acts on it.
 
 Nothing here touches the operation counter: cost tables stay
 byte-identical with calibration enabled or disabled (guarded by the
@@ -29,22 +29,15 @@ decisions/calibration differential test).
 
 from __future__ import annotations
 
-import threading
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from repro.engine.costmodel import float_total
 from repro.obs import events
 from repro.obs.recorder import get_recorder
 
 __all__ = [
     "CalibrationSample",
-    "DriftEvent",
-    "DriftMonitor",
-    "configure_drift",
-    "drift_alerts",
     "observe_flush",
     "summary",
     "tracking",
@@ -53,11 +46,6 @@ __all__ = [
 #: Relative errors are computed against max(|predicted|, this floor) so
 #: a zero-cost prediction cannot divide the residual by zero.
 REL_ERR_FLOOR = 1e-9
-
-#: Drift fires when the mean relative error of a full rolling window
-#: exceeds the threshold.
-DEFAULT_DRIFT_THRESHOLD = 0.5
-DEFAULT_DRIFT_WINDOW = 16
 
 
 @dataclass(frozen=True)
@@ -129,102 +117,12 @@ def summary(samples: Iterable[CalibrationSample]) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class DriftEvent:
-    """The cost model drifted: rolling relative error over threshold."""
-
-    view: str | None
-    alias: str
-    t: int
-    rolling_rel_err: float
-    threshold: float
-    window: int
-
-    def __str__(self) -> str:
-        where = f" view={self.view}" if self.view else ""
-        return (
-            f"calibration drift [{self.alias}]{where} t={self.t}: "
-            f"rolling rel err {self.rolling_rel_err:.3f} "
-            f"> {self.threshold:.3f} over {self.window} flushes"
-        )
-
-    to_dict = asdict
-
-
-def drift_alerts(callback: Callable[[DriftEvent], None]):
-    """Scope a drift callback to a ``with`` block (tests, scripts)."""
-    return events.subscribe("drift", callback)
-
-
-class DriftMonitor:
-    """Rolling per-``(view, alias)`` relative-error windows.
-
-    When a window reaches ``window`` samples its mean relative error is
-    compared against ``threshold``; on a hit the window clears (so the
-    alert re-arms instead of firing on every subsequent flush) and a
-    :class:`DriftEvent` is emitted as a ``drift`` event.
-    """
-
-    def __init__(
-        self,
-        threshold: float = DEFAULT_DRIFT_THRESHOLD,
-        window: int = DEFAULT_DRIFT_WINDOW,
-    ):
-        self.threshold = threshold
-        self.window = window
-        self._windows: dict[tuple[str | None, str], deque[float]] = {}
-        self._lock = threading.Lock()
-
-    def observe(self, sample: CalibrationSample) -> DriftEvent | None:
-        key = (sample.view, sample.alias)
-        with self._lock:
-            window = self._windows.setdefault(
-                key, deque(maxlen=self.window)
-            )
-            window.append(sample.rel_err)
-            if len(window) < self.window:
-                return None
-            rolling = float_total(window) / len(window)
-            if rolling <= self.threshold:
-                return None
-            window.clear()
-        event = DriftEvent(
-            view=sample.view,
-            alias=sample.alias,
-            t=sample.t,
-            rolling_rel_err=rolling,
-            threshold=self.threshold,
-            window=self.window,
-        )
-        recorder = get_recorder()
-        if recorder is not None:
-            recorder.counter("planner.calibration.drift_alerts")
-        events.emit("drift", event)
-        return event
-
-
-_state_lock = threading.Lock()
-_monitor = DriftMonitor()
-
-
 @contextmanager
 def tracking() -> Iterator[events.Ring]:
     """Keep calibration samples for the block; yields the ``calibration``
     ring (``len()``, ``.samples()``)."""
     with events.collecting("calibration") as log:
         yield log.rings["calibration"]
-
-
-def configure_drift(
-    threshold: float = DEFAULT_DRIFT_THRESHOLD,
-    window: int = DEFAULT_DRIFT_WINDOW,
-) -> DriftMonitor:
-    """Replace the global drift monitor (fresh windows) and return it."""
-    global _monitor
-    monitor = DriftMonitor(threshold=threshold, window=window)
-    with _state_lock:
-        _monitor = monitor
-    return monitor
 
 
 def observe_flush(
@@ -251,5 +149,4 @@ def observe_flush(
         recorder.observe("planner.calibration.abs_err_ms", sample.abs_err_ms)
         recorder.observe("planner.calibration.rel_err", sample.rel_err)
         recorder.observe("planner.calibration.residual", sample.residual_ms)
-    _monitor.observe(sample)
     return sample

@@ -47,7 +47,6 @@ CAPACITY = {
     "decision": 4096,
     "calibration": 65536,
     "slo": 4096,
-    "drift": 4096,
     "actuation": 4096,
     "profile": 256,
 }

@@ -1,7 +1,7 @@
 """Differential: a governor that never actuates vs no governor at all.
 
 The policy governor's contract is **subscribing is observational**: a
-governor that hears every SLO and drift event and is ticked every round
+governor that hears every SLO event and is ticked every round
 changes nothing until it actuates.  This suite proves it differentially
 -- two identically seeded maintenance runs, one under a subscribed
 governor whose escalation threshold is out of reach, one with no

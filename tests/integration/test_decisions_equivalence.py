@@ -5,8 +5,7 @@ The tracing layer (:mod:`repro.obs.decisions`) and the calibration layer
 counter.  These tests enforce that the way the attribution and block
 refactors are enforced: run the same workload twice on identically
 seeded databases -- once with *everything* on (recorder, decision log,
-calibration tracker, drift alerts with a hair-trigger threshold) and
-once with everything off -- and require byte-identical view contents
+calibration tracker) and once with everything off -- and require byte-identical view contents
 and byte-identical :class:`OperationCounter` cost tables at small and
 default block sizes.
 
@@ -44,7 +43,7 @@ def run_fleet(block_size: int, traced: bool):
     """Maintain a two-view fleet; returns (contents, cost table, evidence).
 
     ``evidence`` is ``None`` untraced; otherwise the (decision log,
-    calibration tracker, drift events) the traced leg accumulated.
+    calibration tracker) the traced leg accumulated.
     """
     db = make_tpcr_db()
     db.block_size = block_size
@@ -82,19 +81,11 @@ def run_fleet(block_size: int, traced: bool):
     if not traced:
         return drive(), db.counter.snapshot(), None
 
-    drift_events = []
-    # Hair-trigger drift config: every flush window fires, exercising
-    # the alert path inside the maintained run.
-    calibration.configure_drift(threshold=0.0, window=1)
-    try:
-        with obs.recording():
-            with decisions.collecting() as log:
-                with calibration.tracking() as tracker:
-                    with calibration.drift_alerts(drift_events.append):
-                        contents = drive()
-    finally:
-        calibration.configure_drift()  # restore default monitor
-    return contents, db.counter.snapshot(), (log, tracker, drift_events)
+    with obs.recording():
+        with decisions.collecting() as log:
+            with calibration.tracking() as tracker:
+                contents = drive()
+    return contents, db.counter.snapshot(), (log, tracker)
 
 
 class TestMaintainedFleetEquivalence:
@@ -109,7 +100,7 @@ class TestMaintainedFleetEquivalence:
             f"cost table diverges under tracing at block_size={block_size}"
         )
         # Non-vacuity: the traced run really traced.
-        log, tracker, drift_events = evidence
+        log, tracker = evidence
         joined = [e for e in log.events() if e.actual_ms is not None]
         assert joined, "no decision was ever joined with its execution"
         assert {e.view for e in joined} == {"min_cost", "qty"}
@@ -123,12 +114,12 @@ class TestMaintainedFleetEquivalence:
         assert len(tracker) >= len(
             [e for e in flushed if e.actual_ms]
         ), "every per-table flush should yield a calibration sample"
-        assert drift_events, "threshold=0 drift never fired"
+        assert len(tracker) > 0, "the calibration ring sampled no flush"
 
     def test_calibration_samples_match_ledger_predictions(self):
         """Each sample's prediction is the planner's own f_i(k) for the
         flushed batch -- recomputable from the cost family."""
-        _, _, (log, tracker, _) = run_fleet(256, traced=True)
+        _, _, (log, tracker) = run_fleet(256, traced=True)
         (f,) = COST
         for sample in tracker.samples():
             assert sample.k > 0

@@ -15,14 +15,11 @@ def render_control_log(trail, **filters) -> str:
 def _event(**overrides):
     base = dict(
         t=5,
-        governor="policy",
-        setting="policy",
         old="online",
         new="naive",
         reason="slo pressure",
         signals={"pressure_events": 3.0},
         view="paper_view",
-        applied=True,
     )
     base.update(overrides)
     return ControlEvent(**base)
@@ -35,7 +32,7 @@ class TestControlEvent:
         assert clone == event
 
     def test_roundtrip_through_json(self):
-        event = _event(old=2048, new=1024, governor="block_size", view=None)
+        event = _event(old=2048, new=1024, view=None)
         line = json.dumps(event.to_dict(), sort_keys=True)
         clone = ControlEvent.from_dict(json.loads(line))
         assert clone == event
@@ -44,11 +41,9 @@ class TestControlEvent:
         assert "view" not in _event(view=None).to_dict()
 
     def test_from_dict_defaults(self):
-        minimal = ControlEvent.from_dict(
-            {"governor": "block_size", "setting": "block_size"}
-        )
+        minimal = ControlEvent.from_dict({"old": "online", "new": "naive"})
         assert minimal.t is None
-        assert minimal.applied is True
+        assert minimal.reason == ""
         assert minimal.signals == {}
         assert minimal.view is None
 
@@ -91,10 +86,10 @@ class TestGlobalSink:
 
     def test_emit_metrics(self):
         with obs.recording() as rec, events.collecting("actuation"):
-            emit(_event(applied=True))
-            emit(_event(applied=False))
-        assert rec.registry.get("control.events").value == 2
-        assert rec.registry.get("control.actuations").value == 1
+            emit(_event())
+            emit(_event(t=6))
+        assert rec.registry.names("control.") == ["control.actuations"]
+        assert rec.registry.get("control.actuations").value == 2
 
 
 class TestRender:
@@ -109,18 +104,14 @@ class TestRender:
         out = render_control_log([_event()])
         lines = out.splitlines()
         assert lines[0] == "control log: 1 event(s)"
-        assert "t=5 policy view=paper_view: set policy 'online' -> 'naive'" in lines[1]
-        assert lines[2].startswith("├─ reason: slo pressure")
-        assert "signals: pressure_events=3.000" in lines[3]
-        assert lines[4] == "└─ applied: yes"
-
-    def test_held_events_say_so(self):
-        out = render_control_log([_event(applied=False)])
-        assert "held policy" in out
-        assert "applied: no" in out
+        assert lines[1:] == [
+            "t=5 view=paper_view: policy 'online' -> 'naive'",
+            "├─ reason: slo pressure",
+            "└─ signals: pressure_events=3.000",
+        ]
 
     def test_filters(self):
         trail = [_event(view="a"), _event(view="b", t=9)]
         out = render_control_log(trail, view="b")
-        assert "t=9 policy view=b" in out
+        assert "t=9 view=b" in out
         assert "view=a" not in out

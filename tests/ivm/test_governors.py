@@ -8,14 +8,7 @@ from repro import obs
 from repro.core.naive import NaivePolicy
 from repro.core.online import OnlinePolicy
 from repro.core.receding import RecedingHorizonPolicy
-from repro.ivm.governor import (
-    NAIVE,
-    ONLINE,
-    RECEDING,
-    PolicyGovernor,
-    _mode_of,
-)
-from repro.obs import calibration as obs_calibration
+from repro.ivm.governor import NAIVE, ONLINE, PolicyGovernor, _mode_of
 from repro.obs import events, slo
 
 
@@ -44,34 +37,38 @@ class FakeCoordinator:
         return self._maintainers[name]
 
 
+def pressure(governor, view, steps):
+    """One SLO breach of ``view`` at each of ``steps``."""
+    for t in steps:
+        governor._on_slo(
+            slo.SloEvent(
+                kind=slo.BREACH, limit=10.0, cost=12.0, t=t,
+                source=f"ivm:{view}",
+            )
+        )
+
+
 class TestModeOf:
     def test_known_policies(self):
         assert _mode_of(NaivePolicy()) == NAIVE
         assert _mode_of(OnlinePolicy()) == ONLINE
-        assert _mode_of(RecedingHorizonPolicy()) == RECEDING
+        # Any other policy is neither: SLO pressure escalates it, and a
+        # quiet cooldown relaxes it to ONLINE.
+        assert _mode_of(RecedingHorizonPolicy()) not in (NAIVE, ONLINE)
 
 
 class TestPolicyGovernor:
-    def _pressure(self, governor, view, steps):
-        for t in steps:
-            governor._on_slo(
-                slo.SloEvent(
-                    kind=slo.BREACH, limit=10.0, cost=12.0, t=t,
-                    source=f"ivm:{view}",
-                )
-            )
-
     def test_escalates_to_naive_under_pressure(self):
         maintainer = FakeMaintainer(OnlinePolicy())
         governor = PolicyGovernor(
             FakeCoordinator(v=maintainer), escalate_after=3, window=10
         )
         with collecting() as log:
-            self._pressure(governor, "v", [4, 5, 6])
+            pressure(governor, "v", [4, 5, 6])
             governor.tick(7)
         assert isinstance(maintainer.policy, NaivePolicy)
         (event,) = log.events()
-        assert (event.governor, event.old, event.new) == ("policy", ONLINE, NAIVE)
+        assert (event.old, event.new) == (ONLINE, NAIVE)
         assert event.view == "v"
         assert event.signals["pressure_events"] == 3.0
 
@@ -81,7 +78,7 @@ class TestPolicyGovernor:
             FakeCoordinator(v=maintainer), escalate_after=3, window=10
         )
         with collecting() as log:
-            self._pressure(governor, "v", [4, 5])
+            pressure(governor, "v", [4, 5])
             governor.tick(6)
         assert isinstance(maintainer.policy, OnlinePolicy)
         assert not log.events()
@@ -92,25 +89,10 @@ class TestPolicyGovernor:
             FakeCoordinator(v=maintainer), escalate_after=3, window=5
         )
         with collecting() as log:
-            self._pressure(governor, "v", [1, 2, 3])
+            pressure(governor, "v", [1, 2, 3])
             governor.tick(50)  # all events fell out of the window
         assert isinstance(maintainer.policy, OnlinePolicy)
         assert not log.events()
-
-    def test_drift_moves_online_to_receding(self):
-        maintainer = FakeMaintainer(OnlinePolicy())
-        governor = PolicyGovernor(FakeCoordinator(v=maintainer))
-        with collecting() as log:
-            governor._on_drift(
-                obs_calibration.DriftEvent(
-                    view="v", alias="PS", t=9, rolling_rel_err=0.8,
-                    threshold=0.5, window=16,
-                )
-            )
-            governor.tick(10)
-        assert isinstance(maintainer.policy, RecedingHorizonPolicy)
-        (event,) = log.events()
-        assert event.new == RECEDING
 
     def test_quiet_cooldown_relaxes_back(self):
         maintainer = FakeMaintainer(OnlinePolicy())
@@ -119,7 +101,7 @@ class TestPolicyGovernor:
             escalate_after=1, window=5, cooldown=10,
         )
         with collecting() as log:
-            self._pressure(governor, "v", [2])
+            pressure(governor, "v", [2])
             governor.tick(3)
             assert isinstance(maintainer.policy, NaivePolicy)
             governor.tick(4)  # still within cooldown: hold
@@ -131,7 +113,7 @@ class TestPolicyGovernor:
     def test_removed_view_is_skipped(self):
         governor = PolicyGovernor(FakeCoordinator(), escalate_after=1)
         with collecting() as log:
-            self._pressure(governor, "gone", [1])
+            pressure(governor, "gone", [1])
             governor.tick(2)  # KeyError from the coordinator: no crash
         assert not log.events()
 
@@ -168,9 +150,11 @@ class TestPolicyGovernor:
             FakeCoordinator(v=maintainer), escalate_after=1
         )
         with obs.recording() as rec, collecting():
-            self._pressure(governor, "v", [1])
+            pressure(governor, "v", [1])
             governor.tick(2)
-        assert rec.registry.get("control.policy.switches").value == 1
+        # One counter, counted where the event is emitted.
+        assert rec.registry.names("control.") == ["control.actuations"]
+        assert rec.registry.get("control.actuations").value == 1
 
     def test_validates_thresholds(self):
         with pytest.raises(ValueError):
@@ -178,3 +162,53 @@ class TestPolicyGovernor:
         with pytest.raises(ValueError):
             PolicyGovernor(FakeCoordinator(), window=0)
 
+
+class TestModeIsTheLivePolicy:
+    """The governor reads a view's mode from the policy it runs at each
+    tick, so a view re-registered under the same name or switched from
+    outside is governed as it is, not as it was."""
+
+    def escalated(self):
+        """View ``v`` moved online -> naive at t=2 (cooldown 10)."""
+        coordinator = FakeCoordinator(v=FakeMaintainer(OnlinePolicy()))
+        governor = PolicyGovernor(
+            coordinator, escalate_after=1, window=5, cooldown=10
+        )
+        pressure(governor, "v", [1])
+        governor.tick(2)
+        assert isinstance(coordinator.maintainer("v").policy, NaivePolicy)
+        return coordinator, governor
+
+    def test_re_registered_view_is_escalated(self):
+        coordinator, governor = self.escalated()
+        coordinator._maintainers["v"] = fresh = FakeMaintainer(OnlinePolicy())
+        with collecting() as log:
+            pressure(governor, "v", [30])
+            governor.tick(30)
+        assert isinstance(fresh.policy, NaivePolicy)
+        assert [(e.old, e.new) for e in log.events()] == [(ONLINE, NAIVE)]
+
+    def test_no_spurious_relax_of_a_view_already_online(self):
+        coordinator, governor = self.escalated()
+        online = OnlinePolicy()
+        coordinator._maintainers["v"] = FakeMaintainer(online)
+        with collecting() as log:
+            governor.tick(45)  # quiet past the cooldown
+        # The view keeps its policy object, estimator state included.
+        assert coordinator.maintainer("v").policy is online
+        assert not log.events()
+
+    def test_external_set_policy_is_respected(self):
+        coordinator, governor = self.escalated()
+        coordinator.maintainer("v").set_policy(OnlinePolicy())
+        with collecting() as log:
+            pressure(governor, "v", [4])
+            governor.tick(4)
+        assert isinstance(coordinator.maintainer("v").policy, NaivePolicy)
+        assert [(e.old, e.new) for e in log.events()] == [(ONLINE, NAIVE)]
+
+    def test_removed_view_buffers_are_forgotten(self):
+        coordinator, governor = self.escalated()
+        del coordinator._maintainers["v"]
+        governor.tick(3)
+        assert not governor._pressure and not governor._last_event

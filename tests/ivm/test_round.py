@@ -18,11 +18,12 @@ from hypothesis import given, settings
 from repro import obs
 from repro.core.costfuncs import LinearCost
 from repro.core.naive import NaivePolicy
+from repro.core.online import OnlinePolicy
 from repro.core.plan import Plan
 from repro.core.policies import Policy, PolicyError
 from repro.core.problem import CostModel, ProblemInstance
+from repro.core.receding import RecedingHorizonPolicy
 from repro.core.simulator import simulate_policy
-from repro.ivm import governor
 from repro.ivm.maintainer import ViewMaintainer
 from repro.ivm.multiview import MaintenanceCoordinator
 from repro.ivm.view import MaterializedView
@@ -234,13 +235,14 @@ class TestOneTail:
         assert [e.flushes for e in insensitive] == [0, 1, 1, 0]
 
     def test_every_entry_passes_the_check_across_policy_switches(self):
-        """The governor de-escalates naive -> online -> receding and
-        escalates back; whichever policy decided, what the ledger holds
-        is what the maintainer's own model accepts."""
+        """The policy moves naive -> online -> receding -> online ->
+        naive between rounds; whichever policy decided, what the ledger
+        holds is what the maintainer's own model accepts."""
         maintainer, ps, sup = make_maintainer(NaivePolicy(), verify=True)
         t = 0
-        for mode in (
-            governor.ONLINE, governor.RECEDING, governor.ONLINE, governor.NAIVE
+        for policy in (
+            OnlinePolicy(), RecedingHorizonPolicy(window=60), OnlinePolicy(),
+            NaivePolicy(),
         ):
             for _ in range(6):
                 ps.apply(8)
@@ -249,7 +251,7 @@ class TestOneTail:
                 t += 1
             maintainer.refresh(t)
             t += 1
-            maintainer.set_policy(governor._POLICY_FOR[mode]())
+            maintainer.set_policy(policy)
         ps.apply(8)
         maintainer.step(t)
         t += 1

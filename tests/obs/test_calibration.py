@@ -1,10 +1,8 @@
 """Tests for cost-model calibration telemetry (``repro.obs.calibration``).
 
 Sample arithmetic, the summary over tracked samples (with the property
-that every aggregate equals the fold of its per-sample residuals), the rolling
-drift monitor (fires only on a full window, re-arms after firing, works
-with or without a recorder), and the ``observe_flush`` entry point that
-ties tracker, metrics, and drift together.
+that every aggregate equals the fold of its per-sample residuals), and
+the ``observe_flush`` entry point that feeds the tracker and the metrics.
 """
 
 from __future__ import annotations
@@ -15,12 +13,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.obs import calibration, events
-from repro.obs.calibration import (
-    REL_ERR_FLOOR,
-    CalibrationSample,
-    DriftEvent,
-    DriftMonitor,
-)
+from repro.obs.calibration import REL_ERR_FLOOR, CalibrationSample
 
 
 def make_sample(
@@ -128,69 +121,15 @@ class TestTracker:
         )
 
 
-class TestDriftMonitor:
-    def test_fires_only_on_a_full_window_over_threshold(self):
-        monitor = DriftMonitor(threshold=0.5, window=3)
-        bad = make_sample(1.0, 2.0)  # rel_err 1.0
-        assert monitor.observe(bad) is None
-        assert monitor.observe(bad) is None
-        event = monitor.observe(bad)
-        assert isinstance(event, DriftEvent)
-        assert event.rolling_rel_err == pytest.approx(1.0)
-        assert event.alias == "PS" and event.view == "v"
-
-    def test_accurate_window_never_fires(self):
-        monitor = DriftMonitor(threshold=0.5, window=2)
-        good = make_sample(2.0, 2.1)  # rel_err 0.05
-        assert monitor.observe(good) is None
-        assert monitor.observe(good) is None
-        assert monitor.observe(good) is None
-
-    def test_rearms_after_firing(self):
-        monitor = DriftMonitor(threshold=0.5, window=2)
-        bad = make_sample(1.0, 3.0)
-        assert monitor.observe(bad) is None
-        assert monitor.observe(bad) is not None  # fires, window clears
-        assert monitor.observe(bad) is None  # refilling from scratch
-        assert monitor.observe(bad) is not None
-
-    def test_windows_are_per_view_and_alias(self):
-        monitor = DriftMonitor(threshold=0.5, window=2)
-        assert monitor.observe(make_sample(1.0, 3.0, view="a")) is None
-        assert monitor.observe(make_sample(1.0, 3.0, view="b")) is None
-        # Each view's window holds one sample; neither is full yet.
-        event = monitor.observe(make_sample(1.0, 3.0, view="a"))
-        assert event is not None and event.view == "a"
-
-    def test_fires_through_hub_without_recorder(self):
-        seen: list[DriftEvent] = []
-        monitor = DriftMonitor(threshold=0.1, window=1)
-        with calibration.drift_alerts(seen.append):
-            monitor.observe(make_sample(1.0, 2.0))
-        assert len(seen) == 1
-        assert "calibration drift" in str(seen[0])
-
-    def test_counts_alerts_under_recorder(self):
-        monitor = DriftMonitor(threshold=0.1, window=1)
-        with obs.recording() as recorder:
-            monitor.observe(make_sample(1.0, 2.0))
-        snap = recorder.registry.snapshot()
-        assert snap["planner.calibration.drift_alerts"]["value"] == 1
-
-
 class TestObserveFlush:
     def test_feeds_tracker_metrics_and_monitor(self):
-        calibration.configure_drift(threshold=0.1, window=1)
-        fired: list[DriftEvent] = []
-        try:
-            with obs.recording() as recorder:
-                with calibration.tracking() as tracker:
-                    with calibration.drift_alerts(fired.append):
-                        sample = calibration.observe_flush(
-                            "v", 3, "PS", 2, predicted_ms=2.0, actual_ms=3.0
-                        )
-        finally:
-            calibration.configure_drift()  # restore defaults
+        """The tracker and the recorder both see the sample; the
+        ``planner.calibration.*`` family is these four metrics."""
+        with obs.recording() as recorder:
+            with calibration.tracking() as tracker:
+                sample = calibration.observe_flush(
+                    "v", 3, "PS", 2, predicted_ms=2.0, actual_ms=3.0
+                )
         assert sample.residual_ms == pytest.approx(1.0)
         assert calibration.summary(tracker.samples())["total"]["samples"] == 1
         snap = recorder.registry.snapshot()
@@ -198,16 +137,19 @@ class TestObserveFlush:
         assert snap["planner.calibration.abs_err_ms"]["max"] == 1.0
         assert snap["planner.calibration.rel_err"]["max"] == 0.5
         assert snap["planner.calibration.residual"]["max"] == 1.0
-        assert len(fired) == 1
+        assert recorder.registry.names("planner.calibration") == [
+            "planner.calibration.abs_err_ms",
+            "planner.calibration.rel_err",
+            "planner.calibration.residual",
+            "planner.calibration.samples",
+        ]
 
     def test_enabled_gates(self):
         """What the maintainer asks before it times a flush."""
-        assert not (events.wanted("calibration") or events.wanted("drift"))
+        assert not events.wanted("calibration")
         with calibration.tracking():
             assert events.wanted("calibration")
-        with calibration.drift_alerts(lambda e: None):
-            assert events.wanted("drift")
-        assert not (events.wanted("calibration") or events.wanted("drift"))
+        assert not events.wanted("calibration")
 
     def test_tracking_restores_previous_tracker(self):
         with calibration.tracking() as outer:

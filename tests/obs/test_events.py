@@ -37,10 +37,8 @@ def make_event(kind: str, t: int = 0, view: str | None = "v"):
         return calibration.CalibrationSample(view, t, "PS", 1, 2.0, 2.5)
     if kind == "slo":
         return slo.SloEvent(slo.BREACH, 10.0, 12.0, t=t, source=f"ivm:{view}")
-    if kind == "drift":
-        return calibration.DriftEvent(view, "PS", t, 0.8, 0.5, 16)
     if kind == "actuation":
-        return ControlEvent(t, "policy", "policy", "online", "naive", "r", view=view)
+        return ControlEvent(t, "online", "naive", "r", view=view)
     assert kind == "profile"
     return attrib.QueryProfile(None, view=view, round=t)
 
@@ -171,11 +169,11 @@ class TestSubscribers:
 
     def test_ring_and_subscribers_all_get_the_event(self, fresh_log):
         first, second = [], []
-        with events.collecting("drift") as log, \
-                events.subscribe("drift", first.append), \
-                events.subscribe("drift", second.append):
-            events.emit("drift", make_event("drift"))
-            assert len(log.rings["drift"]) == len(first) == len(second) == 1
+        with events.collecting("slo") as log, \
+                events.subscribe("slo", first.append), \
+                events.subscribe("slo", second.append):
+            events.emit("slo", make_event("slo"))
+            assert len(log.rings["slo"]) == len(first) == len(second) == 1
 
     def test_unsubscribing_a_stranger_is_a_noop(self, fresh_log):
         fresh_log.unsubscribe("slo", print)

@@ -269,7 +269,8 @@ class TestControlLogCommand:
         assert out.startswith("control log: ")
         # The pressure workload trips the policy governor at t=15.
         assert "event(s)" in out
-        assert "reason:" in out and "applied:" in out
+        assert "t=15 view=paper_view: policy 'online' -> 'naive'" in out
+        assert "reason:" in out and "signals:" in out
 
     def test_reads_control_log_jsonl(self, tmp_path, capsys):
         log_path = tmp_path / "control.jsonl"
@@ -283,6 +284,26 @@ class TestControlLogCommand:
         assert code == 0
         assert out.startswith("control log: ")
         assert "event(s)" in out
+
+    def test_reads_a_log_with_the_retired_event_fields(self, tmp_path, capsys):
+        """Control logs once carried ``governor``, ``setting`` and
+        ``applied`` on every line; they still render."""
+        log_path = tmp_path / "old-control.jsonl"
+        log_path.write_text(
+            '{"t": 15, "governor": "policy", "setting": "policy", '
+            '"old": "online", "new": "naive", "reason": "slo pressure", '
+            '"signals": {"pressure_events": 3.0}, "applied": true, '
+            '"view": "paper_view"}\n'
+        )
+        code = main(["control-log", "--log", str(log_path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.splitlines() == [
+            "control log: 1 event(s)",
+            "t=15 view=paper_view: policy 'online' -> 'naive'",
+            "├─ reason: slo pressure",
+            "└─ signals: pressure_events=3.000",
+        ]
 
     def test_rejects_non_control_log_file(self, tmp_path, capsys):
         bad = tmp_path / "not-control.jsonl"
@@ -313,7 +334,9 @@ class TestControlLogFlag:
         ]
         assert events
         for event in events:
-            assert {"t", "governor", "setting", "old", "new"} <= set(event)
+            assert set(event) == {
+                "t", "old", "new", "reason", "signals", "view"
+            }
 
     def test_all_three_event_flags_in_one_run(self, tmp_path, capsys):
         import json
