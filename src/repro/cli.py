@@ -30,11 +30,11 @@ Commands
 ``why``
     Render the planner's decision trail as a text tree: per step, the
     backlog the policy saw, every candidate action with its predicted
-    ``f(q)`` cost, the chosen action, the winning comparison, and --
-    once the step executed -- the actual cost and residual.  Reads a
-    ``--decision-log`` JSONL file with ``--log``; without one it runs a
-    small sample simulation on the paper's workload.  ``--view`` and
-    ``--step`` filter the trail.
+    ``f(q)`` cost, the chosen action and the winning comparison; under a
+    live decision, one line per flushed table with its actual cost,
+    prediction and residual.  Reads a ``--decision-log`` JSONL file with
+    ``--log``; without one it runs a small sample simulation on the
+    paper's workload.  ``--view`` and ``--step`` filter the trail.
 
 ``control-log``
     Render the adaptive runtime's control trail as a text tree: every
@@ -61,14 +61,14 @@ Observability (any subcommand)
     Perfetto); implies ``--metrics``.  See ``docs/observability.md``.
 
 ``--profile FILE`` / ``--decision-log FILE`` / ``--control-log FILE``
-    Write the run's ``profile`` / ``decision`` / ``actuation`` events
-    (:mod:`repro.obs.events`) to FILE as JSONL, one event dict per line:
-    every query any Database executes, attributed per operator and
-    appended as it finishes; every policy decision (simulator or live
-    maintenance) joined with its executed cost, dumped on exit -- the
-    input of ``repro why --log FILE``; every actuation the policy
-    governor makes, dumped on exit -- the input of ``repro control-log
-    --log FILE``.  Independent of ``--metrics``.
+    Stream the run's ``profile`` / ``decision`` and ``calibration`` /
+    ``actuation`` events (:mod:`repro.obs.events`) to FILE as JSONL, one
+    event dict per line with its ``"kind"``, each written as it is
+    emitted: every query any Database executes, attributed per operator;
+    every policy decision (simulator or live maintenance) and every live
+    flush's predicted and actual cost -- the input of ``repro why --log
+    FILE``; every actuation the policy governor makes -- the input of
+    ``repro control-log --log FILE``.  Independent of ``--metrics``.
 
 All flags are accepted before or after the subcommand, and experiment
 names work as top-level shorthand: ``repro fig6 --trace out.jsonl`` is
@@ -88,26 +88,33 @@ EXPERIMENT_NAMES: tuple[str, ...] = (
     "online-bound", "three-way", "concavity",
 )
 
-#: ``--flag FILE`` -> (the event kind it writes to FILE, what the exit
-#: message calls that kind's events, the flag's help).
+#: ``--flag FILE`` -> (the event kinds it streams to FILE, the flag's
+#: help).  The parsed FILE is stored under the first kind's name.
 EVENT_FLAGS = {
     "--profile": (
-        "profile", "query profiles",
+        ("profile",),
         "profile every query the run executes and append the "
         "per-operator attribution trees to FILE as JSONL",
     ),
     "--decision-log": (
-        "decision", "decision events",
-        "capture every planner decision, join it with its executed "
-        "cost, and dump the trail to FILE as JSONL on exit "
+        ("decision", "calibration"),
+        "append every planner decision, and every live flush's "
+        "predicted and actual cost, to FILE as JSONL "
         "(readable with `repro why --log FILE`)",
     ),
     "--control-log": (
-        "actuation", "control events",
-        "capture every actuation the policy governor makes and dump "
-        "the trail to FILE as JSONL on exit "
-        "(readable with `repro control-log --log FILE`)",
+        ("actuation",),
+        "append every actuation the policy governor makes to FILE as "
+        "JSONL (readable with `repro control-log --log FILE`)",
     ),
+}
+
+#: What the exit message calls each streamed kind's events.
+NOUNS = {
+    "profile": "query profiles",
+    "decision": "decision events",
+    "calibration": "calibration samples",
+    "actuation": "control events",
 }
 
 
@@ -157,9 +164,10 @@ def _obs_flags() -> argparse.ArgumentParser:
         default=argparse.SUPPRESS,
         help="record metrics and print a summary table on exit",
     )
-    for flag, (kind, _, text) in EVENT_FLAGS.items():
+    for flag, (kinds, text) in EVENT_FLAGS.items():
         parent.add_argument(
-            flag, dest=kind, metavar="FILE", default=argparse.SUPPRESS, help=text
+            flag, dest=kinds[0], metavar="FILE", default=argparse.SUPPRESS,
+            help=text,
         )
     return parent
 
@@ -179,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(
         trace=None,
         metrics=False,
-        **{kind: None for kind, _, _ in EVENT_FLAGS.values()},
+        **{kinds[0]: None for kinds, _ in EVENT_FLAGS.values()},
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -274,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
         "why",
         help=(
             "render the planner's decision trail as a text tree: "
-            "backlog, candidates, predicted costs, rationale, and the "
-            "executed cost per step"
+            "backlog, candidates, predicted costs, rationale, and each "
+            "live flush's actual cost"
         ),
         parents=[obs_flags],
     )
@@ -370,9 +378,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         "control-ablation": _run_control_ablation,
     }[args.command]
     paths = {
-        kind: (getattr(args, kind), noun)
-        for kind, noun, _ in EVENT_FLAGS.values()
-        if getattr(args, kind)
+        kinds: getattr(args, kinds[0])
+        for kinds, _ in EVENT_FLAGS.values()
+        if getattr(args, kinds[0])
     }
     if paths:
         handler = _with_event_files(handler, paths)
@@ -382,13 +390,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _with_event_files(handler, paths):
-    """Wrap a subcommand handler so the run's events land in files.
+    """Wrap a subcommand handler so the run's events stream to files.
 
-    ``paths`` maps an event kind to ``(path, noun)``.  Profiles stream to
-    their file as each query finishes (a ring of plan trees would bound
-    how many a run can keep); every other kind is collected in its ring
-    and dumped on exit, because a decision is joined with its executed
-    cost after it is emitted.  One event dict per JSONL line.
+    ``paths`` maps a flag's event kinds to its file.  Each event of those
+    kinds is written as it is emitted, one JSON object per line with its
+    ``"kind"``; nothing is held back, so a run of any length keeps
+    every event.
     """
 
     def wrapped(args) -> int:
@@ -401,41 +408,37 @@ def _with_event_files(handler, paths):
             try:
                 # Fail fast, same contract as --trace.
                 files = {
-                    kind: stack.enter_context(open(path, "w", encoding="utf-8"))
-                    for kind, (path, _) in paths.items()
+                    kinds: stack.enter_context(
+                        open(path, "w", encoding="utf-8")
+                    )
+                    for kinds, path in paths.items()
                 }
             except OSError as exc:
                 print(f"error: cannot write {exc.filename!r}: {exc}", file=sys.stderr)
                 return 2
-            counts = dict.fromkeys(paths, 0)
+            counts = {kind: 0 for kinds in paths for kind in kinds}
 
-            def write(kind, event) -> None:
-                files[kind].write(
-                    json.dumps(event.to_dict(), sort_keys=True) + "\n"
-                )
-                counts[kind] += 1
+            def writer(kind, file):
+                def write(event) -> None:
+                    data = {"kind": kind, **event.to_dict()}
+                    file.write(json.dumps(data, sort_keys=True) + "\n")
+                    counts[kind] += 1
 
-            ringed = [kind for kind in paths if kind != "profile"]
-            log = stack.enter_context(events.collecting(*ringed))
-            rings = {kind: log.rings[kind] for kind in ringed}
-            if "profile" in paths:
-                stack.enter_context(
-                    events.subscribe("profile", lambda p: write("profile", p))
-                )
+                return write
+
+            for kinds, file in files.items():
+                for kind in kinds:
+                    stack.enter_context(
+                        events.subscribe(kind, writer(kind, file))
+                    )
             try:
                 return handler(args)
             finally:
-                for kind, (path, noun) in paths.items():
-                    dropped = ""
-                    if kind in rings:
-                        for event in rings[kind].events():
-                            write(kind, event)
-                        if rings[kind].dropped:
-                            dropped = f" ({rings[kind].dropped} dropped)"
-                    print(
-                        f"[obs] wrote {counts[kind]} {noun} to {path}{dropped}",
-                        file=sys.stderr,
+                for kinds, path in paths.items():
+                    wrote = " and ".join(
+                        f"{counts[kind]} {NOUNS[kind]}" for kind in kinds
                     )
+                    print(f"[obs] wrote {wrote} to {path}", file=sys.stderr)
 
     return wrapped
 
@@ -662,16 +665,29 @@ def _run_timeline(args) -> int:
     return 0
 
 
-def _read_event_log(path, event_class, flag):
+def _read_event_log(path, classes, flag):
     """The events of a ``flag`` JSONL file, or ``None`` after reporting
-    why it cannot be read."""
+    why it cannot be read.
+
+    ``classes`` maps each kind the file may hold to its event class; a
+    line with no ``"kind"`` (logs once carried none) is of the first.
+    """
     from repro.obs import read_jsonl
 
+    default = next(iter(classes))
     try:
-        return [event_class.from_dict(data) for data in read_jsonl(path)]
+        logged = []
+        for data in read_jsonl(path):
+            if not isinstance(data, dict):
+                raise ValueError(f"a line holds a {type(data).__name__}")
+            kind = data.get("kind", default)
+            if kind not in classes:
+                raise ValueError(f"a line holds a {kind!r} event")
+            logged.append(classes[kind].from_dict(data))
+        return logged
     except OSError as exc:
         print(f"error: cannot read {path!r}: {exc}", file=sys.stderr)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         print(
             f"error: {path!r} is not a {flag} JSONL file: {exc}",
             file=sys.stderr,
@@ -680,37 +696,46 @@ def _read_event_log(path, event_class, flag):
 
 
 def _run_why(args) -> int:
-    from repro.obs import decisions
+    from repro.obs.calibration import CalibrationSample
+    from repro.obs.decisions import DecisionEvent
     from repro.obs.events import render_trail
 
     if args.log:
-        events = _read_event_log(
-            args.log, decisions.DecisionEvent, "decision-log"
+        logged = _read_event_log(
+            args.log,
+            {"decision": DecisionEvent, "calibration": CalibrationSample},
+            "decision-log",
         )
-        if events is None:
+        if logged is None:
             return 2
     else:
-        events = _why_sample_run(args)
+        logged = _why_sample_run(args)
+    # A live step's flushes hang under its decision: its calibration
+    # samples carry the same (view, t).
+    trail, flushed = [], {}
+    for event in logged:
+        if isinstance(event, CalibrationSample):
+            flushed.setdefault((event.view, event.t), []).append(event)
+        else:
+            trail.append(event)
     print(
         render_trail(
-            events, "decision trail", "decision", view=args.view, step=args.step
+            trail, "decision trail", "decision",
+            lines=lambda d: d.lines(flushed.get((d.view, d.t), ())),
+            view=args.view, step=args.step,
         )
     )
     return 0
 
 
 def _why_sample_run(args):
-    """Simulate the paper's workload, collecting its decisions.
-
-    Under ``--decision-log`` the ring is already open and is joined, so
-    the rendered trail and the dumped JSONL are one and the same.
-    """
+    """Simulate the paper's workload; returns its decisions, every one."""
     from repro.core.naive import NaivePolicy
     from repro.core.online import OnlinePolicy
     from repro.core.receding import RecedingHorizonPolicy
     from repro.core.simulator import simulate_policy
     from repro.experiments import common
-    from repro.obs import decisions
+    from repro.obs import events
     from repro.workloads.arrivals import uniform_arrivals
 
     costs = common.cost_functions(scale=args.scale)
@@ -722,9 +747,10 @@ def _why_sample_run(args):
         "online": OnlinePolicy,
         "receding": RecedingHorizonPolicy,
     }[args.policy]()
-    with decisions.collecting() as ring:
+    trail = []
+    with events.subscribe("decision", trail.append):
         simulate_policy(problem, policy)
-    return ring.events()
+    return trail
 
 
 def _run_control_log(args) -> int:
@@ -733,7 +759,7 @@ def _run_control_log(args) -> int:
 
     if args.log:
         events = _read_event_log(
-            args.log, governor.ControlEvent, "control-log"
+            args.log, {"actuation": governor.ControlEvent}, "control-log"
         )
         if events is None:
             return 2

@@ -116,9 +116,9 @@ class RecedingHorizonPolicy(Policy):
                     break
         clamped = tuple(min(a, s) for a, s in zip(action, pre_state))
         if decisions.active():
-            # Emitted after the nested A* search's own OPT_LGM event, so
-            # this outer decision -- the action that actually executes --
-            # wins the (view, step) join slot.
+            # Emitted after the nested A* search's own OPT_LGM event,
+            # which is a plan (t=-1), so this outer decision -- the action
+            # that actually executes -- is the one event of its step.
             decisions.emit_policy_decision(
                 "RECEDING",
                 t,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 
 from repro import obs
-from repro.obs import decisions, events, slo
+from repro.obs import events, slo
 from repro.core.plan import Plan, PlanTrace
 from repro.core.policies import Policy, PolicyError
 from repro.core.problem import (
@@ -70,7 +70,6 @@ def simulate_policy(
         policy.reset(problem.cost_functions, problem.limit)
     # Fetched once: the per-step hooks gate on them.
     recorder = obs.get_recorder()
-    joining = events.wanted("decision")
     horizon = problem.horizon
     refresh_cost = problem.refresh_cost
     state = zero_vector(problem.n)
@@ -99,10 +98,6 @@ def simulate_policy(
                 raise PolicyError(f"{policy!r} at t={t}: {exc}") from None
             cost = refresh_cost(action)
             policy.record_action(t, action, cost)
-            if joining and t < horizon:
-                # Join the policy's decision with its executed cost.  The
-                # horizon step is a forced refresh (no decision emitted).
-                decisions.join(events.current_step()[0], t, actual_ms=cost)
             if recorder is not None:
                 recorder.counter("simulator.steps")
                 recorder.observe("simulator.backlog", backlog)

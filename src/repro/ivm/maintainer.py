@@ -37,7 +37,7 @@ import time
 from typing import Sequence
 
 from repro import obs
-from repro.obs import decisions, events, slo
+from repro.obs import events, slo
 from repro.obs import calibration as obs_calibration
 from repro.core.costfuncs import CostFunction
 from repro.core.policies import Policy, PolicyError
@@ -172,7 +172,7 @@ class ViewMaintainer:
         if forced:
             return t, arrivals, pre, pre
         # Decisions emitted by the policy are tagged with the owning view
-        # so execute_planned can join them with the round's actual cost.
+        # and step, the key its flushes' calibration samples carry too.
         with events.step(self.view.name, t):
             action = tuple(map(int, self.policy.decide(t, pre)))
         return t, arrivals, pre, action
@@ -199,9 +199,9 @@ class ViewMaintainer:
         if they had.  Not given, the view-round is a round of its own.
 
         Every round takes the same path: check, flush, then one ledger
-        entry, the ``ivm.view.*`` series, ``record_action`` and the
-        decision join.  A :class:`~repro.core.policies.PolicyError`
-        leaves no entry and nothing applied.
+        entry, the ``ivm.view.*`` series and ``record_action``.  A
+        :class:`~repro.core.policies.PolicyError` leaves no entry and
+        nothing applied.
         """
         for alias, delta in self._unscheduled:
             if delta.size:
@@ -254,7 +254,6 @@ class ViewMaintainer:
                     batch = shared.batch_for(view, alias, k) if scanned else None
                     flushes.append((alias, k, prices, batch))
                     work = work or batch is None or not batch.suppressed
-        flush_ms: dict[str, float] = {}
         if work:
             counter = view.database.counter
             before = counter.snapshot()
@@ -263,7 +262,7 @@ class ViewMaintainer:
             # name and round, so EXPLAIN ANALYZE output and profile sinks
             # can attribute maintenance work to its owner.
             with counter.window() as window, events.step(view.name, t):
-                flush_ms = self._flush(flushes, t, forced, recorder, wanted)
+                self._flush(flushes, t, forced, recorder, wanted)
             entry = RoundEntry(
                 t=t,
                 arrivals=arrivals,
@@ -292,23 +291,17 @@ class ViewMaintainer:
                     charges=NO_CHARGES,
                 )
         self.ledger.record(entry)
-        sim_ms, charges = entry.sim_ms, entry.charges
         if recorder is not None:
             vid = self.ledger.metric_id
             recorder.counter(f"ivm.view.{vid}.rounds")
             recorder.counter(f"ivm.view.{vid}.flushes", entry.flushes)
             recorder.counter(f"ivm.view.{vid}.mods_applied", entry.mods_applied)
-            recorder.counter(f"ivm.view.{vid}.cost_ms", sim_ms)
+            recorder.counter(f"ivm.view.{vid}.cost_ms", entry.sim_ms)
             recorder.gauge(f"ivm.view.{vid}.backlog", entry.backlog)
-            recorder.observe(f"ivm.view.{vid}.round_ms", sim_ms)
+            recorder.observe(f"ivm.view.{vid}.round_ms", entry.sim_ms)
             if not any(pre):
                 recorder.counter("ivm.skip.empty")
         self.policy.record_action(t, action, predicted)
-        if "decision" in wanted:
-            decisions.join(
-                self.view.name, t,
-                actual_ms=sim_ms, table_ms=flush_ms, charges=charges,
-            )
         if self.verify:
             expected, actual = self.view.recompute(), self.view.contents()
             if expected != actual:
@@ -318,11 +311,9 @@ class ViewMaintainer:
                 )
         return entry
 
-    def _flush(self, flushes, t: int, forced: bool, recorder, wanted) -> dict:
-        """Apply the round's per-alias flushes in order; returns the
-        simulated ms of each that was timed, by alias."""
+    def _flush(self, flushes, t: int, forced: bool, recorder, wanted) -> None:
+        """Apply the round's per-alias flushes in order."""
         view = self.view
-        flush_ms: dict[str, float] = {}
         # Timing each flush is worth it only if someone consumes the
         # sample: a recorder or the calibration ring.
         calibrating = recorder is not None or "calibration" in wanted
@@ -348,19 +339,9 @@ class ViewMaintainer:
                 ) as span:
                     apply_batch(view, alias, k, batch=batch)
                 span.set(sim_ms=flush_window.elapsed_ms)
-            flush_ms[alias] = flush_window.elapsed_ms
             obs_calibration.observe_flush(
-                view.name, t, alias, k,
-                prices[k], flush_window.elapsed_ms,
+                view.name, t, alias, k, prices[k], flush_window.elapsed_ms
             )
-            if recorder is not None:
-                recorder.counter("ivm.flushes")
-                recorder.observe("ivm.flush.batch_size", k)
-                recorder.observe("ivm.flush.predicted_ms", prices[k])
-                recorder.observe(
-                    "ivm.flush.actual_ms", flush_window.elapsed_ms
-                )
-        return flush_ms
 
     def __repr__(self) -> str:
         return (

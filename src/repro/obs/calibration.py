@@ -11,9 +11,12 @@ Two consumers, both optional and both observational:
 
 * **metrics** -- samples feed the ``planner.calibration.*`` family
   (abs/rel error and signed residual histograms with the registry's
-  shared p50/p95/p99 quantiles) through the ambient recorder;
+  shared p50/p95/p99 quantiles), and the ``ivm.flush.*`` batch size,
+  predicted and actual histograms, through the ambient recorder;
 * **samples** -- each one is a ``calibration`` event of the event log
-  (:mod:`repro.obs.events`; :func:`tracking` opens its ring), and
+  (:mod:`repro.obs.events`; :func:`tracking` opens its ring, and
+  ``--decision-log`` streams them beside the decisions, where ``repro
+  why`` hangs each under the decision of its ``(view, t)``), and
   :func:`summary` aggregates residuals per table alias and per view,
   with the invariant that every aggregate equals the sum of its
   per-sample residuals (property tested).
@@ -74,6 +77,25 @@ class CalibrationSample:
 
     to_dict = asdict
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "CalibrationSample":
+        return cls(
+            view=data.get("view"),
+            t=int(data["t"]),
+            alias=data["alias"],
+            k=int(data["k"]),
+            predicted_ms=float(data["predicted_ms"]),
+            actual_ms=float(data["actual_ms"]),
+        )
+
+    def lines(self) -> list[str]:
+        """The flush as one line, hung under its decision by ``repro why``."""
+        return [
+            f"flushed {self.alias} k={self.k}: actual {self.actual_ms:.3f} ms"
+            f" / predicted {self.predicted_ms:.3f} / residual "
+            f"{self.residual_ms:+.3f}"
+        ]
+
 
 def _empty_bucket() -> dict:
     return {
@@ -133,7 +155,11 @@ def observe_flush(
     predicted_ms: float,
     actual_ms: float,
 ) -> CalibrationSample:
-    """Record one per-table flush: predicted ``f_i(k)`` vs actual ms."""
+    """Record one per-table flush: predicted ``f_i(k)`` vs actual ms.
+
+    The one call a metered flush makes: the ``calibration`` event, the
+    ``planner.calibration.*`` family and the ``ivm.flush.*`` histograms.
+    """
     sample = CalibrationSample(
         view=view,
         t=t,
@@ -149,4 +175,7 @@ def observe_flush(
         recorder.observe("planner.calibration.abs_err_ms", sample.abs_err_ms)
         recorder.observe("planner.calibration.rel_err", sample.rel_err)
         recorder.observe("planner.calibration.residual", sample.residual_ms)
+        recorder.observe("ivm.flush.batch_size", sample.k)
+        recorder.observe("ivm.flush.predicted_ms", sample.predicted_ms)
+        recorder.observe("ivm.flush.actual_ms", sample.actual_ms)
     return sample

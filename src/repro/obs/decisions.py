@@ -6,10 +6,14 @@ execution *did* (operator attribution, view ledgers).  This module is
 the other half of the loop: every policy step emits a structured
 :class:`DecisionEvent` capturing the backlog it saw, the candidate
 actions it weighed with their per-table predicted costs, the chosen
-action, and the winning comparison as a human-readable rationale.  At
-execution time the event is joined with the actual simulated charge
-(:func:`join`), so every decision carries its own predicted-vs-actual
-residual.
+action, and the winning comparison as a human-readable rationale.
+
+An event is written once and never changed.  What the step then cost
+is recorded where it is measured: the view's ledger entry holds the
+round's total and charges, and each flush is a ``calibration`` event
+(:mod:`repro.obs.calibration`) with its predicted and actual ms, keyed
+by the same ``(view, t)``.  In the simulator the executed cost *is* the
+prediction, so there is nothing to add.
 
 Design mirrors the rest of ``repro.obs``:
 
@@ -19,25 +23,18 @@ Design mirrors the rest of ``repro.obs``:
 * **off by default** -- policies call :func:`active` first and skip all
   event construction when neither the ``decision`` kind of the event log
   (:mod:`repro.obs.events`) is wanted nor a metrics recorder is present;
-* **one sink** -- events go to the ``decision`` ring of the event log
-  (:func:`collecting` opens it), and the ``--decision-log FILE`` CLI
-  flag dumps the joined events as JSONL on exit, because the join fills
-  ``actual_*`` after emission;
+* **one sink** -- events go to the ``decision`` kind of the event log
+  (:func:`collecting` opens its ring), and the ``--decision-log FILE``
+  CLI flag streams them as JSONL, each as it is emitted;
 * **metrics for free** -- emission feeds ``planner.decisions.*``
   counters/histograms through the ambient recorder, so the exit table
   and the trace file pick them up unchanged.
-
-The ``(view, step)`` pair keys the execution-time join.  When nested
-planning emits several events for one step (RecedingHorizon runs an A*
-search that reports its own ``OPT_LGM`` event), the **last** event
-emitted for a key wins the join -- i.e. the outer policy's decision, the
-one whose action actually executes.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from repro.engine.costmodel import float_total
@@ -51,7 +48,6 @@ __all__ = [
     "collecting",
     "emit",
     "emit_policy_decision",
-    "join",
 ]
 
 
@@ -89,14 +85,13 @@ def _fmt_vec(values: Sequence[float]) -> str:
     return "(" + ", ".join(f"{v:.3f}" for v in values) + ")"
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecisionEvent:
-    """One policy decision, joined later with its executed cost.
+    """One policy decision.
 
     ``backlog_ms`` / ``chosen_ms`` hold the per-table predicted
     ``f_i(k)`` costs for the backlog and the chosen action (0.0 for
-    components with nothing queued / not flushed).  The ``actual_*``
-    fields stay ``None`` until :func:`join` fills them at execution time.
+    components with nothing queued / not flushed).
     """
 
     t: int
@@ -111,23 +106,14 @@ class DecisionEvent:
     limit: float | None = None
     view: str | None = None
     source: str = "simulator"
-    actual_ms: float | None = None
-    actual_table_ms: dict[str, float] = field(default_factory=dict)
-    charges: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def residual_ms(self) -> float | None:
-        """Signed actual - predicted, once the event has been joined."""
-        if self.actual_ms is None:
-            return None
-        return self.actual_ms - self.predicted_ms
 
     @property
     def is_flush(self) -> bool:
         return any(self.chosen)
 
-    def lines(self) -> list[str]:
-        """The event as a text tree (``repro why``)."""
+    def lines(self, flushed: Sequence = ()) -> list[str]:
+        """The event as a text tree (``repro why``), with the ``lines()``
+        of its step's ``flushed`` calibration samples hung last."""
         where = f" view={self.view}" if self.view else ""
         verb = f"flush {tuple(self.chosen)}" if self.is_flush else "defer"
         items = [
@@ -145,18 +131,13 @@ class DecisionEvent:
                 f"f={cand.predicted_ms:.3f} ms{score}{note}{mark}"
             )
         items.append(f"rationale: {self.rationale}")
-        if self.actual_ms is not None:
-            residual = self.residual_ms or 0.0
-            items.append(
-                f"actual {self.actual_ms:.3f} ms "
-                f"(predicted {self.predicted_ms:.3f}, residual {residual:+.3f})"
-            )
+        items.extend(line for sample in flushed for line in sample.lines())
         return events.tree(
             f"t={self.t} {self.policy} [{self.source}]{where}: {verb}", items
         )
 
     def to_dict(self) -> dict:
-        data: dict = {
+        return {
             "t": self.t,
             "policy": self.policy,
             "source": self.source,
@@ -169,16 +150,12 @@ class DecisionEvent:
             "limit": self.limit,
             "rationale": self.rationale,
             "candidates": [c.to_dict() for c in self.candidates],
-            "actual_ms": self.actual_ms,
         }
-        if self.actual_table_ms:
-            data["actual_table_ms"] = dict(self.actual_table_ms)
-        if self.charges:
-            data["charges"] = dict(self.charges)
-        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecisionEvent":
+        """Ignores keys it does not know (logs once carried the cost
+        each decision was later joined with)."""
         return cls(
             t=int(data["t"]),
             policy=data["policy"],
@@ -194,9 +171,6 @@ class DecisionEvent:
             candidates=tuple(
                 CandidateAction.from_dict(c) for c in data.get("candidates", ())
             ),
-            actual_ms=data.get("actual_ms"),
-            actual_table_ms=dict(data.get("actual_table_ms", {})),
-            charges=dict(data.get("charges", {})),
         )
 
 
@@ -205,34 +179,6 @@ def collecting() -> Iterator[events.Ring]:
     """Collect decisions for the block; yields the ``decision`` ring."""
     with events.collecting("decision") as log:
         yield log.rings["decision"]
-
-
-def join(
-    view: str | None,
-    t: int,
-    actual_ms: float,
-    table_ms: dict[str, float] | None = None,
-    charges: dict[str, int] | None = None,
-) -> DecisionEvent | None:
-    """Attach the executed cost to the last decision for ``(view, t)``.
-
-    Returns the joined event, or ``None`` if the ``decision`` ring holds
-    none for that key (e.g. a forced refresh that bypassed the policy).
-    """
-    ring = events.installed().rings.get("decision")
-    found = ring.at(view, t) if ring is not None else ()
-    if not found:
-        return None
-    event = found[-1]
-    event.actual_ms = actual_ms
-    if table_ms:
-        event.actual_table_ms = dict(table_ms)
-    if charges:
-        event.charges = dict(charges)
-    recorder = get_recorder()
-    if recorder is not None:
-        recorder.counter("planner.decisions.joined")
-    return event
 
 
 def active() -> bool:

@@ -8,12 +8,14 @@ emits each kind and where it can be read).
 
 Every event class carries ``view`` and ``t`` (the step it belongs to,
 which the running thread names with :class:`step`) and ``to_dict()``
-(its JSONL form); the two that the CLI renders also ``lines()`` (their
-text form for :func:`render_trail`).  A consumer either **opens a
-ring** for a kind (:func:`collecting`: bounded, kept for the exit dumps
-and :meth:`EventLog.at`) or **subscribes** a callback to it
-(:func:`subscribe`: streamed, nothing kept).  A kind nobody opened or
-subscribed to is not :func:`wanted`, and its emitters build no event.
+(its JSONL form); the three that the CLI renders also ``lines()``
+(their text form for :func:`render_trail`).  An event is written once:
+nothing changes it after :func:`emit`.  A consumer either **opens a
+ring** for a kind (:func:`collecting`: bounded, kept for
+:meth:`EventLog.at`) or **subscribes** a callback to it
+(:func:`subscribe`: streamed, nothing kept; the CLI's event files are
+subscribers).  A kind nobody opened or subscribed to is not
+:func:`wanted`, and its emitters build no event.
 
 Strictly observational: nothing here touches the operation counter.
 """
@@ -53,19 +55,16 @@ CAPACITY = {
 
 
 class Ring:
-    """A bounded, locked ring of one kind's events, indexed by step.
+    """A bounded, locked ring of one kind's events, in emission order.
 
     Beyond ``capacity`` the oldest event is evicted and counted in
-    :attr:`dropped`.  The index maps ``(view, t)`` to that step's events
-    in emission order, so the last one is the decision whose action ran
-    (nested planning emits several for one step).
+    :attr:`dropped`.  An event is never changed after it is recorded.
     """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
         self.dropped = 0
         self._events: deque = deque()
-        self._index: dict[tuple[str | None, int | None], list] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -74,21 +73,13 @@ class Ring:
     def record(self, event: Any) -> None:
         with self._lock:
             if len(self._events) >= self.capacity:
-                evicted = self._events.popleft()
+                self._events.popleft()
                 self.dropped += 1
-                key = (evicted.view, evicted.t)
-                slot = self._index[key]
-                del slot[0]  # the ring's oldest is its step's oldest
-                if not slot:
-                    del self._index[key]
             self._events.append(event)
-            self._index.setdefault((event.view, event.t), []).append(event)
 
     def events(self, view: str | None = None, t: int | None = None) -> list:
         """The events in emission order, optionally of one view / step."""
         with self._lock:
-            if view is not None and t is not None:
-                return list(self._index.get((view, t), ()))
             picked = list(self._events)
         return [
             e
@@ -98,11 +89,6 @@ class Ring:
 
     #: What ``calibration.tracking()``'s callers call it.
     samples = events
-
-    def at(self, view: str | None, t: int | None) -> list:
-        """The events of exactly one step (``view=None``: the bare simulator)."""
-        with self._lock:
-            return list(self._index.get((view, t), ()))
 
 
 class EventLog:
@@ -152,9 +138,16 @@ class EventLog:
             self.unsubscribe(kind, self.rings.pop(kind).record)
 
     def at(self, view: str | None, t: int | None) -> dict[str, list]:
-        """Every kind recorded for one step: ``{kind: [events]}``."""
-        rings = list(self.rings.items())
-        return {k: found for k, ring in rings if (found := ring.at(view, t))}
+        """Every kind recorded for exactly one step: ``{kind: [events]}``
+        (``view=None``: the bare simulator)."""
+        found = {}
+        for kind, ring in list(self.rings.items()):
+            step = [
+                e for e in ring.events(view, t) if (e.view, e.t) == (view, t)
+            ]
+            if step:
+                found[kind] = step
+        return found
 
 
 _install_lock = threading.Lock()
@@ -193,8 +186,8 @@ def collecting(*kinds: str) -> Iterator[EventLog]:
     """Open a ring for each of ``kinds`` for the block; yields the log.
 
     A kind that is already open is *joined*, not shadowed: the block
-    reads the ring that is there and leaves it open, so a sample run
-    under ``--decision-log`` and the dump of that flag see one trail.
+    reads the ring that is there and leaves it open, so nested
+    collectors of one kind see one trail.
     """
     log = _log
     opened = []
@@ -261,11 +254,19 @@ def tree(head: str, items: Iterable[str]) -> list[str]:
     ]
 
 
-def render_trail(events: Iterable, title: str, noun: str, **filters) -> str:
+def render_trail(
+    events: Iterable,
+    title: str,
+    noun: str,
+    *,
+    lines: Callable[[Any], list[str]] | None = None,
+    **filters,
+) -> str:
     """Render events as a text tree (``repro why``, ``repro control-log``).
 
     ``filters`` keep the events whose attribute of that name equals the
-    value (``step`` reads ``t``); ``None`` filters nothing.
+    value (``step`` reads ``t``); ``None`` filters nothing.  Each kept
+    event is drawn by ``lines(event)``, by default its own ``lines()``.
     """
     filters = {k: v for k, v in filters.items() if v is not None}
     picked = [
@@ -279,7 +280,7 @@ def render_trail(events: Iterable, title: str, noun: str, **filters) -> str:
     if not picked:
         scope = " ".join(f"{k}={v}" for k, v in filters.items())
         return f"{title}: no {noun}s" + (f" matching {scope}" if scope else "")
-    lines = [f"{title}: {len(picked)} {noun}(s)"]
+    out = [f"{title}: {len(picked)} {noun}(s)"]
     for event in picked:
-        lines.extend(event.lines())
-    return "\n".join(lines)
+        out.extend(event.lines() if lines is None else lines(event))
+    return "\n".join(out)

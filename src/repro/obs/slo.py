@@ -19,8 +19,9 @@ simulator, the staged simulator, the pub/sub broker):
 Metrics are recorded only when a recorder is installed (the usual
 no-op-when-disabled contract).  Every breach / near-breach is also an
 ``slo`` event of the event log (:mod:`repro.obs.events`), recorder or
-not, so a callback subscribed with :func:`alerts` can page without
-paying for metrics; callers observe when either is there to see it.
+not, so a callback subscribed with ``events.subscribe("slo", cb)`` can
+page without paying for metrics; callers observe when either is there
+to see it.
 Classification (:func:`classify`) is shared with the offline per-policy
 SLO summary in :func:`repro.core.report.slo_summary`, so the live
 counters and the post-run table can never disagree.
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import asdict, dataclass
-from typing import Callable
 
 from repro.obs import events
 from repro.obs.recorder import get_recorder
@@ -73,12 +73,6 @@ class SloEvent:
             f"SLO {self.kind}{who}{where}: refresh cost {self.cost:.2f} "
             f"vs C={self.limit:.2f} (margin {self.margin:+.2f})"
         )
-
-
-def alerts(callback: Callable[[SloEvent], None]):
-    """Scope an alert callback to a ``with`` block: it runs inline on the
-    observing thread on every breach / near-breach event."""
-    return events.subscribe("slo", callback)
 
 
 _invalid_limit_warned = False

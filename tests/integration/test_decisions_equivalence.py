@@ -10,8 +10,10 @@ and byte-identical :class:`OperationCounter` cost tables at small and
 default block sizes.
 
 The traced leg must also be *non-vacuous*: it has to actually produce
-view-tagged joined decisions and calibration samples, otherwise the
-equality proves nothing.
+view-tagged decisions and calibration samples, otherwise the equality
+proves nothing.  A live step's cost is told by the records that stay:
+its ledger entry, and one calibration sample per really flushed table
+whose actuals add up to the entry's measured cost.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.core.online import OnlinePolicy
 from repro.core.receding import RecedingHorizonPolicy
 from repro.core.problem import ProblemInstance
 from repro.core.simulator import simulate_policy
+from repro.engine.costmodel import float_total
 from repro.ivm.multiview import MaintenanceCoordinator, ViewConfig
 from repro.obs import calibration, decisions
 from repro.tpcr.updates import PartSuppCostUpdater
@@ -43,7 +46,8 @@ def run_fleet(block_size: int, traced: bool):
     """Maintain a two-view fleet; returns (contents, cost table, evidence).
 
     ``evidence`` is ``None`` untraced; otherwise the (decision log,
-    calibration tracker) the traced leg accumulated.
+    calibration tracker) the traced leg accumulated and the views'
+    ledgers by name.
     """
     db = make_tpcr_db()
     db.block_size = block_size
@@ -73,19 +77,20 @@ def run_fleet(block_size: int, traced: bool):
             updater.apply(MODS_PER_STEP)
             coordinator.step(t)
         coordinator.refresh(t=STEPS)
-        return {
-            name: maintainer.view.contents()
-            for name, maintainer in coordinator.iter_maintainers()
-        }
+        maintainers = dict(coordinator.iter_maintainers())
+        return (
+            {name: m.view.contents() for name, m in maintainers.items()},
+            {name: m.ledger for name, m in maintainers.items()},
+        )
 
     if not traced:
-        return drive(), db.counter.snapshot(), None
+        return drive()[0], db.counter.snapshot(), None
 
     with obs.recording():
         with decisions.collecting() as log:
             with calibration.tracking() as tracker:
-                contents = drive()
-    return contents, db.counter.snapshot(), (log, tracker)
+                contents, ledgers = drive()
+    return contents, db.counter.snapshot(), (log, tracker, ledgers)
 
 
 class TestMaintainedFleetEquivalence:
@@ -100,26 +105,33 @@ class TestMaintainedFleetEquivalence:
             f"cost table diverges under tracing at block_size={block_size}"
         )
         # Non-vacuity: the traced run really traced.
-        log, tracker = evidence
-        joined = [e for e in log.events() if e.actual_ms is not None]
-        assert joined, "no decision was ever joined with its execution"
-        assert {e.view for e in joined} == {"min_cost", "qty"}
+        log, tracker, ledgers = evidence
+        assert {e.view for e in log.events()} == {"min_cost", "qty"}
         assert all(e.source == "ivm" for e in log.events())
-        flushed = [e for e in joined if e.is_flush]
-        assert flushed
-        assert any(e.charges for e in flushed), (
-            "maintainer joins must carry the round's charge delta"
-        )
-        assert any(e.actual_table_ms for e in flushed)
-        assert len(tracker) >= len(
-            [e for e in flushed if e.actual_ms]
-        ), "every per-table flush should yield a calibration sample"
+        assert any(e.is_flush for e in log.events())
         assert len(tracker) > 0, "the calibration ring sampled no flush"
+        samples = {}
+        for sample in tracker.samples():
+            samples.setdefault((sample.view, sample.t), []).append(sample)
+        for name, ledger in ledgers.items():
+            for entry in ledger.entries:
+                step = samples.pop((name, entry.t), [])
+                # A suppressed or idle round charged nothing.
+                flushed = {
+                    alias
+                    for alias, k in zip(ledger.aliases, entry.action)
+                    if k and entry.charges
+                }
+                assert {s.alias for s in step} == flushed
+                assert float_total(s.actual_ms for s in step) == (
+                    pytest.approx(entry.sim_ms)
+                )
+        assert not samples, "a calibration sample with no ledger entry"
 
     def test_calibration_samples_match_ledger_predictions(self):
         """Each sample's prediction is the planner's own f_i(k) for the
         flushed batch -- recomputable from the cost family."""
-        _, _, (log, tracker) = run_fleet(256, traced=True)
+        _, _, (_, tracker, _) = run_fleet(256, traced=True)
         (f,) = COST
         for sample in tracker.samples():
             assert sample.k > 0

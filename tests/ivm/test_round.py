@@ -5,8 +5,9 @@ Figure 5), so they must reject the same bad action the same way, and
 ``CostModel.check_action`` -- the one function both ask -- must agree
 with Definition 1 stated in plain Python.  Every kind of live round
 (idle, flushed, fingerprint-suppressed, forced) must end in the same
-bookkeeping: one ledger entry, the six ``ivm.view.*`` series and, where
-the policy was asked, one joined decision.
+bookkeeping: one ledger entry, the six ``ivm.view.*`` series, one
+calibration sample per really flushed table and, where the policy was
+asked, one decision.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.core.simulator import simulate_policy
 from repro.ivm.maintainer import ViewMaintainer
 from repro.ivm.multiview import MaintenanceCoordinator
 from repro.ivm.view import MaterializedView
-from repro.obs import decisions
+from repro.obs import events
 from repro.tpcr.updates import PartSuppCostUpdater
 from tests.conftest import make_paper_spec, make_tpcr_db
 from tests.ivm.test_maintainer import make_maintainer
@@ -149,9 +150,10 @@ class TestSameLoopSameVerdict:
 
 #: (view, round) -> the six ``ivm.view.<id>.*`` series after that round
 #: (rounds, flushes, mods_applied, cost_ms, backlog, round_ms count and
-#: total) and what the round's decision was joined with (actual_ms,
-#: per-table ms, charges; None: a forced round, the policy was not
-#: asked).  Recorded at the parent commit of the one-round refactor.
+#: total) and what a decided round cost (the entry's ``sim_ms``, its
+#: calibration samples' actual ms by table, the entry's charges; None: a
+#: forced round, the policy was not asked).  Recorded at the parent
+#: commit of the one-round refactor, when a decision carried that cost.
 AT_PARENT = {
     ("insensitive", 0): ((1, 0, 0, 0.0, 0.0, (1, 0.0)), (0.0, {}, {})),
     ("sensitive", 0): ((1, 0, 0, 0.0, 0.0, (1, 0.0)), (0.0, {}, {})),
@@ -187,7 +189,9 @@ class TestOneTail:
         add_naive(coordinator, "sensitive", supplycost_spec())
         updater = PartSuppCostUpdater(db.table("partsupp"), seed=17)
         seen = {}
-        with obs.recording() as recorder, decisions.collecting() as ring:
+        with obs.recording() as recorder, events.collecting(
+            "decision", "calibration"
+        ) as log:
             for t, (mods, forced) in enumerate(
                 [(0, False), (4, False), (4, True), (0, True)]
             ):
@@ -209,25 +213,25 @@ class TestOneTail:
                             if metric.kind == "histogram"
                             else metric.value
                         )
-                    joined = [
-                        (e.actual_ms, e.actual_table_ms, e.charges)
-                        for e in ring.at(name, t)
-                    ]
-                    assert len(joined) == (0 if forced else 1)
-                    seen[name, t] = (
-                        tuple(series), joined[0] if joined else None
-                    )
+                    step = log.at(name, t)
+                    assert len(step.get("decision", ())) == (0 if forced else 1)
+                    flushed = {
+                        s.alias: s.actual_ms
+                        for s in step.get("calibration", ())
+                    }
+                    cost = (entry.sim_ms, flushed, dict(entry.charges))
+                    seen[name, t] = (tuple(series), None if forced else cost)
             counts = {
                 name: recorder.registry.get(name).value
                 for name in (
-                    "planner.decisions.emitted", "planner.decisions.joined",
-                    "ivm.skip.empty", "ivm.skip.fingerprint", "ivm.flushes",
+                    "planner.decisions.emitted", "planner.calibration.samples",
+                    "ivm.skip.empty", "ivm.skip.fingerprint",
                 )
             }
         assert seen == AT_PARENT
         assert counts == {
-            "planner.decisions.emitted": 4, "planner.decisions.joined": 4,
-            "ivm.skip.empty": 4, "ivm.skip.fingerprint": 2, "ivm.flushes": 2,
+            "planner.decisions.emitted": 4, "planner.calibration.samples": 2,
+            "ivm.skip.empty": 4, "ivm.skip.fingerprint": 2,
         }
         # A suppressed flush charged nothing; an idle round flushed nothing.
         insensitive = coordinator.maintainer("insensitive").ledger.entries

@@ -143,6 +143,15 @@ class TestObserveFlush:
             "planner.calibration.residual",
             "planner.calibration.samples",
         ]
+        # The maintainer's per-flush histograms ride on the same call.
+        assert recorder.registry.names("ivm.flush") == [
+            "ivm.flush.actual_ms",
+            "ivm.flush.batch_size",
+            "ivm.flush.predicted_ms",
+        ]
+        assert snap["ivm.flush.batch_size"]["max"] == 2
+        assert snap["ivm.flush.predicted_ms"]["max"] == 2.0
+        assert snap["ivm.flush.actual_ms"]["max"] == 3.0
 
     def test_enabled_gates(self):
         """What the maintainer asks before it times a flush."""

@@ -1,12 +1,11 @@
 """Tests for planner decision tracing (``repro.obs.decisions``).
 
-Unit coverage of the event data model and its join against the
-``decision`` ring of the event log (eviction, last-wins join, JSONL
-round-trip), the golden ``repro why`` text tree, and
-the per-policy emission contract: NAIVE, ONLINE, receding-horizon, and
-A* all report what they predicted and chose, and the simulator joins
-each decision with the actual simulated charge -- which, in the
-simulated world, must equal the prediction exactly.
+Unit coverage of the event data model (frozen, JSONL round-trip, a log
+line written when decisions still carried their joined cost), the
+``decision`` ring of the event log, the golden ``repro why`` text tree
+with a live step's flushes hung under its decision, and the per-policy
+emission contract: NAIVE, ONLINE, receding-horizon, and A* all report
+what they predicted and chose.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from repro.core.problem import ProblemInstance
 from repro.core.receding import RecedingHorizonPolicy
 from repro.core.simulator import simulate_policy
 from repro.obs import decisions, events
+from repro.obs.calibration import CalibrationSample
 from repro.obs.decisions import CandidateAction, DecisionEvent
 
 
@@ -66,17 +66,14 @@ class TestCandidateAction:
 
 
 class TestDecisionEvent:
-    def test_residual_none_until_joined(self):
-        event = make_event(chosen=(1,))
-        assert event.residual_ms is None
-        event.actual_ms = 2.25
-        assert event.residual_ms == pytest.approx(0.25)
-
     def test_is_flush(self):
         assert make_event(chosen=(1, 0)).is_flush
         assert not make_event(chosen=(0, 0)).is_flush
 
     def test_round_trip_including_joined_fields(self):
+        """A decision is written once: it is frozen, round-trips, and a
+        line that still carries the cost a decision was once joined with
+        reads back as the decision alone."""
         event = make_event(
             t=7,
             view="min_cost",
@@ -84,12 +81,17 @@ class TestDecisionEvent:
             candidates=(CandidateAction((2,), 2.0, score=0.5),),
             limit=4.0,
         )
-        event.actual_ms = 2.5
-        event.actual_table_ms = {"PS": 2.5}
-        event.charges = {"index_probes": 10}
-        clone = DecisionEvent.from_dict(event.to_dict())
-        assert clone.to_dict() == event.to_dict()
-        assert clone.residual_ms == pytest.approx(0.5)
+        with pytest.raises(AttributeError):
+            event.predicted_ms = 9.0
+        assert DecisionEvent.from_dict(event.to_dict()) == event
+        joined = dict(
+            event.to_dict(),
+            actual_ms=2.5,
+            actual_table_ms={"PS": 2.5},
+            charges={"index_probes": 10},
+        )
+        assert DecisionEvent.from_dict(joined) == event
+        assert "actual_ms" not in event.to_dict()
 
 
 class TestDecisionLog:
@@ -99,57 +101,6 @@ class TestDecisionLog:
         assert len(ring) == 3
         assert ring.events() == emitted
         assert ring.dropped == 0
-
-    def test_join_attaches_actuals(self):
-        event = make_event(t=2, view="v", chosen=(1,))
-        with decisions.collecting():
-            decisions.emit(event)
-            joined = decisions.join(
-                "v", 2, actual_ms=3.0, table_ms={"PS": 3.0}, charges={"x": 1}
-            )
-        assert joined is event
-        assert event.actual_ms == 3.0
-        assert event.actual_table_ms == {"PS": 3.0}
-        assert event.charges == {"x": 1}
-
-    def test_join_unknown_key_returns_none(self):
-        with decisions.collecting():
-            decisions.emit(make_event(t=0))
-            assert decisions.join("other", 0, actual_ms=1.0) is None
-            assert decisions.join(None, 99, actual_ms=1.0) is None
-        assert decisions.join(None, 0, actual_ms=1.0) is None  # ring closed
-
-    def test_last_event_for_a_key_wins_the_join(self):
-        # Nested planning (receding-horizon's inner A*) emits several
-        # events for one step; the executed decision is the last one.
-        inner = make_event(t=3, policy="OPT_LGM")
-        outer = make_event(t=3, policy="RECEDING", chosen=(1,))
-        with decisions.collecting():
-            decisions.emit(inner)
-            decisions.emit(outer)
-            joined = decisions.join(None, 3, actual_ms=2.0)
-        assert joined is outer
-        assert inner.actual_ms is None
-
-    def test_eviction_counts_dropped_and_cleans_index(self, event_log):
-        log = event_log
-        log.open("decision", capacity=2)
-        first = decisions.emit(make_event(t=0))
-        decisions.emit(make_event(t=1))
-        decisions.emit(make_event(t=2))  # evicts t=0
-        assert len(log.rings["decision"]) == 2
-        assert log.rings["decision"].dropped == 1
-        assert decisions.join(None, 0, actual_ms=1.0) is None
-        assert first.actual_ms is None
-
-    def test_eviction_keeps_superseding_index_entry(self, event_log):
-        # Evicting an old event must not unlink a newer event that took
-        # over the same (view, t) slot.
-        event_log.open("decision", capacity=2)
-        decisions.emit(make_event(t=0))
-        newer = decisions.emit(make_event(t=0, chosen=(1,)))
-        decisions.emit(make_event(t=1))  # evicts the original t=0 event
-        assert decisions.join(None, 0, actual_ms=5.0) is newer
 
     def test_filtered(self):
         with decisions.collecting() as ring:
@@ -239,14 +190,6 @@ class TestMetrics:
         assert snap["planner.decisions.candidates"]["count"] == 2
         assert snap["planner.decisions.predicted_ms"]["max"] == 2.0
 
-    def test_join_counts_under_recorder(self):
-        with obs.recording() as recorder:
-            with decisions.collecting():
-                decisions.emit(make_event(t=0))
-                decisions.join(None, 0, actual_ms=1.0)
-        snap = recorder.registry.snapshot()
-        assert snap["planner.decisions.joined"]["value"] == 1
-
     def test_no_log_no_recorder_is_a_noop(self):
         # active() is False: no event object is even constructed.
         assert (
@@ -298,11 +241,18 @@ class TestPolicyEmission:
         ]
         assert flushes, "receding never replanned on a full state"
         for event in flushes:
-            # Joined with the executed cost despite the nested A* also
-            # having emitted an OPT_LGM event during the same decide().
-            assert event.actual_ms is not None
+            # The nested A* emitted its OPT_LGM event during the same
+            # decide(), as a plan (t=-1): the step's one event, the one
+            # `repro why` hangs the step's flushes under, is the outer one.
+            assert log.events(t=event.t) == [event]
         assert any(e.policy == "OPT_LGM" for e in log.events())
         assert trace.total_cost > 0
+
+    def test_forced_horizon_refresh_emits_no_decision(self):
+        problem = small_problem(horizon=3)
+        with decisions.collecting() as log:
+            simulate_policy(problem, NaivePolicy())
+        assert {e.t for e in log.events()} == set(range(problem.horizon))
 
     def test_astar_reports_its_plan(self):
         problem = small_problem(horizon=4)
@@ -314,28 +264,6 @@ class TestPolicyEmission:
         assert event.t == -1  # a plan, not a step decision
         assert f"cost={result.cost:.3f}" in event.rationale
         assert "expanded=" in event.rationale
-
-
-class TestSimulatorJoin:
-    @pytest.mark.parametrize("policy_cls", [NaivePolicy, OnlinePolicy])
-    def test_every_decision_joined_with_zero_residual(self, policy_cls):
-        """In the simulated world the executed charge *is* the predicted
-        ``f(q)``, so every joined event has an exactly-zero residual --
-        the calibration loop's sanity anchor."""
-        problem = small_problem(horizon=8)
-        with decisions.collecting() as log:
-            simulate_policy(problem, policy_cls())
-        events = log.events()
-        assert len(events) == problem.horizon  # one per non-forced step
-        for event in events:
-            assert event.actual_ms is not None, f"t={event.t} never joined"
-            assert event.residual_ms == pytest.approx(0.0)
-
-    def test_forced_horizon_refresh_emits_no_decision(self):
-        problem = small_problem(horizon=3)
-        with decisions.collecting() as log:
-            simulate_policy(problem, NaivePolicy())
-        assert {e.t for e in log.events()} == set(range(problem.horizon))
 
 
 class TestGoldenTrail:
@@ -356,9 +284,11 @@ class TestGoldenTrail:
                 CandidateAction((2, 0), 3.0, score=0.5, note="time_to_full=4"),
                 CandidateAction((2, 1), 5.5, score=0.75),
             ),
-            actual_ms=3.25,
         )
-        assert render_decision_trail([event]) == (
+        flushed = [CalibrationSample("min_cost", 3, "PS", 2, 3.0, 3.25)]
+        assert render_decision_trail(
+            [event], lines=lambda e: e.lines(flushed)
+        ) == (
             "decision trail: 1 decision(s)\n"
             "t=3 ONLINE [ivm] view=min_cost: flush (2, 0)\n"
             "├─ backlog (2, 1) f_i(s)=(3.000, 2.500) ms\n"
@@ -367,7 +297,8 @@ class TestGoldenTrail:
             " [chosen]\n"
             "├─ candidate (2, 1) f=5.500 ms H=0.750000\n"
             "├─ rationale: min H over 2 candidate(s)\n"
-            "└─ actual 3.250 ms (predicted 3.000, residual +0.250)"
+            "└─ flushed PS k=2: actual 3.250 ms / predicted 3.000 / "
+            "residual +0.250"
         )
 
     def test_render_bare_defer_golden(self):

@@ -11,7 +11,7 @@ from repro.core.online import OnlinePolicy
 from repro.core.policies import PolicyError
 from repro.core.problem import ProblemInstance
 from repro.core.simulator import simulate_policy
-from repro.obs import slo
+from repro.obs import events
 from repro.obs.tracing import read_jsonl
 
 
@@ -79,8 +79,8 @@ class TestSimulatorMetrics:
                 order.append(("decide", t))
                 return super().decide(t, pre_state)
 
-        with obs.recording() as rec, slo.alerts(
-            lambda event: order.append(("alert", event.t))
+        with obs.recording() as rec, events.subscribe(
+            "slo", lambda event: order.append(("alert", event.t))
         ):
             simulate_policy(problem, Logged())
         assert rec.registry.get("slo.steps").value == problem.horizon + 1

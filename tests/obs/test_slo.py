@@ -89,20 +89,20 @@ class TestObserveRefresh:
 
 class TestAlertCallbacks:
     def test_callbacks_fire_without_recorder(self):
-        events = []
-        with slo.alerts(events.append):
+        heard = []
+        with events.subscribe("slo", heard.append):
             slo.observe_refresh(10.0, 11.0, source="broker")
             slo.observe_refresh(10.0, 1.0)
-        assert len(events) == 1
-        assert events[0].kind == slo.BREACH
-        assert events[0].source == "broker"
+        assert len(heard) == 1
+        assert heard[0].kind == slo.BREACH
+        assert heard[0].source == "broker"
 
     def test_scope_removes_callback(self):
-        events = []
-        with slo.alerts(events.append):
+        heard = []
+        with events.subscribe("slo", heard.append):
             pass
         slo.observe_refresh(10.0, 11.0)
-        assert events == []
+        assert heard == []
 
     def test_remove_unknown_callback_is_noop(self):
         events.installed().unsubscribe("slo", lambda e: None)
@@ -123,7 +123,7 @@ class TestAlertCallbacks:
 
     def test_module_guards_follow_registration(self):
         assert not events.wanted("slo")
-        with slo.alerts(lambda e: None):
+        with events.subscribe("slo", lambda e: None):
             assert events.wanted("slo")
         assert not events.wanted("slo")
 
@@ -140,10 +140,10 @@ class TestCallersGateTheSame:
             arrivals=[(3, 3)] * 6,
         )
         heard = []
-        with slo.alerts(heard.append):
+        with events.subscribe("slo", heard.append):
             simulate_policy(problem, NaivePolicy())
         assert len(heard) == 6
-        with obs.recording(), slo.alerts(heard.append):
+        with obs.recording(), events.subscribe("slo", heard.append):
             simulate_policy(problem, NaivePolicy())
         assert len(heard) == 12
 
@@ -154,10 +154,10 @@ class TestCallersGateTheSame:
 
         pipeline = Pipeline([Stage("scan", LinearCost(slope=1.0))])
         heard = []
-        with slo.alerts(heard.append):
+        with events.subscribe("slo", heard.append):
             simulate_staged(pipeline, 3.0, [3] * 6, NaiveStagedPolicy())
         assert [e.source for e in heard] == ["staged"] * 6
-        with obs.recording(), slo.alerts(heard.append):
+        with obs.recording(), events.subscribe("slo", heard.append):
             simulate_staged(pipeline, 3.0, [3] * 6, NaiveStagedPolicy())
         assert len(heard) == 12
 

@@ -183,10 +183,8 @@ class TestWhyCommand:
         assert out.startswith("decision trail: ")
         assert "ONLINE" in out
         assert "backlog" in out and "rationale:" in out
-        # Sample-run decisions are joined by the simulator, so the trail
-        # shows actual-vs-predicted for flush steps (zero residual in
-        # the simulated world).
-        assert "decision(s)" in out
+        # A simulated flush costs its prediction: nothing hangs under it.
+        assert "decision(s)" in out and "flushed" not in out
 
     def test_step_filter(self, capsys):
         code = main(["why", "--policy", "naive", "--horizon", "10",
@@ -210,6 +208,68 @@ class TestWhyCommand:
         assert "decision trail: 1 decision(s)" in out
         assert "NAIVE" in out
 
+    def test_live_round_trip_hangs_each_flush_under_its_decision(
+        self, tmp_path, capsys
+    ):
+        import json
+
+        log_path = tmp_path / "live.jsonl"
+        code = main(
+            ["--decision-log", str(log_path),
+             "control-log", "--horizon", "20", "--scale", "0.002"]
+        )
+        assert code == 0
+        capsys.readouterr()
+        logged = [json.loads(line) for line in log_path.read_text().splitlines()]
+        samples = [e for e in logged if e["kind"] == "calibration"]
+        assert samples, "the live run flushed nothing"
+        step = samples[0]["t"]
+        flushed = [s for s in samples if s["t"] == step]
+        code = main(
+            ["why", "--log", str(log_path), "--view", "paper_view",
+             "--step", str(step)]
+        )
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert out[0] == "decision trail: 1 decision(s)"
+        assert out[1].startswith(f"t={step} ONLINE [ivm] view=paper_view: flush")
+        tail = out[-len(flushed):]
+        for line, sample in zip(tail, flushed):
+            residual = sample["actual_ms"] - sample["predicted_ms"]
+            assert line.endswith(
+                f"flushed {sample['alias']} k={sample['k']}: "
+                f"actual {sample['actual_ms']:.3f} ms / "
+                f"predicted {sample['predicted_ms']:.3f} / "
+                f"residual {residual:+.3f}"
+            )
+        assert tail[-1].startswith("└─ ")
+
+    def test_reads_a_log_with_the_joined_decision_fields(
+        self, tmp_path, capsys
+    ):
+        """Decision logs once carried no ``kind`` and a joined
+        ``actual_ms``, ``actual_table_ms`` and ``charges``; they still
+        render, as the decision alone."""
+        log_path = tmp_path / "old-decisions.jsonl"
+        log_path.write_text(
+            '{"t": 3, "policy": "NAIVE", "source": "ivm", "view": "v", '
+            '"backlog": [2], "backlog_ms": [3.0], "chosen": [2], '
+            '"chosen_ms": [3.0], "predicted_ms": 3.0, "limit": 2.5, '
+            '"rationale": "flush everything", "candidates": [], '
+            '"actual_ms": 3.25, "actual_table_ms": {"PS": 3.25}, '
+            '"charges": {"startups": 1}}\n'
+        )
+        code = main(["why", "--log", str(log_path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.splitlines() == [
+            "decision trail: 1 decision(s)",
+            "t=3 NAIVE [ivm] view=v: flush (2,)",
+            "├─ backlog (2,) f_i(s)=(3.000) ms",
+            "├─ constraint C=2.500 ms",
+            "└─ rationale: flush everything",
+        ]
+
     def test_rejects_non_decision_log_file(self, tmp_path, capsys):
         bad = tmp_path / "not-decisions.jsonl"
         bad.write_text('{"unrelated": true}\n')
@@ -223,7 +283,7 @@ class TestWhyCommand:
 
 
 class TestDecisionLogFlag:
-    def test_writes_joined_events_jsonl(self, tmp_path, capsys):
+    def test_streams_decision_events_jsonl(self, tmp_path, capsys):
         import json
 
         path = tmp_path / "decisions.jsonl"
@@ -233,14 +293,59 @@ class TestDecisionLogFlag:
         )
         captured = capsys.readouterr()
         assert code == 0
-        assert f"decision events to {path}" in captured.err
+        assert (
+            f"wrote 12 decision events and 0 calibration samples to {path}"
+            in captured.err
+        )
         lines = path.read_text().splitlines()
         assert len(lines) == 12  # one per non-forced step
         events = [json.loads(line) for line in lines]
+        assert {e["kind"] for e in events} == {"decision"}
         assert {e["policy"] for e in events} <= {"ONLINE", "OPT_LGM"}
-        # Every simulator decision is joined: actual == predicted.
-        for event in events:
-            assert event["actual_ms"] == pytest.approx(event["predicted_ms"])
+        # Written once, as emitted: no field is filled in afterwards.
+        assert not any("actual_ms" in e for e in events)
+
+    def test_writes_joined_events_jsonl(self, tmp_path, capsys):
+        """A live run's file joins by step: every flush's calibration
+        line carries the (view, t) of the decision that chose it."""
+        import json
+
+        path = tmp_path / "live.jsonl"
+        code = main(
+            ["--decision-log", str(path),
+             "control-log", "--horizon", "20", "--scale", "0.002"]
+        )
+        assert code == 0
+        logged = [json.loads(line) for line in path.read_text().splitlines()]
+        decided = {
+            (e["view"], e["t"]): e for e in logged if e["kind"] == "decision"
+        }
+        samples = [e for e in logged if e["kind"] == "calibration"]
+        assert len(decided) == 20 and samples
+        for sample in samples:
+            decision = decided[sample["view"], sample["t"]]
+            i = ("PS", "S").index(sample["alias"])  # the paper view's tables
+            assert decision["chosen"][i] == sample["k"] > 0
+            assert decision["chosen_ms"][i] == pytest.approx(
+                sample["predicted_ms"]
+            )
+
+    def test_a_long_run_keeps_every_decision(self, tmp_path, capsys):
+        """Streamed, not buffered: more decisions than a ring holds."""
+        from repro.obs import events
+
+        path = tmp_path / "decisions.jsonl"
+        code = main(
+            ["--decision-log", str(path),
+             "why", "--horizon", "5000", "--scale", "0.002"]
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        lines = path.read_text().splitlines()
+        assert len(lines) == 5000 > events.CAPACITY["decision"]
+        assert "wrote 5000 decision events" in captured.err
+        assert "dropped" not in captured.err
+        assert captured.out.startswith("decision trail: 5000 decision(s)")
 
     def test_restores_previous_log(self, tmp_path):
         from repro.obs import events
@@ -318,6 +423,28 @@ class TestControlLogCommand:
         assert "cannot read" in capsys.readouterr().err
 
 
+class TestMalformedLog:
+    @pytest.mark.parametrize(
+        "command, flag", [("why", "decision-log"), ("control-log", "control-log")]
+    )
+    def test_a_line_that_is_not_an_object_is_refused(
+        self, tmp_path, capsys, command, flag
+    ):
+        bad = tmp_path / "list.jsonl"
+        bad.write_text("[1, 2]\n")
+        code = main([command, "--log", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"is not a {flag} JSONL file" in err
+
+    def test_a_decision_log_is_not_a_control_log(self, tmp_path, capsys):
+        path = tmp_path / "decisions.jsonl"
+        main(["--decision-log", str(path), "why", "--horizon", "3"])
+        capsys.readouterr()
+        assert main(["control-log", "--log", str(path)]) == 2
+        assert "not a control-log JSONL" in capsys.readouterr().err
+
+
 class TestControlLogFlag:
     def test_writes_events_jsonl(self, tmp_path, capsys):
         import json
@@ -335,8 +462,9 @@ class TestControlLogFlag:
         assert events
         for event in events:
             assert set(event) == {
-                "t", "old", "new", "reason", "signals", "view"
+                "kind", "t", "old", "new", "reason", "signals", "view"
             }
+            assert event["kind"] == "actuation"
 
     def test_all_three_event_flags_in_one_run(self, tmp_path, capsys):
         import json
@@ -349,16 +477,26 @@ class TestControlLogFlag:
         code = main([*argv, "control-log", "--horizon", "40", "--scale", "0.002"])
         err = capsys.readouterr().err
         assert code == 0
-        counts = {
-            flag: len(path.read_text().splitlines())
+        logged = {
+            flag: [json.loads(line) for line in path.read_text().splitlines()]
             for flag, path in paths.items()
         }
-        assert counts["decision-log"] == 40  # one per step of the sample run
-        assert counts["control-log"] >= 1 and counts["profile"] >= 1
-        assert f"wrote {counts['profile']} query profiles" in err
-        assert f"wrote 40 decision events to {paths['decision-log']}" in err
-        first = json.loads(paths["decision-log"].read_text().splitlines()[0])
-        assert first["view"] == "paper_view" and first["actual_ms"] is not None
+        kinds = {
+            flag: [e["kind"] for e in lines] for flag, lines in logged.items()
+        }
+        decided = kinds["decision-log"].count("decision")
+        sampled = kinds["decision-log"].count("calibration")
+        assert decided == 40  # one per step of the sample run
+        assert sampled >= 1 and decided + sampled == len(kinds["decision-log"])
+        assert set(kinds["control-log"]) == {"actuation"}
+        assert set(kinds["profile"]) == {"profile"}
+        assert f"wrote {len(kinds['profile'])} query profiles" in err
+        assert (
+            f"wrote 40 decision events and {sampled} calibration samples "
+            f"to {paths['decision-log']}" in err
+        )
+        first = logged["decision-log"][0]
+        assert first["view"] == "paper_view" and "actual_ms" not in first
 
     def test_restores_previous_log(self, tmp_path):
         from repro.obs import events
