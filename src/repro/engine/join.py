@@ -31,7 +31,7 @@ from repro.engine.block import DEFAULT_BLOCK_SIZE, RowBlock
 from repro.engine.errors import SchemaError
 from repro.engine.expr import resolve_column
 from repro.engine.operators import Operator, SeqScan, merged_layout
-from repro.engine.snapshot import Snapshot
+from repro.engine.snapshot import BuildSide, Snapshot
 
 
 class IndexNestedLoopJoin(Operator):
@@ -180,7 +180,8 @@ class HashJoin(Operator):
     with the ``alias`` it joins under, or a :class:`SeqScan` of one --
     lends its retained :meth:`~repro.engine.snapshot.Snapshot.build_side`
     and is charged the full scan and build that table stands for, so the
-    simulated cost never depends on what the snapshot already held.  Any
+    simulated cost never depends on what the snapshot already held (nor
+    on which buckets a rolled-forward side derives when probed).  Any
     other operator (a :class:`~repro.engine.operators.RowSource` delta
     batch) is pulled and hashed here.
     """
@@ -205,7 +206,7 @@ class HashJoin(Operator):
         )
         self._left_pos = resolve_column(left_column, left.layout)
         right_pos = resolve_column(right_column, right.layout)
-        self._table: dict = {}
+        self._table = BuildSide()
         build_rows = 0
         table = self._table
         profiled = attrib.active_profile() is not None
@@ -239,7 +240,8 @@ class HashJoin(Operator):
 
     def blocks(self, block_size: int) -> Iterator[RowBlock]:
         pos = self._left_pos
-        probe = self._table.get
+        # Subscript, not ``get``: a rolled side derives what it lacks.
+        probe = self._table.__getitem__
         layout = self.layout
         left_kept, right_kept = self._left_kept, self._right_kept
         prof = self._prof
@@ -250,7 +252,7 @@ class HashJoin(Operator):
                 self.counter.charge("hash_probes", len(lblock))
                 if prof is not None:
                     prof.add("hash_probes", len(lblock))
-                hits = list(map(probe, lblock.column(pos), repeat(())))
+                hits = list(map(probe, lblock.column(pos)))
                 joined = gather_join(lblock, hits, left_kept, right_kept, layout)
                 if joined is not None:
                     self.counter.charge("tuple_cpu", len(joined))

@@ -10,63 +10,84 @@ Snapshots outlive the query that asked for them: a table retains the most
 recent one it handed out (:meth:`Table.snapshot
 <repro.engine.table.Table.snapshot>`), hands it out again for the same LSN,
 and a snapshot at a later LSN inherits the retained one's row count and
-hash-join build sides by replaying the ``ModLog`` window between the two
-LSNs instead of re-scanning the table.  What a snapshot reads never
-changes after it is handed out -- rolling forward copies every bucket it
-touches.
+hash-join build sides instead of re-scanning the table: the buckets the
+``ModLog`` window between the two LSNs touched are dropped, and a probe
+that asks for one derives it from the table's key map.  What a snapshot
+reads never changes after it is handed out.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import itemgetter
-from typing import TYPE_CHECKING, Hashable, Iterator, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterable, Iterator
 
 from repro import obs
 
 if TYPE_CHECKING:  # circular import guard; Table imports Snapshot
-    from repro.engine.table import Table
+    from repro.engine.table import RowVersion, Table
 
 
-def _replayed(
-    side: dict, pos: int, olds: Sequence, news: Sequence
-) -> dict | None:
-    """``side`` advanced through a log window, leaving ``side`` untouched.
+def _visible_values(
+    table: "Table", lsn: int, versions: Iterable["RowVersion"]
+) -> list[tuple]:
+    """The values of ``versions`` visible at ``lsn``, in the order given.
 
-    ``olds`` / ``news`` are the window's two columns
-    (:meth:`ModLog.columns <repro.engine.table.ModLog.columns>`).  A
-    deleted row leaves its bucket and an inserted one is appended (the
-    new version is the table's last, so the bucket stays in version
-    order); an update does both.  Buckets are copied the first time they
-    are touched and emptied ones are dropped, so the result equals a
-    build from the later snapshot's ``row_list()``.
-
-    Returns None when a removal is ambiguous: the log carries values, not
-    row ids, so when the bucket holds the removed row's values twice the
-    replay cannot tell which position the dead version held.
+    The one visibility filter: a version is visible when ``xmin <= lsn <
+    xmax`` (a live version has no ``xmax``).  At a fixed LSN the answer
+    never changes as the table keeps mutating -- later inserts have ``xmin
+    > lsn``, later deletes set ``xmax > lsn`` -- so each caller keeps what
+    it read.  Every read a snapshot does not hold yet comes through here,
+    which is what makes one below the table's vacuum watermark raise
+    instead of answering with versions missing.
     """
-    out = dict(side)
-    owned = set()
-    for old, new in zip(olds, news):
-        if old is not None:
-            key = old[pos]
-            bucket = out[key]
-            if key not in owned:
-                bucket = out[key] = list(bucket)
-                owned.add(key)
-            bucket.remove(old)
-            if old in bucket:
-                return None
-            if not bucket:
-                del out[key]
-                owned.discard(key)
-        if new is not None:
-            key = new[pos]
-            if key in owned:
-                out[key].append(new)
-            else:
-                out[key] = [*out.get(key, ()), new]
-                owned.add(key)
-    return out
+    table.check_readable(lsn)
+    return [
+        v.values
+        for v in versions
+        if v.xmin <= lsn and (v.xmax is None or v.xmax > lsn)
+    ]
+
+
+class BuildSide(dict):
+    """A hash-join table: key -> the rows with that key, in version order.
+
+    A key it lacks has no rows, so probe with ``side[key]`` (which answers
+    ``()`` for it) rather than ``side.get``, which would skip a rolled
+    side's derivation.  Callers must not mutate it.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, key: Hashable) -> tuple:
+        return ()
+
+
+class _RolledSide(BuildSide):
+    """A build side inherited through a log window.
+
+    It holds the retained side's buckets minus every key the window
+    touched; the first probe for a key it lacks derives that bucket --
+    the key's versions visible at ``lsn``, from the table's
+    :meth:`~repro.engine.table.Table.versions_by_key` map -- and keeps it.
+    Untouched buckets are shared with the side it was rolled from.
+    """
+
+    __slots__ = ("_table", "_lsn", "_column")
+
+    def __init__(self, side: BuildSide, table: "Table", lsn: int, column: str):
+        super().__init__(side)
+        self._table = table
+        self._lsn = lsn
+        self._column = column
+
+    def __missing__(self, key: Hashable) -> list[tuple] | tuple:
+        table = self._table
+        versions = table.versions_by_key(self._column).get(key, ())
+        # A key with no visible rows keeps the answer a built side gives.
+        rows = self[key] = _visible_values(table, self._lsn, versions) or ()
+        obs.counter("engine.snapshot.derived_keys")
+        return rows
 
 
 class Snapshot:
@@ -88,18 +109,20 @@ class Snapshot:
         #: column -> key -> visible rows with that key (index probes).
         self._lookup_cache: dict[str, dict[Hashable, list[tuple]]] = {}
         #: column -> key -> visible rows in version order (hash-join builds).
-        self._build_sides: dict[str, dict[Hashable, list[tuple]]] = {}
+        self._build_sides: dict[str, BuildSide] = {}
         if retained is not None:
             self._roll_forward(retained)
 
     def _roll_forward(self, retained: "Snapshot") -> None:
         """Inherit ``retained``'s count and build sides through the ModLog.
 
-        Nothing is inherited -- and :meth:`build_side` builds from
-        :meth:`row_list` -- when ``retained`` is at a later LSN, when the
-        log window between the two was truncated, or when the window is
-        longer than the table (replaying it would cost more than the
-        build).  A build side with an ambiguous removal is dropped alone.
+        One pass over the window's two image columns: the count moves by
+        its inserts and deletes, and each build side is copied without the
+        keys the window touched, which :class:`_RolledSide` derives when a
+        probe asks.  Nothing is inherited -- and :meth:`build_side` builds
+        from :meth:`row_list` -- when ``retained`` is at a later LSN, when
+        the log window between the two was truncated, or when the window
+        is longer than the table (it would leave little to share).
         """
         sides = retained._build_sides
         span = self.lsn - retained.lsn
@@ -115,12 +138,12 @@ class Snapshot:
         self._count = retained._count + olds.count(None) - news.count(None)
         schema = self.table.schema
         for column, side in sides.items():
-            rolled = _replayed(side, schema.position(column), olds, news)
-            if rolled is not None:
-                self._build_sides[column] = rolled
-        obs.counter(
-            "engine.snapshot.rolled_events", span * len(self._build_sides)
-        )
+            rolled = self._build_sides[column] = _RolledSide(
+                side, self.table, self.lsn, column
+            )
+            images = filter(None, chain(olds, news))
+            for key in set(map(itemgetter(schema.position(column)), images)):
+                rolled.pop(key, None)
 
     @property
     def schema(self):
@@ -140,21 +163,15 @@ class Snapshot:
     def row_list(self) -> list[tuple]:
         """All visible rows, materialized once and kept with the snapshot.
 
-        The visibility predicate at a fixed LSN is immutable even as the
-        table keeps mutating (later inserts have ``xmin > lsn``; later
-        deletes set ``xmax > lsn``, leaving visibility here unchanged), so
-        one pass over the versions serves every reader of this snapshot --
+        One pass over the versions serves every reader of this snapshot --
         every downstream pull of one query, and every later query the
         table hands this snapshot to again.  Callers must not mutate the
         returned list.
         """
         if self._visible is None:
-            lsn = self.lsn
-            self._visible = [
-                v.values
-                for v in self.table._versions
-                if v.xmin <= lsn and (v.xmax is None or v.xmax > lsn)
-            ]
+            self._visible = _visible_values(
+                self.table, self.lsn, self.table._versions
+            )
             self._count = len(self._visible)
         return self._visible
 
@@ -180,18 +197,18 @@ class Snapshot:
             self.row_list()
         return self._count
 
-    def build_side(self, column: str) -> dict[Hashable, list[tuple]]:
+    def build_side(self, column: str) -> BuildSide:
         """The hash-join table on ``column``: key -> visible rows, in
         version order.
 
         Either inherited from the table's previously retained snapshot
         (see :meth:`_roll_forward`) or built here from :meth:`row_list`;
-        kept with the snapshot either way.  Callers must not mutate it.
+        kept with the snapshot either way.  Probe it with ``side[key]``.
         """
         side = self._build_sides.get(column)
         if side is None:
             pos = self.schema.position(column)
-            side = self._build_sides[column] = {}
+            side = self._build_sides[column] = BuildSide()
             for row in self.row_list():
                 side.setdefault(row[pos], []).append(row)
         return side
@@ -212,6 +229,8 @@ class Snapshot:
 
         Raises ``LookupError`` if no index covers ``column``; operators use
         :meth:`has_index` to decide between index and scan access paths.
+        The result is kept for as long as the snapshot is, across queries.
+        Callers must not mutate the returned list.
         """
         cache = self.probe_cache(column)
         cached = cache.get(key)
@@ -220,16 +239,8 @@ class Snapshot:
         index = self.table.index_on(column)
         if index is None:
             raise LookupError(f"no index on {self.name}.{column}")
-        out = []
-        for rid in index.lookup(key):
-            version = self.table.version(rid)
-            if version.visible_at(self.lsn):
-                out.append(version.values)
-        # Visibility at a fixed LSN never changes, so the probe result is a
-        # pure function of (column, key) -- kept for as long as the
-        # snapshot is, across queries.  Callers must not mutate the
-        # returned list.
-        cache[key] = out
+        versions = map(self.table._versions.__getitem__, index.lookup(key))
+        out = cache[key] = _visible_values(self.table, self.lsn, versions)
         return out
 
     def has_index(self, column: str) -> bool:

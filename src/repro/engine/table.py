@@ -34,7 +34,9 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import (
+    Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence,
+)
 
 from repro import obs
 from repro.engine.costmodel import OperationCounter
@@ -51,10 +53,6 @@ class RowVersion:
     values: tuple
     xmin: int
     xmax: int | None = None
-
-    def visible_at(self, lsn: int) -> bool:
-        """Whether this version exists in the snapshot at ``lsn``."""
-        return self.xmin <= lsn and (self.xmax is None or self.xmax > lsn)
 
 
 @dataclass(frozen=True)
@@ -85,6 +83,17 @@ def _kind(old: tuple | None, new: tuple | None) -> str:
 
 def _event(lsn: int, old: tuple | None, new: tuple | None) -> ModEvent:
     return ModEvent(lsn, _kind(old, new), old, new)
+
+
+def _group(
+    key_map: dict[Hashable, list[RowVersion]],
+    pos: int,
+    versions: Iterable[RowVersion],
+) -> None:
+    """Append each of ``versions``, in order, to its group in ``key_map``:
+    the one keyed by its value at position ``pos``."""
+    for version in versions:
+        key_map.setdefault(version.values[pos], []).append(version)
 
 
 def _cut(chunks: list[list], first: int, last: int, a: int, b: int) -> list:
@@ -350,6 +359,9 @@ class Table:
         self._retained: Snapshot | None = None
         #: Snapshots below this LSN lost versions to :meth:`vacuum`.
         self._vacuumed_lsn = 0
+        #: column -> key -> every stored version with that key, in slot
+        #: order (:meth:`versions_by_key`).
+        self._key_maps: dict[str, dict[Hashable, list[RowVersion]]] = {}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -427,6 +439,23 @@ class Table:
         hit = hash_hit if hash_hit is not None else sorted_hit
         self._index_on_cache[column] = hit
         return hit
+
+    def versions_by_key(self, column: str) -> dict[Hashable, list[RowVersion]]:
+        """Every stored version, live and dead, grouped by its ``column``
+        value, each group in slot (version) order.
+
+        What a rolled-forward hash-join build side derives a bucket from
+        (:class:`~repro.engine.snapshot.Snapshot`).  It is not an index:
+        nothing charges for it, and :meth:`index_on` -- so the planner's
+        access-path choice -- never sees it.  Made by one pass over the
+        versions the first time a column is asked for, extended by every
+        write, dropped by :meth:`vacuum`.  Callers must not mutate it.
+        """
+        key_map = self._key_maps.get(column)
+        if key_map is None:
+            key_map = self._key_maps[column] = {}
+            _group(key_map, self.schema.position(column), self._versions)
+        return key_map
 
     # ------------------------------------------------------------------
     # Modifications (each takes the next LSN and one position of the log)
@@ -548,6 +577,10 @@ class Table:
                 pos = self.schema.position(index.column)
                 for rid, row in enumerate(rows, slot):
                     index.add(row[pos], rid)
+        if self._key_maps and created:
+            versions = self._versions[-created:]
+            for column, key_map in self._key_maps.items():
+                _group(key_map, self.schema.position(column), versions)
         self.history.extend(olds, news)
         obs.counter("engine.table.write_batches")
         obs.counter("engine.table.rows_written", count)
@@ -600,17 +633,27 @@ class Table:
             raise ExecutionError(
                 f"snapshot LSN {at} outside [0, {self._lsn}] for {self.name}"
             )
-        if at < self._vacuumed_lsn:
-            raise ExecutionError(
-                f"snapshot LSN {at} of {self.name} is below the vacuum "
-                f"watermark {self._vacuumed_lsn}; its versions were reclaimed"
-            )
+        self.check_readable(at)
         retained = self._retained
         if retained is not None and retained.lsn == at:
             obs.counter("engine.snapshot.reused")
             return retained
         self._retained = Snapshot(self, at, retained)
         return self._retained
+
+    def check_readable(self, lsn: int) -> None:
+        """Raise unless every version visible at ``lsn`` is still stored.
+
+        :meth:`vacuum` reclaims versions only snapshots below its
+        watermark can see; a read there -- a new snapshot, or a held one
+        reading something it had not read yet -- would answer with rows
+        missing.
+        """
+        if lsn < self._vacuumed_lsn:
+            raise ExecutionError(
+                f"snapshot LSN {lsn} of {self.name} is below the vacuum "
+                f"watermark {self._vacuumed_lsn}; its versions were reclaimed"
+            )
 
     def events_between(self, lsn_from: int, lsn_to: int) -> list[ModEvent]:
         """History events with ``lsn_from < lsn <= lsn_to`` (a delta window)."""
@@ -632,7 +675,8 @@ class Table:
         LSN (reclaim everything dead); pass the oldest LSN any live
         snapshot or lagging view still reads to keep those readable:
         once versions are reclaimed, :meth:`snapshot` below the watermark
-        raises, and the retained snapshot is dropped.
+        raises, so does any read a snapshot held from below it had not
+        made yet, and the retained snapshot and the key maps are dropped.
         """
         watermark = self._lsn if before_lsn is None else before_lsn
         if not 0 <= watermark <= self._lsn:
@@ -650,6 +694,7 @@ class Table:
         self._versions = survivors
         self._vacuumed_lsn = max(self._vacuumed_lsn, watermark)
         self._retained = None
+        self._key_maps.clear()
         self.counter.charge("row_writes", len(survivors))
         self._index_on_cache.clear()
         # Rebuild every index against the surviving versions.

@@ -233,6 +233,42 @@ class TestVacuum:
         with pytest.raises(ExecutionError, match="vacuum watermark 3"):
             t.snapshot(2)
 
+    def test_snapshot_held_across_vacuum_raises_on_an_unread_read(self):
+        """A snapshot handed out before a vacuum that reclaimed versions
+        it sees refuses every read it had not made -- rows, an index
+        lookup, a build-side bucket -- and keeps answering what it had."""
+        db = Database()
+        t = db.create_table("t", Schema.of(k=ColumnType.INT, v=ColumnType.STR))
+        t.create_index("k")
+        t.insert_rows([(1, "a"), (1, "b"), (2, "c")])
+        held = t.snapshot()
+        assert held.lookup("k", 2) == [(2, "c")]
+        t.update_rids([0], {"v": ["z"]})
+        t.delete_rids([1])
+        assert t.vacuum() == 2
+        with pytest.raises(ExecutionError, match="vacuum watermark 5"):
+            t.snapshot(3)
+        with pytest.raises(ExecutionError, match="vacuum watermark 5"):
+            held.row_list()
+        with pytest.raises(ExecutionError, match="vacuum watermark 5"):
+            held.lookup("k", 1)
+        assert held.lookup("k", 2) == [(2, "c")]
+
+    def test_rolled_side_probed_after_vacuum_raises(self):
+        db = Database()
+        t = db.create_table("t", Schema.of(k=ColumnType.INT, v=ColumnType.STR))
+        t.insert_rows([(1, "a"), (2, "b")])
+        t.snapshot().build_side("k")
+        t.update_rids([0, 1], {"v": ["y", "z"]})
+        held = t.snapshot()
+        side = held.build_side("k")
+        assert side[2] == [(2, "z")]
+        t.update_rids([2], {"v": ["w"]})
+        assert t.vacuum() == 3
+        with pytest.raises(ExecutionError, match="vacuum watermark 5"):
+            side[1]
+        assert side[2] == [(2, "z")]
+
     def test_vacuum_drops_the_retained_snapshot(self, toy_db):
         emp = toy_db.table("emp")
         rid = emp.find_rids(lambda r: r[1] == "alice")[0]

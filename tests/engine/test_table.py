@@ -154,36 +154,63 @@ class TestRetainedSnapshots:
         table.update_rid(0, {"v": "z"})  # (1, a) -> (1, z), now last of key 1
         table.delete_rid(3)  # key 3 empties
         table.insert((4, "e"))
-        with obs.recording() as recorder:
-            new = table.snapshot()
-        rolled = recorder.registry.snapshot()["engine.snapshot.rolled_events"]
-        assert rolled["value"] == 3
-        # Inherited, not rebuilt: the visible-row list was never made.
+        new = table.snapshot()
+        side = new.build_side("k")
+        # Inherited, not rebuilt: the visible-row list was never made, and
+        # the keys the window touched are gone until a probe asks.
         assert new._visible is None
         assert new.count() == 4
-        assert new.build_side("k") == {
-            1: [(1, "c"), (1, "z")],
-            2: [(2, "b")],
-            4: [(4, "e")],
-        }
-        assert new.build_side("k") == Snapshot(table, new.lsn).build_side("k")
+        assert side == {2: [(2, "b")]}
+        with obs.recording() as recorder:
+            probed = {key: side[key] for key in (1, 2, 3, 4, 5)}
+        derived = recorder.registry.snapshot()["engine.snapshot.derived_keys"]
+        assert derived["value"] == 4  # 1, 3, 4 and the absent 5; 2 was kept
+        direct = Snapshot(table, new.lsn).build_side("k")
+        assert probed == {key: direct[key] for key in probed}
+        assert probed[1] == [(1, "c"), (1, "z")]
+        assert probed[3] == probed[5] == ()
         assert new.count() == len(new.row_list())
-        # Copy-on-write: the earlier snapshot still reads as of its LSN,
-        # and an untouched bucket is shared rather than copied.
+        # Derived once: a second probe reads the stored bucket.
+        assert side[1] is probed[1]
+        # The earlier snapshot still reads as of its LSN, and an untouched
+        # bucket is shared rather than copied.
         assert old_side == before
-        assert new.build_side("k")[2] is old_side[2]
+        assert side[2] is old_side[2]
 
-    def test_ambiguous_duplicate_removal_is_rebuilt(self, table):
+    def test_duplicate_rows_roll_exactly(self, table):
         for row in [(1, "x"), (1, "y"), (1, "x")]:
             table.insert(row)
         table.snapshot().build_side("k")
         table.delete_rid(2)  # the *second* (1, x); values alone cannot say so
-        with obs.recording() as recorder:
-            new = table.snapshot()
-            assert new.build_side("k") == {1: [(1, "x"), (1, "y")]}
-        rolled = recorder.registry.snapshot()["engine.snapshot.rolled_events"]
-        assert rolled["value"] == 0  # the count rolled; no build side did
+        new = table.snapshot()
+        assert new.build_side("k")[1] == [(1, "x"), (1, "y")]
+        assert new._visible is None
         assert new.count() == 2
+
+    def test_held_snapshot_probed_after_later_writes_reads_its_own_lsn(
+        self, table
+    ):
+        for row in [(1, "a"), (2, "b")]:
+            table.insert(row)
+        table.snapshot().build_side("k")
+        table.update_rid(0, {"v": "z"})  # (1, a) -> (1, z) at slot 2
+        held = table.snapshot()
+        side = held.build_side("k")
+        assert 1 not in side
+        table.update_rid(2, {"v": "w"})  # (1, z) -> (1, w)
+        table.insert((1, "c"))
+        table.delete_rid(1)  # (2, b) dies
+        table.snapshot().build_side("k")  # a later roll shares nothing back
+        assert side[1] == [(1, "z")]
+        assert side[2] == [(2, "b")]
+        assert side[3] == ()
+
+    def test_a_miss_on_a_side_built_whole_makes_no_key_map(self, table):
+        table.insert((1, "a"))
+        side = table.snapshot().build_side("k")
+        assert side[9] == ()
+        assert 9 not in side
+        assert table._key_maps == {}
 
 
 class TestIndexedSnapshots:

@@ -2,14 +2,15 @@
 
 A table keeps the last :class:`~repro.engine.snapshot.Snapshot` it handed
 out, hands it out again for the same LSN and rolls its hash-join build
-sides forward through the ``ModLog`` for a later one.  The simulated
-charge for a build is made as if the table were scanned and hashed every
-time, so the cost tables -- the experiment observable -- must not be able
-to tell.  These tests run the paper's view under the paper's update mix
-twice on identically seeded databases, once normally and once with every
-table's retained snapshot cleared before each ``execute`` (which is the
-engine before snapshots were retained), and require the same charges
-after every flush, the same view, and the same per-operator profiles.
+sides forward through the ``ModLog`` for a later one, deriving a touched
+bucket when a probe asks for it.  The simulated charge for a build is
+made as if the table were scanned and hashed every time, so the cost
+tables -- the experiment observable -- must not be able to tell.  These
+tests run the paper's view under the paper's update mix twice on
+identically seeded databases, once normally and once with every table's
+retained snapshot cleared before each ``execute`` (which is the engine
+before snapshots were retained), and require the same charges after
+every flush, the same view, and the same per-operator profiles.
 
 The normal leg must be *non-vacuous* (it really reuses and really rolls),
 and each reason a build side cannot roll falls through to a plain build.
@@ -115,14 +116,13 @@ class TestPaperViewEquivalence:
             without_wall(p) for p in ref_profiles
         ]
         # Non-vacuity: the normal leg reused and rolled, the reference
-        # leg could do neither.
+        # leg could do neither.  Every S-flush after the first derives one
+        # bucket, the updated supplier's (the PS updates since the last
+        # S-flush touched it), and both halves of the flush probe it.
         assert metrics["engine.snapshot.reused"]["value"] > 0
-        assert (
-            metrics["engine.snapshot.rolled_events"]["value"]
-            == (STEPS - 1) * PS_PER_STEP
-        )
+        assert metrics["engine.snapshot.derived_keys"]["value"] == STEPS - 1
         assert "engine.snapshot.reused" not in ref_metrics
-        assert "engine.snapshot.rolled_events" not in ref_metrics
+        assert "engine.snapshot.derived_keys" not in ref_metrics
         for name in ("engine.join.hash.build_rows", "engine.scan.rows_out",
                      "engine.scan.scans", "engine.scan.pages"):
             assert metrics[name] == ref_metrics[name]
@@ -176,23 +176,23 @@ def fact_db(rows: int) -> Database:
 
 def query_at(db: Database, lsn: int):
     """Run the join reading ``fact`` at ``lsn``; returns (rows, charges,
-    events rolled while doing so)."""
+    build-side buckets derived while doing so)."""
     before = db.counter.snapshot()
     with obs.recording() as recorder:
         rows = db.execute(FACT_JOIN, snapshot_lsns={"F": lsn}).rows
     after = db.counter.snapshot()
-    rolled = recorder.registry.snapshot().get(
-        "engine.snapshot.rolled_events", {"value": 0}
+    derived = recorder.registry.snapshot().get(
+        "engine.snapshot.derived_keys", {"value": 0}
     )
-    return rows, {f: after[f] - before[f] for f in after}, rolled["value"]
+    return rows, {f: after[f] - before[f] for f in after}, derived["value"]
 
 
 def expect_plain_build(db: Database, lsn: int) -> None:
     """A query at ``lsn`` rolls nothing and still answers, and charges,
     what a database that never retained anything does."""
     fact = db.table("fact")
-    rows, charges, rolled = query_at(db, lsn)
-    assert rolled == 0
+    rows, charges, derived = query_at(db, lsn)
+    assert derived == 0
     assert fact._retained.build_side("k") == Snapshot(fact, lsn).build_side("k")
     fact._retained = None
     ref_rows, ref_charges, __ = query_at(db, lsn)
@@ -207,8 +207,8 @@ class TestFallThrough:
         query_at(db, 30)
         for rid in range(4):
             fact.update_rid(rid, {"v": -1})
-        rows, charges, rolled = query_at(db, 34)
-        assert rolled == 4
+        rows, charges, derived = query_at(db, 34)
+        assert derived == 3  # keys 0, 1 and 2 were touched and are probed
         fact._retained = None
         assert (rows, charges) == query_at(db, 34)[:2]
 
