@@ -345,14 +345,9 @@ class Aggregate(Operator):
         groups = GroupStates(self.func, self.counter)
         group_positions = self._group_positions
         value_block_fn = self._value_block_fn
-        prof = self._prof
         rows_in = 0
         for block in self.child.blocks(block_size):
             rows_in += len(block)
-            # Every row in the block folds into a state below, charging
-            # exactly one agg_update per value via insert_many.
-            if prof is not None:
-                prof.add("agg_updates", len(block))
             # Bucket this block's values by group key, preserving row order
             # within each group, then fold each bucket in one bulk call.
             groups.insert(bucket_block(block, group_positions, value_block_fn))

@@ -27,6 +27,7 @@ from __future__ import annotations
 import time
 import weakref
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Sequence
 
 from repro import obs
@@ -161,16 +162,17 @@ class Database:
                 view=view,
                 round=round_,
             )
+            prof.start(self.counter)
         recorder = obs.get_recorder()
         if recorder is None and prof is None:
-            return self._execute(spec, snapshot_lsns, substitutions)
+            return self._execute_plan(spec, snapshot_lsns, substitutions, None)
         wall_start = time.perf_counter()
         if recorder is None:
-            result = self._execute(spec, snapshot_lsns, substitutions, prof)
+            result = self._execute_plan(spec, snapshot_lsns, substitutions, prof)
         else:
             sim_start = self.counter.elapsed_ms()
             with obs.trace("engine.execute", base=spec.base_table) as span:
-                result = self._execute(
+                result = self._execute_plan(
                     spec, snapshot_lsns, substitutions, prof
                 )
                 span.set(rows_out=len(result.rows))
@@ -198,18 +200,6 @@ class Database:
             label += f" → {spec.aggregate.func.upper()}"
         return label
 
-    def _execute(
-        self,
-        spec: QuerySpec,
-        snapshot_lsns: Mapping[str, int],
-        substitutions: Mapping[str, Sequence[tuple]],
-        prof: "attrib.QueryProfile | None" = None,
-    ) -> QueryResult:
-        if prof is None:
-            return self._execute_plan(spec, snapshot_lsns, substitutions, None)
-        with attrib.capturing(prof):
-            return self._execute_plan(spec, snapshot_lsns, substitutions, prof)
-
     def _execute_plan(
         self,
         spec: QuerySpec,
@@ -218,8 +208,6 @@ class Database:
         prof: "attrib.QueryProfile | None",
     ) -> QueryResult:
         self.counter.charge("startups")
-        if prof is not None:
-            prof.root.add("startups", 1)
 
         stages, pending = self._column_plan(spec)
         if pending:
@@ -234,33 +222,35 @@ class Database:
                     spec.base_alias, spec.base_table,
                     snapshot_lsns, substitutions, keep,
                 )
-            elif join.alias in substitutions:
-                right = RowSource(
-                    substitutions[join.alias],
-                    self.table(join.table).schema.names,
-                    join.alias,
-                    self.counter,
-                )
-                plan = HashJoin(
-                    plan, right, join.left_column,
-                    f"{join.alias}.{join.right_column}",
-                    block_size=self.block_size, keep=keep,
-                )
             else:
-                snapshot = self.table(join.table).snapshot(
-                    snapshot_lsns.get(join.alias)
-                )
-                if snapshot.has_index(join.right_column):
-                    plan = IndexNestedLoopJoin(
-                        plan, snapshot, join.alias,
-                        join.left_column, join.right_column, keep=keep,
+                right = None
+                if join.alias in substitutions:
+                    right = RowSource(
+                        substitutions[join.alias],
+                        self.table(join.table).schema.names,
+                        join.alias,
+                        self.counter,
                     )
                 else:
-                    plan = HashJoin(
-                        plan, snapshot, join.left_column,
-                        f"{join.alias}.{join.right_column}",
-                        alias=join.alias, keep=keep,
+                    snapshot = self.table(join.table).snapshot(
+                        snapshot_lsns.get(join.alias)
                     )
+                    if snapshot.has_index(join.right_column):
+                        plan = IndexNestedLoopJoin(
+                            plan, snapshot, join.alias,
+                            join.left_column, join.right_column, keep=keep,
+                        )
+                    else:
+                        right = SeqScan(snapshot, join.alias, self.counter)
+                if right is not None:
+                    make = partial(
+                        HashJoin, plan, right, join.left_column,
+                        f"{join.alias}.{join.right_column}",
+                        block_size=self.block_size, keep=keep,
+                    )
+                    # The build happens here: a profile takes its
+                    # counter difference around the construction.
+                    plan = make() if prof is None else prof.build(right, make)
             for (predicate, _), keep in zip(stage.filters, stage.keeps[1:]):
                 plan = Filter(plan, predicate, keep)
 
@@ -278,8 +268,6 @@ class Database:
         if spec.distinct:
             # Order-preserving dedup; one hash operation per input row.
             self.counter.charge("hash_probes", len(rows))
-            if prof is not None:
-                prof.root.add("hash_probes", len(rows))
             rows = list(dict.fromkeys(rows))
         if spec.order_by:
             rows = self._apply_order(rows, spec.order_by, plan.layout)
@@ -306,12 +294,9 @@ class Database:
     def _apply_order(self, rows, order_by, layout):
         """Sort the final rows by the ORDER BY keys (stable, last key
         applied first), charging one sort item per row per key."""
-        prof = attrib.active_profile()
         for order in reversed(order_by):
             pos = resolve_column(order.column, layout)
             self.counter.charge("sort_items", len(rows))
-            if prof is not None:
-                prof.root.add("sort_items", len(rows))
             rows = sorted(
                 rows, key=lambda row: row[pos], reverse=order.descending
             )

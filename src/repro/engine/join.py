@@ -20,13 +20,11 @@ rest of the plan reads.
 
 from __future__ import annotations
 
-import time
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
 
 from repro import obs
-from repro.obs import attrib
 from repro.engine.block import DEFAULT_BLOCK_SIZE, RowBlock
 from repro.engine.errors import SchemaError
 from repro.engine.expr import resolve_column
@@ -79,14 +77,11 @@ class IndexNestedLoopJoin(Operator):
         cached = self.snapshot.probe_cache(right_column).get
         layout = self.layout
         left_kept, right_kept = self._left_kept, self._right_kept
-        prof = self._prof
         probes = rows_out = 0
         try:
             for lblock in self.left.blocks(block_size):
                 probes += len(lblock)
                 self.counter.charge("index_probes", len(lblock))
-                if prof is not None:
-                    prof.add("index_probes", len(lblock))
                 hits = [
                     cached(key) or lookup(right_column, key)
                     for key in lblock.column(pos)
@@ -94,8 +89,6 @@ class IndexNestedLoopJoin(Operator):
                 joined = gather_join(lblock, hits, left_kept, right_kept, layout)
                 if joined is not None:
                     self.counter.charge("tuple_cpu", len(joined))
-                    if prof is not None:
-                        prof.add("tuple_cpu", len(joined))
                     rows_out += len(joined)
                     yield joined
         finally:
@@ -176,29 +169,25 @@ class HashJoin(Operator):
     hashed (one ``hash_build`` per tuple) *before the first output row* --
     the setup cost ``b`` of the paper's linear cost model.
 
-    ``right`` is one of two inputs.  A base table -- a :class:`Snapshot`
-    with the ``alias`` it joins under, or a :class:`SeqScan` of one --
-    lends its retained :meth:`~repro.engine.snapshot.Snapshot.build_side`
-    and is charged the full scan and build that table stands for, so the
-    simulated cost never depends on what the snapshot already held (nor
-    on which buckets a rolled-forward side derives when probed).  Any
-    other operator (a :class:`~repro.engine.operators.RowSource` delta
+    ``right`` is one of two inputs.  A :class:`SeqScan` of a base table
+    lends its snapshot's retained
+    :meth:`~repro.engine.snapshot.Snapshot.build_side` and is charged
+    the full scan and build that table stands for, so the simulated cost
+    never depends on what the snapshot already held (nor on which
+    buckets a rolled-forward side derives when probed).  Any other
+    operator (a :class:`~repro.engine.operators.RowSource` delta
     batch) is pulled and hashed here.
     """
 
     def __init__(
         self,
         left: Operator,
-        right: Operator | Snapshot,
+        right: Operator,
         left_column: str,
         right_column: str,
         block_size: int = DEFAULT_BLOCK_SIZE,
-        alias: str | None = None,
         keep: Sequence[str] | None = None,
     ):
-        if isinstance(right, Snapshot):
-            # Layout, label and scan charges of the scan this build replaces.
-            right = SeqScan(right, alias, left.counter)
         self.left = left
         self.counter = left.counter
         self.layout, self._left_kept, self._right_kept = kept_sides(
@@ -209,10 +198,6 @@ class HashJoin(Operator):
         self._table = BuildSide()
         build_rows = 0
         table = self._table
-        profiled = attrib.active_profile() is not None
-        if profiled:
-            before = self.counter.snapshot()
-            start = time.perf_counter()
         if isinstance(right, SeqScan):
             build_rows = right.charge_full_scan()
             self.counter.charge("hash_builds", build_rows)
@@ -225,14 +210,6 @@ class HashJoin(Operator):
                 self.counter.charge("hash_builds", len(rblock))
                 for key, rrow in zip(rblock.column(right_pos), rblock.rows()):
                     table.setdefault(key, []).append(rrow)
-        if profiled:
-            # The snapshot delta covers the hash_builds above plus the
-            # inner child's own scan charges -- the full setup cost ``b``
-            # attributed to one join-build node.
-            self._build_wall_ms = (time.perf_counter() - start) * 1e3
-            self._build_tally = self.counter.since(before)
-            self._build_rows = build_rows
-            self._build_label = f"Build({attrib._label_for(right)[1]})"
         # The build is the setup cost ``b`` of the paper's cost model;
         # surfacing it separately from probe-side output is what lets a
         # trace show where a batch's time actually went.
@@ -244,20 +221,15 @@ class HashJoin(Operator):
         probe = self._table.__getitem__
         layout = self.layout
         left_kept, right_kept = self._left_kept, self._right_kept
-        prof = self._prof
         probes = rows_out = 0
         try:
             for lblock in self.left.blocks(block_size):
                 probes += len(lblock)
                 self.counter.charge("hash_probes", len(lblock))
-                if prof is not None:
-                    prof.add("hash_probes", len(lblock))
                 hits = list(map(probe, lblock.column(pos)))
                 joined = gather_join(lblock, hits, left_kept, right_kept, layout)
                 if joined is not None:
                     self.counter.charge("tuple_cpu", len(joined))
-                    if prof is not None:
-                        prof.add("tuple_cpu", len(joined))
                     rows_out += len(joined)
                     yield joined
         finally:

@@ -44,11 +44,6 @@ class Operator:
 
     layout: Mapping[str, int]
     counter: OperationCounter
-    #: Attribution node (:class:`repro.obs.attrib.ProfileNode`) set by
-    #: ``attrib.attach_to_plan`` when the query is profiled; None (one
-    #: attribute check per charge site) otherwise.  Attribution mirrors
-    #: charges already made against ``counter`` -- it never adds any.
-    _prof = None
 
     def blocks(self, block_size: int) -> Iterator[RowBlock]:
         """Stream the operator's output in blocks of about ``block_size``
@@ -94,8 +89,6 @@ class SeqScan(Operator):
     def _charge_scan_setup(self) -> int:
         rows = self.snapshot.count()
         self.counter.charge_pages(rows)
-        if self._prof is not None and rows:
-            self._prof.add("page_reads", -(-rows // ROWS_PER_PAGE))
         recorder = obs.get_recorder()
         if recorder is not None:
             recorder.counter("engine.scan.scans")
@@ -116,14 +109,11 @@ class SeqScan(Operator):
     def blocks(self, block_size: int) -> Iterator[RowBlock]:
         rows = self._charge_scan_setup()
         charge = self.counter.charge
-        prof = self._prof
         layout = self.layout
         # Slices of the columns the snapshot retains: no row is touched.
         columns = [self.snapshot.column(name) for name in self._columns]
         for start, stop in block_bounds(rows, block_size):
             charge("tuple_cpu", stop - start)
-            if prof is not None:
-                prof.add("tuple_cpu", stop - start)
             yield RowBlock.from_columns(
                 [column[start:stop] for column in columns],
                 layout,
@@ -182,16 +172,12 @@ class RowSource(Operator):
 
     def blocks(self, block_size: int) -> Iterator[RowBlock]:
         if self.precharged:
-            # Scan CPU prepaid by the shared delta scan; the profile hook
-            # mirrors charges only, so it stays silent too.
+            # Scan CPU prepaid by the shared delta scan.
             yield from iter_blocks(self._rows, self.layout, block_size)
             return
         charge = self.counter.charge
-        prof = self._prof
         for block in iter_blocks(self._rows, self.layout, block_size):
             charge("tuple_cpu", len(block))
-            if prof is not None:
-                prof.add("tuple_cpu", len(block))
             yield block
 
     def __len__(self) -> int:
@@ -222,14 +208,11 @@ class Filter(Operator):
     def blocks(self, block_size: int) -> Iterator[RowBlock]:
         block_fn = self._block_fn
         charge = self.counter.charge
-        prof = self._prof
         layout = self.layout
         positions = self._positions
         nothing_dropped = layout is self.child.layout
         for block in self.child.blocks(block_size):
             charge("compares", len(block))
-            if prof is not None:
-                prof.add("compares", len(block))
             flags = block_fn(block)
             if all(flags):
                 if nothing_dropped:
@@ -265,11 +248,8 @@ class Project(Operator):
     def blocks(self, block_size: int) -> Iterator[RowBlock]:
         positions = self._positions
         charge = self.counter.charge
-        prof = self._prof
         for block in self.child.blocks(block_size):
             charge("tuple_cpu", len(block))
-            if prof is not None:
-                prof.add("tuple_cpu", len(block))
             yield RowBlock.from_columns(
                 [block.column(p) for p in positions],
                 self.layout,

@@ -10,13 +10,18 @@ carries the owning view and maintenance round, so a fleet of views can
 be broken down per view per round (the maintenance ledger in
 :mod:`repro.ivm.ledger` builds on the same counter-delta idea).
 
-Attribution is **observational**: nodes record copies of charges the
-operators already made against the shared
-:class:`~repro.engine.costmodel.OperationCounter`; they never charge
-anything themselves.  The invariant -- checked by the differential test
-suite -- is that a profiled run's cost table is byte-identical to an
-unprofiled run, and that the profile's summed tally equals the counter's
-delta for the query.
+Attribution is **observational**: a node's tally is a difference of the
+shared :class:`~repro.engine.costmodel.OperationCounter`, read at the
+edges of the operator's own pulls; nothing outside this module and
+:class:`~repro.engine.database.Database` knows a query is profiled, and
+no operator charges anything for it.  An operator's own tally is what
+the counter moved while it produced its blocks minus what it moved while
+its input produced theirs; a hash-join build is the difference around
+the join's construction; the query root keeps the rest of the query's
+difference (its startup, DISTINCT and ORDER BY).  So the profile's summed
+tally *is* the query's counter difference, and a profiled run's cost
+table is byte-identical to an unprofiled run's -- the differential test
+suite checks both.
 
 Three switches, all off by default:
 
@@ -27,15 +32,15 @@ Three switches, all off by default:
   :class:`QueryProfile` emitted as a ``profile`` event as it finishes
   (the CLI ``--profile FILE`` flag streams them to FILE;
   :func:`set_profile_sink` hands their dicts to one callable);
-* when neither is active, the hot path sees a single ``is None`` check
-  per charge site (``Operator._prof``) and nothing else.
+* when neither is active, ``Database.execute`` builds no profile and the
+  operators run unwrapped.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Mapping
+import time
+from operator import add, itemgetter, sub
+from typing import Any, Callable, Mapping
 
 from repro.engine.costmodel import OperationCounter, float_total
 from repro.obs import events
@@ -43,13 +48,21 @@ from repro.obs import events
 __all__ = [
     "ProfileNode",
     "QueryProfile",
-    "active_profile",
-    "capturing",
     "set_profile_sink",
     "attach_to_plan",
     "render_profile",
     "aggregate_profiles",
 ]
+
+#: An :class:`OperationCounter`'s tallies as one tuple in ``_FIELDS``
+#: order, read off its ``__dict__``.
+_read = itemgetter(*OperationCounter._FIELDS)
+
+
+def _tally(counts) -> dict[str, int]:
+    """The non-zero entries of a ``_FIELDS``-ordered count tuple, by field."""
+    return {f: c for f, c in zip(OperationCounter._FIELDS, counts) if c}
+
 
 #: Node kinds, for reference (labels are free-form; kinds are the closed
 #: vocabulary that benchmark aggregation and the top-operators table key on).
@@ -67,9 +80,10 @@ KINDS = (
 class ProfileNode:
     """One operator's slice of a query profile.
 
-    ``tally`` maps :class:`OperationCounter` field names to counts --
-    the same vocabulary as ``counter.snapshot()`` so profile totals and
-    counter deltas are directly comparable.
+    ``tally`` maps :class:`OperationCounter` field names to the node's
+    own counts -- the same vocabulary as ``counter.snapshot()`` so profile
+    totals and counter deltas are directly comparable.  ``wall_ms`` is
+    inclusive: it holds the time of the node's input too.
     """
 
     __slots__ = (
@@ -91,10 +105,6 @@ class ProfileNode:
         self.wall_ms = 0.0
         self.children: list[ProfileNode] = []
 
-    def add(self, field: str, count: int = 1) -> None:
-        """Attribute ``count`` units of one charge field to this node."""
-        self.tally[field] = self.tally.get(field, 0) + count
-
     def add_tally(self, tally: Mapping[str, int]) -> None:
         """Attribute a whole charge-field tally to this node."""
         own = self.tally
@@ -108,11 +118,15 @@ class ProfileNode:
         return node
 
     def sim_ms(self, model: Any) -> float:
-        """Simulated cost of this node's own tally under ``model``."""
+        """Simulated cost of this node's own tally under ``model``, added
+        in ``_FIELDS`` order as :meth:`OperationCounter.elapsed_ms` adds."""
         total = 0.0
         weights = OperationCounter._WEIGHT_BY_FIELD
-        for field, count in self.tally.items():
-            total += count * getattr(model, weights[field])
+        tally = self.tally
+        for field in OperationCounter._FIELDS:
+            count = tally.get(field)
+            if count:
+                total += count * getattr(model, weights[field])
         return total
 
     def total_tally(self) -> dict[str, int]:
@@ -164,15 +178,59 @@ class QueryProfile:
         self.view = view
         self.round = round
         self.root = ProfileNode("query", query)
+        #: The counter's ``__dict__`` and its tallies when :meth:`start`
+        #: was called; None for a profile whose nodes are filled by hand.
+        self._counter: dict | None = None
+        self._start: tuple = ()
+        #: Each operator's node, top down, with its inclusive counter
+        #: difference: what moved during its pulls, its input's included.
+        self._ops: list[tuple[ProfileNode, list[int]]] = []
+        #: Hash join -> (its ``join-build`` node, the build's difference).
+        self._builds: dict[Any, tuple[ProfileNode, list[int]]] = {}
 
     @property
     def t(self) -> int | None:
         """The maintenance round, under the name every event kind uses."""
         return self.round
 
+    def start(self, counter: OperationCounter) -> None:
+        """Open the query's counter difference: every charge ``counter``
+        takes from here to :meth:`finish` lands on some node."""
+        self._counter = counter.__dict__
+        self._start = _read(self._counter)
+
+    def build(self, right: Any, make: Callable[[], Any]) -> Any:
+        """Construct a hash join with ``make()`` and keep the counter
+        difference around it -- the scan and hash of ``right``, the setup
+        cost ``b`` -- as the join's ``join-build`` node; returns the join."""
+        before = _read(self._counter)
+        start = time.perf_counter()
+        join = make()
+        node = ProfileNode("join-build", f"Build({_label_for(right)[1]})")
+        node.wall_ms = (time.perf_counter() - start) * 1e3
+        counts = list(map(sub, _read(self._counter), before))
+        node.tally = _tally(counts)
+        # One hash_build is charged per row hashed.
+        node.rows_out = node.tally.get("hash_builds", 0)
+        self._builds[join] = (node, counts)
+        return join
+
     def finish(self, rows_out: int, wall_ms: float) -> None:
+        """Record the query's output and, once :meth:`start` was called,
+        settle every operator node's own tally and the root's."""
         self.root.rows_out = rows_out
         self.root.wall_ms = wall_ms
+        if self._counter is None:
+            return
+        # The root keeps what no operator pull and no build covered.
+        outer = list(map(sub, _read(self._counter), self._start))
+        for _, counts in self._builds.values():
+            outer = list(map(sub, outer, counts))
+        node = self.root
+        for child, inclusive in self._ops:
+            node.tally = _tally(map(sub, outer, inclusive))
+            node, outer = child, inclusive
+        node.tally = _tally(outer)
 
     def total_tally(self) -> dict[str, int]:
         return self.root.total_tally()
@@ -191,33 +249,6 @@ class QueryProfile:
             "tally": self.total_tally(),
             "root": self.root.to_dict(self.model),
         }
-
-
-# ----------------------------------------------------------------------
-# Thread-local capture context
-# ----------------------------------------------------------------------
-
-_tls = threading.local()
-
-
-def active_profile() -> QueryProfile | None:
-    """The profile currently capturing on this thread (or None)."""
-    return getattr(_tls, "profile", None)
-
-
-@contextmanager
-def capturing(profile: QueryProfile) -> Iterator[QueryProfile]:
-    """Make ``profile`` the active capture target for the block.
-
-    Operators constructed inside the block (hash-join builds happen at
-    construction time) find it via :func:`active_profile`.
-    """
-    previous = getattr(_tls, "profile", None)
-    _tls.profile = profile
-    try:
-        yield profile
-    finally:
-        _tls.profile = previous
 
 
 # ----------------------------------------------------------------------
@@ -259,27 +290,30 @@ def set_profile_sink(
 # ----------------------------------------------------------------------
 
 
-def _timed_blocks(op: Any, node: ProfileNode):
-    """An instance-level ``blocks`` override that times and counts output.
+def _timed_blocks(op: Any, node: ProfileNode, inclusive: list[int]):
+    """An instance-level ``blocks`` override that times, counts output and
+    adds the counter difference of every pull to ``inclusive``.
 
-    Wall time is inclusive (it contains the children's time, like
+    Wall time and ``inclusive`` contain the input's pulls (wall time like
     Postgres EXPLAIN ANALYZE actual-time); rows/blocks count this
     operator's own output.
     """
-    import time
-
     unbound = type(op).blocks
+    tallies = op.counter.__dict__
 
     def blocks(block_size: int):
         gen = unbound(op, block_size)
         while True:
+            before = _read(tallies)
             start = time.perf_counter()
             try:
                 block = next(gen)
             except StopIteration:
-                node.wall_ms += (time.perf_counter() - start) * 1e3
-                return
+                block = None
             node.wall_ms += (time.perf_counter() - start) * 1e3
+            inclusive[:] = map(add, inclusive, map(sub, _read(tallies), before))
+            if block is None:
+                return
             node.blocks += 1
             node.rows_out += len(block)
             yield block
@@ -332,25 +366,22 @@ def attach_to_plan(plan: Any, profile: QueryProfile) -> None:
     """Build profile nodes for a physical plan and hook the operators.
 
     Walks the left-deep operator tree (``child`` / ``left`` references),
-    creates one node per operator under ``profile.root``, points each
-    operator's ``_prof`` at its node (the charge-site hooks), and wraps
-    each ``blocks`` method with a timing/counting shim.  Join builds that
-    already happened at construction time (the hash-table build, captured
-    as a counter snapshot delta) become ``join-build`` child nodes.
+    creates one node per operator under ``profile.root`` and wraps each
+    ``blocks`` method with a timing/counting/differencing shim.  A hash
+    join's build, which happened at construction
+    (:meth:`QueryProfile.build`), becomes its first child.
     """
     parent = profile.root
     op = plan
     while op is not None:
         kind, label = _label_for(op, cols=True)
         node = parent.child(kind, label)
-        op._prof = node
-        op.blocks = _timed_blocks(op, node)
-        build_tally = getattr(op, "_build_tally", None)
-        if build_tally is not None:
-            build = node.child("join-build", op._build_label)
-            build.add_tally(build_tally)
-            build.rows_out = op._build_rows
-            build.wall_ms = op._build_wall_ms
+        inclusive = [0] * len(OperationCounter._FIELDS)
+        op.blocks = _timed_blocks(op, node, inclusive)
+        profile._ops.append((node, inclusive))
+        build = profile._builds.get(op)
+        if build is not None:
+            node.children.append(build[0])
         op = getattr(op, "child", None) or getattr(op, "left", None)
         parent = node
 

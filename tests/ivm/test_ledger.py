@@ -266,7 +266,7 @@ class TestFloatTotals:
 
         profile = attrib.QueryProfile(CostModel(tuple_cpu=0.1))
         for _ in tenths:
-            profile.root.child("scan", "s").add("tuple_cpu")
+            profile.root.child("scan", "s").add_tally({"tuple_cpu": 1})
         assert profile.total_sim_ms() == self.loop(tenths)
 
     def test_summary_remainder_row(self):

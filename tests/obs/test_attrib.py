@@ -2,14 +2,15 @@
 
 Covers the profile data model, the EXPLAIN ANALYZE renderer (golden
 output), the global profile sink, cross-profile aggregation for the
-benchmark dashboard, and the disabled-mode overhead bound.  The
-charge-neutrality differential tests (profiled run == unprofiled run,
+benchmark dashboard, and the step tags of profiles emitted while a
+maintainer flushes.  Per-node pins of each plan shape live in
+``test_profile_pins.py``; the charge-neutrality differential tests (profiled run == unprofiled run,
 byte for byte) live in ``tests/integration/test_attrib_equivalence.py``.
 """
 
 from __future__ import annotations
 
-import time
+from collections import Counter
 
 import pytest
 
@@ -18,7 +19,12 @@ from repro.engine.database import Database
 from repro.engine.expr import col, lit
 from repro.engine.query import AggregateSpec, JoinSpec, QuerySpec
 from repro.engine.types import ColumnType, Schema
+from repro.ivm.multiview import MaintenanceCoordinator
+from repro.ivm.sharedscan import Evaluations
 from repro.obs import attrib, events
+from repro.tpcr.updates import PartSuppCostUpdater
+from tests.conftest import make_tpcr_db
+from tests.ivm.test_sharedscan import add_naive
 
 #: Round weights so golden sim_ms values are exact decimals.
 FLAT_MODEL = CostModel(
@@ -62,9 +68,8 @@ def join_spec() -> QuerySpec:
 class TestProfileNode:
     def test_add_and_tally(self):
         node = attrib.ProfileNode("scan", "SeqScan(t)")
-        node.add("tuple_cpu", 10)
-        node.add("tuple_cpu", 5)
-        node.add("page_reads")
+        node.add_tally({"tuple_cpu": 10})
+        node.add_tally({"tuple_cpu": 5, "page_reads": 1})
         assert node.tally == {"tuple_cpu": 15, "page_reads": 1}
 
     def test_add_tally_skips_zeros(self):
@@ -76,10 +81,9 @@ class TestProfileNode:
         root = attrib.ProfileNode("query", "q")
         a = root.child("scan", "s")
         b = a.child("join-build", "b")
-        root.add("startups", 1)
-        a.add("tuple_cpu", 7)
-        b.add("hash_builds", 3)
-        b.add("tuple_cpu", 2)
+        root.add_tally({"startups": 1})
+        a.add_tally({"tuple_cpu": 7})
+        b.add_tally({"hash_builds": 3, "tuple_cpu": 2})
         assert root.total_tally() == {
             "startups": 1,
             "tuple_cpu": 9,
@@ -88,16 +92,15 @@ class TestProfileNode:
 
     def test_sim_ms_uses_model_weights(self):
         node = attrib.ProfileNode("scan", "s")
-        node.add("page_reads", 3)
-        node.add("tuple_cpu", 100)
+        node.add_tally({"page_reads": 3, "tuple_cpu": 100})
         assert node.sim_ms(FLAT_MODEL) == pytest.approx(3.0 + 0.1)
 
     def test_to_dict_shape(self):
         node = attrib.ProfileNode("scan", "s")
-        node.add("tuple_cpu", 4)
+        node.add_tally({"tuple_cpu": 4})
         node.rows_out = 4
         child = node.child("join-build", "b")
-        child.add("hash_builds", 2)
+        child.add_tally({"hash_builds": 2})
         out = node.to_dict(FLAT_MODEL)
         assert out["op"] == "scan"
         assert out["sim_ms"] == pytest.approx(0.004)
@@ -116,17 +119,6 @@ class TestQueryProfile:
 
 
 class TestCaptureContext:
-    def test_capturing_is_scoped_and_restores(self):
-        assert attrib.active_profile() is None
-        profile = attrib.QueryProfile(FLAT_MODEL, "q")
-        with attrib.capturing(profile):
-            assert attrib.active_profile() is profile
-            inner = attrib.QueryProfile(FLAT_MODEL, "inner")
-            with attrib.capturing(inner):
-                assert attrib.active_profile() is inner
-            assert attrib.active_profile() is profile
-        assert attrib.active_profile() is None
-
     def test_maintenance_context(self):
         """A query profiled inside a step carries that step's view and
         round; outside any step, neither."""
@@ -205,16 +197,15 @@ class TestGoldenRenderer:
         """Exact rendered output for a hand-built tree with fixed walls."""
         profile = attrib.QueryProfile(FLAT_MODEL, "t ⋈ d → MIN", view="v", round=3)
         root = profile.root
-        root.add("startups", 1)
+        root.add_tally({"startups": 1})
         agg = root.child("aggregate", "Aggregate(MIN(T.v))")
-        agg.add("agg_updates", 10)
+        agg.add_tally({"agg_updates": 10})
         agg.rows_out, agg.blocks, agg.wall_ms = 2, 1, 0.5
         probe = agg.child("join-probe", "HashJoin(probe)")
-        probe.add("hash_probes", 40)
+        probe.add_tally({"hash_probes": 40})
         probe.rows_out, probe.blocks, probe.wall_ms = 40, 2, 1.25
         build = probe.child("join-build", "Build(SeqScan(d AS D))")
-        build.add("hash_builds", 5)
-        build.add("page_reads", 1)
+        build.add_tally({"hash_builds": 5, "page_reads": 1})
         build.rows_out, build.wall_ms = 5, 0.25
         profile.finish(rows_out=2, wall_ms=2.0)
         expected = "\n".join(
@@ -259,21 +250,62 @@ class TestAggregateProfiles:
         }
 
 
-class TestDisabledOverhead:
-    def test_disabled_checks_are_cheap(self):
-        """The acceptance bound: with no sink and no capture, the per-call
-        hooks (the exact checks on the engine hot path) must be trivial --
-        200k of them well under a second even on a slow CI box."""
-        assert not events.wanted("profile")
-        assert attrib.active_profile() is None
-        start = time.perf_counter()
-        for __ in range(100_000):
-            events.wanted("profile")
-            attrib.active_profile()
-        elapsed = time.perf_counter() - start
-        assert elapsed < 1.0, f"disabled-mode hooks too slow: {elapsed:.3f}s"
 
-    def test_operator_prof_defaults_to_none(self):
-        from repro.engine.operators import Operator
+class TestFlushProfiles:
+    """Profiles of the queries a view's flush runs carry the view and the
+    round, and account for that round's ledger entry: what they tally
+    plus the shared-evaluation charges replayed to the view is exactly
+    the entry's ``charges``."""
 
-        assert Operator._prof is None
+    @staticmethod
+    def spj_spec() -> QuerySpec:
+        # A projection view folds without charging, so each round's
+        # charges are its delta queries' (run or replayed) and nothing else.
+        return QuerySpec(
+            base_alias="PS",
+            base_table="partsupp",
+            joins=(JoinSpec("S", "supplier", "PS.suppkey", "suppkey"),),
+            projection=("PS.partkey", "PS.supplycost", "S.nationkey"),
+        )
+
+    def test_profiles_and_replays_add_up_to_each_entry(self, monkeypatch):
+        db = make_tpcr_db()
+        coordinator = MaintenanceCoordinator(db)
+        for name in ("first", "second"):  # spec-equal: the second replays
+            add_naive(coordinator, name, self.spj_spec())
+        replayed: dict[tuple, Counter] = {}
+        run = Evaluations.run
+
+        def recording_run(self, key, *args, **kwargs):
+            kept = self._kept.get(key)
+            if kept is not None:
+                view, t, _ = events.current_step()
+                replayed.setdefault((view, t), Counter()).update(
+                    dict(kept.charges)
+                )
+            return run(self, key, *args, **kwargs)
+
+        monkeypatch.setattr(Evaluations, "run", recording_run)
+        updater = PartSuppCostUpdater(db.table("partsupp"), seed=17)
+        profiles: list[dict] = []
+        previous = attrib.set_profile_sink(profiles.append)
+        try:
+            for t in range(3):
+                updater.apply(5)
+                coordinator.step(t)
+        finally:
+            attrib.set_profile_sink(previous)
+
+        tallied: dict[tuple, Counter] = {}
+        for profile in profiles:
+            key = (profile["view"], profile["round"])
+            tallied.setdefault(key, Counter()).update(profile["tally"])
+        assert set(tallied) == {("first", t) for t in range(3)}
+        assert set(replayed) == {("second", t) for t in range(3)}
+        for name, ledger in coordinator.ledgers().items():
+            for entry in ledger.entries:
+                key = (name, entry.t)
+                attributed = tallied.get(key, Counter()) + replayed.get(
+                    key, Counter()
+                )
+                assert entry.charges == dict(attributed) != {}
