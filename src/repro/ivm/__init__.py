@@ -22,7 +22,7 @@ This subpackage is the "live system" half of the paper's methodology:
 
 from repro.ivm.delta import DeltaTable
 from repro.ivm.view import MaterializedView
-from repro.ivm.maintenance import apply_batch, full_refresh
+from repro.ivm.maintenance import apply_batch
 from repro.ivm.maintainer import ViewMaintainer
 from repro.ivm.multiview import MaintenanceCoordinator, ViewConfig
 from repro.ivm.calibration import CalibrationResult, measure_cost_function
@@ -35,6 +35,5 @@ __all__ = [
     "ViewConfig",
     "ViewMaintainer",
     "apply_batch",
-    "full_refresh",
     "measure_cost_function",
 ]

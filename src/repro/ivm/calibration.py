@@ -9,7 +9,9 @@ for each batch size ``k`` in the sweep:
     1. apply ``k`` modifications to the base table (caller-provided
        mutator, e.g. random ``supplycost`` updates);
     2. pull them into the view's delta table;
-    3. process them as one batch inside a cost window;
+    3. process them as one batch inside a cost window (a round of one,
+       so the window's read is charged inside it, as in a maintainer's
+       live flush -- :mod:`repro.ivm.sharedscan` has the price rule);
     4. record ``(k, simulated_ms)``.
 
 The result packages the raw samples, a

@@ -22,10 +22,9 @@ processing discipline Section 3's analysis assumes.
 Storage: a delta table holds **no events at all** -- just the two LSNs.
 The modifications live once, in the owning table's shared chunked
 :class:`~repro.engine.table.ModLog`, as two columns (before-images and
-after-images), and every read here is a contiguous window into it:
-:meth:`DeltaTable.columns` hands maintenance the two column slices it
-splits into deleted and inserted rows, ``peek``/``take`` build
-:class:`~repro.engine.table.ModEvent` records over the same slices for
+after-images).  Maintenance reads a window of it through its round's
+scan (:mod:`repro.ivm.sharedscan`); ``peek``/``take`` build
+:class:`~repro.engine.table.ModEvent` records over the same window for
 callers that want events.  Eight views over one base table cost eight
 offset pairs, not eight copies of its history (``tests/integration/
 test_block_equivalence.py`` asserts the sharing).  This works because the
@@ -92,11 +91,6 @@ class DeltaTable:
         if k < 0:
             raise ValueError(f"k must be non-negative, got {k}")
         return self.applied_lsn, min(self.applied_lsn + k, self.seen_lsn)
-
-    def columns(self, k: int) -> tuple[list[tuple | None], list[tuple | None]]:
-        """Before- and after-images of the ``k`` oldest pending
-        modifications, without removing them: what maintenance reads."""
-        return self.log.columns(*self._oldest(k))
 
     def peek(self, k: int) -> list[ModEvent]:
         """The ``k`` oldest pending modifications as events, without

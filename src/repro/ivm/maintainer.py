@@ -27,8 +27,11 @@ What a view-round needs that is not the view's own state -- Definition 1
 and the prediction for its ``(model, pre, action, forced)``, its delta
 windows, the entry of a round that did no work -- it looks up in the
 round (:class:`~repro.ivm.sharedscan.SharedScanRound`) and works out
-only when it is the first to ask.  Under a coordinator the round is the
-fleet's; a maintainer stepped alone makes its own, and finds it empty.
+only when it is the first to ask.  Every flush reads its window
+through the round, so there is one execution path.  Under a coordinator
+the round is the fleet's, and its windows were read ahead; a maintainer
+stepped alone makes its own, and finds it empty: each flush reads its
+window there, inside the flush's cost window, and nothing is suppressed.
 """
 
 from __future__ import annotations
@@ -190,13 +193,14 @@ class ViewMaintainer:
     ) -> RoundEntry:
         """Execute one planned round (the second half of :meth:`step`).
 
-        ``shared`` is the round this view-round belongs to.  When its
-        scan ran -- a coordinator's, covering this round's planned
-        windows -- per-alias flushes consume its pre-scanned batches (and
-        skip fingerprint-suppressed no-op windows entirely) instead of
-        re-reading the mod log, and fold a delta query another view of
-        the round already ran instead of running it again -- charged as
-        if they had.  Not given, the view-round is a round of its own.
+        ``shared`` is the round this view-round belongs to; not given,
+        the view-round is a round of one.  Each flush reads its window
+        through it (:meth:`~repro.ivm.sharedscan.SharedScanRound.batch_for`,
+        inside the flush's cost window): a coordinator's round hands over
+        its pre-scanned batch, skips a window its fingerprint proved a
+        no-op, and folds a delta query another view of the round already
+        ran instead of running it again -- charged as if it had; a round
+        of one reads the window there and then.
 
         Every round takes the same path: check, flush, then one ledger
         entry, the ``ivm.view.*`` series and ``record_action``.  A
@@ -242,18 +246,17 @@ class ViewMaintainer:
                 source=f"ivm:{self.view.name}",
             )
         view = self.view
-        # (alias, k, f_i's prices, the pre-scanned window or None).
+        # (alias, k, f_i's prices, whether the round proved it a no-op).
         flushes = []
         work = False
         if any(action):
-            scanned = shared.ran
             for alias, k, prices in zip(
                 self.aliases, action, model.cost_tables
             ):
                 if k:
-                    batch = shared.batch_for(view, alias, k) if scanned else None
-                    flushes.append((alias, k, prices, batch))
-                    work = work or batch is None or not batch.suppressed
+                    suppressed = shared.suppresses(view, alias, k)
+                    flushes.append((alias, k, prices, suppressed))
+                    work = work or not suppressed
         if work:
             counter = view.database.counter
             before = counter.snapshot()
@@ -262,7 +265,7 @@ class ViewMaintainer:
             # name and round, so EXPLAIN ANALYZE output and profile sinks
             # can attribute maintenance work to its owner.
             with counter.window() as window, events.step(view.name, t):
-                self._flush(flushes, t, forced, recorder, wanted)
+                self._flush(flushes, shared, t, forced, recorder, wanted)
             entry = RoundEntry(
                 t=t,
                 arrivals=arrivals,
@@ -281,7 +284,7 @@ class ViewMaintainer:
             # timer, step tag, spans.  At fleet scale most rounds are
             # such, and nothing in their entry is the view's own.
             if flushes:
-                self._flush(flushes, t, forced, recorder, wanted)
+                self._flush(flushes, shared, t, forced, recorder, wanted)
             key = (t, arrivals, pre, action, forced, predicted, backlog)
             entry = shared.zero_work.get(key)
             if entry is None:
@@ -311,14 +314,18 @@ class ViewMaintainer:
                 )
         return entry
 
-    def _flush(self, flushes, t: int, forced: bool, recorder, wanted) -> None:
-        """Apply the round's per-alias flushes in order."""
+    def _flush(
+        self, flushes, shared: SharedScanRound, t: int, forced: bool,
+        recorder, wanted,
+    ) -> None:
+        """Apply the round's per-alias flushes in order, each reading its
+        window through ``shared`` inside its own cost window."""
         view = self.view
         # Timing each flush is worth it only if someone consumes the
         # sample: a recorder or the calibration ring.
         calibrating = recorder is not None or "calibration" in wanted
-        for alias, k, prices, batch in flushes:
-            if batch is not None and batch.suppressed:
+        for alias, k, prices, suppressed in flushes:
+            if suppressed:
                 # The fingerprint proved every event in the window a
                 # no-op for this view: advance the delta without
                 # touching the join pipeline.
@@ -327,7 +334,7 @@ class ViewMaintainer:
                     recorder.counter("ivm.skip.fingerprint")
                 continue
             if not calibrating:
-                apply_batch(view, alias, k, batch=batch)
+                apply_batch(view, alias, k, shared)
                 continue
             # Per-alias flush: record batch size k against both the
             # model's prediction f_i(k) and the engine-measured cost
@@ -337,7 +344,7 @@ class ViewMaintainer:
                 with obs.trace(
                     "ivm.flush", alias=alias, k=k, forced=forced
                 ) as span:
-                    apply_batch(view, alias, k, batch=batch)
+                    apply_batch(view, alias, k, shared)
                 span.set(sim_ms=flush_window.elapsed_ms)
             obs_calibration.observe_flush(
                 view.name, t, alias, k, prices[k], flush_window.elapsed_ms

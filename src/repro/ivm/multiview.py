@@ -18,11 +18,16 @@ each subscriber's delta-join.  The scan's cost is charged once at the
 coordinator instead of once per view, which is where the fleet-scale
 economics come from; per-view join and fold work stays charged inside
 each view's own cost window at the fan-out point, so the per-view ledger
-and ``ivm.view.*`` metrics are what a view maintained alone would book.
-This is the only kind of round a coordinator runs; view-at-a-time
-maintenance is a :class:`~repro.ivm.maintainer.ViewMaintainer` stepped
-on its own (``maintainer.step(t)``), which is also the reference the
-differential suite compares a round against.
+and ``ivm.view.*`` metrics are what a view maintained alone would book,
+less its windows' read.  This is the only kind of round there is:
+view-at-a-time maintenance is a
+:class:`~repro.ivm.maintainer.ViewMaintainer` stepped on its own
+(``maintainer.step(t)``), a round of one that reads its windows on
+demand, inside the view's flush windows -- the reference the
+differential suite compares a coordinated round against.  A round may
+force some of its views (``step(t, refresh=names)``): those flush
+everything pending, the rest ask their policies, and all of them share
+the round's scans.
 
 The fan-out **evaluates** once per distinct asker, too: views whose
 delta specs are structurally equal (:meth:`QuerySpec.key`), flushing the
@@ -38,8 +43,9 @@ A view-round costs its policy calls and its fold.  What about it is not
 the view's own state is worked out once per round per distinct case, by
 the first view to ask, and kept in the round's
 :class:`~repro.ivm.sharedscan.SharedScanRound`: Definition 1 and the
-prediction per ``(model, pre, action, forced)``; the window lookup per
-``(table, applied LSN, k, referenced columns)``; and the ledger entry of
+prediction per ``(model, pre, action, forced)``; the window's batch per
+``(table, LSN window)`` and its fingerprint verdict per column
+signature; and the ledger entry of
 a view-round that did no work -- idle, or flushing only windows the
 fingerprint suppressed, which is metered no more than an idle one
 (``wall_ms`` 0.0) -- per ``(arrivals, pre, action, predicted, backlog)``,
@@ -67,14 +73,14 @@ truncate history all subscribing views have incorporated, so a
 long-running fleet does not accumulate an unbounded modification log.
 
 For notification-driven refresh semantics on top of the same machinery,
-see :mod:`repro.pubsub`.
+see :mod:`repro.pubsub`: its broker is a client of one coordinator.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from repro import obs
 from repro.core.costfuncs import CostFunction
@@ -194,30 +200,40 @@ class MaintenanceCoordinator:
     # Clock
     # ------------------------------------------------------------------
 
-    def step(self, t: int | None = None) -> dict[str, RoundEntry]:
+    def step(
+        self, t: int | None = None, refresh: Iterable[str] = ()
+    ) -> dict[str, RoundEntry]:
         """Advance every view one time step; returns per-view entries.
 
         Call after applying the step's base-table modifications.  The
-        round is table-at-a-time: every view's planned window is
-        collected first, each base table's delta log is scanned once for
-        all of them, and the batches fan out.
+        views named in ``refresh`` are forced fully up to date in the
+        same round (an unknown name raises :class:`KeyError` before any
+        view is planned); the rest ask their policies.  The round is
+        table-at-a-time: every view's planned window is collected first,
+        each base table's delta log is scanned once for all of them, and
+        the batches fan out.
         """
-        return self._round(self._maintainers, t, forced=False)
+        forced = set(refresh)
+        for name in forced:
+            self.maintainer(name)
+        return self._round(self._maintainers, t, forced)
 
     def refresh(
         self, names: Sequence[str] | None = None, t: int | None = None
     ) -> dict[str, RoundEntry]:
-        """Force the named views (default: all) fully up to date."""
+        """Force the named views (default: all) fully up to date; the
+        others sit the round out."""
         if names is None:
-            return self._round(self._maintainers, t, forced=True)
-        targets = {name: self.maintainer(name) for name in names}
-        return self._round(targets, t, forced=True)
+            targets = self._maintainers
+        else:
+            targets = {name: self.maintainer(name) for name in names}
+        return self._round(targets, t, set(targets))
 
     def _round(
         self,
         maintainers: dict[str, ViewMaintainer],
         t: int | None,
-        forced: bool,
+        forced: AbstractSet[str],
     ) -> dict[str, RoundEntry]:
         """Plan ``maintainers``, scan once per table, then execute each.
 
@@ -239,12 +255,13 @@ class MaintenanceCoordinator:
         refused: list[tuple[str, PolicyError]] = []
         planned = []
         for name, maintainer in maintainers.items():
+            force = name in forced
             try:
-                plan = maintainer.plan_step(self._clock, forced)
+                plan = maintainer.plan_step(self._clock, force)
             except PolicyError as exc:
                 refused.append((name, exc))
                 continue
-            planned.append((name, maintainer, plan))
+            planned.append((name, maintainer, plan, force))
             action = plan[3]
             if any(action):
                 view = maintainer.view
@@ -261,10 +278,10 @@ class MaintenanceCoordinator:
         obs.counter("ivm.coordinator.rounds")
         obs.observe("ivm.coordinator.scan_ms", window.elapsed_ms)
         entries = {}
-        for name, maintainer, plan in planned:
+        for name, maintainer, plan, force in planned:
             try:
                 entries[name] = maintainer.execute_planned(
-                    *plan, forced=forced, shared=round_
+                    *plan, forced=force, shared=round_
                 )
             except PolicyError as exc:
                 refused.append((name, exc))

@@ -8,10 +8,10 @@ module is the table-at-a-time alternative the multi-view coordinator
 uses: collect every view's requested delta window per table, merge the
 overlapping windows into covering intervals, scan and split each
 interval into deleted/inserted row batches **once** -- charging the
-scan's ``tuple_cpu`` a single time, at the coordinator -- then hand each
-view its slice wrapped in :class:`~repro.engine.operators.PrescannedRows`
-so the per-view delta-joins skip the source-scan charge the shared scan
-prepaid.
+scan's ``tuple_cpu`` a single time -- then hand each view its slice
+wrapped in :class:`~repro.engine.operators.PrescannedRows` so the
+per-view delta-joins skip the source-scan charge the scan prepaid.
+Every flush reads its window this way, coordinated or not.
 
 The scan also owns **no-op fingerprinting**: for a view whose
 :meth:`~repro.ivm.view.MaterializedView.referenced_columns` over an
@@ -36,17 +36,27 @@ see :meth:`~repro.ivm.view.MaterializedView.apply_delta`).  Four hundred
 spec-equal views over a window are one query and four hundred folds.
 Everything dies with the round.
 
-Cost attribution: everything the scan charges (interval split
-``tuple_cpu``, fingerprint ``compares``) is coordinator overhead,
-charged outside any view's cost window; per-view join and fold work
-stays charged inside each view's own window at the fan-out point,
-keeping the per-view ledger and ``ivm.view.*`` metrics correct.  A
-shared evaluation does not change that: a view that reuses a result is
+The price rule.  A window's read costs one ``tuple_cpu`` per row image
+(an update is two), charged when the round reads the window, inside
+whatever cost window the reader has open.  A coordinator reads every
+planned window in :meth:`SharedScanRound.run`, inside its own scan
+window, so the read is charged once and stays out of every view's
+ledger (what a fleet round should charge for it is an open question).
+Any other window is read on demand by :meth:`SharedScanRound.batch_for`,
+the first time a view flushes it.  A maintainer stepped alone, and
+:func:`~repro.ivm.calibration.measure_cost_function`, make a round of
+one that ran nothing, so they read inside the view's flush window: the
+calibrated ``f_i(k)`` and the live step price the same statement, the
+one the paper's maintenance SQL runs.  A window is fingerprinted only
+when it was :meth:`~SharedScanRound.request`-ed with a column signature
+before :meth:`~SharedScanRound.run` -- only a coordinator does that --
+so its ``compares`` are the coordinator's too, and a lone view never
+pays them or skips a join.  Per-view join and fold work is charged
+inside each view's own window at the fan-out point.  A shared
+evaluation does not change that: a view that reuses a result is
 charged, inside its own window, exactly what running the query charged
 the view that ran it -- the statement is still the view's, only the
-work behind it is shared.  Pricing the shared evaluation once, at the
-coordinator like the scan, changes the simulated cost tables and is
-left to the change that re-baselines them.
+work behind it is shared.
 """
 
 from __future__ import annotations
@@ -136,30 +146,26 @@ class Evaluations:
 
 @dataclass(frozen=True)
 class SharedBatch:
-    """One view's slice of a table's shared delta scan.
+    """One window of a table's delta scan, as every view flushing it
+    reads it.
 
-    ``deleted`` / ``inserted`` are the split row batches, pre-charged by
-    the scan (:class:`PrescannedRows`); when ``suppressed`` is true the
-    fingerprint proved the whole window a no-op for the requesting view
-    and the row batches are empty -- the caller should advance the
-    view's ``applied_lsn`` without running its delta-join.
-
-    ``evaluations`` holds the delta queries already run over this window
-    in this round: every view handed the window is handed the same one,
-    so views whose delta spec and snapshot LSNs agree evaluate once.
+    ``deleted`` / ``inserted`` are the split row batches, charged by the
+    scan that read them (:class:`PrescannedRows`).  ``evaluations``
+    holds the delta queries already run over this window in this round:
+    every view handed the window is handed the same one, so views whose
+    delta spec and snapshot LSNs agree evaluate once.
     """
 
     deleted: PrescannedRows
     inserted: PrescannedRows
-    events: int
-    suppressed: bool
-    evaluations: Evaluations | None = None
+    evaluations: Evaluations
 
 
 class _Interval:
-    """One merged, scanned LSN interval of a table's delta window."""
+    """One scanned LSN interval of a table's mod log: a merge of
+    requested windows, or one window read on demand."""
 
-    __slots__ = ("lo", "hi", "old_rows", "new_rows", "upd_prefix")
+    __slots__ = ("lo", "hi", "old_rows", "new_rows", "rows", "upd_prefix")
 
     def __init__(self, lo: int, hi: int, old_rows: list, new_rows: list):
         self.lo = lo
@@ -169,12 +175,12 @@ class _Interval:
         #: plain slice.
         self.old_rows: list[tuple | None] = old_rows
         self.new_rows: list[tuple | None] = new_rows
+        #: Row images present: an update splits into two.
+        self.rows = 2 * (hi - lo) - old_rows.count(None) - new_rows.count(None)
         #: ``upd_prefix[i]`` = number of updates among the first ``i``
         #: modifications -- an O(1) "is this subwindow all updates?"
-        #: pre-screen.
-        self.upd_prefix: list[int] = list(
-            accumulate(map(_is_update, old_rows, new_rows), initial=0)
-        )
+        #: pre-screen, built by the first fingerprint.
+        self.upd_prefix: list[int] | None = None
 
 
 def _is_update(old: tuple | None, new: tuple | None) -> bool:
@@ -190,17 +196,15 @@ class _TableScan:
         self.log = table.history
         self._requests: list[tuple[int, int]] = []
         #: (lo, hi, refcols) triples whose fingerprints :meth:`run`
-        #: precomputes -- so the compare charges land in the
-        #: coordinator's scan window, not the first subscriber's ledger.
+        #: computes -- the only fingerprints there are.
         self._pending_prints: list[tuple[int, int, frozenset]] = []
         self._intervals: list[_Interval] = []
         self._starts: list[int] = []
-        self._counter = None
         # Shared across subscribing views: one batch per (lo, hi) window
         # (its row slices and the delta queries evaluated over them) and
         # (lo, hi, signature) fingerprint verdicts.
         self._batches: dict[tuple[int, int], SharedBatch] = {}
-        self._fingerprints: dict[tuple, bool] = {}
+        self.fingerprints: dict[tuple, bool] = {}
         self._positions: dict[frozenset, tuple[int, ...]] = {}
 
     def add_request(
@@ -210,58 +214,46 @@ class _TableScan:
         if refcols is not None:
             self._pending_prints.append((lo, hi, refcols))
 
-    def run(self, counter) -> tuple[int, int]:
-        """Scan the merged request intervals once; returns (events, rows).
-
-        Charges ``tuple_cpu`` per split row -- exactly what one
-        :class:`~repro.engine.operators.RowSource` pass over the same
-        window would have charged -- once, regardless of how many views
-        subscribe to the window.
-        """
-        self._counter = counter
+    def run(self) -> tuple[int, int]:
+        """Scan the merged request intervals once, then fingerprint the
+        requested windows; returns (events, rows)."""
         events_total = rows_total = 0
         for lo, hi in _merge_intervals(self._requests):
-            olds, news = self.log.columns(lo, hi)
-            # A row per image present: an update splits into two.
-            produced = 2 * (hi - lo) - olds.count(None) - news.count(None)
-            counter.charge("tuple_cpu", produced)
-            rows_total += produced
+            rows_total += self._scan(lo, hi).rows
             events_total += hi - lo
-            self._intervals.append(_Interval(lo, hi, olds, news))
-        self._intervals.sort(key=lambda iv: iv.lo)
-        self._starts = [iv.lo for iv in self._intervals]
         for lo, hi, refcols in self._pending_prints:
             interval = self._containing(lo, hi)
             self._fingerprint(interval, lo - interval.lo, hi - interval.lo,
                               refcols)
         return events_total, rows_total
 
-    def _containing(self, lo: int, hi: int) -> _Interval:
+    def _scan(self, lo: int, hi: int) -> _Interval:
+        """Read (lo, hi] off the log, charging ``tuple_cpu`` per row
+        image -- what one :class:`~repro.engine.operators.RowSource` pass
+        over the split rows would charge -- once, however many views
+        read the window."""
+        olds, news = self.log.columns(lo, hi)
+        interval = _Interval(lo, hi, olds, news)
+        self.database.counter.charge("tuple_cpu", interval.rows)
+        index = bisect_right(self._starts, lo)
+        self._starts.insert(index, lo)
+        self._intervals.insert(index, interval)
+        return interval
+
+    def _containing(self, lo: int, hi: int) -> _Interval | None:
         index = bisect_right(self._starts, lo) - 1
         if index >= 0:
             interval = self._intervals[index]
             if interval.lo <= lo and hi <= interval.hi:
                 return interval
-        raise ExecutionError(
-            f"window ({lo}, {hi}] of {self.table.name} was not requested "
-            f"before the shared scan ran"
-        )
+        return None
 
-    def batch(
-        self, lo: int, hi: int, refcols: frozenset[str] | None
-    ) -> SharedBatch:
-        """The (lo, hi] slice, fingerprinted against ``refcols``."""
-        interval = self._containing(lo, hi)
-        a, b = lo - interval.lo, hi - interval.lo
-        if refcols is not None and self._fingerprint(interval, a, b, refcols):
-            return SharedBatch(
-                deleted=PrescannedRows(),
-                inserted=PrescannedRows(),
-                events=b - a,
-                suppressed=True,
-            )
+    def batch(self, lo: int, hi: int) -> SharedBatch:
+        """The (lo, hi] slice, read now if no scan covered it."""
         batch = self._batches.get((lo, hi))
         if batch is None:
+            interval = self._containing(lo, hi) or self._scan(lo, hi)
+            a, b = lo - interval.lo, hi - interval.lo
             batch = self._batches[(lo, hi)] = SharedBatch(
                 deleted=PrescannedRows(
                     row for row in interval.old_rows[a:b] if row is not None
@@ -269,48 +261,51 @@ class _TableScan:
                 inserted=PrescannedRows(
                     row for row in interval.new_rows[a:b] if row is not None
                 ),
-                events=b - a,
-                suppressed=False,
                 evaluations=Evaluations(self.database),
             )
         return batch
 
     def _fingerprint(
         self, interval: _Interval, a: int, b: int, refcols: frozenset[str]
-    ) -> bool:
-        """Whether events ``[a, b)`` of the interval are all no-op updates.
+    ) -> None:
+        """Record whether events ``[a, b)`` of the interval are all no-op
+        updates.
 
         A window containing any insert or delete can never be a no-op;
         that pre-screen is O(1) off the update-prefix counts and charges
         nothing.  The per-column comparison over all-update windows is
         computed (and its ``compares`` charged) once per distinct
-        ``(window, signature)`` and memoized for every other view sharing
-        the signature.
+        ``(window, signature)`` and kept for every view sharing the
+        signature.
         """
         prefix = interval.upd_prefix
+        if prefix is None:
+            prefix = interval.upd_prefix = list(accumulate(
+                map(_is_update, interval.old_rows, interval.new_rows),
+                initial=0,
+            ))
         if prefix[b] - prefix[a] != b - a:
-            return False
+            return
         key = (interval.lo + a, interval.lo + b, refcols)
-        verdict = self._fingerprints.get(key)
-        if verdict is None:
-            positions = self._positions.get(refcols)
-            if positions is None:
-                schema = self.table.schema
-                positions = tuple(
-                    sorted(schema.position(column) for column in refcols)
-                )
-                self._positions[refcols] = positions
-            verdict = True
-            for i in range(a, b):
-                old = interval.old_rows[i]
-                new = interval.new_rows[i]
-                if any(old[p] != new[p] for p in positions):
-                    verdict = False
-                    break
-            if self._counter is not None and b > a:
-                self._counter.charge("compares", b - a)
-            self._fingerprints[key] = verdict
-        return verdict
+        if key in self.fingerprints:
+            return
+        positions = self._positions.get(refcols)
+        if positions is None:
+            schema = self.table.schema
+            positions = tuple(
+                sorted(schema.position(column) for column in refcols)
+            )
+            self._positions[refcols] = positions
+        verdict = True
+        for i in range(a, b):
+            old = interval.old_rows[i]
+            new = interval.new_rows[i]
+            if any(old[p] != new[p] for p in positions):
+                verdict = False
+                break
+        if b > a:
+            self.database.counter.charge("compares", b - a)
+        self.fingerprints[key] = verdict
 
 
 def _merge_intervals(requests: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -330,33 +325,32 @@ def _merge_intervals(requests: list[tuple[int, int]]) -> list[tuple[int, int]]:
 
 
 class SharedScanRound:
-    """One maintenance round: its shared delta scans, across all tables,
-    and whatever else about a view-round is not the view's own state.
+    """One maintenance round: its delta reads, across all tables, and
+    whatever else about a view-round is not the view's own state.
 
-    Protocol (driven by the coordinator): every view's planned windows
-    are :meth:`request`-ed first, :meth:`run` scans each table once, then
-    each view's executor pulls its :meth:`batch_for` slices -- one
-    :class:`SharedBatch` per distinct window, carrying the delta queries
-    the round has evaluated over it so far.
+    Protocol: a coordinator :meth:`request`-s every view's planned
+    windows first and :meth:`run`-s the round, which scans each table
+    once and fingerprints the requested windows; then each view's
+    executor asks :meth:`suppresses` per window and pulls the rest with
+    :meth:`batch_for` -- one :class:`SharedBatch` per distinct window,
+    carrying the delta queries the round has evaluated over it so far.
+    A window the round did not scan is read when it is first asked for.
 
     The executors also keep here, by what determines each, the answers
     that hold for the rest of the round: Definition 1 and the predicted
     cost of an action (:attr:`decided`) and the ledger entry of a round
     that did no work (:attr:`zero_work`).  A fleet of 1 200 views in six
     distinct cases asks six times.  A maintainer stepped on its own makes
-    a round of its own that never :attr:`ran`: nothing is scanned ahead,
-    it reads its window off the log, and finds nothing kept here.
-    Everything dies with the round.
+    a round of its own that never runs: it reads its windows on demand,
+    suppresses nothing, and finds nothing kept here.  Everything dies
+    with the round.
     """
 
     def __init__(self, database: Database):
         self.database = database
         self._scans: dict[str, _TableScan] = {}
-        #: Whether the scan ran, i.e. :meth:`batch_for` has windows.
+        #: Whether :meth:`run` ran; requests are closed after it.
         self.ran = False
-        #: ``(table, applied LSN, k, referenced columns)`` -> the resolved
-        #: window: interval bisect, fingerprint verdict and batch, once.
-        self._windows: dict[tuple, SharedBatch] = {}
         #: ``(model, pre, action, forced)`` -> ``(backlog, predicted ms)``
         #: of an action the model's ``check_action`` accepted.
         self.decided: dict[tuple, tuple[int, float]] = {}
@@ -367,8 +361,15 @@ class SharedScanRound:
 
     @property
     def tables(self) -> tuple[str, ...]:
-        """Names of the tables with at least one requested window."""
+        """Names of the tables with at least one requested or read
+        window."""
         return tuple(sorted(self._scans))
+
+    def _scan_of(self, table: Table) -> _TableScan:
+        scan = self._scans.get(table.name)
+        if scan is None:
+            scan = self._scans[table.name] = _TableScan(table, self.database)
+        return scan
 
     def request(
         self, delta, k: int, refcols: frozenset[str] | None = None
@@ -377,9 +378,8 @@ class SharedScanRound:
 
         ``refcols`` is the requesting view's column signature
         (:meth:`~repro.ivm.view.MaterializedView.referenced_columns`);
-        passing it lets :meth:`run` precompute the window's no-op
-        fingerprint inside the coordinator's cost window, keeping the
-        compare charges out of every view's ledger.
+        passing it lets :meth:`run` fingerprint the window inside the
+        coordinator's cost window.
         """
         if k <= 0:
             return
@@ -390,11 +390,9 @@ class SharedScanRound:
                 f"requested {k} events from {delta.table.name} but only "
                 f"{delta.size} pending"
             )
-        scan = self._scans.get(delta.table.name)
-        if scan is None:
-            scan = _TableScan(delta.table, self.database)
-            self._scans[delta.table.name] = scan
-        scan.add_request(delta.applied_lsn, delta.applied_lsn + k, refcols)
+        self._scan_of(delta.table).add_request(
+            delta.applied_lsn, delta.applied_lsn + k, refcols
+        )
 
     def run(self) -> int:
         """Scan every requested table once; returns the table count.
@@ -406,10 +404,9 @@ class SharedScanRound:
         if self.ran:
             raise ExecutionError("shared scan already ran")
         self.ran = True
-        counter = self.database.counter
         events_total = rows_total = 0
         for scan in self._scans.values():
-            events, rows = scan.run(counter)
+            events, rows = scan.run()
             events_total += events
             rows_total += rows
         if self._scans:
@@ -420,28 +417,29 @@ class SharedScanRound:
             obs.counter("ivm.coordinator.scan.rows", rows_total)
         return len(self._scans)
 
-    def batch_for(self, view, alias: str, k: int) -> SharedBatch:
-        """The pre-scanned batch for one view's planned flush.
-
-        Views at the same LSN asking for the same ``k`` against the same
-        column signature are handed the same object.
-        """
-        if not self.ran:
-            raise ExecutionError("shared scan has not run yet")
+    def suppresses(self, view, alias: str, k: int) -> bool:
+        """Whether :meth:`run` proved the view's next ``k`` events of
+        ``alias`` a no-op for it.  A lookup: it charges nothing."""
         delta = view.deltas[alias]
-        table, lo = delta.table.name, delta.applied_lsn
-        refcols = view.referenced_columns(alias)
-        key = (table, lo, k, refcols)
-        batch = self._windows.get(key)
-        if batch is None:
-            scan = self._scans.get(table)
-            if scan is None:
-                raise ExecutionError(
-                    f"no shared scan covers {table}; the window was never "
-                    f"requested"
-                )
-            batch = self._windows[key] = scan.batch(lo, lo + k, refcols)
-        return batch
+        scan = self._scans.get(delta.table.name)
+        if scan is None:
+            return False
+        lo = delta.applied_lsn
+        return scan.fingerprints.get(
+            (lo, lo + k, view.referenced_columns(alias)), False
+        )
+
+    def batch_for(self, view, alias: str, k: int) -> SharedBatch:
+        """The batch for one view's flush of its next ``k`` events of
+        ``alias``, read now -- and charged to whatever cost window is
+        open -- if the round did not scan it.
+
+        Views at the same LSN asking for the same ``k`` are handed the
+        same object.
+        """
+        delta = view.deltas[alias]
+        lo = delta.applied_lsn
+        return self._scan_of(delta.table).batch(lo, lo + k)
 
     def __repr__(self) -> str:
         state = "ran" if self.ran else "pending"

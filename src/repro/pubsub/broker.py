@@ -1,20 +1,26 @@
 """The pub/sub broker: subscriptions, scheduling, notifications.
 
-Drives the paper's motivating workflow.  Each registered subscription gets
-its own materialized view and :class:`~repro.ivm.maintainer.ViewMaintainer`
-running the subscription's scheduling policy.  On every broker tick:
+Drives the paper's motivating workflow.  The broker is a client of one
+:class:`~repro.ivm.multiview.MaintenanceCoordinator`: each registered
+subscription is a coordinated view (``sub_<name>``) running the
+subscription's scheduling policy under its guarantee.  On every broker
+tick:
 
-1. each subscription's maintainer ingests the step's base-table
-   modifications and lets its policy batch or process them (keeping the
-   backlog refreshable within the subscription's guarantee ``C``);
-2. the notification condition is evaluated against the clock and the
-   always-current base tables;
-3. if it triggers, the view is **refreshed** -- all pending modifications
-   are processed -- and a :class:`Notification` is emitted with the old
-   and new results and the measured refresh latency.  The latency is
-   checked against the guarantee: under a correct policy the refresh cost
-   never exceeds ``C``, which is exactly the response-time constraint of
-   Section 2.
+1. every subscription's notification condition is evaluated against the
+   clock and the always-current base tables;
+2. one coordinator round runs: the triggered subscriptions' views are
+   **refreshed** -- all pending modifications are processed -- and every
+   other view ingests the step's modifications and lets its policy batch
+   or process them (keeping the backlog refreshable within the
+   subscription's guarantee ``C``).  The round reads each base table's
+   delta window once for all of them and truncates the mod logs behind
+   them;
+3. each triggered subscription emits a :class:`Notification` with the old
+   and new results and the measured refresh cost.  The cost is checked
+   against the guarantee: under a correct policy the refresh cost never
+   exceeds ``C``, which is exactly the response-time constraint of
+   Section 2.  The refresh is observed once, by its view's round
+   (``slo`` source ``ivm:sub_<name>``).
 """
 
 from __future__ import annotations
@@ -22,11 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro import obs
 from repro.engine.database import Database
-from repro.ivm.maintainer import ViewMaintainer
+from repro.ivm.multiview import MaintenanceCoordinator, ViewConfig
 from repro.ivm.view import MaterializedView
-from repro.obs import events, slo
 from repro.pubsub.subscription import Subscription
 
 
@@ -38,6 +42,9 @@ class Notification:
     t: int
     old_result: Any
     new_result: Any
+    #: The refresh round's engine-measured cost on the view's ledger.
+    #: It excludes the delta read, which the coordinator's shared scan
+    #: books once for the round.
     refresh_cost_ms: float
     within_guarantee: bool
 
@@ -51,7 +58,6 @@ class Notification:
 class _Registration:
     subscription: Subscription
     view: MaterializedView
-    maintainer: ViewMaintainer
     last_result: Any
     notifications: list[Notification] = field(default_factory=list)
 
@@ -61,6 +67,7 @@ class PubSubBroker:
 
     def __init__(self, database: Database):
         self.database = database
+        self._coordinator = MaintenanceCoordinator(database)
         self._registrations: dict[str, _Registration] = {}
         self._clock = -1
 
@@ -74,27 +81,26 @@ class PubSubBroker:
             raise ValueError(
                 f"subscription {subscription.name!r} already registered"
             )
-        view = MaterializedView(
-            f"sub_{subscription.name}", self.database, subscription.query
-        )
-        maintainer = ViewMaintainer(
-            view,
-            subscription.cost_functions,
-            limit=subscription.limit,
-            policy=subscription.policy,
-            scheduled_aliases=subscription.scheduled_aliases,
+        view = self._coordinator.add_view(
+            ViewConfig(
+                name=f"sub_{subscription.name}",
+                query=subscription.query,
+                policy=subscription.policy,
+                cost_functions=subscription.cost_functions,
+                limit=subscription.limit,
+                scheduled_aliases=subscription.scheduled_aliases,
+            )
         )
         self._registrations[subscription.name] = _Registration(
             subscription=subscription,
             view=view,
-            maintainer=maintainer,
             last_result=self._result_of(view),
         )
 
     def unsubscribe(self, name: str) -> None:
-        """Drop a subscription (its view is discarded)."""
-        if name not in self._registrations:
-            raise KeyError(f"no subscription {name!r}")
+        """Drop a subscription: its view is discarded and the history only
+        it still pinned may be truncated."""
+        self._coordinator.remove_view(self._registration(name).view.name)
         del self._registrations[name]
 
     @property
@@ -113,44 +119,36 @@ class PubSubBroker:
         """
         self._clock = self._clock + 1 if t is None else t
         t = self._clock
-        fired: list[Notification] = []
-        for registration in self._registrations.values():
-            subscription = registration.subscription
-            triggered = subscription.condition.should_notify(
+        triggered = [
+            registration
+            for registration in self._registrations.values()
+            if registration.subscription.condition.should_notify(
                 t, self.database
             )
-            if triggered:
-                # Refresh: process *all* pending modifications, measure it.
-                entry = registration.maintainer.refresh(t)
-                # The refresh is the guarantee's moment of truth: record
-                # the deadline margin and emit any breach as an slo event
-                # (subscribers hear it even without a recorder installed).
-                if obs.get_recorder() is not None or events.wanted("slo"):
-                    slo.observe_refresh(
-                        subscription.limit,
-                        entry.predicted_ms,
-                        t=t,
-                        source=f"pubsub:{subscription.name}",
-                    )
-                new_result = self._result_of(registration.view)
-                notification = Notification(
-                    subscription=subscription.name,
-                    t=t,
-                    old_result=registration.last_result,
-                    new_result=new_result,
-                    refresh_cost_ms=entry.sim_ms,
-                    within_guarantee=(
-                        entry.predicted_ms
-                        <= registration.maintainer.model.full_above
-                    ),
-                )
-                registration.last_result = new_result
-                registration.notifications.append(notification)
-                subscription.condition.notified(t, new_result)
-                fired.append(notification)
-            else:
-                # Between notifications: let the policy batch/process.
-                registration.maintainer.step(t)
+        ]
+        entries = self._coordinator.step(
+            t, refresh=[registration.view.name for registration in triggered]
+        )
+        fired: list[Notification] = []
+        for registration in triggered:
+            subscription = registration.subscription
+            entry = entries[registration.view.name]
+            new_result = self._result_of(registration.view)
+            notification = Notification(
+                subscription=subscription.name,
+                t=t,
+                old_result=registration.last_result,
+                new_result=new_result,
+                refresh_cost_ms=entry.sim_ms,
+                within_guarantee=(
+                    entry.predicted_ms
+                    <= self._maintainer(registration).model.full_above
+                ),
+            )
+            registration.last_result = new_result
+            registration.notifications.append(notification)
+            subscription.condition.notified(t, new_result)
+            fired.append(notification)
         return fired
 
     # ------------------------------------------------------------------
@@ -166,7 +164,7 @@ class PubSubBroker:
         """
         registration = self._registration(name)
         if refresh:
-            registration.maintainer.refresh()
+            self._coordinator.refresh([registration.view.name])
             registration.last_result = self._result_of(registration.view)
         return self._result_of(registration.view)
 
@@ -176,7 +174,7 @@ class PubSubBroker:
 
     def maintenance_cost_ms(self, name: str) -> float:
         """Total engine-measured maintenance cost spent on a subscription."""
-        return self._registration(name).maintainer.ledger.total_sim_ms
+        return self._maintainer(self._registration(name)).ledger.total_sim_ms
 
     def guarantee_violations(self, name: str) -> int:
         """Notifications whose refresh exceeded the QoS guarantee."""
@@ -193,6 +191,9 @@ class PubSubBroker:
             return self._registrations[name]
         except KeyError:
             raise KeyError(f"no subscription {name!r}") from None
+
+    def _maintainer(self, registration: _Registration):
+        return self._coordinator.maintainer(registration.view.name)
 
     @staticmethod
     def _result_of(view: MaterializedView) -> Any:

@@ -15,6 +15,7 @@ from repro.engine.database import Database
 from repro.engine.expr import col, lit
 from repro.engine.query import AggregateSpec, JoinSpec, QuerySpec
 from repro.engine.types import ColumnType, Schema
+from repro.ivm.maintenance import apply_batch
 from repro.ivm.view import MaterializedView
 from repro.tpcr.gen import load_tpcr
 from repro.tpcr.updates import PartSuppCostUpdater, SupplierNationUpdater
@@ -46,6 +47,20 @@ def make_tpcr_db(scale: float = TEST_SCALE, seed: int = 42) -> Database:
     db.table("nation").create_index("nationkey")
     db.table("region").create_index("regionkey")
     return db
+
+
+def flush_all(view: MaterializedView) -> None:
+    """Process every pending modification of ``view``, one alias after
+    another, each as one :func:`apply_batch` (a round of one).
+
+    Each batch reads the other tables at their *current* ``applied_lsn``,
+    which advances as earlier batches complete, so the sequential
+    composition is consistent.
+    """
+    for alias in view.spec.aliases:
+        pending = view.deltas[alias].size
+        if pending:
+            apply_batch(view, alias, pending)
 
 
 @pytest.fixture

@@ -50,8 +50,9 @@ from repro.engine.operators import Filter, Project, RowSource
 from repro.engine.query import AggregateSpec, JoinSpec, QuerySpec
 from repro.engine.table import ModEvent, ModLog
 from repro.engine.types import ColumnType, Schema
-from repro.ivm.maintenance import apply_batch, full_refresh
+from repro.ivm.maintenance import apply_batch
 from repro.ivm.view import MaterializedView
+from tests.conftest import flush_all
 
 BLOCK_SIZES = (1, 7, 64, 1024)
 SEEDS = (3, 17, 101)
@@ -219,7 +220,7 @@ def run_ivm(block_size: int, seed: int, hash_join: bool = False):
     if not hash_join:
         for d in view.deltas.values():
             d.pull()
-    full_refresh(view)
+    flush_all(view)
     record()
     return view, trace, view.recompute(), db.counter.snapshot()
 

@@ -21,7 +21,7 @@ from repro.ivm.calibration import measure_cost_function
 from repro.ivm.maintainer import ViewMaintainer
 from repro.ivm.view import MaterializedView
 from repro.tpcr.updates import PartSuppCostUpdater, SupplierNationUpdater
-from tests.conftest import make_paper_spec, make_tpcr_db
+from tests.conftest import flush_all, make_paper_spec, make_tpcr_db
 
 
 def calibrate(view, ps_updater, sup_updater):
@@ -153,9 +153,7 @@ class TestFullPipeline:
         for __ in range(4):
             sup_updater.apply(sup.live_count)
             view.deltas["S"].pull()
-            from repro.ivm.maintenance import full_refresh
-
-            full_refresh(view)
+            flush_all(view)
             assert view.contents() == view.recompute()
         recomputes_after = view._groups.recomputations
         assert recomputes_after > recomputes_before

@@ -15,8 +15,9 @@ from repro.engine.database import Database
 from repro.engine.expr import col
 from repro.engine.query import AggregateSpec, JoinSpec, QuerySpec
 from repro.engine.types import ColumnType, Schema
-from repro.ivm.maintenance import apply_batch, full_refresh
+from repro.ivm.maintenance import apply_batch
 from repro.ivm.view import MaterializedView
+from tests.conftest import flush_all
 
 
 def fresh_db(r_rows, s_rows):
@@ -114,7 +115,7 @@ def test_spj_view_invariant_under_interleaving(r, s, steps):
     run_script(view, db, steps)
     for delta in view.deltas.values():
         delta.pull()
-    full_refresh(view)
+    flush_all(view)
     assert view.contents() == view.recompute()
     assert not view.is_stale()
 
@@ -127,7 +128,7 @@ def test_min_view_invariant_under_interleaving(r, s, steps):
     run_script(view, db, steps)
     for delta in view.deltas.values():
         delta.pull()
-    full_refresh(view)
+    flush_all(view)
     assert view.contents() == view.recompute()
 
 
@@ -170,5 +171,5 @@ def test_two_views_over_shared_tables_stay_independent(r, s, steps):
     for view in (spj, agg):
         for delta in view.deltas.values():
             delta.pull()
-        full_refresh(view)
+        flush_all(view)
         assert view.contents() == view.recompute()

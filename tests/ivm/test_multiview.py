@@ -115,6 +115,40 @@ class TestCoordination:
         other.deltas["S"].pull()
         assert other.is_stale()
 
+    def test_step_forces_exactly_the_named_views(self):
+        coordinator, ps, sup = make_coordinator()
+        twin, twin_ps, twin_sup = make_coordinator()
+        for t in range(3):
+            for updater in (ps, twin_ps):
+                updater.apply(6)
+            for updater in (sup, twin_sup):
+                updater.apply(1)
+            entries = coordinator.step(t, refresh=["region_counts"])
+            stepped = twin.step(t)
+            assert set(entries) == {"min_cost", "region_counts"}
+            forced = entries["region_counts"]
+            assert forced.forced and forced.action == forced.pre_state
+            assert not coordinator.maintainer("region_counts").view.is_stale()
+            # The other view asked its policy, as in a plain step.
+            other = entries["min_cost"]
+            assert not other.forced
+            assert (other.pre_state, other.action) == (
+                stepped["min_cost"].pre_state, stepped["min_cost"].action
+            )
+
+    def test_unknown_refresh_name_raises_before_any_view_is_planned(self):
+        coordinator, ps, sup = make_coordinator()
+        ps.apply(6)
+        sup.apply(1)
+        with pytest.raises(KeyError, match="nope"):
+            coordinator.step(0, refresh=["region_counts", "nope"])
+        for __, maintainer in coordinator.iter_maintainers():
+            assert maintainer.ledger.rounds == 0
+            for delta in maintainer.view.deltas.values():
+                assert delta.size == 0  # not even pulled
+        entries = coordinator.step(0, refresh=["region_counts"])
+        assert entries["region_counts"].forced
+
     def test_cost_accounting(self):
         coordinator, ps, sup = make_coordinator()
         for t in range(6):

@@ -150,16 +150,7 @@ class TestSharedScanRound:
         with pytest.raises(ExecutionError, match="already ran"):
             round_.run()
 
-    def test_batch_requires_run(self):
-        db, views, updater = self._setup()
-        updater.apply(2)
-        views[0].deltas["PS"].pull()
-        round_ = SharedScanRound(db)
-        round_.request(views[0].deltas["PS"], 2)
-        with pytest.raises(ExecutionError, match="not run yet"):
-            round_.batch_for(views[0], "PS", 2)
-
-    def test_unrequested_window_rejected(self):
+    def test_unscanned_window_is_read_on_demand(self):
         db, views, updater = self._setup()
         updater.apply(4)
         for view in views:
@@ -167,8 +158,28 @@ class TestSharedScanRound:
         round_ = SharedScanRound(db)
         round_.request(views[0].deltas["PS"], 2)
         round_.run()
-        with pytest.raises(ExecutionError, match="was not requested"):
-            round_.batch_for(views[1], "PS", 4)
+        # Not requested: read when first asked for, inside the caller's
+        # open window -- 4 update events, 8 row images.
+        before = db.counter.snapshot()
+        with db.counter.window() as window:
+            batch = round_.batch_for(views[1], "PS", 4)
+        assert db.counter.since(before) == {"tuple_cpu": 8}
+        assert window.elapsed_ms > 0
+        assert len(batch.deleted) == len(batch.inserted) == 4
+        # Read once: the next ask is the same batch and charges nothing.
+        before = db.counter.snapshot()
+        assert round_.batch_for(views[1], "PS", 4) is batch
+        assert db.counter.since(before) == {}
+        # A round that never ran (a round of one) reads the same way,
+        # at the same price, and fingerprints nothing.
+        alone = SharedScanRound(db)
+        with db.counter.window() as alone_window:
+            again = alone.batch_for(views[1], "PS", 4)
+        assert alone_window.elapsed_ms == window.elapsed_ms
+        assert (again.deleted, again.inserted) == (
+            batch.deleted, batch.inserted
+        )
+        assert not alone.suppresses(views[0], "PS", 4)
 
     def test_fingerprint_suppresses_untouched_view_only(self):
         db, views, updater = self._setup()
@@ -178,11 +189,15 @@ class TestSharedScanRound:
             view.deltas["PS"].pull()
         round_ = SharedScanRound(db)
         for view in views:
-            round_.request(view.deltas["PS"], 10)
+            round_.request(
+                view.deltas["PS"], 10, view.referenced_columns("PS")
+            )
         round_.run()
-        assert round_.batch_for(insensitive, "PS", 10).suppressed
+        before = db.counter.snapshot()
+        assert round_.suppresses(insensitive, "PS", 10)
+        assert not round_.suppresses(sensitive, "PS", 10)
+        assert db.counter.since(before) == {}  # a lookup charges nothing
         batch = round_.batch_for(sensitive, "PS", 10)
-        assert not batch.suppressed
         assert len(batch.deleted) == 10 and len(batch.inserted) == 10
 
     def test_mixed_kind_window_never_suppressed(self):
@@ -194,10 +209,11 @@ class TestSharedScanRound:
         insensitive = views[0]
         insensitive.deltas["PS"].pull()
         round_ = SharedScanRound(db)
-        round_.request(insensitive.deltas["PS"], 4)
+        round_.request(
+            insensitive.deltas["PS"], 4, insensitive.referenced_columns("PS")
+        )
         round_.run()
-        assert not round_.batch_for(insensitive, "PS", 4).suppressed
-
+        assert not round_.suppresses(insensitive, "PS", 4)
 
 
 def cost_by_nation_spec() -> QuerySpec:
@@ -259,7 +275,7 @@ class TestSharedDeltaEvaluation:
 
     def _round(self, db, views, alias="PS"):
         """Pull every view, request and run one round over ``K`` events
-        of ``alias``; returns each view's batch."""
+        of ``alias``; returns the round and each view's batch."""
         for view in views:
             for delta in view.deltas.values():
                 delta.pull()
@@ -267,17 +283,19 @@ class TestSharedDeltaEvaluation:
         for view in views:
             round_.request(view.deltas[alias], self.K)
         round_.run()
-        return [round_.batch_for(view, alias, self.K) for view in views]
+        return round_, [
+            round_.batch_for(view, alias, self.K) for view in views
+        ]
 
     def _flush(self, db, views, alias="PS"):
         """Flush ``K`` events of ``alias`` into every view through one
         round; returns the window's evaluations and each view's charges."""
-        batches = self._round(db, views, alias)
+        round_, batches = self._round(db, views, alias)
         assert all(batch is batches[0] for batch in batches)
         charged = []
-        for view, batch in zip(views, batches):
+        for view in views:
             before = db.counter.snapshot()
-            apply_batch(view, alias, self.K, batch=batch)
+            apply_batch(view, alias, self.K, round_)
             after = db.counter.snapshot()
             charged.append({f: after[f] - before[f] for f in after})
         return batches[0].evaluations, charged
@@ -338,14 +356,12 @@ class TestSharedDeltaEvaluation:
             MaterializedView("p2", db, costly_rows_spec(500, alias="P2")),
         ]
         PartSuppCostUpdater(db.table("partsupp"), seed=7).apply(self.K)
-        batches = self._round(db, views[:1], "PS") + self._round(
-            db, views[1:], "P2"
-        )
         # Same table, same window -- and still not the same query: the
         # result's columns are named after the alias.
         assert views[0].delta_keys["PS"] != views[1].delta_keys["P2"]
-        for view, alias, batch in zip(views, ("PS", "P2"), batches):
-            apply_batch(view, alias, self.K, batch=batch)
+        for view, alias in zip(views, ("PS", "P2")):
+            round_, (batch,) = self._round(db, [view], alias)
+            apply_batch(view, alias, self.K, round_)
             assert len(batch.evaluations) == 2
             assert view.contents() == view.recompute()
 
@@ -360,7 +376,7 @@ class TestSharedDeltaEvaluation:
             )),
         ]
         PartSuppCostUpdater(db.table("partsupp"), seed=7).apply(self.K)
-        batch = self._round(db, views)[0]
+        round_, (batch, *_) = self._round(db, views)
         first, *rest = views
         seen = []
         spy = MaterializedView.apply_delta
@@ -371,11 +387,11 @@ class TestSharedDeltaEvaluation:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(MaterializedView, "apply_delta", record)
-            apply_batch(first, "PS", self.K, batch=batch)
+            apply_batch(first, "PS", self.K, round_)
             held = [(e.result.rows, e.result.columns, e.folds) for e in seen]
             before = copy.deepcopy(held)
             for view in rest:
-                apply_batch(view, "PS", self.K, batch=batch)
+                apply_batch(view, "PS", self.K, round_)
         # All three read the same columns, so all three were handed the
         # same two evaluations; SUM and MIN also share one fold input.
         assert len(batch.evaluations) == 2
@@ -397,22 +413,22 @@ class TestSharedDeltaEvaluation:
         )
         views = [MaterializedView(name, db, spec) for name in ("a", "b")]
         PartSuppCostUpdater(db.table("partsupp"), seed=7).apply(self.K)
-        batches = self._round(db, views)
+        round_, batches = self._round(db, views)
         applied = [view.deltas["PS"].applied_lsn for view in views]
         contents = [view.contents() for view in views]
         try:
             Tripwire.armed = True
-            for view, batch in zip(views, batches):
+            for view in views:
                 with pytest.raises(RuntimeError, match="tripped"):
-                    apply_batch(view, "PS", self.K, batch=batch)
+                    apply_batch(view, "PS", self.K, round_)
         finally:
             Tripwire.armed = False
         assert len(batches[0].evaluations) == 0
         assert [view.deltas["PS"].applied_lsn for view in views] == applied
         assert [view.contents() for view in views] == contents
         # The fault gone, the same round's batch still serves both.
-        for view, batch in zip(views, batches):
-            apply_batch(view, "PS", self.K, batch=batch)
+        for view in views:
+            apply_batch(view, "PS", self.K, round_)
             assert view.contents() == view.recompute()
         assert len(batches[0].evaluations) == 2
 

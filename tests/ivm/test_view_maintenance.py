@@ -15,9 +15,9 @@ from repro.engine.errors import ExecutionError
 from repro.engine.expr import col, lit
 from repro.engine.query import AggregateSpec, JoinSpec, QuerySpec
 from repro.engine.types import ColumnType, Schema
-from repro.ivm.maintenance import apply_batch, full_refresh
+from repro.ivm.maintenance import apply_batch
 from repro.ivm.view import MaterializedView
-from tests.conftest import make_paper_spec, make_tpcr_db
+from tests.conftest import flush_all, make_paper_spec, make_tpcr_db
 
 
 def make_join_db():
@@ -153,7 +153,7 @@ class TestStateBugSafety:
                     assert view.contents() == view.recompute()
         for d in view.deltas.values():
             d.pull()
-        full_refresh(view)
+        flush_all(view)
         assert view.contents() == view.recompute()
         assert not view.is_stale()
 
@@ -285,7 +285,7 @@ class TestRefreshHelpers:
         db.table("s").update_rid(1, {"b": 5})
         for d in view.deltas.values():
             d.pull()
-        full_refresh(view)
+        flush_all(view)
         assert not view.is_stale()
         assert view.contents() == view.recompute()
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.core.costfuncs import LinearCost
 from repro.core.naive import NaivePolicy
 from repro.core.online import OnlinePolicy
@@ -171,3 +172,64 @@ class TestMultipleSubscriptions:
         assert not registration.view.is_stale()
         assert fresh == registration.view.scalar()
         assert stale is not None
+
+
+class TestOneCoordinator:
+    """The broker is a client of one maintenance coordinator: one round
+    per tick refreshes the triggered subscriptions and steps the rest."""
+
+    def _run(self, broker, ps, sup, ticks, start=0):
+        fired = []
+        for t in range(start, start + ticks):
+            ps.apply(20)
+            sup.apply(1)
+            fired.extend(broker.tick(t))
+        return fired
+
+    def test_a_refresh_is_observed_once(self):
+        broker, ps, sup = make_broker()
+        broker.subscribe(make_subscription("s", EveryNSteps(5, phase=4)))
+        with obs.recording() as recorder:
+            fired = self._run(broker, ps, sup, 20)
+        assert [n.t for n in fired] == [4, 9, 14, 19]
+        # One SLO observation per tick, the refreshes included.
+        assert recorder.registry.get("slo.steps").value == 20
+
+    def test_the_broker_truncates_the_mod_log(self):
+        broker, ps, sup = make_broker()
+        broker.subscribe(make_subscription("s", EveryNSteps(5, phase=4)))
+        log = broker.database.table("partsupp").history
+        self._run(broker, ps, sup, 200)
+        view = broker._registration("s").view
+        assert 0 < log.truncated_lsn <= view.deltas["PS"].applied_lsn
+        assert view.contents() == view.recompute()
+
+    def test_unsubscribe_releases_only_what_it_pinned(self):
+        broker, ps, sup = make_broker()
+        broker.subscribe(make_subscription("keeper", EveryNSteps(5, phase=4)))
+        # Never notified, never full: its view applies nothing and pins
+        # the whole history.
+        broker.subscribe(
+            Subscription(
+                name="laggard",
+                query=make_paper_spec(),
+                condition=EveryNSteps(1000, phase=999),
+                policy=NaivePolicy(),
+                cost_functions=COSTS,
+                limit=1e9,
+                scheduled_aliases=("PS", "S"),
+            )
+        )
+        log = broker.database.table("partsupp").history
+        self._run(broker, ps, sup, 200)
+        assert log.truncated_lsn == 0
+        assert log.subscriber_count() == 2
+        broker.unsubscribe("laggard")
+        keeper = broker._registration("keeper").view
+        assert log.subscriber_count() == 1
+        assert 0 < log.truncated_lsn <= keeper.deltas["PS"].applied_lsn
+        # What the keeper has not applied is still there for it.
+        self._run(broker, ps, sup, 5, start=200)
+        assert not keeper.is_stale()
+        assert broker.result("keeper") == keeper.scalar()
+        assert keeper.contents() == keeper.recompute()
