@@ -32,6 +32,15 @@ which is admissible (every modification must be processed in some batch of
 size at most ``b_i``, paying at least rate ``r_i``) and consistent
 (``h(x) - h(x') = sum_i q_i * r_i <= f(q)``).  Consistency makes the first
 expansion of every node optimal, so each node is expanded at most once.
+
+**The kernel.**  :func:`find_optimal_lgm_plan` runs the search over
+interned states: each distinct post-action state gets a small int id on
+first sight (the zero state is 0), and a node is the int ``sid * (T + 2)
++ t + 1``, so the source is 0 and the destination ``T + 1``.  The closed
+set, ``g`` and the parent map hash plain ints, and a successor's key is
+one multiply-add.  Each state remembers the last gap to its first full
+step, which seeds the next boundary search from that state; only the
+nodes on the optimal path are decoded back into ``(t, state)`` pairs.
 """
 
 from __future__ import annotations
@@ -71,12 +80,15 @@ class AStarResult:
     cost: float
     expanded: int
     generated: int
+    #: Fullness probes spent locating first full steps, over the search.
+    probes: int
 
     def register_metrics(self) -> None:
         """Fold the search statistics into the active metrics registry."""
         obs.counter("astar.searches")
         obs.counter("astar.expanded", self.expanded)
         obs.counter("astar.generated", self.generated)
+        obs.counter("astar.probes", self.probes)
         obs.observe("astar.plan_cost", self.cost)
 
 
@@ -176,12 +188,21 @@ def find_optimal_lgm_plan(problem: ProblemInstance, use_heuristic: bool = True) 
     same cost bits, same ``expanded`` / ``generated``), not its callees.
     Every float is built by the same left-to-right additions as theirs,
     because heap order -- hence both counts -- hangs on the last bit.
+
+    Nodes are interned ints (module docstring).  Heap entries tie-break
+    on the push number, never on the node, so the ids' assignment order
+    cannot reorder the heap.  The first full step after ``t1`` is found by
+    galloping from a first probe at ``t1`` plus the state's remembered
+    gap (``t1 + 1`` for a new state) and then bisecting.  Fullness is
+    monotone in the step, so every probe order brackets the same boundary
+    a linear walk finds: the memo changes how many probes a search spends
+    (``AStarResult.probes``), never an edge.  The parent chain is walked
+    from the destination, and only its nodes are decoded for
+    :func:`_reconstruct_plan`.
     """
     n = problem.n
     horizon = problem.horizon
     zero = zero_vector(n)
-    source: Node = (-1, zero)
-    destination: Node = (horizon, zero)
     prefix = problem.prefix_totals()
     suffix = problem.suffix_totals()
     tables = problem.cost_tables
@@ -191,23 +212,35 @@ def find_optimal_lgm_plan(problem: ProblemInstance, use_heuristic: bool = True) 
     heappush, heappop = heapq.heappush, heapq.heappop
     infinity = float("inf")
 
+    # Interned states: node (t, states[sid]) is the int
+    # sid * per_state + t + 1, so the source (-1, 0) is 0 and the
+    # destination (T, 0) is T + 1.
+    per_state = horizon + 2
+    states: list[Vector] = [zero]
+    sid_of: dict[Vector, int] = {zero: 0}
+    # gaps[sid]: the last ``lo - t1`` found from that state; 1 (gallop from
+    # t1 + 1) until it has been expanded once.
+    gaps: list[int] = [1]
+    destination = horizon + 1
+
     h_source = 0.0
     if rates is not None:
         h_source = 0
         for k, r in zip(suffix[0], rates):
             h_source = h_source + k * r
-    g: dict[Node, float] = {source: 0.0}
-    parent: dict[Node, Node] = {}
+    g: dict[int, float] = {0: 0.0}
+    parent: dict[int, int] = {}
     # Heap entries are (g + h, push number, node): the push number is the
     # stable tie-breaker, and equals ``generated`` at the time of the push.
-    open_heap: list[tuple[float, int, Node]] = [(h_source, 0, source)]
-    closed: set[Node] = set()
-    # full pre-action state -> ((post-action state, edge weight), ...) for
-    # each greedy minimal action, in enumeration order.  Distinct
+    open_heap: list[tuple[float, int, int]] = [(h_source, 0, 0)]
+    closed: set[int] = set()
+    # full pre-action state -> ((post sid, post-action state, edge weight),
+    # ...) for each greedy minimal action, in enumeration order.  Distinct
     # timestamps share states, so most expansions hit.
-    edges_of: dict[Vector, tuple[tuple[Vector, float], ...]] = {}
+    edges_of: dict[Vector, tuple[tuple[int, Vector, float], ...]] = {}
     expanded = 0
     generated = 1
+    probes = 0
     heap_peak = 1
     inconsistencies = 0
     started = time.perf_counter()
@@ -225,18 +258,20 @@ def find_optimal_lgm_plan(problem: ProblemInstance, use_heuristic: bool = True) 
             expanded += 1
             # Nodes at T other than the destination are never created, so
             # t1 < T here.
-            t1, state = node
-            base = [s - a for s, a in zip(state, prefix[t1 + 1])]
+            sid, t1 = divmod(node, per_state)
+            t1 -= 1
+            base = [s - a for s, a in zip(states[sid], prefix[t1 + 1])]
             # First full step in (t1, T), or T (the forced refresh) if
             # none.  base + prefix[t2 + 1] is the pre-action state at t2 in
             # exact ints, and fullness is monotone in t2 (arrivals are
             # non-negative, costs monotone), so any probe order finds the
-            # boundary a linear walk would.  Gaps are short next to T, so
-            # gallop outward from t1 + 1, doubling the stride until the
-            # boundary is bracketed; from there the midpoint is the nearer
-            # probe and the loop is a plain bisection.
+            # boundary a linear walk would.  The first probe is this
+            # state's remembered gap past t1; from there gallop outward,
+            # doubling the stride until the boundary is bracketed, and
+            # then the midpoint is the nearer probe and the loop is a
+            # plain bisection.
             lo, hi, step = t1 + 1, horizon, 1
-            mid = lo
+            mid = min(t1 + gaps[sid], horizon - 1)
             while lo < hi:
                 total = 0
                 for b, a, table in zip(base, prefix[mid + 1], tables):
@@ -248,23 +283,32 @@ def find_optimal_lgm_plan(problem: ProblemInstance, use_heuristic: bool = True) 
                     lo = mid + 1
                     mid = min((lo + hi) >> 1, lo + step - 1)
                 step += step
+            probes += step.bit_length() - 1  # step == 2 ** probes made
+            gaps[sid] = lo - t1
             cur = tuple([b + a for b, a in zip(base, prefix[lo + 1])])
             if lo == horizon:
                 # Never full before the refresh time: flush everything.
-                edges = ((zero, refresh_cost(cur)),)
+                edges = ((0, zero, refresh_cost(cur)),)
             else:
                 edges = edges_of.get(cur)
                 if edges is None:
-                    edges = edges_of[cur] = tuple([
-                        (sub_vectors(cur, action), refresh_cost(action))
-                        for action in enumerate_greedy_minimal_actions(
-                            cur, problem
-                        )
-                    ])
+                    built = []
+                    for action in enumerate_greedy_minimal_actions(
+                        cur, problem
+                    ):
+                        post = sub_vectors(cur, action)
+                        post_sid = sid_of.get(post)
+                        if post_sid is None:
+                            post_sid = sid_of[post] = len(states)
+                            states.append(post)
+                            gaps.append(1)
+                        built.append((post_sid, post, refresh_cost(action)))
+                    edges = edges_of[cur] = tuple(built)
             future = suffix[lo + 1]
+            offset = lo + 1
             g_node = g[node]
-            for post, weight in edges:
-                successor = (lo, post)
+            for post_sid, post, weight in edges:
+                successor = post_sid * per_state + offset
                 tentative = g_node + weight
                 if successor in closed:
                     # A consistent heuristic guarantees closed nodes hold
@@ -291,11 +335,20 @@ def find_optimal_lgm_plan(problem: ProblemInstance, use_heuristic: bool = True) 
         else:
             raise ValueError("no valid LGM plan exists for this instance")
 
-        plan = _reconstruct_plan(parent, destination, problem)
+        # Decode only the nodes on the optimal path, child -> parent.
+        path_parent: dict[Node, Node] = {}
+        node = destination
+        while node in parent:
+            above = parent[node]
+            sid, t = divmod(node, per_state)
+            up_sid, up_t = divmod(above, per_state)
+            path_parent[(t - 1, states[sid])] = (up_t - 1, states[up_sid])
+            node = above
+        plan = _reconstruct_plan(path_parent, (horizon, zero), problem)
         plan.check_valid(problem)
         result = AStarResult(
             plan=plan, cost=g[destination], expanded=expanded,
-            generated=generated,
+            generated=generated, probes=probes,
         )
         span.set(cost=result.cost, expanded=expanded, generated=generated)
         result.register_metrics()

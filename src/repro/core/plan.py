@@ -22,6 +22,7 @@ from repro.core.problem import (
     ProblemInstance,
     Vector,
     add_vectors,
+    int_vector,
     is_nonnegative,
     sub_vectors,
     zero_vector,
@@ -41,7 +42,7 @@ class Plan:
         cleaned = []
         width = None
         for t, a in enumerate(actions):
-            a = tuple(int(x) for x in a)
+            a = int_vector(a, "action", t)
             if width is None:
                 width = len(a)
             elif len(a) != width:

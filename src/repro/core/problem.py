@@ -17,7 +17,7 @@ taken at ``t``.  A state is **full** when its refresh cost exceeds ``C``.
 
 from __future__ import annotations
 
-from operator import truediv
+from operator import add, sub, truediv
 from typing import Sequence
 
 from repro.core.costfuncs import CostFunction, check_cost_function
@@ -31,18 +31,37 @@ def zero_vector(n: int) -> Vector:
 
 
 def add_vectors(a: Vector, b: Vector) -> Vector:
-    """Componentwise sum of two n-vectors."""
-    return tuple(x + y for x, y in zip(a, b, strict=True))
+    """Componentwise sum of two n-vectors; ``ValueError`` on a length
+    mismatch, as ``zip(strict=True)`` raises."""
+    if len(a) != len(b):
+        raise ValueError(f"vector lengths differ: {a} + {b}")
+    return tuple(map(add, a, b))
 
 
 def sub_vectors(a: Vector, b: Vector) -> Vector:
-    """Componentwise difference ``a - b`` of two n-vectors."""
-    return tuple(x - y for x, y in zip(a, b, strict=True))
+    """Componentwise difference ``a - b`` of two n-vectors; ``ValueError``
+    on a length mismatch."""
+    if len(a) != len(b):
+        raise ValueError(f"vector lengths differ: {a} - {b}")
+    return tuple(map(sub, a, b))
 
 
 def is_nonnegative(v: Vector) -> bool:
-    """True when every component of ``v`` is >= 0."""
-    return all(x >= 0 for x in v)
+    """True when every component of ``v`` is >= 0; true for ``()``."""
+    return min(v, default=0) >= 0
+
+
+def int_vector(raw: Sequence[int], what: str, t: int) -> Vector:
+    """``raw`` as a tuple of ints, in one C-level pass.
+
+    Integral floats (``3.0``) and bools convert; a fractional count is a
+    ``ValueError`` naming ``what``, ``t`` and the vector, never floored.
+    """
+    raw = tuple(raw)
+    v = tuple(map(int, raw))
+    if v != raw:
+        raise ValueError(f"{what} at t={t} has non-integer components: {raw}")
+    return v
 
 
 class CostTable(dict):
@@ -183,7 +202,7 @@ class ProblemInstance(CostModel):
         n = self.n
         cleaned: list[Vector] = []
         for t, d in enumerate(arrivals):
-            d = tuple(int(x) for x in d)
+            d = int_vector(d, "arrival vector", t)
             if len(d) != n:
                 raise ValueError(
                     f"arrival vector at t={t} has {len(d)} components, expected {n}"

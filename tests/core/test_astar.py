@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.core.astar import find_optimal_lgm_plan
 from repro.core.costfuncs import BlockIOCost, ConcaveCost, LinearCost
 from repro.core.exhaustive import find_optimal_lazy_plan_exhaustive
@@ -130,3 +131,22 @@ class TestEdgeCases:
         result = find_optimal_lgm_plan(asymmetric_instance())
         assert result.expanded >= 1
         assert result.generated >= result.expanded
+
+
+class TestBoundaryProbes:
+    def test_remembered_gap_pins_the_probe_count(self):
+        # Uniform arrivals: a state's boundary always lies the same number
+        # of steps ahead, so once a state has galloped its gap is exact and
+        # every later expansion of it probes at most twice (the gap and
+        # the step before it).
+        problem = ProblemInstance(
+            [LinearCost(slope=0.1, setup=5.0), LinearCost(slope=0.25)],
+            limit=12.0,
+            arrivals=[(3, 2)] * 121,
+        )
+        with obs.recording() as rec:
+            result = find_optimal_lgm_plan(problem)
+        assert (result.expanded, result.generated) == (1448, 1835)
+        assert result.probes == 2775
+        assert result.probes <= 2 * result.expanded
+        assert rec.registry.get("astar.probes").value == result.probes

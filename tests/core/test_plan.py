@@ -36,6 +36,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Plan([(1, -2)])
 
+    def test_rejects_fractional_counts(self):
+        with pytest.raises(ValueError, match=r"t=0 .*\(1\.5, 0\)"):
+            Plan([(1.5, 0)])
+
+    def test_integral_floats_and_bools_convert(self):
+        plan = Plan([(3.0, False), (True, 2)])
+        assert plan.actions == ((3, 0), (1, 2))
+        assert all(type(x) is int for a in plan for x in a)
+
     def test_container_protocol(self):
         plan = Plan([(1, 2), (0, 0)])
         assert len(plan) == 2

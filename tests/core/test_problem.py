@@ -32,9 +32,16 @@ class TestVectorHelpers:
         with pytest.raises(ValueError):
             add_vectors((1, 2), (1,))
 
+    def test_sub_vectors_rejects_a_length_mismatch(self):
+        with pytest.raises(ValueError):
+            sub_vectors((1, 2), (1,))
+        with pytest.raises(ValueError):
+            sub_vectors((1,), (1, 2))
+
     def test_is_nonnegative(self):
         assert is_nonnegative((0, 1, 2))
         assert not is_nonnegative((0, -1))
+        assert is_nonnegative(())
 
 
 class TestConstruction:
@@ -63,6 +70,17 @@ class TestConstruction:
     def test_rejects_negative_arrivals(self):
         with pytest.raises(ValueError):
             ProblemInstance([LinearCost(1.0)], 1.0, [(-1,)])
+
+    def test_rejects_fractional_arrivals(self):
+        with pytest.raises(ValueError, match=r"t=1 .*\(2\.7,\)"):
+            ProblemInstance([LinearCost(1.0, 1.0)], 5.0, [(1,), (2.7,)])
+
+    def test_integral_floats_and_bools_convert(self):
+        prob = ProblemInstance(
+            [LinearCost(1.0), LinearCost(1.0)], 5.0, [(3.0, True), (0, 2)]
+        )
+        assert prob.arrivals == ((3, 1), (0, 2))
+        assert all(type(x) is int for d in prob.arrivals for x in d)
 
     def test_validate_flag_checks_cost_functions(self):
         class Bad(LinearCost):
