@@ -9,8 +9,8 @@ needs:
   read each base table *as of the last modification the view has
   incorporated* -- the mechanism that avoids the state bug the paper cites
   from Colby et al.
-* **Indexes** (:mod:`repro.engine.index`): hash and sorted secondary
-  indexes; index availability is the paper's canonical source of cost
+* **Indexes** (:mod:`repro.engine.index`): an index is a declaration on a
+  column; index availability is the paper's canonical source of cost
   asymmetry between delta tables.
 * **Physical operators** (:mod:`repro.engine.operators`,
   :mod:`repro.engine.join`, :mod:`repro.engine.aggregate`): scans, filters,
@@ -29,7 +29,7 @@ from repro.engine.types import Column, ColumnType, Schema
 from repro.engine.costmodel import CostModel, OperationCounter
 from repro.engine.table import ModEvent, Table
 from repro.engine.snapshot import Snapshot
-from repro.engine.index import HashIndex, SortedIndex
+from repro.engine.index import Index
 from repro.engine.expr import (
     BinOp,
     ColumnRef,
@@ -56,7 +56,7 @@ __all__ = [
     "EngineError",
     "ExecutionError",
     "Expression",
-    "HashIndex",
+    "Index",
     "JoinSpec",
     "ModEvent",
     "OperationCounter",
@@ -65,7 +65,6 @@ __all__ = [
     "Schema",
     "SchemaError",
     "Snapshot",
-    "SortedIndex",
     "Table",
     "and_",
     "col",

@@ -1,138 +1,23 @@
 """Secondary indexes.
 
-Indexes map a column value to the row ids (version slots) carrying it.
-They index *all* row versions; readers filter by snapshot visibility, so an
-index never needs to be rewound when reading the past.  Dead entries are
-removed eagerly on deletion to keep probe costs proportional to live data.
-
-Two flavours:
-
-* :class:`HashIndex` -- O(1) equality probes; the engine's default and the
-  source of the cheap, near-linear delta-processing cost curves in the
-  paper's Figure 1.
-* :class:`SortedIndex` -- bisect-based, supports equality and range probes;
-  used where ordered access matters (e.g. MIN/MAX recomputation).
+An index is a declaration: :meth:`Table.create_index
+<repro.engine.table.Table.create_index>` records that a column is indexed,
+and from then on every write charges ``index_maintains`` for it and the
+planner may join into the table by index-nested-loop, charging one
+``index_probe`` per outer row.  That charge is the paper's cheap ``R |x|
+dS`` path; what serves the probe is the table's one key map,
+:meth:`~repro.engine.table.Table.versions_by_key`, filtered by visibility
+at the reading snapshot's LSN, the same map a hash join's build side reads.
 """
 
 from __future__ import annotations
 
-import bisect
-from abc import ABC, abstractmethod
-from typing import Any, Hashable, Iterable
-
-from repro.engine.errors import SchemaError
+from dataclasses import dataclass
 
 
-class Index(ABC):
-    """Base class: a mapping from key values to row ids."""
+@dataclass(frozen=True)
+class Index:
+    """The index ``name`` on ``column`` of the table that declared it."""
 
-    def __init__(self, name: str, column: str):
-        if not name:
-            raise SchemaError("index needs a name")
-        self.name = name
-        self.column = column
-
-    @abstractmethod
-    def add(self, key: Hashable, rid: int) -> None:
-        """Register ``rid`` under ``key``."""
-
-    @abstractmethod
-    def remove(self, key: Hashable, rid: int) -> None:
-        """Remove a previously added entry (idempotent)."""
-
-    @abstractmethod
-    def lookup(self, key: Hashable) -> tuple[int, ...]:
-        """Row ids registered under ``key`` (may include invisible versions)."""
-
-    @abstractmethod
-    def __len__(self) -> int:
-        """Total number of entries."""
-
-
-class HashIndex(Index):
-    """Hash map from key to row-id list; O(1) equality lookups."""
-
-    def __init__(self, name: str, column: str):
-        super().__init__(name, column)
-        self._buckets: dict[Hashable, list[int]] = {}
-        self._size = 0
-
-    def add(self, key: Hashable, rid: int) -> None:
-        self._buckets.setdefault(key, []).append(rid)
-        self._size += 1
-
-    def remove(self, key: Hashable, rid: int) -> None:
-        bucket = self._buckets.get(key)
-        if not bucket:
-            return
-        try:
-            bucket.remove(rid)
-        except ValueError:
-            return
-        self._size -= 1
-        if not bucket:
-            del self._buckets[key]
-
-    def lookup(self, key: Hashable) -> tuple[int, ...]:
-        return tuple(self._buckets.get(key, ()))
-
-    def keys(self) -> Iterable[Hashable]:
-        """Distinct keys currently present."""
-        return self._buckets.keys()
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __repr__(self) -> str:
-        return (
-            f"HashIndex({self.name!r}, column={self.column!r}, "
-            f"entries={self._size})"
-        )
-
-
-class SortedIndex(Index):
-    """Sorted list of ``(key, rid)`` pairs; equality and range lookups."""
-
-    def __init__(self, name: str, column: str):
-        super().__init__(name, column)
-        self._entries: list[tuple[Any, int]] = []
-
-    def add(self, key: Hashable, rid: int) -> None:
-        bisect.insort(self._entries, (key, rid))
-
-    def remove(self, key: Hashable, rid: int) -> None:
-        pos = bisect.bisect_left(self._entries, (key, rid))
-        if pos < len(self._entries) and self._entries[pos] == (key, rid):
-            self._entries.pop(pos)
-
-    def lookup(self, key: Hashable) -> tuple[int, ...]:
-        lo = bisect.bisect_left(self._entries, (key, -1))
-        rids = []
-        for k, rid in self._entries[lo:]:
-            if k != key:
-                break
-            rids.append(rid)
-        return tuple(rids)
-
-    def range(self, low: Any, high: Any) -> tuple[tuple[Any, int], ...]:
-        """All ``(key, rid)`` entries with ``low <= key <= high``."""
-        lo = bisect.bisect_left(self._entries, (low, -1))
-        out = []
-        for k, rid in self._entries[lo:]:
-            if k > high:
-                break
-            out.append((k, rid))
-        return tuple(out)
-
-    def first(self) -> tuple[Any, int] | None:
-        """The smallest ``(key, rid)`` entry, or None when empty."""
-        return self._entries[0] if self._entries else None
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __repr__(self) -> str:
-        return (
-            f"SortedIndex({self.name!r}, column={self.column!r}, "
-            f"entries={len(self._entries)})"
-        )
+    name: str
+    column: str

@@ -12,6 +12,10 @@ cost asymmetry:
   ``dR |x| S`` path when ``S`` has no index: its cost curve has exactly
   the ``b + a*k`` shape of Section 3.3.
 
+The asymmetry is in what each charges.  Over a base table both read the
+same structure, the inner snapshot's
+:meth:`~repro.engine.snapshot.Snapshot.keyed` map.
+
 A join's natural output is left columns followed by right columns.  The
 two equi-joins assemble it column by column through one kernel,
 :func:`gather_join`, and only for the columns in ``keep`` -- the ones the
@@ -22,14 +26,14 @@ from __future__ import annotations
 
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Iterator, Mapping, Sequence
+from typing import Hashable, Iterator, Mapping, Sequence
 
 from repro import obs
 from repro.engine.block import DEFAULT_BLOCK_SIZE, RowBlock
 from repro.engine.errors import SchemaError
 from repro.engine.expr import resolve_column
 from repro.engine.operators import Operator, SeqScan, merged_layout
-from repro.engine.snapshot import BuildSide, Snapshot
+from repro.engine.snapshot import Snapshot
 
 
 class IndexNestedLoopJoin(Operator):
@@ -37,7 +41,9 @@ class IndexNestedLoopJoin(Operator):
 
     ``left_column`` names the outer join key (qualified); ``right_column``
     the inner key, which must have an index on ``snapshot``'s table.  Cost:
-    one index probe per outer tuple plus per-match tuple CPU.
+    one index probe per outer tuple plus per-match tuple CPU.  The probe
+    reads the snapshot's :meth:`~repro.engine.snapshot.Snapshot.keyed`
+    map on the inner key.
     """
 
     def __init__(
@@ -70,11 +76,8 @@ class IndexNestedLoopJoin(Operator):
 
     def blocks(self, block_size: int) -> Iterator[RowBlock]:
         pos = self._left_pos
-        lookup = self.snapshot.lookup
-        right_column = self._right_column
-        # One dict fetch per operator, then bare-key probes; ``lookup``
-        # fills the same dict on a miss (and re-reads an empty hit).
-        cached = self.snapshot.probe_cache(right_column).get
+        # Subscript, not ``get``: the map derives a key it lacks.
+        probe = self.snapshot.keyed(self._right_column).__getitem__
         layout = self.layout
         left_kept, right_kept = self._left_kept, self._right_kept
         probes = rows_out = 0
@@ -82,10 +85,7 @@ class IndexNestedLoopJoin(Operator):
             for lblock in self.left.blocks(block_size):
                 probes += len(lblock)
                 self.counter.charge("index_probes", len(lblock))
-                hits = [
-                    cached(key) or lookup(right_column, key)
-                    for key in lblock.column(pos)
-                ]
+                hits = list(map(probe, lblock.column(pos)))
                 joined = gather_join(lblock, hits, left_kept, right_kept, layout)
                 if joined is not None:
                     self.counter.charge("tuple_cpu", len(joined))
@@ -161,6 +161,20 @@ def gather_join(
     return RowBlock.from_columns(columns, layout, length=len(matches))
 
 
+class BuildSide(dict):
+    """A hash table built from an operator input: key -> its rows, in
+    arrival order.
+
+    A key it lacks has no rows, so probe with ``side[key]``, which answers
+    ``()`` for it.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, key: Hashable) -> tuple:
+        return ()
+
+
 class HashJoin(Operator):
     """Equi-join: build a hash table on the right side, stream the left.
 
@@ -170,13 +184,13 @@ class HashJoin(Operator):
     the setup cost ``b`` of the paper's linear cost model.
 
     ``right`` is one of two inputs.  A :class:`SeqScan` of a base table
-    lends its snapshot's retained
-    :meth:`~repro.engine.snapshot.Snapshot.build_side` and is charged
-    the full scan and build that table stands for, so the simulated cost
-    never depends on what the snapshot already held (nor on which
-    buckets a rolled-forward side derives when probed).  Any other
-    operator (a :class:`~repro.engine.operators.RowSource` delta
-    batch) is pulled and hashed here.
+    lends its snapshot's :meth:`~repro.engine.snapshot.Snapshot.keyed`
+    map, the one an index probe reads, and is charged the full scan and
+    build that table stands for, so the simulated cost never depends on
+    what the snapshot already held (nor on which buckets the map derives
+    when probed).  Any other operator (a
+    :class:`~repro.engine.operators.RowSource` delta batch) is pulled and
+    hashed here, into a :class:`BuildSide`.
     """
 
     def __init__(
@@ -195,16 +209,15 @@ class HashJoin(Operator):
         )
         self._left_pos = resolve_column(left_column, left.layout)
         right_pos = resolve_column(right_column, right.layout)
-        self._table = BuildSide()
-        build_rows = 0
-        table = self._table
         if isinstance(right, SeqScan):
             build_rows = right.charge_full_scan()
             self.counter.charge("hash_builds", build_rows)
-            self._table = right.snapshot.build_side(
+            self._table = right.snapshot.keyed(
                 right.snapshot.schema.names[right_pos]
             )
         else:
+            build_rows = 0
+            table = self._table = BuildSide()
             for rblock in right.blocks(block_size):
                 build_rows += len(rblock)
                 self.counter.charge("hash_builds", len(rblock))
@@ -217,7 +230,7 @@ class HashJoin(Operator):
 
     def blocks(self, block_size: int) -> Iterator[RowBlock]:
         pos = self._left_pos
-        # Subscript, not ``get``: a rolled side derives what it lacks.
+        # Subscript, not ``get``: a keyed map derives what it lacks.
         probe = self._table.__getitem__
         layout = self.layout
         left_kept, right_kept = self._left_kept, self._right_kept

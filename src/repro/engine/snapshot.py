@@ -10,10 +10,11 @@ Snapshots outlive the query that asked for them: a table retains the most
 recent one it handed out (:meth:`Table.snapshot
 <repro.engine.table.Table.snapshot>`), hands it out again for the same LSN,
 and a snapshot at a later LSN inherits the retained one's row count and
-hash-join build sides instead of re-scanning the table: the buckets the
-``ModLog`` window between the two LSNs touched are dropped, and a probe
-that asks for one derives it from the table's key map.  What a snapshot
-reads never changes after it is handed out.
+keyed maps (:class:`KeyedRows`, one per column a join has read by key)
+instead of re-reading the table: the keys the ``ModLog`` window between
+the two LSNs touched are dropped, and a probe that asks for one derives
+it from the table's key map.  What a snapshot reads never changes after
+it is handed out.
 """
 
 from __future__ import annotations
@@ -49,43 +50,39 @@ def _visible_values(
     ]
 
 
-class BuildSide(dict):
-    """A hash-join table: key -> the rows with that key, in version order.
+class KeyedRows(dict):
+    """One column of a snapshot by key: key -> the rows visible at the
+    snapshot's LSN with that key, in version order.
 
-    A key it lacks has no rows, so probe with ``side[key]`` (which answers
-    ``()`` for it) rather than ``side.get``, which would skip a rolled
-    side's derivation.  Callers must not mutate it.
-    """
-
-    __slots__ = ()
-
-    def __missing__(self, key: Hashable) -> tuple:
-        return ()
-
-
-class _RolledSide(BuildSide):
-    """A build side inherited through a log window.
-
-    It holds the retained side's buckets minus every key the window
-    touched; the first probe for a key it lacks derives that bucket --
-    the key's versions visible at ``lsn``, from the table's
-    :meth:`~repro.engine.table.Table.versions_by_key` map -- and keeps it.
-    Untouched buckets are shared with the side it was rolled from.
+    What both joins read: an index-nested-loop join probes it once per
+    outer row, and a hash join over a table scan takes it as its build
+    side.  It starts empty, or with the buckets of the retained snapshot's
+    map that the log window did not touch (shared, not copied).  The first
+    probe for a key it lacks derives that bucket -- the key's versions in
+    the table's :meth:`~repro.engine.table.Table.versions_by_key` map,
+    filtered by visibility -- and keeps it; a key with no visible rows
+    answers an empty list.  Probe with ``rows[key]``, not ``get``, which
+    would skip the derivation.  Callers must not mutate it.
     """
 
     __slots__ = ("_table", "_lsn", "_column")
 
-    def __init__(self, side: BuildSide, table: "Table", lsn: int, column: str):
-        super().__init__(side)
+    def __init__(
+        self,
+        table: "Table",
+        lsn: int,
+        column: str,
+        buckets: dict[Hashable, list[tuple]] | None = None,
+    ):
+        super().__init__(buckets or ())
         self._table = table
         self._lsn = lsn
         self._column = column
 
-    def __missing__(self, key: Hashable) -> list[tuple] | tuple:
+    def __missing__(self, key: Hashable) -> list[tuple]:
         table = self._table
         versions = table.versions_by_key(self._column).get(key, ())
-        # A key with no visible rows keeps the answer a built side gives.
-        rows = self[key] = _visible_values(table, self._lsn, versions) or ()
+        rows = self[key] = _visible_values(table, self._lsn, versions)
         obs.counter("engine.snapshot.derived_keys")
         return rows
 
@@ -106,43 +103,43 @@ class Snapshot:
         self._visible: list[tuple] | None = None
         #: column -> its values over ``_visible``, in row order (scans).
         self._columns: dict[str, list] = {}
-        #: column -> key -> visible rows with that key (index probes).
-        self._lookup_cache: dict[str, dict[Hashable, list[tuple]]] = {}
-        #: column -> key -> visible rows in version order (hash-join builds).
-        self._build_sides: dict[str, BuildSide] = {}
+        #: column -> its :class:`KeyedRows` (index probes, hash-join builds).
+        self._keyed: dict[str, KeyedRows] = {}
         if retained is not None:
             self._roll_forward(retained)
 
     def _roll_forward(self, retained: "Snapshot") -> None:
-        """Inherit ``retained``'s count and build sides through the ModLog.
+        """Inherit ``retained``'s count and keyed maps through the ModLog.
 
-        One pass over the window's two image columns: the count moves by
-        its inserts and deletes, and each build side is copied without the
-        keys the window touched, which :class:`_RolledSide` derives when a
-        probe asks.  Nothing is inherited -- and :meth:`build_side` builds
-        from :meth:`row_list` -- when ``retained`` is at a later LSN, when
-        the log window between the two was truncated, or when the window
-        is longer than the table (it would leave little to share).
+        One pass over the window's two image columns: the count, if
+        ``retained`` knew it, moves by the window's inserts and deletes,
+        and each keyed map is copied without the keys the window touched,
+        which a probe then derives.  Nothing is inherited -- every map
+        starts empty -- when ``retained`` is at a later LSN, when the log
+        window between the two was truncated, or when the window is longer
+        than the table (it would leave little to share).
         """
-        sides = retained._build_sides
+        table = self.table
+        count = retained._count
         span = self.lsn - retained.lsn
         if (
-            not sides
+            (count is None and not retained._keyed)
             or span < 0
-            or retained.lsn < self.table.history.truncated_lsn
-            or span > retained._count
+            or retained.lsn < table.history.truncated_lsn
+            or span > table.live_count
         ):
             return
-        olds, news = self.table.history.columns(retained.lsn, self.lsn)
-        # An insert has no before-image, a delete no after-image.
-        self._count = retained._count + olds.count(None) - news.count(None)
-        schema = self.table.schema
-        for column, side in sides.items():
-            rolled = self._build_sides[column] = _RolledSide(
-                side, self.table, self.lsn, column
+        olds, news = table.history.columns(retained.lsn, self.lsn)
+        if count is not None:
+            # An insert has no before-image, a delete no after-image.
+            self._count = count + olds.count(None) - news.count(None)
+        for column, keyed in retained._keyed.items():
+            rolled = self._keyed[column] = KeyedRows(
+                table, self.lsn, column, keyed
             )
             images = filter(None, chain(olds, news))
-            for key in set(map(itemgetter(schema.position(column)), images)):
+            pos = table.schema.position(column)
+            for key in set(map(itemgetter(pos), images)):
                 rolled.pop(key, None)
 
     @property
@@ -197,57 +194,34 @@ class Snapshot:
             self.row_list()
         return self._count
 
-    def build_side(self, column: str) -> BuildSide:
-        """The hash-join table on ``column``: key -> visible rows, in
-        version order.
-
-        Either inherited from the table's previously retained snapshot
-        (see :meth:`_roll_forward`) or built here from :meth:`row_list`;
-        kept with the snapshot either way.  Probe it with ``side[key]``.
-        """
-        side = self._build_sides.get(column)
-        if side is None:
-            pos = self.schema.position(column)
-            side = self._build_sides[column] = BuildSide()
-            for row in self.row_list():
-                side.setdefault(row[pos], []).append(row)
-        return side
-
-    def probe_cache(self, column: str) -> dict[Hashable, list[tuple]]:
-        """Index-probe results on ``column`` found so far, by key.
-
-        Join operators fetch this once and probe it with the bare key,
-        calling :meth:`lookup` (which fills it) only on a miss.
-        """
-        cache = self._lookup_cache.get(column)
-        if cache is None:
-            cache = self._lookup_cache[column] = {}
-        return cache
+    def keyed(self, column: str) -> KeyedRows:
+        """This snapshot's :class:`KeyedRows` on ``column``, made empty the
+        first time a join asks (unless rolled forward) and kept with the
+        snapshot across queries: the one map both joins probe."""
+        rows = self._keyed.get(column)
+        if rows is None:
+            self.schema.position(column)  # raises before a map is kept
+            rows = self._keyed[column] = KeyedRows(self.table, self.lsn, column)
+        return rows
 
     def lookup(self, column: str, key: Hashable) -> list[tuple]:
-        """Visible rows with ``column == key`` via an index, if one exists.
+        """Visible rows with ``column == key``, through the index on it.
 
         Raises ``LookupError`` if no index covers ``column``; operators use
         :meth:`has_index` to decide between index and scan access paths.
-        The result is kept for as long as the snapshot is, across queries.
-        Callers must not mutate the returned list.
+        A key with no rows, of any type, answers ``[]``.  The answer is
+        :meth:`keyed`'s bucket, kept as long as the snapshot is.  Callers
+        must not mutate the returned list.
         """
-        cache = self.probe_cache(column)
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-        index = self.table.index_on(column)
-        if index is None:
+        if not self.has_index(column):
             raise LookupError(f"no index on {self.name}.{column}")
-        versions = map(self.table._versions.__getitem__, index.lookup(key))
-        out = cache[key] = _visible_values(self.table, self.lsn, versions)
-        return out
+        return self.keyed(column)[key]
 
     def has_index(self, column: str) -> bool:
         """Whether an index-assisted lookup on ``column`` is available.
 
-        Indexes are version-aware (dead versions stay indexed and are
-        filtered by visibility), so index access works at any snapshot LSN.
+        An index reads the table's key map of every stored version, filtered
+        by visibility, so index access works at any snapshot LSN.
         """
         return self.table.index_on(column) is not None
 

@@ -25,8 +25,8 @@ modification as a record.
 Writes are batches (:meth:`Table.insert_rows`, :meth:`Table.update_rids`,
 :meth:`Table.delete_rids`): every row of a batch still takes its own LSN,
 and what is charged is the sum over its rows, but values are validated a
-column at a time and the counter, the indexes and the log are each visited
-once.  The single-row methods are batches of one.
+column at a time and the counter, the key maps and the log are each
+visited once.  The single-row methods are batches of one.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import (
 from repro import obs
 from repro.engine.costmodel import OperationCounter
 from repro.engine.errors import ExecutionError, SchemaError
-from repro.engine.index import HashIndex, Index, SortedIndex
+from repro.engine.index import Index
 from repro.engine.snapshot import Snapshot
 from repro.engine.types import Schema
 
@@ -354,7 +354,6 @@ class Table:
         #: The single shared modification log; delta tables window into it.
         self.history = ModLog()
         self.indexes: dict[str, Index] = {}
-        self._index_on_cache: dict[str, Index | None] = {}
         #: The most recent snapshot handed out (at most one per table).
         self._retained: Snapshot | None = None
         #: Snapshots below this LSN lost versions to :meth:`vacuum`.
@@ -395,66 +394,46 @@ class Table:
     # Indexing
     # ------------------------------------------------------------------
 
-    def create_index(self, column: str, kind: str = "hash", name: str | None = None) -> Index:
-        """Create (and backfill) a secondary index on ``column``."""
-        pos = self.schema.position(column)
-        index_name = name or f"{self.name}_{column}_{kind}"
+    def create_index(self, column: str, name: str | None = None) -> Index:
+        """Declare an index on ``column``.
+
+        Charges one ``index_maintains`` per stored version, the backfill an
+        index stands for, and builds the column's key map
+        (:meth:`versions_by_key`) here, so that work is set-up too.
+        """
+        index_name = name or f"{self.name}_{column}_idx"
         if index_name in self.indexes:
             raise SchemaError(f"index {index_name!r} already exists")
-        if kind == "hash":
-            index: Index = HashIndex(index_name, column)
-        elif kind == "sorted":
-            index = SortedIndex(index_name, column)
-        else:
-            raise SchemaError(f"unknown index kind {kind!r}")
-        # Backfill every version (not just live ones) so snapshots taken at
-        # any LSN can use the index.
-        for rid, v in enumerate(self._versions):
-            index.add(v.values[pos], rid)
+        self.versions_by_key(column)
         self.counter.charge("index_maintains", len(self._versions))
-        self.indexes[index_name] = index
-        self._index_on_cache.clear()
+        index = self.indexes[index_name] = Index(index_name, column)
         return index
 
     def index_on(self, column: str) -> Index | None:
-        """Any index whose key is ``column`` (hash preferred), else None.
-
-        Resolution is cached per column (joins probe this once per lookup);
-        :meth:`create_index` and :meth:`vacuum` invalidate the cache.
-        """
-        try:
-            return self._index_on_cache[column]
-        except KeyError:
-            pass
-        hash_hit = None
-        sorted_hit = None
+        """The first index declared on ``column``, else None."""
         for index in self.indexes.values():
             if index.column == column:
-                if isinstance(index, HashIndex):
-                    hash_hit = index
-                else:
-                    sorted_hit = index
-        # Explicit None test: indexes define __len__, so an *empty* hash
-        # index is falsy and `or` would wrongly skip it.
-        hit = hash_hit if hash_hit is not None else sorted_hit
-        self._index_on_cache[column] = hit
-        return hit
+                return index
+        return None
 
     def versions_by_key(self, column: str) -> dict[Hashable, list[RowVersion]]:
         """Every stored version, live and dead, grouped by its ``column``
         value, each group in slot (version) order.
 
-        What a rolled-forward hash-join build side derives a bucket from
-        (:class:`~repro.engine.snapshot.Snapshot`).  It is not an index:
-        nothing charges for it, and :meth:`index_on` -- so the planner's
-        access-path choice -- never sees it.  Made by one pass over the
-        versions the first time a column is asked for, extended by every
-        write, dropped by :meth:`vacuum`.  Callers must not mutate it.
+        The one key -> versions structure: every
+        :class:`~repro.engine.snapshot.KeyedRows` -- an index probe's or a
+        hash join's -- derives its buckets from it.  Nothing charges for
+        it; an index is a declaration (:meth:`create_index`) that decides
+        what is charged and which join the planner picks.  Made by one pass
+        over the versions the first time a column is asked for, extended
+        by every write, dropped by :meth:`vacuum`.  Callers must not
+        mutate it.
         """
         key_map = self._key_maps.get(column)
         if key_map is None:
+            pos = self.schema.position(column)  # before a map is stored
             key_map = self._key_maps[column] = {}
-            _group(key_map, self.schema.position(column), self._versions)
+            _group(key_map, pos, self._versions)
         return key_map
 
     # ------------------------------------------------------------------
@@ -466,7 +445,7 @@ class Table:
     # :meth:`_commit`; a single-row method is its batch of one.  A bad
     # value or width therefore changes nothing.  A row id that is out of
     # range or not live at its turn raises after the rows before it were
-    # written -- versions, ``live_count``, indexes, LSN, log and counter
+    # written -- versions, ``live_count``, key maps, LSN, log and counter
     # all at that prefix, as if each had been a call of its own.
 
     def insert_rows(self, rows: Iterable[Sequence[Any]]) -> range:
@@ -542,8 +521,8 @@ class Table:
     def _commit(
         self, olds: list[tuple | None], news: list[tuple | None]
     ) -> range:
-        """The tail every write shares: take the LSNs, charge, maintain the
-        indexes and log a batch whose versions are already in place.
+        """The tail every write shares: take the LSNs, charge, extend the
+        key maps and log a batch whose versions are already in place.
 
         The versions the batch created are the heap's last, in batch
         order.  Charges are per batch and equal to the sum over its rows:
@@ -561,22 +540,11 @@ class Table:
         self._live_count += created - deleted
         charge = self.counter.charge
         charge("row_writes", writes)
-        indexes = self.indexes
-        if indexes:
-            # Indexes are version-aware: dead versions stay indexed and
-            # readers filter by snapshot visibility, so historical probes
-            # remain exact and only a new version needs an entry.  Marking
-            # the tombstone still costs index maintenance work.
-            charge("index_maintains", writes * len(indexes))
-            rows = (
-                news if created == count
-                else [row for row in news if row is not None]
-            )
-            slot = len(self._versions) - created
-            for index in indexes.values():
-                pos = self.schema.position(index.column)
-                for rid, row in enumerate(rows, slot):
-                    index.add(row[pos], rid)
+        if self.indexes:
+            # Both images of every modification cost index maintenance,
+            # though the key maps below only gain the new versions: dead
+            # ones stay and readers filter them by visibility.
+            charge("index_maintains", writes * len(self.indexes))
         if self._key_maps and created:
             versions = self._versions[-created:]
             for column, key_map in self._key_maps.items():
@@ -624,9 +592,8 @@ class Table:
 
         The most recent snapshot is retained: asking for the same LSN
         again returns it, with whatever it has materialized (visible rows,
-        probe cache, hash-join build sides), and a snapshot at a later LSN
-        rolls its build sides forward through :attr:`history` instead of
-        rebuilding them.  LSNs :meth:`vacuum` reclaimed versions of raise.
+        keyed maps), and a snapshot at a later LSN rolls its keyed maps
+        forward through :attr:`history` instead of re-deriving them.  LSNs :meth:`vacuum` reclaimed versions of raise.
         """
         at = self._lsn if lsn is None else lsn
         if at < 0 or at > self._lsn:
@@ -667,8 +634,7 @@ class Table:
         """Reclaim dead row versions no snapshot at or after ``before_lsn``
         can see; returns the number of versions removed.
 
-        Compaction **renumbers row ids** and rebuilds every index, so any
-        externally held rid (e.g. an update stream's victim list) becomes
+        Compaction **renumbers row ids**, so any externally held rid (e.g. an update stream's victim list) becomes
         invalid -- vacuum between workload phases, not during one.  History
         is *not* trimmed: delta tables window over it by LSN, which this
         operation does not disturb.  ``before_lsn`` defaults to the current
@@ -677,6 +643,7 @@ class Table:
         once versions are reclaimed, :meth:`snapshot` below the watermark
         raises, so does any read a snapshot held from below it had not
         made yet, and the retained snapshot and the key maps are dropped.
+        Each survivor is charged as rewritten and, per index, re-indexed.
         """
         watermark = self._lsn if before_lsn is None else before_lsn
         if not 0 <= watermark <= self._lsn:
@@ -696,13 +663,9 @@ class Table:
         self._retained = None
         self._key_maps.clear()
         self.counter.charge("row_writes", len(survivors))
-        self._index_on_cache.clear()
-        # Rebuild every index against the surviving versions.
-        for index_name, old_index in list(self.indexes.items()):
-            column = old_index.column
-            kind = "hash" if isinstance(old_index, HashIndex) else "sorted"
-            del self.indexes[index_name]
-            self.create_index(column, kind=kind, name=index_name)
+        self.counter.charge(
+            "index_maintains", len(survivors) * len(self.indexes)
+        )
         return reclaimed
 
     # ------------------------------------------------------------------

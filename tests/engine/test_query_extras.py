@@ -190,6 +190,21 @@ class TestVacuum:
         assert emp.version_count() == 5
         assert emp.live_count == 5
 
+    def test_charges_a_write_per_survivor_and_a_maintain_per_index(
+        self, toy_db
+    ):
+        emp = toy_db.table("emp")
+        emp.create_index("deptno")
+        emp.create_index("name")
+        for rid in emp.find_rids(lambda r: r[2] == 10):
+            emp.update_rid(rid, {"salary": 1.0})
+        before = emp.counter.snapshot()
+        assert emp.vacuum() == 2
+        # Five versions survive; each is rewritten and re-indexed twice.
+        assert emp.counter.since(before) == {
+            "row_writes": 5, "index_maintains": 10,
+        }
+
     def test_index_still_correct_after_vacuum(self, toy_db):
         emp = toy_db.table("emp")
         emp.create_index("deptno")
@@ -258,10 +273,12 @@ class TestVacuum:
         db = Database()
         t = db.create_table("t", Schema.of(k=ColumnType.INT, v=ColumnType.STR))
         t.insert_rows([(1, "a"), (2, "b")])
-        t.snapshot().build_side("k")
+        first = t.snapshot().keyed("k")
+        assert (first[1], first[2]) == ([(1, "a")], [(2, "b")])
         t.update_rids([0, 1], {"v": ["y", "z"]})
         held = t.snapshot()
-        side = held.build_side("k")
+        side = held.keyed("k")
+        assert side == {}  # rolled: both keys were touched
         assert side[2] == [(2, "z")]
         t.update_rids([2], {"v": ["w"]})
         assert t.vacuum() == 3
@@ -274,12 +291,13 @@ class TestVacuum:
         rid = emp.find_rids(lambda r: r[1] == "alice")[0]
         emp.update_rid(rid, {"salary": 1.0})
         held = emp.snapshot()
-        held.build_side("deptno")
+        kept = held.keyed("deptno")
+        assert [row[1] for row in kept[10]] == ["bob", "alice"]
         assert emp.vacuum() == 1
         fresh = emp.snapshot()
         assert fresh is not held
-        assert fresh._build_sides == {}
-        assert fresh.build_side("deptno") == held.build_side("deptno")
+        assert fresh._keyed == {}
+        assert fresh.keyed("deptno")[10] == kept[10]
 
     def test_vacuum_noop_on_clean_table(self, toy_db):
         assert toy_db.table("emp").vacuum() == 0

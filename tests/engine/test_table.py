@@ -4,6 +4,7 @@ import pytest
 
 from repro import obs
 from repro.engine.errors import ExecutionError, SchemaError
+from repro.engine.index import Index
 from repro.engine.snapshot import Snapshot
 from repro.engine.table import Table
 from repro.engine.types import ColumnType, Schema
@@ -141,21 +142,25 @@ class TestRetainedSnapshots:
     def test_build_side_groups_rows_in_version_order(self, table):
         for row in [(1, "a"), (2, "b"), (1, "c")]:
             table.insert(row)
-        side = table.snapshot().build_side("k")
+        side = table.snapshot().keyed("k")
+        assert side == {}  # nothing is derived before a probe asks
+        assert side[1] == [(1, "a"), (1, "c")]
+        assert side[2] == [(2, "b")]
         assert side == {1: [(1, "a"), (1, "c")], 2: [(2, "b")]}
-        assert table.snapshot().build_side("k") is side
+        assert table.snapshot().keyed("k") is side
 
     def test_later_snapshot_rolls_the_build_side_forward(self, table):
         for row in [(1, "a"), (2, "b"), (1, "c"), (3, "d")]:
             table.insert(row)
         old = table.snapshot()
-        old_side = old.build_side("k")
-        before = {key: list(rows) for key, rows in old_side.items()}
+        assert old.count() == 4
+        old_side = old.keyed("k")
+        before = {key: list(old_side[key]) for key in (1, 2, 3)}
         table.update_rid(0, {"v": "z"})  # (1, a) -> (1, z), now last of key 1
         table.delete_rid(3)  # key 3 empties
         table.insert((4, "e"))
         new = table.snapshot()
-        side = new.build_side("k")
+        side = new.keyed("k")
         # Inherited, not rebuilt: the visible-row list was never made, and
         # the keys the window touched are gone until a probe asks.
         assert new._visible is None
@@ -165,10 +170,10 @@ class TestRetainedSnapshots:
             probed = {key: side[key] for key in (1, 2, 3, 4, 5)}
         derived = recorder.registry.snapshot()["engine.snapshot.derived_keys"]
         assert derived["value"] == 4  # 1, 3, 4 and the absent 5; 2 was kept
-        direct = Snapshot(table, new.lsn).build_side("k")
+        direct = Snapshot(table, new.lsn).keyed("k")
         assert probed == {key: direct[key] for key in probed}
         assert probed[1] == [(1, "c"), (1, "z")]
-        assert probed[3] == probed[5] == ()
+        assert probed[3] == probed[5] == []
         assert new.count() == len(new.row_list())
         # Derived once: a second probe reads the stored bucket.
         assert side[1] is probed[1]
@@ -180,10 +185,12 @@ class TestRetainedSnapshots:
     def test_duplicate_rows_roll_exactly(self, table):
         for row in [(1, "x"), (1, "y"), (1, "x")]:
             table.insert(row)
-        table.snapshot().build_side("k")
+        old = table.snapshot()
+        assert old.count() == 3
+        assert old.keyed("k")[1] == [(1, "x"), (1, "y"), (1, "x")]
         table.delete_rid(2)  # the *second* (1, x); values alone cannot say so
         new = table.snapshot()
-        assert new.build_side("k")[1] == [(1, "x"), (1, "y")]
+        assert new.keyed("k")[1] == [(1, "x"), (1, "y")]
         assert new._visible is None
         assert new.count() == 2
 
@@ -192,25 +199,20 @@ class TestRetainedSnapshots:
     ):
         for row in [(1, "a"), (2, "b")]:
             table.insert(row)
-        table.snapshot().build_side("k")
+        first = table.snapshot().keyed("k")
+        assert (first[1], first[2]) == ([(1, "a")], [(2, "b")])
         table.update_rid(0, {"v": "z"})  # (1, a) -> (1, z) at slot 2
         held = table.snapshot()
-        side = held.build_side("k")
+        side = held.keyed("k")
         assert 1 not in side
+        assert side[2] is first[2]
         table.update_rid(2, {"v": "w"})  # (1, z) -> (1, w)
         table.insert((1, "c"))
         table.delete_rid(1)  # (2, b) dies
-        table.snapshot().build_side("k")  # a later roll shares nothing back
+        table.snapshot().keyed("k")  # a later roll shares nothing back
         assert side[1] == [(1, "z")]
         assert side[2] == [(2, "b")]
-        assert side[3] == ()
-
-    def test_a_miss_on_a_side_built_whole_makes_no_key_map(self, table):
-        table.insert((1, "a"))
-        side = table.snapshot().build_side("k")
-        assert side[9] == ()
-        assert 9 not in side
-        assert table._key_maps == {}
+        assert side[3] == []
 
 
 class TestIndexedSnapshots:
@@ -243,27 +245,58 @@ class TestIndexedSnapshots:
         assert table.snapshot(lsn).lookup("k", 1) == [(1, "a")]
         assert table.snapshot().lookup("k", 1) == []
 
+    def test_lookup_of_a_key_of_another_type_answers_empty(self, table):
+        table.create_index("k")
+        table.insert((1, "a"))
+        snap = table.snapshot()
+        assert snap.lookup("k", "1") == []
+        assert snap.lookup("k", None) == []
+        assert snap.lookup("k", 1) == [(1, "a")]
+
     def test_lookup_without_index_raises(self, table):
         table.insert((1, "a"))
         with pytest.raises(LookupError):
             table.snapshot().lookup("v", "a")
         assert not table.snapshot().has_index("v")
 
+    def test_unknown_column_leaves_the_table_writable(self, table):
+        with pytest.raises(SchemaError):
+            table.create_index("nope")
+        with pytest.raises(SchemaError):
+            table.snapshot().keyed("nope")
+        table.insert((1, "a"))
+        assert table.indexes == {}
+        assert table.snapshot().keyed("k")[1] == [(1, "a")]
+
     def test_duplicate_index_rejected(self, table):
         table.create_index("k")
         with pytest.raises(SchemaError, match="already exists"):
             table.create_index("k")
 
-    def test_index_on_prefers_hash(self, table):
-        sorted_idx = table.create_index("k", kind="sorted")
-        hash_idx = table.create_index("k", kind="hash", name="k_hash")
-        assert table.index_on("k") is hash_idx
+    def test_index_is_a_declaration(self, table):
+        table.insert((1, "a"))
+        index = table.create_index("k")
+        assert index == Index("t_k_idx", "k")
+        assert table.indexes == {"t_k_idx": index}
+        assert table.index_on("k") is index
         assert table.index_on("v") is None
-        assert sorted_idx.name == "t_k_sorted"
+        # The key map it reads is built with it, as set-up.
+        assert table._key_maps == {"k": {1: [table.version(0)]}}
 
-    def test_unknown_index_kind(self, table):
-        with pytest.raises(SchemaError, match="unknown index kind"):
-            table.create_index("k", kind="btree")
+    def test_index_probes_roll_forward_sharing_untouched_buckets(self, table):
+        table.create_index("k")
+        table.insert_rows([(key, str(key)) for key in range(5)])
+        old = table.snapshot()
+        before = {key: old.lookup("k", key) for key in range(5)}
+        table.update_rid(2, {"k": 7})  # key 2 loses its row, key 7 gains it
+        new = table.snapshot()
+        with obs.recording() as recorder:
+            after = {key: new.lookup("k", key) for key in range(5)}
+        derived = recorder.registry.snapshot()["engine.snapshot.derived_keys"]
+        assert derived["value"] == 1  # key 2, the only one touched and probed
+        assert all(after[key] is before[key] for key in (0, 1, 3, 4))
+        assert (before[2], after[2]) == ([(2, "2")], [])
+        assert new.lookup("k", 7) == [(7, "2")]
 
 
 class TestCostCharging:
@@ -272,3 +305,12 @@ class TestCostCharging:
         table.insert((1, "a"))
         table.update_rid(0, {"v": "b"})
         assert table.counter.row_writes == before + 3  # 1 insert + 2 update
+
+    def test_create_index_charges_one_maintain_per_stored_version(self, table):
+        table.insert_rows([(1, "a"), (2, "b"), (3, "c")])
+        table.update_rid(0, {"v": "z"})
+        table.delete_rid(1)
+        before = table.counter.snapshot()
+        table.create_index("k")
+        # Four versions stored, two of them dead: each is charged.
+        assert table.counter.since(before) == {"index_maintains": 4}

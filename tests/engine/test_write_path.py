@@ -24,6 +24,7 @@ from repro import obs
 from repro.engine.costmodel import OperationCounter
 from repro.engine.database import Database
 from repro.engine.errors import ExecutionError, SchemaError
+from repro.engine.snapshot import Snapshot
 from repro.engine.table import ModEvent, ModLog, Table
 from repro.engine.types import ColumnType, Schema
 from repro.tpcr.gen import load_tpcr
@@ -44,8 +45,8 @@ def make_table(indexes=()) -> Table:
     )
     # Four-modification chunks, so batches straddle chunk boundaries.
     table.history = ModLog(chunk_size=4)
-    for column, kind in indexes:
-        table.create_index(column, kind=kind)
+    for column in indexes:
+        table.create_index(column)
     return table
 
 
@@ -184,12 +185,7 @@ def resolve(model: Model, op: str, rid_picks) -> list[int]:
     return rids
 
 
-INDEX_CHOICES = [
-    (),
-    (("k", "hash"),),
-    (("a", "sorted"),),
-    (("k", "hash"), ("a", "sorted")),
-]
+INDEX_CHOICES = [(), ("k",), ("a",), ("k", "a")]
 
 
 @given(
@@ -251,21 +247,28 @@ def test_batches_equal_the_row_by_row_model(indexes, script, windows):
             "insert" if old is None else "delete" if new is None else "update"
             for old, new in model.log[lo:hi]
         ]
-    for column, _ in indexes:
-        pos = COLUMNS.index(column)
-        for lsn in {0, top // 3, top // 2, top}:
-            snapshot = table.snapshot(lsn)
-            visible = model.rows_at(lsn)
-            for key in {values[pos] for values, _, _ in model.versions}:
-                assert snapshot.lookup(column, key) == [
-                    row for row in visible if row[pos] == key
-                ]
+    # Both join reads, for every column, indexed or not: a fresh
+    # snapshot, one held while later ones are taken, and one rolled
+    # forward from the snapshot the table retained before it.
+    keys = {value for values, _, _ in model.versions for value in values}
+    held = table.snapshot(top // 3)
+    for lsn in (0, top // 3, top // 2, top):
+        fresh = Snapshot(table, lsn)
+        rolled = table.snapshot(lsn)
+        for snapshot in (fresh, rolled, held):
+            visible = model.rows_at(snapshot.lsn)
+            for pos, column in enumerate(COLUMNS):
+                for key in keys:
+                    expected = [row for row in visible if row[pos] == key]
+                    assert snapshot.keyed(column)[key] == expected
+                    if column in indexes:
+                        assert snapshot.lookup(column, key) == expected
     charged = table.counter.snapshot()
     assert {f: n for f, n in charged.items() if n} == model.charges()
 
 
 def test_single_row_methods_are_batches_of_one():
-    one, many = make_table((("k", "hash"),)), make_table((("k", "hash"),))
+    one, many = make_table(("k",)), make_table(("k",))
     events = [
         one.insert((1, 2, 3)),
         one.insert((4, 5, 6.5)),
@@ -295,14 +298,20 @@ def state(table: Table):
         table.live_count,
         [(v.values, v.xmin, v.xmax)
          for v in map(table.version, range(table.version_count()))],
-        {name: len(index) for name, index in table.indexes.items()},
+        {
+            index.column: {
+                key: [(v.values, v.xmin, v.xmax) for v in versions]
+                for key, versions in table.versions_by_key(index.column).items()
+            }
+            for index in table.indexes.values()
+        },
         table.counter.snapshot(),
     )
 
 
 @pytest.fixture
 def table():
-    t = make_table((("k", "hash"),))
+    t = make_table(("k",))
     t.insert_rows([(i, 10 * i, float(i)) for i in range(4)])
     t.delete_rid(2)
     return t
@@ -310,7 +319,7 @@ def table():
 
 class TestFailedBatch:
     def test_dead_rid_leaves_the_prefix_as_single_calls_would(self, table):
-        reference = make_table((("k", "hash"),))
+        reference = make_table(("k",))
         reference.insert_rows([(i, 10 * i, float(i)) for i in range(4)])
         reference.delete_rid(2)
         reference.update_rid(0, {"k": 100})
@@ -567,7 +576,7 @@ def test_counter_is_charged_once_per_field_per_batch():
         "t", Schema.of(k=ColumnType.INT, a=ColumnType.INT), Counting()
     )
     table.create_index("k")
-    table.create_index("a", kind="sorted")
+    table.create_index("a")
     Counting.calls = 0
     table.insert_rows([(i, i) for i in range(50)])
     table.update_rids(list(range(50)), {"a": list(range(50))})

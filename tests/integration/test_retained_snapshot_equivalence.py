@@ -1,9 +1,9 @@
 """Differential: retained snapshots change wall time and nothing else.
 
 A table keeps the last :class:`~repro.engine.snapshot.Snapshot` it handed
-out, hands it out again for the same LSN and rolls its hash-join build
-sides forward through the ``ModLog`` for a later one, deriving a touched
-bucket when a probe asks for it.  The simulated charge for a build is
+out, hands it out again for the same LSN and rolls its keyed maps (what
+index probes and hash-join builds read) forward through the ``ModLog`` for
+a later one, deriving a touched bucket when a probe asks for it.  The simulated charge for a build is
 made as if the table were scanned and hashed every time, so the cost
 tables -- the experiment observable -- must not be able to tell.  These
 tests run the paper's view under the paper's update mix twice on
@@ -13,7 +13,7 @@ before snapshots were retained), and require the same charges after
 every flush, the same view, and the same per-operator profiles.
 
 The normal leg must be *non-vacuous* (it really reuses and really rolls),
-and each reason a build side cannot roll falls through to a plain build.
+and for each reason a keyed map cannot roll, it starts empty instead.
 """
 
 from __future__ import annotations
@@ -116,13 +116,14 @@ class TestPaperViewEquivalence:
             without_wall(p) for p in ref_profiles
         ]
         # Non-vacuity: the normal leg reused and rolled, the reference
-        # leg could do neither.  Every S-flush after the first derives one
-        # bucket, the updated supplier's (the PS updates since the last
-        # S-flush touched it), and both halves of the flush probe it.
+        # leg could do neither and derives every key it probes afresh at
+        # every query.  The normal leg derives only what the log touched
+        # or no query had probed yet: partsupp's bucket of the updated
+        # supplier at each S-flush, and a few supplier and nation keys.
         assert metrics["engine.snapshot.reused"]["value"] > 0
-        assert metrics["engine.snapshot.derived_keys"]["value"] == STEPS - 1
+        assert metrics["engine.snapshot.derived_keys"]["value"] == 11
         assert "engine.snapshot.reused" not in ref_metrics
-        assert "engine.snapshot.derived_keys" not in ref_metrics
+        assert ref_metrics["engine.snapshot.derived_keys"]["value"] == 457
         for name in ("engine.join.hash.build_rows", "engine.scan.rows_out",
                      "engine.scan.scans", "engine.scan.pages"):
             assert metrics[name] == ref_metrics[name]
@@ -148,7 +149,7 @@ class TestPaperViewEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Fall-through: what cannot roll is built from the visible rows
+# Fall-through: what cannot roll starts empty
 # ----------------------------------------------------------------------
 
 FACT_JOIN = QuerySpec(
@@ -176,7 +177,7 @@ def fact_db(rows: int) -> Database:
 
 def query_at(db: Database, lsn: int):
     """Run the join reading ``fact`` at ``lsn``; returns (rows, charges,
-    build-side buckets derived while doing so)."""
+    keyed-map buckets derived while doing so)."""
     before = db.counter.snapshot()
     with obs.recording() as recorder:
         rows = db.execute(FACT_JOIN, snapshot_lsns={"F": lsn}).rows
@@ -188,12 +189,17 @@ def query_at(db: Database, lsn: int):
 
 
 def expect_plain_build(db: Database, lsn: int) -> None:
-    """A query at ``lsn`` rolls nothing and still answers, and charges,
-    what a database that never retained anything does."""
+    """A query at ``lsn`` rolls nothing -- its map shares no bucket with
+    the retained one and derives every key it holds -- and still answers,
+    and charges, what a database that never retained anything does."""
     fact = db.table("fact")
+    retained = fact._retained.keyed("k")
     rows, charges, derived = query_at(db, lsn)
-    assert derived == 0
-    assert fact._retained.build_side("k") == Snapshot(fact, lsn).build_side("k")
+    keyed = fact._retained.keyed("k")
+    assert not set(map(id, keyed.values())) & set(map(id, retained.values()))
+    assert derived == len(keyed) == 3
+    direct = Snapshot(fact, lsn).keyed("k")
+    assert keyed == {key: direct[key] for key in keyed}
     fact._retained = None
     ref_rows, ref_charges, __ = query_at(db, lsn)
     assert (rows, charges) == (ref_rows, ref_charges)

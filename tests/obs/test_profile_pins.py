@@ -16,11 +16,11 @@ import os
 
 import pytest
 
+from repro import obs
 from repro.engine.database import Database
 from repro.engine.expr import col, lit
 from repro.engine.operators import PrescannedRows
 from repro.engine.query import AggregateSpec, JoinSpec, OrderSpec, QuerySpec
-from repro.engine.snapshot import _RolledSide
 from repro.engine.types import ColumnType, Schema
 
 BLOCK_SIZES = (1, 7, 64, 1024)
@@ -187,10 +187,13 @@ def test_total_tally_is_the_query_counter_difference(shape, block_size):
 
 @pytest.mark.parametrize("block_size", BLOCK_SIZES)
 def test_the_rolled_shape_probes_a_rolled_side(block_size):
-    db, _, _ = run_shape("hash_join_rolled", block_size)
-    side = db.table("d").snapshot()._build_sides["k"]
-    assert isinstance(side, _RolledSide)
-    assert 2 in side  # the updated key, derived by the probe
+    with obs.recording() as recorder:
+        db, _, _ = run_shape("hash_join_rolled", block_size)
+    derived = recorder.registry.snapshot()["engine.snapshot.derived_keys"]
+    # The first run derives all five keys of ``d``; the profiled run
+    # inherits four of them and derives only the updated key.
+    assert derived["value"] == 5 + 1
+    assert 2 in db.table("d").snapshot().keyed("k")
 
 
 def test_pins_cover_every_shape_and_block_size(pins):
