@@ -19,13 +19,11 @@ prediction, backlog) appends the **same** immutable entry
 an idle view-round costs a list append, not a ten-field object.  Such an
 entry is unwritable: the dataclass is frozen and its ``charges`` is the
 read-only :data:`NO_CHARGES`; its ``sim_ms`` and ``wall_ms`` are 0.0,
-nothing having been metered.  Metric export (``ivm.view.*``) stays gated
-on an installed recorder as usual.
+nothing having been metered.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -83,11 +81,6 @@ class ViewLedger:
     view: str
     aliases: tuple[str, ...]
     entries: list[RoundEntry] = field(default_factory=list)
-    #: View name sanitized for use inside a dotted metric name.
-    metric_id: str = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.metric_id = re.sub(r"[^A-Za-z0-9_-]", "_", self.view)
 
     def record(self, entry: RoundEntry) -> None:
         self.entries.append(entry)

@@ -203,7 +203,10 @@ class ViewMaintainer:
         of one reads the window there and then.
 
         Every round takes the same path: check, flush, then one ledger
-        entry, the ``ivm.view.*`` series and ``record_action``.  A
+        entry and ``record_action``.  The entry is the view-round's whole
+        record: per-view series and skip counts are read from the ledger
+        (:meth:`~repro.ivm.multiview.MaintenanceCoordinator.ledgers`), not
+        copied into the recorder.  A
         :class:`~repro.core.policies.PolicyError` leaves no entry and
         nothing applied.
         """
@@ -294,16 +297,6 @@ class ViewMaintainer:
                     charges=NO_CHARGES,
                 )
         self.ledger.record(entry)
-        if recorder is not None:
-            vid = self.ledger.metric_id
-            recorder.counter(f"ivm.view.{vid}.rounds")
-            recorder.counter(f"ivm.view.{vid}.flushes", entry.flushes)
-            recorder.counter(f"ivm.view.{vid}.mods_applied", entry.mods_applied)
-            recorder.counter(f"ivm.view.{vid}.cost_ms", entry.sim_ms)
-            recorder.gauge(f"ivm.view.{vid}.backlog", entry.backlog)
-            recorder.observe(f"ivm.view.{vid}.round_ms", entry.sim_ms)
-            if not any(pre):
-                recorder.counter("ivm.skip.empty")
         self.policy.record_action(t, action, predicted)
         if self.verify:
             expected, actual = self.view.recompute(), self.view.contents()
@@ -330,8 +323,6 @@ class ViewMaintainer:
                 # no-op for this view: advance the delta without
                 # touching the join pipeline.
                 view.deltas[alias].advance(k)
-                if recorder is not None:
-                    recorder.counter("ivm.skip.fingerprint")
                 continue
             if not calibrating:
                 apply_batch(view, alias, k, shared)

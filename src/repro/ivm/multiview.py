@@ -18,9 +18,8 @@ each subscriber's delta-join.  The scan's cost is charged once at the
 coordinator instead of once per view, which is where the fleet-scale
 economics come from; per-view join and fold work stays charged inside
 each view's own cost window at the fan-out point, so the per-view ledger
-and ``ivm.view.*`` metrics are what a view maintained alone would book,
-less its windows' read.  This is the only kind of round there is:
-view-at-a-time maintenance is a
+is what a view maintained alone would book, less its windows' read.
+This is the only kind of round there is: view-at-a-time maintenance is a
 :class:`~repro.ivm.maintainer.ViewMaintainer` stepped on its own
 (``maintainer.step(t)``), a round of one that reads its windows on
 demand, inside the view's flush windows -- the reference the
@@ -161,12 +160,10 @@ class MaintenanceCoordinator:
         """Drop a registered view, releasing everything it held.
 
         The view's delta subscriptions on the shared mod logs are closed
-        (letting the logs truncate history only this view still pinned),
-        and its ``ivm.view.<id>.*`` metric series are removed from the
-        installed recorder so dashboards over a churning fleet do not
-        accumulate dead series.  The maintainer object itself (ledger
-        included) is dropped; callers wanting a post-mortem should grab
-        :meth:`maintainer` first.
+        (letting the logs truncate history only this view still pinned).
+        The maintainer object itself (ledger included) is dropped, and
+        with it the view's whole record: callers wanting a post-mortem
+        should grab :meth:`maintainer` first.
         """
         maintainer = self._maintainers.pop(name, None)
         if maintainer is None:
@@ -177,12 +174,8 @@ class MaintenanceCoordinator:
         dropped = sum(log.truncate() for log in logs)
         self._logs -= logs  # a log nobody reads any more drops out
         recorder = obs.get_recorder()
-        if recorder is not None:
-            if dropped:
-                recorder.counter("ivm.coordinator.log_truncated", dropped)
-            recorder.registry.remove_prefix(
-                f"ivm.view.{maintainer.ledger.metric_id}."
-            )
+        if recorder is not None and dropped:
+            recorder.counter("ivm.coordinator.log_truncated", dropped)
 
     @property
     def views(self) -> tuple[str, ...]:

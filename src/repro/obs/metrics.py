@@ -210,35 +210,10 @@ class MetricsRegistry:
         """Look up a metric without creating it."""
         return self._metrics.get(name)
 
-    def remove_prefix(self, prefix: str) -> int:
-        """Drop every metric under a dotted prefix; returns the count.
-
-        Matching follows :meth:`names`: the prefix itself plus anything
-        below it.  Used when a metric family's owner goes away (e.g. a
-        view is dropped from the coordinator) so long-lived registries do
-        not accumulate dead series.
-        """
-        dotted = prefix if prefix.endswith(".") else prefix + "."
+    def names(self) -> list[str]:
+        """Sorted metric names."""
         with self._lock:
-            doomed = [
-                n
-                for n in self._metrics
-                if n == prefix or n.startswith(dotted)
-            ]
-            for name in doomed:
-                del self._metrics[name]
-        return len(doomed)
-
-    def names(self, prefix: str = "") -> list[str]:
-        """Sorted metric names, optionally restricted to a dotted prefix."""
-        with self._lock:
-            names = list(self._metrics)
-        if not prefix:
-            return sorted(names)
-        dotted = prefix if prefix.endswith(".") else prefix + "."
-        return sorted(
-            n for n in names if n == prefix or n.startswith(dotted)
-        )
+            return sorted(self._metrics)
 
     def __iter__(self) -> Iterator[Counter | Gauge | Histogram]:
         for name in self.names():

@@ -10,15 +10,19 @@ that contract.  This script cross-checks the two:
   like a dotted metric name in one of the known families (``astar.``,
   ``online.``, ``simulator.``, ``engine.``, ``ivm.``, ``slo.``,
   ``cli.``), collected with :mod:`ast` so multi-line calls and dict-key
-  tallies are seen too.  F-strings contribute patterns: each formatted
-  value becomes ``*`` (``f"ivm.view.{vid}.rounds"`` -> ``ivm.view.*.rounds``).
+  tallies are seen too.
 * **documented names** -- the first cell of every catalog table row in
-  the docs, split on ``/``; ``<placeholder>`` segments become ``*``.
+  the docs, split on ``/``, kept verbatim.
 
+Every metric name is a static string, so the two sets compare exactly.
 Failures:
 
-* **undocumented** -- an emitted name no documented pattern matches;
-* **stale** -- a documented name no emitted name matches.
+* **built at run time** -- an f-string whose leading constant starts a
+  metric family (``f"ivm.view.{vid}.rounds"``): its names cannot be
+  listed, so neither documented nor linted;
+* **undocumented** -- an emitted name the docs do not list;
+* **stale** -- a documented name no source emits (a ``<placeholder>``
+  row among them: nothing emits a name that is built at run time).
 
 Exit status 0 when the catalog and the source agree, 1 otherwise.
 Run from the repository root (CI does)::
@@ -30,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import fnmatch
 import re
 import sys
 from pathlib import Path
@@ -45,9 +48,11 @@ FAMILIES = (
     "planner", "control",
 )
 
-#: A whole-string dotted metric name (``*`` allowed for f-string holes).
+#: The start of a metric name: a family and its dot.
+_FAMILY_RE = re.compile(r"^(?:%s)\." % "|".join(FAMILIES))
+#: A whole-string dotted metric name.
 _NAME_RE = re.compile(
-    r"^(?:%s)(\.[A-Za-z0-9_*-]+)+$" % "|".join(FAMILIES)
+    r"^(?:%s)(\.[A-Za-z0-9_-]+)+$" % "|".join(FAMILIES)
 )
 
 #: A documented name: backticked first cell of a catalog table row.
@@ -64,47 +69,50 @@ def _display(path: Path) -> str:
         return str(path)
 
 
-def _fstring_pattern(node: ast.JoinedStr) -> str:
-    """An f-string rendered as a glob: formatted values become ``*``."""
-    parts = []
-    for value in node.values:
-        if isinstance(value, ast.Constant) and isinstance(value.value, str):
-            parts.append(value.value)
-        else:
-            parts.append("*")
-    return "".join(parts)
+def _nodes(src: Path):
+    """Every AST node of every module under ``src``, with its file."""
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        rel = _display(path)
+        for node in ast.walk(tree):
+            yield node, rel
 
 
 def emitted_names(src: Path = SRC) -> dict[str, list[str]]:
     """Metric-name-shaped strings in the source tree -> emitting files."""
     found: dict[str, list[str]] = {}
-    for path in sorted(src.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        rel = _display(path)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                candidate = node.value
-            elif isinstance(node, ast.JoinedStr):
-                candidate = _fstring_pattern(node)
-            else:
-                continue
-            if _NAME_RE.match(candidate):
-                found.setdefault(candidate, []).append(rel)
+    for node, rel in _nodes(src):
+        if (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and _NAME_RE.match(node.value)
+        ):
+            found.setdefault(node.value, []).append(rel)
+    return found
+
+
+def runtime_names(src: Path = SRC) -> dict[str, list[str]]:
+    """F-strings whose leading constant starts a metric family -> files."""
+    found: dict[str, list[str]] = {}
+    for node, rel in _nodes(src):
+        if isinstance(node, ast.JoinedStr) and node.values:
+            head = node.values[0]
+            if isinstance(head, ast.Constant) and _FAMILY_RE.match(head.value):
+                found.setdefault(ast.unparse(node), []).append(rel)
     return found
 
 
 def documented_names(docs: Path = DOCS) -> dict[str, int]:
-    """Catalog names (as glob patterns) -> line number in the docs."""
+    """Catalog names -> line number in the docs."""
     names: dict[str, int] = {}
     for lineno, line in enumerate(docs.read_text().splitlines(), start=1):
         row = _DOC_ROW_RE.match(line.strip())
         if row is None:
             continue
         for ticked in _BACKTICK_RE.findall(row.group(1)):
-            # ``<id>``-style placeholders match any one segment.
-            pattern = re.sub(r"<[^>]+>", "*", ticked.strip())
-            if _NAME_RE.match(pattern):
-                names.setdefault(pattern, lineno)
+            name = ticked.strip()
+            if _FAMILY_RE.match(name):
+                names.setdefault(name, lineno)
     return names
 
 
@@ -112,23 +120,19 @@ def check(src: Path = SRC, docs: Path = DOCS) -> list[str]:
     """All catalog violations, as printable messages (empty = clean)."""
     emitted = emitted_names(src)
     documented = documented_names(docs)
-    problems = []
+    problems = [
+        f"metric name {text} built at run time (in {files[0]}); "
+        f"emit a static name"
+        for text, files in sorted(runtime_names(src).items())
+    ]
     for name, files in sorted(emitted.items()):
-        # An emitted pattern matches a documented pattern when either
-        # side's globbing covers the other (f-string hole vs. <id>).
-        if not any(
-            fnmatch.fnmatchcase(name, doc) or fnmatch.fnmatchcase(doc, name)
-            for doc in documented
-        ):
+        if name not in documented:
             problems.append(
                 f"undocumented metric {name!r} (emitted in {files[0]}); "
                 f"add it to {_display(docs)}"
             )
     for doc, lineno in sorted(documented.items()):
-        if not any(
-            fnmatch.fnmatchcase(name, doc) or fnmatch.fnmatchcase(doc, name)
-            for name in emitted
-        ):
+        if doc not in emitted:
             problems.append(
                 f"stale catalog entry {doc!r} "
                 f"({_display(docs)}:{lineno}): no source emits it"
