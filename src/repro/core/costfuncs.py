@@ -81,6 +81,14 @@ class CostFunction(ABC):
             return 0.0
         return self.cost(k)
 
+    def prices(self, upto: int) -> list[float]:
+        """``[f(1), ..., f(upto)]``: every batch size priced in one call.
+
+        A family may fill the list in bulk, but each entry is the
+        bit-identical float ``f(k)`` returns.
+        """
+        return list(map(self, range(1, upto + 1)))
+
     # ------------------------------------------------------------------
     # Property checks.  These are *empirical* checks over a sampled range,
     # used by tests and by calibration code to validate measured curves.
@@ -380,6 +388,23 @@ class TabulatedCost(CostFunction):
         k0, c0 = self.samples[idx]
         k1, c1 = self.samples[idx + 1]
         return c0 + (c1 - c0) * (k - k0) / (k1 - k0)
+
+    def prices(self, upto: int) -> list[float]:
+        # One pass per segment instead of a bisect per k; each entry is
+        # :meth:`cost`'s expression, evaluated in the same order.
+        out: list[float] = []
+        stop = upto + 1
+        for (k0, c0), (k1, c1) in zip(self.samples, self.samples[1:]):
+            if k0 >= stop:
+                return out
+            rise, run = c1 - c0, k1 - k0
+            ks = range(max(k0, 1), min(k1, stop))
+            out += [c0 + rise * (k - k0) / run for k in ks]
+        last_k, last_c = self.samples[-1]
+        tail = self._tail_slope
+        ks = range(max(last_k, 1), stop)
+        out += [last_c + tail * (k - last_k) for k in ks]
+        return out
 
     def _value(self) -> tuple:
         return tuple(self.samples)

@@ -27,12 +27,11 @@ three estimators:
 from __future__ import annotations
 
 from collections import deque
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro import obs
 from repro.obs import decisions
 from repro.core.actions import enumerate_greedy_minimal_actions
-from repro.core.costfuncs import CostFunction
 from repro.core.policies import Policy
 from repro.core.problem import Vector, zero_vector
 
@@ -118,10 +117,14 @@ class TimeToFullEstimator:
     def time_to_full(
         self,
         state: Vector,
-        cost_functions: Sequence[CostFunction],
+        cost_functions: Sequence[Callable[[int], float]],
         limit: float,
     ) -> int:
         """Predicted steps until ``state`` plus projected arrivals is full.
+
+        ``cost_functions[i](k)`` prices ``k`` modifications of table ``i``:
+        a :class:`~repro.core.costfuncs.CostFunction`, or a lookup in a
+        :class:`~repro.core.problem.CostTable` of one.
 
         Projects each table forward at its estimated rate and finds, by
         galloping + binary search over the (monotone) projected refresh
@@ -176,6 +179,9 @@ class OnlinePolicy(Policy):
         super().reset(cost_functions, limit)
         self.estimator.reset(len(self.cost_functions))
         self._spent = 0.0
+        #: ``f_i`` as lookups in this policy's own cost tables, for
+        #: TimeToFull's probes: the same floats, one dict probe a hit.
+        self._lookups = tuple(table.__getitem__ for table in self.cost_tables)
 
     def observe(self, t: int, arrivals: Vector) -> None:
         self.estimator.observe(arrivals)
@@ -218,7 +224,7 @@ class OnlinePolicy(Policy):
             cost = self.refresh_cost(action)
             post = tuple(s - a for s, a in zip(pre_state, action))
             horizon = self.estimator.time_to_full(
-                post, self.cost_functions, self.limit
+                post, self._lookups, self.limit
             )
             denom = t + horizon
             score = (self._spent + cost) / max(denom, 1e-9)
@@ -258,7 +264,7 @@ class OnlinePolicy(Policy):
             recorder.counter("online.candidates_scored", scored)
             predicted = self.estimator.time_to_full(
                 tuple(s - a for s, a in zip(pre_state, best_action)),
-                self.cost_functions, self.limit,
+                self._lookups, self.limit,
             )
             recorder.observe("online.predicted_time_to_full", predicted)
             # TimeToFull *is* a predicted steps-until-the-margin-hits-zero

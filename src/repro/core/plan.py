@@ -22,8 +22,7 @@ from repro.core.problem import (
     ProblemInstance,
     Vector,
     add_vectors,
-    int_vector,
-    is_nonnegative,
+    int_vectors,
     sub_vectors,
     zero_vector,
 )
@@ -39,20 +38,7 @@ class Plan:
     def __init__(self, actions: Sequence[Sequence[int]]):
         if not actions:
             raise ValueError("a plan must cover at least time step 0")
-        cleaned = []
-        width = None
-        for t, a in enumerate(actions):
-            a = int_vector(a, "action", t)
-            if width is None:
-                width = len(a)
-            elif len(a) != width:
-                raise ValueError(
-                    f"action at t={t} has {len(a)} components, expected {width}"
-                )
-            if not is_nonnegative(a):
-                raise ValueError(f"action at t={t} has negative components")
-            cleaned.append(a)
-        self.actions: tuple[Vector, ...] = tuple(cleaned)
+        self.actions: tuple[Vector, ...] = int_vectors(actions, "action")
 
     # -- container protocol -------------------------------------------------
 

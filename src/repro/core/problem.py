@@ -17,6 +17,7 @@ taken at ``t``.  A state is **full** when its refresh cost exceeds ``C``.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import add, sub, truediv
 from typing import Sequence
 
@@ -64,6 +65,45 @@ def int_vector(raw: Sequence[int], what: str, t: int) -> Vector:
     return v
 
 
+def int_vectors(
+    rows: Sequence[Sequence[int]], what: str, width: int | None = None
+) -> tuple[Vector, ...]:
+    """``rows`` (at least one) as equal-width vectors of non-negative ints,
+    checked in one C-level pass over the whole sequence.
+
+    ``width`` defaults to the first row's.  Only when that pass fails does
+    the per-row check run, to raise what the first bad ``t`` breaks:
+    :func:`int_vector`'s error, then a wrong width, then a negative count.
+    """
+    vectors = rows
+    try:
+        vectors = tuple(map(tuple, rows))
+        flat = tuple(chain.from_iterable(vectors))
+        ints = tuple(map(int, flat))
+        n = len(vectors[0]) if width is None else width
+        if (
+            ints == flat
+            and min(ints, default=0) >= 0
+            and set(map(len, vectors)) == {n}
+        ):
+            return tuple(zip(*[iter(ints)] * n)) if n else vectors
+    except (TypeError, ValueError, OverflowError):
+        pass
+    cleaned = []
+    for t, raw in enumerate(vectors):
+        v = int_vector(raw, what, t)
+        if width is None:
+            width = len(v)
+        elif len(v) != width:
+            raise ValueError(
+                f"{what} at t={t} has {len(v)} components, expected {width}"
+            )
+        if not is_nonnegative(v):
+            raise ValueError(f"{what} at t={t} has negative components")
+        cleaned.append(v)
+    return tuple(cleaned)
+
+
 class CostTable(dict):
     """``table[k] == f(k)``, computed on first use.
 
@@ -98,8 +138,11 @@ class CostModel:
     mutated once bound.  A table holds one float per distinct batch size
     seen: at most ``b_i`` entries per table after
     :meth:`ProblemInstance.min_batch_rates` (capped at 65536), and for a
-    long-running policy as many as the distinct backlog sizes its view
-    reaches, which the constraint ``C`` keeps near ``b_i`` too.
+    long-running policy the distinct backlog sizes its view reaches plus
+    ONLINE's TimeToFull probes.  Both stay bounded: the constraint ``C``
+    keeps a backlog near ``b_i``, and TimeToFull's galloping stops at the
+    first projected state over ``C``, so no probe prices a batch much
+    beyond ``2 b_i`` plus the backlog it starts from.
     """
 
     def __init__(self, cost_functions: Sequence[CostFunction], limit: float):
@@ -142,12 +185,25 @@ class CostModel:
         decided: plans, the simulator and the live maintainer all ask a
         model here, and never the policy whose action is being checked.
         """
-        for k, pending in zip(action, pre, strict=True):
-            if k < 0:
-                raise ValueError(f"action {action} has negative components")
-            if k > pending:
-                raise ValueError(f"action {action} exceeds backlog {pre}")
-        post = sub_vectors(pre, action)
+        try:
+            post = tuple(map(sub, pre, action))
+            legal = (
+                len(pre) == len(action)
+                and min(action, default=0) >= 0
+                and min(post, default=0) >= 0
+            )
+        except TypeError:
+            legal = False
+        if not legal:
+            # Component by component, to name the first violation.
+            for k, pending in zip(action, pre, strict=True):
+                if k < 0:
+                    raise ValueError(
+                        f"action {action} has negative components"
+                    )
+                if k > pending:
+                    raise ValueError(f"action {action} exceeds backlog {pre}")
+            post = sub_vectors(pre, action)
         cost = self.refresh_cost(post)
         if not forced and cost > self.full_above:
             raise ValueError(
@@ -199,18 +255,9 @@ class ProblemInstance(CostModel):
         if not arrivals:
             raise ValueError("arrival sequence must cover at least time step 0")
         super().__init__(cost_functions, limit)
-        n = self.n
-        cleaned: list[Vector] = []
-        for t, d in enumerate(arrivals):
-            d = int_vector(d, "arrival vector", t)
-            if len(d) != n:
-                raise ValueError(
-                    f"arrival vector at t={t} has {len(d)} components, expected {n}"
-                )
-            if not is_nonnegative(d):
-                raise ValueError(f"arrival vector at t={t} has negative components")
-            cleaned.append(d)
-        self.arrivals: tuple[Vector, ...] = tuple(cleaned)
+        self.arrivals: tuple[Vector, ...] = int_vectors(
+            arrivals, "arrival vector", self.n
+        )
         self.horizon = len(self.arrivals) - 1
         if validate:
             for f in self.cost_functions:
@@ -307,9 +354,9 @@ class ProblemInstance(CostModel):
         decreases by exactly ``rate * q_i <= f_i(q_i)`` across an action,
         which is what makes the heuristic consistent (see
         :mod:`repro.core.astar` for why the paper's floor-based estimate is
-        not).  Exact up to batch sizes of 65536; beyond that the rate is
-        conservatively set to the best sampled rate including ``b_i``
-        itself, or 0 for genuinely unbounded batches.
+        not).  Exact up to batch sizes of 65536, each ``f_i(k)`` priced by
+        :meth:`~repro.core.costfuncs.CostFunction.prices`; beyond that the
+        rate is 0 (no guidance from that table).
         """
         if self._min_rates is None:
             rates = []
@@ -319,7 +366,7 @@ class ProblemInstance(CostModel):
                     # also leaves the table warm: the search's probes of
                     # f_i(k), k <= b_i, are all hits.
                     sizes = range(1, b + 1)
-                    costs = [table.f(k) for k in sizes]
+                    costs = table.f.prices(b)
                     table.update(zip(sizes, costs))
                     rate = min(map(truediv, costs, sizes))
                 else:

@@ -14,6 +14,7 @@ the schedule came from a precomputed plan, an online policy, or a live run.
 from __future__ import annotations
 
 import time
+from operator import add
 
 from repro import obs
 from repro.obs import events, slo
@@ -23,6 +24,7 @@ from repro.core.problem import (
     ProblemInstance,
     Vector,
     add_vectors,
+    int_vector,
     sub_vectors,
     zero_vector,
 )
@@ -56,7 +58,8 @@ def simulate_policy(
     The policy sees arrivals step by step (via :meth:`Policy.observe`) and
     is asked to act at every step except the horizon, where the refresh is
     forced and the entire pre-action state is processed (``p_T = s_T``).
-    Each emitted action is checked against Definition 1; violations raise
+    Each emitted action is checked against Definition 1, and a fractional
+    count is refused, never floored; violations raise
     :class:`~repro.core.policies.PolicyError` rather than being silently
     repaired, because a policy that breaks the response-time constraint is
     a bug, not a degraded mode.
@@ -72,32 +75,40 @@ def simulate_policy(
     recorder = obs.get_recorder()
     horizon = problem.horizon
     refresh_cost = problem.refresh_cost
+    check_action = problem.check_action
+    observe, decide = policy.observe, policy.decide
+    record_action = policy.record_action
     state = zero_vector(problem.n)
     actions: list[Vector] = []
     steps: list[_Step] = []
     with obs.trace(
         "simulator.simulate_policy", policy=repr(policy), horizon=horizon,
     ) as span:
+        # Arrivals have width n from construction, so the plain map is
+        # add_vectors without its length check.
         for t, arrivals in enumerate(problem.arrivals):
-            policy.observe(t, arrivals)
-            pre = add_vectors(state, arrivals)
+            observe(t, arrivals)
+            pre = tuple(map(add, state, arrivals))
             if t == horizon:
                 action = pre  # forced refresh
             elif recorder is None:
-                action = tuple(map(int, policy.decide(t, pre)))
+                action = decide(t, pre)
             else:
                 decide_start = time.perf_counter()
-                action = tuple(map(int, policy.decide(t, pre)))
+                action = decide(t, pre)
                 recorder.observe(
                     "simulator.decide_ms",
                     (time.perf_counter() - decide_start) * 1e3,
                 )
             try:  # the instance checks, never the policy being checked
-                post, backlog = problem.check_action(pre, action, t == horizon)
+                action = int_vector(action, "action", t)
+                post, backlog = check_action(pre, action, t == horizon)
             except ValueError as exc:
                 raise PolicyError(f"{policy!r} at t={t}: {exc}") from None
-            cost = refresh_cost(action)
-            policy.record_action(t, action, cost)
+            # f(0) is 0.0 for every cost function, so a zero action's
+            # refresh cost is 0.0 without pricing it.
+            cost = refresh_cost(action) if any(action) else 0.0
+            record_action(t, action, cost)
             if recorder is not None:
                 recorder.counter("simulator.steps")
                 recorder.observe("simulator.backlog", backlog)

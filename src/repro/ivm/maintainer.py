@@ -44,7 +44,7 @@ from repro.obs import events, slo
 from repro.obs import calibration as obs_calibration
 from repro.core.costfuncs import CostFunction
 from repro.core.policies import Policy, PolicyError
-from repro.core.problem import CostModel
+from repro.core.problem import CostModel, int_vector
 from repro.ivm.ledger import NO_CHARGES, RoundEntry, ViewLedger
 from repro.ivm.maintenance import apply_batch
 from repro.ivm.sharedscan import SharedScanRound
@@ -160,9 +160,11 @@ class ViewMaintainer:
 
         Returns ``(t, arrivals, pre_state, action)`` for
         :meth:`execute_planned`; a ``forced`` step flushes everything
-        pending and does not ask the policy.  The multi-view coordinator
-        plans every view first so one shared scan per table can cover all
-        the planned windows, then executes.
+        pending and does not ask the policy.  A policy's action with a
+        fractional count raises :class:`~repro.core.policies.PolicyError`
+        (it is never floored).  The multi-view coordinator plans every view
+        first so one shared scan per table can cover all the planned
+        windows, then executes.
         """
         self._clock = self._clock + 1 if t is None else t
         t = self._clock
@@ -177,7 +179,11 @@ class ViewMaintainer:
         # Decisions emitted by the policy are tagged with the owning view
         # and step, the key its flushes' calibration samples carry too.
         with events.step(self.view.name, t):
-            action = tuple(map(int, self.policy.decide(t, pre)))
+            action = self.policy.decide(t, pre)
+        try:
+            action = int_vector(action, "action", t)
+        except ValueError as exc:
+            raise PolicyError(f"{self.policy!r} at t={t}: {exc}") from None
         return t, arrivals, pre, action
 
     # ------------------------------------------------------------------

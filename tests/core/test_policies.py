@@ -238,6 +238,20 @@ class TestSimulator:
         with pytest.raises(PolicyError, match="exceeds backlog"):
             simulate_policy(problem, Overdrawer())
 
+    def test_fractional_action_is_refused_not_floored(self):
+        class Fractional(Policy):
+            def decide(self, t, pre_state):
+                return (3.25,) if pre_state == (6,) else (0,)
+
+        # Floored, (3,) then the forced (3,) would cost 8.0 and pass.
+        problem = ProblemInstance([LinearCost(1.0, 1.0)], 5.0, [(6,), (0,)])
+        with pytest.raises(
+            PolicyError,
+            match=r"Fractional.* at t=0: action at t=0 has non-integer "
+            r"components: \(3\.25,\)",
+        ):
+            simulate_policy(problem, Fractional())
+
     def test_forced_final_refresh(self):
         problem = ProblemInstance([LinearCost(1.0)], 100.0, [(1,)] * 5)
         trace = simulate_policy(problem, NaivePolicy())

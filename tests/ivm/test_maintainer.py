@@ -116,6 +116,19 @@ class TestPolicyViolations:
         with pytest.raises(PolicyError, match="exceeds"):
             maintainer.step(0)
 
+    def test_fractional_action_is_refused_not_floored(self):
+        class Fractional(Policy):
+            def decide(self, t, pre_state):
+                return (pre_state[0] / 2, pre_state[1])
+
+        maintainer, ps, sup = make_maintainer(Fractional())
+        ps.apply(3)
+        with pytest.raises(PolicyError, match=r"at t=0: .*non-integer"):
+            maintainer.step(0)
+        # A refused step: no entry, nothing applied.
+        assert maintainer.ledger.entries == []
+        assert maintainer.pre_state() == (3, 0)
+
     def test_unscheduled_table_modification_detected(self):
         maintainer, ps, sup = make_maintainer(NaivePolicy())
         # Nation is not a scheduled alias; modifying it must be flagged.

@@ -220,6 +220,13 @@ class OverAsks(Policy):
         return tuple(s + 1 for s in pre_state)
 
 
+class Halves(Policy):
+    """Asks for half the backlog, which is fractional when it is odd."""
+
+    def decide(self, t, pre_state):
+        return tuple(s / 2 for s in pre_state)
+
+
 def fleet_with(*bad):
     """Healthy NAIVE views around ``bad`` ones, all over PartSupp with
     ``f(k) = 0.5 k + 2`` and ``C = 1``: any backlog must be flushed."""
@@ -279,6 +286,32 @@ class TestOneViewsRefusalIsItsOwn:
         assert log.safe_truncation_lsn() == (
             refused.view.deltas["PS"].applied_lsn
         )
+
+    def test_a_fractional_action_is_refused_not_floored(self):
+        db = make_tpcr_db()
+        coordinator = MaintenanceCoordinator(db)
+        for name, policy in (("halves", Halves()), ("naive", NaivePolicy())):
+            coordinator.add_view(
+                ViewConfig(
+                    name=name,
+                    query=supplycost_spec(),
+                    policy=policy,
+                    cost_functions=(LinearCost(0.5, 2.0),),
+                    limit=100.0,
+                    scheduled_aliases=("PS",),
+                )
+            )
+        PartSuppCostUpdater(db.table("partsupp"), seed=93).apply(7)
+        with pytest.raises(
+            PolicyError, match=r"Halves.* at t=0: .*non-integer.*\(3\.5,\)"
+        ):
+            coordinator.step(0)
+        refused = coordinator.maintainer("halves")
+        assert refused.ledger.entries == []
+        assert refused.pre_state() == (7,)
+        healthy = coordinator.maintainer("naive")
+        assert [e.t for e in healthy.ledger.entries] == [0]
+        assert healthy.view.contents() == healthy.view.recompute()
 
     def test_several_refusals_are_one_error_naming_each(self):
         coordinator, updater = fleet_with(Zeros(), ReplayPolicy([]))
