@@ -18,6 +18,10 @@ from repro.obs import decisions
 class NaivePolicy(Policy):
     """Flush every delta table whenever the pre-action state is full."""
 
+    #: ``decide`` reads only the bound model and ``pre_state`` (its
+    #: decision event aside, which a round that memoizes never emits).
+    PURE_DECIDE = True
+
     def decide(self, t: int, pre_state: Vector) -> Vector:
         full = self.is_full(pre_state)
         action = pre_state if full else zero_vector(self.n)

@@ -35,7 +35,32 @@ class Policy(CostModel, ABC):
     A policy *is* the :class:`~repro.core.problem.CostModel` it was last
     :meth:`reset` to: ``cost_functions``, ``limit``, ``n``,
     ``refresh_cost`` and ``is_full`` are available from then on.
+
+    **Pure decisions.**  A class may set ``PURE_DECIDE = True`` in its
+    own body.  That promises that its :meth:`decide` reads nothing but
+    the model it was bound to and ``pre_state`` -- not ``t``, not
+    anything :meth:`observe` or :meth:`record_action` saw -- and changes
+    no state, so two instances bound to equal models decide equal
+    states alike.  A multi-view round (:mod:`repro.ivm.multiview`) then
+    asks one view per ``(model, policy class, pre)`` and hands every
+    other view of that case the same action: those skip ``decide``,
+    while ``observe`` and ``record_action`` stay each view's own.  The
+    declaration is read from the class's own namespace
+    (:func:`declares_pure_decide`) and is never inherited: a subclass
+    that overrides ``decide`` -- to log, count or keep state -- has
+    promised nothing, and is asked per view until it declares it too.
+    The round asks every view itself while anyone observes decisions
+    (:func:`repro.obs.decisions.active`), so each decision event stays
+    one view's own.
+
+    :class:`~repro.core.naive.NaivePolicy` declares it.  ONLINE, ADAPT,
+    :class:`ReplayPolicy` and RECEDING do not: their ``decide`` reads
+    ``t``, a plan, or estimator state fed by ``observe``.  Grouping
+    ONLINE views by estimator state and running cost is open work.
     """
+
+    #: See the class docstring; read only from a class's own body.
+    PURE_DECIDE = False
 
     def __init__(self) -> None:
         """Policies are bound by :meth:`reset`, not at construction."""
@@ -76,6 +101,12 @@ class Policy(CostModel, ABC):
         (including the forced final refresh).  Default: ignore.  ONLINE
         uses it to maintain the running cost ``F_t``.
         """
+
+
+def declares_pure_decide(cls: type) -> bool:
+    """Whether ``cls`` itself -- not a base class -- sets
+    ``PURE_DECIDE = True`` (see :class:`Policy`)."""
+    return vars(cls).get("PURE_DECIDE", False) is True
 
 
 class ReplayPolicy(Policy):

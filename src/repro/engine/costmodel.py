@@ -19,6 +19,7 @@ shapes come out of operator structure, not the particular weights.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable
 
 #: Rows per disk page assumed when converting scans into page reads.
@@ -124,6 +125,25 @@ class OperationCounter:
             raise ValueError(f"unknown operation class {field_name!r}")
         self.__dict__[field_name] += count
 
+    @classmethod
+    def checked(
+        cls, charges: Iterable[tuple[str, int]]
+    ) -> tuple[tuple[str, int], ...]:
+        """``(field, count)`` pairs as a tuple :meth:`replay` may add,
+        every field checked here, once."""
+        charges = tuple(charges)
+        for field_name, _ in charges:
+            if field_name not in cls._WEIGHT_BY_FIELD:
+                raise ValueError(f"unknown operation class {field_name!r}")
+        return charges
+
+    def replay(self, charges: tuple[tuple[str, int], ...]) -> None:
+        """Add every ``(field, count)`` of a :meth:`checked` tuple: the
+        tallies :meth:`charge` would reach, without its per-field check."""
+        tallies = self.__dict__
+        for field_name, count in charges:
+            tallies[field_name] += count
+
     # -- reading ------------------------------------------------------------
 
     def _weights(self) -> tuple[tuple[str, float], ...]:
@@ -178,17 +198,41 @@ class OperationCounter:
         return f"OperationCounter({self.elapsed_ms():.3f} ms)"
 
 
+_read = itemgetter(*OperationCounter._FIELDS)
+
+
 class CostWindow:
-    """Measures simulated milliseconds consumed inside a ``with`` block."""
+    """Measures simulated milliseconds consumed inside a ``with`` block,
+    and after it, the charges made there (:attr:`charges`)."""
+
+    __slots__ = ("counter", "elapsed_ms", "_before", "_after", "_start")
 
     def __init__(self, counter: OperationCounter):
         self.counter = counter
         self.elapsed_ms = 0.0
+        self._before = self._after = ()
         self._start = 0.0
 
     def __enter__(self) -> "CostWindow":
-        self._start = self.counter.elapsed_ms()
+        counter = self.counter
+        self._before = _read(counter.__dict__)
+        self._start = counter.elapsed_ms()
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.elapsed_ms = self.counter.elapsed_ms() - self._start
+        counter = self.counter
+        self._after = _read(counter.__dict__)
+        self.elapsed_ms = counter.elapsed_ms() - self._start
+
+    @property
+    def charges(self) -> dict[str, int]:
+        """The non-zero charges made inside the closed window, in
+        ``_FIELDS`` order: what :meth:`OperationCounter.since` a
+        snapshot taken on entry reads on exit."""
+        return {
+            f: after - before
+            for f, after, before in zip(
+                OperationCounter._FIELDS, self._after, self._before
+            )
+            if after != before
+        }

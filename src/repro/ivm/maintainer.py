@@ -37,18 +37,23 @@ window there, inside the flush's cost window, and nothing is suppressed.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from typing import Sequence
 
 from repro import obs
 from repro.obs import events, slo
 from repro.obs import calibration as obs_calibration
 from repro.core.costfuncs import CostFunction
-from repro.core.policies import Policy, PolicyError
+from repro.core.policies import Policy, PolicyError, declares_pure_decide
 from repro.core.problem import CostModel, int_vector
 from repro.ivm.ledger import NO_CHARGES, RoundEntry, ViewLedger
 from repro.ivm.maintenance import apply_batch
 from repro.ivm.sharedscan import SharedScanRound
 from repro.ivm.view import MaterializedView
+
+#: What a metered flush enters instead of an ``events.step`` tag that
+#: nothing could read.
+_UNTAGGED = nullcontext()
 
 
 class ViewMaintainer:
@@ -154,7 +159,10 @@ class ViewMaintainer:
         )
 
     def plan_step(
-        self, t: int | None = None, forced: bool = False
+        self,
+        t: int | None = None,
+        forced: bool = False,
+        shared: SharedScanRound | None = None,
     ) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         """The ingest-and-decide half of :meth:`step`, without executing.
 
@@ -165,6 +173,14 @@ class ViewMaintainer:
         (it is never floored).  The multi-view coordinator plans every view
         first so one shared scan per table can cover all the planned
         windows, then executes.
+
+        ``shared`` is the round being planned.  When its policy's class
+        declares a pure ``decide``
+        (:func:`~repro.core.policies.declares_pure_decide`) and the round
+        memoizes actions, the view takes the action the round's first
+        view of the same ``(model, policy class, pre)`` was given, and
+        its policy is not asked; it is still handed ``observe`` here and
+        ``record_action`` on execution.
         """
         self._clock = self._clock + 1 if t is None else t
         t = self._clock
@@ -172,18 +188,30 @@ class ViewMaintainer:
         for _, delta in self._unscheduled:
             delta.pull()
         arrivals = tuple([delta.pull() for delta in self._scheduled])
-        self.policy.observe(t, arrivals)
+        policy = self.policy
+        policy.observe(t, arrivals)
         pre = self.pre_state()
         if forced:
             return t, arrivals, pre, pre
+        # The round's action memo, when it keeps one and may use it here.
+        actions = shared.actions if shared is not None else None
+        if actions is not None and not declares_pure_decide(type(policy)):
+            actions = None
+        if actions is not None:
+            case = (self.model, type(policy), pre)
+            action = actions.get(case)
+            if action is not None:
+                return t, arrivals, pre, action
         # Decisions emitted by the policy are tagged with the owning view
         # and step, the key its flushes' calibration samples carry too.
         with events.step(self.view.name, t):
-            action = self.policy.decide(t, pre)
+            action = policy.decide(t, pre)
         try:
             action = int_vector(action, "action", t)
         except ValueError as exc:
-            raise PolicyError(f"{self.policy!r} at t={t}: {exc}") from None
+            raise PolicyError(f"{policy!r} at t={t}: {exc}") from None
+        if actions is not None:
+            actions[case] = action
         return t, arrivals, pre, action
 
     # ------------------------------------------------------------------
@@ -236,10 +264,8 @@ class ViewMaintainer:
                 sum(post), model.refresh_cost(action)
             )
         backlog, predicted = decided
-        # The round's two telemetry probes: the recorder, and the event
-        # kinds somebody wants (an empty dict with telemetry off).
-        recorder = obs.get_recorder()
-        wanted = events.installed().wanted
+        recorder = shared.recorder
+        wanted = shared.wanted
         if recorder is not None or "slo" in wanted:
             # The same quantity the simulator's trace scores: the margin
             # of the post-arrival, pre-action state.  A backlog the
@@ -255,26 +281,35 @@ class ViewMaintainer:
                 source=f"ivm:{self.view.name}",
             )
         view = self.view
-        # (alias, k, f_i's prices, whether the round proved it a no-op).
+        # (alias, delta, k, f_i's prices, whether the round proved the
+        # window a no-op).
         flushes = []
         work = False
         if any(action):
-            for alias, k, prices in zip(
-                self.aliases, action, model.cost_tables
+            # A round that fingerprinted nothing proves nothing a no-op.
+            fingerprinted = bool(shared.fingerprints)
+            for alias, delta, k, prices in zip(
+                self.aliases, self._scheduled, action, model.cost_tables
             ):
                 if k:
-                    suppressed = shared.suppresses(view, alias, k)
-                    flushes.append((alias, k, prices, suppressed))
+                    suppressed = fingerprinted and shared.proven_noop(
+                        delta, k, view.referenced_columns(alias)
+                    )
+                    flushes.append((alias, delta, k, prices, suppressed))
                     work = work or not suppressed
         if work:
-            counter = view.database.counter
-            before = counter.snapshot()
+            # Any query profile or decision emitted while flushing
+            # carries the view name and round, so EXPLAIN ANALYZE output
+            # and profile sinks can attribute maintenance work to its
+            # owner.  Nobody else reads the tag.
+            tag = (
+                events.step(view.name, t)
+                if recorder is not None or wanted
+                else _UNTAGGED
+            )
             wall_start = time.perf_counter()
-            # Any query profile captured while flushing carries the view
-            # name and round, so EXPLAIN ANALYZE output and profile sinks
-            # can attribute maintenance work to its owner.
-            with counter.window() as window, events.step(view.name, t):
-                self._flush(flushes, shared, t, forced, recorder, wanted)
+            with view.database.counter.window() as window, tag:
+                self._flush(flushes, shared, t, forced)
             entry = RoundEntry(
                 t=t,
                 arrivals=arrivals,
@@ -285,7 +320,7 @@ class ViewMaintainer:
                 sim_ms=window.elapsed_ms,
                 wall_ms=(time.perf_counter() - wall_start) * 1e3,
                 backlog=backlog,
-                charges=counter.since(before),
+                charges=window.charges,
             )
         else:
             # A zero-work round -- idle, or every window suppressed --
@@ -293,7 +328,7 @@ class ViewMaintainer:
             # timer, step tag, spans.  At fleet scale most rounds are
             # such, and nothing in their entry is the view's own.
             if flushes:
-                self._flush(flushes, shared, t, forced, recorder, wanted)
+                self._flush(flushes, shared, t, forced)
             key = (t, arrivals, pre, action, forced, predicted, backlog)
             entry = shared.zero_work.get(key)
             if entry is None:
@@ -314,21 +349,22 @@ class ViewMaintainer:
         return entry
 
     def _flush(
-        self, flushes, shared: SharedScanRound, t: int, forced: bool,
-        recorder, wanted,
+        self, flushes, shared: SharedScanRound, t: int, forced: bool
     ) -> None:
         """Apply the round's per-alias flushes in order, each reading its
         window through ``shared`` inside its own cost window."""
         view = self.view
         # Timing each flush is worth it only if someone consumes the
         # sample: a recorder or the calibration ring.
-        calibrating = recorder is not None or "calibration" in wanted
-        for alias, k, prices, suppressed in flushes:
+        calibrating = (
+            shared.recorder is not None or "calibration" in shared.wanted
+        )
+        for alias, delta, k, prices, suppressed in flushes:
             if suppressed:
                 # The fingerprint proved every event in the window a
                 # no-op for this view: advance the delta without
                 # touching the join pipeline.
-                view.deltas[alias].advance(k)
+                delta.advance(k)
                 continue
             if not calibrating:
                 apply_batch(view, alias, k, shared)

@@ -66,7 +66,7 @@ def apply_batch(
         )
     if round_ is None:
         round_ = SharedScanRound(view.database)
-    batch = round_.batch_for(view, alias, k)
+    batch = round_.batch_for(delta, k)
     with obs.trace("ivm.apply_batch", alias=alias, k=k):
         _propagate(view, alias, batch)
     obs.counter("ivm.batches_applied")

@@ -38,28 +38,38 @@ are charged again to every view that reuses it -- so simulated costs are
 exactly what they were; only the wall-clock work is shared.  Nothing
 selects this: a fleet of one simply never finds a result to reuse.
 
-A view-round costs its policy calls and its fold.  What about it is not
-the view's own state is worked out once per round per distinct case, by
-the first view to ask, and kept in the round's
-:class:`~repro.ivm.sharedscan.SharedScanRound`: Definition 1 and the
-prediction per ``(model, pre, action, forced)``; the window's batch per
-``(table, LSN window)`` and its fingerprint verdict per column
-signature; and the ledger entry of
-a view-round that did no work -- idle, or flushing only windows the
-fingerprint suppressed, which is metered no more than an idle one
-(``wall_ms`` 0.0) -- per ``(arrivals, pre, action, predicted, backlog)``,
-the same immutable :class:`~repro.ivm.ledger.RoundEntry` appended to
-each such view's own ledger.  All of that dies with the round.  One
-thing is shared for the coordinator's life: views registered with cost
-functions equal **by value** and an equal limit are priced by one
+A view-round costs its delta pull, its policy's ``observe`` and
+``record_action``, and its fold.  What about it is not the view's own
+state is worked out once per round per distinct case, by the first view
+to ask, and kept in the round's
+:class:`~repro.ivm.sharedscan.SharedScanRound`: the telemetry probes
+(the recorder, the wanted event kinds, whether decisions are observed),
+made once when the round is; the action per ``(model, policy class,
+pre)`` of a policy class that declares a pure ``decide``
+(:class:`~repro.core.policies.Policy`; NAIVE does), unless somebody
+observes decisions, when every view decides for itself; Definition 1
+and the prediction per ``(model, pre, action, forced)``; the window's
+batch per ``(table, LSN window)`` and its fingerprint verdict per column
+signature; and the ledger entry of a view-round that did no work --
+idle, or flushing only windows the fingerprint suppressed, which is
+metered no more than an idle one (``wall_ms`` 0.0) -- per
+``(arrivals, pre, action, predicted, backlog)``, the same immutable
+:class:`~repro.ivm.ledger.RoundEntry` appended to each such view's own
+ledger.  All of that dies with the round.  Two things are shared for
+the coordinator's life: views registered with cost functions equal
+**by value** and an equal limit are priced by one
 :class:`~repro.core.problem.CostModel`, which is only ever read (its
 table of priced batch sizes aside, which assumes what ``CostModel``
-already documents: pure cost functions).  What stays per view is what is
-the view's: its delta pull, the three calls on its own policy object
-(never aliased, and made even when idle: ONLINE's estimator must see the
-zero-arrival steps), the metered fold of a real flush, and its own entry
-for a round that did work.  A coordinator of one view runs the same
-lines and never finds anything to share.
+already documents: pure cost functions); and the structural keys of
+every view's delta queries and fold input are interned to small ints
+at registration, so a round's evaluation lookups hash ints.  What stays
+per view is what is the view's: its delta pull, its own policy object
+(never aliased; ``observe`` and ``record_action`` are made even when
+idle, since ONLINE's estimator must see the zero-arrival steps, and
+``decide`` too unless the class declares it pure), the metered fold of
+a real flush, and its own entry for a round that did work.  A
+coordinator of one view runs the same lines and never finds anything
+to share.
 
 One view's :class:`~repro.core.policies.PolicyError` -- its policy
 raising, or Definition 1 refusing its action -- is that view's: it gets
@@ -79,7 +89,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Iterator, Sequence
+from typing import AbstractSet, Hashable, Iterable, Iterator, Sequence
 
 from repro import obs
 from repro.core.costfuncs import CostFunction
@@ -134,6 +144,11 @@ class MaintenanceCoordinator:
         #: The mod logs registered views subscribe to, each with how many
         #: of their delta tables read it.
         self._logs: Counter[ModLog] = Counter()
+        #: Structural key -> a small int standing for it, for the
+        #: coordinator's life: what registered views key their delta
+        #: queries and fold inputs by, so a round's lookups hash ints,
+        #: not nested tuples.
+        self._interned: dict[Hashable, int] = {}
 
     def add_view(self, config: ViewConfig) -> MaterializedView:
         """Materialize and register a view; returns it."""
@@ -153,6 +168,7 @@ class MaintenanceCoordinator:
         maintainer.model = self._models.setdefault(
             (model.cost_functions, model.limit), model
         )
+        view.intern_keys(self._interned)
         self._logs.update(delta.log for delta in view.deltas.values())
         return view
 
@@ -250,7 +266,7 @@ class MaintenanceCoordinator:
         for name, maintainer in maintainers.items():
             force = name in forced
             try:
-                plan = maintainer.plan_step(self._clock, force)
+                plan = maintainer.plan_step(self._clock, force, round_)
             except PolicyError as exc:
                 refused.append((name, exc))
                 continue
@@ -258,8 +274,9 @@ class MaintenanceCoordinator:
             action = plan[3]
             if any(action):
                 view = maintainer.view
-                for alias, k in zip(maintainer.aliases, action):
-                    delta = view.deltas[alias]
+                for alias, delta, k in zip(
+                    maintainer.aliases, maintainer._scheduled, action
+                ):
                     # More than is pending is Definition 1's to refuse,
                     # in the execute half, before any window is asked for.
                     if 0 < k <= delta.size:

@@ -67,11 +67,13 @@ from itertools import accumulate
 from typing import Hashable, Mapping, Sequence
 
 from repro import obs
+from repro.engine.costmodel import OperationCounter
 from repro.engine.database import Database
 from repro.engine.errors import ExecutionError
 from repro.engine.operators import PrescannedRows
 from repro.engine.query import QueryResult, QuerySpec
 from repro.engine.table import Table
+from repro.obs import decisions, events
 
 
 class Evaluation:
@@ -86,8 +88,9 @@ class Evaluation:
         #: Shared by every asker: read, never mutated.
         self.result = result
         #: ``(counter field, count)`` for every field the query charged,
-        #: kept where the result may be handed to a second asker.
-        self.charges = charges
+        #: kept where the result may be handed to a second asker; checked
+        #: here, so handing it over is one ``OperationCounter.replay``.
+        self.charges = OperationCounter.checked(charges)
         #: Fold key -> what a view folds from ``result``
         #: (:meth:`~repro.ivm.view.MaterializedView.apply_delta`): the
         #: same input whether it is inserted or deleted, and an evaluation
@@ -126,8 +129,7 @@ class Evaluations:
         counter = self.database.counter
         kept = self._kept.get(key)
         if kept is not None:
-            for field, count in kept.charges:
-                counter.charge(field, count)
+            counter.replay(kept.charges)
             obs.counter("ivm.coordinator.delta.reused")
             return kept
         before = counter.snapshot()
@@ -190,7 +192,9 @@ def _is_update(old: tuple | None, new: tuple | None) -> bool:
 class _TableScan:
     """Scan state for one base table within one maintenance round."""
 
-    def __init__(self, table: Table, database: Database):
+    def __init__(
+        self, table: Table, database: Database, fingerprints: dict[tuple, bool]
+    ):
         self.table = table
         self.database = database
         self.log = table.history
@@ -202,9 +206,10 @@ class _TableScan:
         self._starts: list[int] = []
         # Shared across subscribing views: one batch per (lo, hi) window
         # (its row slices and the delta queries evaluated over them) and
-        # (lo, hi, signature) fingerprint verdicts.
+        # the fingerprint verdicts, kept in the round's one dict by
+        # (table, lo, hi, signature).
         self._batches: dict[tuple[int, int], SharedBatch] = {}
-        self.fingerprints: dict[tuple, bool] = {}
+        self.fingerprints = fingerprints
         self._positions: dict[frozenset, tuple[int, ...]] = {}
 
     def add_request(
@@ -286,7 +291,7 @@ class _TableScan:
             ))
         if prefix[b] - prefix[a] != b - a:
             return
-        key = (interval.lo + a, interval.lo + b, refcols)
+        key = (self.table.name, interval.lo + a, interval.lo + b, refcols)
         if key in self.fingerprints:
             return
         positions = self._positions.get(refcols)
@@ -331,19 +336,25 @@ class SharedScanRound:
     Protocol: a coordinator :meth:`request`-s every view's planned
     windows first and :meth:`run`-s the round, which scans each table
     once and fingerprints the requested windows; then each view's
-    executor asks :meth:`suppresses` per window and pulls the rest with
+    executor asks :meth:`proven_noop` per window and pulls the rest with
     :meth:`batch_for` -- one :class:`SharedBatch` per distinct window,
     carrying the delta queries the round has evaluated over it so far.
     A window the round did not scan is read when it is first asked for.
 
-    The executors also keep here, by what determines each, the answers
-    that hold for the rest of the round: Definition 1 and the predicted
-    cost of an action (:attr:`decided`) and the ledger entry of a round
-    that did no work (:attr:`zero_work`).  A fleet of 1 200 views in six
-    distinct cases asks six times.  A maintainer stepped on its own makes
-    a round of its own that never runs: it reads its windows on demand,
-    suppresses nothing, and finds nothing kept here.  Everything dies
-    with the round.
+    The planners and executors also keep here, by what determines each,
+    the answers that hold for the rest of the round: the action of a
+    policy whose class declares a pure ``decide``
+    (:attr:`actions`), Definition 1 and the predicted cost of an action
+    (:attr:`decided`) and the ledger entry of a round that did no work
+    (:attr:`zero_work`).  A fleet of 1 200 views in six distinct cases
+    asks six times.  A maintainer stepped on its own makes a round of its
+    own that never runs: it reads its windows on demand, suppresses
+    nothing, and finds nothing kept here.  Everything dies with the
+    round.
+
+    The round also carries the telemetry probes, made once when it is
+    made: :attr:`recorder` and :attr:`wanted`, which every view-round of
+    the round reads instead of asking again.
     """
 
     def __init__(self, database: Database):
@@ -351,6 +362,20 @@ class SharedScanRound:
         self._scans: dict[str, _TableScan] = {}
         #: Whether :meth:`run` ran; requests are closed after it.
         self.ran = False
+        #: The thread's metrics recorder (None: telemetry off) and the
+        #: event kinds somebody wants (:attr:`EventLog.wanted`, empty
+        #: with telemetry off), probed once for the round.
+        self.recorder = obs.get_recorder()
+        self.wanted = events.installed().wanted
+        #: ``(model, policy class, pre)`` -> the action every view of
+        #: that case takes, for policies whose class declares
+        #: :attr:`~repro.core.policies.Policy.PURE_DECIDE`.  None in a
+        #: round whose decisions somebody observes
+        #: (:func:`repro.obs.decisions.active`): then every view decides
+        #: for itself, and each decision is that view's own event.
+        self.actions: dict[tuple, tuple[int, ...]] | None = (
+            None if decisions.active() else {}
+        )
         #: ``(model, pre, action, forced)`` -> ``(backlog, predicted ms)``
         #: of an action the model's ``check_action`` accepted.
         self.decided: dict[tuple, tuple[int, float]] = {}
@@ -358,6 +383,10 @@ class SharedScanRound:
         #: -> the one :class:`~repro.ivm.ledger.RoundEntry` every
         #: zero-work view-round of the round that agrees on them appends.
         self.zero_work: dict[tuple, object] = {}
+        #: ``(table, lo, hi, column signature)`` -> whether every event
+        #: of the window is a no-op update for that signature; filled by
+        #: :meth:`run`, empty in a round that never ran.
+        self.fingerprints: dict[tuple, bool] = {}
 
     @property
     def tables(self) -> tuple[str, ...]:
@@ -368,7 +397,9 @@ class SharedScanRound:
     def _scan_of(self, table: Table) -> _TableScan:
         scan = self._scans.get(table.name)
         if scan is None:
-            scan = self._scans[table.name] = _TableScan(table, self.database)
+            scan = self._scans[table.name] = _TableScan(
+                table, self.database, self.fingerprints
+            )
         return scan
 
     def request(
@@ -417,27 +448,25 @@ class SharedScanRound:
             obs.counter("ivm.coordinator.scan.rows", rows_total)
         return len(self._scans)
 
-    def suppresses(self, view, alias: str, k: int) -> bool:
-        """Whether :meth:`run` proved the view's next ``k`` events of
-        ``alias`` a no-op for it.  A lookup: it charges nothing."""
-        delta = view.deltas[alias]
-        scan = self._scans.get(delta.table.name)
-        if scan is None:
-            return False
+    def proven_noop(
+        self, delta, k: int, refcols: frozenset[str] | None
+    ) -> bool:
+        """Whether :meth:`run` proved the next ``k`` events of ``delta``
+        a no-op for a view with column signature ``refcols``.  One
+        lookup: it charges nothing."""
         lo = delta.applied_lsn
-        return scan.fingerprints.get(
-            (lo, lo + k, view.referenced_columns(alias)), False
+        return self.fingerprints.get(
+            (delta.table.name, lo, lo + k, refcols), False
         )
 
-    def batch_for(self, view, alias: str, k: int) -> SharedBatch:
-        """The batch for one view's flush of its next ``k`` events of
-        ``alias``, read now -- and charged to whatever cost window is
-        open -- if the round did not scan it.
+    def batch_for(self, delta, k: int) -> SharedBatch:
+        """The batch for a flush of the next ``k`` events of ``delta``,
+        read now -- and charged to whatever cost window is open -- if the
+        round did not scan it.
 
         Views at the same LSN asking for the same ``k`` are handed the
         same object.
         """
-        delta = view.deltas[alias]
         lo = delta.applied_lsn
         return self._scan_of(delta.table).batch(lo, lo + k)
 

@@ -78,8 +78,9 @@ class MaterializedView:
                 filters=rebased.filters,
                 reads=reads,
             )
-        #: alias -> structural key of its delta query (``QuerySpec.key``):
-        #: views with equal keys derive the same rows from the same batch.
+        #: alias -> structural key of its delta query (``QuerySpec.key``;
+        #: a small int once :meth:`intern_keys` ran): views with equal
+        #: keys derive the same rows from the same batch.
         self.delta_keys: dict[str, Hashable] = {
             alias: delta.key() for alias, delta in self.delta_specs.items()
         }
@@ -89,6 +90,18 @@ class MaterializedView:
         self._rows: Counter | None = None
         self._refcols: dict[str, frozenset[str] | None] = {}
         self._initialize(evaluations)
+
+    def intern_keys(self, interned: dict[Hashable, int]) -> None:
+        """Key the view's delta queries and fold input by the small ints
+        ``interned`` stands their structural keys for, adding any it
+        lacks.  Equal keys intern to equal ints, so what the view shares
+        with views interned by the same table is unchanged; a round's
+        lookups then hash ints, not nested tuples."""
+        self.delta_keys = {
+            alias: interned.setdefault(key, len(interned))
+            for alias, key in self.delta_keys.items()
+        }
+        self._fold_key = interned.setdefault(self._fold_key, len(interned))
 
     def close(self) -> None:
         """Release the view's delta subscriptions on the shared mod logs.

@@ -115,6 +115,13 @@ class TestReferencedColumns:
         assert view.referenced_columns("PS") is None
 
 
+def proven_noop(round_, view, alias, k) -> bool:
+    """The round's verdict on ``view``'s next ``k`` events of ``alias``."""
+    return round_.proven_noop(
+        view.deltas[alias], k, view.referenced_columns(alias)
+    )
+
+
 class TestSharedScanRound:
     def _setup(self):
         db = make_tpcr_db()
@@ -162,24 +169,24 @@ class TestSharedScanRound:
         # open window -- 4 update events, 8 row images.
         before = db.counter.snapshot()
         with db.counter.window() as window:
-            batch = round_.batch_for(views[1], "PS", 4)
+            batch = round_.batch_for(views[1].deltas["PS"], 4)
         assert db.counter.since(before) == {"tuple_cpu": 8}
         assert window.elapsed_ms > 0
         assert len(batch.deleted) == len(batch.inserted) == 4
         # Read once: the next ask is the same batch and charges nothing.
         before = db.counter.snapshot()
-        assert round_.batch_for(views[1], "PS", 4) is batch
+        assert round_.batch_for(views[1].deltas["PS"], 4) is batch
         assert db.counter.since(before) == {}
         # A round that never ran (a round of one) reads the same way,
         # at the same price, and fingerprints nothing.
         alone = SharedScanRound(db)
         with db.counter.window() as alone_window:
-            again = alone.batch_for(views[1], "PS", 4)
+            again = alone.batch_for(views[1].deltas["PS"], 4)
         assert alone_window.elapsed_ms == window.elapsed_ms
         assert (again.deleted, again.inserted) == (
             batch.deleted, batch.inserted
         )
-        assert not alone.suppresses(views[0], "PS", 4)
+        assert not proven_noop(alone, views[0], "PS", 4)
 
     def test_fingerprint_suppresses_untouched_view_only(self):
         db, views, updater = self._setup()
@@ -194,10 +201,10 @@ class TestSharedScanRound:
             )
         round_.run()
         before = db.counter.snapshot()
-        assert round_.suppresses(insensitive, "PS", 10)
-        assert not round_.suppresses(sensitive, "PS", 10)
+        assert proven_noop(round_, insensitive, "PS", 10)
+        assert not proven_noop(round_, sensitive, "PS", 10)
         assert db.counter.since(before) == {}  # a lookup charges nothing
-        batch = round_.batch_for(sensitive, "PS", 10)
+        batch = round_.batch_for(sensitive.deltas["PS"], 10)
         assert len(batch.deleted) == 10 and len(batch.inserted) == 10
 
     def test_mixed_kind_window_never_suppressed(self):
@@ -213,7 +220,7 @@ class TestSharedScanRound:
             insensitive.deltas["PS"], 4, insensitive.referenced_columns("PS")
         )
         round_.run()
-        assert not round_.suppresses(insensitive, "PS", 4)
+        assert not proven_noop(round_, insensitive, "PS", 4)
 
 
 def cost_by_nation_spec() -> QuerySpec:
@@ -284,7 +291,7 @@ class TestSharedDeltaEvaluation:
             round_.request(view.deltas[alias], self.K)
         round_.run()
         return round_, [
-            round_.batch_for(view, alias, self.K) for view in views
+            round_.batch_for(view.deltas[alias], self.K) for view in views
         ]
 
     def _flush(self, db, views, alias="PS"):

@@ -24,12 +24,18 @@ ledger entry's charges and ``sim_ms`` (bit-equal), the counter's tallies,
 the fleet total -- only how many queries actually ran.  The identity mode
 also unshares what a round shares besides evaluations: cost functions are
 equal only to themselves (one ``CostModel`` per view) and the round keeps
-no Definition-1 verdict, window lookup or zero-work entry.
+no policy action, Definition-1 verdict, window batch or zero-work entry.
 
 Third differential: a heterogeneous fleet driven through everything that
 can take a view out of lock-step (late registration, ``set_policy``, a
 targeted refresh, a direct ``step``), against standalone maintainers
 driven the same way -- every ledger entry equal on its decision fields.
+
+Last, the decision memo itself: a lock-step NAIVE fleet asks ``decide``
+once per distinct ``(model, pre)`` per round while every view keeps its
+own ``observe`` and ``record_action``; a subclass that overrides
+``decide`` is asked per view and decides what it decides alone; and
+while decisions are observed every view emits its own.
 """
 
 from contextlib import ExitStack, contextmanager
@@ -40,6 +46,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro import obs
+from repro.obs import decisions
 from repro.core.costfuncs import CostFunction, LinearCost
 from repro.core.naive import NaivePolicy
 from repro.core.online import OnlinePolicy
@@ -50,6 +57,7 @@ from repro.engine.query import AggregateSpec, JoinSpec, QuerySpec
 from repro.engine.types import ColumnType, Schema
 from repro.ivm.maintainer import ViewMaintainer
 from repro.ivm.multiview import MaintenanceCoordinator, ViewConfig
+from repro.ivm import sharedscan
 from repro.ivm.sharedscan import SharedScanRound
 from repro.ivm.view import MaterializedView
 from repro.tpcr.updates import PartSuppCostUpdater, SupplierNationUpdater
@@ -208,6 +216,21 @@ class Forgets(dict):
         pass
 
 
+def forget(owner, *names: str) -> None:
+    """Replace each named memo of ``owner`` with a :class:`Forgets`.
+
+    Every name must exist, so a renamed memo fails here instead of
+    quietly staying shared.  A memo that is None (the decision memo of a
+    round whose decisions somebody observes) is off already.
+    """
+    for name in names:
+        assert hasattr(owner, name), (
+            f"{type(owner).__name__} has no memo {name!r}"
+        )
+        if getattr(owner, name) is not None:
+            setattr(owner, name, Forgets())
+
+
 @contextmanager
 def identity_keys():
     """Every expression and spec keys by identity, as an ``Expression``
@@ -216,18 +239,26 @@ def identity_keys():
 
     ``Expression.key`` alone would not do: a filter-free delta spec holds
     no expression, so ``QuerySpec.key`` is replaced as well.  Likewise a
-    cost function is equal only to itself, and what a round keeps by
-    value (``decided``, ``zero_work``, the resolved windows) it forgets.
+    cost function is equal only to itself, and every memo a round keeps
+    by value it forgets: the policy actions (``actions``), the
+    Definition-1 verdicts (``decided``), the zero-work entries
+    (``zero_work``) and each table's window batches (``_batches``).  The
+    fingerprint verdicts stay: a verdict is priced once per window and
+    signature, so forgetting it would change the charges, not just the
+    sharing.
     """
     nodes = (expr.ColumnRef, expr.Const, expr.Comparison, expr.BinOp,
              expr.BoolOp, expr.Not)
     new_round = SharedScanRound.__init__
+    new_scan = sharedscan._TableScan.__init__
 
     def forgetful_round(self, database):
         new_round(self, database)
-        self.decided, self.zero_work, self._windows = (
-            Forgets(), Forgets(), Forgets()
-        )
+        forget(self, "actions", "decided", "zero_work")
+
+    def forgetful_scan(self, *args):
+        new_scan(self, *args)
+        forget(self, "_batches")
 
     with ExitStack() as stack:
         for cls in nodes:
@@ -245,6 +276,9 @@ def identity_keys():
         )
         stack.enter_context(
             mock.patch.object(SharedScanRound, "__init__", forgetful_round)
+        )
+        stack.enter_context(
+            mock.patch.object(sharedscan._TableScan, "__init__", forgetful_scan)
         )
         yield
 
@@ -719,3 +753,148 @@ def test_heterogeneous_fleet_shares_invisibly():
     assert len({id(model) for model in models}) == len(models)
     entries = [e for m in identity.values() for e in m.ledger.entries]
     assert len({id(e) for e in entries}) == len(entries)
+
+
+# ----------------------------------------------------------------------
+# One policy decision per lock-step case
+# ----------------------------------------------------------------------
+
+LOCKSTEP_ROUNDS = 6
+
+
+def lockstep_config(i: int) -> ViewConfig:
+    """View ``i`` of the lock-step fleet: two specs, and two models --
+    limit 1.0 (every backlog is full) or 6.0 (a backlog of 8 is not,
+    one of 16 is) -- over cost functions equal by value only."""
+    return ViewConfig(
+        name=f"v{i:02d}",
+        query=(min_cost_spec, qty_spec)[i % 2](),
+        policy=NaivePolicy(),
+        cost_functions=(half_two(),),
+        limit=(1.0, 6.0)[i // 2 % 2],
+        scheduled_aliases=("PS",),
+    )
+
+
+def run_lockstep(extra: dict | None = None) -> MaintenanceCoordinator:
+    """Forty views, twenty more registered in round 1 (half a lax cycle
+    behind), ``extra`` name -> policy registered with the first forty
+    under the lax model; ``LOCKSTEP_ROUNDS`` rounds, then a refresh."""
+    db = make_tpcr_db()
+    coordinator = MaintenanceCoordinator(db)
+    for i in range(40):
+        coordinator.add_view(lockstep_config(i))
+    for name, policy in (extra or {}).items():
+        coordinator.add_view(
+            ViewConfig(name, min_cost_spec(), policy, (half_two(),), 6.0,
+                       ("PS",))
+        )
+    updater = PartSuppCostUpdater(db.table("partsupp"), seed=101)
+    for t in range(LOCKSTEP_ROUNDS):
+        if t == 1:
+            for i in range(40, 60):
+                coordinator.add_view(lockstep_config(i))
+        updater.apply(MODS_PER_STEP)
+        coordinator.step(t)
+    coordinator.refresh(t=LOCKSTEP_ROUNDS)
+    return coordinator
+
+
+def test_lockstep_fleet_decides_once_per_case():
+    real = {name: getattr(NaivePolicy, name)
+            for name in ("decide", "observe", "record_action")}
+    with ExitStack() as stack:
+        mocks = {
+            name: stack.enter_context(mock.patch.object(
+                NaivePolicy, name, autospec=True, side_effect=method
+            ))
+            for name, method in real.items()
+        }
+        coordinator = run_lockstep()
+    owner = {id(m.policy): m for _, m in coordinator.iter_maintainers()}
+
+    def calls(name, t):
+        return [c.args for c in mocks[name].call_args_list if c.args[1] == t]
+
+    saved = 0
+    for t in range(LOCKSTEP_ROUNDS + 1):
+        entries = [
+            (m, entry)
+            for _, m in coordinator.iter_maintainers()
+            for entry in m.ledger.entries
+            if entry.t == t
+        ]
+        # Every view still gets its own observe and record_action.
+        for name in ("observe", "record_action"):
+            assert sorted(id(c[0]) for c in calls(name, t)) == sorted(
+                id(m.policy) for m, _ in entries
+            ), (name, t)
+        cases = {
+            (id(m.model), entry.pre_state)
+            for m, entry in entries
+            if not entry.forced
+        }
+        asked = [(id(owner[id(c[0])].model), c[2]) for c in calls("decide", t)]
+        assert len(asked) == len(cases) and set(asked) == cases, t
+        saved += sum(not e.forced for _, e in entries) - len(cases)
+    # Two models, and the late views out of phase with the early ones.
+    assert len({id(m.model) for _, m in coordinator.iter_maintainers()}) == 2
+    assert max(
+        len({(id(m.model), e.pre_state) for _, m in coordinator.iter_maintainers()
+             for e in m.ledger.entries if e.t == t})
+        for t in range(LOCKSTEP_ROUNDS)
+    ) == 3
+    assert saved > 50 * LOCKSTEP_ROUNDS
+
+
+class EveryThird(NaivePolicy):
+    """NAIVE that also flushes a backlog that is not full on every third
+    time it is asked: ``decide`` is overridden and keeps state, and the
+    class declares nothing."""
+
+    def reset(self, cost_functions, limit):
+        super().reset(cost_functions, limit)
+        self.asked = 0
+
+    def decide(self, t, pre_state):
+        self.asked += 1
+        if self.asked % 3 == 0:
+            return tuple(pre_state)
+        return super().decide(t, pre_state)
+
+
+def test_overriding_subclass_is_asked_per_view():
+    coordinator = run_lockstep({"third_a": EveryThird(), "third_b": EveryThird()})
+    db = make_tpcr_db()
+    alone = ViewMaintainer(
+        MaterializedView("third", db, min_cost_spec()), (half_two(),), 6.0,
+        EveryThird(), scheduled_aliases=("PS",),
+    )
+    updater = PartSuppCostUpdater(db.table("partsupp"), seed=101)
+    for t in range(LOCKSTEP_ROUNDS):
+        updater.apply(MODS_PER_STEP)
+        alone.step(t)
+    alone.refresh(LOCKSTEP_ROUNDS)
+    reference = [decision(e) for e in alone.ledger.entries]
+    # The lax NAIVE views of the same model and backlog decided otherwise.
+    assert reference != [
+        decision(e) for e in coordinator.maintainer("v02").ledger.entries
+    ]
+    for name in ("third_a", "third_b"):
+        maintainer = coordinator.maintainer(name)
+        assert maintainer.policy.asked == LOCKSTEP_ROUNDS, name
+        assert [decision(e) for e in maintainer.ledger.entries] == reference
+        assert maintainer.view.contents() == alone.view.contents()
+
+
+def test_observed_decisions_are_each_views_own():
+    with decisions.collecting() as ring:
+        coordinator = run_lockstep()
+    for t in range(LOCKSTEP_ROUNDS):
+        deciding = [
+            name for name, m in coordinator.iter_maintainers()
+            if any(e.t == t for e in m.ledger.entries)
+        ]
+        assert len(deciding) == (40 if t == 0 else 60)
+        assert sorted(e.view for e in ring.events(t=t)) == sorted(deciding), t
+    assert not ring.events(t=LOCKSTEP_ROUNDS)  # the refresh asks nobody
