@@ -15,6 +15,30 @@ def make_problem(costs, limit):
     return ProblemInstance(costs, limit, [(0,) * len(costs)])
 
 
+def minimality_cases():
+    """(instance, full state) pairs; in the second, restoring one emptied
+    table lands exactly on the largest cost that is not full."""
+    edge = make_problem([LinearCost(1.0)], limit=9.0).full_above - 5.0
+    yield make_problem(
+        [LinearCost(0.5, 2.0), LinearCost(1.5), LinearCost(1.0, 1.0)],
+        limit=9.0,
+    ), (6, 4, 5)
+    yield make_problem(
+        [LinearCost(5.0), LinearCost(edge), LinearCost(edge)], limit=9.0
+    ), (1, 1, 1)
+
+
+def assert_minimal(prob, state, action):
+    post = tuple(s - a for s, a in zip(state, action))
+    assert not prob.is_full(post)
+    # minimal: restoring any emptied table overflows
+    for i, a in enumerate(action):
+        if a:
+            restored = list(post)
+            restored[i] += a
+            assert prob.is_full(tuple(restored)), (state, action)
+
+
 class TestEnumeration:
     def test_non_full_state_yields_nothing(self):
         prob = make_problem([LinearCost(1.0), LinearCost(1.0)], limit=10.0)
@@ -30,11 +54,6 @@ class TestEnumeration:
         # state (3, 3): cost 6 > 3; emptying either table leaves 3 <= 3.
         actions = set(enumerate_greedy_minimal_actions((3, 3), prob))
         assert actions == {(3, 0), (0, 3)}
-
-    def test_superset_actions_excluded_by_minimality(self):
-        prob = make_problem([LinearCost(1.0), LinearCost(1.0)], limit=3.0)
-        actions = set(enumerate_greedy_minimal_actions((3, 3), prob))
-        assert (3, 3) not in actions
 
     def test_both_tables_required(self):
         prob = make_problem([LinearCost(1.0), LinearCost(1.0)], limit=3.0)
@@ -58,21 +77,10 @@ class TestEnumeration:
         assert actions == {(1, 0), (0, 12)}
 
     def test_every_enumerated_action_is_valid_and_minimal(self):
-        prob = make_problem(
-            [LinearCost(0.5, 2.0), LinearCost(1.5), LinearCost(1.0, 1.0)],
-            limit=9.0,
-        )
-        state = (6, 4, 5)
-        assert prob.is_full(state)
-        for action in enumerate_greedy_minimal_actions(state, prob):
-            post = tuple(s - a for s, a in zip(state, action))
-            assert not prob.is_full(post)
-            # minimal: restoring any emptied table overflows
-            for i, a in enumerate(action):
-                if a:
-                    restored = list(post)
-                    restored[i] += a
-                    assert prob.is_full(tuple(restored))
+        for prob, state in minimality_cases():
+            assert prob.is_full(state)
+            for action in enumerate_greedy_minimal_actions(state, prob):
+                assert_minimal(prob, state, action)
 
     def test_too_many_tables_guarded(self):
         n = 25
@@ -113,16 +121,5 @@ class TestMinimizeAction:
             minimize_action((0, 0), (8, 8), prob)
 
     def test_result_is_minimal(self):
-        prob = make_problem(
-            [LinearCost(0.5, 2.0), LinearCost(1.5), LinearCost(1.0, 1.0)],
-            limit=9.0,
-        )
-        state = (6, 4, 5)
-        result = minimize_action(state, state, prob)
-        post = tuple(s - a for s, a in zip(state, result))
-        assert not prob.is_full(post)
-        for i, a in enumerate(result):
-            if a:
-                restored = list(post)
-                restored[i] += a
-                assert prob.is_full(tuple(restored))
+        for prob, state in minimality_cases():
+            assert_minimal(prob, state, minimize_action(state, state, prob))

@@ -23,9 +23,14 @@ def asymmetric_instance(steps=60, limit=12.0):
 
 class TestNaive:
     def test_never_violates_constraint(self):
-        problem = asymmetric_instance()
-        trace = simulate_policy(problem, NaivePolicy())
-        assert trace.peak_refresh_cost <= problem.limit + 1e-9
+        # Pre-action costs are 5 + 0.35 t after t steps: at C = 12.3 the
+        # state at t = 21 costs 12.35, over C by under 1 %.
+        for limit in (12.0, 12.3):
+            problem = asymmetric_instance(limit=limit)
+            trace = simulate_policy(problem, NaivePolicy())
+            for post in trace.post_states:
+                cost = sum(f(k) for f, k in zip(problem.cost_functions, post))
+                assert cost <= limit + 1e-9, (limit, post)
 
     def test_actions_are_full_flushes(self):
         problem = asymmetric_instance()
@@ -45,11 +50,6 @@ class TestNaive:
 
 
 class TestOnline:
-    def test_valid_and_constraint_respecting(self):
-        problem = asymmetric_instance()
-        trace = simulate_policy(problem, OnlinePolicy())
-        trace.plan.check_valid(problem)
-
     def test_beats_or_matches_naive_on_asymmetric_costs(self):
         problem = asymmetric_instance()
         online = simulate_policy(problem, OnlinePolicy())
@@ -62,6 +62,23 @@ class TestOnline:
         optimal = find_optimal_lgm_plan(problem)
         assert online.total_cost <= 1.2 * optimal.cost
 
+    def test_h_counts_what_was_spent_and_a_tie_goes_to_the_cheaper(self):
+        # f1(k) = k, f2(k) = 2k, C = 2, rates (1, 0): pre (1, 1) costs 3.
+        # Emptying R1 costs 1 and leaves (0, 1), full again in 1 step;
+        # emptying R2 costs 2 and leaves (1, 0), full again in 2 steps.
+        def decide(t, spent):
+            policy = OnlinePolicy(
+                TimeToFullEstimator(mode="fixed", fixed_rates=[1.0, 0.0])
+            )
+            policy.reset([LinearCost(slope=1.0), LinearCost(slope=2.0)], 2.0)
+            policy.record_action(t - 1, (0, 0), spent)
+            return policy.decide(t, (1, 1))
+
+        # t = 1, F_t = 4: H = 5/2 against 6/3 (without F_t: 1/2 and 2/3).
+        assert decide(1, 4.0) == (0, 1)
+        # t = 4, F_t = 4: H = 5/5 against 6/6, a tie: the cheaper wins.
+        assert decide(4, 4.0) == (1, 0)
+
     def test_spent_tracks_total(self):
         problem = asymmetric_instance()
         policy = OnlinePolicy()
@@ -71,13 +88,16 @@ class TestOnline:
 
 class TestTimeToFullEstimator:
     def test_ewma_tracks_constant_rate(self):
-        est = TimeToFullEstimator(mode="ewma", alpha=0.5)
+        est = TimeToFullEstimator(mode="ewma", alpha=0.25)
         est.reset(2)
         for __ in range(20):
             est.observe((4, 2))
         rates = est.rates()
         assert rates[0] == pytest.approx(4.0, abs=0.01)
         assert rates[1] == pytest.approx(2.0, abs=0.01)
+        # The newest arrivals weigh alpha: 0.25 * 0 + 0.75 * 4, and so on.
+        est.observe((0, 8))
+        assert est.rates() == pytest.approx((3.0, 3.5))
 
     def test_window_average(self):
         est = TimeToFullEstimator(mode="window", window=2)
@@ -251,12 +271,6 @@ class TestSimulator:
             r"components: \(3\.25,\)",
         ):
             simulate_policy(problem, Fractional())
-
-    def test_forced_final_refresh(self):
-        problem = ProblemInstance([LinearCost(1.0)], 100.0, [(1,)] * 5)
-        trace = simulate_policy(problem, NaivePolicy())
-        assert trace.plan.actions[-1] == (5,)
-        assert trace.post_states[-1] == (0,)
 
     def test_trace_statistics(self):
         problem = asymmetric_instance(steps=30)

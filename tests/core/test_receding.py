@@ -37,11 +37,6 @@ class TestRecedingHorizonPolicy:
             arrivals=[(1, 1)] * horizon,
         )
 
-    def test_valid_and_constraint_respecting(self):
-        problem = self.make_problem()
-        trace = simulate_policy(problem, RecedingHorizonPolicy(window=60))
-        trace.plan.check_valid(problem)
-
     def test_optimal_on_uniform_arrivals(self):
         """With exact rate estimates, MPC matches OPT_LGM closely."""
         problem = self.make_problem(horizon=150)

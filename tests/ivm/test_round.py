@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro import obs
 from repro.core.costfuncs import LinearCost
@@ -52,7 +52,10 @@ def definition_1(pre, action, forced, limit) -> bool:
 
 
 vectors = st.tuples(st.integers(0, 12), st.integers(0, 12))
-limits = st.integers(0, 60)
+#: Integer limits, and limits a hair below an integer cost: a post-action
+#: cost there is over ``C`` by under 1 %, which a tolerance scaled by
+#: ``C`` would let through.
+limits = st.integers(0, 60) | st.integers(1, 60).map(lambda n: n - 0.01)
 
 
 class TestOneCheck:
@@ -63,6 +66,7 @@ class TestOneCheck:
         forced=st.booleans(),
         limit=limits,
     )
+    @example(pre=(3, 0), action=(0, 0), forced=False, limit=4.99)
     def test_check_action_is_definition_1(self, pre, action, forced, limit):
         model = CostModel(COSTS, limit)
         if definition_1(pre, action, forced, limit):
