@@ -123,8 +123,8 @@ class ModLog:
     object and no stored LSN: the modification with LSN ``L`` *is* position
     ``L - 1`` of both columns, so any LSN range is a pair of contiguous
     slices (:meth:`columns`) with no searching, and the log cannot hold a
-    gap or a duplicate.  :meth:`window`, indexing and iteration build
-    :class:`ModEvent` records from the two images on demand.
+    gap or a duplicate.  Indexing and iteration build :class:`ModEvent`
+    records from the two images on demand.
 
     Truncation: long-lived coordinators register every
     :class:`~repro.ivm.delta.DeltaTable` over this log as a *subscriber*
@@ -306,13 +306,6 @@ class ModLog:
         lo, hi = lsn_from - self._base, lsn_to - self._base - 1
         span = lo // cs, hi // cs, lo % cs, hi % cs + 1
         return _cut(self._olds, *span), _cut(self._news, *span)
-
-    def window(self, lsn_from: int, lsn_to: int) -> list[ModEvent]:
-        """:meth:`columns` as events, built here."""
-        return list(
-            map(_event, range(lsn_from + 1, lsn_to + 1),
-                *self.columns(lsn_from, lsn_to))
-        )
 
     def __getitem__(self, position: int) -> ModEvent:
         """The event at zero-based log position (= LSN - 1)."""
@@ -621,10 +614,6 @@ class Table:
                 f"snapshot LSN {lsn} of {self.name} is below the vacuum "
                 f"watermark {self._vacuumed_lsn}; its versions were reclaimed"
             )
-
-    def events_between(self, lsn_from: int, lsn_to: int) -> list[ModEvent]:
-        """History events with ``lsn_from < lsn <= lsn_to`` (a delta window)."""
-        return self.history.window(lsn_from, lsn_to)
 
     # ------------------------------------------------------------------
     # Maintenance

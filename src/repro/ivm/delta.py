@@ -15,30 +15,29 @@ modification history between two LSNs:
   the base table's history.
 
 ``size`` (the paper's ``s_t[i]`` component) is the number of events in
-between.  Taking a batch pops the ``k`` oldest events and advances
-``applied_lsn`` to the last popped event -- FIFO order, exactly the
-processing discipline Section 3's analysis assumes.
+between.  A flush of ``k`` reads the ``k`` oldest of them and
+:meth:`~DeltaTable.advance` moves ``applied_lsn`` past the last one --
+FIFO order, exactly the processing discipline Section 3's analysis
+assumes.
 
 Storage: a delta table holds **no events at all** -- just the two LSNs.
 The modifications live once, in the owning table's shared chunked
 :class:`~repro.engine.table.ModLog`, as two columns (before-images and
 after-images).  Maintenance reads a window of it through its round's
-scan (:mod:`repro.ivm.sharedscan`); ``peek``/``take`` build
-:class:`~repro.engine.table.ModEvent` records over the same window for
-callers that want events.  Eight views over one base table cost eight
-offset pairs, not eight copies of its history (``tests/integration/
-test_block_equivalence.py`` asserts the sharing).  This works because the
-log is LSN-dense (position ``L - 1`` is LSN ``L``), so the window
-boundaries alone determine the batch: ``size == seen_lsn - applied_lsn``
-is arithmetic, reads are O(k) slices, and ``advance`` (a take that nobody
-reads) is O(1).
+scan (:mod:`repro.ivm.sharedscan`).  Eight views over one base table
+cost eight offset pairs, not eight copies of its history
+(``tests/integration/test_block_equivalence.py`` asserts the sharing).
+This works because the log is LSN-dense (position ``L - 1`` is LSN
+``L``), so the window boundaries alone determine the batch: ``size ==
+seen_lsn - applied_lsn`` is arithmetic, reads are O(k) slices, and
+``advance`` is O(1).
 """
 
 from __future__ import annotations
 
 from repro import obs
 from repro.engine.errors import ExecutionError
-from repro.engine.table import ModEvent, Table
+from repro.engine.table import Table
 
 
 class DeltaTable:
@@ -86,19 +85,9 @@ class DeltaTable:
             obs.counter("ivm.delta.window_pulled", new)
         return new
 
-    def _oldest(self, k: int) -> tuple[int, int]:
-        """The log window of the ``k`` oldest pending modifications."""
-        if k < 0:
-            raise ValueError(f"k must be non-negative, got {k}")
-        return self.applied_lsn, min(self.applied_lsn + k, self.seen_lsn)
-
-    def peek(self, k: int) -> list[ModEvent]:
-        """The ``k`` oldest pending modifications as events, without
-        removing them."""
-        return self.log.window(*self._oldest(k))
-
     def advance(self, k: int) -> None:
-        """Mark the ``k`` oldest events incorporated without reading them.
+        """Mark the ``k`` oldest events incorporated: after a flush read
+        them through its round, or when the round proved them a no-op.
 
         FIFO and contiguous: afterwards the view-incorporated snapshot of
         this base table is exactly the state after the last of them.
@@ -113,16 +102,6 @@ class DeltaTable:
         self.applied_lsn += k
         if k:
             obs.counter("ivm.delta.window_taken", k)
-
-    def take(self, k: int) -> list[ModEvent]:
-        """Pop the ``k`` oldest events: :meth:`peek` then :meth:`advance`."""
-        taken = self.peek(k)
-        self.advance(k)
-        return taken
-
-    def take_all(self) -> list[ModEvent]:
-        """Pop every pending event (a full flush of this delta table)."""
-        return self.take(self.size)
 
     def __repr__(self) -> str:
         return (

@@ -65,7 +65,6 @@ class ViewMaintainer:
         cost_functions: Sequence[CostFunction],
         limit: float,
         policy: Policy,
-        verify: bool = False,
         scheduled_aliases: Sequence[str] | None = None,
     ):
         self.view = view
@@ -111,7 +110,6 @@ class ViewMaintainer:
         self.model = CostModel(cost_functions, limit)
         self.limit = self.model.limit
         self.policy = policy
-        self.verify = verify
         policy.reset(self.model.cost_functions, self.limit)
         #: The run record, one entry per round; ``log`` is the same object
         #: under the name the benchmark harness reads it by.
@@ -339,13 +337,6 @@ class ViewMaintainer:
                 )
         self.ledger.record(entry)
         self.policy.record_action(t, action, predicted)
-        if self.verify:
-            expected, actual = self.view.recompute(), self.view.contents()
-            if expected != actual:
-                raise AssertionError(
-                    f"view {self.view.name!r} diverged from recomputation: "
-                    f"expected {expected!r}, got {actual!r}"
-                )
         return entry
 
     def _flush(

@@ -13,8 +13,7 @@ contents and per-base-table delta tables.  Two content shapes:
 
 The view also owns the consistency bookkeeping: which base-table LSNs its
 contents reflect (via the delta tables), and a from-scratch
-:meth:`recompute` used by tests and by the paranoid ``verify`` mode of the
-maintainer.
+:meth:`recompute`, the engine's own answer a test may hold the contents to.
 """
 
 from __future__ import annotations
@@ -347,8 +346,7 @@ class MaterializedView:
     def recompute(self) -> dict:
         """Contents recomputed from scratch at the view-incorporated LSNs.
 
-        Used by tests and the maintainer's ``verify`` mode: the
-        incrementally maintained contents must always equal this.
+        The incrementally maintained contents must always equal this.
         """
         lsns = {alias: d.applied_lsn for alias, d in self.deltas.items()}
         if self.is_aggregate:

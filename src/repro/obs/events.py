@@ -203,7 +203,16 @@ def collecting(*kinds: str) -> Iterator[EventLog]:
 
 @contextmanager
 def subscribe(kind: str, callback: Callable[[Any], None]) -> Iterator[None]:
-    """Hand every ``kind`` event to ``callback`` for the block."""
+    """Hand every ``kind`` event to ``callback`` for the block.
+
+    A callback that raises stops its emitter there, and the error reaches
+    the emitter's caller; nothing catches it.  A maintainer emits a
+    ``calibration`` sample after the flush it describes is applied, so a
+    raising subscriber leaves that flush applied and its view-round with
+    no ledger entry, and in a coordinator's round the views after it
+    planned but not executed.  Every view stays at a consistent applied
+    LSN.
+    """
     log = _log
     log.subscribe(kind, callback)
     try:

@@ -1,6 +1,6 @@
 """Hypothesis property tests for the relational engine.
 
-Two families of invariants:
+Three families of invariants:
 
 * **query correctness** -- random SPJ queries over random small relations
   must agree with a brute-force relational-algebra reference evaluator
@@ -11,27 +11,25 @@ Two families of invariants:
   vacuum watermarks;
 * **column pruning** -- random queries at block sizes 1 / 7 / 256 equal a
   plain-Python oracle row for row and charge the same whatever the block
-  size and whatever columns the plan dropped on the way;
-* **retained snapshots** -- whatever LSN order snapshots are asked for in,
-  through log truncation and vacuum, a retained or rolled-forward
-  snapshot's count and hash-join build sides equal a snapshot built
-  directly, and snapshots handed out earlier never change.
+  size and whatever columns the plan dropped on the way.
+
+Retained and rolled-forward snapshots, through log truncation and
+vacuum, are held to a row-by-row model of the table by the stateful
+oracle (``tests/ivm/test_oracle_machine.py``).
 """
 
 from __future__ import annotations
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 
 from repro.engine.database import Database
 from repro.engine.errors import SchemaError
 from repro.engine.expr import col, lit, not_, or_
 from repro.engine.query import AggregateSpec, JoinSpec, QuerySpec
-from repro.engine.snapshot import Snapshot
-from repro.engine.table import ModLog
 from repro.engine.types import ColumnType, Schema
-from tests.integration.test_block_equivalence import oracle_rows
+from tests.oracle import Model, oracle_rows
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -271,11 +269,16 @@ def test_pruned_plans_equal_the_oracle_at_every_block_size(case, substitute):
     # A delta batch in place of the base table reads the same rows through
     # the row-major hand-through instead of a column-slicing scan.
     substitutions = {"R": tables["R"]} if substitute else None
+    models = {}
+    for alias, (name, columns) in PRUNING_TABLES.items():
+        model = models[name] = Model(columns)
+        for row in tables[alias]:
+            model.insert(row)
     charges = []
     for block_size in PRUNING_BLOCK_SIZES:
         db = build_pruning_db(tables, indexed, block_size)
         result = db.execute(spec, substitutions=substitutions)
-        expected = oracle_rows(db, oracle_spec)
+        expected = oracle_rows(models, oracle_spec)
         if spec.reads is None:
             assert result.rows == expected
         else:
@@ -406,100 +409,3 @@ def test_vacuum_preserves_current_state_and_indexes(initial, ops):
         assert sorted(snap.lookup("k", key)) == sorted(
             row for row in before if row[0] == key
         )
-
-
-# ----------------------------------------------------------------------
-# Retained snapshots: rolled forward == built directly
-# ----------------------------------------------------------------------
-
-#: Narrow value ranges make duplicate-valued rows common; the first two
-#: rows are repeated, so ``initial`` always holds some.
-narrow_rows = st.lists(
-    st.tuples(st.integers(0, 2), st.integers(0, 1)), max_size=6
-).map(lambda rows: rows + rows[:2])
-#: Every key either column can hold, and one absent key on each side.
-PROBED_KEYS = range(-1, 4)
-#: (op, victim, k, a, snapshot pick).  ``pick`` None leaves the step
-#: without a snapshot, so the next one rolls a longer window; -1 is "now"
-#: (the roll-forward case); any other value selects an LSN before, at or
-#: after the retained snapshot's.
-retention_steps = st.lists(
-    st.tuples(
-        st.sampled_from(
-            ["insert", "insert", "update", "delete", "truncate", "vacuum"]
-        ),
-        st.integers(0, 7),
-        st.integers(0, 2),
-        st.integers(0, 1),
-        st.none() | st.just(-1) | st.integers(0, 40),
-    ),
-    min_size=1,
-    max_size=30,
-)
-
-
-def _answers(snapshot):
-    """A deep copy of what a snapshot answers: its rows, and a probe of
-    every key in ``PROBED_KEYS`` on every column's keyed map."""
-    return (
-        list(snapshot.row_list()),
-        {
-            column: [
-                list(snapshot.keyed(column)[key]) for key in PROBED_KEYS
-            ]
-            for column in snapshot.schema.names
-        },
-    )
-
-
-@given(initial=narrow_rows, steps=retention_steps)
-# Deleting the later of two equal rows around a third: removing the first
-# match instead would reorder the bucket.
-@example(
-    initial=[(0, 0), (0, 1), (0, 0)],
-    steps=[("truncate", 0, 0, 0, -1), ("delete", 2, 0, 0, -1)],
-)
-@settings(max_examples=200, deadline=None)
-def test_retained_snapshots_equal_direct_builds(initial, steps):
-    db = Database()
-    table = db.create_table(
-        "r", Schema.of(k=ColumnType.INT, a=ColumnType.INT)
-    )
-    # Two-event chunks, so truncation really reclaims log windows.
-    table.history = ModLog(chunk_size=2)
-    for row in initial:
-        table.insert(row)
-    lowest = 0  # the vacuum watermark: lower LSNs are refused
-    handed_out = []
-    for op, victim, k, a, pick in steps:
-        rids = table.find_rids(lambda row: True)
-        if op == "insert":
-            table.insert((k, a))
-        elif op == "update" and rids:
-            table.update_rid(rids[victim % len(rids)], {"a": a})
-        elif op == "delete" and rids:
-            table.delete_rid(rids[victim % len(rids)])
-        elif op == "truncate":
-            table.history.truncate()
-        elif op == "vacuum":
-            watermark = k * table.current_lsn // 2
-            if table.vacuum(before_lsn=watermark):
-                lowest = max(lowest, watermark)
-        if pick is not None:
-            lsn = table.current_lsn
-            if pick >= 0:
-                lsn = lowest + pick % (lsn - lowest + 1)
-            snapshot = table.snapshot(lsn)
-            direct = Snapshot(table, lsn)
-            # The count first: reading the rows would recount them.
-            assert snapshot.count() == len(direct.row_list())
-            for pos in range(len(table.schema.names)):
-                assert {row[pos] for row in direct.row_list()} <= set(
-                    PROBED_KEYS
-                )
-            # Same rows for every key, every bucket in the same order.
-            assert _answers(snapshot) == _answers(direct)
-            handed_out.append((snapshot, _answers(snapshot)))
-        # Every answer a snapshot gave stays the same, whatever came later.
-        for snapshot, original in handed_out:
-            assert _answers(snapshot) == original

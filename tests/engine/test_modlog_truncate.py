@@ -87,16 +87,16 @@ class TestTruncate:
         fill(log, 12)
         log.truncate(upto_lsn=8)
         with pytest.raises(ExecutionError, match="truncation point"):
-            log.window(2, 6)
+            log.columns(2, 6)
         with pytest.raises(IndexError, match="truncation point"):
             log[0]
 
     def test_reads_above_truncation_point_survive(self):
         log = ModLog(chunk_size=4)
         fill(log, 12)
-        before = log.window(8, 12)
+        before = log.columns(8, 12)
         log.truncate(upto_lsn=8)
-        assert log.window(8, 12) == before
+        assert log.columns(8, 12) == before
         assert log[8].new_values == (8,)
         assert [e.lsn for e in log] == list(range(9, 13))
 
@@ -106,4 +106,5 @@ class TestTruncate:
         log.truncate()
         fill(log, 3)
         assert len(log) == 11
-        assert [e.lsn for e in log.window(8, 11)] == [9, 10, 11]
+        assert log.columns(8, 11)[1] == [(0,), (1,), (2,)]
+        assert [e.lsn for e in log] == [9, 10, 11]

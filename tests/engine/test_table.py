@@ -74,8 +74,10 @@ class TestModifications:
     def test_events_between(self, table):
         for i in range(5):
             table.insert((i, "x"))
-        window = table.events_between(1, 4)
-        assert [e.lsn for e in window] == [2, 3, 4]
+        olds, news = table.history.columns(1, 4)
+        assert olds == [None] * 3
+        assert news == [(1, "x"), (2, "x"), (3, "x")]
+        assert [table.history[p].lsn for p in range(1, 4)] == [2, 3, 4]
 
     def test_find_rids(self, table):
         table.insert((1, "a"))

@@ -2,15 +2,17 @@
 
 Three parts:
 
-* a differential test -- hypothesis sequences of insert / update / delete
-  batches against a plain-Python model written here (no ``Table`` code):
-  a list of ``[values, xmin, xmax]`` and a list of ``(old, new)``;
 * what a failed batch leaves (nothing for a bad value; the applied prefix,
   consistently, for a bad row id);
 * literals recorded at the commit before the write path was batched, for
   the three update streams: they pin the RNG draw order and the in-batch
   chains (a slot drawn twice in a batch names the version the first draw
-  created), whatever the batch size.
+  created), whatever the batch size;
+* the log's own checks, and one charge and one metric per batch.
+
+Generated batches against a row-by-row model of the table
+(:class:`tests.oracle.Model`) are rules of the stateful oracle,
+``tests/ivm/test_oracle_machine.py``.
 """
 
 from __future__ import annotations
@@ -18,13 +20,11 @@ from __future__ import annotations
 import hashlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.engine.costmodel import OperationCounter
 from repro.engine.database import Database
 from repro.engine.errors import ExecutionError, SchemaError
-from repro.engine.snapshot import Snapshot
 from repro.engine.table import ModEvent, ModLog, Table
 from repro.engine.types import ColumnType, Schema
 from repro.tpcr.gen import load_tpcr
@@ -33,9 +33,6 @@ from repro.tpcr.updates import (
     PartSuppCostUpdater,
     SupplierNationUpdater,
 )
-
-COLUMNS = ("k", "a", "x")
-FLOAT_POS = 2
 
 
 def make_table(indexes=()) -> Table:
@@ -50,223 +47,6 @@ def make_table(indexes=()) -> Table:
     return table
 
 
-# ----------------------------------------------------------------------
-# The model
-# ----------------------------------------------------------------------
-
-
-class BadRid(Exception):
-    pass
-
-
-class Model:
-    """What a table is, as two lists: row by row, nothing batched."""
-
-    def __init__(self, index_count: int):
-        self.versions: list[list] = []  # [values, xmin, xmax]
-        self.log: list[tuple] = []  # (old, new)
-        self.index_count = index_count
-        self.row_writes = 0
-        self.index_maintains = 0
-
-    def _logged(self, old, new) -> int:
-        self.log.append((old, new))
-        images = (old is not None) + (new is not None)
-        self.row_writes += images
-        self.index_maintains += images * self.index_count
-        return len(self.log)
-
-    def _live(self, rid) -> list:
-        if not 0 <= rid < len(self.versions):
-            raise BadRid(rid)
-        if self.versions[rid][2] is not None:
-            raise BadRid(rid)
-        return self.versions[rid]
-
-    def insert(self, row) -> None:
-        row = tuple(
-            float(v) if pos == FLOAT_POS else v for pos, v in enumerate(row)
-        )
-        self.versions.append([row, self._logged(None, row), None])
-
-    def delete(self, rid) -> None:
-        version = self._live(rid)
-        version[2] = self._logged(version[0], None)
-
-    def update(self, rid, changes: dict) -> None:
-        version = self._live(rid)
-        row = list(version[0])
-        for column, value in changes.items():
-            pos = COLUMNS.index(column)
-            row[pos] = float(value) if pos == FLOAT_POS else value
-        row = tuple(row)
-        lsn = self._logged(version[0], row)
-        version[2] = lsn
-        self.versions.append([row, lsn, None])
-
-    def live_rids(self) -> list[int]:
-        return [rid for rid, v in enumerate(self.versions) if v[2] is None]
-
-    def rows_at(self, lsn: int) -> list[tuple]:
-        return [
-            values
-            for values, xmin, xmax in self.versions
-            if xmin <= lsn and (xmax is None or xmax > lsn)
-        ]
-
-    def charges(self) -> dict[str, int]:
-        charged = {
-            "row_writes": self.row_writes,
-            "index_maintains": self.index_maintains,
-        }
-        return {field: n for field, n in charged.items() if n}
-
-
-# ----------------------------------------------------------------------
-# Generated batches
-# ----------------------------------------------------------------------
-
-ints = st.integers(-3, 6)
-float_values = st.one_of(ints, st.floats(-4.0, 4.0, allow_nan=False))
-# How a batch names its next row id: mostly a row that is live at its
-# turn (so a slot picked twice names the version the first pick created,
-# and a later pick may name a version the batch itself made), sometimes a
-# row id an earlier entry already consumed, sometimes one out of range.
-picks = st.tuples(
-    st.sampled_from(["live"] * 12 + ["again", "wild"]), st.integers(0, 10**6)
-)
-sizes = st.integers(1, 40)
-
-
-@st.composite
-def batches(draw):
-    op = draw(st.sampled_from(["insert", "insert", "update", "update", "delete"]))
-    size = draw(sizes)
-    if op == "insert":
-        return op, draw(
-            st.lists(st.tuples(ints, ints, float_values),
-                     min_size=size, max_size=size)
-        ), None
-    rid_picks = draw(st.lists(picks, min_size=size, max_size=size))
-    if op == "delete":
-        return op, rid_picks, None
-    columns = draw(
-        st.lists(st.sampled_from(COLUMNS), min_size=1, max_size=3, unique=True)
-    )
-    changes = {
-        column: draw(
-            st.lists(float_values if column == "x" else ints,
-                     min_size=size, max_size=size)
-        )
-        for column in columns
-    }
-    return op, rid_picks, changes
-
-
-def resolve(model: Model, op: str, rid_picks) -> list[int]:
-    """Turn a batch's picks into row ids, tracking the rows live at each
-    turn the way the update streams do."""
-    live = model.live_rids()
-    fresh = len(model.versions)
-    rids: list[int] = []
-    for mode, n in rid_picks:
-        if mode == "again" and rids:
-            rids.append(rids[n % len(rids)])
-        elif mode == "live" and live:
-            slot = n % len(live)
-            rids.append(live[slot])
-            if op == "update":
-                live[slot] = fresh
-                fresh += 1
-            else:
-                del live[slot]
-        else:
-            rids.append(n % 7 - 3 + (fresh if n % 2 else 0))
-    return rids
-
-
-INDEX_CHOICES = [(), ("k",), ("a",), ("k", "a")]
-
-
-@given(
-    indexes=st.sampled_from(INDEX_CHOICES),
-    script=st.lists(batches(), min_size=1, max_size=7),
-    windows=st.lists(st.tuples(st.integers(0, 400), st.integers(0, 400)),
-                     min_size=4, max_size=12),
-)
-@settings(max_examples=150, deadline=None)
-def test_batches_equal_the_row_by_row_model(indexes, script, windows):
-    table = make_table(indexes)
-    model = Model(len(indexes))
-    for op, payload, changes in script:
-        before = table.current_lsn
-        failed = model_failed = False
-        if op == "insert":
-            for row in payload:
-                model.insert(row)
-            lsns = table.insert_rows(payload)
-        else:
-            rids = resolve(model, op, payload)
-            try:
-                for i, rid in enumerate(rids):
-                    if op == "delete":
-                        model.delete(rid)
-                    else:
-                        model.update(
-                            rid, {c: values[i] for c, values in changes.items()}
-                        )
-            except BadRid:
-                model_failed = True
-            try:
-                if op == "delete":
-                    lsns = table.delete_rids(rids)
-                else:
-                    lsns = table.update_rids(rids, changes)
-            except ExecutionError:
-                failed = True
-        assert failed == model_failed
-        if not failed:
-            assert lsns == range(before + 1, len(model.log) + 1)
-        # Whatever happened, the table is where the model is.
-        assert table.current_lsn == len(table.history) == len(model.log)
-        assert table.version_count() == len(model.versions)
-        assert table.live_rids() == model.live_rids()
-        assert table.live_count == len(model.live_rids())
-
-    top = len(model.log)
-    for lsn in range(top + 1):
-        assert table.snapshot(lsn).row_list() == model.rows_at(lsn)
-    for a, b in windows:
-        lo, hi = sorted((a % (top + 1), b % (top + 1)))
-        olds, news = table.history.columns(lo, hi)
-        assert list(zip(olds, news)) == model.log[lo:hi]
-        events = table.history.window(lo, hi)
-        assert [(e.old_values, e.new_values) for e in events] == model.log[lo:hi]
-        assert [e.lsn for e in events] == list(range(lo + 1, hi + 1))
-        assert [e.kind for e in events] == [
-            "insert" if old is None else "delete" if new is None else "update"
-            for old, new in model.log[lo:hi]
-        ]
-    # Both join reads, for every column, indexed or not: a fresh
-    # snapshot, one held while later ones are taken, and one rolled
-    # forward from the snapshot the table retained before it.
-    keys = {value for values, _, _ in model.versions for value in values}
-    held = table.snapshot(top // 3)
-    for lsn in (0, top // 3, top // 2, top):
-        fresh = Snapshot(table, lsn)
-        rolled = table.snapshot(lsn)
-        for snapshot in (fresh, rolled, held):
-            visible = model.rows_at(snapshot.lsn)
-            for pos, column in enumerate(COLUMNS):
-                for key in keys:
-                    expected = [row for row in visible if row[pos] == key]
-                    assert snapshot.keyed(column)[key] == expected
-                    if column in indexes:
-                        assert snapshot.lookup(column, key) == expected
-    charged = table.counter.snapshot()
-    assert {f: n for f, n in charged.items() if n} == model.charges()
-
-
 def test_single_row_methods_are_batches_of_one():
     one, many = make_table(("k",)), make_table(("k",))
     events = [
@@ -278,7 +58,7 @@ def test_single_row_methods_are_batches_of_one():
     many.insert_rows([(1, 2, 3), (4, 5, 6.5)])
     many.update_rids([0], {"a": [7], "x": [1]})
     many.delete_rids([1])
-    assert events == one.events_between(0, 4) == many.events_between(0, 4)
+    assert events == list(one.history) == list(many.history)
     assert [e.kind for e in events] == ["insert", "insert", "update", "delete"]
     assert events[2].new_values == (1, 7, 1.0)
     assert one.counter.snapshot() == many.counter.snapshot()
@@ -332,7 +112,7 @@ class TestFailedBatch:
         assert state(table) == state(reference)
         assert table.current_lsn == len(table.history) == lsn + 2
         assert [
-            (e.kind, e.new_values[0]) for e in table.history.window(lsn, lsn + 2)
+            (e.kind, e.new_values[0]) for e in list(table.history)[lsn:lsn + 2]
         ] == [("update", 100), ("update", 101)]
         # Both new versions are found through the index; the fourth row,
         # after the dead one, was not touched.
@@ -360,8 +140,8 @@ class TestFailedBatch:
         fresh = table.version_count()
         lsns = table.update_rids([0, fresh, fresh + 1], {"a": [1, 2, 3]})
         assert len(lsns) == 3
-        assert [e.new_values[1] for e in table.events_between(
-            lsns[0] - 1, lsns[-1])] == [1, 2, 3]
+        news = table.history.columns(lsns[0] - 1, lsns[-1])[1]
+        assert [row[1] for row in news] == [1, 2, 3]
         assert table.version(fresh + 2).values == (0, 3, 0.0)
         assert table.live_rids() == [1, 3, fresh + 2]
         # ... but not before it exists.

@@ -18,9 +18,10 @@ size to two references:
   deleted in PR 15) produced for the same workloads at its last commit:
   the final charge table, each query's row count and first/last row, and
   the final view contents;
-* :func:`oracle_rows` -- a plain-Python evaluator (nested loops, ``dict``
-  group-by) that imports no engine operator, checked against every query
-  result and against the view contents at every applied LSN.
+* :func:`~tests.oracle.oracle_rows` -- a plain-Python evaluator (nested
+  loops, ``dict`` group-by) over row-by-row models of the tables that
+  imports no engine operator, checked against every query result and
+  against the view contents at every applied LSN.
 
 Also here: the shared-modification-log identity tests (a base table with
 8 views holds exactly one copy of its history).
@@ -28,6 +29,7 @@ Also here: the shared-modification-log identity tests (a base table with
 
 from __future__ import annotations
 
+import operator
 import random
 from collections import deque
 
@@ -36,16 +38,8 @@ import pytest
 from repro.engine.block import RowBlock, blocks_to_rows, iter_blocks
 from repro.engine.costmodel import OperationCounter
 from repro.engine.database import Database
-from repro.engine.expr import (
-    BinOp,
-    BoolOp,
-    ColumnRef,
-    Comparison,
-    Const,
-    Not,
-    col,
-    lit,
-)
+from repro.engine.errors import ExecutionError
+from repro.engine.expr import col, lit
 from repro.engine.operators import Filter, Project, RowSource
 from repro.engine.query import AggregateSpec, JoinSpec, QuerySpec
 from repro.engine.table import ModEvent, ModLog
@@ -53,6 +47,7 @@ from repro.engine.types import ColumnType, Schema
 from repro.ivm.maintenance import apply_batch
 from repro.ivm.view import MaterializedView
 from tests.conftest import flush_all
+from tests.oracle import Model, oracle_contents, oracle_rows
 
 BLOCK_SIZES = (1, 7, 64, 1024)
 SEEDS = (3, 17, 101)
@@ -73,7 +68,7 @@ def build_db(
     ``index_dim`` forces the join access path: ``False`` guarantees hash
     joins, ``True`` index-nested-loop, ``None`` the seed's coin flip.
     """
-    rng = random.Random(seed)
+    fact_rows, dim_rows, indexed = _initial_rows(seed)
     db = Database(block_size=block_size)
     fact = db.create_table(
         "fact",
@@ -88,18 +83,40 @@ def build_db(
         "dim",
         Schema.of(k=ColumnType.INT, cat=ColumnType.INT, w=ColumnType.FLOAT),
     )
-    for i in range(rng.randint(40, 90)):
-        fact.insert(
-            (i, rng.randint(0, 9), rng.randint(0, 4), round(rng.uniform(0, 100), 3))
-        )
-    for k in range(10):
-        dim.insert((k, rng.randint(0, 2), round(rng.uniform(0, 10), 3)))
-    indexed = rng.random() < 0.5  # always drawn: keeps the stream per-seed
+    for row in fact_rows:
+        fact.insert(row)
+    for row in dim_rows:
+        dim.insert(row)
     if index_dim is not None:
         indexed = index_dim
     if indexed:
         dim.create_index("k")
     return db
+
+
+def _initial_rows(seed: int):
+    """``(fact rows, dim rows, whether to index dim.k)`` for a seed."""
+    rng = random.Random(seed)
+    fact = [
+        (i, rng.randint(0, 9), rng.randint(0, 4), round(rng.uniform(0, 100), 3))
+        for i in range(rng.randint(40, 90))
+    ]
+    dim = [(k, rng.randint(0, 2), round(rng.uniform(0, 10), 3)) for k in range(10)]
+    indexed = rng.random() < 0.5  # always drawn: keeps the stream per-seed
+    return fact, dim, indexed
+
+
+def build_models(seed: int) -> dict[str, Model]:
+    """The oracle's models of :func:`build_db`'s tables."""
+    fact_rows, dim_rows, _ = _initial_rows(seed)
+    models = {
+        "fact": Model(("id", "k", "grp", "val"), floats=("val",)),
+        "dim": Model(("k", "cat", "w"), floats=("w",)),
+    }
+    for name, rows in (("fact", fact_rows), ("dim", dim_rows)):
+        for row in rows:
+            models[name].insert(row)
+    return models
 
 
 def query_specs(seed: int) -> list[QuerySpec]:
@@ -159,35 +176,39 @@ def run_queries(block_size: int, seed: int, specs=query_specs, index_dim=None):
     return db, results, db.counter.snapshot()
 
 
-def _mutate(rng: random.Random, db: Database, steps: int) -> None:
+def _mutate(rng: random.Random, db: Database, model: Model, steps: int) -> None:
     """A burst of random inserts/updates/deletes, identical per seed
-    because ``find_rids`` sees identical table state at every block size."""
+    because ``find_rids`` sees identical table state at every block size;
+    each is made to ``model`` of the fact table too."""
     fact = db.table("fact")
     for __ in range(steps):
         action = rng.random()
         live = fact.find_rids(lambda row: True)
         if action < 0.45 or not live:
-            fact.insert(
-                (
-                    rng.randint(1000, 9999),
-                    rng.randint(0, 9),
-                    rng.randint(0, 4),
-                    round(rng.uniform(0, 100), 3),
-                )
+            row = (
+                rng.randint(1000, 9999),
+                rng.randint(0, 9),
+                rng.randint(0, 4),
+                round(rng.uniform(0, 100), 3),
             )
+            fact.insert(row)
+            model.insert(row)
         elif action < 0.8:
-            fact.update_rid(
-                rng.choice(live), {"val": round(rng.uniform(0, 100), 3)}
-            )
+            rid, changes = rng.choice(live), {"val": round(rng.uniform(0, 100), 3)}
+            fact.update_rid(rid, changes)
+            model.update(rid, changes)
         else:
-            fact.delete_rid(rng.choice(live))
+            rid = rng.choice(live)
+            fact.delete_rid(rid)
+            model.delete(rid)
 
 
 def run_ivm(block_size: int, seed: int, hash_join: bool = False):
     """Maintain a MIN view under a random update stream with random batch
-    sizes; return (view, trace, recompute, final charges) where ``trace``
-    holds the (applied LSNs, contents) after every batch and after the
-    final refresh, and the charges include that one engine recompute.
+    sizes; return (view, trace, recompute, final charges, models) where
+    ``trace`` holds the (applied LSNs, contents) after every batch and
+    after the final refresh, the charges include that one engine
+    recompute, and ``models`` are the oracle's models of the tables.
 
     ``hash_join`` forces the un-indexed dimension, so the delta-substituted
     probe path is exercised (a shorter stream with its own seed, no final
@@ -202,6 +223,7 @@ def run_ivm(block_size: int, seed: int, hash_join: bool = False):
         aggregate=AggregateSpec(func="min", value=col("F.val"), group_by=("F.grp",)),
     )
     view = MaterializedView("v", db, spec)
+    models = build_models(seed)
     rng = random.Random(seed * 37 + 3 if hash_join else seed * 13 + 5)
     trace = []
 
@@ -210,7 +232,7 @@ def run_ivm(block_size: int, seed: int, hash_join: bool = False):
         trace.append((lsns, view.contents()))
 
     for __ in range(8 if hash_join else 12):
-        _mutate(rng, db, rng.randint(0, 4))
+        _mutate(rng, db, models["fact"], rng.randint(0, 4))
         delta = view.deltas["F"]
         delta.pull()
         k = rng.randint(0, delta.size)
@@ -222,7 +244,7 @@ def run_ivm(block_size: int, seed: int, hash_join: bool = False):
             d.pull()
     flush_all(view)
     record()
-    return view, trace, view.recompute(), db.counter.snapshot()
+    return view, trace, view.recompute(), db.counter.snapshot(), models
 
 
 # ----------------------------------------------------------------------
@@ -406,99 +428,6 @@ def summarize(results) -> list[tuple]:
 
 
 # ----------------------------------------------------------------------
-# Reference 2: a plain-Python evaluator sharing no operator with the engine
-# ----------------------------------------------------------------------
-
-
-def _sequential_sum(values):
-    total = 0.0
-    for value in values:
-        total += value
-    return total
-
-
-_FOLDS = {
-    "count": len,
-    "min": lambda vs: min(vs) if vs else None,
-    "max": lambda vs: max(vs) if vs else None,
-    "sum": lambda vs: _sequential_sum(vs) if vs else None,
-    "avg": lambda vs: _sequential_sum(vs) / len(vs) if vs else None,
-}
-
-
-_BINARY = {
-    "=": lambda a, b: a == b, "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b, "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b, ">=": lambda a, b: a >= b,
-    "+": lambda a, b: a + b, "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b, "/": lambda a, b: a / b,
-}
-
-
-def oracle_value(expr, row, layout):
-    """``expr`` on one row, by walking the tree: the oracle's own
-    evaluator (kept apart from ``compile_block`` on purpose)."""
-    if isinstance(expr, ColumnRef):
-        if expr.name in layout:
-            return row[layout[expr.name]]
-        (pos,) = [p for n, p in layout.items() if n.endswith("." + expr.name)]
-        return row[pos]
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, (Comparison, BinOp)):
-        return _BINARY[expr.op](
-            oracle_value(expr.left, row, layout),
-            oracle_value(expr.right, row, layout),
-        )
-    if isinstance(expr, BoolOp):
-        combine = all if expr.op == "and" else any
-        return combine(oracle_value(e, row, layout) for e in expr.operands)
-    if isinstance(expr, Not):
-        return not oracle_value(expr.operand, row, layout)
-    raise TypeError(f"the oracle does not evaluate {expr!r}")
-
-
-def oracle_rows(db: Database, spec: QuerySpec, lsns=None) -> list[tuple]:
-    """Evaluate ``spec`` over the tables' visible rows at ``lsns``."""
-    assert not spec.order_by and spec.limit is None
-
-    def visible(alias, table_name):
-        table = db.table(table_name)
-        rows = table.snapshot((lsns or {}).get(alias)).row_list()
-        return [f"{alias}.{name}" for name in table.schema.names], rows
-
-    names, rows = visible(spec.base_alias, spec.base_table)
-    for join in spec.joins:
-        right_names, right_rows = visible(join.alias, join.table)
-        lpos = names.index(join.left_column)
-        rpos = right_names.index(f"{join.alias}.{join.right_column}")
-        rows = [l + r for l in rows for r in right_rows if l[lpos] == r[rpos]]
-        names = names + right_names
-    layout = {name: pos for pos, name in enumerate(names)}
-    for predicate in spec.filters:
-        rows = [row for row in rows if oracle_value(predicate, row, layout)]
-    if spec.aggregate is not None:
-        agg = spec.aggregate
-        groups = {} if agg.group_by else {(): []}
-        for row in rows:
-            key = tuple(row[layout[g]] for g in agg.group_by)
-            groups.setdefault(key, []).append(
-                oracle_value(agg.value, row, layout)
-            )
-        fold = _FOLDS[agg.func]
-        rows = [key + (fold(groups[key]),) for key in sorted(groups, key=repr)]
-    elif spec.projection is not None:
-        rows = [tuple(row[layout[c]] for c in spec.projection) for row in rows]
-    return list(dict.fromkeys(rows)) if spec.distinct else rows
-
-
-def oracle_contents(db: Database, spec: QuerySpec, lsns) -> dict:
-    """An aggregate view's contents, per the oracle (empty groups drop)."""
-    rows = oracle_rows(db, spec, lsns)
-    return {row[:-1]: row[-1] for row in rows if row[-1] is not None}
-
-
-# ----------------------------------------------------------------------
 # Differential tests
 # ----------------------------------------------------------------------
 
@@ -510,20 +439,23 @@ def check_queries(suite: str, seed: int, specs, index_dim) -> None:
         at = f"at block_size={block_size}"
         assert charges == frozen["charges"], f"simulated charges diverge {at}"
         assert summarize(results) == frozen["results"], f"rows diverge {at}"
+        models = build_models(seed)
         for spec, rows in zip(specs(seed), results, strict=True):
-            assert rows == oracle_rows(db, spec), f"{spec} != oracle {at}"
+            assert rows == oracle_rows(models, spec), f"{spec} != oracle {at}"
 
 
 def check_ivm(suite: str, seed: int, hash_join: bool) -> None:
     frozen = FROZEN[suite, seed]
     for block_size in BLOCK_SIZES:
-        view, trace, recompute, charges = run_ivm(block_size, seed, hash_join)
+        view, trace, recompute, charges, models = run_ivm(
+            block_size, seed, hash_join
+        )
         at = f"at block_size={block_size}"
         assert charges == frozen["charges"], f"simulated charges diverge {at}"
         assert trace[-1][1] == frozen["contents"], f"contents diverge {at}"
         assert recompute == frozen["contents"]
         for lsns, contents in trace:
-            expected = oracle_contents(view.database, view.spec, lsns)
+            expected = oracle_contents(models, view.spec, lsns)
             assert contents == expected, f"view != oracle at LSNs {lsns} {at}"
 
 
@@ -678,7 +610,7 @@ def test_eight_views_share_one_history_copy():
         MaterializedView(f"v{i}", db, _simple_view_spec()) for i in range(8)
     ]
     rng = random.Random(99)
-    _mutate(rng, db, 60)
+    _mutate(rng, db, build_models(5)["fact"], 60)
     for view in views:
         view.deltas["F"].pull()
 
@@ -692,16 +624,18 @@ def test_eight_views_share_one_history_copy():
             for held in vars(delta).values()
         )
     # Exactly one copy: the table logged one event per modification, and
-    # the peeked events' row tuples are identical (is) across all views --
-    # the event records themselves are built per read, the rows are not.
+    # the row tuples each view's window reads are identical (is) across
+    # all views -- the columns are cut per read, the rows are not.
     assert len(fact.history) == baseline_events + 60
-    first = views[0].deltas["F"].peek(10)
+
+    def window(view):
+        delta = view.deltas["F"]
+        return delta.log.columns(delta.applied_lsn, delta.applied_lsn + 10)
+
+    first = window(views[0])
     for view in views[1:]:
-        other = view.deltas["F"].peek(10)
-        assert all(
-            a.old_values is b.old_values and a.new_values is b.new_values
-            for a, b in zip(first, other, strict=True)
-        )
+        for ours, theirs in zip(first, window(view), strict=True):
+            assert all(map(operator.is_, ours, theirs))
     # Window arithmetic: sizes agree with the log without any scan.
     for view in views:
         delta = view.deltas["F"]
@@ -719,19 +653,18 @@ def test_modlog_chunked_window_and_invariants():
     assert len(log) == 11
     assert list(log) == events
     # Windows spanning chunk boundaries, empty windows, and full windows.
-    assert log.window(0, 11) == events
-    assert log.window(3, 9) == events[3:9]
-    assert log.window(7, 7) == []
+    news = [e.new_values for e in events]
+    assert log.columns(0, 11) == ([None] * 11, news)
+    assert log.columns(3, 9) == ([None] * 6, news[3:9])
+    assert log.columns(7, 7) == ([], [])
     assert log[4] == events[4]
     # LSN-density is enforced: a gap or duplicate LSN is rejected.
-    from repro.engine.errors import ExecutionError
-
     with pytest.raises(ExecutionError):
         log.append(
             ModEvent(lsn=20, kind="insert", old_values=None, new_values=(0,))
         )
     with pytest.raises(ExecutionError):
-        log.window(5, 99)
+        log.columns(5, 99)
 
 
 def test_rowblock_views_and_iter_blocks():

@@ -128,7 +128,6 @@ class TestFullPipeline:
         )
         maintainer = ViewMaintainer(
             view, costs, limit=500.0, policy=RandomValidPolicy(13),
-            verify=True,  # recompute-and-compare after every action
             scheduled_aliases=("PS", "S"),
         )
         ps_updater = PartSuppCostUpdater(db.table("partsupp"), seed=61)
@@ -138,6 +137,7 @@ class TestFullPipeline:
             ps_updater.apply(rng.randint(0, 12))
             sup_updater.apply(rng.randint(0, 2))
             maintainer.step(t)
+            assert view.contents() == view.recompute()
         maintainer.refresh(25)
         assert view.contents() == view.recompute()
 

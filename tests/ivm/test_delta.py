@@ -46,11 +46,14 @@ class TestPull:
 class TestTake:
     def test_fifo_order(self, table):
         delta = DeltaTable(table)
+        lo = delta.applied_lsn
         table.insert((10,))
         table.insert((11,))
         delta.pull()
-        events = delta.take(2)
-        assert [e.new_values for e in events] == [(10,), (11,)]
+        delta.advance(1)
+        assert delta.log.columns(lo, delta.applied_lsn)[1] == [(10,)]
+        delta.advance(1)
+        assert delta.log.columns(lo, delta.applied_lsn)[1] == [(10,), (11,)]
         assert delta.size == 0
 
     def test_take_advances_applied_lsn(self, table):
@@ -59,9 +62,9 @@ class TestTake:
         table.insert((10,))
         table.insert((11,))
         delta.pull()
-        delta.take(1)
+        delta.advance(1)
         assert delta.applied_lsn == base_lsn + 1
-        delta.take(1)
+        delta.advance(1)
         assert delta.applied_lsn == base_lsn + 2
 
     def test_partial_take_keeps_remainder(self, table):
@@ -69,43 +72,43 @@ class TestTake:
         for i in range(4):
             table.insert((100 + i,))
         delta.pull()
-        delta.take(2)
+        delta.advance(2)
         assert delta.size == 2
-        assert delta.peek(1)[0].new_values == (102,)
+        lo = delta.applied_lsn
+        assert delta.log.columns(lo, lo + 1)[1] == [(102,)]
 
     def test_overtake_rejected(self, table):
         delta = DeltaTable(table)
         table.insert((10,))
         delta.pull()
         with pytest.raises(ExecutionError, match="only 1 pending"):
-            delta.take(2)
+            delta.advance(2)
 
     def test_take_zero_on_empty_syncs_applied(self, table):
         delta = DeltaTable(table)
         table.insert((10,))
         delta.pull()
-        delta.take(1)
-        assert delta.take(0) == []
+        delta.advance(1)
+        assert delta.advance(0) is None
         assert delta.applied_lsn == delta.seen_lsn
 
     def test_negative_take_rejected(self, table):
         delta = DeltaTable(table)
         with pytest.raises(ValueError):
-            delta.take(-1)
-        with pytest.raises(ValueError):
-            delta.peek(-1)
+            delta.advance(-1)
 
     def test_advance_is_take_without_the_events(self, table):
-        taken, advanced = DeltaTable(table), DeltaTable(table)
+        """Advancing by two is advancing by one twice."""
+        stepped, advanced = DeltaTable(table), DeltaTable(table)
         for i in range(3):
             table.insert((10 + i,))
-        for delta in (taken, advanced):
+        for delta in (stepped, advanced):
             delta.pull()
-        taken.take(2)
+        stepped.advance(1)
+        stepped.advance(1)
         assert advanced.advance(2) is None
-        assert advanced.applied_lsn == taken.applied_lsn
-        assert advanced.size == taken.size == 1
-        assert advanced.peek(1) == taken.peek(1)
+        assert advanced.applied_lsn == stepped.applied_lsn
+        assert advanced.size == stepped.size == 1
 
     def test_advance_checks_bounds_like_take(self, table):
         delta = DeltaTable(table)
@@ -128,7 +131,7 @@ class TestTake:
         delta.pull()
         with obs.recording() as recorder:
             delta.advance(2)
-            delta.take(1)
+            delta.advance(1)
             delta.advance(0)
         assert recorder.registry.get("ivm.delta.window_taken").value == 3
 
@@ -137,8 +140,9 @@ class TestTake:
         for i in range(3):
             table.insert((i,))
         delta.pull()
-        assert len(delta.take_all()) == 3
+        delta.advance(delta.size)
         assert delta.size == 0
+        assert delta.applied_lsn == table.current_lsn
 
     def test_snapshot_at_applied_lsn_matches_processed_state(self, table):
         """The invariant the state-bug fix rests on."""
@@ -146,9 +150,9 @@ class TestTake:
         table.insert((10,))
         table.update_rid(0, {"k": 99})
         delta.pull()
-        delta.take(1)  # incorporate only the insert of 10
+        delta.advance(1)  # incorporate only the insert of 10
         snap = table.snapshot(delta.applied_lsn)
         assert sorted(snap.rows()) == [(0,), (1,), (2,), (10,)]
-        delta.take(1)  # incorporate the update 0 -> 99
+        delta.advance(1)  # incorporate the update 0 -> 99
         snap = table.snapshot(delta.applied_lsn)
         assert sorted(snap.rows()) == [(1,), (2,), (10,), (99,)]

@@ -15,7 +15,7 @@ COSTS = (LinearCost(slope=0.2, setup=1.0), LinearCost(slope=10.0, setup=120.0))
 LIMIT = 600.0
 
 
-def make_maintainer(policy, verify=False):
+def make_maintainer(policy):
     db = make_tpcr_db()
     view = MaterializedView("v", db, make_paper_spec())
     maintainer = ViewMaintainer(
@@ -23,7 +23,6 @@ def make_maintainer(policy, verify=False):
         COSTS,
         limit=LIMIT,
         policy=policy,
-        verify=verify,
         scheduled_aliases=("PS", "S"),
     )
     ps = PartSuppCostUpdater(db.table("partsupp"), seed=21)
@@ -33,7 +32,7 @@ def make_maintainer(policy, verify=False):
 
 class TestStepAndRefresh:
     def test_naive_run_stays_consistent(self):
-        maintainer, ps, sup = make_maintainer(NaivePolicy(), verify=True)
+        maintainer, ps, sup = make_maintainer(NaivePolicy())
         for t in range(12):
             ps.apply(8)
             sup.apply(1)
@@ -43,7 +42,7 @@ class TestStepAndRefresh:
         assert maintainer.view.contents() == maintainer.view.recompute()
 
     def test_online_run_stays_consistent(self):
-        maintainer, ps, sup = make_maintainer(OnlinePolicy(), verify=True)
+        maintainer, ps, sup = make_maintainer(OnlinePolicy())
         for t in range(12):
             ps.apply(8)
             sup.apply(1)
@@ -162,9 +161,7 @@ class TestReplayThroughMaintainer:
     def test_replayed_plan_executes_live(self):
         # A hand-written plan: flush everything at t=2, and at refresh.
         plan_actions = [(0, 0), (0, 0), (6, 2), (0, 0)]
-        maintainer, ps, sup = make_maintainer(
-            ReplayPolicy(plan_actions), verify=True
-        )
+        maintainer, ps, sup = make_maintainer(ReplayPolicy(plan_actions))
         for t in range(4):
             ps.apply(2)
             if t < 2:

@@ -254,7 +254,8 @@ class TestOneTail:
         """The policy moves naive -> online -> receding -> online ->
         naive between rounds; whichever policy decided, what the ledger
         holds is what the maintainer's own model accepts."""
-        maintainer, ps, sup = make_maintainer(NaivePolicy(), verify=True)
+        maintainer, ps, sup = make_maintainer(NaivePolicy())
+        view = maintainer.view
         t = 0
         for policy in (
             OnlinePolicy(), RecedingHorizonPolicy(window=60), OnlinePolicy(),
@@ -264,6 +265,7 @@ class TestOneTail:
                 ps.apply(8)
                 sup.apply(1)
                 maintainer.step(t)
+                assert view.contents() == view.recompute()
                 t += 1
             maintainer.refresh(t)
             t += 1

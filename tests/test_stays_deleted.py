@@ -107,6 +107,18 @@ ROWS = (
          "wall-clock is measured in benchmarks/layered/ only; bench_*.py "
          "files time nothing", "22",
          exclude=("layered", "test_reach.py")),
+    Gone(r"verify=|self\.verify", ("src/repro/ivm",),
+         "self.verify = verify",
+         "the stateful oracle checks contents; no maintainer recomputes", "39"),
+    Gone(r"def (peek|take|take_all|events_between|window)\(",
+         ("src/repro/ivm/delta.py", "src/repro/engine/table.py"),
+         "    def peek(self, k: int) -> list[ModEvent]:",
+         "a window is read through its round and advanced; the log hands "
+         "out columns", "39"),
+    Gone(r"def run_script|retention_steps|class Model\b", ("tests",),
+         "class Model:",
+         "interleavings are rules of the stateful oracle, and its Model is "
+         "the one table model", "39", exclude=("oracle.py",)),
 )
 
 #: Paths (globs) that must not exist, each with the change that deleted it.

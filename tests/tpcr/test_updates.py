@@ -98,10 +98,10 @@ class TestPartSuppCostUpdater:
         ps1, ps2 = db.table("partsupp"), db2.table("partsupp")
         l1 = PartSuppCostUpdater(ps1, seed=5).apply(5)
         l2 = PartSuppCostUpdater(ps2, seed=5).apply(5)
-        e1 = ps1.events_between(l1[0] - 1, l1[-1])
-        e2 = ps2.events_between(l2[0] - 1, l2[-1])
-        assert len(e1) == 5
-        assert [e.new_values for e in e1] == [e.new_values for e in e2]
+        news1 = ps1.history.columns(l1[0] - 1, l1[-1])[1]
+        news2 = ps2.history.columns(l2[0] - 1, l2[-1])[1]
+        assert len(news1) == 5
+        assert news1 == news2
 
     def test_negative_k_rejected(self, db):
         updater = PartSuppCostUpdater(db.table("partsupp"), seed=1)

@@ -212,15 +212,41 @@ MUTANTS = (
            "if lsn < self._vacuumed_lsn:",
            "if lsn < self._vacuumed_lsn - 1:",
            "a read below the vacuum watermark raises"),
+    Mutant("failed-batch-drops-prefix", "engine/table.py",
+           "        finally:\n"
+           "            lsns = self._commit(olds, [None] * len(olds))",
+           "        except ExecutionError:\n"
+           "            raise\n"
+           "        else:\n"
+           "            lsns = self._commit(olds, [None] * len(olds))",
+           "a batch failing at a row id keeps the rows before it"),
     Mutant("truncate-past-reader", "engine/table.py",
            "if applied < floor:\n                floor = applied",
            "if applied > floor:\n                floor = applied",
            "ModLog.truncate keeps what a live reader has not applied"),
     # -- Delta windowing and the maintenance statement ------------------
-    Mutant("window-newest", "ivm/delta.py",
-           "return self.applied_lsn, min(self.applied_lsn + k, self.seen_lsn)",
-           "return max(self.seen_lsn - k, self.applied_lsn), self.seen_lsn",
+    Mutant("window-newest", "ivm/sharedscan.py",
+           "lo = delta.applied_lsn\n        return self._scan_of(delta.table)",
+           "lo = delta.seen_lsn - k\n        return self._scan_of(delta.table)",
            "a flush of k takes the k oldest modifications"),
+    Mutant("advance-before-fold", "ivm/maintenance.py",
+           "    batch = round_.batch_for(delta, k)\n"
+           "    with obs.trace(\"ivm.apply_batch\", alias=alias, k=k):\n"
+           "        _propagate(view, alias, batch)\n"
+           "    obs.counter(\"ivm.batches_applied\")\n"
+           "    obs.counter(\"ivm.modifications_applied\", k)\n"
+           "    delta.advance(k)\n",
+           "    batch = round_.batch_for(delta, k)\n"
+           "    delta.advance(k)\n"
+           "    with obs.trace(\"ivm.apply_batch\", alias=alias, k=k):\n"
+           "        _propagate(view, alias, batch)\n"
+           "    obs.counter(\"ivm.batches_applied\")\n"
+           "    obs.counter(\"ivm.modifications_applied\", k)\n",
+           "a flush that raises leaves its view at a consistent applied LSN"),
+    Mutant("remove-view-pins", "ivm/multiview.py",
+           "view.close()\n        dropped",
+           "dropped",
+           "remove_view lets a log truncate history only that view pinned"),
     Mutant("log-window-shifted", "engine/table.py",
            "lo, hi = lsn_from - self._base, lsn_to - self._base - 1",
            "lo, hi = lsn_from - self._base + 1, lsn_to - self._base",
