@@ -576,24 +576,27 @@ def _load_sql_database(scale: float):
     return db
 
 
-def _parse_or_report(args):
-    """The ``(database, spec)`` an ad-hoc SQL command works on, or
-    ``None`` after reporting why ``args.query`` does not parse."""
+def _run_query(args, run) -> int:
+    """Parse ``args.query`` and call ``run(args, database, spec)`` on a
+    fresh TPC-R database; a query the parser or the planner refuses is
+    reported on stderr, exit 1."""
+    from repro.engine.errors import SchemaError
     from repro.sql import SqlError, parse_query
 
     try:
         spec = parse_query(args.query)
-    except SqlError as exc:
+        run(args, _load_sql_database(args.scale), spec)
+    except (SqlError, SchemaError) as exc:
         print(f"SQL error: {exc}", file=sys.stderr)
-        return None
-    return _load_sql_database(args.scale), spec
+        return 1
+    return 0
 
 
 def _run_sql(args) -> int:
-    parsed = _parse_or_report(args)
-    if parsed is None:
-        return 1
-    db, spec = parsed
+    return _run_query(args, _print_result)
+
+
+def _print_result(args, db, spec) -> None:
     with db.counter.window() as window:
         result = db.execute(spec)
     print("  ".join(result.columns))
@@ -606,16 +609,13 @@ def _run_sql(args) -> int:
         f"\n{len(result.rows)} row(s); simulated cost "
         f"{window.elapsed_ms:.2f} ms"
     )
-    return 0
 
 
 def _run_explain(args) -> int:
-    parsed = _parse_or_report(args)
-    if parsed is None:
-        return 1
-    db, spec = parsed
-    print(db.explain(spec, analyze=args.analyze))
-    return 0
+    return _run_query(
+        args,
+        lambda args, db, spec: print(db.explain(spec, analyze=args.analyze)),
+    )
 
 
 def _run_timeline(args) -> int:

@@ -27,7 +27,6 @@ from __future__ import annotations
 import time
 import weakref
 from dataclasses import dataclass
-from functools import partial
 from typing import Mapping, Sequence
 
 from repro import obs
@@ -45,7 +44,7 @@ from repro.obs import attrib, events
 
 
 @dataclass(slots=True)
-class _Stage:
+class Stage:
     """One step of the left-deep plan, worked out by name before any
     operator exists: the base source or a join, then the filters that
     become ready on its output."""
@@ -125,7 +124,7 @@ class Database:
         spec: QuerySpec,
         snapshot_lsns: Mapping[str, int] | None = None,
         substitutions: Mapping[str, Sequence[tuple]] | None = None,
-        profile: bool | None = None,
+        profile: bool = False,
     ) -> QueryResult:
         """Run a query and materialize its result.
 
@@ -145,16 +144,14 @@ class Database:
             for a base table.
         profile:
             ``True`` attaches a per-operator attribution tree to the
-            result as :attr:`QueryResult.profile`.  ``None`` (the default)
+            result as :attr:`QueryResult.profile`.  Without it a query
             profiles only while someone wants ``profile`` events
             (:mod:`repro.obs.events`; ``--profile``,
-            :func:`repro.obs.attrib.set_profile_sink`); ``False`` never
-            profiles.  Profiling changes **no** simulated charges.
+            :func:`repro.obs.attrib.set_profile_sink`).  Profiling changes
+            **no** simulated charges.
         """
-        snapshot_lsns = snapshot_lsns or {}
-        substitutions = substitutions or {}
         prof = None
-        if profile or (profile is None and events.wanted("profile")):
+        if profile or events.wanted("profile"):
             view, round_, _ = events.current_step()
             prof = attrib.QueryProfile(
                 self.counter.model,
@@ -168,7 +165,9 @@ class Database:
             return self._execute_plan(spec, snapshot_lsns, substitutions, None)
         wall_start = time.perf_counter()
         if recorder is None:
-            result = self._execute_plan(spec, snapshot_lsns, substitutions, prof)
+            result = self._execute_plan(
+                spec, snapshot_lsns, substitutions, prof
+            )
         else:
             sim_start = self.counter.elapsed_ms()
             with obs.trace("engine.execute", base=spec.base_table) as span:
@@ -203,63 +202,12 @@ class Database:
     def _execute_plan(
         self,
         spec: QuerySpec,
-        snapshot_lsns: Mapping[str, int],
-        substitutions: Mapping[str, Sequence[tuple]],
+        snapshot_lsns: Mapping[str, int] | None,
+        substitutions: Mapping[str, Sequence[tuple]] | None,
         prof: "attrib.QueryProfile | None",
     ) -> QueryResult:
         self.counter.charge("startups")
-
-        stages, pending = self._column_plan(spec)
-        if pending:
-            unresolved = [repr(f) for f in pending]
-            raise SchemaError(f"filters reference unknown columns: {unresolved}")
-
-        plan: Operator | None = None
-        for stage, join in zip(stages, (None, *spec.joins)):
-            keep = stage.keeps[0]
-            if join is None:
-                plan = self._source(
-                    spec.base_alias, spec.base_table,
-                    snapshot_lsns, substitutions, keep,
-                )
-            else:
-                right = None
-                if join.alias in substitutions:
-                    right = RowSource(
-                        substitutions[join.alias],
-                        self.table(join.table).schema.names,
-                        join.alias,
-                        self.counter,
-                    )
-                else:
-                    snapshot = self.table(join.table).snapshot(
-                        snapshot_lsns.get(join.alias)
-                    )
-                    if snapshot.has_index(join.right_column):
-                        plan = IndexNestedLoopJoin(
-                            plan, snapshot, join.alias,
-                            join.left_column, join.right_column, keep=keep,
-                        )
-                    else:
-                        right = SeqScan(snapshot, join.alias, self.counter)
-                if right is not None:
-                    make = partial(
-                        HashJoin, plan, right, join.left_column,
-                        f"{join.alias}.{join.right_column}",
-                        block_size=self.block_size, keep=keep,
-                    )
-                    # The build happens here: a profile takes its
-                    # counter difference around the construction.
-                    plan = make() if prof is None else prof.build(right, make)
-            for (predicate, _), keep in zip(stage.filters, stage.keeps[1:]):
-                plan = Filter(plan, predicate, keep)
-
-        if spec.aggregate is not None:
-            agg = spec.aggregate
-            plan = Aggregate(plan, agg.func, agg.value, agg.group_by)
-        elif spec.projection is not None:
-            plan = Project(plan, spec.projection)
-
+        plan = self._plan(spec, snapshot_lsns, substitutions)
         if prof is not None:
             attrib.attach_to_plan(plan, prof)
 
@@ -274,6 +222,67 @@ class Database:
         if spec.limit is not None:
             rows = rows[: spec.limit]
         return QueryResult(rows=rows, columns=columns)
+
+    def _plan(
+        self,
+        spec: QuerySpec,
+        snapshot_lsns: Mapping[str, int] | None,
+        substitutions: Mapping[str, Sequence[tuple]] | None,
+    ) -> Operator:
+        """The operator tree ``execute`` pulls and ``explain`` prints.
+
+        Building it charges nothing: every operator pays when pulled.
+        """
+        snapshot_lsns = snapshot_lsns or {}
+        substitutions = substitutions or {}
+        stages, pending = self.column_plan(spec)
+        if pending:
+            unresolved = [repr(f) for f in pending]
+            raise SchemaError(f"filters reference unknown columns: {unresolved}")
+
+        plan: Operator | None = None
+        for stage, join in zip(stages, (None, *spec.joins)):
+            keep = stage.keeps[0]
+            if join is None:
+                plan = self._source(
+                    spec.base_alias, spec.base_table,
+                    snapshot_lsns, substitutions, keep,
+                )
+            elif join.alias in substitutions:
+                right = RowSource(
+                    substitutions[join.alias],
+                    self.table(join.table).schema.names,
+                    join.alias,
+                    self.counter,
+                )
+                plan = HashJoin(
+                    plan, right, join.left_column,
+                    f"{join.alias}.{join.right_column}", keep=keep,
+                )
+            else:
+                snapshot = self.table(join.table).snapshot(
+                    snapshot_lsns.get(join.alias)
+                )
+                if snapshot.has_index(join.right_column):
+                    plan = IndexNestedLoopJoin(
+                        plan, snapshot, join.alias,
+                        join.left_column, join.right_column, keep=keep,
+                    )
+                else:
+                    plan = HashJoin(
+                        plan, SeqScan(snapshot, join.alias, self.counter),
+                        join.left_column,
+                        f"{join.alias}.{join.right_column}", keep=keep,
+                    )
+            for (predicate, _), keep in zip(stage.filters, stage.keeps[1:]):
+                plan = Filter(plan, predicate, keep)
+
+        if spec.aggregate is not None:
+            agg = spec.aggregate
+            plan = Aggregate(plan, agg.func, agg.value, agg.group_by)
+        elif spec.projection is not None:
+            plan = Project(plan, spec.projection)
+        return plan
 
     def _pull(self, plan: Operator) -> list[tuple]:
         """Drain a plan's output into one row list."""
@@ -313,11 +322,12 @@ class Database:
         analyze: bool = False,
         snapshot_lsns: Mapping[str, int] | None = None,
     ) -> str:
-        """A textual description of the physical plan ``execute`` would run.
+        """The operator tree ``execute`` would run, as text.
 
-        Mirrors the planner's decisions (access paths, join algorithms,
-        filter placement) without executing anything -- in particular
-        without paying hash-join build costs.
+        Plain EXPLAIN builds that tree and renders it with EXPLAIN
+        ANALYZE's labels, without pulling it -- so without charging
+        anything; the root line adds DISTINCT, ORDER BY and LIMIT, which
+        run on the pulled rows.
 
         With ``analyze=True`` the query is **executed** (charging the
         counter exactly as a plain ``execute`` would) and the rendered
@@ -332,77 +342,17 @@ class Database:
                 profile=True,
             )
             return attrib.render_profile(result.profile)
-        substitutions = substitutions or {}
-        lines: list[str] = []
-        indent = 0
-
-        def emit(text: str) -> None:
-            lines.append("  " * indent + text)
-
-        stages, pending = self._column_plan(spec)
-        for stage, join in zip(stages, (None, *spec.joins)):
-            cols = attrib.cols_label(stage.keeps[0])
-            if join is None:
-                alias, table = spec.base_alias, self.table(spec.base_table)
-                if alias in substitutions:
-                    # A delta batch is handed through as it arrived.
-                    emit(
-                        f"RowSource({alias} := delta of {table.name}, "
-                        f"{len(substitutions[alias])} rows)"
-                    )
-                else:
-                    emit(
-                        f"SeqScan({table.name} AS {alias}, "
-                        f"~{table.live_count} rows){cols}"
-                    )
-            else:
-                inner = self.table(join.table)
-                on = (
-                    f"ON {join.left_column} = "
-                    f"{join.alias}.{join.right_column}{cols}"
-                )
-                indent += 1
-                if join.alias in substitutions:
-                    emit(
-                        f"HashJoin(build delta {join.alias}, "
-                        f"{len(substitutions[join.alias])} rows) {on}"
-                    )
-                elif inner.index_on(join.right_column) is not None:
-                    emit(
-                        f"IndexNestedLoopJoin({join.table} AS {join.alias} "
-                        f"via index on {join.right_column}) {on}"
-                    )
-                else:
-                    emit(
-                        f"HashJoin(build SeqScan({join.table} AS "
-                        f"{join.alias}, ~{inner.live_count} rows)) {on}"
-                    )
-            for (predicate, _), keep in zip(stage.filters, stage.keeps[1:]):
-                emit(f"Filter: {predicate!r}{attrib.cols_label(keep)}")
-
-        indent += 1
-        if spec.aggregate is not None:
-            group = (
-                f" GROUP BY {', '.join(spec.aggregate.group_by)}"
-                if spec.aggregate.group_by
-                else ""
+        plan = self._plan(spec, snapshot_lsns, substitutions)
+        finish = ["Distinct"] if spec.distinct else []
+        if spec.order_by:
+            keys = ", ".join(
+                f"{o.column} {'DESC' if o.descending else 'ASC'}"
+                for o in spec.order_by
             )
-            emit(
-                f"Aggregate({spec.aggregate.func.upper()}"
-                f"({spec.aggregate.value!r})){group}"
-            )
-        elif spec.projection is not None:
-            emit(f"Project({', '.join(spec.projection)})")
-        for order in spec.order_by:
-            emit(
-                f"Sort({order.column} "
-                f"{'DESC' if order.descending else 'ASC'})"
-            )
+            finish.append(f"Sort({keys})")
         if spec.limit is not None:
-            emit(f"Limit({spec.limit})")
-        if pending:
-            emit(f"!! unresolved filters: {[repr(f) for f in pending]}")
-        return "\n".join(lines)
+            finish.append(f"Limit({spec.limit})")
+        return attrib.render_plan(plan, self._describe(spec), " ".join(finish))
 
     # ------------------------------------------------------------------
     # Planner internals
@@ -426,10 +376,10 @@ class Database:
         snapshot = table.snapshot(snapshot_lsns.get(alias))
         return SeqScan(snapshot, alias, self.counter, keep)
 
-    def _column_plan(
+    def column_plan(
         self, spec: QuerySpec
-    ) -> tuple[list[_Stage], list[Expression]]:
-        """The plan of ``spec`` by name: one :class:`_Stage` per table,
+    ) -> tuple[list[Stage], list[Expression]]:
+        """The plan of ``spec`` by name: one :class:`Stage` per table,
         and the filters whose columns never resolved.
 
         Worked out once per spec object (while it lives): which snapshot
@@ -451,7 +401,7 @@ class Database:
 
     def _place_filters(
         self, spec: QuerySpec
-    ) -> tuple[dict[str, int], list[_Stage], list[Expression]]:
+    ) -> tuple[dict[str, int], list[Stage], list[Expression]]:
         """Walk the join chain by name, pushing every filter down to the
         earliest step where all its columns resolve.
 
@@ -459,7 +409,7 @@ class Database:
         (their ``keeps`` still empty), and the filters never placed.
         """
         layout: dict[str, int] = {}
-        stages: list[_Stage] = []
+        stages: list[Stage] = []
         pending = list(spec.filters)
         for alias, join in zip(spec.aliases, (None, *spec.joins)):
             key = None
@@ -480,12 +430,12 @@ class Database:
                 else:
                     ready.append((predicate, reads))
             pending = still_pending
-            stages.append(_Stage(key, left_width, ready, keeps=[]))
+            stages.append(Stage(key, left_width, ready, keeps=[]))
         return layout, stages, pending
 
     @staticmethod
     def _prune(
-        spec: QuerySpec, layout: Mapping[str, int], stages: list[_Stage]
+        spec: QuerySpec, layout: Mapping[str, int], stages: list[Stage]
     ) -> None:
         """Fill in each stage's ``keeps``: walking the plan backwards, the
         columns something downstream of each emit point still reads.

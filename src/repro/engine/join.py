@@ -29,7 +29,7 @@ from operator import itemgetter
 from typing import Hashable, Iterator, Mapping, Sequence
 
 from repro import obs
-from repro.engine.block import DEFAULT_BLOCK_SIZE, RowBlock
+from repro.engine.block import RowBlock
 from repro.engine.errors import SchemaError
 from repro.engine.expr import resolve_column
 from repro.engine.operators import Operator, SeqScan, merged_layout
@@ -180,8 +180,9 @@ class HashJoin(Operator):
 
     Build cost is the dominant term when the right side is a big base
     table: the whole table is scanned (page reads via the child scan) and
-    hashed (one ``hash_build`` per tuple) *before the first output row* --
-    the setup cost ``b`` of the paper's linear cost model.
+    hashed (one ``hash_build`` per tuple) on the join's first pull,
+    *before its first output row* -- the setup cost ``b`` of the paper's
+    linear cost model.  Constructing the join charges nothing.
 
     ``right`` is one of two inputs.  A :class:`SeqScan` of a base table
     lends its snapshot's :meth:`~repro.engine.snapshot.Snapshot.keyed`
@@ -199,25 +200,28 @@ class HashJoin(Operator):
         right: Operator,
         left_column: str,
         right_column: str,
-        block_size: int = DEFAULT_BLOCK_SIZE,
         keep: Sequence[str] | None = None,
     ):
         self.left = left
+        self.right = right
         self.counter = left.counter
         self.layout, self._left_kept, self._right_kept = kept_sides(
             left.layout, right.layout, keep
         )
         self._left_pos = resolve_column(left_column, left.layout)
-        right_pos = resolve_column(right_column, right.layout)
+        self._right_pos = resolve_column(right_column, right.layout)
+
+    def build(self, block_size: int) -> Mapping[Hashable, Sequence[tuple]]:
+        """Hash the right input on its key, charging the build; the first
+        pull of :meth:`blocks` calls it once."""
+        right, right_pos = self.right, self._right_pos
         if isinstance(right, SeqScan):
             build_rows = right.charge_full_scan()
             self.counter.charge("hash_builds", build_rows)
-            self._table = right.snapshot.keyed(
-                right.snapshot.schema.names[right_pos]
-            )
+            table = right.snapshot.keyed(right.snapshot.schema.names[right_pos])
         else:
             build_rows = 0
-            table = self._table = BuildSide()
+            table = BuildSide()
             for rblock in right.blocks(block_size):
                 build_rows += len(rblock)
                 self.counter.charge("hash_builds", len(rblock))
@@ -227,11 +231,12 @@ class HashJoin(Operator):
         # surfacing it separately from probe-side output is what lets a
         # trace show where a batch's time actually went.
         obs.counter("engine.join.hash.build_rows", build_rows)
+        return table
 
     def blocks(self, block_size: int) -> Iterator[RowBlock]:
         pos = self._left_pos
         # Subscript, not ``get``: a keyed map derives what it lacks.
-        probe = self._table.__getitem__
+        probe = self.build(block_size).__getitem__
         layout = self.layout
         left_kept, right_kept = self._left_kept, self._right_kept
         probes = rows_out = 0

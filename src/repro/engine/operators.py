@@ -12,7 +12,7 @@ many columns a block carries.
 Column pruning: every operator that assembles a new block (scan, filter,
 joins) takes ``keep``, the qualified columns the rest of the plan still
 reads, and emits only those; ``None`` keeps everything.  The planner
-(:meth:`Database._execute_plan <repro.engine.database.Database>`) works
+(:meth:`Database._plan <repro.engine.database.Database>`) works
 the lists out from the query; nothing is charged for a column dropped or
 kept.
 

@@ -144,11 +144,12 @@ class MaintenanceCoordinator:
         #: The mod logs registered views subscribe to, each with how many
         #: of their delta tables read it.
         self._logs: Counter[ModLog] = Counter()
-        #: Structural key -> a small int standing for it, for the
+        #: Structural key -> a small int standing for it (and, for a
+        #: delta query, the one spec object views run for it), for the
         #: coordinator's life: what registered views key their delta
         #: queries and fold inputs by, so a round's lookups hash ints,
         #: not nested tuples.
-        self._interned: dict[Hashable, int] = {}
+        self._interned: dict[Hashable, tuple] = {}
 
     def add_view(self, config: ViewConfig) -> MaterializedView:
         """Materialize and register a view; returns it."""
@@ -256,46 +257,51 @@ class MaintenanceCoordinator:
         Definition 1 refuses, is left as a refused standalone step leaves
         it (no entry, nothing applied) while every other view's round and
         the log truncation complete; then the error is raised -- the
-        view's own when it is the only one, else one naming each.
+        view's own when it is the only one, else one naming each.  Any
+        other exception ends the round where it is raised, and the logs
+        are still truncated.
         """
         self._clock = self._clock + 1 if t is None else t
         self._materialized = Evaluations(self.database)
         round_ = SharedScanRound(self.database)
         refused: list[tuple[str, PolicyError]] = []
         planned = []
-        for name, maintainer in maintainers.items():
-            force = name in forced
-            try:
-                plan = maintainer.plan_step(self._clock, force, round_)
-            except PolicyError as exc:
-                refused.append((name, exc))
-                continue
-            planned.append((name, maintainer, plan, force))
-            action = plan[3]
-            if any(action):
-                view = maintainer.view
-                for alias, delta, k in zip(
-                    maintainer.aliases, maintainer._scheduled, action
-                ):
-                    # More than is pending is Definition 1's to refuse,
-                    # in the execute half, before any window is asked for.
-                    if 0 < k <= delta.size:
-                        round_.request(
-                            delta, k, view.referenced_columns(alias)
-                        )
-        with self.database.counter.window() as window:
-            round_.run()
-        obs.counter("ivm.coordinator.rounds")
-        obs.observe("ivm.coordinator.scan_ms", window.elapsed_ms)
-        entries = {}
-        for name, maintainer, plan, force in planned:
-            try:
-                entries[name] = maintainer.execute_planned(
-                    *plan, forced=force, shared=round_
-                )
-            except PolicyError as exc:
-                refused.append((name, exc))
-        self._truncate_logs()
+        try:
+            for name, maintainer in maintainers.items():
+                force = name in forced
+                try:
+                    plan = maintainer.plan_step(self._clock, force, round_)
+                except PolicyError as exc:
+                    refused.append((name, exc))
+                    continue
+                planned.append((name, maintainer, plan, force))
+                action = plan[3]
+                if any(action):
+                    view = maintainer.view
+                    for alias, delta, k in zip(
+                        maintainer.aliases, maintainer._scheduled, action
+                    ):
+                        # More than is pending is Definition 1's to refuse,
+                        # in the execute half, before any window is asked for.
+                        if 0 < k <= delta.size:
+                            round_.request(
+                                delta, k, view.referenced_columns(alias)
+                            )
+            with self.database.counter.window() as window:
+                round_.run()
+            obs.counter("ivm.coordinator.rounds")
+            obs.observe("ivm.coordinator.scan_ms", window.elapsed_ms)
+            entries = {}
+            for name, maintainer, plan, force in planned:
+                try:
+                    entries[name] = maintainer.execute_planned(
+                        *plan, forced=force, shared=round_
+                    )
+                except PolicyError as exc:
+                    refused.append((name, exc))
+        finally:
+            # Safe after any raise: no reader's applied LSN is passed.
+            self._truncate_logs()
         if len(refused) == 1:
             raise refused[0][1]
         if refused:

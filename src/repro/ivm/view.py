@@ -90,17 +90,22 @@ class MaterializedView:
         self._refcols: dict[str, frozenset[str] | None] = {}
         self._initialize(evaluations)
 
-    def intern_keys(self, interned: dict[Hashable, int]) -> None:
+    def intern_keys(self, interned: dict[Hashable, tuple]) -> None:
         """Key the view's delta queries and fold input by the small ints
         ``interned`` stands their structural keys for, adding any it
-        lacks.  Equal keys intern to equal ints, so what the view shares
+        lacks, and run the delta spec interned with each key.  Equal keys
+        intern to equal ints and one spec object, so what the view shares
         with views interned by the same table is unchanged; a round's
-        lookups then hash ints, not nested tuples."""
-        self.delta_keys = {
-            alias: interned.setdefault(key, len(interned))
-            for alias, key in self.delta_keys.items()
-        }
-        self._fold_key = interned.setdefault(self._fold_key, len(interned))
+        lookups then hash ints, not nested tuples, and the engine works
+        out an interned delta query's column plan once."""
+        for alias, key in self.delta_keys.items():
+            entry = (len(interned), self.delta_specs[alias])
+            self.delta_keys[alias], self.delta_specs[alias] = (
+                interned.setdefault(key, entry)
+            )
+        self._fold_key = interned.setdefault(
+            self._fold_key, (len(interned), None)
+        )[0]
 
     def close(self) -> None:
         """Release the view's delta subscriptions on the shared mod logs.
@@ -278,58 +283,32 @@ class MaterializedView:
 
         Returns ``None`` when every column matters (suppression is then
         impossible): SPJ views without a projection expose whole rows, and
-        ordered/limited/distinct specs are treated conservatively.  An
-        update event whose old and new rows agree on every returned column
-        provably leaves the view unchanged -- the derived insert and
-        delete batches are identical multisets over the columns the view
-        consumes, so they cancel.  Cached per alias.
+        ordered/limited/distinct specs are treated conservatively.
+        Otherwise they are the columns the plan of ``alias``'s delta query
+        reads off the substituted batch, before any filter: its filters'
+        columns, its join keys and the fold's.  An update event whose old
+        and new rows agree on every one of them provably leaves the view
+        unchanged -- the derived insert and delete batches are identical
+        multisets over the columns the view consumes, so they cancel.
+        Cached per alias.
         """
         try:
             return self._refcols[alias]
         except KeyError:
             pass
-        cols = self._referenced_columns(alias)
+        spec = self.spec
+        if (
+            spec.limit is not None or spec.distinct or spec.order_by
+            or (spec.aggregate is None and spec.projection is None)
+        ):
+            cols = None
+        else:
+            stages, _ = self.database.column_plan(self.delta_specs[alias])
+            cols = frozenset(
+                name.partition(".")[2] for name in stages[0].keeps[0]
+            )
         self._refcols[alias] = cols
         return cols
-
-    def _referenced_columns(self, alias: str) -> frozenset[str] | None:
-        spec = self.spec
-        if spec.limit is not None or spec.distinct or spec.order_by:
-            return None
-        if spec.aggregate is None and spec.projection is None:
-            return None
-        table = self.database.table(spec.table_of(alias))
-        own = set(table.schema.names)
-        referenced: set[str] = set()
-
-        def add(name: str) -> None:
-            # Qualified names must name this alias; bare names are kept
-            # whenever they *could* resolve here (over-approximating the
-            # dependency is safe -- it only disables suppression).
-            qualifier, dot, bare = name.partition(".")
-            if dot:
-                if qualifier == alias:
-                    referenced.add(bare)
-            elif name in own:
-                referenced.add(name)
-
-        for join in spec.joins:
-            if join.alias == alias:
-                referenced.add(join.right_column)
-            add(join.left_column)
-        for predicate in spec.filters:
-            for name in predicate.references():
-                add(name)
-        if spec.aggregate is not None:
-            for name in spec.aggregate.value.references():
-                add(name)
-            for name in spec.aggregate.group_by:
-                add(name)
-        else:
-            assert spec.projection is not None
-            for name in spec.projection:
-                add(name)
-        return frozenset(referenced)
 
     # ------------------------------------------------------------------
     # Consistency checks

@@ -16,12 +16,16 @@ edges of the operator's own pulls; nothing outside this module and
 :class:`~repro.engine.database.Database` knows a query is profiled, and
 no operator charges anything for it.  An operator's own tally is what
 the counter moved while it produced its blocks minus what it moved while
-its input produced theirs; a hash-join build is the difference around
-the join's construction; the query root keeps the rest of the query's
-difference (its startup, DISTINCT and ORDER BY).  So the profile's summed
-tally *is* the query's counter difference, and a profiled run's cost
-table is byte-identical to an unprofiled run's -- the differential test
-suite checks both.
+its input produced theirs and, for a hash join, minus its build: the
+difference around the build inside the join's first pull, which is the
+join's ``join-build`` child.  The query root keeps the rest of the
+query's difference (its startup, DISTINCT and ORDER BY).  So the
+profile's summed tally *is* the query's counter difference, and a
+profiled run's cost table is byte-identical to an unprofiled run's --
+the differential test suite checks both.
+
+Plain ``Database.explain(spec)`` renders the same nodes and labels for
+the tree ``execute`` would pull, without pulling it (:func:`render_plan`).
 
 Three switches, all off by default:
 
@@ -51,6 +55,7 @@ __all__ = [
     "set_profile_sink",
     "attach_to_plan",
     "render_profile",
+    "render_plan",
     "aggregate_profiles",
 ]
 
@@ -183,10 +188,10 @@ class QueryProfile:
         self._counter: dict | None = None
         self._start: tuple = ()
         #: Each operator's node, top down, with its inclusive counter
-        #: difference: what moved during its pulls, its input's included.
-        self._ops: list[tuple[ProfileNode, list[int]]] = []
-        #: Hash join -> (its ``join-build`` node, the build's difference).
-        self._builds: dict[Any, tuple[ProfileNode, list[int]]] = {}
+        #: difference -- what moved during its pulls, its input's and its
+        #: build's included -- and that build's own difference (a hash
+        #: join's ``join-build`` child; zeros for any other operator).
+        self._ops: list[tuple[ProfileNode, list[int], list[int]]] = []
 
     @property
     def t(self) -> int | None:
@@ -199,22 +204,6 @@ class QueryProfile:
         self._counter = counter.__dict__
         self._start = _read(self._counter)
 
-    def build(self, right: Any, make: Callable[[], Any]) -> Any:
-        """Construct a hash join with ``make()`` and keep the counter
-        difference around it -- the scan and hash of ``right``, the setup
-        cost ``b`` -- as the join's ``join-build`` node; returns the join."""
-        before = _read(self._counter)
-        start = time.perf_counter()
-        join = make()
-        node = ProfileNode("join-build", f"Build({_label_for(right)[1]})")
-        node.wall_ms = (time.perf_counter() - start) * 1e3
-        counts = list(map(sub, _read(self._counter), before))
-        node.tally = _tally(counts)
-        # One hash_build is charged per row hashed.
-        node.rows_out = node.tally.get("hash_builds", 0)
-        self._builds[join] = (node, counts)
-        return join
-
     def finish(self, rows_out: int, wall_ms: float) -> None:
         """Record the query's output and, once :meth:`start` was called,
         settle every operator node's own tally and the root's."""
@@ -222,15 +211,14 @@ class QueryProfile:
         self.root.wall_ms = wall_ms
         if self._counter is None:
             return
-        # The root keeps what no operator pull and no build covered.
+        # The root keeps what no operator pull covered; an operator, what
+        # its pulls moved beyond its input's pulls and its build.
+        node, built = self.root, [0] * len(OperationCounter._FIELDS)
         outer = list(map(sub, _read(self._counter), self._start))
-        for _, counts in self._builds.values():
-            outer = list(map(sub, outer, counts))
-        node = self.root
-        for child, inclusive in self._ops:
-            node.tally = _tally(map(sub, outer, inclusive))
-            node, outer = child, inclusive
-        node.tally = _tally(outer)
+        for child, inclusive, child_built in self._ops:
+            node.tally = _tally(map(sub, map(sub, outer, inclusive), built))
+            node, outer, built = child, inclusive, child_built
+        node.tally = _tally(map(sub, outer, built))
 
     def total_tally(self) -> dict[str, int]:
         return self.root.total_tally()
@@ -294,9 +282,9 @@ def _timed_blocks(op: Any, node: ProfileNode, inclusive: list[int]):
     """An instance-level ``blocks`` override that times, counts output and
     adds the counter difference of every pull to ``inclusive``.
 
-    Wall time and ``inclusive`` contain the input's pulls (wall time like
-    Postgres EXPLAIN ANALYZE actual-time); rows/blocks count this
-    operator's own output.
+    Wall time and ``inclusive`` contain the input's pulls and a hash
+    join's build (wall time like Postgres EXPLAIN ANALYZE actual-time);
+    rows/blocks count this operator's own output.
     """
     unbound = type(op).blocks
     tallies = op.counter.__dict__
@@ -321,10 +309,25 @@ def _timed_blocks(op: Any, node: ProfileNode, inclusive: list[int]):
     return blocks
 
 
-def cols_label(columns: Any) -> str:
-    """How EXPLAIN (plain and ANALYZE) shows the columns an operator
-    emits, appended to its label."""
-    return f" cols=[{', '.join(columns)}]"
+def _timed_build(join: Any, node: ProfileNode, built: list[int]):
+    """An instance-level ``build`` override for a hash join: its counter
+    difference -- the scan and hash of the right input, the setup cost
+    ``b`` -- becomes the ``join-build`` node's tally and ``built``."""
+    build = join.build
+    tallies = join.counter.__dict__
+
+    def timed(block_size: int):
+        before = _read(tallies)
+        start = time.perf_counter()
+        table = build(block_size)
+        node.wall_ms += (time.perf_counter() - start) * 1e3
+        built[:] = map(sub, _read(tallies), before)
+        node.tally = _tally(built)
+        # One hash_build is charged per row hashed.
+        node.rows_out = node.tally.get("hash_builds", 0)
+        return table
+
+    return timed
 
 
 def _label_for(op: Any, cols: bool = False) -> tuple[str, str]:
@@ -337,7 +340,7 @@ def _label_for(op: Any, cols: bool = False) -> tuple[str, str]:
     from repro.engine import join as join_mod
     from repro.engine import operators as op_mod
 
-    emits = cols_label(op.layout) if cols else ""
+    emits = f" cols=[{', '.join(op.layout)}]" if cols else ""
     if isinstance(op, op_mod.SeqScan):
         return "scan", f"SeqScan({op.snapshot.name} AS {op.alias}){emits}"
     if isinstance(op, op_mod.RowSource):
@@ -362,28 +365,40 @@ def _label_for(op: Any, cols: bool = False) -> tuple[str, str]:
     return "operator", type(op).__name__
 
 
-def attach_to_plan(plan: Any, profile: QueryProfile) -> None:
-    """Build profile nodes for a physical plan and hook the operators.
+def _plan_nodes(plan: Any, parent: ProfileNode):
+    """Hang one node per operator of the left-deep ``plan`` under
+    ``parent``, each under the one above it (``child`` / ``left``
+    references), a hash join's ``join-build`` node as the join's first
+    child; yields ``(operator, node, build node or None)`` top down."""
+    from repro.engine.join import HashJoin
 
-    Walks the left-deep operator tree (``child`` / ``left`` references),
-    creates one node per operator under ``profile.root`` and wraps each
-    ``blocks`` method with a timing/counting/differencing shim.  A hash
-    join's build, which happened at construction
-    (:meth:`QueryProfile.build`), becomes its first child.
-    """
-    parent = profile.root
     op = plan
     while op is not None:
         kind, label = _label_for(op, cols=True)
         node = parent.child(kind, label)
-        inclusive = [0] * len(OperationCounter._FIELDS)
-        op.blocks = _timed_blocks(op, node, inclusive)
-        profile._ops.append((node, inclusive))
-        build = profile._builds.get(op)
-        if build is not None:
-            node.children.append(build[0])
+        build = None
+        if isinstance(op, HashJoin):
+            label = f"Build({_label_for(op.right)[1]})"
+            build = node.child("join-build", label)
+        yield op, node, build
         op = getattr(op, "child", None) or getattr(op, "left", None)
         parent = node
+
+
+def attach_to_plan(plan: Any, profile: QueryProfile) -> None:
+    """Build profile nodes for a physical plan and hook the operators.
+
+    Creates the nodes :func:`render_plan` shows under ``profile.root`` and
+    wraps each operator's ``blocks`` method, and a hash join's ``build``,
+    with a timing/counting/differencing shim.
+    """
+    fields = len(OperationCounter._FIELDS)
+    for op, node, build in _plan_nodes(plan, profile.root):
+        inclusive, built = [0] * fields, [0] * fields
+        op.blocks = _timed_blocks(op, node, inclusive)
+        if build is not None:
+            op.build = _timed_build(op, build, built)
+        profile._ops.append((node, inclusive, built))
 
 
 # ----------------------------------------------------------------------
@@ -406,14 +421,17 @@ def _node_line(node: ProfileNode, model: Any) -> str:
 
 
 def _render_node(
-    node: ProfileNode, model: Any, prefix: str, lines: list[str]
+    node: ProfileNode,
+    line: Callable[[ProfileNode], str],
+    prefix: str,
+    lines: list[str],
 ) -> None:
     children = node.children
     for i, child in enumerate(children):
         last = i == len(children) - 1
         connector = "└─ " if last else "├─ "
-        lines.append(prefix + connector + _node_line(child, model))
-        _render_node(child, model, prefix + ("   " if last else "│  "), lines)
+        lines.append(prefix + connector + line(child))
+        _render_node(child, line, prefix + ("   " if last else "│  "), lines)
 
 
 def render_profile(profile: QueryProfile) -> str:
@@ -425,11 +443,24 @@ def render_profile(profile: QueryProfile) -> str:
         if profile.round is not None:
             head += f" round={profile.round}"
     lines = [head, _node_line(profile.root, model)]
-    _render_node(profile.root, model, "", lines)
+    _render_node(profile.root, lambda node: _node_line(node, model), "", lines)
     lines.append(
         f"total: sim={profile.total_sim_ms():.3f}ms "
         f"wall={profile.root.wall_ms:.2f}ms rows={profile.root.rows_out}"
     )
+    return "\n".join(lines)
+
+
+def render_plan(plan: Any, query: str, finish: str) -> str:
+    """Render an unpulled operator tree as a plain EXPLAIN text tree: the
+    nodes, labels and connectors of :func:`render_profile`, no actuals.
+    ``query`` labels the root as a profile's root is labelled, and
+    ``finish`` (what runs on the pulled rows) follows it."""
+    root = ProfileNode("query", query)
+    for _ in _plan_nodes(plan, root):
+        pass
+    lines = ["EXPLAIN", f"{query}  {finish}" if finish else query]
+    _render_node(root, lambda node: node.label, "", lines)
     return "\n".join(lines)
 
 

@@ -83,62 +83,41 @@ class Pipeline:
         return (0.0,) * self.depth
 
     def flush_cost(self, state: Sequence[int]) -> float:
-        """Cost of pushing every queued tuple through to the view.
+        """Cost of pushing every queued tuple through to the view: the
+        cost of :meth:`propagate` through every stage."""
+        return self.propagate(state, self.depth)[1]
+
+    def propagate(
+        self, state: Sequence[int], through: int
+    ) -> tuple[tuple[float, ...], float]:
+        """Flush queues ``0..through-1`` through their stages; returns
+        ``(new_state, cost)``.
 
         Cascades: stage ``j`` processes its own queue plus whatever the
         upstream flush just delivered, in one combined batch (subadditivity
-        makes combining optimal for a single flush).
-        """
-        self._check_state(state)
-        total = 0.0
-        carry = 0.0
-        for pending, stage in zip(state, self.stages):
-            batch = pending + carry
-            if batch:
-                total += stage.cost(batch)
-                carry = stage.output_size(batch)
-            else:
-                carry = 0.0
-        return total
-
-    def propagate_cost(self, state: Sequence[int], through: int) -> float:
-        """Cost of flushing queues ``0..through-1`` through their stages.
-
-        This is a *partial* propagation: outputs of stage ``through - 1``
-        land in queue ``through`` instead of reaching the view.
+        makes combining optimal for a single flush).  Below ``depth`` this
+        is a *partial* propagation: outputs of stage ``through - 1`` land
+        in queue ``through`` instead of reaching the view.
         """
         self._check_state(state)
         if not 0 <= through <= self.depth:
             raise ValueError(
                 f"through={through} outside [0, {self.depth}]"
             )
+        new_state = [float(x) for x in state]
         total = 0.0
         carry = 0.0
         for j in range(through):
-            batch = state[j] + carry
+            batch = new_state[j] + carry
+            new_state[j] = 0.0
             if batch:
                 total += self.stages[j].cost(batch)
                 carry = self.stages[j].output_size(batch)
             else:
                 carry = 0.0
-        return total
-
-    def propagate(
-        self, state: Sequence[int], through: int
-    ) -> tuple[tuple[float, ...], float]:
-        """Apply a partial propagation; returns ``(new_state, cost)``."""
-        cost = self.propagate_cost(state, through)
-        new_state = [float(x) for x in state]
-        carry = 0.0
-        for j in range(through):
-            batch = new_state[j] + carry
-            new_state[j] = 0.0
-            carry = self.stages[j].output_size(batch) if batch else 0.0
         if through < self.depth:
             new_state[through] += carry
-            return tuple(new_state), cost
-        # through == depth: everything reached the view.
-        return tuple(new_state), cost
+        return tuple(new_state), total
 
     def _check_state(self, state: Sequence[int]) -> None:
         if len(state) != self.depth:

@@ -1,21 +1,19 @@
 """Hypothesis property tests for the relational engine.
 
-Three families of invariants:
+Two families of invariants:
 
 * **query correctness** -- random SPJ queries over random small relations
   must agree with a brute-force relational-algebra reference evaluator
   (nested loops over Python lists);
-* **snapshot isolation** -- under random modification sequences, a
-  snapshot taken at any LSN always equals the relation state replayed up
-  to that LSN, regardless of later modifications, index existence, or
-  vacuum watermarks;
 * **column pruning** -- random queries at block sizes 1 / 7 / 256 equal a
   plain-Python oracle row for row and charge the same whatever the block
   size and whatever columns the plan dropped on the way.
 
-Retained and rolled-forward snapshots, through log truncation and
-vacuum, are held to a row-by-row model of the table by the stateful
-oracle (``tests/ivm/test_oracle_machine.py``).
+Snapshot isolation -- a snapshot at any LSN, retained or rolled forward,
+indexed or not, through log truncation and vacuum, equals the table's
+state at that LSN, rows and keyed buckets alike -- is held to a
+row-by-row model of the table by the stateful oracle
+(``tests/ivm/test_oracle_machine.py``).
 """
 
 from __future__ import annotations
@@ -315,97 +313,3 @@ def test_ambiguous_bare_name_raises_although_pruning_drops_a_candidate(indexed):
             base_alias="R", base_table="r", joins=PRUNING_JOINS[:1],
             aggregate=AggregateSpec("count", lit(1), group_by=("sk",)),
         ))
-
-
-# ----------------------------------------------------------------------
-# Snapshot isolation under random modification sequences
-# ----------------------------------------------------------------------
-
-modification_ops = st.lists(
-    st.tuples(
-        st.sampled_from(["insert", "delete", "update"]),
-        st.integers(0, 4),
-        st.integers(-5, 5),
-    ),
-    min_size=1,
-    max_size=25,
-)
-
-
-def apply_ops(table, ops):
-    """Apply a modification script; returns the relation state after each
-    LSN as a dict ``lsn -> sorted rows``."""
-    states = {table.current_lsn: sorted(table.live_rows())}
-    for kind, k, v in ops:
-        if kind == "insert":
-            table.insert((k, v))
-        elif kind == "delete":
-            rids = table.find_rids(lambda row: True)
-            if not rids:
-                continue
-            table.delete_rid(rids[k % len(rids)])
-        else:
-            rids = table.find_rids(lambda row: True)
-            if not rids:
-                continue
-            table.update_rid(rids[k % len(rids)], {"a": v})
-        states[table.current_lsn] = sorted(table.live_rows())
-    return states
-
-
-@given(initial=r_rows, ops=modification_ops, with_index=st.booleans())
-@settings(max_examples=50, deadline=None)
-def test_snapshots_replay_history_exactly(initial, ops, with_index):
-    db = Database()
-    table = db.create_table(
-        "r", Schema.of(k=ColumnType.INT, a=ColumnType.INT)
-    )
-    for row in initial:
-        table.insert(row)
-    if with_index:
-        table.create_index("k")
-    states = apply_ops(table, ops)
-    for lsn, expected in states.items():
-        assert sorted(table.snapshot(lsn).rows()) == expected
-
-
-@given(initial=r_rows, ops=modification_ops)
-@settings(max_examples=40, deadline=None)
-def test_indexed_lookup_agrees_with_scan_at_any_lsn(initial, ops):
-    db = Database()
-    table = db.create_table(
-        "r", Schema.of(k=ColumnType.INT, a=ColumnType.INT)
-    )
-    table.create_index("k")
-    for row in initial:
-        table.insert(row)
-    apply_ops(table, ops)
-    for lsn in range(0, table.current_lsn + 1, 3):
-        snap = table.snapshot(lsn)
-        for key in range(5):
-            via_index = sorted(snap.lookup("k", key))
-            via_scan = sorted(
-                row for row in snap.rows() if row[0] == key
-            )
-            assert via_index == via_scan
-
-
-@given(initial=r_rows, ops=modification_ops)
-@settings(max_examples=30, deadline=None)
-def test_vacuum_preserves_current_state_and_indexes(initial, ops):
-    db = Database()
-    table = db.create_table(
-        "r", Schema.of(k=ColumnType.INT, a=ColumnType.INT)
-    )
-    table.create_index("k")
-    for row in initial:
-        table.insert(row)
-    apply_ops(table, ops)
-    before = sorted(table.live_rows())
-    table.vacuum()
-    assert sorted(table.live_rows()) == before
-    snap = table.snapshot()
-    for key in range(5):
-        assert sorted(snap.lookup("k", key)) == sorted(
-            row for row in before if row[0] == key
-        )

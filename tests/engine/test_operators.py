@@ -153,12 +153,14 @@ class TestHashJoin:
         join = HashJoin(left, right, "E.deptno", "D.deptno")
         assert len(join.rows()) == 5
 
-    def test_build_cost_paid_at_construction(self, toy_db, emp, dept):
+    def test_build_cost_paid_on_first_pull(self, toy_db, emp, dept):
         left = SeqScan(emp.snapshot(), "E", toy_db.counter)
         right = SeqScan(dept.snapshot(), "D", toy_db.counter)
-        before = toy_db.counter.hash_builds
-        HashJoin(left, right, "E.deptno", "D.deptno")  # not iterated
-        assert toy_db.counter.hash_builds == before + 3
+        before = toy_db.counter.snapshot()
+        join = HashJoin(left, right, "E.deptno", "D.deptno")
+        assert toy_db.counter.snapshot() == before  # constructing is free
+        next(join.blocks(64))
+        assert toy_db.counter.hash_builds == before["hash_builds"] + 3
 
     def test_dangling_keys_produce_nothing(self, toy_db, emp, dept):
         emp.insert((9, "zed", 99, 1.0))  # department 99 doesn't exist

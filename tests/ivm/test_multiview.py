@@ -6,9 +6,13 @@ from repro.core.costfuncs import LinearCost
 from repro.core.naive import NaivePolicy
 from repro.core.online import OnlinePolicy
 from repro.core.policies import Policy, PolicyError, ReplayPolicy
+from repro.engine.database import Database
 from repro.engine.expr import col, lit
 from repro.engine.query import AggregateSpec, JoinSpec, QuerySpec
+from repro.engine.table import ModLog
+from repro.engine.types import ColumnType, Schema
 from repro.ivm.multiview import MaintenanceCoordinator, ViewConfig
+from repro.obs import events
 from repro.tpcr.updates import PartSuppCostUpdater, SupplierNationUpdater
 from tests.conftest import make_paper_spec, make_tpcr_db
 from tests.ivm.test_sharedscan import supplycost_spec
@@ -324,3 +328,62 @@ class TestOneViewsRefusalIsItsOwn:
         for name in ("v0", "v2", "v4"):
             assert coordinator.maintainer(name).ledger.backlog == 0
             assert coordinator.maintainer(name).ledger.rounds == 1
+
+
+def test_a_round_that_raises_still_truncates_the_logs():
+    """An exception other than a refusal ends the round, yet the history
+    every view has applied is reclaimed as after a round that finished."""
+    db = Database()
+    table = db.create_table("t", Schema.of(k=ColumnType.INT))
+    table.history = ModLog(chunk_size=2)
+    coordinator = MaintenanceCoordinator(db)
+    coordinator.add_view(
+        ViewConfig(
+            name="total",
+            query=QuerySpec(
+                base_alias="T", base_table="t",
+                aggregate=AggregateSpec(func="sum", value=col("T.k")),
+            ),
+            policy=NaivePolicy(),
+            cost_functions=(LinearCost(1.0, 0.0),),
+            limit=100.0,
+        )
+    )
+    table.insert_rows([(k,) for k in range(6)])
+
+    def blow(sample):
+        raise RuntimeError("a subscriber raised")
+
+    with events.subscribe("calibration", blow):
+        with pytest.raises(RuntimeError, match="subscriber raised"):
+            coordinator.refresh()
+    assert coordinator.maintainer("total").view.deltas["T"].applied_lsn == 6
+    assert table.history.retained == 0
+
+
+def test_an_update_that_flips_filter_membership_is_not_suppressed():
+    """The filter reads a column nothing else of the view reads: an update
+    of that column alone changes which rows the view sums, so the window
+    is no no-op although the summed column is untouched."""
+    db = Database()
+    table = db.create_table(
+        "t", Schema.of(k=ColumnType.INT, v=ColumnType.INT)
+    )
+    table.insert_rows([(1, 10), (2, 20)])
+    coordinator = MaintenanceCoordinator(db)
+    coordinator.add_view(
+        ViewConfig(
+            name="kept",
+            query=QuerySpec(
+                base_alias="T", base_table="t",
+                filters=(col("T.k") > lit(1),),
+                aggregate=AggregateSpec(func="sum", value=col("T.v")),
+            ),
+            policy=NaivePolicy(),
+            cost_functions=(LinearCost(1.0, 0.0),),
+            limit=100.0,
+        )
+    )
+    table.update_rid(table.live_rids()[0], {"k": 5})
+    coordinator.refresh()
+    assert coordinator.maintainer("kept").view.scalar() == 30

@@ -436,7 +436,8 @@ class OracleMachine(RuleBasedStateMachine):
     @rule(writes=arrivals, n=st.integers(1, 6))
     def predicate_raises(self, writes, n):
         """A view predicate raises at its ``n``-th row: the error reaches
-        the caller, and every view stays at a consistent applied LSN."""
+        the caller, every view stays at a consistent applied LSN, and the
+        logs are truncated as after a round that completed."""
         before = self._ledgers()
         self.fuse.left = n
         try:
@@ -446,10 +447,9 @@ class OracleMachine(RuleBasedStateMachine):
             assert all(
                 after[v][0] - before[v][0] in (0, 1) for v in before
             )
-        else:
-            self._truncated(SCHEMAS)
         finally:
             self.fuse.left = None
+        self._truncated(SCHEMAS)
 
     @precondition(lambda self: self.views)
     @rule(writes=arrivals, n=st.integers(1, 4))
@@ -458,7 +458,8 @@ class OracleMachine(RuleBasedStateMachine):
         round.  The error reaches the caller.  The flush it was told of is
         applied, but its view-round books no ledger entry; the views
         before it in the round completed, and the views after it were
-        planned but never executed."""
+        planned but never executed.  The logs are truncated as far as
+        every view's applied LSN allows."""
         names = self.coordinator.views
         before = self._ledgers()
         told: list[str] = []
@@ -477,6 +478,7 @@ class OracleMachine(RuleBasedStateMachine):
                 assert len(told) < n
                 self._truncated(SCHEMAS)
                 return
+        self._truncated(SCHEMAS)
         after = self._ledgers()
         culprit = names.index(told[-1])
         for i, name in enumerate(names):

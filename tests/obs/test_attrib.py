@@ -1,7 +1,8 @@
 """Tests for hierarchical cost attribution (``repro.obs.attrib``).
 
 Covers the profile data model, the EXPLAIN ANALYZE renderer (golden
-output), the global profile sink, cross-profile aggregation for the
+output), plain EXPLAIN against ANALYZE for every pinned plan shape, the
+global profile sink, cross-profile aggregation for the
 benchmark dashboard, and the step tags of profiles emitted while a
 maintainer flushes.  Per-node pins of each plan shape live in
 ``test_profile_pins.py``; the charge-neutrality differential tests (profiled run == unprofiled run,
@@ -25,6 +26,7 @@ from repro.obs import attrib, events
 from repro.tpcr.updates import PartSuppCostUpdater
 from tests.conftest import make_tpcr_db
 from tests.ivm.test_sharedscan import add_naive
+from tests.obs import test_profile_pins as pins
 
 #: Round weights so golden sim_ms values are exact decimals.
 FLAT_MODEL = CostModel(
@@ -190,6 +192,36 @@ class TestProfiledExecution:
         assert "HashJoin(probe)" in text
         assert "Aggregate(MIN" in text
         assert text.splitlines()[-1].startswith("total: sim=")
+
+
+def node_labels(text: str, analyze: bool) -> list[str]:
+    """Each node's label in a rendered tree, top down: its line without
+    connectors, up to the actuals (ANALYZE) or the root's finishing steps
+    (plain)."""
+    lines = text.splitlines()[1:-1] if analyze else text.splitlines()[1:]
+    return [line.lstrip("│├└─ ").split("  ")[0] for line in lines]
+
+
+class TestPlainExplain:
+    @pytest.mark.parametrize("shape", sorted(pins.SHAPES))
+    def test_is_the_analyzed_tree_without_actuals_and_charges_nothing(
+        self, shape
+    ):
+        db = pins.make_db(64)
+        spec, substitutions = pins.SHAPES[shape](db)
+        before = db.counter.snapshot()
+        plain = db.explain(spec, substitutions=substitutions)
+        assert db.counter.snapshot() == before
+        analyzed = db.explain(spec, substitutions=substitutions, analyze=True)
+        assert node_labels(plain, False) == node_labels(analyzed, True)
+        assert "rows=" not in plain and "sim=" not in plain
+
+    def test_the_root_shows_what_runs_on_the_pulled_rows(self):
+        db = pins.make_db(64)
+        spec, _ = pins.distinct_order_limit(db)
+        assert db.explain(spec).splitlines()[:2] == [
+            "EXPLAIN", "t  Distinct Sort(T.grp DESC, T.k ASC) Limit(4)",
+        ]
 
 
 class TestGoldenRenderer:

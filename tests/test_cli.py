@@ -121,6 +121,23 @@ class TestExplainCommand:
         assert "SQL error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv", [["sql"], ["explain"], ["explain", "--analyze"]],
+    ids=" ".join,
+)
+def test_unknown_column_is_an_sql_error(argv, capsys):
+    """A query naming a column no table has is refused like one that does
+    not parse: one line on stderr, exit 1, no plan and no traceback."""
+    code = main([
+        argv[0], "SELECT COUNT(*) FROM supplier S WHERE S.nope = 1",
+        "--scale", "0.002", *argv[1:],
+    ])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("SQL error: ") and "S.nope" in err
+
+
 class TestProfileFlag:
     def test_profile_writes_jsonl(self, tmp_path, capsys):
         import json

@@ -119,6 +119,14 @@ ROWS = (
          "class Model:",
          "interleavings are rules of the stateful oracle, and its Model is "
          "the one table model", "39", exclude=("oracle.py",)),
+    Gone(r":= delta of|def _referenced_columns|def build\(self, right",
+         SRC, "    def build(self, right: Any, make: Callable) -> Any:",
+         "plain EXPLAIN renders the tree execute builds, a hash join builds "
+         "on its first pull, and a view's signature is its delta query's "
+         "column plan", "40"),
+    Gone(r"def apply_ops", ("tests",), "def apply_ops(table, ops):",
+         "snapshot isolation under random writes is the stateful oracle's",
+         "40"),
 )
 
 #: Paths (globs) that must not exist, each with the change that deleted it.

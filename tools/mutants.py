@@ -183,6 +183,13 @@ MUTANTS = (
            'self.counter.charge("hash_builds", build_rows)',
            'self.counter.charge("hash_builds", 0)',
            "charges: a hash join pays its build side"),
+    Mutant("plan-build-charges", "engine/join.py",
+           "self._right_pos = resolve_column(right_column, right.layout)\n",
+           "self._right_pos = resolve_column(right_column, right.layout)\n"
+           "        table = self.build(1024)\n"
+           "        self.build = lambda block_size: table\n",
+           "charges: building a plan (plain EXPLAIN) charges nothing; the "
+           "build is the join's first pull"),
     Mutant("recompute-charge", "engine/aggregate.py",
            'self.counter.charge("sort_items", max(1, len(multiset)))',
            'self.counter.charge("sort_items", len(multiset))',
@@ -272,6 +279,11 @@ MUTANTS = (
            "fingerprinted = bool(shared.fingerprints)",
            "fingerprinted = False",
            "charges: a proven no-op window runs no join"),
+    Mutant("signature-drops-filter", "ivm/view.py",
+           "for name in stages[0].keeps[0]",
+           "for name in stages[0].keeps[-1]",
+           "view = query: an update that flips filter membership is "
+           "never suppressed"),
     # -- Fold kernels ---------------------------------------------------
     Mutant("sum-delete-adds", "engine/aggregate.py",
            "total -= value",
