@@ -37,7 +37,6 @@ All functions map non-negative integer batch sizes to non-negative floats.
 from __future__ import annotations
 
 import bisect
-import math
 from abc import ABC, abstractmethod
 from typing import Iterable, Sequence
 
@@ -91,7 +90,7 @@ class CostFunction(ABC):
 
     # ------------------------------------------------------------------
     # Property checks.  These are *empirical* checks over a sampled range,
-    # used by tests and by calibration code to validate measured curves.
+    # used by :func:`check_cost_function`.
     # ------------------------------------------------------------------
 
     def is_monotone(self, upto: int) -> bool:
@@ -120,18 +119,6 @@ class CostFunction(ABC):
         the search so that unbounded budgets terminate.
         """
         return max_batch_under(self, budget, hi=hi)
-
-    # Convenience used in a few analytical shortcuts ---------------------
-
-    @property
-    def setup_cost(self) -> float:
-        """The fixed cost paid by any non-empty batch: ``lim_{k->0+} f(k)``.
-
-        Estimated as ``f(1)`` minus the marginal cost ``f(2) - f(1)``,
-        clamped at zero.  Exact for :class:`LinearCost`.
-        """
-        marginal = self(2) - self(1)
-        return max(0.0, self(1) - marginal)
 
 
 def max_batch_under(f: CostFunction, budget: float, hi: int = 1 << 24) -> int:
@@ -180,10 +167,6 @@ class LinearCost(CostFunction):
 
     def cost(self, k: int) -> float:
         return self.slope * k + self.setup
-
-    @property
-    def setup_cost(self) -> float:
-        return self.setup
 
     def batch_limit(self, budget: float, hi: int = 1 << 24) -> int:
         if budget < self.setup + self.slope:
@@ -446,9 +429,9 @@ def fit_linear(samples: Sequence[tuple[int, float]]) -> LinearCost:
 def check_cost_function(f: CostFunction, upto: int = 64) -> None:
     """Raise ``ValueError`` unless ``f`` is monotone and subadditive on a range.
 
-    Used by :class:`~repro.core.problem.ProblemInstance` construction when
-    ``validate=True`` and by calibration code before handing measured curves
-    to the planners.
+    Lemma 1's precondition, checked empirically.  No product code calls
+    it: the planners assume it of their input, and the tests check the
+    cost families with it.
     """
     if f(0) != 0.0:
         raise ValueError(f"{f!r}: f(0) must be 0, got {f(0)}")

@@ -126,14 +126,6 @@ class Plan:
                     f"residual state {state}"
                 )
 
-    def is_valid(self, problem: ProblemInstance) -> bool:
-        """True when the plan satisfies Definition 1 for ``problem``."""
-        try:
-            self.check_valid(problem)
-        except ValueError:
-            return False
-        return True
-
     # -- structural predicates (Definitions 2, 3) ----------------------------
 
     def is_lazy(self, problem: ProblemInstance) -> bool:

@@ -21,7 +21,7 @@ from itertools import chain
 from operator import add, sub, truediv
 from typing import Sequence
 
-from repro.core.costfuncs import CostFunction, check_cost_function
+from repro.core.costfuncs import CostFunction
 
 Vector = tuple[int, ...]
 
@@ -227,10 +227,6 @@ class ProblemInstance(CostModel):
         The modification arrival sequence ``d_0 .. d_T``.  Length ``T + 1``
         where ``T`` is the refresh time.  Each element is an n-vector of
         non-negative modification counts.
-    validate:
-        When true, empirically check monotonicity and subadditivity of each
-        cost function over a small sample range.  Disable for expensive
-        tabulated functions that were validated at calibration time.
 
     Notes
     -----
@@ -246,7 +242,6 @@ class ProblemInstance(CostModel):
         cost_functions: Sequence[CostFunction],
         limit: float,
         arrivals: Sequence[Sequence[int]],
-        validate: bool = False,
     ):
         if not cost_functions:
             raise ValueError("need at least one base table")
@@ -259,9 +254,6 @@ class ProblemInstance(CostModel):
             arrivals, "arrival vector", self.n
         )
         self.horizon = len(self.arrivals) - 1
-        if validate:
-            for f in self.cost_functions:
-                check_cost_function(f)
         self._suffix_totals: list[Vector] | None = None
         self._prefix_totals: list[Vector] | None = None
         self._batch_bounds: Vector | None = None

@@ -1,13 +1,12 @@
-"""dbgen-compatible ``.tbl`` table import/export.
+"""dbgen-compatible ``.tbl`` table export.
 
 TPC's ``dbgen`` emits one pipe-delimited ``<table>.tbl`` file per table,
 each line ending with a trailing ``|``::
 
     1|Supplier#000000001|N kD4on9OM Ipw3,gf0JBoQDd7tgrzrddZ|17|27-918-335-1736|5755.94|each slyly above the careful|
 
-This module reads and writes that format against the engine's schemas, so
-the reproduction can exchange data with real dbgen output (load an
-externally generated TPC-R dataset) and snapshot its own tables to disk.
+This module writes that format against the engine's schemas, so the
+reproduction's tables can be snapshotted to disk in dbgen's layout.
 
 Values are rendered by column type: ints and strings verbatim, floats with
 ``repr``-round-tripping precision.  The format has no escaping: a ``|`` in
@@ -21,7 +20,7 @@ from typing import Iterable
 
 from repro import obs
 from repro.engine.database import Database
-from repro.engine.errors import ExecutionError, SchemaError
+from repro.engine.errors import ExecutionError
 from repro.engine.table import Table
 from repro.engine.types import ColumnType, Schema
 
@@ -41,32 +40,6 @@ def dump_table(table: Table, path: str | Path) -> int:
     return count
 
 
-def load_table(
-    db: Database,
-    name: str,
-    schema: Schema,
-    path: str | Path,
-) -> Table:
-    """Create table ``name`` in ``db`` and populate it from a ``.tbl`` file."""
-    path = Path(path)
-    table = db.create_table(name, schema)
-    with obs.trace("engine.io.load_table", table=name) as span:
-        with path.open("r", encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                try:
-                    table.insert(_parse_row(line, schema))
-                except (SchemaError, ValueError) as exc:
-                    raise ExecutionError(
-                        f"{path}:{line_no}: bad row: {exc}"
-                    ) from exc
-        span.set(rows=table.live_count)
-        obs.counter("engine.io.rows_read", table.live_count)
-    return table
-
-
 def dump_database(db: Database, directory: str | Path) -> dict[str, int]:
     """Dump every table of ``db`` to ``<directory>/<table>.tbl``."""
     directory = Path(directory)
@@ -75,20 +48,6 @@ def dump_database(db: Database, directory: str | Path) -> dict[str, int]:
         name: dump_table(table, directory / f"{name}.tbl")
         for name, table in sorted(db.tables.items())
     }
-
-
-def load_database(
-    db: Database,
-    directory: str | Path,
-    schemas: dict[str, Schema],
-) -> dict[str, int]:
-    """Load every ``<table>.tbl`` named in ``schemas`` from ``directory``."""
-    directory = Path(directory)
-    counts = {}
-    for name, schema in schemas.items():
-        table = load_table(db, name, schema, directory / f"{name}.tbl")
-        counts[name] = table.live_count
-    return counts
 
 
 def _render_row(row: Iterable, schema: Schema) -> str:
@@ -107,21 +66,3 @@ def _render_row(row: Iterable, schema: Schema) -> str:
             parts.append(str(value))
     return "|".join(parts) + "|"
 
-
-def _parse_row(line: str, schema: Schema) -> tuple:
-    if not line.endswith("|"):
-        raise ValueError("missing trailing '|'")
-    fields = line[:-1].split("|")
-    if len(fields) != schema.width:
-        raise ValueError(
-            f"{len(fields)} fields, schema has {schema.width} columns"
-        )
-    values = []
-    for column, text in zip(schema.columns, fields):
-        if column.type is ColumnType.INT:
-            values.append(int(text))
-        elif column.type is ColumnType.FLOAT:
-            values.append(float(text))
-        else:
-            values.append(text)
-    return tuple(values)

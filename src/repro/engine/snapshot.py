@@ -29,20 +29,15 @@ if TYPE_CHECKING:  # circular import guard; Table imports Snapshot
     from repro.engine.table import RowVersion, Table
 
 
-def _visible_values(
-    table: "Table", lsn: int, versions: Iterable["RowVersion"]
-) -> list[tuple]:
+def _visible_values(lsn: int, versions: Iterable["RowVersion"]) -> list[tuple]:
     """The values of ``versions`` visible at ``lsn``, in the order given.
 
     The one visibility filter: a version is visible when ``xmin <= lsn <
     xmax`` (a live version has no ``xmax``).  At a fixed LSN the answer
     never changes as the table keeps mutating -- later inserts have ``xmin
     > lsn``, later deletes set ``xmax > lsn`` -- so each caller keeps what
-    it read.  Every read a snapshot does not hold yet comes through here,
-    which is what makes one below the table's vacuum watermark raise
-    instead of answering with versions missing.
+    it read.
     """
-    table.check_readable(lsn)
     return [
         v.values
         for v in versions
@@ -80,9 +75,8 @@ class KeyedRows(dict):
         self._column = column
 
     def __missing__(self, key: Hashable) -> list[tuple]:
-        table = self._table
-        versions = table.versions_by_key(self._column).get(key, ())
-        rows = self[key] = _visible_values(table, self._lsn, versions)
+        versions = self._table.versions_by_key(self._column).get(key, ())
+        rows = self[key] = _visible_values(self._lsn, versions)
         obs.counter("engine.snapshot.derived_keys")
         return rows
 
@@ -166,9 +160,7 @@ class Snapshot:
         returned list.
         """
         if self._visible is None:
-            self._visible = _visible_values(
-                self.table, self.lsn, self.table._versions
-            )
+            self._visible = _visible_values(self.lsn, self.table._versions)
             self._count = len(self._visible)
         return self._visible
 

@@ -192,10 +192,6 @@ class ModLog:
         """Drop a reader's truncation pin (no-op when not subscribed)."""
         self._subscribers.discard(reader)
 
-    def subscriber_count(self) -> int:
-        """Number of live subscribers."""
-        return len(self._subscribers)
-
     def safe_truncation_lsn(self) -> int:
         """The highest LSN every live subscriber has already applied.
 
@@ -349,8 +345,6 @@ class Table:
         self.indexes: dict[str, Index] = {}
         #: The most recent snapshot handed out (at most one per table).
         self._retained: Snapshot | None = None
-        #: Snapshots below this LSN lost versions to :meth:`vacuum`.
-        self._vacuumed_lsn = 0
         #: column -> key -> every stored version with that key, in slot
         #: order (:meth:`versions_by_key`).
         self._key_maps: dict[str, dict[Hashable, list[RowVersion]]] = {}
@@ -418,9 +412,8 @@ class Table:
         hash join's -- derives its buckets from it.  Nothing charges for
         it; an index is a declaration (:meth:`create_index`) that decides
         what is charged and which join the planner picks.  Made by one pass
-        over the versions the first time a column is asked for, extended
-        by every write, dropped by :meth:`vacuum`.  Callers must not
-        mutate it.
+        over the versions the first time a column is asked for and
+        extended by every write.  Callers must not mutate it.
         """
         key_map = self._key_maps.get(column)
         if key_map is None:
@@ -551,10 +544,6 @@ class Table:
         """Insert one row; returns the logged event."""
         return self.history[self.insert_rows([values])[0] - 1]
 
-    def delete_rid(self, rid: int) -> ModEvent:
-        """Delete the live version at slot ``rid``."""
-        return self.history[self.delete_rids([rid])[0] - 1]
-
     def update_rid(self, rid: int, changes: Mapping[str, Any]) -> ModEvent:
         """Update columns of the live version at slot ``rid``."""
         lsns = self.update_rids(
@@ -586,76 +575,19 @@ class Table:
         The most recent snapshot is retained: asking for the same LSN
         again returns it, with whatever it has materialized (visible rows,
         keyed maps), and a snapshot at a later LSN rolls its keyed maps
-        forward through :attr:`history` instead of re-deriving them.  LSNs :meth:`vacuum` reclaimed versions of raise.
+        forward through :attr:`history` instead of re-deriving them.
         """
         at = self._lsn if lsn is None else lsn
         if at < 0 or at > self._lsn:
             raise ExecutionError(
                 f"snapshot LSN {at} outside [0, {self._lsn}] for {self.name}"
             )
-        self.check_readable(at)
         retained = self._retained
         if retained is not None and retained.lsn == at:
             obs.counter("engine.snapshot.reused")
             return retained
         self._retained = Snapshot(self, at, retained)
         return self._retained
-
-    def check_readable(self, lsn: int) -> None:
-        """Raise unless every version visible at ``lsn`` is still stored.
-
-        :meth:`vacuum` reclaims versions only snapshots below its
-        watermark can see; a read there -- a new snapshot, or a held one
-        reading something it had not read yet -- would answer with rows
-        missing.
-        """
-        if lsn < self._vacuumed_lsn:
-            raise ExecutionError(
-                f"snapshot LSN {lsn} of {self.name} is below the vacuum "
-                f"watermark {self._vacuumed_lsn}; its versions were reclaimed"
-            )
-
-    # ------------------------------------------------------------------
-    # Maintenance
-    # ------------------------------------------------------------------
-
-    def vacuum(self, before_lsn: int | None = None) -> int:
-        """Reclaim dead row versions no snapshot at or after ``before_lsn``
-        can see; returns the number of versions removed.
-
-        Compaction **renumbers row ids**, so any externally held rid (e.g. an update stream's victim list) becomes
-        invalid -- vacuum between workload phases, not during one.  History
-        is *not* trimmed: delta tables window over it by LSN, which this
-        operation does not disturb.  ``before_lsn`` defaults to the current
-        LSN (reclaim everything dead); pass the oldest LSN any live
-        snapshot or lagging view still reads to keep those readable:
-        once versions are reclaimed, :meth:`snapshot` below the watermark
-        raises, so does any read a snapshot held from below it had not
-        made yet, and the retained snapshot and the key maps are dropped.
-        Each survivor is charged as rewritten and, per index, re-indexed.
-        """
-        watermark = self._lsn if before_lsn is None else before_lsn
-        if not 0 <= watermark <= self._lsn:
-            raise ExecutionError(
-                f"vacuum watermark {watermark} outside [0, {self._lsn}]"
-            )
-        survivors = [
-            v
-            for v in self._versions
-            if v.xmax is None or v.xmax > watermark
-        ]
-        reclaimed = len(self._versions) - len(survivors)
-        if reclaimed == 0:
-            return 0
-        self._versions = survivors
-        self._vacuumed_lsn = max(self._vacuumed_lsn, watermark)
-        self._retained = None
-        self._key_maps.clear()
-        self.counter.charge("row_writes", len(survivors))
-        self.counter.charge(
-            "index_maintains", len(survivors) * len(self.indexes)
-        )
-        return reclaimed
 
     # ------------------------------------------------------------------
 

@@ -116,10 +116,6 @@ class Schema:
     def __contains__(self, name: str) -> bool:
         return name in self._positions
 
-    def validate_row(self, values: Sequence[Any]) -> tuple:
-        """Type-check one row and return it as a canonical tuple."""
-        return self.validate_rows([values])[0]
-
     def validate_rows(self, rows: Iterable[Sequence[Any]]) -> list[tuple]:
         """Type-check a batch of rows, column by column.
 

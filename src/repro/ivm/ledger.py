@@ -85,10 +85,6 @@ class ViewLedger:
     def record(self, entry: RoundEntry) -> None:
         self.entries.append(entry)
 
-    def actions_plan(self) -> list[tuple[int, ...]]:
-        """The executed action sequence (comparable to a core ``Plan``)."""
-        return [e.action for e in self.entries]
-
     # -- cumulative views ------------------------------------------------
 
     @property
@@ -107,11 +103,6 @@ class ViewLedger:
     @property
     def total_mods(self) -> int:
         return sum(e.mods_applied for e in self.entries)
-
-    @property
-    def total_predicted_ms(self) -> float:
-        """Sum of cost-function-predicted action costs (simulation view)."""
-        return float_total(e.predicted_ms for e in self.entries)
 
     @property
     def total_sim_ms(self) -> float:

@@ -314,10 +314,6 @@ class MaterializedView:
     # Consistency checks
     # ------------------------------------------------------------------
 
-    def is_stale(self) -> bool:
-        """True when any delta table holds unprocessed modifications."""
-        return any(d.size for d in self.deltas.values())
-
     def pending_sizes(self) -> dict[str, int]:
         """Per-alias unprocessed modification counts (the state vector)."""
         return {alias: d.size for alias, d in self.deltas.items()}

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import time
 from operator import add, itemgetter, sub
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 from repro.engine.costmodel import OperationCounter, float_total
 from repro.obs import events
@@ -109,13 +109,6 @@ class ProfileNode:
         self.blocks = 0
         self.wall_ms = 0.0
         self.children: list[ProfileNode] = []
-
-    def add_tally(self, tally: Mapping[str, int]) -> None:
-        """Attribute a whole charge-field tally to this node."""
-        own = self.tally
-        for field, count in tally.items():
-            if count:
-                own[field] = own.get(field, 0) + count
 
     def child(self, kind: str, label: str) -> "ProfileNode":
         node = ProfileNode(kind, label)

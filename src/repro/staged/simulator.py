@@ -35,11 +35,6 @@ class StagedTrace:
         """The refresh time covered."""
         return len(self.depths) - 1
 
-    @property
-    def propagation_count(self) -> int:
-        """Steps with a non-zero propagation."""
-        return sum(1 for d in self.depths if d)
-
 
 def simulate_staged(
     pipeline: Pipeline,

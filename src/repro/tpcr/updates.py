@@ -10,7 +10,7 @@ version, so the fresh version's id must replace the old one); this keeps
 picking a random victim O(1) instead of scanning the table.  The list is
 re-derived from the table (:meth:`Table.live_rids
 <repro.engine.table.Table.live_rids>`) whenever anyone else has written to
-it or vacuumed it since this updater's last batch.
+it since this updater's last batch.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from typing import Any
 
-from repro.engine.table import ModEvent, Table
+from repro.engine.table import Table
 from repro.tpcr.text import NATIONS
 
 
@@ -32,13 +32,10 @@ class TableUpdater:
         self.table = table
         self.rng = random.Random(f"{seed}/{table.name}")
         self._live_rids = table.live_rids()
-        #: ``(version_count, current_lsn)`` of the table while
-        #: ``_live_rids`` is its live row ids -- a vacuum that reclaims
-        #: anything (and so renumbers row ids) moves the first, every
-        #: write the second; None while the list runs ahead of the table.
-        self._tracked: tuple[int, int] | None = (
-            table.version_count(), table.current_lsn
-        )
+        #: The table's ``current_lsn`` while ``_live_rids`` is its live
+        #: row ids -- every write moves it; None while the list runs ahead
+        #: of the table.
+        self._tracked: int | None = table.current_lsn
         if not self._live_rids:
             raise ValueError(f"table {table.name!r} is empty; nothing to update")
 
@@ -56,15 +53,15 @@ class TableUpdater:
         if k < 0:
             raise ValueError(f"k must be non-negative, got {k}")
         table = self.table
-        state = (table.version_count(), table.current_lsn)
-        if self._tracked != state:
-            # Someone else wrote to the table or vacuumed it: held row
-            # ids may be renumbered or dead, and new rows are missing.
+        lsn = table.current_lsn
+        if self._tracked != lsn:
+            # Someone else wrote to the table: held row ids may be dead,
+            # and new rows are missing.
             self._live_rids = table.live_rids()
         self._tracked = None
         live = self._live_rids
         randrange, draw = self.rng.randrange, self._draw
-        fresh, lsn = state  # fresh: the slot the next new version takes
+        fresh = table.version_count()  # the slot the next new version takes
         rids, values = [], []
         for __ in range(k):
             slot = randrange(len(live))
@@ -73,12 +70,8 @@ class TableUpdater:
             live[slot] = fresh
             fresh += 1
         lsns = table.update_rids(rids, {self.column: values})
-        self._tracked = (fresh, lsn + k)
+        self._tracked = lsn + k
         return lsns
-
-    def apply_one(self) -> ModEvent:
-        """Apply one random update; returns the logged event."""
-        return self.table.history[self.apply(1)[0] - 1]
 
     def __call__(self, k: int) -> None:
         """Mutator interface for :func:`repro.ivm.calibration.measure_cost_function`."""

@@ -29,8 +29,8 @@ class TestLinearCost:
         assert f(10) == 23.0
 
     def test_setup_cost_property(self):
-        assert LinearCost(slope=1.0, setup=7.0).setup_cost == 7.0
-        assert LinearCost(slope=1.0).setup_cost == 0.0
+        assert LinearCost(slope=1.0, setup=7.0).setup == 7.0
+        assert LinearCost(slope=1.0).setup == 0.0
 
     def test_monotone_and_subadditive(self):
         check_cost_function(LinearCost(slope=0.5, setup=2.0))

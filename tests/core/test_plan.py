@@ -115,8 +115,9 @@ class TestValidity:
             plan.check_valid(problem)
 
     def test_is_valid_boolean(self, problem):
-        assert flush_at_end(problem).is_valid(problem)
-        assert not Plan([(9, 9)] * 6).is_valid(problem)
+        flush_at_end(problem).check_valid(problem)
+        with pytest.raises(ValueError):
+            Plan([(9, 9)] * 6).check_valid(problem)
 
 
 class TestStructuralPredicates:

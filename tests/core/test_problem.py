@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.costfuncs import LinearCost, TabulatedCost
+from repro.core.costfuncs import LinearCost, TabulatedCost, check_cost_function
 from repro.core.problem import (
     ProblemInstance,
     add_vectors,
@@ -88,7 +88,7 @@ class TestConstruction:
                 return float(k * k)
 
         with pytest.raises(ValueError):
-            ProblemInstance([Bad(1.0)], 1.0, [(1,)], validate=True)
+            check_cost_function(Bad(1.0))
 
 
 class TestCostAndFullness:

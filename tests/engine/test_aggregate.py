@@ -418,7 +418,7 @@ class TestUnknownFunctionIsADefinitionError:
         coordinator.step(0)
         coordinator.refresh(t=1)
         assert good.contents() == {(1,): 2.5}
-        assert not good.is_stale()
+        assert not any(good.pending_sizes().values())
 
 
 class TestAggregateOperator:

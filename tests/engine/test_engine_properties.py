@@ -10,7 +10,7 @@ Two families of invariants:
   size and whatever columns the plan dropped on the way.
 
 Snapshot isolation -- a snapshot at any LSN, retained or rolled forward,
-indexed or not, through log truncation and vacuum, equals the table's
+indexed or not, through log truncation, equals the table's
 state at that LSN, rows and keyed buckets alike -- is held to a
 row-by-row model of the table by the stateful oracle
 (``tests/ivm/test_oracle_machine.py``).

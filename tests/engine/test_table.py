@@ -29,20 +29,21 @@ class TestModifications:
 
     def test_delete(self, table):
         table.insert((1, "a"))
-        event = table.delete_rid(0)
+        [lsn] = table.delete_rids([0])
+        event = table.history[lsn - 1]
         assert event.kind == "delete"
         assert event.old_values == (1, "a")
         assert table.live_count == 0
 
     def test_delete_dead_row_rejected(self, table):
         table.insert((1, "a"))
-        table.delete_rid(0)
+        table.delete_rids([0])
         with pytest.raises(ExecutionError, match="not live"):
-            table.delete_rid(0)
+            table.delete_rids([0])
 
     def test_delete_out_of_range(self, table):
         with pytest.raises(ExecutionError, match="out of range"):
-            table.delete_rid(5)
+            table.delete_rids([5])
 
     def test_update_creates_new_version(self, table):
         table.insert((1, "a"))
@@ -67,7 +68,7 @@ class TestModifications:
     def test_history_records_everything(self, table):
         table.insert((1, "a"))
         table.update_rid(0, {"v": "b"})
-        table.delete_rid(1)
+        table.delete_rids([1])
         kinds = [e.kind for e in table.history]
         assert kinds == ["insert", "update", "delete"]
 
@@ -108,7 +109,7 @@ class TestSnapshots:
     def test_snapshot_of_deleted_row(self, table):
         table.insert((1, "a"))
         lsn = table.current_lsn
-        table.delete_rid(0)
+        table.delete_rids([0])
         assert list(table.snapshot(lsn).rows()) == [(1, "a")]
         assert list(table.snapshot().rows()) == []
 
@@ -159,7 +160,7 @@ class TestRetainedSnapshots:
         old_side = old.keyed("k")
         before = {key: list(old_side[key]) for key in (1, 2, 3)}
         table.update_rid(0, {"v": "z"})  # (1, a) -> (1, z), now last of key 1
-        table.delete_rid(3)  # key 3 empties
+        table.delete_rids([3])  # key 3 empties
         table.insert((4, "e"))
         new = table.snapshot()
         side = new.keyed("k")
@@ -190,7 +191,7 @@ class TestRetainedSnapshots:
         old = table.snapshot()
         assert old.count() == 3
         assert old.keyed("k")[1] == [(1, "x"), (1, "y"), (1, "x")]
-        table.delete_rid(2)  # the *second* (1, x); values alone cannot say so
+        table.delete_rids([2])  # the *second* (1, x); values alone cannot say so
         new = table.snapshot()
         assert new.keyed("k")[1] == [(1, "x"), (1, "y")]
         assert new._visible is None
@@ -210,7 +211,7 @@ class TestRetainedSnapshots:
         assert side[2] is first[2]
         table.update_rid(2, {"v": "w"})  # (1, z) -> (1, w)
         table.insert((1, "c"))
-        table.delete_rid(1)  # (2, b) dies
+        table.delete_rids([1])  # (2, b) dies
         table.snapshot().keyed("k")  # a later roll shares nothing back
         assert side[1] == [(1, "z")]
         assert side[2] == [(2, "b")]
@@ -242,7 +243,7 @@ class TestIndexedSnapshots:
     def test_index_backfill_covers_existing_versions(self, table):
         table.insert((1, "a"))
         lsn = table.current_lsn
-        table.delete_rid(0)
+        table.delete_rids([0])
         table.create_index("k")  # created after the delete
         assert table.snapshot(lsn).lookup("k", 1) == [(1, "a")]
         assert table.snapshot().lookup("k", 1) == []
@@ -311,7 +312,7 @@ class TestCostCharging:
     def test_create_index_charges_one_maintain_per_stored_version(self, table):
         table.insert_rows([(1, "a"), (2, "b"), (3, "c")])
         table.update_rid(0, {"v": "z"})
-        table.delete_rid(1)
+        table.delete_rids([1])
         before = table.counter.snapshot()
         table.create_index("k")
         # Four versions stored, two of them dead: each is charged.

@@ -68,11 +68,11 @@ class TestSchema:
 
     def test_validate_row(self):
         schema = Schema.of(a=ColumnType.INT, b=ColumnType.FLOAT)
-        assert schema.validate_row([1, 2]) == (1, 2.0)
+        assert schema.validate_rows([[1, 2]]) == [(1, 2.0)]
         with pytest.raises(SchemaError):
-            schema.validate_row([1])
+            schema.validate_rows([[1]])
         with pytest.raises(SchemaError):
-            schema.validate_row(["x", 2.0])
+            schema.validate_rows([["x", 2.0]])
 
     def test_equality_and_hash(self):
         s1 = Schema.of(a=ColumnType.INT)

@@ -53,13 +53,16 @@ def test_single_row_methods_are_batches_of_one():
         one.insert((1, 2, 3)),
         one.insert((4, 5, 6.5)),
         one.update_rid(0, {"a": 7, "x": 1}),
-        one.delete_rid(1),
     ]
+    one.delete_rids([1])
     many.insert_rows([(1, 2, 3), (4, 5, 6.5)])
     many.update_rids([0], {"a": [7], "x": [1]})
     many.delete_rids([1])
-    assert events == list(one.history) == list(many.history)
-    assert [e.kind for e in events] == ["insert", "insert", "update", "delete"]
+    assert events == list(one.history)[:3]
+    assert list(one.history) == list(many.history)
+    assert [e.kind for e in one.history] == [
+        "insert", "insert", "update", "delete",
+    ]
     assert events[2].new_values == (1, 7, 1.0)
     assert one.counter.snapshot() == many.counter.snapshot()
     assert list(one.live_rows()) == list(many.live_rows()) == [(1, 7, 1.0)]
@@ -93,7 +96,7 @@ def state(table: Table):
 def table():
     t = make_table(("k",))
     t.insert_rows([(i, 10 * i, float(i)) for i in range(4)])
-    t.delete_rid(2)
+    t.delete_rids([2])
     return t
 
 
@@ -101,7 +104,7 @@ class TestFailedBatch:
     def test_dead_rid_leaves_the_prefix_as_single_calls_would(self, table):
         reference = make_table(("k",))
         reference.insert_rows([(i, 10 * i, float(i)) for i in range(4)])
-        reference.delete_rid(2)
+        reference.delete_rids([2])
         reference.update_rid(0, {"k": 100})
         reference.update_rid(1, {"k": 101})
 
@@ -213,7 +216,7 @@ class TestValidateRows:
     )
     def test_batch_rejects_what_a_single_row_rejects(self, rows):
         with pytest.raises(SchemaError) as single:
-            self.schema.validate_row(rows[1])
+            self.schema.validate_rows([rows[1]])
         with pytest.raises(SchemaError) as batch:
             self.schema.validate_rows(rows)
         assert str(batch.value) == str(single.value)
@@ -278,7 +281,7 @@ def test_write_counters_count_batches_and_rows():
     with obs.recording() as recorder:
         table.insert_rows([(i, i, i) for i in range(5)])
         table.update_rids([0, 1], {"a": [7, 8]})
-        table.delete_rid(2)
+        table.delete_rids([2])
         table.insert_rows([])
         with pytest.raises(ExecutionError):
             table.delete_rids([3, 3, 4])

@@ -199,7 +199,7 @@ def _mutate(rng: random.Random, db: Database, model: Model, steps: int) -> None:
             model.update(rid, changes)
         else:
             rid = rng.choice(live)
-            fact.delete_rid(rid)
+            fact.delete_rids([rid])
             model.delete(rid)
 
 

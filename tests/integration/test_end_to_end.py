@@ -66,7 +66,7 @@ class TestFullPipeline:
             else:
                 maintainer.step(t)
         assert view.contents() == view.recompute()
-        assert not view.is_stale()
+        assert not any(view.pending_sizes().values())
         # Simulated and live cost agree to within a modest tolerance.
         assert maintainer.ledger.total_sim_ms == pytest.approx(
             optimal.cost, rel=0.30

@@ -51,7 +51,7 @@ class TestMeasureCostFunction:
         measure_cost_function(paper_view, "PS", (5, 10), ps_updater)
         measure_cost_function(paper_view, "S", (2, 4), sup_updater)
         assert paper_view.contents() == paper_view.recompute()
-        assert not paper_view.is_stale()
+        assert not any(paper_view.pending_sizes().values())
 
     def test_repetitions_average(self, paper_view, updaters):
         ps_updater, __ = updaters

@@ -13,6 +13,7 @@ from __future__ import annotations
 from repro.engine.database import Database
 from repro.engine.expr import col
 from repro.engine.query import AggregateSpec, JoinSpec, QuerySpec
+from repro.engine.table import Table
 from repro.engine.types import ColumnType, Schema
 from repro.ivm.maintenance import apply_batch
 from repro.ivm.view import MaterializedView
@@ -53,7 +54,7 @@ def test_delta_that_joins_to_nothing_folds_nothing():
     s = db.table("s")
     for modify in (
         lambda: s.insert((2, 0)),  # +: joins no R row
-        lambda: s.delete_rid(s.find_rids(lambda row: row[0] == 2)[0]),  # -
+        lambda: s.delete_rids(s.find_rids(lambda row: row[0] == 2)),  # -
     ):
         modify()
         view.deltas["S"].pull()
@@ -78,7 +79,11 @@ def test_two_views_over_shared_tables_stay_independent():
             models[name].insert(row)
     spj = MaterializedView("spj", db, min_spec(aggregate=None))
     agg = MaterializedView("agg", db, min_spec())
-    engine = {"insert": "insert", "update": "update_rid", "delete": "delete_rid"}
+    engine = {
+        "insert": Table.insert,
+        "update": Table.update_rid,
+        "delete": lambda table, rid: table.delete_rids([rid]),
+    }
     # Only the SPJ view is maintained; the MIN view lags throughout.  R's
     # insert must join S before S's pending update, and the last batch
     # takes the older of two pending S modifications.
@@ -88,7 +93,7 @@ def test_two_views_over_shared_tables_stay_independent():
         ("r", "delete", [0], 1),
         ("s", "insert", [(2, 7)], 1),
     ):
-        getattr(db.table(name), engine[op])(*args)
+        engine[op](db.table(name), *args)
         getattr(models[name], op)(*args)
         alias = name.upper()
         spj.deltas[alias].pull()

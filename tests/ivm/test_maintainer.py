@@ -38,7 +38,7 @@ class TestStepAndRefresh:
             sup.apply(1)
             maintainer.step(t)
         maintainer.refresh(12)
-        assert not maintainer.view.is_stale()
+        assert not any(maintainer.view.pending_sizes().values())
         assert maintainer.view.contents() == maintainer.view.recompute()
 
     def test_online_run_stays_consistent(self):
@@ -81,7 +81,7 @@ class TestStepAndRefresh:
         sup.apply(2)
         maintainer.refresh()
         assert maintainer.pre_state() == (0, 0)
-        assert not maintainer.view.is_stale()
+        assert not any(maintainer.view.pending_sizes().values())
 
     def test_action_counts(self):
         maintainer, ps, sup = make_maintainer(NaivePolicy())
@@ -90,8 +90,7 @@ class TestStepAndRefresh:
             maintainer.step(t)
         maintainer.refresh()
         assert maintainer.ledger.action_count == 1  # only the final refresh
-        plan = maintainer.ledger.actions_plan()
-        assert len(plan) == 5
+        assert len(maintainer.ledger.entries) == 5
 
 
 class TestPolicyViolations:
@@ -169,5 +168,4 @@ class TestReplayThroughMaintainer:
             maintainer.step(t)
         maintainer.refresh(4)
         assert maintainer.view.contents() == maintainer.view.recompute()
-        executed = maintainer.ledger.actions_plan()
-        assert executed[2] == (6, 2)
+        assert maintainer.ledger.entries[2].action == (6, 2)

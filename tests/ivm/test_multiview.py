@@ -106,18 +106,19 @@ class TestCoordination:
         records = coordinator.refresh()
         assert set(records) == {"min_cost", "region_counts"}
         for __, maintainer in coordinator.iter_maintainers():
-            assert not maintainer.view.is_stale()
+            assert not any(maintainer.view.pending_sizes().values())
 
     def test_refresh_subset(self):
         coordinator, ps, sup = make_coordinator()
         ps.apply(4)
         sup.apply(1)
         coordinator.refresh(names=["min_cost"])
-        assert not coordinator.maintainer("min_cost").view.is_stale()
+        fresh = coordinator.maintainer("min_cost").view
+        assert not any(fresh.pending_sizes().values())
         # The other view has not even pulled yet; force a pull to see lag.
         other = coordinator.maintainer("region_counts").view
         other.deltas["S"].pull()
-        assert other.is_stale()
+        assert any(other.pending_sizes().values())
 
     def test_step_forces_exactly_the_named_views(self):
         coordinator, ps, sup = make_coordinator()
@@ -132,7 +133,8 @@ class TestCoordination:
             assert set(entries) == {"min_cost", "region_counts"}
             forced = entries["region_counts"]
             assert forced.forced and forced.action == forced.pre_state
-            assert not coordinator.maintainer("region_counts").view.is_stale()
+            view = coordinator.maintainer("region_counts").view
+            assert not any(view.pending_sizes().values())
             # The other view asked its policy, as in a plain step.
             other = entries["min_cost"]
             assert not other.forced

@@ -6,9 +6,8 @@ the batch made, or name no live row: table and model must fail at the
 same row, each keeping the prefix); ``step(t, refresh=names)`` under
 NAIVE, ONLINE and a scripted policy that may flush part of a backlog;
 ``set_policy``; ``add_view`` / ``remove_view``; ``ModLog.truncate``;
-``vacuum`` at a watermark no view reads below, after which a read below
-it raises; a read at any readable LSN through the retained snapshot or
-one rolled forward from it; a view predicate that raises mid-flush; an
+a read at any LSN through the retained snapshot or one rolled forward
+from it; a view predicate that raises mid-flush; an
 event subscriber that raises mid-emit.
 
 After every rule: each view equals the oracle's evaluation of its query
@@ -24,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -233,10 +231,8 @@ class OracleMachine(RuleBasedStateMachine):
         #: view name -> (spec, cost functions, C, entries checked so far).
         self.views: dict[str, list] = {}
         self.created = 0
-        #: Per table: the truncation point its log must be at, and the
-        #: vacuum watermark.
+        #: Per table: the truncation point its log must be at.
         self.base = dict.fromkeys(SCHEMAS, 0)
-        self.watermark = dict.fromkeys(SCHEMAS, 0)
         self.held = []
         for config in configs:
             self._add(*config)
@@ -264,7 +260,7 @@ class OracleMachine(RuleBasedStateMachine):
 
     def _applied(self, name: str) -> list[int]:
         """The LSNs at which the registered views have applied table
-        ``name``: what its log and vacuum must leave readable."""
+        ``name``: what its log must leave readable."""
         return [
             delta.applied_lsn
             for _, m in self.coordinator.iter_maintainers()
@@ -374,34 +370,18 @@ class OracleMachine(RuleBasedStateMachine):
         del self.views[name]
         self._truncated(SCHEMAS)
 
-    # -- the log and the heap ----------------------------------------------
+    # -- the log -----------------------------------------------------------
 
     @rule(name=st.sampled_from(sorted(SCHEMAS)))
     def truncate(self, name):
         self.db.table(name).history.truncate()
         self._truncated([name])
 
-    @rule(name=st.sampled_from(sorted(SCHEMAS)), pick=st.integers(0, 10**6))
-    def vacuum(self, name, pick):
-        table, model = self.db.table(name), self.models[name]
-        top = min(self._applied(name), default=table.current_lsn)
-        watermark = pick % (top + 1)
-        before, charged = self.db.counter.snapshot(), model.charges()
-        reclaimed = table.vacuum(before_lsn=watermark)
-        assert reclaimed == model.vacuum(watermark)
-        self._charged(before, charged, model)
-        if reclaimed:
-            self.watermark[name] = max(self.watermark[name], watermark)
-        if self.watermark[name]:
-            with pytest.raises(ExecutionError, match="vacuum watermark"):
-                table.snapshot(self.watermark[name] - 1)
-
     @rule(name=st.sampled_from(sorted(SCHEMAS)), pick=st.integers(0, 10**6),
           span=st.integers(0, 12), hold=st.booleans())
     def read(self, name, pick, span, hold):
         table, model = self.db.table(name), self.models[name]
-        low = self.watermark[name]
-        lsn = low + pick % (table.current_lsn - low + 1)
+        lsn = pick % (table.current_lsn + 1)
         # The table's retained snapshot, or one rolled forward from it.
         snapshot = table.snapshot(lsn)
         for held in self.held + [snapshot]:
@@ -416,10 +396,7 @@ class OracleMachine(RuleBasedStateMachine):
         assert list(zip(olds, news)) == model.log[lo:hi]
 
     def _check_snapshot(self, snapshot) -> None:
-        name = snapshot.table.name
-        if snapshot.lsn < self.watermark[name]:
-            return
-        model = self.models[name]
+        model = self.models[snapshot.table.name]
         visible = model.rows_at(snapshot.lsn)
         # The count first: reading the rows would recount them.
         assert snapshot.count() == len(visible)

@@ -95,7 +95,12 @@ class TestOneCheck:
                 break
             state = tuple(s - a for s, a in zip(pre, p))
         valid = valid and not any(state)  # p_T empties every delta table
-        assert plan.is_valid(problem) == valid
+        try:
+            plan.check_valid(problem)
+        except ValueError:
+            assert not valid
+        else:
+            assert valid
 
     def test_error_names_the_violation(self):
         model = CostModel(COSTS, 10.0)

@@ -459,7 +459,7 @@ class TestSharedDeltaEvaluation:
             assert maintainer.view.contents() == maintainer.view.recompute()
         coordinator.refresh(t=1)
         for _, maintainer in coordinator.iter_maintainers():
-            assert not maintainer.view.is_stale()
+            assert not any(maintainer.view.pending_sizes().values())
             assert maintainer.view.contents() == maintainer.view.recompute()
 
 
@@ -548,7 +548,7 @@ class TestCoordinatorSharedRounds:
                 coordinator.step(t)
         for __, maintainer in coordinator.iter_maintainers():
             assert maintainer.view.contents() == maintainer.view.recompute()
-            assert not maintainer.view.is_stale()
+            assert not any(maintainer.view.pending_sizes().values())
         # A fingerprint skip is an action that charged nothing.
         skipped = sum(
             1

@@ -510,7 +510,7 @@ def modify(table, kind, key, value) -> None:
     if not victims:
         return
     if kind == "delete":
-        table.delete_rid(victims[0])
+        table.delete_rids([victims[0]])
     else:
         table.update_rid(victims[0], {table.schema.names[1]: value})
 
@@ -725,8 +725,8 @@ def test_heterogeneous_fleet_decides_what_standalone_views_decide():
     assert rounds["naive_a"] == rounds["naive_lax"] + 1 == 10
     assert rounds["online_lax"] == 10 and rounds["late_naive"] == 6
     assert (
-        fleet["naive_a"].ledger.actions_plan()
-        != fleet["naive_b"].ledger.actions_plan()
+        [e.action for e in fleet["naive_a"].ledger.entries]
+        != [e.action for e in fleet["naive_b"].ledger.entries]
     )
     assert fleet["naive_a"].model is fleet["late_naive"].model
     assert fleet["online_a"].model is fleet["online_qty"].model

@@ -60,7 +60,7 @@ class TestSPJView:
     def test_delete_propagation(self):
         db = make_join_db()
         view = MaterializedView("v", db, join_spec())
-        db.table("r").delete_rid(0)
+        db.table("r").delete_rids([0])
         view.deltas["R"].pull()
         apply_batch(view, "R", 1)
         assert view.contents() == view.recompute()
@@ -101,7 +101,7 @@ class TestSPJView:
         for d in view.deltas.values():
             d.pull()
         assert view.contents() == before
-        assert view.is_stale()
+        assert any(view.pending_sizes().values())
         assert view.contents() == view.recompute()  # recompute at old LSNs
 
 
@@ -139,7 +139,7 @@ class TestStateBugSafety:
             elif op < 0.55:
                 rids = r.find_rids(lambda row: True)
                 if rids:
-                    r.delete_rid(rng.choice(rids))
+                    r.delete_rids([rng.choice(rids)])
             elif op < 0.75:
                 rids = s.find_rids(lambda row: True)
                 if rids:
@@ -155,7 +155,7 @@ class TestStateBugSafety:
             d.pull()
         flush_all(view)
         assert view.contents() == view.recompute()
-        assert not view.is_stale()
+        assert not any(view.pending_sizes().values())
 
 
 class TestAggregateView:
@@ -173,7 +173,7 @@ class TestAggregateView:
     def test_min_tracks_deletes(self):
         db, view = self.make_min_view()
         # Delete the row carrying the minimum a = 0 (rid 0).
-        db.table("r").delete_rid(0)
+        db.table("r").delete_rids([0])
         view.deltas["R"].pull()
         apply_batch(view, "R", 1)
         assert view.scalar() == 1
@@ -221,7 +221,7 @@ class TestAggregateView:
         view.deltas["R"].pull()
         apply_batch(view, "R", 1)
         assert view.contents() == view.recompute() == {(): 1 if func == "count" else 0}
-        r.delete_rid(0)
+        r.delete_rids([0])
         view.deltas["R"].pull()
         apply_batch(view, "R", 1)
         assert view.contents() == view.recompute() == {}
@@ -286,7 +286,7 @@ class TestRefreshHelpers:
         for d in view.deltas.values():
             d.pull()
         flush_all(view)
-        assert not view.is_stale()
+        assert not any(view.pending_sizes().values())
         assert view.contents() == view.recompute()
 
     def test_pending_sizes(self):

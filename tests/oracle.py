@@ -80,16 +80,6 @@ class Model:
         version[2] = lsn
         self.versions.append([row, lsn, None])
 
-    def vacuum(self, watermark: int) -> int:
-        """Drop the versions no read at or after ``watermark`` sees; every
-        survivor is rewritten, and re-indexed per index."""
-        survivors = [v for v in self.versions if v[2] is None or v[2] > watermark]
-        reclaimed = len(self.versions) - len(survivors)
-        if reclaimed:
-            self.versions = survivors
-            self._charge(len(survivors))
-        return reclaimed
-
     def live_rids(self) -> list[int]:
         return [rid for rid, v in enumerate(self.versions) if v[2] is None]
 

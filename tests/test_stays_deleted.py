@@ -127,6 +127,20 @@ ROWS = (
     Gone(r"def apply_ops", ("tests",), "def apply_ops(table, ops):",
          "snapshot isolation under random writes is the stateful oracle's",
          "40"),
+    Gone(r"\.vacuum\(|def vacuum|check_readable|_vacuumed_lsn"
+         r"|vacuum watermark",
+         ("src", "tests", "tools"), "reclaimed = table.vacuum()",
+         "dead versions stay stored; every LSN stays readable", "41"),
+    Gone(r"def (load_table|load_database|_parse_row)\b|engine\.io\.load_table"
+         r"|engine\.io\.rows_read",
+         ("src", "docs"), "def load_table(db, name, schema, path):",
+         "the .tbl format is written, never read", "41"),
+    Gone(r"def (delete_rid|subscriber_count|validate_row|is_stale|is_valid"
+         r"|actions_plan|total_predicted_ms|add_tally|propagation_count"
+         r"|apply_one|setup_cost)\b|validate: bool",
+         SRC, "    def delete_rid(self, rid: int) -> ModEvent:",
+         "conveniences only tests called; tests use the API that stays",
+         "41"),
 )
 
 #: Paths (globs) that must not exist, each with the change that deleted it.

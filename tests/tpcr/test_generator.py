@@ -92,7 +92,7 @@ class TestRowGeneration:
         for table in GENERATION_ORDER:
             schema = TPCR_SCHEMAS[table]
             for i, row in enumerate(gen.rows(table)):
-                schema.validate_row(row)
+                schema.validate_rows([row])
                 if i > 20:
                     break
 

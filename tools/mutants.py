@@ -171,10 +171,6 @@ MUTANTS = (
            "writes = deleted + created",
            "writes = count",
            "charges: an update writes two row images"),
-    Mutant("vacuum-charges-reclaimed", "engine/table.py",
-           'self.counter.charge("row_writes", len(survivors))',
-           'self.counter.charge("row_writes", reclaimed)',
-           "charges: vacuum rewrites every survivor"),
     Mutant("index-probe-charge", "engine/join.py",
            'self.counter.charge("index_probes", len(lblock))',
            'self.counter.charge("index_probes", 1)',
@@ -198,7 +194,7 @@ MUTANTS = (
            'self.database.counter.charge("tuple_cpu", interval.rows)',
            'self.database.counter.charge("tuple_cpu", hi - lo)',
            "charges: a window read costs one tuple per row image"),
-    # -- Snapshot visibility and the vacuum watermark -------------------
+    # -- Snapshot visibility --------------------------------------------
     Mutant("visibility-xmin", "engine/snapshot.py",
            "if v.xmin <= lsn and (v.xmax is None or v.xmax > lsn)",
            "if v.xmin < lsn and (v.xmax is None or v.xmax > lsn)",
@@ -211,14 +207,6 @@ MUTANTS = (
            "rolled.pop(key, None)",
            "rolled.get(key)",
            "a rolled-forward keyed map equals a direct build"),
-    Mutant("vacuum-reclaims-visible", "engine/table.py",
-           "if v.xmax is None or v.xmax > watermark",
-           "if v.xmax is None or v.xmax > watermark + 1",
-           "vacuum keeps every version visible at its watermark"),
-    Mutant("vacuum-read-below", "engine/table.py",
-           "if lsn < self._vacuumed_lsn:",
-           "if lsn < self._vacuumed_lsn - 1:",
-           "a read below the vacuum watermark raises"),
     Mutant("failed-batch-drops-prefix", "engine/table.py",
            "        finally:\n"
            "            lsns = self._commit(olds, [None] * len(olds))",
