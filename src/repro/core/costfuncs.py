@@ -40,6 +40,10 @@ import bisect
 from abc import ABC, abstractmethod
 from typing import Iterable, Sequence
 
+#: The largest batch :meth:`CostFunction.batch_limit` reports: the cap that
+#: makes an unbounded budget's search terminate.
+MAX_BATCH = 1 << 24
+
 
 class CostFunction(ABC):
     """A batch processing cost function ``f: Z+ -> R+``.
@@ -112,16 +116,18 @@ class CostFunction(ABC):
                     return False
         return True
 
-    def batch_limit(self, budget: float, hi: int = 1 << 24) -> int:
+    def batch_limit(self, budget: float) -> int:
         """Return ``max {b : f(b) <= budget}`` (0 if even ``f(1) > budget``).
 
-        Uses galloping + binary search, relying on monotonicity.  ``hi`` caps
-        the search so that unbounded budgets terminate.
+        Uses galloping + binary search, relying on monotonicity, up to
+        :data:`MAX_BATCH` so that unbounded budgets terminate.
         """
-        return max_batch_under(self, budget, hi=hi)
+        return max_batch_under(self, budget)
 
 
-def max_batch_under(f: CostFunction, budget: float, hi: int = 1 << 24) -> int:
+def max_batch_under(
+    f: CostFunction, budget: float, hi: int = MAX_BATCH
+) -> int:
     """Largest batch size whose one-shot processing cost fits in ``budget``.
 
     This is the quantity ``max {b | f_i(b) <= C}`` used by the A* heuristic
@@ -168,12 +174,12 @@ class LinearCost(CostFunction):
     def cost(self, k: int) -> float:
         return self.slope * k + self.setup
 
-    def batch_limit(self, budget: float, hi: int = 1 << 24) -> int:
+    def batch_limit(self, budget: float) -> int:
         if budget < self.setup + self.slope:
             return 0
         if self.slope == 0:
-            return hi
-        return min(hi, int((budget - self.setup) / self.slope + 1e-12))
+            return MAX_BATCH
+        return min(MAX_BATCH, int((budget - self.setup) / self.slope + 1e-12))
 
     def _value(self) -> tuple:
         return (self.slope, self.setup)

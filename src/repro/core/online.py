@@ -17,7 +17,8 @@ per-table recent-rate vector.  :class:`TimeToFullEstimator` implements
 three estimators:
 
 * ``"ewma"`` (default) -- exponentially weighted moving average of observed
-  per-step arrivals, the practical choice;
+  per-step arrivals, the newest weighing :data:`EWMA_ALPHA`; the practical
+  choice;
 * ``"window"`` -- plain moving average over a fixed window;
 * ``"fixed"`` -- externally supplied constant rates (an oracle given the
   true process mean; used by the estimator-quality ablation to explain the
@@ -37,6 +38,9 @@ from repro.core.problem import Vector, zero_vector
 
 _HORIZON_CAP = 1 << 22  # "never" for TimeToFull purposes
 
+#: The EWMA estimator's smoothing factor: the weight of the newest step.
+EWMA_ALPHA = 0.2
+
 
 class TimeToFullEstimator:
     """Predicts how long until incoming modifications make a state full.
@@ -45,8 +49,6 @@ class TimeToFullEstimator:
     ----------
     mode:
         ``"ewma"``, ``"window"``, or ``"fixed"`` (see module docstring).
-    alpha:
-        EWMA smoothing factor (only for ``mode="ewma"``).
     window:
         Window length in steps (only for ``mode="window"``).
     fixed_rates:
@@ -56,7 +58,6 @@ class TimeToFullEstimator:
     def __init__(
         self,
         mode: str = "ewma",
-        alpha: float = 0.2,
         window: int = 20,
         fixed_rates: Sequence[float] | None = None,
     ):
@@ -64,12 +65,9 @@ class TimeToFullEstimator:
             raise ValueError(f"unknown TimeToFull mode {mode!r}")
         if mode == "fixed" and fixed_rates is None:
             raise ValueError("mode='fixed' requires fixed_rates")
-        if not 0 < alpha <= 1:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self.mode = mode
-        self.alpha = alpha
         self.window = window
         self._fixed = tuple(float(r) for r in fixed_rates) if fixed_rates else None
         self._rates: list[float] | None = None
@@ -103,7 +101,7 @@ class TimeToFullEstimator:
         if self._rates is None:
             self._rates = [float(x) for x in arrivals]
         else:
-            a = self.alpha
+            a = EWMA_ALPHA
             self._rates = [
                 a * x + (1 - a) * r for x, r in zip(arrivals, self._rates)
             ]

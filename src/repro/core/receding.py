@@ -53,20 +53,15 @@ class RecedingHorizonPolicy(Policy):
         Projection length in steps.  Longer windows approximate the true
         instance better (and cost more per re-plan); at the paper's
         batching head-room, a window of 2-4 flush cycles suffices.
-    estimator:
-        Arrival-rate estimator (shared interface with ONLINE); defaults to
-        EWMA.
+
+    Arrival rates come from ONLINE's EWMA :class:`TimeToFullEstimator`.
     """
 
-    def __init__(
-        self,
-        window: int = 120,
-        estimator: TimeToFullEstimator | None = None,
-    ):
+    def __init__(self, window: int = 120):
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self.window = window
-        self.estimator = estimator or TimeToFullEstimator()
+        self.estimator = TimeToFullEstimator()
         self.replans = 0  # observable for ablations
 
     def reset(self, cost_functions, limit) -> None:

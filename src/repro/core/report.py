@@ -16,19 +16,21 @@ from repro.obs import slo
 
 _BAR_WIDTH = 40
 
+#: A timeline shows at most this many rows; a longer horizon is bucketed.
+TIMELINE_ROWS = 40
+
 
 def render_trace_timeline(
     problem: ProblemInstance,
     trace: PlanTrace,
-    max_rows: int = 40,
     table_names: tuple[str, ...] | None = None,
 ) -> str:
     """An ASCII timeline of one trace.
 
-    At most ``max_rows`` rows are shown; longer horizons are bucketed and
-    each row then summarizes its bucket (peak backlog, union of flushed
-    tables).  ``table_names`` labels the action marks (defaults to
-    ``T0, T1, ...``).
+    At most :data:`TIMELINE_ROWS` rows are shown; longer horizons are
+    bucketed and each row then summarizes its bucket (peak backlog, union
+    of flushed tables).  ``table_names`` labels the action marks (defaults
+    to ``T0, T1, ...``).
     """
     steps = problem.horizon + 1
     names = (
@@ -40,14 +42,12 @@ def render_trace_timeline(
         raise ValueError(
             f"need {problem.n} table names, got {len(names)}"
         )
-    if max_rows < 1:
-        raise ValueError(f"max_rows must be >= 1, got {max_rows}")
-    bucket = max(1, -(-steps // max_rows))  # ceil division
+    bucket = max(1, -(-steps // TIMELINE_ROWS))  # ceil division
     # Bucketing invariant (regression-tested for indivisible horizons in
     # tests/core/test_report.py): ceil-division buckets cover every step
     # exactly once -- the final row summarizes the shorter tail bucket when
     # ``steps % bucket != 0``, including the forced refresh at t = horizon
-    # -- and ceil(steps / bucket) rows never exceed ``max_rows``.
+    # -- and ceil(steps / bucket) rows never exceed ``TIMELINE_ROWS``.
     lines = [
         f"timeline (C = {problem.limit:.0f}; '#' = backlog as share of C; "
         f"marks = tables flushed; bucket = {bucket} step(s))",
@@ -107,7 +107,6 @@ def compare_traces(
 def slo_summary(
     problem: ProblemInstance,
     traces: dict[str, PlanTrace],
-    near_fraction: float = slo.DEFAULT_NEAR_FRACTION,
 ) -> str:
     """Per-policy refresh-SLO summary over finished traces.
 
@@ -115,7 +114,7 @@ def slo_summary(
     refresh been demanded right then, its cost ``f(s_t)`` must fit the
     constraint ``C``.  The table reports, per trace, how many steps
     breached the deadline (cost > ``C``), how many came within the
-    near-breach band (cost >= ``near_fraction * C``), and the worst
+    near-breach band (cost >= ``slo.NEAR_FRACTION * C``), and the worst
     margin.  Classification is shared with the live ``slo.*`` counters
     (:func:`repro.obs.slo.classify`), so this offline table and an
     observed run's ``slo.breaches`` always agree.
@@ -129,13 +128,13 @@ def slo_summary(
     )
     lines = [
         f"SLO: refresh-deadline margin C - f(s_t) at each step "
-        f"(C = {limit:.1f}; near-breach >= {near_fraction:.0%} of C)",
+        f"(C = {limit:.1f}; near-breach >= {slo.NEAR_FRACTION:.0%} of C)",
         header,
         "-" * len(header),
     ]
     for name, trace in traces.items():
         costs = [problem.refresh_cost(pre) for pre in trace.pre_states]
-        kinds = [slo.classify(limit, cost, near_fraction) for cost in costs]
+        kinds = [slo.classify(limit, cost) for cost in costs]
         breaches = sum(1 for k in kinds if k == slo.BREACH)
         near = sum(1 for k in kinds if k == slo.NEAR_BREACH)
         worst = max(costs) if costs else 0.0

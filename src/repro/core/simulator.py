@@ -50,9 +50,7 @@ def execute_plan(problem: ProblemInstance, plan: Plan) -> PlanTrace:
     return trace
 
 
-def simulate_policy(
-    problem: ProblemInstance, policy: Policy, reset: bool = True
-) -> PlanTrace:
+def simulate_policy(problem: ProblemInstance, policy: Policy) -> PlanTrace:
     """Drive an online policy over the instance's arrival sequence.
 
     The policy sees arrivals step by step (via :meth:`Policy.observe`) and
@@ -69,8 +67,7 @@ def simulate_policy(
     observations are made once the run is over, after every decision
     event: a run that raises leaves none behind.
     """
-    if reset:
-        policy.reset(problem.cost_functions, problem.limit)
+    policy.reset(problem.cost_functions, problem.limit)
     # Fetched once: the per-step hooks gate on them.
     recorder = obs.get_recorder()
     horizon = problem.horizon

@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 from repro import obs
 from repro.engine.aggregate import Aggregate
 from repro.engine.block import DEFAULT_BLOCK_SIZE
-from repro.engine.costmodel import CostModel, OperationCounter
+from repro.engine.costmodel import OperationCounter
 from repro.engine.errors import SchemaError
 from repro.engine.expr import Expression, resolve_column
 from repro.engine.join import HashJoin, IndexNestedLoopJoin
@@ -71,7 +71,6 @@ class Database:
 
     def __init__(
         self,
-        cost_model: CostModel | None = None,
         block_size: int = DEFAULT_BLOCK_SIZE,
         workers: int | None = None,
     ):
@@ -86,7 +85,7 @@ class Database:
                 f"workers={workers!r}: the worker pool was removed and "
                 f"execution is always serial; omit the argument"
             )
-        self.counter = OperationCounter(model=cost_model or CostModel())
+        self.counter = OperationCounter()
         self.tables: dict[str, Table] = {}
         self.block_size = block_size
         #: id(spec) -> (weak reference to spec, its column plan).  A plan
@@ -326,8 +325,9 @@ class Database:
 
         Plain EXPLAIN builds that tree and renders it with EXPLAIN
         ANALYZE's labels, without pulling it -- so without charging
-        anything; the root line adds DISTINCT, ORDER BY and LIMIT, which
-        run on the pulled rows.
+        anything, and leaving the snapshot each table retains for its
+        next read as it was; the root line adds DISTINCT, ORDER BY and
+        LIMIT, which run on the pulled rows.
 
         With ``analyze=True`` the query is **executed** (charging the
         counter exactly as a plain ``execute`` would) and the rendered
@@ -342,7 +342,12 @@ class Database:
                 profile=True,
             )
             return attrib.render_profile(result.profile)
-        plan = self._plan(spec, snapshot_lsns, substitutions)
+        held = [(t, t._retained) for t in self.tables.values()]
+        try:
+            plan = self._plan(spec, snapshot_lsns, substitutions)
+        finally:
+            for table, retained in held:
+                table._retained = retained
         finish = ["Distinct"] if spec.distinct else []
         if spec.order_by:
             keys = ", ".join(

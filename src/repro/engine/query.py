@@ -30,7 +30,7 @@ from available indexes -- the asymmetry knob of the whole reproduction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Sequence
+from typing import Hashable
 
 from repro.engine.errors import SchemaError
 from repro.engine.expr import Expression

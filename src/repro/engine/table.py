@@ -204,17 +204,14 @@ class ModLog:
                 floor = applied
         return floor
 
-    def truncate(self, upto_lsn: int | None = None) -> int:
-        """Drop leading whole chunks at or below ``upto_lsn``.
-
-        ``upto_lsn`` defaults to :meth:`safe_truncation_lsn`, and is
-        clamped to it -- a caller can never truncate history a live
-        subscriber still needs.  Only whole chunks are released (the
-        offset arithmetic stays chunk-aligned); returns the number of
-        events dropped.
+    def truncate(self) -> int:
+        """Drop leading whole chunks at or below
+        :meth:`safe_truncation_lsn` -- never history a live subscriber
+        still needs.  Only whole chunks are released (the offset
+        arithmetic stays chunk-aligned); returns the number of events
+        dropped.
         """
-        limit = self.safe_truncation_lsn()
-        upto = limit if upto_lsn is None else min(upto_lsn, limit)
+        upto = self.safe_truncation_lsn()
         dropped = 0
         cs = self._chunk_size
         while (

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from repro.core.costfuncs import CostFunction, LinearCost, TabulatedCost
+from repro.core.costfuncs import CostFunction
 from repro.core.problem import ProblemInstance
 from repro.engine.database import Database
 from repro.engine.expr import col, lit
@@ -164,15 +164,10 @@ def calibrated_costs(
 def cost_functions(
     scale: float = DEFAULT_SCALE,
     seed: int = DEFAULT_SEED,
-    form: str = "tabulated",
 ) -> tuple[CostFunction, CostFunction]:
-    """The planner-facing ``(f_PS, f_S)``, tabulated or linear-fitted."""
+    """The planner-facing ``(f_PS, f_S)``, tabulated."""
     cal_ps, cal_s = calibrated_costs(scale, seed)
-    if form == "tabulated":
-        return cal_ps.tabulated, cal_s.tabulated
-    if form == "linear":
-        return cal_ps.linear_fit, cal_s.linear_fit
-    raise ValueError(f"unknown cost-function form {form!r}")
+    return cal_ps.tabulated, cal_s.tabulated
 
 
 def make_problem(

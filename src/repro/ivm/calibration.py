@@ -61,9 +61,8 @@ def measure_cost_function(
     alias: str,
     batch_sizes: Sequence[int],
     mutate: Callable[[int], None],
-    repetitions: int = 1,
 ) -> CalibrationResult:
-    """Measure ``f_alias(k)`` for each ``k`` in ``batch_sizes``.
+    """Measure ``f_alias(k)`` once for each ``k`` in ``batch_sizes``.
 
     Parameters
     ----------
@@ -79,33 +78,25 @@ def measure_cost_function(
         ``mutate(k)`` must apply exactly ``k`` modifications to the
         underlying base table (e.g. random updates from
         :mod:`repro.tpcr.updates`).
-    repetitions:
-        Measure each batch size this many times and average, smoothing the
-        dependence on which random rows got modified.
     """
     if alias not in view.deltas:
         raise ValueError(f"view has no alias {alias!r}")
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     counter = view.database.counter
     samples: list[tuple[int, float]] = []
     with obs.trace("ivm.calibrate", alias=alias) as span:
         for k in batch_sizes:
             if k <= 0:
                 continue
-            total = 0.0
-            for __ in range(repetitions):
-                mutate(k)
-                pulled = view.deltas[alias].pull()
-                if pulled != k:
-                    raise RuntimeError(
-                        f"mutator applied {pulled} modifications, expected "
-                        f"{k} (did it touch another table?)"
-                    )
-                with counter.window() as window:
-                    apply_batch(view, alias, k)
-                total += window.elapsed_ms
-            samples.append((k, total / repetitions))
+            mutate(k)
+            pulled = view.deltas[alias].pull()
+            if pulled != k:
+                raise RuntimeError(
+                    f"mutator applied {pulled} modifications, expected "
+                    f"{k} (did it touch another table?)"
+                )
+            with counter.window() as window:
+                apply_batch(view, alias, k)
+            samples.append((k, window.elapsed_ms))
             obs.counter("ivm.calibration_samples")
         span.set(samples=len(samples))
     if len(samples) < 2:

@@ -119,6 +119,11 @@ def emit(event: ControlEvent) -> ControlEvent:
     return event
 
 
+#: SLO pressure counts over the trailing this many steps.
+WINDOW = 10
+#: This many consecutive quiet steps relax a view back to ONLINE.
+COOLDOWN = 20
+
 #: Mode -> a fresh policy instance per switch (estimator state must not leak).
 _POLICY_FOR = {NAIVE: NaivePolicy, ONLINE: OnlinePolicy}
 
@@ -136,10 +141,10 @@ class PolicyGovernor:
     """Switch per-view scheduling policy from SLO pressure.
 
     * ``escalate_after`` breach/near-breach events for one view within
-      the trailing ``window`` steps -> **NAIVE** (flush-everything keeps
+      the trailing :data:`WINDOW` steps -> **NAIVE** (flush-everything keeps
       the post-action backlog at zero, buying maximum headroom for the
       next burst at the price of batching economy);
-    * ``cooldown`` consecutive quiet steps -> relax back to ONLINE.
+    * :data:`COOLDOWN` consecutive quiet steps -> relax back to ONLINE.
 
     A context manager: entering subscribes to ``slo`` events, leaving
     unsubscribes.
@@ -149,17 +154,11 @@ class PolicyGovernor:
         self,
         coordinator: MaintenanceCoordinator,
         escalate_after: int = 3,
-        window: int = 10,
-        cooldown: int = 20,
     ):
         if escalate_after < 1:
             raise ValueError(f"escalate_after must be >= 1, got {escalate_after}")
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
         self.coordinator = coordinator
         self.escalate_after = escalate_after
-        self.window = window
-        self.cooldown = cooldown
         self._lock = threading.Lock()
         #: view -> recent breach/near-breach step numbers (bounded).
         self._pressure: dict[str, deque[int]] = {}
@@ -208,28 +207,28 @@ class PolicyGovernor:
                     self._last_event.pop(view, None)
                 continue
             mode = _mode_of(maintainer.policy)
-            recent = [s for s in pressure[view] if s > t - self.window]
+            recent = [s for s in pressure[view] if s > t - WINDOW]
             if mode != NAIVE and len(recent) >= self.escalate_after:
                 self._switch(
                     view, maintainer, mode, NAIVE, t,
                     reason=(
                         f"slo pressure: {len(recent)} breach/near-breach "
-                        f"step(s) in the last {self.window} steps "
+                        f"step(s) in the last {WINDOW} steps "
                         f"(threshold {self.escalate_after})"
                     ),
                     signals={
                         "pressure_events": float(len(recent)),
-                        "window_steps": float(self.window),
+                        "window_steps": float(WINDOW),
                     },
                 )
                 continue
             quiet_for = t - last_event[view]
-            if mode != ONLINE and quiet_for >= self.cooldown:
+            if mode != ONLINE and quiet_for >= COOLDOWN:
                 self._switch(
                     view, maintainer, mode, ONLINE, t,
                     reason=(
                         f"quiet for {quiet_for} steps "
-                        f"(cooldown {self.cooldown}); relaxing back to "
+                        f"(cooldown {COOLDOWN}); relaxing back to "
                         f"the preferred mode"
                     ),
                     signals={"quiet_steps": float(quiet_for)},

@@ -123,12 +123,13 @@ class EventLog:
                 else:
                     del self.wanted[kind]
 
-    def open(self, kind: str, capacity: int | None = None) -> bool:
-        """Open ``kind``'s ring; false when it is already open."""
+    def open(self, kind: str) -> bool:
+        """Open ``kind``'s ring of :data:`CAPACITY`; false when it is
+        already open."""
         with self._lock:
             if kind in self.rings:
                 return False
-            ring = Ring(CAPACITY[kind] if capacity is None else capacity)
+            ring = Ring(CAPACITY[kind])
             self.subscribe(kind, ring.record)
             self.rings[kind] = ring
             return True
@@ -221,14 +222,14 @@ def subscribe(kind: str, callback: Callable[[Any], None]) -> Iterator[None]:
         log.unsubscribe(kind, callback)
 
 
-#: The thread's running step: the ``(view, t, source)`` of :class:`step`.
+#: The thread's running step: the ``(view, t)`` of :class:`step`.
 _tls = threading.local()
 _NO_STEP = (None, None, "simulator")
 
 
 class step:
     """Tag the block as step ``t`` of ``view``: the ``(view, t)`` every
-    event kind keys on, plus who is driving (``source``).
+    event kind keys on.
 
     The maintainer enters it around ``policy.decide`` and around the
     metered flushes, so a decision emitted or a query profiled inside
@@ -237,11 +238,11 @@ class step:
 
     __slots__ = ("tag", "outer")
 
-    def __init__(self, view: str | None, t: int | None, source: str = "ivm"):
-        self.tag = (view, t, source)
+    def __init__(self, view: str | None, t: int | None):
+        self.tag = (view, t)
 
     def __enter__(self) -> None:
-        self.outer = getattr(_tls, "step", _NO_STEP)
+        self.outer = getattr(_tls, "step", None)
         _tls.step = self.tag
 
     def __exit__(self, *exc_info) -> None:
@@ -249,9 +250,11 @@ class step:
 
 
 def current_step() -> tuple[str | None, int | None, str]:
-    """The ``(view, t, source)`` in effect on this thread; outside any
-    :class:`step`, a bare simulator run: ``(None, None, "simulator")``."""
-    return getattr(_tls, "step", _NO_STEP)
+    """The ``(view, t, source)`` in effect on this thread: inside a
+    :class:`step` the live maintainer is driving (``source`` ``"ivm"``);
+    outside any, a bare simulator run: ``(None, None, "simulator")``."""
+    tag = getattr(_tls, "step", None)
+    return _NO_STEP if tag is None else (*tag, "ivm")
 
 
 def tree(head: str, items: Iterable[str]) -> list[str]:

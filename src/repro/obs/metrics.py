@@ -112,17 +112,16 @@ class Histogram:
     kind = "histogram"
     __slots__ = (
         "name", "count", "total", "min", "max",
-        "_reservoir", "_reservoir_size", "_rng", "_lock",
+        "_reservoir", "_rng", "_lock",
     )
 
-    def __init__(self, name: str, reservoir_size: int = RESERVOIR_SIZE):
+    def __init__(self, name: str):
         self.name = name
         self.count = 0
         self.total = 0.0
         self.min = math.inf
         self.max = -math.inf
         self._reservoir: list[float] = []
-        self._reservoir_size = reservoir_size
         self._rng = random.Random(0xC0FFEE)  # deterministic sampling
         self._lock = threading.Lock()
 
@@ -135,12 +134,12 @@ class Histogram:
                 self.min = value
             if value > self.max:
                 self.max = value
-            if len(self._reservoir) < self._reservoir_size:
+            if len(self._reservoir) < RESERVOIR_SIZE:
                 self._reservoir.append(value)
             else:
                 # Vitter's algorithm R: keep each sample with prob size/count.
                 j = self._rng.randrange(self.count)
-                if j < self._reservoir_size:
+                if j < RESERVOIR_SIZE:
                     self._reservoir[j] = value
 
     @property

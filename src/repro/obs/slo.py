@@ -14,7 +14,7 @@ simulator, the staged simulator, the pub/sub broker):
 | ``slo.refresh_margin.step`` | H | per-step margin distribution |
 | ``slo.steps`` | C | margin observations |
 | ``slo.breaches`` | C | steps whose refresh cost exceeded ``C`` |
-| ``slo.near_breaches`` | C | steps within the near-breach band (cost >= ``near_fraction * C``, default 0.9, but still within ``C``) |
+| ``slo.near_breaches`` | C | steps within the near-breach band (cost >= ``NEAR_FRACTION * C`` = 0.9 C, but still within ``C``) |
 
 Metrics are recorded only when a recorder is installed (the usual
 no-op-when-disabled contract).  Every breach / near-breach is also an
@@ -36,7 +36,7 @@ from repro.obs import events
 from repro.obs.recorder import get_recorder
 
 #: Near-breach band: cost at or above this fraction of the limit.
-DEFAULT_NEAR_FRACTION = 0.9
+NEAR_FRACTION = 0.9
 
 _EPS = 1e-9
 
@@ -105,9 +105,7 @@ def _coerce_limit(limit: float) -> float:
     return 0.0
 
 
-def classify(
-    limit: float, cost: float, near_fraction: float = DEFAULT_NEAR_FRACTION
-) -> str | None:
+def classify(limit: float, cost: float) -> str | None:
     """``BREACH``, ``NEAR_BREACH``, or ``None`` for one cost vs limit.
 
     A non-positive ``limit`` is clamped to 0.0 with a one-shot warning
@@ -117,7 +115,7 @@ def classify(
     limit = _coerce_limit(limit)
     if cost > limit + _EPS:
         return BREACH
-    if cost >= near_fraction * limit - _EPS:
+    if cost >= NEAR_FRACTION * limit - _EPS:
         return NEAR_BREACH
     return None
 

@@ -155,18 +155,10 @@ class PubSubBroker:
     # Introspection
     # ------------------------------------------------------------------
 
-    def result(self, name: str, refresh: bool = False) -> Any:
-        """Current result of a subscription's content query.
-
-        With ``refresh=False`` (default) this is the possibly stale
-        materialized result; ``refresh=True`` forces the view up to date
-        first (an on-demand pull, also bounded by the guarantee).
-        """
-        registration = self._registration(name)
-        if refresh:
-            self._coordinator.refresh([registration.view.name])
-            registration.last_result = self._result_of(registration.view)
-        return self._result_of(registration.view)
+    def result(self, name: str) -> Any:
+        """The possibly stale materialized result of a subscription's
+        content query."""
+        return self._result_of(self._registration(name).view)
 
     def notifications(self, name: str) -> list[Notification]:
         """All notifications delivered for one subscription."""

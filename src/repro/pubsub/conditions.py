@@ -64,25 +64,15 @@ class ValueWatch(NotificationCondition):
     ``probe(database)`` reads any scalar from the *base* tables (always
     current, so no refresh is needed to evaluate the condition).  The
     condition triggers when the probed value differs from the baseline by
-    more than ``relative`` (fractional) or ``absolute`` drift; the
-    baseline resets whenever the subscription notifies.
+    more than the fraction ``relative`` of it; the baseline resets
+    whenever the subscription notifies.
     """
 
-    def __init__(
-        self,
-        probe: Callable[[Database], float],
-        relative: float | None = None,
-        absolute: float | None = None,
-    ):
-        if relative is None and absolute is None:
-            raise ValueError("need a relative or an absolute threshold")
-        if relative is not None and relative <= 0:
+    def __init__(self, probe: Callable[[Database], float], relative: float):
+        if relative <= 0:
             raise ValueError(f"relative threshold must be > 0, got {relative}")
-        if absolute is not None and absolute <= 0:
-            raise ValueError(f"absolute threshold must be > 0, got {absolute}")
         self.probe = probe
         self.relative = relative
-        self.absolute = absolute
         self._baseline: float | None = None
 
     def should_notify(self, t: int, database: Database) -> bool:
@@ -91,15 +81,10 @@ class ValueWatch(NotificationCondition):
             self._baseline = current
             return False
         drift = abs(current - self._baseline)
-        if self.absolute is not None and drift > self.absolute:
-            return True
-        if self.relative is not None:
-            scale = abs(self._baseline)
-            if scale == 0:
-                return drift > 0
-            if drift / scale > self.relative:
-                return True
-        return False
+        scale = abs(self._baseline)
+        if scale == 0:
+            return drift > 0
+        return drift / scale > self.relative
 
     def notified(self, t: int, result: Any) -> None:
         # Re-baseline at the probed value as of the notification.
@@ -107,7 +92,7 @@ class ValueWatch(NotificationCondition):
 
     def __repr__(self) -> str:
         return (
-            f"ValueWatch(relative={self.relative}, absolute={self.absolute})"
+            f"ValueWatch(relative={self.relative})"
         )
 
 

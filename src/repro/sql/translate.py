@@ -16,7 +16,7 @@ cross products are almost always bugs.
 
 from __future__ import annotations
 
-from repro.engine.expr import BoolOp, ColumnRef, Comparison, Expression
+from repro.engine.expr import BoolOp, Comparison, Expression
 from repro.engine.query import AggregateSpec, JoinSpec, OrderSpec, QuerySpec
 from repro.sql.errors import SqlError
 from repro.sql.parser import SelectStatement, parse_select

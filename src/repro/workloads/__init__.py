@@ -4,7 +4,6 @@ from repro.workloads.arrivals import (
     StreamParams,
     bursty_arrivals,
     periodic_arrivals,
-    poisson_arrivals,
     stochastic_arrivals,
     uniform_arrivals,
 )
@@ -13,7 +12,6 @@ __all__ = [
     "StreamParams",
     "bursty_arrivals",
     "periodic_arrivals",
-    "poisson_arrivals",
     "stochastic_arrivals",
     "uniform_arrivals",
 ]

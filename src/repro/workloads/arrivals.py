@@ -1,6 +1,6 @@
 """Modification arrival sequences (Section 5 of the paper).
 
-Three workload families from the paper plus two extensions:
+Three workload families from the paper plus one extension:
 
 * :func:`uniform_arrivals` -- a constant number of modifications per table
   per step (Figure 6's "one PartSupp update and one Supplier update arrive
@@ -12,8 +12,8 @@ Three workload families from the paper plus two extensions:
   stability (stable/unstable);
 * :func:`periodic_arrivals` -- repeats a base pattern (the assumption under
   which ADAPT's ``T > T_0`` bound holds);
-* :func:`poisson_arrivals`, :func:`bursty_arrivals` -- extensions for
-  stress-testing ONLINE's rate estimator beyond the paper's streams.
+* :func:`bursty_arrivals` -- an extension for stress-testing ONLINE's
+  rate estimator beyond the paper's streams.
 
 All generators return a list of per-step n-vectors consumable by
 :class:`repro.core.problem.ProblemInstance` and are deterministic given a
@@ -119,33 +119,6 @@ def periodic_arrivals(
         raise ValueError(f"steps must be >= 1, got {steps}")
     rows = [tuple(int(x) for x in row) for row in pattern]
     return [rows[t % len(rows)] for t in range(steps)]
-
-
-def poisson_arrivals(
-    means: Sequence[float], steps: int, seed: int = 0
-) -> list[tuple[int, ...]]:
-    """Independent Poisson counts per table per step (extension)."""
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    rng = random.Random(seed)
-    out = []
-    for __ in range(steps):
-        out.append(tuple(_poisson(rng, m) for m in means))
-    return out
-
-
-def _poisson(rng: random.Random, mean: float) -> int:
-    """Knuth's algorithm; fine for the small means used here."""
-    if mean < 0:
-        raise ValueError(f"mean must be >= 0, got {mean}")
-    if mean == 0:
-        return 0
-    threshold = math.exp(-mean)
-    k, product = 0, rng.random()
-    while product > threshold:
-        k += 1
-        product *= rng.random()
-    return k
 
 
 def bursty_arrivals(

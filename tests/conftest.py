@@ -66,8 +66,8 @@ def flush_all(view: MaterializedView) -> None:
 @pytest.fixture
 def event_log():
     """A fresh installed event log (``repro.obs.events``), the previous
-    one put back afterwards; ``event_log.open(kind, capacity=n)`` sizes
-    a ring."""
+    one put back afterwards.  ``monkeypatch.setitem(events.CAPACITY,
+    kind, n)`` before ``event_log.open(kind)`` sizes a ring."""
     from repro.obs import events
 
     log = events.EventLog()

@@ -1,13 +1,12 @@
 """Unit tests for the cost-function model (Section 2 assumptions)."""
 
-import math
-
 import pytest
 
 from repro.core.costfuncs import (
     BlockIOCost,
     ConcaveCost,
     CostFunction,
+    MAX_BATCH,
     LinearCost,
     PiecewiseLinearCost,
     StepCost,
@@ -56,7 +55,7 @@ class TestLinearCost:
 
     def test_batch_limit_zero_slope(self):
         f = LinearCost(slope=0.0, setup=3.0)
-        assert f.batch_limit(10.0, hi=100) == 100
+        assert f.batch_limit(10.0) == MAX_BATCH
 
     def test_equality_and_hash(self):
         assert LinearCost(1.0, 2.0) == LinearCost(1.0, 2.0)

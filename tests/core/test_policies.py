@@ -6,7 +6,7 @@ from repro.core.adapt import AdaptPolicy, adapt_plan
 from repro.core.astar import find_optimal_lgm_plan
 from repro.core.costfuncs import LinearCost
 from repro.core.naive import NaivePolicy
-from repro.core.online import OnlinePolicy, TimeToFullEstimator
+from repro.core.online import EWMA_ALPHA, OnlinePolicy, TimeToFullEstimator
 from repro.core.plan import Plan
 from repro.core.policies import Policy, PolicyError, ReplayPolicy
 from repro.core.problem import ProblemInstance
@@ -88,16 +88,18 @@ class TestOnline:
 
 class TestTimeToFullEstimator:
     def test_ewma_tracks_constant_rate(self):
-        est = TimeToFullEstimator(mode="ewma", alpha=0.25)
+        est = TimeToFullEstimator(mode="ewma")
         est.reset(2)
         for __ in range(20):
             est.observe((4, 2))
         rates = est.rates()
         assert rates[0] == pytest.approx(4.0, abs=0.01)
         assert rates[1] == pytest.approx(2.0, abs=0.01)
-        # The newest arrivals weigh alpha: 0.25 * 0 + 0.75 * 4, and so on.
+        # The newest arrivals weigh EWMA_ALPHA.
+        a = EWMA_ALPHA
         est.observe((0, 8))
-        assert est.rates() == pytest.approx((3.0, 3.5))
+        assert est.rates() == pytest.approx((a * 0 + (1 - a) * 4,
+                                             a * 8 + (1 - a) * 2))
 
     def test_window_average(self):
         est = TimeToFullEstimator(mode="window", window=2)
@@ -141,8 +143,6 @@ class TestTimeToFullEstimator:
             TimeToFullEstimator(mode="nope")
         with pytest.raises(ValueError):
             TimeToFullEstimator(mode="fixed")
-        with pytest.raises(ValueError):
-            TimeToFullEstimator(alpha=0.0)
         with pytest.raises(ValueError):
             TimeToFullEstimator(window=0)
 

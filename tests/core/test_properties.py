@@ -29,7 +29,6 @@ from repro.core.costfuncs import (
     BlockIOCost,
     ConcaveCost,
     LinearCost,
-    PiecewiseLinearCost,
     StepCost,
     TabulatedCost,
     max_batch_under,

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.astar import find_optimal_lgm_plan
 from repro.core.costfuncs import LinearCost
-from repro.core.online import TimeToFullEstimator
 from repro.core.problem import ProblemInstance
 from repro.core.receding import RecedingHorizonPolicy, project_arrivals
 from repro.core.simulator import simulate_policy
@@ -46,19 +45,12 @@ class TestRecedingHorizonPolicy:
         assert trace.total_cost <= 1.02 * optimal.cost
         assert policy.replans > 0
 
-    def test_oracle_rates_supported(self):
-        problem = self.make_problem(horizon=100)
-        estimator = TimeToFullEstimator(mode="fixed", fixed_rates=[1.0, 1.0])
-        policy = RecedingHorizonPolicy(window=60, estimator=estimator)
-        trace = simulate_policy(problem, policy)
-        trace.plan.check_valid(problem)
-
     def test_replans_reset(self):
         problem = self.make_problem(horizon=80)
         policy = RecedingHorizonPolicy(window=40)
         simulate_policy(problem, policy)
         first = policy.replans
-        simulate_policy(problem, policy)  # reset=True by default
+        simulate_policy(problem, policy)  # every run resets the policy
         assert policy.replans == first
 
     def test_bad_window(self):

@@ -6,7 +6,11 @@ from repro.core.costfuncs import LinearCost
 from repro.core.naive import NaivePolicy
 from repro.core.online import OnlinePolicy
 from repro.core.problem import ProblemInstance
-from repro.core.report import compare_traces, render_trace_timeline
+from repro.core.report import (
+    TIMELINE_ROWS,
+    compare_traces,
+    render_trace_timeline,
+)
 from repro.core.simulator import simulate_policy
 
 
@@ -29,11 +33,16 @@ class TestTimeline:
         assert f"total cost {trace.total_cost:.0f}" in text
         assert "peak backlog" in text
 
-    def test_bucketing_caps_rows(self, problem):
+    def test_bucketing_caps_rows(self):
+        problem = ProblemInstance(
+            [LinearCost(slope=0.1, setup=5.0), LinearCost(slope=0.25)],
+            limit=12.0,
+            arrivals=[(1, 1)] * 400,
+        )
         trace = simulate_policy(problem, NaivePolicy())
-        text = render_trace_timeline(problem, trace, max_rows=10)
+        text = render_trace_timeline(problem, trace)
         body = [line for line in text.splitlines() if line.startswith("t=")]
-        assert len(body) <= 10 + 1
+        assert len(body) <= TIMELINE_ROWS
 
     def test_default_names(self, problem):
         trace = simulate_policy(problem, NaivePolicy())
@@ -44,11 +53,6 @@ class TestTimeline:
         with pytest.raises(ValueError):
             render_trace_timeline(problem, trace, table_names=("only-one",))
 
-    def test_max_rows_below_one_rejected(self, problem):
-        trace = simulate_policy(problem, NaivePolicy())
-        with pytest.raises(ValueError, match="max_rows"):
-            render_trace_timeline(problem, trace, max_rows=0)
-
     def test_indivisible_horizon_covers_every_step(self):
         """Bucketing regression: ``steps % bucket != 0`` loses nothing.
 
@@ -57,16 +61,16 @@ class TestTimeline:
         total -- including the forced refresh at t = horizon, which lands
         in the shorter tail bucket.
         """
-        # 80 steps (horizon 79) into <= 7 rows -> bucket 12, tail of 8.
+        # 130 steps (horizon 129) into <= 40 rows -> bucket 4, tail of 2.
         problem = ProblemInstance(
             [LinearCost(slope=1.0), LinearCost(slope=1.0)],
             limit=50.0,
-            arrivals=[(1, 1)] * 80,
+            arrivals=[(1, 1)] * 130,
         )
         trace = simulate_policy(problem, NaivePolicy())
-        text = render_trace_timeline(problem, trace, max_rows=7)
+        text = render_trace_timeline(problem, trace)
         rows = [line for line in text.splitlines() if line.startswith("t=")]
-        assert len(rows) <= 7
+        assert len(rows) <= TIMELINE_ROWS
         starts = [int(row.split("|")[0].split("=")[1]) for row in rows]
         assert starts[0] == 0
         assert starts == sorted(starts)
@@ -80,24 +84,22 @@ class TestTimeline:
 
     def test_tail_bucket_shows_forced_final_refresh(self):
         """A single-step tail bucket still renders the t = horizon flush."""
-        # 81 steps into <= 41 rows -> bucket 2, tail bucket = {t=80} alone.
+        # 79 steps into <= 40 rows -> bucket 2, tail bucket = {t=78} alone.
         problem = ProblemInstance(
             [LinearCost(slope=1.0), LinearCost(slope=1.0)],
             limit=50.0,
-            arrivals=[(1, 1)] * 81,
+            arrivals=[(1, 1)] * 79,
         )
         trace = simulate_policy(problem, NaivePolicy())
-        text = render_trace_timeline(problem, trace, max_rows=41)
+        text = render_trace_timeline(problem, trace)
         rows = [line for line in text.splitlines() if line.startswith("t=")]
-        assert len(rows) == 41
-        assert rows[-1].startswith("t=   80")
+        assert len(rows) == TIMELINE_ROWS
+        assert rows[-1].startswith("t=   78")
         assert "flush[" in rows[-1]
 
     def test_asymmetric_plan_shows_single_table_flushes(self, problem):
         trace = simulate_policy(problem, OnlinePolicy())
-        text = render_trace_timeline(
-            problem, trace, max_rows=200, table_names=("R", "S")
-        )
+        text = render_trace_timeline(problem, trace, table_names=("R", "S"))
         # ONLINE flushes the cheap table alone at least once.
         assert "flush[S]" in text or "flush[R]" in text
 

@@ -24,16 +24,6 @@ class TestPolicyLifecycle:
         assert first.total_cost == pytest.approx(second.total_cost)
         assert first.plan == second.plan
 
-    def test_reset_false_carries_state_across_periods(self, problem):
-        """Without a reset, ONLINE's running cost F_t keeps accumulating
-        -- the multi-period usage pattern where refreshes chain."""
-        policy = OnlinePolicy()
-        policy.reset(problem.cost_functions, problem.limit)
-        simulate_policy(problem, policy, reset=False)
-        spent_after_first = policy.spent
-        simulate_policy(problem, policy, reset=False)
-        assert policy.spent > spent_after_first
-
     def test_policies_are_reusable_across_instances(self):
         policy = NaivePolicy()
         for steps in (10, 20):

@@ -71,8 +71,8 @@ class TestTruncate:
         # Safe limit 5 -> only the first chunk (LSNs 1..4) may drop.
         assert log.truncate() == 4
         assert log.truncated_lsn == 4
-        # Explicit upto beyond the safe limit is clamped too.
-        assert log.truncate(upto_lsn=12) == 0
+        # While the reader stays at 5, a second pass drops nothing.
+        assert log.truncate() == 0
 
     def test_truncate_is_idempotent_and_incremental(self):
         log = ModLog(chunk_size=4)
@@ -87,7 +87,9 @@ class TestTruncate:
     def test_reads_below_truncation_point_raise(self):
         log = ModLog(chunk_size=4)
         fill(log, 12)
-        log.truncate(upto_lsn=8)
+        reader = _Reader(8)
+        log.subscribe(reader)
+        assert log.truncate() == 8
         with pytest.raises(ExecutionError, match="truncation point"):
             log.columns(2, 6)
         with pytest.raises(IndexError, match="truncation point"):
@@ -97,7 +99,9 @@ class TestTruncate:
         log = ModLog(chunk_size=4)
         fill(log, 12)
         before = log.columns(8, 12)
-        log.truncate(upto_lsn=8)
+        reader = _Reader(8)
+        log.subscribe(reader)
+        assert log.truncate() == 8
         assert log.columns(8, 12) == before
         assert log[8].new_values == (8,)
         assert [e.lsn for e in log] == list(range(9, 13))

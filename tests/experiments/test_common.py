@@ -1,7 +1,5 @@
 """Tests for the shared experiment infrastructure and reporting helpers."""
 
-import pytest
-
 from repro.core.costfuncs import LinearCost, TabulatedCost
 from repro.experiments import common
 from repro.experiments.reporting import format_table
@@ -34,12 +32,10 @@ class TestCalibratedCosts:
         assert cal_s.linear_fit.setup > 10 * max(cal_ps.linear_fit.setup, 1)
 
     def test_cost_function_forms(self):
-        tab = common.cost_functions(TEST_SCALE, form="tabulated")
-        lin = common.cost_functions(TEST_SCALE, form="linear")
+        tab = common.cost_functions(TEST_SCALE)
         assert all(isinstance(f, TabulatedCost) for f in tab)
-        assert all(isinstance(f, LinearCost) for f in lin)
-        with pytest.raises(ValueError, match="form"):
-            common.cost_functions(TEST_SCALE, form="quadratic")
+        calibrated = common.calibrated_costs(TEST_SCALE)
+        assert all(isinstance(c.linear_fit, LinearCost) for c in calibrated)
 
     def test_small_batches_anchored(self):
         """The k=1 calibration anchor: f(1) must carry the real setup, not

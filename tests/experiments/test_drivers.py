@@ -6,7 +6,6 @@ findings; the full-size runs live in ``benchmarks/``.
 
 import pytest
 
-from repro.experiments import common
 from repro.experiments.ablations import (
     run_astar_heuristic_ablation,
     run_cost_family_study,

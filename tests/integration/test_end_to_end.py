@@ -16,7 +16,6 @@ from repro.core.naive import NaivePolicy
 from repro.core.online import OnlinePolicy
 from repro.core.policies import Policy, ReplayPolicy
 from repro.core.problem import ProblemInstance
-from repro.core.simulator import simulate_policy
 from repro.ivm.calibration import measure_cost_function
 from repro.ivm.maintainer import ViewMaintainer
 from repro.ivm.view import MaterializedView

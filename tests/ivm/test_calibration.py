@@ -53,21 +53,10 @@ class TestMeasureCostFunction:
         assert paper_view.contents() == paper_view.recompute()
         assert not any(paper_view.pending_sizes().values())
 
-    def test_repetitions_average(self, paper_view, updaters):
-        ps_updater, __ = updaters
-        result = measure_cost_function(
-            paper_view, "PS", (5, 10), ps_updater, repetitions=2
-        )
-        assert len(result.samples) == 2
-
     def test_guards(self, paper_view, updaters):
         ps_updater, __ = updaters
         with pytest.raises(ValueError, match="no alias"):
             measure_cost_function(paper_view, "ZZ", (5, 10), ps_updater)
-        with pytest.raises(ValueError, match="repetitions"):
-            measure_cost_function(
-                paper_view, "PS", (5, 10), ps_updater, repetitions=0
-            )
         with pytest.raises(ValueError, match="two non-zero"):
             measure_cost_function(paper_view, "PS", (0, 5), ps_updater)
 

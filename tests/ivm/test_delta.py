@@ -77,13 +77,6 @@ class TestTake:
         lo = delta.applied_lsn
         assert delta.log.columns(lo, lo + 1)[1] == [(102,)]
 
-    def test_overtake_rejected(self, table):
-        delta = DeltaTable(table)
-        table.insert((10,))
-        delta.pull()
-        with pytest.raises(ExecutionError, match="only 1 pending"):
-            delta.advance(2)
-
     def test_take_zero_on_empty_syncs_applied(self, table):
         delta = DeltaTable(table)
         table.insert((10,))
@@ -91,11 +84,6 @@ class TestTake:
         delta.advance(1)
         assert delta.advance(0) is None
         assert delta.applied_lsn == delta.seen_lsn
-
-    def test_negative_take_rejected(self, table):
-        delta = DeltaTable(table)
-        with pytest.raises(ValueError):
-            delta.advance(-1)
 
     def test_advance_is_take_without_the_events(self, table):
         """Advancing by two is advancing by one twice."""

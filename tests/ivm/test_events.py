@@ -49,8 +49,9 @@ class TestControlEvent:
 
 
 class TestControlLog:
-    def test_bounded_ring_counts_dropped(self, event_log):
-        event_log.open("actuation", capacity=3)
+    def test_bounded_ring_counts_dropped(self, event_log, monkeypatch):
+        monkeypatch.setitem(events.CAPACITY, "actuation", 3)
+        event_log.open("actuation")
         for t in range(5):
             emit(_event(t=t))
         ring = event_log.rings["actuation"]

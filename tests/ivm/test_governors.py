@@ -8,7 +8,13 @@ from repro import obs
 from repro.core.naive import NaivePolicy
 from repro.core.online import OnlinePolicy
 from repro.core.receding import RecedingHorizonPolicy
-from repro.ivm.governor import NAIVE, ONLINE, PolicyGovernor, _mode_of
+from repro.ivm.governor import (
+    COOLDOWN,
+    NAIVE,
+    ONLINE,
+    PolicyGovernor,
+    _mode_of,
+)
 from repro.obs import events, slo
 
 
@@ -61,7 +67,7 @@ class TestPolicyGovernor:
     def test_escalates_to_naive_under_pressure(self):
         maintainer = FakeMaintainer(OnlinePolicy())
         governor = PolicyGovernor(
-            FakeCoordinator(v=maintainer), escalate_after=3, window=10
+            FakeCoordinator(v=maintainer), escalate_after=3
         )
         with collecting() as log:
             pressure(governor, "v", [4, 5, 6])
@@ -75,7 +81,7 @@ class TestPolicyGovernor:
     def test_pressure_below_threshold_holds(self):
         maintainer = FakeMaintainer(OnlinePolicy())
         governor = PolicyGovernor(
-            FakeCoordinator(v=maintainer), escalate_after=3, window=10
+            FakeCoordinator(v=maintainer), escalate_after=3
         )
         with collecting() as log:
             pressure(governor, "v", [4, 5])
@@ -86,27 +92,26 @@ class TestPolicyGovernor:
     def test_stale_pressure_outside_window_ignored(self):
         maintainer = FakeMaintainer(OnlinePolicy())
         governor = PolicyGovernor(
-            FakeCoordinator(v=maintainer), escalate_after=3, window=5
+            FakeCoordinator(v=maintainer), escalate_after=3
         )
         with collecting() as log:
             pressure(governor, "v", [1, 2, 3])
-            governor.tick(50)  # all events fell out of the window
+            governor.tick(50)  # all events fell out of the WINDOW
         assert isinstance(maintainer.policy, OnlinePolicy)
         assert not log.events()
 
     def test_quiet_cooldown_relaxes_back(self):
         maintainer = FakeMaintainer(OnlinePolicy())
         governor = PolicyGovernor(
-            FakeCoordinator(v=maintainer),
-            escalate_after=1, window=5, cooldown=10,
+            FakeCoordinator(v=maintainer), escalate_after=1
         )
         with collecting() as log:
             pressure(governor, "v", [2])
             governor.tick(3)
             assert isinstance(maintainer.policy, NaivePolicy)
-            governor.tick(4)  # still within cooldown: hold
+            governor.tick(1 + COOLDOWN)  # still within COOLDOWN: hold
             assert isinstance(maintainer.policy, NaivePolicy)
-            governor.tick(13)  # quiet for >= cooldown: relax
+            governor.tick(2 + COOLDOWN)  # quiet for >= COOLDOWN: relax
         assert isinstance(maintainer.policy, OnlinePolicy)
         assert [e.new for e in log.events()] == [NAIVE, ONLINE]
 
@@ -135,7 +140,7 @@ class TestPolicyGovernor:
     def test_attach_via_live_alert_hub(self):
         maintainer = FakeMaintainer(OnlinePolicy())
         governor = PolicyGovernor(
-            FakeCoordinator(paper=maintainer), escalate_after=2, window=10
+            FakeCoordinator(paper=maintainer), escalate_after=2
         )
         with governor:
             slo.observe_refresh(10.0, 12.0, t=1, source="ivm:paper")
@@ -161,8 +166,6 @@ class TestPolicyGovernor:
     def test_validates_thresholds(self):
         with pytest.raises(ValueError):
             PolicyGovernor(FakeCoordinator(), escalate_after=0)
-        with pytest.raises(ValueError):
-            PolicyGovernor(FakeCoordinator(), window=0)
 
 
 class TestModeIsTheLivePolicy:
@@ -171,11 +174,9 @@ class TestModeIsTheLivePolicy:
     outside is governed as it is, not as it was."""
 
     def escalated(self):
-        """View ``v`` moved online -> naive at t=2 (cooldown 10)."""
+        """View ``v`` moved online -> naive at t=2."""
         coordinator = FakeCoordinator(v=FakeMaintainer(OnlinePolicy()))
-        governor = PolicyGovernor(
-            coordinator, escalate_after=1, window=5, cooldown=10
-        )
+        governor = PolicyGovernor(coordinator, escalate_after=1)
         pressure(governor, "v", [1])
         governor.tick(2)
         assert isinstance(coordinator.maintainer("v").policy, NaivePolicy)

@@ -210,6 +210,18 @@ class TestPlainExplain:
         assert node_labels(plain, False) == node_labels(analyzed, True)
         assert "rows=" not in plain and "sim=" not in plain
 
+    def test_leaves_every_retained_snapshot_as_it_found_it(self):
+        """EXPLAIN builds the tree on each read table's snapshot, but a
+        later read reuses what the last execution retained, not what
+        EXPLAIN looked at."""
+        db = pins.make_db(64)
+        spec, _ = pins.hash_join_rolled(db)  # executed, then d updated
+        held = {name: table._retained for name, table in db.tables.items()}
+        db.explain(spec)
+        assert {
+            name: table._retained for name, table in db.tables.items()
+        } == held
+
     def test_the_root_shows_what_runs_on_the_pulled_rows(self):
         db = pins.make_db(64)
         spec, _ = pins.distinct_order_limit(db)

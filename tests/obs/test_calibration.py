@@ -67,8 +67,9 @@ class TestTracker:
         assert summary["views"] == {}
         assert summary["tables"]["PS"]["samples"] == 1
 
-    def test_capacity_drops_oldest(self, event_log):
-        event_log.open("calibration", capacity=2)
+    def test_capacity_drops_oldest(self, event_log, monkeypatch):
+        monkeypatch.setitem(events.CAPACITY, "calibration", 2)
+        event_log.open("calibration")
         with calibration.tracking() as tracker:  # joins the open ring
             for t in range(3):
                 calibration.observe_flush("v", t, "PS", 1, 2.0, 2.5)

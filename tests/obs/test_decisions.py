@@ -144,8 +144,8 @@ class TestGlobalSinkAndScope:
         assert events.current_step() == (None, None, "simulator")
         with events.step("min_cost", 3):
             assert events.current_step() == ("min_cost", 3, "ivm")
-            with events.step("inner", 4, source="test"):
-                assert events.current_step() == ("inner", 4, "test")
+            with events.step("inner", 4):
+                assert events.current_step() == ("inner", 4, "ivm")
             assert events.current_step() == ("min_cost", 3, "ivm")
             with pytest.raises(RuntimeError), events.step("doomed", 5):
                 raise RuntimeError("inside the step")

@@ -53,8 +53,9 @@ def fresh_log(event_log):
 
 class TestRingContract:
     @pytest.mark.parametrize("kind", KINDS)
-    def test_bounded_and_counts_dropped(self, fresh_log, kind):
-        fresh_log.open(kind, capacity=3)
+    def test_bounded_and_counts_dropped(self, fresh_log, kind, monkeypatch):
+        monkeypatch.setitem(events.CAPACITY, kind, 3)
+        fresh_log.open(kind)
         for t in range(5):
             events.emit(kind, make_event(kind, t))
         ring = fresh_log.rings[kind]
@@ -67,9 +68,12 @@ class TestRingContract:
         fresh_log.open(kind)
         assert fresh_log.rings[kind].capacity == events.CAPACITY[kind]
 
-    def test_a_flood_of_one_kind_cannot_evict_another(self, fresh_log):
-        fresh_log.open("decision", capacity=2)
-        fresh_log.open("actuation", capacity=2)
+    def test_a_flood_of_one_kind_cannot_evict_another(self, fresh_log,
+                                                      monkeypatch):
+        monkeypatch.setitem(events.CAPACITY, "decision", 2)
+        monkeypatch.setitem(events.CAPACITY, "actuation", 2)
+        fresh_log.open("decision")
+        fresh_log.open("actuation")
         events.emit("actuation", make_event("actuation", 0))
         for t in range(10):
             events.emit("decision", make_event("decision", t))
@@ -86,8 +90,9 @@ class TestRingContract:
         assert len(ring.events(view="b", t=1)) == 1
         assert ring.events(view="zzz") == []
 
-    def test_concurrent_emitters_lose_no_event(self, fresh_log):
-        fresh_log.open("calibration", capacity=1000)
+    def test_concurrent_emitters_lose_no_event(self, fresh_log, monkeypatch):
+        monkeypatch.setitem(events.CAPACITY, "calibration", 1000)
+        fresh_log.open("calibration")
         ring = fresh_log.rings["calibration"]
 
         def work(worker: int) -> None:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.obs import metrics
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -76,8 +77,9 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram("latency").quantile(1.5)
 
-    def test_reservoir_bounds_memory_counts_stay_exact(self):
-        h = Histogram("big", reservoir_size=16)
+    def test_reservoir_bounds_memory_counts_stay_exact(self, monkeypatch):
+        monkeypatch.setattr(metrics, "RESERVOIR_SIZE", 16)
+        h = Histogram("big")
         for v in range(1000):
             h.observe(v)
         assert h.count == 1000

@@ -113,7 +113,7 @@ class TestNotifications:
 
         broker.subscribe(
             make_subscription(
-                "watch", ValueWatch(min_acctbal, absolute=1.0)
+                "watch", ValueWatch(min_acctbal, relative=0.10)
             )
         )
         # Quiet steps: no notification.
@@ -159,19 +159,6 @@ class TestMultipleSubscriptions:
             assert a.new_result == b.new_result
         assert broker.maintenance_cost_ms("naive") > 0
         assert broker.maintenance_cost_ms("online") > 0
-
-    def test_on_demand_pull(self):
-        broker, ps, sup = make_broker()
-        broker.subscribe(make_subscription("s", EveryNSteps(1000, phase=999)))
-        ps.apply(5)
-        sup.apply(1)
-        broker.tick(0)
-        stale = broker.result("s")
-        fresh = broker.result("s", refresh=True)
-        registration = broker._registration("s")
-        assert not any(registration.view.pending_sizes().values())
-        assert fresh == registration.view.scalar()
-        assert stale is not None
 
 
 class TestOneCoordinator:

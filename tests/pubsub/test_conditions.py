@@ -61,16 +61,6 @@ class TestValueWatch:
         prices.update_rid(rid, {"price": 111.0})
         assert cond.should_notify(2, db)  # 11% drift
 
-    def test_absolute_threshold(self, db):
-        cond = ValueWatch(oil_price, absolute=5.0)
-        cond.should_notify(0, db)
-        prices = db.table("prices")
-        prices.update_rid(prices.find_rids(lambda r: True)[0], {"price": 104.0})
-        assert not cond.should_notify(1, db)
-        rid = prices.find_rids(lambda r: True)[0]
-        prices.update_rid(rid, {"price": 106.0})
-        assert cond.should_notify(2, db)
-
     def test_rebaselines_after_notification(self, db):
         cond = ValueWatch(oil_price, relative=0.10)
         cond.should_notify(0, db)
@@ -86,11 +76,9 @@ class TestValueWatch:
 
     def test_requires_some_threshold(self, db):
         with pytest.raises(ValueError):
-            ValueWatch(oil_price)
-        with pytest.raises(ValueError):
             ValueWatch(oil_price, relative=0.0)
         with pytest.raises(ValueError):
-            ValueWatch(oil_price, absolute=-1.0)
+            ValueWatch(oil_price, relative=-0.1)
 
 
 class TestOnEveryChange:

@@ -1,12 +1,14 @@
 """Everything under ``src/repro`` is reachable from something that runs.
 
 The periphery audit's rule: code that only its own tests reach is not
-part of the product.  Two static walks, so nothing is executed.  The
+part of the product.  Three static walks, so nothing is executed.  The
 first is per module: ``ast`` over every ``import`` / ``from ... import``,
 function-level ones included, so it sees the CLI's lazy imports.  The
 second is per definition: a function, class or method is reached when
-reached code reads its name.  The module walk also keeps the
-``bench_*.py`` files plain table generators.
+reached code reads its name.  The third is per parameter: a default that
+reached code never overrides is a constant, not an option.  The module
+walk also keeps the ``bench_*.py`` files plain table generators, and a
+last check keeps every import read.
 """
 
 from __future__ import annotations
@@ -54,6 +56,8 @@ ALLOWED = {
         "ONLINE's F_t, which the oracle machine holds bit-equal",
     "repro.engine.table.Table.delete_rids":
         "the DELETE event kind the oracle machine drives",
+    "repro.obs.events.EventLog.at":
+        "pending: `repro why` renders a step whole (ROADMAP 11(b))",
     # Pending deletion: only tests reach these, and they go with their
     # tests in a later change.
     "repro.ivm.ledger.ledger_summary":
@@ -68,8 +72,37 @@ ALLOWED = {
         "pending deletion: a condition no subscription uses",
     "repro.core.costfuncs.PiecewiseLinearCost":
         "pending deletion: a cost family nothing builds",
-    "repro.workloads.arrivals.poisson_arrivals":
-        "pending deletion: an arrival model nothing draws",
+}
+
+#: Defaulted parameters that only tests set and that stay, as
+#: ``qualified name(parameter)`` (``fnmatch`` globs allowed), each with why.
+#: Any other becomes a constant: one value in use is not an option.
+ALLOWED_PARAMETERS = {
+    "repro.engine.table.ModLog.__init__(chunk_size)":
+        "the retained-snapshot CI gate and the oracle machine set the "
+        "truncation granularity",
+    "repro.ivm.governor.PolicyGovernor.__init__(escalate_after)":
+        "the control-equivalence CI gate builds a governor that never "
+        "escalates",
+    "repro.engine.database.Database.explain(substitutions)":
+        "EXPLAIN takes execute's inputs so that it shows the plan a flush "
+        "runs; TestPlainExplain's substituted shapes use it",
+    "repro.engine.database.Database.explain(snapshot_lsns)":
+        "EXPLAIN takes execute's inputs so that it shows the plan a flush "
+        "runs; TestPlainExplain's substituted shapes use it",
+    "repro.experiments.*.run_*(*)":
+        "tests shrink each driver; the CLI and the benches run the defaults",
+    # The budgets of the reference checks ALLOWED keeps, and of the
+    # search they check against a brute-force scan.
+    "repro.core.astar.check_heuristic_consistency(max_nodes)":
+        "a reference check's search budget, sized to each test's instance",
+    "repro.core.exhaustive.find_optimal_lazy_plan_exhaustive(max_states)":
+        "a reference search's budget, sized to each test's instance",
+    "repro.core.costfuncs.check_cost_function(upto)":
+        "a reference check's range, sized to each cost family under test",
+    "repro.core.costfuncs.max_batch_under(hi)":
+        "the search cap, which tests lower to match a brute-force scan "
+        "up to it",
 }
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -164,50 +197,63 @@ def _binds_all(node: ast.AST) -> bool:
     return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
 
 
-def _reads(nodes: Iterable[ast.AST], skip: frozenset = frozenset()
-           ) -> set[str]:
-    """Every name the code under ``nodes`` reads, subtrees in ``skip`` aside.
-
-    A read is a loaded ``Name``, an ``Attribute`` or a string constant that
-    is an identifier (a ``getattr`` or a dispatch table).  An import binds
-    a name without reading it, and ``__all__`` lists names without
-    reading them.
-    """
-    found: set[str] = set()
+def _walk(nodes: Iterable[ast.AST], skip: frozenset = frozenset()
+          ) -> Iterator[ast.AST]:
+    """Every node under ``nodes``, subtrees in ``skip`` and the binding of
+    ``__all__`` aside."""
     stack = list(nodes)
     while stack:
         node = stack.pop()
         if node in skip or _binds_all(node):
             continue
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and node.value.isidentifier()):
-            found.add(node.value)
+        yield node
         stack.extend(ast.iter_child_nodes(node))
-    return found
 
 
-def _definitions() -> tuple[dict[str, tuple], set[str]]:
+def _reads(chunks: Iterable[tuple]) -> tuple[set[str], set[str]]:
+    """The names the code in ``chunks`` (nodes, subtrees to skip) reads
+    bare, and the names it reads as attributes.
+
+    A bare read is a loaded ``Name``, and reaches a top-level definition;
+    an attribute read is an ``Attribute``, and reaches a method or a
+    module's definition.  A string constant that is an identifier (a
+    ``getattr`` or a dispatch table) is both.  An import binds a name
+    without reading it, and ``__all__`` lists names without reading them.
+    """
+    bare: set[str] = set()
+    attrs: set[str] = set()
+    for nodes, skip in chunks:
+        for node in _walk(nodes, skip):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                bare.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and node.value.isidentifier()):
+                bare.add(node.value)
+                attrs.add(node.value)
+    return bare, attrs
+
+
+def _definitions() -> tuple[dict[str, tuple], list[tuple]]:
     """Every top-level function and class of ``src/repro`` and every
     non-dunder method, as qualified name -> (name, owning class, nodes,
-    subtrees that are definitions of their own); and what the modules'
-    top-level statements read.
+    subtrees that are definitions of their own); and each module's
+    top-level statements, as (nodes, definitions to skip).
 
     A class's body, dunder methods included, is its own; its other
     methods are definitions.  A property's getter and setter are one.
     """
     found: dict[str, tuple] = {}
-    top_level: set[str] = set()
+    top_level: list[tuple] = []
     for path in sorted(SRC.rglob("*.py")):
         module = _module_name(path)
         tree = ast.parse(path.read_text(encoding="utf-8"))
         tops = [
             n for n in tree.body if isinstance(n, (*_FUNCTIONS, ast.ClassDef))
         ]
-        top_level |= _reads(tree.body, frozenset(tops))
+        top_level.append((tree.body, frozenset(tops)))
         for top in tops:
             qual = f"{module}.{top.name}"
             methods = [
@@ -224,64 +270,79 @@ def _definitions() -> tuple[dict[str, tuple], set[str]]:
     return found, top_level
 
 
-def _reached(definitions: dict[str, tuple], reads: set[str],
-             seeds: Iterable[str] = ()) -> set[str]:
+def _reached(seeds: Iterable[str] = ()) -> set[str]:
     """The definitions reached code reads, to a fixed point.
 
-    Reached code starts as ``reads`` and grows by the body of every
-    definition reached: one whose name it reads, or one of ``seeds``,
-    and whose class, if it is a method, is reached.  A name read reaches
-    every definition of that name, which errs towards keeping code.
+    Reached code starts as the code that runs outside every definition
+    and grows by the body of every definition reached: one of ``seeds``,
+    or one whose name it reads -- bare or as an attribute for a top-level
+    definition, as an attribute for a method, whose class must be reached
+    too.  A name read reaches every definition of that name, which errs
+    towards keeping code.
     """
-    reads, seeds, reached = set(reads), set(seeds), set()
+    definitions, outside = _code()
+    bare, attrs = _reads(outside)
+    seeds, reached = set(seeds), set()
     grew = True
     while grew:
         grew = False
         for qual, (name, owner, nodes, own) in definitions.items():
-            if qual in reached or not (name in reads or qual in seeds):
+            if qual in reached:
+                continue
+            read = name in attrs or (owner is None and name in bare)
+            if not (read or qual in seeds):
                 continue
             if owner is None or owner in reached:
                 reached.add(qual)
-                reads |= _reads(nodes, own)
+                more_bare, more_attrs = _reads([(nodes, own)])
+                bare |= more_bare
+                attrs |= more_attrs
                 grew = True
     return reached
 
 
 @lru_cache(maxsize=None)
-def _code() -> tuple[dict[str, tuple], frozenset[str]]:
-    """The definitions, and what the code that runs reads outside them.
+def _code() -> tuple[dict[str, tuple], list[tuple]]:
+    """The definitions, and the code that runs outside them.
 
     Every module is imported (the test above), so every module's
     top-level statements run; so does every file under ROOT_DIRS.
     """
-    definitions, reads = _definitions()
+    definitions, outside = _definitions()
     for directory in ROOT_DIRS:
         for path in sorted((REPO / directory).rglob("*.py")):
-            reads |= _reads([ast.parse(path.read_text(encoding="utf-8"))])
-    return definitions, frozenset(reads)
+            outside.append(
+                ([ast.parse(path.read_text(encoding="utf-8"))], frozenset())
+            )
+    return definitions, outside
+
+
+def _named(pattern: str, names: Iterable[str]) -> set[str]:
+    return {name for name in names if fnmatch(name, pattern)}
+
+
+def _stale(allow: dict[str, str], names: Iterable[str], kept: set[str]
+           ) -> list[str]:
+    """The entries of ``allow`` that give no reason, or that name nothing
+    of ``names`` the walk without them leaves out of ``kept``."""
+    names = list(names)
+    return sorted(
+        pattern for pattern, reason in allow.items()
+        if not reason or _named(pattern, names) <= kept
+    )
 
 
 def _audit(allow: dict[str, str]) -> tuple[list[str], list[str]]:
     """The definitions nothing reaches that ``allow`` does not name, and
-    the entries of ``allow`` that are stale: they give no reason, or
-    name nothing the walk without them leaves unreached."""
-    definitions, reads = _code()
-
-    def named(pattern: str) -> list[str]:
-        return [qual for qual in definitions if fnmatch(qual, pattern)]
-
-    seeds = [qual for pattern in allow for qual in named(pattern)]
-    reached = _reached(definitions, reads, seeds)
+    the entries of ``allow`` that are stale."""
+    definitions, _ = _code()
+    seeds = set().union(*(_named(p, definitions) for p in allow))
+    reached = _reached(seeds)
     unreached = sorted(
         f"{qual} ({definitions[qual][2][0].lineno})"
-        for qual in set(definitions) - reached - set(seeds)
+        for qual in set(definitions) - reached - seeds
     )
-    bare = _reached(definitions, reads)
-    stale = sorted(
-        pattern for pattern, reason in allow.items()
-        if not reason or set(named(pattern)) <= bare
-    )
-    return unreached, stale
+    return unreached, _stale(allow, definitions, _reached())
 
 
 def test_every_definition_is_read_by_something():
@@ -293,8 +354,216 @@ def test_every_definition_is_read_by_something():
     )
 
 
+def _parameters(reached: set[str]) -> dict[str, tuple]:
+    """Every defaulted parameter of a reached function, method or class
+    ``__init__``, as ``qualified name(parameter)`` -> (the name a call
+    uses, whether only an attribute call reaches it, the parameter's name,
+    its position among the positionals a call passes or None, its line).
+
+    ``self`` and ``cls`` are passed by the call's receiver; ``*args`` and
+    ``**kwargs`` have no default.
+    """
+    definitions, _ = _code()
+    found: dict[str, tuple] = {}
+    for qual in sorted(reached):
+        name, owner, nodes, _ = definitions[qual]
+        if isinstance(nodes[0], ast.ClassDef):
+            functions = [
+                n for n in nodes[0].body
+                if isinstance(n, _FUNCTIONS) and n.name == "__init__"
+            ]
+            prefix, receiver = f"{qual}.__init__", True
+        else:
+            functions, prefix, receiver = nodes, qual, owner is not None
+        for function in functions:
+            args = function.args
+            positional = args.posonlyargs + args.args
+            bound = receiver and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in function.decorator_list
+            )
+            first_default = len(positional) - len(args.defaults)
+            defaulted = [
+                (arg, index - bound) for index, arg in enumerate(positional)
+                if index >= first_default
+            ] + [
+                (arg, None)
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None
+            ]
+            for arg, index in defaulted:
+                found[f"{prefix}({arg.arg})"] = (
+                    name, owner is not None, arg.arg, index, function.lineno
+                )
+    return found
+
+
+def _set_parameters(reached: set[str], parameters: dict[str, tuple]
+                    ) -> set[str]:
+    """The parameters that reached code sets.
+
+    A call sets a parameter when it names the definition (bare or as an
+    attribute; a method only as an attribute; a class for its
+    ``__init__``, and ``cls`` in its methods) and passes it by keyword,
+    passes enough positionals to reach it, or splats ``*`` / ``**`` into
+    the call.  A key of a dict
+    literal sets every parameter of that name, since ``runner(**kwargs)``
+    is a call no name matches.  Name collisions keep a parameter set.
+    """
+    definitions, outside = _code()
+    chunks = [(nodes, skip, None) for nodes, skip in outside] + [
+        (nodes, own, owner and definitions[owner][0])
+        for _, owner, nodes, own in map(definitions.get, reached)
+    ]
+    calls: dict[tuple[str, bool], list[tuple]] = {}
+    keys: set[str] = set()
+    for nodes, skip, cls in chunks:
+        for node in _walk(nodes, skip):
+            if isinstance(node, ast.Dict):
+                keys |= {
+                    k.value for k in node.keys
+                    if isinstance(k, ast.Constant) and isinstance(k.value, str)
+                }
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                name = node.func.id
+                callee = (cls if name == "cls" and cls else name, False)
+            elif isinstance(node.func, ast.Attribute):
+                callee = (node.func.attr, True)
+            else:
+                continue
+            splat = any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords
+            )
+            calls.setdefault(callee, []).append(
+                (len(node.args), {k.arg for k in node.keywords}, splat)
+            )
+
+    def passed(name: str, index: int | None, call: tuple) -> bool:
+        count, keywords, splat = call
+        return splat or name in keywords or (
+            index is not None and count > index
+        )
+
+    return {
+        qual for qual, (callee, method, name, index, _) in parameters.items()
+        if name in keys or any(
+            passed(name, index, call)
+            for attr in ((True,) if method else (False, True))
+            for call in calls.get((callee, attr), ())
+        )
+    }
+
+
+def _audit_parameters(allow: dict[str, str]
+                      ) -> tuple[list[str], list[str]]:
+    """The parameters nothing sets that ``allow`` does not name, and the
+    entries of ``allow`` that are stale."""
+    definitions, _ = _code()
+    reached = _reached(
+        set().union(*(_named(p, definitions) for p in ALLOWED))
+    )
+    parameters = _parameters(reached)
+    kept = _set_parameters(reached, parameters)
+    allowed = set().union(*(_named(p, parameters) for p in allow))
+    unset = sorted(
+        f"{qual} ({parameters[qual][-1]})"
+        for qual in set(parameters) - kept - allowed
+    )
+    return unset, _stale(allow, parameters, kept)
+
+
+def test_every_parameter_is_set_by_something():
+    unset, stale = _audit_parameters(ALLOWED_PARAMETERS)
+    assert not unset and not stale, (
+        f"defaulted parameters nothing under {ROOT_DIRS} or the CLI sets "
+        f"(only tests, or nothing at all): make each a constant, or name "
+        f"it with a reason: {unset}; allow-list entries that name nothing "
+        f"unset, or give no reason: {stale}"
+    )
+
+
 def test_a_stale_allow_list_entry_fails():
     gone = "repro.engine.table.Table.no_such_method"
     reached = "repro.ivm.view.MaterializedView.pending_sizes"
     unreached, stale = _audit({**ALLOWED, gone: "gone", reached: "read"})
     assert (unreached, stale) == ([], sorted([gone, reached]))
+
+    gone = "repro.engine.table.ModLog.truncate(upto_lsn)"
+    passed = "repro.engine.database.Database.__init__(block_size)"
+    reasonless = "repro.engine.table.ModLog.__init__(chunk_size)"
+    unset, stale = _audit_parameters({
+        **ALLOWED_PARAMETERS, gone: "gone", passed: "set", reasonless: "",
+    })
+    assert (unset, stale) == ([], sorted([gone, passed, reasonless]))
+
+
+#: Where every import is read.  ``benchmarks/layered/`` is the wall-clock
+#: harness, checked by its own suite.
+IMPORT_DIRS = ("src", "tests", "tools", "examples", "benchmarks")
+IMPORT_EXEMPT = ("benchmarks/layered",)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names the file at ``path`` imports and never reads.
+
+    A read is a loaded ``Name``, a string constant that is the name (a
+    forward reference such as ``Callable[["RowBlock"], list]``), a name in
+    a string annotation (an entry of ``__all__`` is a string constant), or,
+    under ``tests/`` and
+    ``benchmarks/``, a parameter of that name (a pytest fixture).
+    ``__future__`` imports bind nothing.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    fixtures = path.relative_to(REPO).parts[0] in ("tests", "benchmarks")
+    bound: dict[str, int] = {}
+    read: set[str] = set()
+    annotations: list[ast.AST] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                bound[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if node.module != "__future__":
+                bound.update(
+                    (alias.asname or alias.name, node.lineno)
+                    for alias in node.names
+                )
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+            if fixtures:
+                read.add(node.arg)
+        elif isinstance(node, _FUNCTIONS):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in annotations:
+        for node in ast.walk(annotation) if annotation else ():
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read |= {
+                    n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
+                    if isinstance(n, ast.Name)
+                }
+    return sorted(
+        f"{path.relative_to(REPO)}:{line} {name}"
+        for name, line in bound.items() if name not in read and name != "*"
+    )
+
+
+def test_every_import_is_used():
+    """A package's ``__init__`` imports to re-export, so it is skipped."""
+    unused = [
+        found
+        for directory in IMPORT_DIRS
+        for path in sorted((REPO / directory).rglob("*.py"))
+        if path.name != "__init__.py"
+        and not str(path.relative_to(REPO)).startswith(IMPORT_EXEMPT)
+        for found in _unused_imports(path)
+    ]
+    assert not unused, f"imported and never read: {unused}"

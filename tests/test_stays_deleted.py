@@ -141,6 +141,49 @@ ROWS = (
          SRC, "    def delete_rid(self, rid: int) -> ModEvent:",
          "conveniences only tests called; tests use the API that stays",
          "41"),
+    # Parameters only tests set are constants (tests/test_reach.py).
+    Gone(r"cost_model", SRC, "        cost_model: CostModel | None = None,",
+         "every database charges the one CostModel", "42"),
+    Gone(r"upto_lsn", SRC, "    def truncate(self, upto_lsn: int) -> int:",
+         "a log truncates to its safe LSN", "42"),
+    Gone(r"self\.alpha|alpha: float|alpha=", ("src/repro/core",),
+         "        alpha: float = 0.2,",
+         "the EWMA weighs the newest step by EWMA_ALPHA", "42"),
+    Gone(r"estimator: TimeToFullEstimator|estimator or ",
+         ("src/repro/core/receding.py",),
+         "        self.estimator = estimator or TimeToFullEstimator()",
+         "RECEDING projects EWMA rates", "42"),
+    Gone(r"reset: bool|if reset:", SRC, "    if reset:",
+         "every simulated run resets its policy", "42"),
+    Gone(r"max_rows", ("src/repro/core",), "    max_rows: int = 40,",
+         "a timeline has at most TIMELINE_ROWS rows", "42"),
+    Gone(r"near_fraction|DEFAULT_NEAR_FRACTION", ("src", "docs"),
+         "    near_fraction: float = slo.DEFAULT_NEAR_FRACTION,",
+         "the near-breach band is NEAR_FRACTION of C", "42"),
+    Gone(r"repetitions", ("src/repro/ivm",), "    repetitions: int = 1,",
+         "calibration measures each batch size once", "42"),
+    Gone(r"self\.(cooldown|window)\b|(cooldown|window): int",
+         ("src/repro/ivm/governor.py",), "        cooldown: int = 20,",
+         "the governor's WINDOW and COOLDOWN are fixed", "42"),
+    Gone(r"absolute", ("src/repro/pubsub",),
+         "        absolute: float | None = None,",
+         "a ValueWatch threshold is relative", "42"),
+    Gone(r"refresh: bool", ("src/repro/pubsub",),
+         "    def result(self, name: str, refresh: bool = False) -> Any:",
+         "a subscription's result is what its view holds", "42"),
+    Gone(r"source: str = \"ivm\"|step\([^)]*source=", ("src", "docs"),
+         'events.step(view, t, source="ivm")',
+         "a step tag is (view, t); being in a step makes the source ivm",
+         "42"),
+    Gone(r"form: str|form=|hi: int = 1 << 24\) -> int:$|capacity=|"
+         r"capacity: int \| None|reservoir_size",
+         SRC, "    def open(self, kind: str, capacity: int | None = None):",
+         "cost_functions is tabulated; batch_limit caps at MAX_BATCH; a "
+         "ring holds CAPACITY[kind]; a histogram keeps RESERVOIR_SIZE",
+         "42"),
+    Gone(r"[Pp]oisson", ("src", "tests", "README.md", "EXPERIMENTS.md",
+                         "docs"),
+         "def poisson_arrivals(", "an arrival model nothing drew", "42"),
 )
 
 #: Paths (globs) that must not exist, each with the change that deleted it.

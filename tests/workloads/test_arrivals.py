@@ -9,7 +9,6 @@ from repro.workloads.arrivals import (
     StreamParams,
     bursty_arrivals,
     periodic_arrivals,
-    poisson_arrivals,
     stochastic_arrivals,
     uniform_arrivals,
 )
@@ -92,21 +91,6 @@ class TestPeriodic:
             periodic_arrivals([], 5)
         with pytest.raises(ValueError):
             periodic_arrivals([(1,)], 0)
-
-
-class TestPoisson:
-    def test_mean_roughly_matches(self):
-        seq = poisson_arrivals((4.0,), 3000, seed=9)
-        mean = sum(row[0] for row in seq) / len(seq)
-        assert mean == pytest.approx(4.0, rel=0.1)
-
-    def test_zero_mean_is_silent(self):
-        seq = poisson_arrivals((0.0,), 50, seed=9)
-        assert all(row == (0,) for row in seq)
-
-    def test_negative_mean_rejected(self):
-        with pytest.raises(ValueError):
-            poisson_arrivals((-1.0,), 10)
 
 
 class TestBursty:
