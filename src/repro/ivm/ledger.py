@@ -16,17 +16,17 @@ nothing of the view's own in it, so every such view-round of one
 maintenance round that agrees on the decision (arrivals, state, action,
 prediction, backlog) appends the **same** immutable entry
 (:class:`~repro.ivm.sharedscan.SharedScanRound` keeps them for the round):
-an idle view-round costs a list append, not a ten-field object.  Such an
+an idle view-round costs a list append, not a nine-field object.  Such an
 entry is unwritable: the dataclass is frozen and its ``charges`` is the
-read-only :data:`NO_CHARGES`; its ``sim_ms`` and ``wall_ms`` are 0.0,
-nothing having been metered.
+read-only :data:`NO_CHARGES`; its ``sim_ms`` is 0.0, nothing having been
+metered.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.engine.costmodel import CostModel, OperationCounter, float_total
 
@@ -60,7 +60,6 @@ class RoundEntry:
     forced: bool
     predicted_ms: float
     sim_ms: float
-    wall_ms: float
     backlog: int
     #: Non-zero counter-field deltas charged during this round.
     charges: Mapping[str, int]
@@ -101,20 +100,12 @@ class ViewLedger:
         return sum(e.flushes for e in self.entries)
 
     @property
-    def total_mods(self) -> int:
-        return sum(e.mods_applied for e in self.entries)
-
-    @property
     def total_sim_ms(self) -> float:
         """Sum of engine-measured action costs (live-system view)."""
         return float_total(e.sim_ms for e in self.entries)
 
     #: The name the benchmark harness reads it by.
     total_actual_cost_ms = total_sim_ms
-
-    @property
-    def total_wall_ms(self) -> float:
-        return float_total(e.wall_ms for e in self.entries)
 
     @property
     def backlog(self) -> int:
@@ -136,69 +127,3 @@ class ViewLedger:
     def agg_ms(self, model: CostModel) -> float:
         """Simulated cost of aggregate upkeep (updates + recomputes)."""
         return _weighted_ms(self.charge_totals(), model, AGG_FIELDS)
-
-    def summary(self, model: CostModel) -> dict:
-        """One flat dict per view -- the row behind :func:`ledger_summary`."""
-        return {
-            "view": self.view,
-            "rounds": self.rounds,
-            "flushes": self.flushes,
-            "mods": self.total_mods,
-            "sim_ms": self.total_sim_ms,
-            "wall_ms": self.total_wall_ms,
-            "join_ms": self.join_ms(model),
-            "agg_ms": self.agg_ms(model),
-            "backlog": self.backlog,
-        }
-
-
-#: Row cap for rendered ledger tables; at fleet scale a thousand-row dump
-#: helps nobody, so the costliest views lead and the rest aggregate.
-DEFAULT_SUMMARY_LIMIT = 50
-
-
-def ledger_summary(
-    ledgers: Iterable[ViewLedger],
-    model: CostModel,
-    limit: int | None = DEFAULT_SUMMARY_LIMIT,
-) -> str:
-    """Fixed-width per-view cost table (companion to ``slo_summary``).
-
-    Rows are always ordered by simulated cost (descending), ties broken
-    by view id (ascending) -- equal-cost views render identically no
-    matter what order they were registered in.  Above ``limit`` rows the
-    ``limit`` costliest views lead and one aggregate row sums the
-    remainder; ``limit=None`` renders everything.
-    """
-    rows = [ledger.summary(model) for ledger in ledgers]
-    rows.sort(key=lambda r: (-r["sim_ms"], r["view"]))
-    remainder = None
-    if limit is not None and len(rows) > limit:
-        rest = rows[limit:]
-        rows = rows[:limit]
-        remainder = {
-            "view": f"(+{len(rest)} more views)",
-            "rounds": sum(r["rounds"] for r in rest),
-            "flushes": sum(r["flushes"] for r in rest),
-            "mods": sum(r["mods"] for r in rest),
-            "sim_ms": float_total(r["sim_ms"] for r in rest),
-            "join_ms": float_total(r["join_ms"] for r in rest),
-            "agg_ms": float_total(r["agg_ms"] for r in rest),
-            "backlog": sum(r["backlog"] for r in rest),
-        }
-        rows.append(remainder)
-    width = max([14] + [len(r["view"]) for r in rows])
-    lines = [
-        f"{'view':<{width}s} {'rounds':>7s} {'flushes':>8s} {'mods':>8s} "
-        f"{'sim ms':>10s} {'join ms':>10s} {'agg ms':>10s} {'backlog':>8s}"
-    ]
-    lines.append("-" * len(lines[0]))
-    for r in rows:
-        lines.append(
-            f"{r['view']:<{width}s} {r['rounds']:>7d} {r['flushes']:>8d} "
-            f"{r['mods']:>8d} {r['sim_ms']:>10.3f} {r['join_ms']:>10.3f} "
-            f"{r['agg_ms']:>10.3f} {r['backlog']:>8d}"
-        )
-    if not rows:
-        lines.append("(no views)")
-    return "\n".join(lines)

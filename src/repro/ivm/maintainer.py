@@ -36,7 +36,6 @@ window there, inside the flush's cost window, and nothing is suppressed.
 
 from __future__ import annotations
 
-import time
 from contextlib import nullcontext
 from typing import Sequence
 
@@ -234,9 +233,10 @@ class ViewMaintainer:
         ran instead of running it again -- charged as if it had; a round
         of one reads the window there and then.
 
-        Every round takes the same path: check, flush, then one ledger
-        entry and ``record_action``.  The entry is the view-round's whole
-        record: per-view series and skip counts are read from the ledger
+        Every round takes the same path: check, flush, one ledger entry
+        and ``record_action``, then the flushes' calibration samples.
+        The entry is the view-round's whole record: per-view series and
+        skip counts are read from the ledger
         (:meth:`~repro.ivm.multiview.MaintenanceCoordinator.ledgers`), not
         copied into the recorder.  A
         :class:`~repro.core.policies.PolicyError` leaves no entry and
@@ -295,6 +295,7 @@ class ViewMaintainer:
                     )
                     flushes.append((alias, delta, k, prices, suppressed))
                     work = work or not suppressed
+        samples = ()
         if work:
             # Any query profile or decision emitted while flushing
             # carries the view name and round, so EXPLAIN ANALYZE output
@@ -305,9 +306,8 @@ class ViewMaintainer:
                 if recorder is not None or wanted
                 else _UNTAGGED
             )
-            wall_start = time.perf_counter()
             with view.database.counter.window() as window, tag:
-                self._flush(flushes, shared, t, forced)
+                samples = self._flush(flushes, shared, forced)
             entry = RoundEntry(
                 t=t,
                 arrivals=arrivals,
@@ -316,35 +316,43 @@ class ViewMaintainer:
                 forced=forced,
                 predicted_ms=predicted,
                 sim_ms=window.elapsed_ms,
-                wall_ms=(time.perf_counter() - wall_start) * 1e3,
                 backlog=backlog,
                 charges=window.charges,
             )
         else:
             # A zero-work round -- idle, or every window suppressed --
-            # skips the metering: cost window, counter snapshots, wall
-            # timer, step tag, spans.  At fleet scale most rounds are
-            # such, and nothing in their entry is the view's own.
+            # skips the metering: cost window, counter snapshots, step
+            # tag, spans, calibration samples.  At fleet scale most rounds
+            # are such, and nothing in their entry is the view's own.
             if flushes:
-                self._flush(flushes, shared, t, forced)
+                self._flush(flushes, shared, forced)
             key = (t, arrivals, pre, action, forced, predicted, backlog)
             entry = shared.zero_work.get(key)
             if entry is None:
                 entry = shared.zero_work[key] = RoundEntry(
                     t, arrivals, pre, action, forced, predicted,
-                    sim_ms=0.0, wall_ms=0.0, backlog=backlog,
+                    sim_ms=0.0, backlog=backlog,
                     charges=NO_CHARGES,
                 )
         self.ledger.record(entry)
         self.policy.record_action(t, action, predicted)
+        # Told only once the view-round is booked: a subscriber that
+        # raises cannot leave applied work off the ledger or ``F_t``.
+        for sample in samples:
+            obs_calibration.observe_flush(view.name, t, *sample)
         return entry
 
     def _flush(
-        self, flushes, shared: SharedScanRound, t: int, forced: bool
-    ) -> None:
+        self, flushes, shared: SharedScanRound, forced: bool
+    ) -> list[tuple]:
         """Apply the round's per-alias flushes in order, each reading its
-        window through ``shared`` inside its own cost window."""
+        window through ``shared`` inside its own cost window.
+
+        Returns the calibration samples to emit, ``(alias, k, f_i(k),
+        actual ms)`` per metered flush; none when nobody consumes them.
+        """
         view = self.view
+        samples = []
         # Timing each flush is worth it only if someone consumes the
         # sample: a recorder or the calibration ring.
         calibrating = (
@@ -370,9 +378,8 @@ class ViewMaintainer:
                 ) as span:
                     apply_batch(view, alias, k, shared)
                 span.set(sim_ms=flush_window.elapsed_ms)
-            obs_calibration.observe_flush(
-                view.name, t, alias, k, prices[k], flush_window.elapsed_ms
-            )
+            samples.append((alias, k, prices[k], flush_window.elapsed_ms))
+        return samples
 
     def __repr__(self) -> str:
         return (

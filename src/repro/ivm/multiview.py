@@ -52,7 +52,7 @@ and the prediction per ``(model, pre, action, forced)``; the window's
 batch per ``(table, LSN window)`` and its fingerprint verdict per column
 signature; and the ledger entry of a view-round that did no work --
 idle, or flushing only windows the fingerprint suppressed, which is
-metered no more than an idle one (``wall_ms`` 0.0) -- per
+metered no more than an idle one (``sim_ms`` 0.0) -- per
 ``(arrivals, pre, action, predicted, backlog)``, the same immutable
 :class:`~repro.ivm.ledger.RoundEntry` appended to each such view's own
 ledger.  All of that dies with the round.  Two things are shared for
@@ -98,13 +98,7 @@ from repro.core.problem import CostModel
 from repro.engine.database import Database
 from repro.engine.query import QuerySpec
 from repro.engine.table import ModLog
-from repro.ivm.ledger import (
-    DEFAULT_SUMMARY_LIMIT,
-    RoundEntry,
-    ViewLedger,
-    float_total,
-)
-from repro.ivm.ledger import ledger_summary as _render_ledger_summary
+from repro.ivm.ledger import RoundEntry, ViewLedger, float_total
 from repro.ivm.maintainer import ViewMaintainer
 from repro.ivm.sharedscan import Evaluations, SharedScanRound
 from repro.ivm.view import MaterializedView
@@ -339,21 +333,6 @@ class MaintenanceCoordinator:
     def ledgers(self) -> dict[str, ViewLedger]:
         """Per-view maintenance ledgers, keyed by view name."""
         return {name: m.ledger for name, m in self._maintainers.items()}
-
-    def ledger_summary(self, limit: int | None = DEFAULT_SUMMARY_LIMIT) -> str:
-        """Fixed-width per-view cost table (companion to ``slo_summary``).
-
-        Rows are ordered by simulated cost (descending, ties by view id)
-        so the output is deterministic regardless of registration order.
-        At fleet scale the table is capped at ``limit`` rows (with an
-        aggregate row for the remainder); pass ``limit=None`` for the
-        full table.
-        """
-        return _render_ledger_summary(
-            (m.ledger for m in self._maintainers.values()),
-            self.database.counter.model,
-            limit=limit,
-        )
 
     def __repr__(self) -> str:
         return f"MaintenanceCoordinator(views={list(self._maintainers)})"

@@ -12,7 +12,7 @@ which the running thread names with :class:`step`) and ``to_dict()``
 (their text form for :func:`render_trail`).  An event is written once:
 nothing changes it after :func:`emit`.  A consumer either **opens a
 ring** for a kind (:func:`collecting`: bounded, kept for
-:meth:`EventLog.at`) or **subscribes** a callback to it
+:meth:`Ring.events`) or **subscribes** a callback to it
 (:func:`subscribe`: streamed, nothing kept; the CLI's event files are
 subscribers).  A kind nobody opened or subscribed to is not
 :func:`wanted`, and its emitters build no event.
@@ -77,15 +77,11 @@ class Ring:
                 self.dropped += 1
             self._events.append(event)
 
-    def events(self, view: str | None = None, t: int | None = None) -> list:
-        """The events in emission order, optionally of one view / step."""
+    def events(self, t: int | None = None) -> list:
+        """The events in emission order, optionally of one step."""
         with self._lock:
             picked = list(self._events)
-        return [
-            e
-            for e in picked
-            if (view is None or e.view == view) and (t is None or e.t == t)
-        ]
+        return picked if t is None else [e for e in picked if e.t == t]
 
     #: What ``calibration.tracking()``'s callers call it.
     samples = events
@@ -137,18 +133,6 @@ class EventLog:
     def close(self, kind: str) -> None:
         with self._lock:
             self.unsubscribe(kind, self.rings.pop(kind).record)
-
-    def at(self, view: str | None, t: int | None) -> dict[str, list]:
-        """Every kind recorded for exactly one step: ``{kind: [events]}``
-        (``view=None``: the bare simulator)."""
-        found = {}
-        for kind, ring in list(self.rings.items()):
-            step = [
-                e for e in ring.events(view, t) if (e.view, e.t) == (view, t)
-            ]
-            if step:
-                found[kind] = step
-        return found
 
 
 _install_lock = threading.Lock()
@@ -207,12 +191,12 @@ def subscribe(kind: str, callback: Callable[[Any], None]) -> Iterator[None]:
     """Hand every ``kind`` event to ``callback`` for the block.
 
     A callback that raises stops its emitter there, and the error reaches
-    the emitter's caller; nothing catches it.  A maintainer emits a
-    ``calibration`` sample after the flush it describes is applied, so a
-    raising subscriber leaves that flush applied and its view-round with
-    no ledger entry, and in a coordinator's round the views after it
-    planned but not executed.  Every view stays at a consistent applied
-    LSN.
+    the emitter's caller; nothing catches it.  A maintainer emits its
+    ``calibration`` samples once the view-round they describe is booked
+    (ledger entry and ``record_action``), so a raising subscriber leaves
+    that view-round whole; in a coordinator's round the views after it
+    are planned but not executed.  Every view stays at a consistent
+    applied LSN.
     """
     log = _log
     log.subscribe(kind, callback)

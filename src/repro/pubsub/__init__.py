@@ -12,8 +12,8 @@ theory optimizes.
 This subpackage implements that application:
 
 * :class:`~repro.pubsub.conditions.NotificationCondition` implementations
-  -- periodic ("every hour"), value-watch ("oil price changed by more than
-  10% since the last report"), data-driven, and boolean combinations;
+  -- periodic ("every hour") and value-watch ("oil price changed by more
+  than 10% since the last report");
 * :class:`~repro.pubsub.subscription.Subscription` -- a content query plus
   a condition plus a per-subscription response-time guarantee;
 * :class:`~repro.pubsub.broker.PubSubBroker` -- registers subscriptions,
@@ -24,23 +24,17 @@ This subpackage implements that application:
 """
 
 from repro.pubsub.conditions import (
-    AllOf,
-    AnyOf,
     EveryNSteps,
     NotificationCondition,
-    OnEveryChange,
     ValueWatch,
 )
 from repro.pubsub.subscription import Subscription
 from repro.pubsub.broker import Notification, PubSubBroker
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "EveryNSteps",
     "Notification",
     "NotificationCondition",
-    "OnEveryChange",
     "PubSubBroker",
     "Subscription",
     "ValueWatch",

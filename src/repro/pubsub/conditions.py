@@ -10,7 +10,6 @@ possibly stale view contents.  This mirrors the paper's examples:
   10% since the last report**" -- :class:`ValueWatch` probing a base-table
   value and comparing it against its value at the previous notification.
 
-Boolean combinations (:class:`AllOf`, :class:`AnyOf`) compose conditions.
 Conditions are stateful (they remember the last notification); the broker
 calls :meth:`NotificationCondition.notified` whenever it fires a
 notification for the owning subscription.
@@ -19,7 +18,7 @@ notification for the owning subscription.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from repro.engine.database import Database
 
@@ -95,69 +94,3 @@ class ValueWatch(NotificationCondition):
             f"ValueWatch(relative={self.relative})"
         )
 
-
-class OnEveryChange(NotificationCondition):
-    """Trigger whenever any watched base table was modified this step.
-
-    The eager end of the spectrum: turns the subscription into an
-    immediately maintained view (useful as a baseline in experiments).
-    """
-
-    def __init__(self, tables: Sequence[str]):
-        if not tables:
-            raise ValueError("need at least one table to watch")
-        self.tables = tuple(tables)
-        self._last_lsns: dict[str, int] | None = None
-
-    def should_notify(self, t: int, database: Database) -> bool:
-        current = {
-            name: database.table(name).current_lsn for name in self.tables
-        }
-        changed = self._last_lsns is not None and current != self._last_lsns
-        self._last_lsns = current
-        return changed
-
-    def __repr__(self) -> str:
-        return f"OnEveryChange({list(self.tables)})"
-
-
-class AllOf(NotificationCondition):
-    """Conjunction: trigger when every sub-condition triggers."""
-
-    def __init__(self, *conditions: NotificationCondition):
-        if not conditions:
-            raise ValueError("AllOf needs at least one condition")
-        self.conditions = conditions
-
-    def should_notify(self, t: int, database: Database) -> bool:
-        # Evaluate all (no short-circuit): stateful conditions need to see
-        # every step to track their baselines.
-        results = [c.should_notify(t, database) for c in self.conditions]
-        return all(results)
-
-    def notified(self, t: int, result: Any) -> None:
-        for condition in self.conditions:
-            condition.notified(t, result)
-
-    def __repr__(self) -> str:
-        return f"AllOf({', '.join(map(repr, self.conditions))})"
-
-
-class AnyOf(NotificationCondition):
-    """Disjunction: trigger when any sub-condition triggers."""
-
-    def __init__(self, *conditions: NotificationCondition):
-        if not conditions:
-            raise ValueError("AnyOf needs at least one condition")
-        self.conditions = conditions
-
-    def should_notify(self, t: int, database: Database) -> bool:
-        results = [c.should_notify(t, database) for c in self.conditions]
-        return any(results)
-
-    def notified(self, t: int, result: Any) -> None:
-        for condition in self.conditions:
-            condition.notified(t, result)
-
-    def __repr__(self) -> str:
-        return f"AnyOf({', '.join(map(repr, self.conditions))})"

@@ -11,7 +11,6 @@ class SqlError(Exception):
     """
 
     def __init__(self, message: str, text: str = "", position: int | None = None):
-        self.bare_message = message
         self.position = position
         if text and position is not None:
             line_start = text.rfind("\n", 0, position) + 1

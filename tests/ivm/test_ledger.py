@@ -1,7 +1,7 @@
 """Tests for the per-view maintenance ledger (``repro.ivm.ledger``).
 
-Unit coverage of the entry/ledger data model and the golden summary
-table, plus the acceptance scenario: a coordinator hosting eight views
+Unit coverage of the entry/ledger data model, plus the acceptance
+scenario: a coordinator hosting eight views
 over shared TPC-R base tables reports per-view per-round cost, with
 cumulative ledger totals agreeing with the entries ``step`` returned.
 The ledger is the view's one record: a recorder holds no per-view copy
@@ -24,7 +24,6 @@ from repro.ivm.ledger import (
     RoundEntry,
     ViewLedger,
     float_total,
-    ledger_summary,
 )
 from repro.ivm.maintainer import ViewMaintainer
 from repro.ivm.multiview import MaintenanceCoordinator, ViewConfig
@@ -47,7 +46,6 @@ def alpha_ledger() -> ViewLedger:
             forced=False,
             predicted_ms=1.0,
             sim_ms=12.5,
-            wall_ms=0.8,
             backlog=1,
             charges={"index_probes": 10, "agg_updates": 5},
         )
@@ -61,7 +59,6 @@ def alpha_ledger() -> ViewLedger:
             forced=True,
             predicted_ms=2.0,
             sim_ms=7.5,
-            wall_ms=0.2,
             backlog=0,
             charges={"hash_probes": 100, "sort_items": 3},
         )
@@ -112,13 +109,13 @@ class TestSharedZeroWorkEntries:
         suppressed = entries["quiet_a"][1]
         assert entries["quiet_b"][1] is suppressed
         assert (suppressed.action, suppressed.flushes) == ((4,), 1)
-        # Nothing was metered for it, the wall clock included.
-        assert (suppressed.sim_ms, suppressed.wall_ms) == (0.0, 0.0)
+        # Nothing was metered for it.
+        assert suppressed.sim_ms == 0.0
         assert suppressed.charges is idle.charges is NO_CHARGES
         # A round that did work is the view's own, equal or not.
         a, b = entries["busy_a"][1], entries["busy_b"][1]
         assert a is not b and a.charges == b.charges != {}
-        assert a.charges is not b.charges and a.wall_ms > 0.0
+        assert a.charges is not b.charges
 
     def test_a_shared_entry_is_unwritable_and_reads_like_any_other(self):
         entry = self.run()["quiet_a"][1]
@@ -135,7 +132,8 @@ class TestSharedZeroWorkEntries:
         ledger = ViewLedger("v", ("PS",), [entry, entry])
         assert ledger.charge_totals() == {}
         assert ledger.join_ms(CostModel()) == ledger.agg_ms(CostModel()) == 0.0
-        assert (ledger.flushes, ledger.total_mods, ledger.backlog) == (2, 8, 0)
+        mods = sum(e.mods_applied for e in ledger.entries)
+        assert (ledger.flushes, mods, ledger.backlog) == (2, 8, 0)
 
 
 class TestViewLedger:
@@ -143,9 +141,8 @@ class TestViewLedger:
         ledger = alpha_ledger()
         assert ledger.rounds == 2
         assert ledger.flushes == 3
-        assert ledger.total_mods == 4
+        assert sum(e.mods_applied for e in ledger.entries) == 4
         assert ledger.total_sim_ms == pytest.approx(20.0)
-        assert ledger.total_wall_ms == pytest.approx(1.0)
         assert ledger.backlog == 0  # last round cleared it
 
     def test_charge_totals_merge_fields(self):
@@ -171,7 +168,7 @@ class TestViewLedger:
         assert ledger.rounds == 0
         assert ledger.backlog == 0
         assert ledger.charge_totals() == {}
-        assert ledger.summary(CostModel())["sim_ms"] == 0
+        assert ledger.total_sim_ms == 0
 
 
 class TestFloatTotals:
@@ -193,11 +190,10 @@ class TestFloatTotals:
             total = total + value
         return total
 
-    def entry(self, sim_ms: float, wall_ms: float) -> RoundEntry:
+    def entry(self, sim_ms: float) -> RoundEntry:
         return RoundEntry(
             t=0, arrivals=(1,), pre_state=(1,), action=(1,), forced=False,
-            predicted_ms=1.0, sim_ms=sim_ms, wall_ms=wall_ms, backlog=0,
-            charges={},
+            predicted_ms=1.0, sim_ms=sim_ms, backlog=0, charges={},
         )
 
     def test_float_total_is_the_plain_loop(self):
@@ -207,18 +203,17 @@ class TestFloatTotals:
         assert float_total([]) == 0
 
     def test_ledger_totals(self):
-        sims, walls = self.floats(300, seed=2), self.floats(300, seed=3)
+        sims = self.floats(300, seed=2)
         ledger = ViewLedger(view="v", aliases=("PS",))
-        for sim_ms, wall_ms in zip(sims, walls):
-            ledger.record(self.entry(sim_ms, wall_ms))
+        for sim_ms in sims:
+            ledger.record(self.entry(sim_ms))
         assert ledger.total_sim_ms == self.loop(sims)
-        assert ledger.total_wall_ms == self.loop(walls)
 
     def test_maintenance_log_totals(self):
         actual = self.floats(300, seed=5)
         log = ViewLedger(view="v", aliases=("PS",))
         for a in actual:
-            log.record(self.entry(a, 0.0))
+            log.record(self.entry(a))
         # The name the benchmark harness reads the total by.
         assert log.total_actual_cost_ms == self.loop(actual)
 
@@ -233,7 +228,7 @@ class TestFloatTotals:
             ))
             for cost in costs[i::4]:
                 coordinator.maintainer(f"v{i}").ledger.record(
-                    self.entry(cost, 0.0)
+                    self.entry(cost)
                 )
         per_view = [self.loop(costs[i::4]) for i in range(4)]
         assert coordinator.total_cost_ms() == self.loop(per_view)
@@ -258,77 +253,6 @@ class TestFloatTotals:
         for _ in tenths:
             profile.root.child("scan", "s").tally = {"tuple_cpu": 1}
         assert profile.total_sim_ms() == self.loop(tenths)
-
-    def test_summary_remainder_row(self):
-        sims = self.floats(120, seed=7)
-        ledgers = []
-        for i, sim_ms in enumerate(sims):
-            ledger = ViewLedger(view=f"v{i:03d}", aliases=("PS",))
-            ledger.record(self.entry(sim_ms, 0.0))
-            ledgers.append(ledger)
-        table = ledger_summary(ledgers, CostModel(), limit=20)
-        rest = sorted(sims, reverse=True)[20:]
-        remainder = table.splitlines()[-1].split()
-        assert remainder[:3] == ["(+100", "more", "views)"]
-        assert remainder[6] == f"{self.loop(rest):.3f}"
-
-
-class TestGoldenSummary:
-    def test_ledger_summary_golden(self):
-        beta = ViewLedger(view="beta", aliases=("S",))
-        table = ledger_summary([alpha_ledger(), beta], CostModel())
-        assert table == (
-            "view            rounds  flushes     mods     sim ms"
-            "    join ms     agg ms  backlog\n"
-            "-----------------------------------------------------"
-            "-----------------------------\n"
-            "alpha                2        3        4     20.000"
-            "      1.000      0.110        0\n"
-            "beta                 0        0        0      0.000"
-            "      0.000      0.000        0"
-        )
-
-    def test_equal_cost_views_sort_by_id_regardless_of_order(self):
-        """Regression: the summary used to keep registration order below
-        the row cap, so two equal-cost fleets rendered differently
-        depending on ``add_view`` order.  Rows now always sort
-        (cost desc, view id asc)."""
-        names = ["zulu", "alpha", "mike"]
-        ledgers = {name: ViewLedger(view=name, aliases=("PS",)) for name in names}
-        for ledger in ledgers.values():  # identical costs across views
-            ledger.record(
-                RoundEntry(
-                    t=0,
-                    arrivals=(1,),
-                    pre_state=(1,),
-                    action=(1,),
-                    forced=False,
-                    predicted_ms=1.0,
-                    sim_ms=5.0,
-                    wall_ms=0.1,
-                    backlog=0,
-                    charges={},
-                )
-            )
-        reference = ledger_summary(
-            [ledgers[n] for n in sorted(names)], CostModel()
-        )
-        shuffled = ledger_summary([ledgers[n] for n in names], CostModel())
-        assert shuffled == reference
-        rows = [line.split()[0] for line in shuffled.splitlines()[2:]]
-        assert rows == ["alpha", "mike", "zulu"]
-
-    def test_ledger_summary_empty(self):
-        table = ledger_summary([], CostModel())
-        assert table.splitlines()[-1] == "(no views)"
-
-    def test_long_view_names_widen_the_column(self):
-        long = ViewLedger(view="a" * 25, aliases=())
-        table = ledger_summary([long], CostModel())
-        header, dashes, row = table.splitlines()
-        assert header.startswith("view" + " " * 21)
-        assert row.startswith("a" * 25)
-        assert len(dashes) == len(header)
 
 
 class TestMaintainerLedger:
@@ -372,10 +296,11 @@ class TestMaintainerLedger:
         ledger = maintainer.ledger
         assert maintainer.log is ledger
         assert ledger.total_actual_cost_ms == ledger.total_sim_ms
-        assert ledger.total_mods == sum(sum(e.action) for e in returned)
+        assert sum(e.mods_applied for e in ledger.entries) == sum(
+            sum(e.action) for e in returned
+        )
         for entry, step in zip(ledger.entries, returned, strict=True):
             assert entry is step
-            assert entry.wall_ms >= 0
 
     def test_round_charges_weigh_up_to_round_cost(self):
         """Per-round charge deltas priced under the model reproduce the
@@ -464,16 +389,13 @@ class TestCoordinatorFleet:
         coordinator, ps, sup = self.make_fleet()
         self.run_fleet(coordinator, ps, sup)
         model = coordinator.database.counter.model
-        snapshot = {
-            name: ledger.summary(model)
-            for name, ledger in coordinator.ledgers().items()
-        }
+        ledgers = coordinator.ledgers()
         breakdown = coordinator.cost_breakdown()
-        assert set(snapshot) == set(breakdown)
-        for name, summary in snapshot.items():
-            assert summary["sim_ms"] == pytest.approx(breakdown[name])
-            assert summary["join_ms"] + summary["agg_ms"] <= (
-                summary["sim_ms"] + 1e-9
+        assert set(ledgers) == set(breakdown)
+        for name, ledger in ledgers.items():
+            assert ledger.total_sim_ms == pytest.approx(breakdown[name])
+            assert ledger.join_ms(model) + ledger.agg_ms(model) <= (
+                ledger.total_sim_ms + 1e-9
             )
 
     def test_views_differ_per_policy_and_spec(self):
@@ -490,19 +412,6 @@ class TestCoordinatorFleet:
         model = coordinator.database.counter.model
         paper_join = ledgers["min_cost_0"].join_ms(model)
         assert paper_join > 0  # the 4-way join pays probe work
-
-    def test_summary_table_lists_all_views(self):
-        coordinator, ps, sup = self.make_fleet()
-        self.run_fleet(coordinator, ps, sup, steps=2)
-        table = coordinator.ledger_summary()
-        lines = table.splitlines()
-        assert lines[0].split() == [
-            "view", "rounds", "flushes", "mods",
-            "sim", "ms", "join", "ms", "agg", "ms", "backlog",
-        ]
-        assert len(lines) == 2 + self.N_PAPER + self.N_COUNT
-        for name in coordinator.views:
-            assert any(line.startswith(name) for line in lines[2:])
 
     def test_metric_names_do_not_grow_with_the_fleet(self):
         """Every metric name is static: a recorder over the rounds of 20

@@ -9,6 +9,7 @@ from repro.core.policies import Policy, PolicyError, ReplayPolicy
 from repro.ivm.maintainer import ViewMaintainer
 from tests.conftest import make_paper_spec, make_tpcr_db
 from repro.ivm.view import MaterializedView
+from repro.obs import events
 from repro.tpcr.updates import PartSuppCostUpdater, SupplierNationUpdater
 
 COSTS = (LinearCost(slope=0.2, setup=1.0), LinearCost(slope=10.0, setup=120.0))
@@ -134,6 +135,34 @@ class TestPolicyViolations:
         nation.update_rid(0, {"regionkey": 1})
         with pytest.raises(PolicyError, match="unscheduled"):
             maintainer.step(0)
+
+
+class TestARaisingSubscriber:
+    def test_the_round_is_booked_before_its_samples_are_told(self):
+        """A ``calibration`` subscriber that raises on a round's first
+        sample finds the round booked: both flushes applied, one ledger
+        entry, and ONLINE's ``F_t`` charged with the round's cost."""
+        maintainer, ps, sup = make_maintainer(OnlinePolicy())
+        told = []
+
+        class Blown(Exception):
+            pass
+
+        def calibrate(sample):
+            told.append(sample)
+            raise Blown
+
+        ps.apply(8)
+        sup.apply(1)
+        with events.subscribe("calibration", calibrate):
+            with pytest.raises(Blown):
+                maintainer.refresh(0)
+        (entry,) = maintainer.ledger.entries
+        assert (entry.action, entry.forced, entry.flushes) == ((8, 1), True, 2)
+        assert entry.sim_ms > 0
+        assert maintainer.policy.spent == entry.predicted_ms > 0
+        assert maintainer.pre_state() == (0, 0)
+        assert [(s.view, s.t, s.alias) for s in told] == [("v", 0, "PS")]
 
 
 class TestConstructionGuards:

@@ -433,10 +433,11 @@ class OracleMachine(RuleBasedStateMachine):
     def subscriber_raises(self, writes, n):
         """A ``calibration`` subscriber raises on the ``n``-th flush of a
         round.  The error reaches the caller.  The flush it was told of is
-        applied, but its view-round books no ledger entry; the views
-        before it in the round completed, and the views after it were
-        planned but never executed.  The logs are truncated as far as
-        every view's applied LSN allows."""
+        applied and its view-round booked: the samples are emitted after
+        the ledger entry and ``record_action``.  The views before it in
+        the round completed, and the views after it were planned but
+        never executed.  The logs are truncated as far as every view's
+        applied LSN allows."""
         names = self.coordinator.views
         before = self._ledgers()
         told: list[str] = []
@@ -462,7 +463,7 @@ class OracleMachine(RuleBasedStateMachine):
             (entries, applied), (entries_now, applied_now) = (
                 before[name], after[name]
             )
-            assert entries_now - entries == (i < culprit)
+            assert entries_now - entries == (i <= culprit)
             if i == culprit:
                 assert applied_now != applied
             elif i > culprit:

@@ -214,15 +214,20 @@ class TestOneTail:
                     assert entry is ledger.entries[-1]
                     assert (entry.t, entry.forced) == (t, forced)
                     series = (
-                        ledger.rounds, ledger.flushes, ledger.total_mods,
+                        ledger.rounds, ledger.flushes,
+                        sum(e.mods_applied for e in ledger.entries),
                         ledger.total_sim_ms, float(ledger.backlog),
                         (ledger.rounds, ledger.total_sim_ms),
                     )
-                    step = log.at(name, t)
-                    assert len(step.get("decision", ())) == (0 if forced else 1)
+                    decided = [
+                        e for e in log.rings["decision"].events(t)
+                        if e.view == name
+                    ]
+                    assert len(decided) == (0 if forced else 1)
                     flushed = {
                         s.alias: s.actual_ms
-                        for s in step.get("calibration", ())
+                        for s in log.rings["calibration"].events(t)
+                        if s.view == name
                     }
                     cost = (entry.sim_ms, flushed, dict(entry.charges))
                     seen[name, t] = (series, None if forced else cost)

@@ -61,7 +61,7 @@ class TestRingContract:
         ring = fresh_log.rings[kind]
         assert (len(ring), ring.dropped) == (3, 2)
         assert [e.t for e in ring.events()] == [2, 3, 4]
-        assert [e.t for e in ring.events("v", 4)] == [4]
+        assert [e.t for e in ring.events(4)] == [4]
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_default_capacity_is_per_kind(self, fresh_log, kind):
@@ -85,10 +85,10 @@ class TestRingContract:
         for view, t in (("a", 0), ("a", 1), ("b", 1)):
             events.emit("slo", make_event("slo", t, view))
         ring = fresh_log.rings["slo"]
-        assert [e.view for e in ring.events(view="a")] == ["a", "a"]
+        assert [e.view for e in ring.events() if e.view == "a"] == ["a", "a"]
         assert [e.t for e in ring.events(t=1)] == [1, 1]
-        assert len(ring.events(view="b", t=1)) == 1
-        assert ring.events(view="zzz") == []
+        assert [e.view for e in ring.events(t=1)] == ["a", "b"]
+        assert ring.events(t=7) == []
 
     def test_concurrent_emitters_lose_no_event(self, fresh_log, monkeypatch):
         monkeypatch.setitem(events.CAPACITY, "calibration", 1000)
@@ -256,8 +256,8 @@ class TestOneGovernedStep:
     def test_at_returns_every_kind_recorded_for_the_step(self):
         """A burst step under a governor that escalates on first
         pressure: its decision, calibration sample, SLO breach and
-        actuation are one ``at(view, t)`` lookup, and what the step cost
-        is its ledger entry and its flush's sample, which agree."""
+        actuation all carry its ``(view, t)``, and what the step cost is
+        its ledger entry and its flush's sample, which agree."""
         coordinator, updater = _fleet(limit=6.5)  # f(8)=6.0, f(16)=10.0
         governor = PolicyGovernor(coordinator, escalate_after=1)
         kinds = ("decision", "calibration", "slo", "actuation")
@@ -266,7 +266,16 @@ class TestOneGovernedStep:
                 updater.apply(8)
                 coordinator.step(t)
                 governor.tick(t)
-            quiet, burst = log.at("min_cost", 0), log.at("min_cost", 1)
+            quiet, burst, never = (
+                {
+                    kind: of_step
+                    for kind, ring in log.rings.items()
+                    if (of_step := [
+                        e for e in ring.events(t) if e.view == "min_cost"
+                    ])
+                }
+                for t in (0, 1, 99)
+            )
         # t=0: 8 pending is refreshable, ONLINE defers inside the band.
         assert set(quiet) == {"decision", "slo", "actuation"}
         assert quiet["slo"][0].kind == slo.NEAR_BREACH
@@ -282,4 +291,4 @@ class TestOneGovernedStep:
         assert alert.kind == slo.BREACH and alert.view == "min_cost"
         (actuation,) = quiet["actuation"]
         assert (actuation.old, actuation.new) == ("online", "naive")
-        assert log.at("min_cost", 99) == {}
+        assert never == {}

@@ -4,13 +4,7 @@ import pytest
 
 from repro.engine.database import Database
 from repro.engine.types import ColumnType, Schema
-from repro.pubsub.conditions import (
-    AllOf,
-    AnyOf,
-    EveryNSteps,
-    OnEveryChange,
-    ValueWatch,
-)
+from repro.pubsub.conditions import EveryNSteps, ValueWatch
 
 
 @pytest.fixture
@@ -80,44 +74,3 @@ class TestValueWatch:
         with pytest.raises(ValueError):
             ValueWatch(oil_price, relative=-0.1)
 
-
-class TestOnEveryChange:
-    def test_fires_after_modification(self, db):
-        cond = OnEveryChange(["prices"])
-        assert not cond.should_notify(0, db)  # first call baselines
-        prices = db.table("prices")
-        prices.update_rid(prices.find_rids(lambda r: True)[0], {"price": 1.0})
-        assert cond.should_notify(1, db)
-        assert not cond.should_notify(2, db)  # quiet step
-
-    def test_requires_tables(self):
-        with pytest.raises(ValueError):
-            OnEveryChange([])
-
-
-class TestCombinators:
-    def test_all_of(self, db):
-        cond = AllOf(EveryNSteps(2), EveryNSteps(3))
-        fires = [cond.should_notify(t, db) for t in range(7)]
-        assert fires == [True, False, False, False, False, False, True]
-
-    def test_any_of(self, db):
-        cond = AnyOf(EveryNSteps(2), EveryNSteps(3))
-        fires = [cond.should_notify(t, db) for t in range(5)]
-        assert fires == [True, False, True, True, True]
-
-    def test_notified_propagates(self, db):
-        watch = ValueWatch(oil_price, relative=0.10)
-        cond = AnyOf(watch, EveryNSteps(100, phase=99))
-        cond.should_notify(0, db)
-        prices = db.table("prices")
-        prices.update_rid(prices.find_rids(lambda r: True)[0], {"price": 150.0})
-        assert cond.should_notify(1, db)
-        cond.notified(1, 150.0)
-        assert not cond.should_notify(2, db)  # watch re-baselined via AnyOf
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            AllOf()
-        with pytest.raises(ValueError):
-            AnyOf()

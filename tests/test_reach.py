@@ -56,20 +56,8 @@ ALLOWED = {
         "ONLINE's F_t, which the oracle machine holds bit-equal",
     "repro.engine.table.Table.delete_rids":
         "the DELETE event kind the oracle machine drives",
-    "repro.obs.events.EventLog.at":
-        "pending: `repro why` renders a step whole (ROADMAP 11(b))",
-    # Pending deletion: only tests reach these, and they go with their
-    # tests in a later change.
-    "repro.ivm.ledger.ledger_summary":
-        "pending deletion: a table no command prints",
-    "repro.ivm.multiview.MaintenanceCoordinator.ledger_summary":
-        "pending deletion: a table no command prints",
-    "repro.pubsub.conditions.OnEveryChange":
-        "pending deletion: a condition no subscription uses",
-    "repro.pubsub.conditions.AllOf":
-        "pending deletion: a condition no subscription uses",
-    "repro.pubsub.conditions.AnyOf":
-        "pending deletion: a condition no subscription uses",
+    # Pending deletion: only tests reach it, and it goes with its tests
+    # in a later change.
     "repro.core.costfuncs.PiecewiseLinearCost":
         "pending deletion: a cost family nothing builds",
 }

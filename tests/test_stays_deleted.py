@@ -184,6 +184,19 @@ ROWS = (
     Gone(r"[Pp]oisson", ("src", "tests", "README.md", "EXPERIMENTS.md",
                          "docs"),
          "def poisson_arrivals(", "an arrival model nothing drew", "42"),
+    # Definitions only tests read (tests/test_reach.py).
+    Gone(r"ledger_summary|SUMMARY_LIMIT|wall_ms|wall_start",
+         ("src/repro/ivm",), "    wall_ms: float",
+         "a ledger entry costs its round in simulated ms; no command "
+         "printed the per-view table", "43"),
+    Gone(r"OnEveryChange|AllOf|AnyOf", ("src", "examples"),
+         "class AnyOf(NotificationCondition):",
+         "no subscription used them", "43"),
+    Gone(r"def at\(|log\.at\(|events\(view|view: str \| None = None, t:",
+         ("src", "tests", "docs"), 'log.at("v", 17)',
+         "a caller filters a ring's events by (view, t) itself", "43"),
+    Gone(r"bare_message", ("src", "tests"), "self.bare_message = message",
+         "set, never read", "43"),
 )
 
 #: Paths (globs) that must not exist, each with the change that deleted it.
