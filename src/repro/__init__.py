@@ -45,7 +45,6 @@ from repro.core import (
     LinearCost,
     NaivePolicy,
     OnlinePolicy,
-    PiecewiseLinearCost,
     Plan,
     PlanTrace,
     ProblemInstance,
@@ -77,7 +76,6 @@ __all__ = [
     "LinearCost",
     "NaivePolicy",
     "OnlinePolicy",
-    "PiecewiseLinearCost",
     "Plan",
     "PlanTrace",
     "Policy",

@@ -19,7 +19,6 @@ from repro.core.costfuncs import (
     ConcaveCost,
     CostFunction,
     LinearCost,
-    PiecewiseLinearCost,
     StepCost,
     TabulatedCost,
     fit_linear,
@@ -46,7 +45,6 @@ __all__ = [
     "LinearCost",
     "NaivePolicy",
     "OnlinePolicy",
-    "PiecewiseLinearCost",
     "Plan",
     "PlanTrace",
     "ProblemInstance",

@@ -25,7 +25,6 @@ class                  role in the paper
 :class:`BlockIOCost`   ``ceil(k / B) * io + a*k``; subadditive, non-concave.
 :class:`StepCost`      the tightness construction of Section 3.2 that forces
                        ``OPT_LGM >= (2 - eps) * OPT``.
-:class:`PiecewiseLinearCost`  general concave piecewise-linear envelopes.
 :class:`TabulatedCost` costs measured from a live system (our engine), with
                        monotone linear interpolation -- how the paper's
                        "simulation" mode replays measured curves (Figure 5).
@@ -282,51 +281,6 @@ class StepCost(CostFunction):
 
     def __repr__(self) -> str:
         return f"StepCost(eps={self.eps!r}, limit={self.limit!r})"
-
-
-class PiecewiseLinearCost(CostFunction):
-    """Concave piecewise-linear cost given as ``(batch_size, cost)`` knots.
-
-    Knots must start at ``(0, 0)``, be strictly increasing in batch size,
-    non-decreasing in cost, and have non-increasing segment slopes (which
-    guarantees concavity, hence subadditivity).  Beyond the last knot the
-    final slope is extrapolated.
-    """
-
-    def __init__(self, knots: Sequence[tuple[int, float]]):
-        knots = [(int(k), float(c)) for k, c in knots]
-        if len(knots) < 2:
-            raise ValueError("need at least two knots")
-        if knots[0] != (0, 0.0):
-            raise ValueError(f"first knot must be (0, 0), got {knots[0]}")
-        slopes = []
-        for (k0, c0), (k1, c1) in zip(knots, knots[1:]):
-            if k1 <= k0:
-                raise ValueError("knot batch sizes must be strictly increasing")
-            if c1 < c0:
-                raise ValueError("knot costs must be non-decreasing")
-            slopes.append((c1 - c0) / (k1 - k0))
-        for s0, s1 in zip(slopes, slopes[1:]):
-            if s1 > s0 + 1e-12:
-                raise ValueError("segment slopes must be non-increasing (concave)")
-        self.knots = knots
-        self._keys = [k for k, __ in knots]
-        self._final_slope = slopes[-1]
-
-    def cost(self, k: int) -> float:
-        last_k, last_c = self.knots[-1]
-        if k >= last_k:
-            return last_c + self._final_slope * (k - last_k)
-        idx = bisect.bisect_right(self._keys, k) - 1
-        k0, c0 = self.knots[idx]
-        k1, c1 = self.knots[idx + 1]
-        return c0 + (c1 - c0) * (k - k0) / (k1 - k0)
-
-    def _value(self) -> tuple:
-        return tuple(self.knots)
-
-    def __repr__(self) -> str:
-        return f"PiecewiseLinearCost({self.knots!r})"
 
 
 class TabulatedCost(CostFunction):

@@ -8,24 +8,24 @@ band), two runs:
 * ``full`` -- the policy governor on.
 
 Both runs replay the identical modification stream (same seeds), so
-differences in ``slo.breaches`` and wall time are attributable to the
+differences in breaches and wall time are attributable to the
 governor alone.
 
-Breaches are counted from the ``slo`` events each run emits (not the
-metrics registry), so the harness works identically standalone, under
-the benchmark recorder, and in CI smoke runs.
+Breaches are counted from the view's ledger, each entry classified as
+the governor classifies it (:func:`repro.ivm.governor.verdict`), so the
+harness works identically standalone, under the benchmark recorder, and
+in CI smoke runs.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro import obs
 from repro.core.online import OnlinePolicy
 from repro.experiments import common
-from repro.ivm.governor import ControlEvent, PolicyGovernor
+from repro.ivm.governor import ControlEvent, PolicyGovernor, verdict
 from repro.ivm.multiview import MaintenanceCoordinator, ViewConfig
 from repro.obs import events, slo
 from repro.workloads.arrivals import bursty_arrivals
@@ -122,14 +122,11 @@ def _run_variant(
         )
     )
     governor = PolicyGovernor(coordinator) if name == "full" else None
-    # This run's own events, whatever rings an outer --control-log holds
-    # open; and a fresh per-variant recorder, so variants do not share
-    # metric state under an outer benchmark recorder.
-    alerts: list[slo.SloEvent] = []
+    # This run's own actuations, whatever rings an outer --control-log
+    # holds open; and a fresh per-variant recorder, so variants do not
+    # share metric state under an outer benchmark recorder.
     actuations: list[ControlEvent] = []
-    with obs.recording(), events.subscribe("slo", alerts.append), \
-            events.subscribe("actuation", actuations.append), \
-            governor or nullcontext():
+    with obs.recording(), events.subscribe("actuation", actuations.append):
         start = time.perf_counter()
         for t, step_arrivals in enumerate(arrivals):
             setup.apply_arrivals(step_arrivals)
@@ -137,8 +134,9 @@ def _run_variant(
             if governor is not None:
                 governor.tick(t)
         wall = time.perf_counter() - start
-    view = coordinator.maintainer("paper_view").view
-    kinds = [e.kind for e in alerts if e.view == "paper_view"]
+    maintainer = coordinator.maintainer("paper_view")
+    view = maintainer.view
+    kinds = [verdict(maintainer.model, e) for e in maintainer.ledger.entries]
     return VariantRun(
         breaches=kinds.count(slo.BREACH),
         near_breaches=kinds.count(slo.NEAR_BREACH),

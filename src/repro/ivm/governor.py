@@ -1,24 +1,28 @@
-"""The policy governor: one feedback loop from telemetry to a runtime knob.
+"""The policy governor: one feedback loop from the ledger to a runtime knob.
 
-:class:`PolicyGovernor` subscribes to the ``slo`` kind of the event log
-(:mod:`repro.obs.events`) and actuates
+:class:`PolicyGovernor` reads the SLO verdict of every view-round from
+its ledger entry and actuates
 :meth:`~repro.ivm.maintainer.ViewMaintainer.set_policy`::
 
     coordinator = MaintenanceCoordinator(db)
     coordinator.add_view(...)
-    with PolicyGovernor(coordinator) as governor:   # subscribes
-        for t, arrivals in enumerate(stream):
-            apply(arrivals)
-            coordinator.step(t)
-            governor.tick(t)             # read signals, maybe actuate
+    governor = PolicyGovernor(coordinator)
+    for t, arrivals in enumerate(stream):
+        apply(arrivals)
+        coordinator.step(t)
+        governor.tick(t)                 # read new entries, maybe actuate
 
 Design rules:
 
-* **buffer in callbacks, act in ticks** -- event callbacks run inline on
-  the maintenance path, so they only append to bounded buffers; every
-  actuation happens in :meth:`PolicyGovernor.tick`, which the caller
-  runs *between* rounds.  A policy never changes under an executing
-  round.
+* **the ledger is the signal** -- a view-round's verdict is
+  :func:`repro.obs.slo.classify` of the constraint ``C`` and the refresh
+  cost ``f(pre_state)`` of its :class:`~repro.ivm.ledger.RoundEntry`, the
+  quantity the simulator's trace scores.  Each tick reads the entries
+  each view booked since the last one, so the loop acts the same with
+  telemetry on or off, and a round that booked no entry is no evidence.
+* **act in ticks** -- every actuation happens in
+  :meth:`PolicyGovernor.tick`, which the caller runs *between* rounds.
+  A policy never changes under an executing round.
 * **hysteretic** -- the policy moves only after a configurable amount of
   evidence, with a cooldown before relaxing back, so one noisy interval
   cannot make the loop thrash.
@@ -31,24 +35,25 @@ Design rules:
   and counted in ``control.actuations``.  Recording one never touches
   the operation counter; the actuation itself changes the schedule by
   design, never what a given query charges.
-* **subscribing is observational** -- a governor that never actuates
-  leaves a run byte-identical to one without it (guarded by
+* **reading is observational** -- a governor that never actuates leaves
+  a run byte-identical to one without it (guarded by
   ``tests/integration/test_control_equivalence.py``).
 """
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 
 from repro import obs
 from repro.core.naive import NaivePolicy
 from repro.core.online import OnlinePolicy
+from repro.core.problem import CostModel
+from repro.ivm.ledger import RoundEntry, ViewLedger
 from repro.ivm.multiview import MaintenanceCoordinator
-from repro.obs import events
+from repro.obs import events, slo
 
-__all__ = ["ControlEvent", "PolicyGovernor"]
+__all__ = ["ControlEvent", "PolicyGovernor", "verdict"]
 
 #: Policy-mode names, in escalation order (most defensive first).
 NAIVE, ONLINE = "naive", "online"
@@ -128,6 +133,12 @@ COOLDOWN = 20
 _POLICY_FOR = {NAIVE: NaivePolicy, ONLINE: OnlinePolicy}
 
 
+def verdict(model: CostModel, entry: RoundEntry) -> str | None:
+    """A view-round's SLO verdict: ``BREACH``, ``NEAR_BREACH`` or ``None``
+    for the refresh cost ``f(pre_state)`` of its entry against ``C``."""
+    return slo.classify(model.limit, model.refresh_cost(entry.pre_state))
+
+
 def _mode_of(policy) -> str:
     """Best-effort mode name of the policy a maintainer runs."""
     name = type(policy).__name__.lower()
@@ -140,14 +151,11 @@ def _mode_of(policy) -> str:
 class PolicyGovernor:
     """Switch per-view scheduling policy from SLO pressure.
 
-    * ``escalate_after`` breach/near-breach events for one view within
-      the trailing :data:`WINDOW` steps -> **NAIVE** (flush-everything keeps
-      the post-action backlog at zero, buying maximum headroom for the
-      next burst at the price of batching economy);
+    * ``escalate_after`` breach/near-breach view-rounds of one view within
+      the trailing :data:`WINDOW` steps -> **NAIVE** (flush-everything
+      keeps the post-action backlog at zero, buying maximum headroom for
+      the next burst at the price of batching economy);
     * :data:`COOLDOWN` consecutive quiet steps -> relax back to ONLINE.
-
-    A context manager: entering subscribes to ``slo`` events, leaving
-    unsubscribes.
     """
 
     def __init__(
@@ -159,55 +167,45 @@ class PolicyGovernor:
             raise ValueError(f"escalate_after must be >= 1, got {escalate_after}")
         self.coordinator = coordinator
         self.escalate_after = escalate_after
-        self._lock = threading.Lock()
+        #: view -> (the ledger read, how many of its entries were read).
+        self._read: dict[str, tuple[ViewLedger, int]] = {}
         #: view -> recent breach/near-breach step numbers (bounded).
         self._pressure: dict[str, deque[int]] = {}
-        #: view -> last step with any pressure event.
-        self._last_event: dict[str, int] = {}
-
-    # -- subscriptions --------------------------------------------------
-
-    def __enter__(self) -> "PolicyGovernor":
-        events.installed().subscribe("slo", self._on_slo)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        events.installed().unsubscribe("slo", self._on_slo)
-
-    def _on_slo(self, event) -> None:
-        view = event.view
-        if view is None:
-            return  # not a live maintainer's observation
-        t = event.t if event.t is not None else 0
-        with self._lock:
-            bucket = self._pressure.setdefault(
-                view, deque(maxlen=max(self.escalate_after * 4, 16))
-            )
-            bucket.append(t)
-            self._last_event[view] = max(self._last_event.get(view, t), t)
-
-    # -- actuation ------------------------------------------------------
 
     def _switch(self, view, maintainer, old, mode, t, reason, signals) -> None:
         maintainer.set_policy(_POLICY_FOR[mode]())
         emit(ControlEvent(t, old, mode, reason, signals, view))
 
+    def _read_entries(self, view: str, maintainer) -> None:
+        """Fold the entries ``view`` booked since the last tick into its
+        pressure.  A view re-registered under the same name has a new
+        ledger, read from its start."""
+        ledger = maintainer.ledger
+        read, seen = self._read.get(view, (ledger, 0))
+        if read is not ledger:
+            seen = 0
+        entries = ledger.entries
+        for entry in entries[seen:]:
+            if verdict(maintainer.model, entry) is not None:
+                self._pressure.setdefault(
+                    view, deque(maxlen=max(self.escalate_after * 4, 16))
+                ).append(entry.t)
+        self._read[view] = (ledger, len(entries))
+
     def tick(self, t: int) -> None:
-        """One control interval: read the buffered signals and actuate.
+        """One control interval: read the new ledger entries and actuate.
         Call between maintenance rounds."""
-        with self._lock:
-            pressure = {v: list(q) for v, q in self._pressure.items()}
-            last_event = dict(self._last_event)
-        for view in sorted(pressure):
-            try:
-                maintainer = self.coordinator.maintainer(view)
-            except KeyError:
-                with self._lock:  # view removed: forget its buffers
-                    self._pressure.pop(view, None)
-                    self._last_event.pop(view, None)
-                continue
+        maintainers = dict(self.coordinator.iter_maintainers())
+        for view in [v for v in self._read if v not in maintainers]:
+            del self._read[view]  # view removed: forget it
+            self._pressure.pop(view, None)
+        for view, maintainer in maintainers.items():
+            self._read_entries(view, maintainer)
+        for view in sorted(self._pressure):
+            pressure = self._pressure[view]
+            maintainer = maintainers[view]
             mode = _mode_of(maintainer.policy)
-            recent = [s for s in pressure[view] if s > t - WINDOW]
+            recent = [s for s in pressure if s > t - WINDOW]
             if mode != NAIVE and len(recent) >= self.escalate_after:
                 self._switch(
                     view, maintainer, mode, NAIVE, t,
@@ -222,7 +220,7 @@ class PolicyGovernor:
                     },
                 )
                 continue
-            quiet_for = t - last_event[view]
+            quiet_for = t - max(pressure)
             if mode != ONLINE and quiet_for >= COOLDOWN:
                 self._switch(
                     view, maintainer, mode, ONLINE, t,

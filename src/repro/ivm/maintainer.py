@@ -40,7 +40,7 @@ from contextlib import nullcontext
 from typing import Sequence
 
 from repro import obs
-from repro.obs import events, slo
+from repro.obs import events
 from repro.obs import calibration as obs_calibration
 from repro.core.costfuncs import CostFunction
 from repro.core.policies import Policy, PolicyError, declares_pure_decide
@@ -235,10 +235,11 @@ class ViewMaintainer:
 
         Every round takes the same path: check, flush, one ledger entry
         and ``record_action``, then the flushes' calibration samples.
-        The entry is the view-round's whole record: per-view series and
-        skip counts are read from the ledger
+        The entry is the view-round's whole record: per-view series, skip
+        counts and the round's SLO verdict
+        (:func:`repro.ivm.governor.verdict`) are read from the ledger
         (:meth:`~repro.ivm.multiview.MaintenanceCoordinator.ledgers`), not
-        copied into the recorder.  A
+        copied into the recorder or the event log.  A
         :class:`~repro.core.policies.PolicyError` leaves no entry and
         nothing applied.
         """
@@ -262,22 +263,6 @@ class ViewMaintainer:
                 sum(post), model.refresh_cost(action)
             )
         backlog, predicted = decided
-        recorder = shared.recorder
-        wanted = shared.wanted
-        if recorder is not None or "slo" in wanted:
-            # The same quantity the simulator's trace scores: the margin
-            # of the post-arrival, pre-action state.  A backlog the
-            # policy let ride into the near-breach band (or a burst that
-            # blew past C before the policy could act) surfaces here as
-            # slo.* metrics and slo events -- the feedback signal the
-            # policy governor consumes.  Purely observational: cost
-            # functions are evaluated, nothing is charged.
-            slo.observe_refresh(
-                self.limit,
-                model.refresh_cost(pre),
-                t=t,
-                source=f"ivm:{self.view.name}",
-            )
         view = self.view
         # (alias, delta, k, f_i's prices, whether the round proved the
         # window a no-op).
@@ -303,7 +288,7 @@ class ViewMaintainer:
             # owner.  Nobody else reads the tag.
             tag = (
                 events.step(view.name, t)
-                if recorder is not None or wanted
+                if shared.recorder is not None or shared.wanted
                 else _UNTAGGED
             )
             with view.database.counter.window() as window, tag:

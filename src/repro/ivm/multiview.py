@@ -74,7 +74,9 @@ to share.
 One view's :class:`~repro.core.policies.PolicyError` -- its policy
 raising, or Definition 1 refusing its action -- is that view's: it gets
 no entry and nothing applied, every other view's round completes, and
-the error is raised when the round is over.
+the error is raised when the round is over.  So is any other exception
+one view raises (its predicate, or an event subscriber told of its
+flush): the views after it still execute.
 
 After each round the coordinator asks every
 :class:`~repro.engine.table.ModLog` a registered view subscribes to to
@@ -250,23 +252,26 @@ class MaintenanceCoordinator:
         A view whose policy raises :class:`PolicyError`, or whose action
         Definition 1 refuses, is left as a refused standalone step leaves
         it (no entry, nothing applied) while every other view's round and
-        the log truncation complete; then the error is raised -- the
-        view's own when it is the only one, else one naming each.  Any
-        other exception ends the round where it is raised, and the logs
-        are still truncated.
+        the log truncation complete.  Any other exception from one view
+        (a raising view predicate, a raising event subscriber) is that
+        view's too: the later views still execute.  Then the error is
+        raised: the view's own when it is the only one, one naming each
+        refusal when all are refusals, else the first that is not.  An
+        exception outside every view (the shared scan) ends the round
+        where it is raised, and the logs are still truncated.
         """
         self._clock = self._clock + 1 if t is None else t
         self._materialized = Evaluations(self.database)
         round_ = SharedScanRound(self.database)
-        refused: list[tuple[str, PolicyError]] = []
+        failed: list[tuple[str, Exception]] = []
         planned = []
         try:
             for name, maintainer in maintainers.items():
                 force = name in forced
                 try:
                     plan = maintainer.plan_step(self._clock, force, round_)
-                except PolicyError as exc:
-                    refused.append((name, exc))
+                except Exception as exc:
+                    failed.append((name, exc))
                     continue
                 planned.append((name, maintainer, plan, force))
                 action = plan[3]
@@ -291,17 +296,20 @@ class MaintenanceCoordinator:
                     entries[name] = maintainer.execute_planned(
                         *plan, forced=force, shared=round_
                     )
-                except PolicyError as exc:
-                    refused.append((name, exc))
+                except Exception as exc:
+                    failed.append((name, exc))
         finally:
             # Safe after any raise: no reader's applied LSN is passed.
             self._truncate_logs()
-        if len(refused) == 1:
-            raise refused[0][1]
-        if refused:
+        if len(failed) == 1:
+            raise failed[0][1]
+        for _, exc in failed:
+            if not isinstance(exc, PolicyError):
+                raise exc
+        if failed:
             raise PolicyError(
-                f"{len(refused)} views refused: "
-                + "; ".join(f"{name}: {exc}" for name, exc in refused)
+                f"{len(failed)} views refused: "
+                + "; ".join(f"{name}: {exc}" for name, exc in failed)
             )
         return entries
 

@@ -6,7 +6,8 @@ the kinds in :data:`CAPACITY`, emitted through :func:`emit` into the
 process-wide :class:`EventLog` (``docs/observability.md`` tabulates who
 emits each kind and where it can be read).
 
-Every event class carries ``view`` and ``t`` (the step it belongs to,
+Every event class carries ``t`` and, but for a simulator's ``slo``
+event (which names its ``source``), ``view`` (the step it belongs to,
 which the running thread names with :class:`step`) and ``to_dict()``
 (its JSONL form); the three that the CLI renders also ``lines()``
 (their text form for :func:`render_trail`).  An event is written once:
@@ -191,12 +192,13 @@ def subscribe(kind: str, callback: Callable[[Any], None]) -> Iterator[None]:
     """Hand every ``kind`` event to ``callback`` for the block.
 
     A callback that raises stops its emitter there, and the error reaches
-    the emitter's caller; nothing catches it.  A maintainer emits its
-    ``calibration`` samples once the view-round they describe is booked
-    (ledger entry and ``record_action``), so a raising subscriber leaves
-    that view-round whole; in a coordinator's round the views after it
-    are planned but not executed.  Every view stays at a consistent
-    applied LSN.
+    the emitter's caller.  A maintainer emits its ``calibration`` samples
+    once the view-round they describe is booked (ledger entry and
+    ``record_action``), so a raising subscriber leaves that view-round
+    whole; a coordinator's round holds the error as that view's, executes
+    the views after it, and raises it when the round is over.  Every view
+    stays at a consistent applied LSN.  A subscriber only hears: nothing
+    that maintenance does depends on one.
     """
     log = _log
     log.subscribe(kind, callback)

@@ -4,8 +4,8 @@ The paper's operational guarantee is that the view must stay refreshable
 within the response-time constraint ``C`` at every step -- equivalently,
 the *refresh-deadline margin* ``C - f(s_t)`` must stay non-negative.
 This module turns that quantity into a first-class ``slo.*`` metric
-family, recorded wherever a refresh cost meets its limit (the core
-simulator, the staged simulator, the pub/sub broker):
+family, recorded where a simulator meets a refresh cost with its limit
+(the core simulator, the staged simulator):
 
 | name | kind | meaning |
 |---|---|---|
@@ -22,9 +22,12 @@ no-op-when-disabled contract).  Every breach / near-breach is also an
 not, so a callback subscribed with ``events.subscribe("slo", cb)`` can
 page without paying for metrics; callers observe when either is there
 to see it.
-Classification (:func:`classify`) is shared with the offline per-policy
-SLO summary in :func:`repro.core.report.slo_summary`, so the live
-counters and the post-run table can never disagree.
+A live view records neither: its round's verdict is its ledger entry,
+classified when it is read (:func:`repro.ivm.governor.verdict`).
+Classification (:func:`classify`) is shared with that verdict and with
+the offline per-policy SLO summary in
+:func:`repro.core.report.slo_summary`, so the live counters, the
+governor and the post-run table can never disagree.
 """
 
 from __future__ import annotations
@@ -58,11 +61,6 @@ class SloEvent:
     def margin(self) -> float:
         """The deadline margin ``C - f(s_t)`` (negative on a breach)."""
         return self.limit - self.cost
-
-    @property
-    def view(self) -> str | None:
-        """The view a live maintainer observed (``source="ivm:<view>"``)."""
-        return self.source[4:] if self.source.startswith("ivm:") else None
 
     to_dict = asdict
 

@@ -19,8 +19,9 @@ tick:
    and new results and the measured refresh cost.  The cost is checked
    against the guarantee: under a correct policy the refresh cost never
    exceeds ``C``, which is exactly the response-time constraint of
-   Section 2.  The refresh is observed once, by its view's round
-   (``slo`` source ``ivm:sub_<name>``).
+   Section 2.  The refresh is recorded once, as its view's ledger entry
+   for the round, which carries the round's SLO verdict
+   (:func:`repro.ivm.governor.verdict`).
 """
 
 from __future__ import annotations

@@ -8,7 +8,6 @@ from repro.core.costfuncs import (
     CostFunction,
     MAX_BATCH,
     LinearCost,
-    PiecewiseLinearCost,
     StepCost,
     TabulatedCost,
     check_cost_function,
@@ -69,10 +68,6 @@ FAMILIES = [
     (lambda: ConcaveCost(0.5, 0.5), lambda: ConcaveCost(2.0, 0.5)),
     (lambda: BlockIOCost(2.0, 4, 0.5), lambda: BlockIOCost(2.0, 8, 0.5)),
     (lambda: StepCost(0.5, 2.0), lambda: StepCost(0.25, 2.0)),
-    (
-        lambda: PiecewiseLinearCost([(0, 0.0), (4, 8.0), (8, 10.0)]),
-        lambda: PiecewiseLinearCost([(0, 0.0), (4, 8.0), (8, 12.0)]),
-    ),
     (
         lambda: TabulatedCost([(1, 2.5), (8, 6.0)]),
         lambda: TabulatedCost([(1, 2.5), (8, 6.5)]),
@@ -176,29 +171,6 @@ class TestStepCost:
     def test_requires_integer_inverse_eps(self):
         with pytest.raises(ValueError):
             StepCost(eps=0.3, limit=10.0)
-
-
-class TestPiecewiseLinearCost:
-    def test_interpolation(self):
-        f = PiecewiseLinearCost([(0, 0.0), (10, 20.0), (20, 25.0)])
-        assert f(5) == pytest.approx(10.0)
-        assert f(15) == pytest.approx(22.5)
-
-    def test_extrapolation_uses_final_slope(self):
-        f = PiecewiseLinearCost([(0, 0.0), (10, 20.0), (20, 25.0)])
-        assert f(30) == pytest.approx(30.0)
-
-    def test_concavity_enforced(self):
-        with pytest.raises(ValueError):
-            PiecewiseLinearCost([(0, 0.0), (10, 5.0), (20, 25.0)])
-
-    def test_must_start_at_origin(self):
-        with pytest.raises(ValueError):
-            PiecewiseLinearCost([(1, 1.0), (10, 5.0)])
-
-    def test_subadditive(self):
-        f = PiecewiseLinearCost([(0, 0.0), (4, 12.0), (16, 20.0)])
-        check_cost_function(f, upto=40)
 
 
 class TestTabulatedCost:

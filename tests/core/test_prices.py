@@ -24,7 +24,6 @@ from repro.core.costfuncs import (
     BlockIOCost,
     ConcaveCost,
     LinearCost,
-    PiecewiseLinearCost,
     StepCost,
     TabulatedCost,
 )
@@ -84,22 +83,6 @@ tabulated_costs = st.lists(
 
 
 @st.composite
-def piecewise_costs(draw):
-    """Concave knots: slopes in quarters, so every knot cost is exact."""
-    n = draw(st.integers(1, 5))
-    runs = draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))
-    slopes = sorted(
-        draw(st.lists(st.integers(0, 20), min_size=n, max_size=n)),
-        reverse=True,
-    )
-    knots, k, c = [(0, 0.0)], 0, 0.0
-    for run, slope in zip(runs, slopes):
-        k, c = k + run, c + run * slope / 4
-        knots.append((k, c))
-    return PiecewiseLinearCost(knots)
-
-
-@st.composite
 def upto_around_knots(draw, keys):
     """Below the first non-zero knot, exactly at a knot, or past the last."""
     first = min(k for k in keys if k > 0)
@@ -129,13 +112,6 @@ def test_prices_are_the_per_k_floats(family, data):
 @settings(max_examples=200, deadline=None)
 def test_tabulated_prices_are_the_per_k_floats(f, data):
     upto = data.draw(upto_around_knots([k for k, __ in f.samples]))
-    assert hexes(f.prices(upto)) == hexes(per_k(f, upto))
-
-
-@given(f=piecewise_costs(), data=st.data())
-@settings(max_examples=60, deadline=None)
-def test_piecewise_prices_are_the_per_k_floats(f, data):
-    upto = data.draw(upto_around_knots([k for k, __ in f.knots]))
     assert hexes(f.prices(upto)) == hexes(per_k(f, upto))
 
 

@@ -1,12 +1,14 @@
-"""Governor unit tests: synthetic signals in, bounded actuations out."""
+"""Governor unit tests: synthetic ledger entries in, bounded actuations out."""
 
 import contextlib
 
 import pytest
 
 from repro import obs
+from repro.core.costfuncs import LinearCost
 from repro.core.naive import NaivePolicy
 from repro.core.online import OnlinePolicy
+from repro.core.problem import CostModel
 from repro.core.receding import RecedingHorizonPolicy
 from repro.ivm.governor import (
     COOLDOWN,
@@ -15,7 +17,8 @@ from repro.ivm.governor import (
     PolicyGovernor,
     _mode_of,
 )
-from repro.obs import events, slo
+from repro.ivm.ledger import NO_CHARGES, RoundEntry, ViewLedger
+from repro.obs import events
 
 
 @contextlib.contextmanager
@@ -25,9 +28,15 @@ def collecting():
         yield log.rings["actuation"]
 
 
+#: ``f(k) = k`` under ``C = 10``: 12 pending breaches, 9 is a near-breach.
+MODEL = CostModel((LinearCost(1.0),), 10.0)
+
+
 class FakeMaintainer:
     def __init__(self, policy):
         self.policy = policy
+        self.model = MODEL
+        self.ledger = ViewLedger("v", ("T",))
 
     def set_policy(self, policy):
         previous = self.policy
@@ -42,16 +51,23 @@ class FakeCoordinator:
     def maintainer(self, name):
         return self._maintainers[name]
 
+    def iter_maintainers(self):
+        yield from self._maintainers.items()
 
-def pressure(governor, view, steps):
-    """One SLO breach of ``view`` at each of ``steps``."""
+
+def entry(t, pending, flushed):
+    return RoundEntry(
+        t, (pending,), (pending,), (flushed,), False, float(flushed),
+        sim_ms=0.0, backlog=pending - flushed, charges=NO_CHARGES,
+    )
+
+
+def pressure(coordinator, view, steps):
+    """One breaching view-round of ``view`` at each of ``steps``: 12
+    pending, all flushed, so only the pre-action state is over ``C``."""
+    ledger = coordinator.maintainer(view).ledger
     for t in steps:
-        governor._on_slo(
-            slo.SloEvent(
-                kind=slo.BREACH, limit=10.0, cost=12.0, t=t,
-                source=f"ivm:{view}",
-            )
-        )
+        ledger.record(entry(t, 12, 12))
 
 
 class TestModeOf:
@@ -66,11 +82,10 @@ class TestModeOf:
 class TestPolicyGovernor:
     def test_escalates_to_naive_under_pressure(self):
         maintainer = FakeMaintainer(OnlinePolicy())
-        governor = PolicyGovernor(
-            FakeCoordinator(v=maintainer), escalate_after=3
-        )
+        coordinator = FakeCoordinator(v=maintainer)
+        governor = PolicyGovernor(coordinator, escalate_after=3)
         with collecting() as log:
-            pressure(governor, "v", [4, 5, 6])
+            pressure(coordinator, "v", [4, 5, 6])
             governor.tick(7)
         assert isinstance(maintainer.policy, NaivePolicy)
         (event,) = log.events()
@@ -80,33 +95,36 @@ class TestPolicyGovernor:
 
     def test_pressure_below_threshold_holds(self):
         maintainer = FakeMaintainer(OnlinePolicy())
-        governor = PolicyGovernor(
-            FakeCoordinator(v=maintainer), escalate_after=3
-        )
+        coordinator = FakeCoordinator(v=maintainer)
+        governor = PolicyGovernor(coordinator, escalate_after=3)
         with collecting() as log:
-            pressure(governor, "v", [4, 5])
+            pressure(coordinator, "v", [4, 5])
+            maintainer.ledger.record(entry(6, 8, 0))  # quiet: f(8) < 0.9 C
             governor.tick(6)
-        assert isinstance(maintainer.policy, OnlinePolicy)
-        assert not log.events()
+            assert isinstance(maintainer.policy, OnlinePolicy)
+            assert not log.events()
+            maintainer.ledger.record(entry(7, 9, 9))  # a near-breach counts
+            governor.tick(7)
+        assert isinstance(maintainer.policy, NaivePolicy)
+        (event,) = log.events()
+        assert event.signals["pressure_events"] == 3.0
 
     def test_stale_pressure_outside_window_ignored(self):
         maintainer = FakeMaintainer(OnlinePolicy())
-        governor = PolicyGovernor(
-            FakeCoordinator(v=maintainer), escalate_after=3
-        )
+        coordinator = FakeCoordinator(v=maintainer)
+        governor = PolicyGovernor(coordinator, escalate_after=3)
         with collecting() as log:
-            pressure(governor, "v", [1, 2, 3])
-            governor.tick(50)  # all events fell out of the WINDOW
+            pressure(coordinator, "v", [1, 2, 3])
+            governor.tick(50)  # all entries fell out of the WINDOW
         assert isinstance(maintainer.policy, OnlinePolicy)
         assert not log.events()
 
     def test_quiet_cooldown_relaxes_back(self):
         maintainer = FakeMaintainer(OnlinePolicy())
-        governor = PolicyGovernor(
-            FakeCoordinator(v=maintainer), escalate_after=1
-        )
+        coordinator = FakeCoordinator(v=maintainer)
+        governor = PolicyGovernor(coordinator, escalate_after=1)
         with collecting() as log:
-            pressure(governor, "v", [2])
+            pressure(coordinator, "v", [2])
             governor.tick(3)
             assert isinstance(maintainer.policy, NaivePolicy)
             governor.tick(1 + COOLDOWN)  # still within COOLDOWN: hold
@@ -116,46 +134,21 @@ class TestPolicyGovernor:
         assert [e.new for e in log.events()] == [NAIVE, ONLINE]
 
     def test_removed_view_is_skipped(self):
-        governor = PolicyGovernor(FakeCoordinator(), escalate_after=1)
+        coordinator = FakeCoordinator(gone=FakeMaintainer(OnlinePolicy()))
+        governor = PolicyGovernor(coordinator, escalate_after=1)
         with collecting() as log:
-            pressure(governor, "gone", [1])
-            governor.tick(2)  # KeyError from the coordinator: no crash
-        assert not log.events()
-
-    def test_ignores_non_ivm_sources(self):
-        maintainer = FakeMaintainer(OnlinePolicy())
-        governor = PolicyGovernor(
-            FakeCoordinator(v=maintainer), escalate_after=1
-        )
-        governor._on_slo(
-            slo.SloEvent(
-                kind=slo.BREACH, limit=10.0, cost=12.0, t=1,
-                source="pubsub:v",
-            )
-        )
-        with collecting() as log:
-            governor.tick(2)
-        assert not log.events()
-
-    def test_attach_via_live_alert_hub(self):
-        maintainer = FakeMaintainer(OnlinePolicy())
-        governor = PolicyGovernor(
-            FakeCoordinator(paper=maintainer), escalate_after=2
-        )
-        with governor:
-            slo.observe_refresh(10.0, 12.0, t=1, source="ivm:paper")
-            slo.observe_refresh(10.0, 12.0, t=2, source="ivm:paper")
-            with collecting():
-                governor.tick(3)
-        assert isinstance(maintainer.policy, NaivePolicy)
+            pressure(coordinator, "gone", [1])
+            governor.tick(1)
+            del coordinator._maintainers["gone"]
+            governor.tick(2)  # the coordinator no longer has it: no crash
+        assert [e.view for e in log.events()] == ["gone"]
 
     def test_counts_switches_metric(self):
         maintainer = FakeMaintainer(OnlinePolicy())
-        governor = PolicyGovernor(
-            FakeCoordinator(v=maintainer), escalate_after=1
-        )
+        coordinator = FakeCoordinator(v=maintainer)
+        governor = PolicyGovernor(coordinator, escalate_after=1)
         with obs.recording() as rec, collecting():
-            pressure(governor, "v", [1])
+            pressure(coordinator, "v", [1])
             governor.tick(2)
         # One counter, counted where the event is emitted.
         assert [
@@ -177,7 +170,7 @@ class TestModeIsTheLivePolicy:
         """View ``v`` moved online -> naive at t=2."""
         coordinator = FakeCoordinator(v=FakeMaintainer(OnlinePolicy()))
         governor = PolicyGovernor(coordinator, escalate_after=1)
-        pressure(governor, "v", [1])
+        pressure(coordinator, "v", [1])
         governor.tick(2)
         assert isinstance(coordinator.maintainer("v").policy, NaivePolicy)
         return coordinator, governor
@@ -186,7 +179,8 @@ class TestModeIsTheLivePolicy:
         coordinator, governor = self.escalated()
         coordinator._maintainers["v"] = fresh = FakeMaintainer(OnlinePolicy())
         with collecting() as log:
-            pressure(governor, "v", [30])
+            # The fresh view's ledger is read from its start.
+            pressure(coordinator, "v", [30])
             governor.tick(30)
         assert isinstance(fresh.policy, NaivePolicy)
         assert [(e.old, e.new) for e in log.events()] == [(ONLINE, NAIVE)]
@@ -205,7 +199,7 @@ class TestModeIsTheLivePolicy:
         coordinator, governor = self.escalated()
         coordinator.maintainer("v").set_policy(OnlinePolicy())
         with collecting() as log:
-            pressure(governor, "v", [4])
+            pressure(coordinator, "v", [4])
             governor.tick(4)
         assert isinstance(coordinator.maintainer("v").policy, NaivePolicy)
         assert [(e.old, e.new) for e in log.events()] == [(ONLINE, NAIVE)]
@@ -214,4 +208,4 @@ class TestModeIsTheLivePolicy:
         coordinator, governor = self.escalated()
         del coordinator._maintainers["v"]
         governor.tick(3)
-        assert not governor._pressure and not governor._last_event
+        assert not governor._pressure and not governor._read

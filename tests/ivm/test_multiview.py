@@ -332,9 +332,111 @@ class TestOneViewsRefusalIsItsOwn:
             assert coordinator.maintainer(name).ledger.rounds == 1
 
 
+class Tripwire:
+    """A constant every ``!=`` with which holds until it is armed."""
+
+    armed = False
+
+    def __ne__(self, other):
+        if self.armed:
+            raise RuntimeError("a view predicate raised")
+        return True
+
+
+def wired_fleet(*policies, wired=()):
+    """Views ``v0``, ``v1``, ... over PartSupp under ``policies``, with
+    ``f(k) = 0.5 k + 2`` and ``C = 1``; each one named in ``wired`` also
+    filters on the returned tripwire."""
+    db = make_tpcr_db()
+    coordinator = MaintenanceCoordinator(db)
+    trip = Tripwire()
+    for i, policy in enumerate(policies):
+        spec = supplycost_spec()
+        if f"v{i}" in wired:
+            spec = QuerySpec(
+                base_alias="PS", base_table="partsupp",
+                filters=(col("PS.supplycost") != lit(trip),),
+                aggregate=spec.aggregate,
+            )
+        coordinator.add_view(
+            ViewConfig(
+                name=f"v{i}",
+                query=spec,
+                policy=policy,
+                cost_functions=(LinearCost(0.5, 2.0),),
+                limit=1.0,
+                scheduled_aliases=("PS",),
+            )
+        )
+    updater = PartSuppCostUpdater(db.table("partsupp"), seed=93)
+    return coordinator, updater, trip
+
+
+class TestOneViewsErrorIsItsOwn:
+    """Any exception from one view's round, not only a refusal, is that
+    view's: the views after it execute, then the error is raised."""
+
+    def test_a_raising_predicate_leaves_the_later_views_executed(self):
+        coordinator, updater, trip = wired_fleet(
+            NaivePolicy(), NaivePolicy(), NaivePolicy(), wired=("v1",)
+        )
+        log = coordinator.database.table("partsupp").history
+        trip.armed = True
+        updater.apply(8)
+        with pytest.raises(RuntimeError, match="predicate raised"):
+            coordinator.step(0)
+        for name in ("v0", "v2"):
+            healthy = coordinator.maintainer(name)
+            assert [e.action for e in healthy.ledger.entries] == [(8,)]
+            assert healthy.view.contents() == healthy.view.recompute()
+        culprit = coordinator.maintainer("v1")
+        assert culprit.ledger.entries == [] and culprit.pre_state() == (8,)
+        assert log.safe_truncation_lsn() == (
+            culprit.view.deltas["PS"].applied_lsn
+        )
+        trip.armed = False
+        updater.apply(8)
+        coordinator.step(1)
+        assert culprit.pre_state() == (0,)
+        assert culprit.view.contents() == culprit.view.recompute()
+
+    def test_a_raising_subscriber_leaves_the_later_views_executed(self):
+        coordinator, updater, _ = wired_fleet(
+            NaivePolicy(), NaivePolicy(), NaivePolicy()
+        )
+
+        def blow(sample):
+            if sample.view == "v1":
+                raise RuntimeError("a subscriber raised")
+
+        updater.apply(8)
+        with events.subscribe("calibration", blow):
+            with pytest.raises(RuntimeError, match="subscriber raised"):
+                coordinator.step(0)
+        for name in ("v0", "v1", "v2"):
+            maintainer = coordinator.maintainer(name)
+            assert [e.action for e in maintainer.ledger.entries] == [(8,)]
+            assert maintainer.pre_state() == (0,)
+
+    def test_an_error_beside_a_refusal_is_the_one_raised(self):
+        coordinator, updater, trip = wired_fleet(
+            NaivePolicy(), Zeros(), NaivePolicy(), NaivePolicy(),
+            wired=("v2",),
+        )
+        trip.armed = True
+        updater.apply(8)
+        with pytest.raises(RuntimeError, match="predicate raised"):
+            coordinator.step(0)
+        for name in ("v0", "v3"):
+            assert coordinator.maintainer(name).ledger.rounds == 1
+        for name in ("v1", "v2"):
+            assert coordinator.maintainer(name).ledger.rounds == 0
+
+
 def test_a_round_that_raises_still_truncates_the_logs():
-    """An exception other than a refusal ends the round, yet the history
-    every view has applied is reclaimed as after a round that finished."""
+    """A round whose view raised something other than a refusal still
+    reclaims the history every view has applied, as after a round that
+    raised nothing."""
     db = Database()
     table = db.create_table("t", Schema.of(k=ColumnType.INT))
     table.history = ModLog(chunk_size=2)

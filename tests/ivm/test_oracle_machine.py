@@ -8,7 +8,8 @@ NAIVE, ONLINE and a scripted policy that may flush part of a backlog;
 ``set_policy``; ``add_view`` / ``remove_view``; ``ModLog.truncate``;
 a read at any LSN through the retained snapshot or one rolled forward
 from it; a view predicate that raises mid-flush; an
-event subscriber that raises mid-emit.
+event subscriber that raises mid-emit (either is that view's: the rest
+of the round executes).
 
 After every rule: each view equals the oracle's evaluation of its query
 at the view's applied LSNs; every unforced ledger entry leaves
@@ -102,7 +103,7 @@ class Blown(Exception):
 
 class Fuse:
     """A constant every ``!=`` with which holds, until it is lit: then
-    the ``n``-th comparison raises."""
+    the ``n``-th comparison raises, once."""
 
     def __init__(self):
         self.left: int | None = None
@@ -111,6 +112,7 @@ class Fuse:
         if self.left is not None:
             self.left -= 1
             if self.left <= 0:
+                self.left = None
                 raise Blown("a view predicate raised mid-flush")
         return True
 
@@ -413,31 +415,36 @@ class OracleMachine(RuleBasedStateMachine):
     @rule(writes=arrivals, n=st.integers(1, 6))
     def predicate_raises(self, writes, n):
         """A view predicate raises at its ``n``-th row: the error reaches
-        the caller, every view stays at a consistent applied LSN, and the
-        logs are truncated as after a round that completed."""
+        the caller once the round is over.  Only the culprit's view-round
+        goes unbooked; every other view, the ones after it included,
+        executes and books its entry.  Every view stays at a consistent
+        applied LSN, and the logs are truncated as after a round that
+        raised nothing."""
         before = self._ledgers()
         self.fuse.left = n
         try:
             self._step(writes)
         except Blown:
-            after = self._ledgers()
-            assert all(
-                after[v][0] - before[v][0] in (0, 1) for v in before
-            )
+            unbooked = 1
+        else:
+            unbooked = 0
         finally:
             self.fuse.left = None
+        after = self._ledgers()
+        booked = [after[v][0] - before[v][0] for v in before]
+        assert sorted(booked) == [0] * unbooked + [1] * (len(booked) - unbooked)
         self._truncated(SCHEMAS)
 
     @precondition(lambda self: self.views)
     @rule(writes=arrivals, n=st.integers(1, 4))
     def subscriber_raises(self, writes, n):
         """A ``calibration`` subscriber raises on the ``n``-th flush of a
-        round.  The error reaches the caller.  The flush it was told of is
-        applied and its view-round booked: the samples are emitted after
-        the ledger entry and ``record_action``.  The views before it in
-        the round completed, and the views after it were planned but
-        never executed.  The logs are truncated as far as every view's
-        applied LSN allows."""
+        round.  The error reaches the caller once the round is over.  The
+        flush it was told of is applied and its view-round booked: the
+        samples are emitted after the ledger entry and ``record_action``.
+        Every other view, the ones after it included, executes and books
+        its entry.  The logs are truncated as far as every view's applied
+        LSN allows."""
         names = self.coordinator.views
         before = self._ledgers()
         told: list[str] = []
@@ -451,23 +458,19 @@ class OracleMachine(RuleBasedStateMachine):
             try:
                 self._step(writes)
             except Blown:
-                pass
+                culprit = told[n - 1]
             else:
                 assert len(told) < n
-                self._truncated(SCHEMAS)
-                return
+                culprit = None
         self._truncated(SCHEMAS)
         after = self._ledgers()
-        culprit = names.index(told[-1])
-        for i, name in enumerate(names):
+        for name in names:
             (entries, applied), (entries_now, applied_now) = (
                 before[name], after[name]
             )
-            assert entries_now - entries == (i <= culprit)
-            if i == culprit:
+            assert entries_now - entries == 1
+            if name == culprit:
                 assert applied_now != applied
-            elif i > culprit:
-                assert applied_now == applied
 
     # -- invariants ----------------------------------------------------------
 

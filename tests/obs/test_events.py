@@ -1,10 +1,10 @@
 """Tests for the one event log (``repro.obs.events``).
 
 The ring contract once, over every kind; the benchmark harness's sink
-nesting verbatim; one governed step read back through ``at(view, t)``
-and told whole by the records that stay (the decision, the ledger entry,
-the flush's calibration sample); and the telemetry-off contract
-(nothing wanted, nothing built).
+nesting verbatim; one governed step read back by its ``(view, t)`` and
+told whole by the records that stay (the decision, the ledger entry and
+its SLO verdict, the flush's calibration sample); and the telemetry-off
+contract (nothing wanted, nothing built).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.core.costfuncs import LinearCost
 from repro.core.online import OnlinePolicy
 from repro.engine.expr import col
 from repro.engine.query import AggregateSpec, QuerySpec
-from repro.ivm.governor import ControlEvent, PolicyGovernor
+from repro.ivm.governor import ControlEvent, PolicyGovernor, verdict
 from repro.ivm.multiview import MaintenanceCoordinator, ViewConfig
 from repro.obs import attrib, calibration, decisions, events, slo
 from repro.tpcr.updates import PartSuppCostUpdater
@@ -38,7 +38,7 @@ def make_event(kind: str, t: int = 0, view: str | None = "v"):
     if kind == "calibration":
         return calibration.CalibrationSample(view, t, "PS", 1, 2.0, 2.5)
     if kind == "slo":
-        return slo.SloEvent(slo.BREACH, 10.0, 12.0, t=t, source=f"ivm:{view}")
+        return slo.SloEvent(slo.BREACH, 10.0, 12.0, t=t, source="staged")
     if kind == "actuation":
         return ControlEvent(t, "online", "naive", "r", view=view)
     assert kind == "profile"
@@ -81,10 +81,10 @@ class TestRingContract:
         assert fresh_log.rings["decision"].dropped == 8
 
     def test_events_filter_by_view_and_step(self, fresh_log):
-        fresh_log.open("slo")
+        fresh_log.open("decision")
         for view, t in (("a", 0), ("a", 1), ("b", 1)):
-            events.emit("slo", make_event("slo", t, view))
-        ring = fresh_log.rings["slo"]
+            events.emit("decision", make_event("decision", t, view))
+        ring = fresh_log.rings["decision"]
         assert [e.view for e in ring.events() if e.view == "a"] == ["a", "a"]
         assert [e.t for e in ring.events(t=1)] == [1, 1]
         assert [e.view for e in ring.events(t=1)] == ["a", "b"]
@@ -157,9 +157,9 @@ class TestSubscribers:
         heard: list[slo.SloEvent] = []
         with events.subscribe("slo", heard.append):
             assert events.wanted("slo") and not fresh_log.rings
-            slo.observe_refresh(10.0, 11.0, t=3, source="ivm:v")
+            slo.observe_refresh(10.0, 11.0, t=3, source="staged")
         slo.observe_refresh(10.0, 11.0)
-        assert [(e.view, e.t) for e in heard] == [("v", 3)]
+        assert [(e.source, e.t) for e in heard] == [("staged", 3)]
         assert not events.wanted("slo")
 
     def test_ring_and_subscribers_all_get_the_event(self, fresh_log):
@@ -255,13 +255,14 @@ class TestHarnessNesting:
 class TestOneGovernedStep:
     def test_at_returns_every_kind_recorded_for_the_step(self):
         """A burst step under a governor that escalates on first
-        pressure: its decision, calibration sample, SLO breach and
-        actuation all carry its ``(view, t)``, and what the step cost is
-        its ledger entry and its flush's sample, which agree."""
+        pressure: its decision, calibration sample and actuation carry
+        its ``(view, t)``, its SLO verdict is its ledger entry's, and
+        what the step cost is its entry and its flush's sample, which
+        agree."""
         coordinator, updater = _fleet(limit=6.5)  # f(8)=6.0, f(16)=10.0
         governor = PolicyGovernor(coordinator, escalate_after=1)
-        kinds = ("decision", "calibration", "slo", "actuation")
-        with events.collecting(*kinds) as log, governor:
+        kinds = ("decision", "calibration", "actuation")
+        with events.collecting(*kinds) as log:
             for t in range(2):
                 updater.apply(8)
                 coordinator.step(t)
@@ -276,19 +277,20 @@ class TestOneGovernedStep:
                 }
                 for t in (0, 1, 99)
             )
+        maintainer = coordinator.maintainer("min_cost")
+        first, entry = maintainer.ledger.entries
         # t=0: 8 pending is refreshable, ONLINE defers inside the band.
-        assert set(quiet) == {"decision", "slo", "actuation"}
-        assert quiet["slo"][0].kind == slo.NEAR_BREACH
+        assert set(quiet) == {"decision", "actuation"}
+        assert verdict(maintainer.model, first) == slo.NEAR_BREACH
         # t=1: 16 pending breaches C, the policy flushes, the flush is
         # sampled; the governor already moved at t=0 and holds.
-        assert set(burst) == {"decision", "calibration", "slo"}
-        (decision,), (sample,), (alert,) = burst.values()
-        entry = coordinator.maintainer("min_cost").ledger.entries[1]
+        assert set(burst) == {"decision", "calibration"}
+        (decision,), (sample,) = burst.values()
         assert decision.is_flush and decision.chosen == entry.action
         assert sample.actual_ms == entry.sim_ms > 0
         assert sample.predicted_ms == entry.predicted_ms == decision.predicted_ms
         assert sample.alias == "PS" and sample.k == 16
-        assert alert.kind == slo.BREACH and alert.view == "min_cost"
+        assert verdict(maintainer.model, entry) == slo.BREACH
         (actuation,) = quiet["actuation"]
         assert (actuation.old, actuation.new) == ("online", "naive")
         assert never == {}

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import obs
 from repro.core.costfuncs import LinearCost
 from repro.core.naive import NaivePolicy
 from repro.core.online import OnlinePolicy
@@ -176,11 +175,16 @@ class TestOneCoordinator:
     def test_a_refresh_is_observed_once(self):
         broker, ps, sup = make_broker()
         broker.subscribe(make_subscription("s", EveryNSteps(5, phase=4)))
-        with obs.recording() as recorder:
-            fired = self._run(broker, ps, sup, 20)
+        fired = self._run(broker, ps, sup, 20)
         assert [n.t for n in fired] == [4, 9, 14, 19]
-        # One SLO observation per tick, the refreshes included.
-        assert recorder.registry.get("slo.steps").value == 20
+        # One ledger entry per tick, the refreshes included; a refresh's
+        # entry is the round it was forced in.
+        ledger = broker._coordinator.maintainer("sub_s").ledger
+        assert [e.t for e in ledger.entries] == list(range(20))
+        assert [e.t for e in ledger.entries if e.forced] == [4, 9, 14, 19]
+        assert [n.refresh_cost_ms for n in fired] == [
+            e.sim_ms for e in ledger.entries if e.forced
+        ]
 
     def test_the_broker_truncates_the_mod_log(self):
         broker, ps, sup = make_broker()

@@ -56,10 +56,6 @@ ALLOWED = {
         "ONLINE's F_t, which the oracle machine holds bit-equal",
     "repro.engine.table.Table.delete_rids":
         "the DELETE event kind the oracle machine drives",
-    # Pending deletion: only tests reach it, and it goes with its tests
-    # in a later change.
-    "repro.core.costfuncs.PiecewiseLinearCost":
-        "pending deletion: a cost family nothing builds",
 }
 
 #: Defaulted parameters that only tests set and that stay, as

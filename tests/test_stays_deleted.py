@@ -197,6 +197,18 @@ ROWS = (
          "a caller filters a ring's events by (view, t) itself", "43"),
     Gone(r"bare_message", ("src", "tests"), "self.bare_message = message",
          "set, never read", "43"),
+    Gone(r"PiecewiseLinearCost|piecewise_costs", ("src", "tests", "docs"),
+         "class PiecewiseLinearCost(CostFunction):",
+         "a cost family nothing built", "44"),
+    # A live view-round's SLO verdict is its ledger entry.
+    Gone(r'_on_slo|subscribe\("slo"',
+         ("src/repro/ivm", "src/repro/experiments"),
+         'events.subscribe("slo", alerts.append)',
+         "the governor and the control ablation read the ledger", "44"),
+    Gone(r"observe_refresh", ("src/repro/ivm",),
+         "            slo.observe_refresh(",
+         "a maintainer emits no slo event and records no slo.* metric",
+         "44"),
 )
 
 #: Paths (globs) that must not exist, each with the change that deleted it.

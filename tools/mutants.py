@@ -302,6 +302,20 @@ MUTANTS = (
            "case = (self.model, type(policy), pre)",
            "case = (type(policy), pre)",
            "a fleet decides what standalone maintainers decide"),
+    Mutant("round-aborts-on-error", "ivm/multiview.py",
+           "                except Exception as exc:\n"
+           "                    failed.append((name, exc))\n"
+           "        finally:",
+           "                except PolicyError as exc:\n"
+           "                    failed.append((name, exc))\n"
+           "        finally:",
+           "one view's error is its own: the views after it execute"),
+    # -- The governor ---------------------------------------------------
+    Mutant("governor-reads-post", "ivm/governor.py",
+           "model.refresh_cost(entry.pre_state)",
+           "model.refresh_cost(tuple(p - a for p, a in "
+           "zip(entry.pre_state, entry.action)))",
+           "the governor's verdict is f(s_t) against C, before the action"),
 )
 
 
