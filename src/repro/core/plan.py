@@ -223,13 +223,3 @@ class PlanTrace:
         if total_mods == 0:
             return 0.0
         return self.total_cost / total_mods
-
-    def summary(self) -> dict:
-        """A compact dict of headline statistics, for reports and tests."""
-        return {
-            "total_cost": self.total_cost,
-            "actions": self.action_count,
-            "horizon": self.horizon,
-            "peak_refresh_cost": self.peak_refresh_cost,
-            "cost_per_modification": self.cost_per_modification(),
-        }

@@ -115,9 +115,8 @@ def slo_summary(
     constraint ``C``.  The table reports, per trace, how many steps
     breached the deadline (cost > ``C``), how many came within the
     near-breach band (cost >= ``slo.NEAR_FRACTION * C``), and the worst
-    margin.  Classification is shared with the live ``slo.*`` counters
-    (:func:`repro.obs.slo.classify`), so this offline table and an
-    observed run's ``slo.breaches`` always agree.
+    margin.  Classification is :func:`repro.obs.slo.classify`, which a
+    live view-round's verdict shares (:func:`repro.ivm.governor.verdict`).
     """
     if not traces:
         raise ValueError("need at least one trace to summarize")

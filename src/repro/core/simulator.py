@@ -17,7 +17,6 @@ import time
 from operator import add
 
 from repro import obs
-from repro.obs import events, slo
 from repro.core.plan import Plan, PlanTrace
 from repro.core.policies import Policy, PolicyError
 from repro.core.problem import (
@@ -45,7 +44,7 @@ def execute_plan(problem: ProblemInstance, plan: Plan) -> PlanTrace:
             pre = add_vectors(state, problem.arrivals[t])
             state = sub_vectors(pre, action)
             steps.append((pre, state, refresh_cost(action), refresh_cost(state)))
-        trace = _plan_trace(problem, plan, steps, {"source": "plan"})
+        trace = _plan_trace(plan, steps, {"source": "plan"})
         span.set(total_cost=trace.total_cost, actions=trace.action_count)
     return trace
 
@@ -63,9 +62,9 @@ def simulate_policy(problem: ProblemInstance, policy: Policy) -> PlanTrace:
     a bug, not a degraded mode.
 
     One pass: the trace is accumulated while the policy runs, and equals
-    :func:`execute_plan` of the actions the policy took.  The per-step SLO
-    observations are made once the run is over, after every decision
-    event: a run that raises leaves none behind.
+    :func:`execute_plan` of the actions the policy took.  Its SLO verdicts
+    are read from the trace's ``pre_states``
+    (:func:`repro.core.report.slo_summary`).
     """
     policy.reset(problem.cost_functions, problem.limit)
     # Fetched once: the per-step hooks gate on them.
@@ -117,26 +116,15 @@ def simulate_policy(problem: ProblemInstance, policy: Policy) -> PlanTrace:
             steps.append((pre, post, cost, backlog))
             state = post
         trace = _plan_trace(
-            problem, Plan(actions), steps,
-            {"source": "policy", "policy": repr(policy)},
+            Plan(actions), steps, {"source": "policy", "policy": repr(policy)}
         )
         span.set(total_cost=trace.total_cost, actions=trace.action_count)
     return trace
 
 
-def _plan_trace(
-    problem: ProblemInstance, plan: Plan, steps: list[_Step], metadata: dict
-) -> PlanTrace:
+def _plan_trace(plan: Plan, steps: list[_Step], metadata: dict) -> PlanTrace:
     """Fold the executed steps of ``plan`` (at least one: ``T >= 0``)."""
     pre_states, post_states, action_costs, backlogs = zip(*steps)
-    if obs.get_recorder() is not None or events.wanted("slo"):
-        # The paper's operational guarantee, step by step: had a refresh
-        # been demanded at t, would it have met C?
-        for t, pre in enumerate(pre_states):
-            slo.observe_refresh(
-                problem.limit, problem.refresh_cost(pre),
-                t=t, source=metadata["source"],
-            )
     total = 0.0  # left to right, never sum(): see CostModel.refresh_cost
     for cost in action_costs:
         total += cost

@@ -87,10 +87,6 @@ class ViewLedger:
     # -- cumulative views ------------------------------------------------
 
     @property
-    def rounds(self) -> int:
-        return len(self.entries)
-
-    @property
     def action_count(self) -> int:
         """Number of rounds with a non-zero action."""
         return sum(1 for e in self.entries if any(e.action))

@@ -64,7 +64,6 @@ __all__ = [
     "counter",
     "decisions",
     "events",
-    "gauge",
     "gauge_max",
     "get_recorder",
     "install",
@@ -102,13 +101,6 @@ def counter(name: str, amount: int = 1) -> None:
     recorder = getattr(_active, "recorder", None)
     if recorder is not None:
         recorder.counter(name, amount)
-
-
-def gauge(name: str, value: float) -> None:
-    """Set gauge ``name`` to ``value``."""
-    recorder = getattr(_active, "recorder", None)
-    if recorder is not None:
-        recorder.gauge(name, value)
 
 
 def gauge_max(name: str, value: float) -> None:

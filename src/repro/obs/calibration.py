@@ -16,10 +16,7 @@ Two consumers, both optional and both observational:
 * **samples** -- each one is a ``calibration`` event of the event log
   (:mod:`repro.obs.events`; :func:`tracking` opens its ring, and
   ``--decision-log`` streams them beside the decisions, where ``repro
-  why`` hangs each under the decision of its ``(view, t)``), and
-  :func:`summary` aggregates residuals per table alias and per view,
-  with the invariant that every aggregate equals the sum of its
-  per-sample residuals (property tested).
+  why`` hangs each under the decision of its ``(view, t)``).
 
 Both sides of a residual are simulated milliseconds, so it measures the
 staircase against the operation counter, never against wall-clock, and
@@ -34,7 +31,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.obs import events
 from repro.obs.recorder import get_recorder
@@ -42,7 +39,6 @@ from repro.obs.recorder import get_recorder
 __all__ = [
     "CalibrationSample",
     "observe_flush",
-    "summary",
     "tracking",
 ]
 
@@ -95,48 +91,6 @@ class CalibrationSample:
             f" / predicted {self.predicted_ms:.3f} / residual "
             f"{self.residual_ms:+.3f}"
         ]
-
-
-def _empty_bucket() -> dict:
-    return {
-        "samples": 0,
-        "predicted_ms": 0.0,
-        "actual_ms": 0.0,
-        "residual_ms": 0.0,
-        "abs_err_ms": 0.0,
-        "max_abs_err_ms": 0.0,
-    }
-
-
-def _fold(bucket: dict, sample: CalibrationSample) -> None:
-    bucket["samples"] += 1
-    bucket["predicted_ms"] += sample.predicted_ms
-    bucket["actual_ms"] += sample.actual_ms
-    bucket["residual_ms"] += sample.residual_ms
-    bucket["abs_err_ms"] += sample.abs_err_ms
-    bucket["max_abs_err_ms"] = max(bucket["max_abs_err_ms"], sample.abs_err_ms)
-
-
-def summary(samples: Iterable[CalibrationSample]) -> dict:
-    """``{"total": ..., "tables": {alias: ...}, "views": {view: ...}}``.
-
-    Every bucket carries sample count, summed predicted/actual ms, the
-    summed signed residual, summed absolute error, and the worst single
-    absolute error.
-    """
-    total = _empty_bucket()
-    tables: dict[str, dict] = {}
-    views: dict[str, dict] = {}
-    for sample in samples:
-        _fold(total, sample)
-        _fold(tables.setdefault(sample.alias, _empty_bucket()), sample)
-        if sample.view is not None:
-            _fold(views.setdefault(sample.view, _empty_bucket()), sample)
-    return {
-        "total": total,
-        "tables": dict(sorted(tables.items())),
-        "views": dict(sorted(views.items())),
-    }
 
 
 @contextmanager

@@ -6,8 +6,7 @@ the kinds in :data:`CAPACITY`, emitted through :func:`emit` into the
 process-wide :class:`EventLog` (``docs/observability.md`` tabulates who
 emits each kind and where it can be read).
 
-Every event class carries ``t`` and, but for a simulator's ``slo``
-event (which names its ``source``), ``view`` (the step it belongs to,
+Every event class carries ``t`` and ``view`` (the step it belongs to,
 which the running thread names with :class:`step`) and ``to_dict()``
 (its JSONL form); the three that the CLI renders also ``lines()``
 (their text form for :func:`render_trail`).  An event is written once:
@@ -49,7 +48,6 @@ __all__ = [
 CAPACITY = {
     "decision": 4096,
     "calibration": 65536,
-    "slo": 4096,
     "actuation": 4096,
     "profile": 256,
 }

@@ -46,7 +46,7 @@ class _Active(threading.local):
 
 #: The calling thread's installed recorder lives here rather than in the
 #: package ``__init__`` so the sibling modules that package imports
-#: (``slo``, ``decisions``, ``calibration``) can bind :func:`get_recorder`
+#: (``decisions``, ``calibration``) can bind :func:`get_recorder`
 #: at import time; ``repro.obs`` re-exports both functions.
 _active = _Active()
 
@@ -92,9 +92,6 @@ class Recorder:
 
     def counter(self, name: str, amount: int = 1) -> None:
         self.registry.counter(name).inc(amount)
-
-    def gauge(self, name: str, value: float) -> None:
-        self.registry.gauge(name).set(value)
 
     def gauge_max(self, name: str, value: float) -> None:
         self.registry.gauge(name).set_max(value)

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro import obs
-from repro.obs import events, slo
 from repro.core.policies import PolicyError
 from repro.staged.model import Pipeline
 from repro.staged.policies import StagedPolicy
@@ -53,8 +51,6 @@ def simulate_staged(
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     policy.reset(pipeline, limit)
-    # Per-step SLO observations are made for a recorder or an slo subscriber.
-    watching = obs.get_recorder() is not None or events.wanted("slo")
     state = pipeline.zero_state()
     horizon = len(arrivals) - 1
     action_costs: list[float] = []
@@ -68,10 +64,6 @@ def simulate_staged(
         entry = list(state)
         entry[0] += int(arriving)
         pre = tuple(entry)
-        if watching:
-            slo.observe_refresh(
-                limit, pipeline.flush_cost(pre), t=t, source="staged"
-            )
         if t == horizon:
             depth = pipeline.depth  # forced refresh
         else:

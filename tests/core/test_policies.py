@@ -275,9 +275,8 @@ class TestSimulator:
     def test_trace_statistics(self):
         problem = asymmetric_instance(steps=30)
         trace = simulate_policy(problem, NaivePolicy())
-        summary = trace.summary()
-        assert summary["total_cost"] == pytest.approx(trace.total_cost)
-        assert summary["horizon"] == problem.horizon
+        assert trace.total_cost == pytest.approx(sum(trace.action_costs))
+        assert trace.horizon == problem.horizon
         assert trace.cost_per_modification() == pytest.approx(
             trace.total_cost / 60
         )

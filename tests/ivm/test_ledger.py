@@ -139,7 +139,7 @@ class TestSharedZeroWorkEntries:
 class TestViewLedger:
     def test_cumulative_totals(self):
         ledger = alpha_ledger()
-        assert ledger.rounds == 2
+        assert len(ledger.entries) == 2
         assert ledger.flushes == 3
         assert sum(e.mods_applied for e in ledger.entries) == 4
         assert ledger.total_sim_ms == pytest.approx(20.0)
@@ -165,7 +165,7 @@ class TestViewLedger:
 
     def test_empty_ledger(self):
         ledger = ViewLedger(view="v", aliases=("PS",))
-        assert ledger.rounds == 0
+        assert len(ledger.entries) == 0
         assert ledger.backlog == 0
         assert ledger.charge_totals() == {}
         assert ledger.total_sim_ms == 0
@@ -277,7 +277,7 @@ class TestMaintainerLedger:
             sup.apply(1)
             maintainer.step(t)
         maintainer.refresh()
-        assert maintainer.ledger.rounds == 7
+        assert len(maintainer.ledger.entries) == 7
         assert [e.t for e in maintainer.ledger.entries] == list(range(7))
         assert maintainer.ledger.entries[-1].forced
         assert maintainer.ledger.backlog == 0
@@ -330,7 +330,7 @@ class TestMaintainerLedger:
         sup.apply(1)
         maintainer.step(0)
         # The ledger fills without a recorder: it is always on.
-        assert maintainer.ledger.rounds == 1
+        assert len(maintainer.ledger.entries) == 1
 
 
 class TestCoordinatorFleet:
@@ -381,7 +381,7 @@ class TestCoordinatorFleet:
         assert len(ledgers) == self.N_PAPER + self.N_COUNT >= 8
         for name, ledger in ledgers.items():
             assert ledger.view == name
-            assert ledger.rounds == 6  # 5 steps + forced refresh
+            assert len(ledger.entries) == 6  # 5 steps + forced refresh
             assert ledger.backlog == 0
             assert ledger.total_sim_ms > 0
 
@@ -441,7 +441,7 @@ class TestCoordinatorFleet:
                 coordinator.refresh()
             ledgers = coordinator.ledgers()
             assert len(ledgers) == n_views
-            assert all(ledger.rounds == 4 for ledger in ledgers.values())
+            assert all(len(ledger.entries) == 4 for ledger in ledgers.values())
             return set(rec.registry.names())
 
         small = names_over(2)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from hypothesis import HealthCheck, settings, strategies as st
+from hypothesis import HealthCheck, Phase, settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
@@ -511,8 +511,11 @@ class OracleMachine(RuleBasedStateMachine):
             assert all(log.truncated_lsn <= lsn for lsn in self._applied(name))
 
 
+#: No shrink phase: a failing run reports the rule sequence it found
+#: rather than spending minutes minimising it.
 SETTINGS = settings(
     max_examples=12, stateful_step_count=50, deadline=None,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate],
     suppress_health_check=[HealthCheck.too_slow],
 )
 

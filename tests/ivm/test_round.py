@@ -214,10 +214,10 @@ class TestOneTail:
                     assert entry is ledger.entries[-1]
                     assert (entry.t, entry.forced) == (t, forced)
                     series = (
-                        ledger.rounds, ledger.flushes,
+                        len(ledger.entries), ledger.flushes,
                         sum(e.mods_applied for e in ledger.entries),
                         ledger.total_sim_ms, float(ledger.backlog),
-                        (ledger.rounds, ledger.total_sim_ms),
+                        (len(ledger.entries), ledger.total_sim_ms),
                     )
                     decided = [
                         e for e in log.rings["decision"].events(t)

@@ -37,8 +37,6 @@ def make_event(kind: str, t: int = 0, view: str | None = "v"):
         )
     if kind == "calibration":
         return calibration.CalibrationSample(view, t, "PS", 1, 2.0, 2.5)
-    if kind == "slo":
-        return slo.SloEvent(slo.BREACH, 10.0, 12.0, t=t, source="staged")
     if kind == "actuation":
         return ControlEvent(t, "online", "naive", "r", view=view)
     assert kind == "profile"
@@ -136,7 +134,7 @@ class TestInstallAndCollecting:
 
     def test_nested_collecting_joins_instead_of_shadowing(self, fresh_log):
         with events.collecting("decision") as outer:
-            with events.collecting("decision", "slo") as inner:
+            with events.collecting("decision", "actuation") as inner:
                 assert inner.rings["decision"] is outer.rings["decision"]
                 events.emit("decision", make_event("decision"))
             # the inner block closed what it opened, and only that
@@ -147,31 +145,32 @@ class TestInstallAndCollecting:
         with pytest.raises(ValueError, match="unknown event kind"):
             fresh_log.subscribe("decisions", print)
         with pytest.raises(KeyError):
-            with events.collecting("slo", "decisions"):
+            with events.collecting("actuation", "decisions"):
                 pass
         assert fresh_log.rings == {}  # what it had opened is closed again
 
 
 class TestSubscribers:
     def test_a_subscriber_with_no_ring_open_still_hears(self, fresh_log):
-        heard: list[slo.SloEvent] = []
-        with events.subscribe("slo", heard.append):
-            assert events.wanted("slo") and not fresh_log.rings
-            slo.observe_refresh(10.0, 11.0, t=3, source="staged")
-        slo.observe_refresh(10.0, 11.0)
-        assert [(e.source, e.t) for e in heard] == [("staged", 3)]
-        assert not events.wanted("slo")
+        heard: list[calibration.CalibrationSample] = []
+        with events.subscribe("calibration", heard.append):
+            assert events.wanted("calibration") and not fresh_log.rings
+            calibration.observe_flush("v", 3, "PS", 1, 2.0, 2.5)
+        calibration.observe_flush("v", 4, "PS", 1, 2.0, 2.5)
+        assert [(e.view, e.t) for e in heard] == [("v", 3)]
+        assert not events.wanted("calibration")
 
     def test_ring_and_subscribers_all_get_the_event(self, fresh_log):
         first, second = [], []
-        with events.collecting("slo") as log, \
-                events.subscribe("slo", first.append), \
-                events.subscribe("slo", second.append):
-            events.emit("slo", make_event("slo"))
-            assert len(log.rings["slo"]) == len(first) == len(second) == 1
+        with events.collecting("actuation") as log, \
+                events.subscribe("actuation", first.append), \
+                events.subscribe("actuation", second.append):
+            events.emit("actuation", make_event("actuation"))
+            ring = log.rings["actuation"]
+            assert len(ring) == len(first) == len(second) == 1
 
     def test_unsubscribing_a_stranger_is_a_noop(self, fresh_log):
-        fresh_log.unsubscribe("slo", print)
+        fresh_log.unsubscribe("actuation", print)
         assert fresh_log.wanted == {}
 
 

@@ -1,4 +1,5 @@
-"""Tests for refresh-SLO tracking: metrics, callbacks, ground truth."""
+"""Tests for refresh-SLO verdicts: classification, the alert mechanics,
+and the per-policy table read from a finished trace."""
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.core.problem import ProblemInstance
 from repro.core.simulator import execute_plan, simulate_policy
 from repro.core.astar import find_optimal_lgm_plan
 from repro.core.report import slo_summary
+from repro.ivm.governor import ControlEvent
 
 
 def _instance(steps=60, limit=12.0):
@@ -56,186 +58,113 @@ class TestClassify:
             slo.classify(-1.0, 0.0)  # second call: no warning raised
 
 
-class TestObserveRefresh:
-    def test_records_margin_metrics(self):
-        with obs.recording() as rec:
-            slo.observe_refresh(10.0, 4.0, t=3, source="test")
-        registry = rec.registry
-        assert registry.get("slo.steps").value == 1
-        assert registry.get("slo.refresh_margin").value == 6.0
-        assert registry.get("slo.limit").value == 10.0
-        assert registry.get("slo.refresh_margin.step").count == 1
-        assert registry.get("slo.breaches") is None
-
-    def test_breach_and_near_breach_counters(self):
-        with obs.recording() as rec:
-            slo.observe_refresh(10.0, 11.0)
-            slo.observe_refresh(10.0, 9.5)
-            slo.observe_refresh(10.0, 2.0)
-        assert rec.registry.get("slo.breaches").value == 1
-        assert rec.registry.get("slo.near_breaches").value == 1
-        assert rec.registry.get("slo.steps").value == 3
-
-    def test_event_returned_with_margin(self):
-        event = slo.observe_refresh(10.0, 12.5, t=7, source="unit")
-        assert event.kind == slo.BREACH
-        assert event.margin == pytest.approx(-2.5)
-        assert "unit" in str(event) and "t=7" in str(event)
-
-    def test_no_recorder_is_safe(self):
-        assert obs.get_recorder() is None
-        assert slo.observe_refresh(10.0, 1.0) is None
-
-
 class TestAlertCallbacks:
+    """The subscribe / unsubscribe / ``wanted`` mechanics an alert hangs
+    on, on the ``actuation`` kind the governor emits."""
+
     def test_callbacks_fire_without_recorder(self):
         heard = []
-        with events.subscribe("slo", heard.append):
-            slo.observe_refresh(10.0, 11.0, source="broker")
-            slo.observe_refresh(10.0, 1.0)
-        assert len(heard) == 1
-        assert heard[0].kind == slo.BREACH
-        assert heard[0].source == "broker"
+        event = ControlEvent(3, "online", "naive", "pressure", view="v")
+        assert obs.get_recorder() is None
+        with events.subscribe("actuation", heard.append):
+            events.emit("actuation", event)
+        assert heard == [event]
 
     def test_scope_removes_callback(self):
         heard = []
-        with events.subscribe("slo", heard.append):
+        with events.subscribe("actuation", heard.append):
             pass
-        slo.observe_refresh(10.0, 11.0)
+        events.emit("actuation", ControlEvent(0, "online", "naive", "r"))
         assert heard == []
 
     def test_remove_unknown_callback_is_noop(self):
-        events.installed().unsubscribe("slo", lambda e: None)
+        events.installed().unsubscribe("actuation", lambda e: None)
 
     def test_active_follows_add_and_remove(self):
         log = events.installed()
         first, second = (lambda e: None), (lambda e: None)
-        assert not events.wanted("slo")
-        log.subscribe("slo", first)
-        assert events.wanted("slo")
-        log.subscribe("slo", second)
-        log.unsubscribe("slo", first)
-        assert events.wanted("slo")
-        log.unsubscribe("slo", second)
-        assert not events.wanted("slo")
-        log.unsubscribe("slo", second)  # not subscribed any more: no error
-        assert not events.wanted("slo")
+        assert not events.wanted("actuation")
+        log.subscribe("actuation", first)
+        assert events.wanted("actuation")
+        log.subscribe("actuation", second)
+        log.unsubscribe("actuation", first)
+        assert events.wanted("actuation")
+        log.unsubscribe("actuation", second)
+        assert not events.wanted("actuation")
+        log.unsubscribe("actuation", second)  # not subscribed: no error
+        assert not events.wanted("actuation")
 
     def test_module_guards_follow_registration(self):
-        assert not events.wanted("slo")
-        with events.subscribe("slo", lambda e: None):
-            assert events.wanted("slo")
-        assert not events.wanted("slo")
+        assert not events.wanted("actuation")
+        with events.subscribe("actuation", lambda e: None):
+            assert events.wanted("actuation")
+        assert not events.wanted("actuation")
 
 
-class TestCallersGateTheSame:
-    """Every caller of ``observe_refresh`` observes for a recorder *or* an
-    slo subscriber; the simulators used to look at the recorder only."""
-
-    def test_simulate_policy_alerts_without_a_recorder(self):
-        problem = ProblemInstance(
-            # f(3,3)=9.0 rides the near-breach band, f(6,6)=15.0 breaches
-            cost_functions=(LinearCost(1.0, setup=1.5),) * 2,
-            limit=10.0,
-            arrivals=[(3, 3)] * 6,
-        )
-        heard = []
-        with events.subscribe("slo", heard.append):
-            simulate_policy(problem, NaivePolicy())
-        assert len(heard) == 6
-        with obs.recording(), events.subscribe("slo", heard.append):
-            simulate_policy(problem, NaivePolicy())
-        assert len(heard) == 12
-
-    def test_simulate_staged_alerts_without_a_recorder(self):
-        from repro.staged.model import Pipeline, Stage
-        from repro.staged.policies import NaiveStagedPolicy
-        from repro.staged.simulator import simulate_staged
-
-        pipeline = Pipeline([Stage("scan", LinearCost(slope=1.0))])
-        heard = []
-        with events.subscribe("slo", heard.append):
-            simulate_staged(pipeline, 3.0, [3] * 6, NaiveStagedPolicy())
-        assert [e.source for e in heard] == ["staged"] * 6
-        with obs.recording(), events.subscribe("slo", heard.append):
-            simulate_staged(pipeline, 3.0, [3] * 6, NaiveStagedPolicy())
-        assert len(heard) == 12
+def _table_counts(table: str, name: str) -> tuple[int, int, int]:
+    """The ``(steps, breaches, near)`` of ``name``'s row of a
+    :func:`slo_summary` table."""
+    (row,) = [line for line in table.splitlines() if line.split()[0] == name]
+    steps, breaches, near = row.split()[1:4]
+    return int(steps), int(breaches), int(near)
 
 
 class TestSimulatorGroundTruth:
-    """The live counters must equal what the finished trace says."""
+    """``slo_summary`` counts what :func:`slo.classify` says of each step
+    of the finished trace's ``pre_states``."""
 
     def _ground_truth(self, problem, trace):
-        costs = [problem.refresh_cost(pre) for pre in trace.pre_states]
-        return (
-            sum(1 for c in costs if slo.classify(problem.limit, c) == slo.BREACH),
-            sum(
-                1
-                for c in costs
-                if slo.classify(problem.limit, c) == slo.NEAR_BREACH
-            ),
-        )
+        kinds = [
+            slo.classify(problem.limit, problem.refresh_cost(pre))
+            for pre in trace.pre_states
+        ]
+        return kinds.count(slo.BREACH), kinds.count(slo.NEAR_BREACH)
+
+    def _assert_table_counts(self, problem, traces):
+        table = slo_summary(problem, traces)
+        for name, trace in traces.items():
+            assert _table_counts(table, name) == (
+                len(trace.pre_states), *self._ground_truth(problem, trace)
+            )
 
     @pytest.mark.parametrize("policy", [NaivePolicy(), OnlinePolicy()])
     def test_policy_breach_counter_matches_trace(self, policy):
         problem = _instance()
-        with obs.recording() as rec:
-            trace = simulate_policy(problem, policy)
-        breaches, near = self._ground_truth(problem, trace)
-        counted = rec.registry.get("slo.breaches")
-        near_counted = rec.registry.get("slo.near_breaches")
-        assert (counted.value if counted else 0) == breaches
-        assert (near_counted.value if near_counted else 0) == near
-        assert rec.registry.get("slo.steps").value == problem.horizon + 1
+        trace = simulate_policy(problem, policy)
+        assert len(trace.pre_states) == problem.horizon + 1
+        assert sum(self._ground_truth(problem, trace)) > 0
+        self._assert_table_counts(problem, {"P": trace})
 
     def test_plan_execution_records_slo(self):
         problem = _instance(steps=30)
         plan = find_optimal_lgm_plan(problem).plan
-        with obs.recording() as rec:
-            trace = execute_plan(problem, plan)
-        breaches, _ = self._ground_truth(problem, trace)
-        counted = rec.registry.get("slo.breaches")
-        assert (counted.value if counted else 0) == breaches
+        self._assert_table_counts(
+            problem, {"LGM": execute_plan(problem, plan)}
+        )
 
     def test_offline_summary_agrees_with_live_counters(self):
         problem = _instance()
-        with obs.recording() as rec:
-            traces = {
-                "NAIVE": simulate_policy(problem, NaivePolicy()),
-                "ONLINE": simulate_policy(problem, OnlinePolicy()),
-            }
-        table = slo_summary(problem, traces)
-        total = sum(
-            self._ground_truth(problem, t)[0] for t in traces.values()
-        )
-        counted = rec.registry.get("slo.breaches")
-        assert (counted.value if counted else 0) == total
-        assert "NAIVE" in table and "ONLINE" in table
-        assert "breaches" in table
+        traces = {
+            "NAIVE": simulate_policy(problem, NaivePolicy()),
+            "ONLINE": simulate_policy(problem, OnlinePolicy()),
+        }
+        self._assert_table_counts(problem, traces)
+        assert "breaches" in slo_summary(problem, traces)
 
     def test_disabled_recording_records_nothing(self):
+        """Observing a run neither changes its table nor records a
+        verdict beside it."""
         problem = _instance(steps=20)
-        simulate_policy(problem, NaivePolicy())  # must not raise
+        bare = simulate_policy(problem, NaivePolicy())
+        with obs.recording() as rec:
+            observed = simulate_policy(problem, NaivePolicy())
+        assert slo_summary(problem, {"N": observed}) == slo_summary(
+            problem, {"N": bare}
+        )
+        assert not [n for n in rec.registry.names() if n.startswith("slo.")]
 
 
 class TestStagedAndSummaryTable:
     def test_slo_summary_requires_traces(self):
         with pytest.raises(ValueError):
             slo_summary(_instance(), {})
-
-    def test_staged_simulator_records_slo(self):
-        from repro.staged.model import Pipeline, Stage
-        from repro.staged.policies import NaiveStagedPolicy
-        from repro.staged.simulator import simulate_staged
-
-        pipeline = Pipeline(
-            [
-                Stage("scan", LinearCost(slope=1.0)),
-                Stage("probe", LinearCost(slope=0.5)),
-            ]
-        )
-        with obs.recording() as rec:
-            simulate_staged(
-                pipeline, 100.0, [3, 3, 3, 3], NaiveStagedPolicy()
-            )
-        assert rec.registry.get("slo.steps").value == 4

@@ -18,7 +18,6 @@ class TestDisabled:
     def test_helpers_are_noops_without_recorder(self):
         # Must not raise, must not allocate a registry anywhere.
         obs.counter("astar.expanded", 5)
-        obs.gauge("simulator.backlog", 1.0)
         obs.gauge_max("astar.heap_peak", 2.0)
         obs.observe("engine.execute.sim_ms", 3.0)
 

@@ -5,10 +5,11 @@ part of the product.  Three static walks, so nothing is executed.  The
 first is per module: ``ast`` over every ``import`` / ``from ... import``,
 function-level ones included, so it sees the CLI's lazy imports.  The
 second is per definition: a function, class or method is reached when
-reached code reads its name.  The third is per parameter: a default that
-reached code never overrides is a constant, not an option.  The module
-walk also keeps the ``bench_*.py`` files plain table generators, and a
-last check keeps every import read.
+reached code reads it -- a name through the reading file's own
+definitions and imports, a method by attribute name.  The third is per
+parameter: a default that reached code never overrides is a constant,
+not an option.  The module walk also keeps the ``bench_*.py`` files
+plain table generators, and a last check keeps every import read.
 """
 
 from __future__ import annotations
@@ -56,6 +57,9 @@ ALLOWED = {
         "ONLINE's F_t, which the oracle machine holds bit-equal",
     "repro.engine.table.Table.delete_rids":
         "the DELETE event kind the oracle machine drives",
+    # What gives each test its own event log.
+    "repro.obs.events.install":
+        "tests/conftest.py's event_log fixture installs a fresh log per test",
 }
 
 #: Defaulted parameters that only tests set and that stay, as
@@ -194,50 +198,137 @@ def _walk(nodes: Iterable[ast.AST], skip: frozenset = frozenset()
         stack.extend(ast.iter_child_nodes(node))
 
 
-def _reads(chunks: Iterable[tuple]) -> tuple[set[str], set[str]]:
-    """The names the code in ``chunks`` (nodes, subtrees to skip) reads
-    bare, and the names it reads as attributes.
+def _bindings(tree: ast.Module, module: str | None) -> dict[str, str]:
+    """What each name a file binds stands for, as a dotted name: its
+    top-level definitions (``module`` is the file's, or None outside
+    ``src``) and its imports at any scope.
 
-    A bare read is a loaded ``Name``, and reaches a top-level definition;
-    an attribute read is an ``Attribute``, and reaches a method or a
-    module's definition.  A string constant that is an identifier (a
-    ``getattr`` or a dispatch table) is both.  An import binds a name
-    without reading it, and ``__all__`` lists names without reading them.
+    ``import a.b`` binds ``a``; ``import a.b as c`` and ``from a import
+    b as c`` bind ``c`` to ``a.b``.  A relative import outside ``src``
+    names a sibling of the importer, never ``repro``, and binds nothing.
     """
-    bare: set[str] = set()
+    bound: dict[str, str] = {}
+    if module is not None:
+        bound.update(
+            (node.name, f"{module}.{node.name}") for node in tree.body
+            if isinstance(node, (*_FUNCTIONS, ast.ClassDef))
+        )
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    bound[alias.asname] = alias.name
+                else:
+                    top = alias.name.partition(".")[0]
+                    bound[top] = top
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            bound.update(
+                (alias.asname or alias.name, f"{node.module}.{alias.name}")
+                for alias in node.names if alias.name != "*"
+            )
+    return bound
+
+
+class _Names:
+    """Resolves a dotted name through the modules' bindings: a package
+    that imports a name re-exports it, so ``repro.obs.install`` is
+    ``repro.obs.recorder.install``."""
+
+    def __init__(self, definitions: dict[str, tuple],
+                 modules: dict[str, dict[str, str]]):
+        self.definitions = definitions
+        self.modules = modules
+
+    def resolve(self, target: str) -> str:
+        for _ in range(len(self.modules)):
+            if target in self.definitions or target in self.modules:
+                return target
+            module, _, name = target.rpartition(".")
+            forwarded = self.modules.get(module, {}).get(name)
+            if forwarded is None or forwarded == target:
+                return target
+            target = forwarded
+        return target
+
+    def dotted(self, node: ast.AST, bindings: dict[str, str]) -> str | None:
+        """The resolved dotted name of a ``Name`` or an attribute chain
+        over one, if the file binds its head."""
+        if isinstance(node, ast.Name):
+            bound = bindings.get(node.id)
+            return None if bound is None else self.resolve(bound)
+        if isinstance(node, ast.Attribute):
+            base = self.dotted(node.value, bindings)
+            if base in self.modules:
+                return self.resolve(f"{base}.{node.attr}")
+        return None
+
+
+_NAMING_BUILTINS = ("getattr", "hasattr", "setattr")
+
+
+def _reads(chunks: Iterable[tuple], names: _Names
+           ) -> tuple[set[str], set[str]]:
+    """The definitions the code in ``chunks`` (nodes, subtrees to skip,
+    the file's bindings) reads by name, and the attributes it reads off
+    anything else.
+
+    A loaded ``Name`` reads what the file binds it to, and ``module.name``
+    what that module binds ``name`` to; an unbound name (a local, a
+    builtin) reads nothing.  Any other attribute, and the name constant
+    of a ``getattr`` / ``hasattr`` / ``setattr``, reaches a method by
+    name.  An import binds a name without reading it, and ``__all__``
+    lists names without reading them.
+    """
+    reads: set[str] = set()
     attrs: set[str] = set()
-    for nodes, skip in chunks:
+    for nodes, skip, bindings in chunks:
         for node in _walk(nodes, skip):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                bare.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                attrs.add(node.attr)
-            elif (isinstance(node, ast.Constant)
-                  and isinstance(node.value, str)
-                  and node.value.isidentifier()):
-                bare.add(node.value)
-                attrs.add(node.value)
-    return bare, attrs
+                read = names.dotted(node, bindings)
+                if read:
+                    reads.add(read)
+                continue
+            if isinstance(node, ast.Attribute):
+                owner, attr = node.value, node.attr
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id in _NAMING_BUILTINS
+                  and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant)
+                  and isinstance(node.args[1].value, str)):
+                owner, attr = node.args[0], node.args[1].value
+            else:
+                continue
+            base = names.dotted(owner, bindings)
+            if base in names.modules:
+                reads.add(names.resolve(f"{base}.{attr}"))
+            else:
+                attrs.add(attr)
+    return reads, attrs
 
 
-def _definitions() -> tuple[dict[str, tuple], list[tuple]]:
+def _definitions() -> tuple[dict[str, tuple], list[tuple],
+                            dict[str, dict[str, str]]]:
     """Every top-level function and class of ``src/repro`` and every
     non-dunder method, as qualified name -> (name, owning class, nodes,
-    subtrees that are definitions of their own); and each module's
-    top-level statements, as (nodes, definitions to skip).
+    subtrees that are definitions of their own, the file's bindings);
+    each module's top-level statements, as (nodes, definitions to skip,
+    bindings); and each module's bindings.
 
     A class's body, dunder methods included, is its own; its other
     methods are definitions.  A property's getter and setter are one.
     """
     found: dict[str, tuple] = {}
     top_level: list[tuple] = []
+    modules: dict[str, dict[str, str]] = {}
     for path in sorted(SRC.rglob("*.py")):
         module = _module_name(path)
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        bindings = modules[module] = _bindings(tree, module)
         tops = [
             n for n in tree.body if isinstance(n, (*_FUNCTIONS, ast.ClassDef))
         ]
-        top_level.append((tree.body, frozenset(tops)))
+        top_level.append((tree.body, frozenset(tops), bindings))
         for top in tops:
             qual = f"{module}.{top.name}"
             methods = [
@@ -245,13 +336,14 @@ def _definitions() -> tuple[dict[str, tuple], list[tuple]]:
                 if isinstance(n, _FUNCTIONS)
                 and not (n.name.startswith("__") and n.name.endswith("__"))
             ] if isinstance(top, ast.ClassDef) else []
-            found[qual] = (top.name, None, [top], frozenset(methods))
+            found[qual] = (top.name, None, [top], frozenset(methods),
+                           bindings)
             for method in methods:
                 found.setdefault(
                     f"{qual}.{method.name}",
-                    (method.name, qual, [], frozenset()),
+                    (method.name, qual, [], frozenset(), bindings),
                 )[2].append(method)
-    return found, top_level
+    return found, top_level, modules
 
 
 def _reached(seeds: Iterable[str] = ()) -> set[str]:
@@ -259,46 +351,47 @@ def _reached(seeds: Iterable[str] = ()) -> set[str]:
 
     Reached code starts as the code that runs outside every definition
     and grows by the body of every definition reached: one of ``seeds``,
-    or one whose name it reads -- bare or as an attribute for a top-level
-    definition, as an attribute for a method, whose class must be reached
-    too.  A name read reaches every definition of that name, which errs
-    towards keeping code.
+    or one it reads -- a top-level definition by a name that resolves to
+    it, a method by an attribute of its name, whose class must be reached
+    too.  An attribute name reaches every method of that name, which
+    errs towards keeping code.
     """
-    definitions, outside = _code()
-    bare, attrs = _reads(outside)
+    definitions, outside, names = _code()
+    reads, attrs = _reads(outside, names)
     seeds, reached = set(seeds), set()
     grew = True
     while grew:
         grew = False
-        for qual, (name, owner, nodes, own) in definitions.items():
+        for qual, (name, owner, nodes, own, bindings) in definitions.items():
             if qual in reached:
                 continue
-            read = name in attrs or (owner is None and name in bare)
+            read = name in attrs if owner else qual in reads
             if not (read or qual in seeds):
                 continue
             if owner is None or owner in reached:
                 reached.add(qual)
-                more_bare, more_attrs = _reads([(nodes, own)])
-                bare |= more_bare
+                more_reads, more_attrs = _reads([(nodes, own, bindings)],
+                                                names)
+                reads |= more_reads
                 attrs |= more_attrs
                 grew = True
     return reached
 
 
 @lru_cache(maxsize=None)
-def _code() -> tuple[dict[str, tuple], list[tuple]]:
-    """The definitions, and the code that runs outside them.
+def _code() -> tuple[dict[str, tuple], list[tuple], _Names]:
+    """The definitions, the code that runs outside them, and the names
+    every module binds.
 
     Every module is imported (the test above), so every module's
     top-level statements run; so does every file under ROOT_DIRS.
     """
-    definitions, outside = _definitions()
+    definitions, outside, modules = _definitions()
     for directory in ROOT_DIRS:
         for path in sorted((REPO / directory).rglob("*.py")):
-            outside.append(
-                ([ast.parse(path.read_text(encoding="utf-8"))], frozenset())
-            )
-    return definitions, outside
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            outside.append(([tree], frozenset(), _bindings(tree, None)))
+    return definitions, outside, _Names(definitions, modules)
 
 
 def _named(pattern: str, names: Iterable[str]) -> set[str]:
@@ -319,7 +412,7 @@ def _stale(allow: dict[str, str], names: Iterable[str], kept: set[str]
 def _audit(allow: dict[str, str]) -> tuple[list[str], list[str]]:
     """The definitions nothing reaches that ``allow`` does not name, and
     the entries of ``allow`` that are stale."""
-    definitions, _ = _code()
+    definitions = _code()[0]
     seeds = set().union(*(_named(p, definitions) for p in allow))
     reached = _reached(seeds)
     unreached = sorted(
@@ -347,10 +440,10 @@ def _parameters(reached: set[str]) -> dict[str, tuple]:
     ``self`` and ``cls`` are passed by the call's receiver; ``*args`` and
     ``**kwargs`` have no default.
     """
-    definitions, _ = _code()
+    definitions = _code()[0]
     found: dict[str, tuple] = {}
     for qual in sorted(reached):
-        name, owner, nodes, _ = definitions[qual]
+        name, owner, nodes = definitions[qual][:3]
         if isinstance(nodes[0], ast.ClassDef):
             functions = [
                 n for n in nodes[0].body
@@ -394,10 +487,10 @@ def _set_parameters(reached: set[str], parameters: dict[str, tuple]
     literal sets every parameter of that name, since ``runner(**kwargs)``
     is a call no name matches.  Name collisions keep a parameter set.
     """
-    definitions, outside = _code()
-    chunks = [(nodes, skip, None) for nodes, skip in outside] + [
+    definitions, outside, _ = _code()
+    chunks = [(nodes, skip, None) for nodes, skip, _ in outside] + [
         (nodes, own, owner and definitions[owner][0])
-        for _, owner, nodes, own in map(definitions.get, reached)
+        for _, owner, nodes, own, _ in map(definitions.get, reached)
     ]
     calls: dict[tuple[str, bool], list[tuple]] = {}
     keys: set[str] = set()
@@ -444,7 +537,7 @@ def _audit_parameters(allow: dict[str, str]
                       ) -> tuple[list[str], list[str]]:
     """The parameters nothing sets that ``allow`` does not name, and the
     entries of ``allow`` that are stale."""
-    definitions, _ = _code()
+    definitions = _code()[0]
     reached = _reached(
         set().union(*(_named(p, definitions) for p in ALLOWED))
     )

@@ -205,10 +205,20 @@ ROWS = (
          ("src/repro/ivm", "src/repro/experiments"),
          'events.subscribe("slo", alerts.append)',
          "the governor and the control ablation read the ledger", "44"),
-    Gone(r"observe_refresh", ("src/repro/ivm",),
+    Gone(r"observe_refresh|SloEvent", ("src", "docs"),
          "            slo.observe_refresh(",
-         "a maintainer emits no slo event and records no slo.* metric",
-         "44"),
+         "no run emits an slo event: a verdict is slo.classify of a "
+         "recorded pre_state, made when the record is read", "44, 45"),
+    Gone(r"slo\.(steps|limit|refresh_margin|breaches|near_breaches)",
+         ("src", "docs"), '        recorder.counter("slo.steps")',
+         "no run records a per-step slo.* metric beside its trace or "
+         "ledger", "45"),
+    Gone(r"def summary\(|_empty_bucket|def _fold\(bucket|def rounds\("
+         r"|def gauge\((self, )?name: str, value|calibration\.summary",
+         ("src", "docs"),
+         "def summary(samples: Iterable[CalibrationSample]) -> dict:",
+         "definitions only tests read, once a bare name resolves through "
+         "its file's bindings", "45"),
 )
 
 #: Paths (globs) that must not exist, each with the change that deleted it.
