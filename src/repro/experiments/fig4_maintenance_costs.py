@@ -96,5 +96,5 @@ def run_fig4(
     return Fig4Result(
         partsupp=cal_ps,
         supplier=cal_s,
-        min_recomputations=setup.view._groups.recomputations,
+        min_recomputations=setup.view.state.data.recomputations,
     )

@@ -69,8 +69,6 @@ def apply_batch(
     batch = round_.batch_for(delta, k)
     with obs.trace("ivm.apply_batch", alias=alias, k=k):
         _propagate(view, alias, batch)
-    obs.counter("ivm.batches_applied")
-    obs.counter("ivm.modifications_applied", k)
     delta.advance(k)
 
 

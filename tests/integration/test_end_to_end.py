@@ -147,12 +147,12 @@ class TestFullPipeline:
         view = MaterializedView("v", db, make_paper_spec())
         sup = db.table("supplier")
         sup_updater = SupplierNationUpdater(sup, seed=71)
-        recomputes_before = view._groups.recomputations
+        recomputes_before = view.state.data.recomputations
         # Re-key every supplier a few times: the MIN holder will move.
         for __ in range(4):
             sup_updater.apply(sup.live_count)
             view.deltas["S"].pull()
             flush_all(view)
             assert view.contents() == view.recompute()
-        recomputes_after = view._groups.recomputations
+        recomputes_after = view.state.data.recomputations
         assert recomputes_after > recomputes_before

@@ -21,7 +21,6 @@ from repro.engine.expr import col, lit
 from repro.engine.query import AggregateSpec, JoinSpec, QuerySpec
 from repro.engine.types import ColumnType, Schema
 from repro.ivm.multiview import MaintenanceCoordinator
-from repro.ivm.sharedscan import Evaluations
 from repro.obs import attrib, events
 from repro.tpcr.updates import PartSuppCostUpdater
 from tests.conftest import make_tpcr_db
@@ -292,7 +291,8 @@ class TestAggregateProfiles:
 class TestFlushProfiles:
     """Profiles of the queries a view's flush runs carry the view and the
     round, and account for that round's ledger entry: what they tally
-    plus the shared-evaluation charges replayed to the view is exactly
+    plus the charges replayed to the view -- of a shared evaluation, an
+    adopted fold or a whole view-round its state-mate ran -- is exactly
     the entry's ``charges``."""
 
     @staticmethod
@@ -312,18 +312,15 @@ class TestFlushProfiles:
         for name in ("first", "second"):  # spec-equal: the second replays
             add_naive(coordinator, name, self.spj_spec())
         replayed: dict[tuple, Counter] = {}
-        run = Evaluations.run
+        replay = OperationCounter.replay
 
-        def recording_run(self, key, *args, **kwargs):
-            kept = self._kept.get(key)
-            if kept is not None:
+        def recording_replay(self, charges):
+            if charges:
                 view, t, _ = events.current_step()
-                replayed.setdefault((view, t), Counter()).update(
-                    dict(kept.charges)
-                )
-            return run(self, key, *args, **kwargs)
+                replayed.setdefault((view, t), Counter()).update(dict(charges))
+            replay(self, charges)
 
-        monkeypatch.setattr(Evaluations, "run", recording_run)
+        monkeypatch.setattr(OperationCounter, "replay", recording_replay)
         updater = PartSuppCostUpdater(db.table("partsupp"), seed=17)
         profiles: list[dict] = []
         previous = attrib.set_profile_sink(profiles.append)
